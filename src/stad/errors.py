@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 Every error raised by the library derives from StadError so that callers
-(and the CLI, which maps them to exit code 1) can catch one base class.
+can catch one base class.
 """
+
+from numpy.linalg import LinAlgError
 
 
 class StadError(Exception):
@@ -25,10 +27,6 @@ class DimensionMismatchError(StadError):
     """Array shapes are inconsistent with the model or stream dimensions."""
 
 
-class DegenerateMessageError(StadError):
-    """Prototype-update messages cancelled exactly; no direction is defined."""
-
-
 class NonContiguousTimeError(StadError):
     """Time indices must increase by exactly one."""
 
@@ -43,6 +41,10 @@ class InsufficientHistoryError(StadError):
 
 class NotAdaptedError(StadError):
     """Prediction was requested before any adaptation step."""
+
+
+class NotPositiveDefiniteError(StadError, LinAlgError):
+    """A covariance that must be positive definite is not; its Cholesky factorization failed."""
 
 
 class ConfigError(StadError):

@@ -23,13 +23,12 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     DomainError,
-    EmptyBatchError,
     InsufficientHistoryError,
-    NonContiguousTimeError,
-    NotAdaptedError,
+    NotPositiveDefiniteError,
 )
+# normalize_rows is unused here; it stays importable because bench/tracing.py rebinds it
 from .mathcore import log_sum_exp, normalize_rows
-from .vmf import mixing_update
+from .window import SlidingWindow, mixing_update
 
 __all__ = [
     "GaussConfig",
@@ -88,15 +87,6 @@ class GaussBelief:
         return GaussBelief(self.mean.copy(), self.cov.copy())
 
 
-@dataclass
-class _WindowStep:
-    t: int
-    feats: np.ndarray
-    belief: GaussBelief
-    resp: np.ndarray
-    mixing: np.ndarray
-
-
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
@@ -105,6 +95,14 @@ def _eig_floor(m: np.ndarray, floor: float = _EIG_FLOOR) -> np.ndarray:
     vals, vecs = np.linalg.eigh(_sym(m))
     vals = np.maximum(vals, floor)
     return _sym((vecs * vals) @ vecs.T)
+
+
+def _cholesky(m: np.ndarray):
+    """Lower Cholesky factor of a symmetric positive-definite matrix, for cho_solve."""
+    try:
+        return cho_factor(m, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
 
 
 def kf_predict(mean: np.ndarray, cov: np.ndarray, transition: np.ndarray,
@@ -131,8 +129,9 @@ def kf_update_weighted(
     mean with emission noise scaled down by the total weight. A total
     weight at or below 1e-8 (an empty cluster) returns the prior
     unchanged. The gain is computed through a symmetric positive-definite
-    solve; a non-PSD innovation covariance raises LinAlgError, which
-    signals an invariant violation upstream.
+    solve; a non-PSD innovation covariance raises NotPositiveDefiniteError
+    (a StadError and a LinAlgError), which signals an invariant violation
+    upstream.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -145,7 +144,7 @@ def kf_update_weighted(
         return mean.copy(), cov.copy()
     obs = (resp_col @ feats) / weight
     innov_cov = cov + sigma_ems / weight
-    factor = cho_factor(_sym(innov_cov), lower=True)
+    factor = _cholesky(_sym(innov_cov))
     gain = cho_solve(factor, cov).T
     new_mean = mean + gain @ (obs - mean)
     eye = np.eye(mean.shape[-1])
@@ -173,7 +172,7 @@ def kf_smooth(
     gains: list[np.ndarray] = []
     for i in range(t_len - 2, -1, -1):
         pred_cov = _sym(transition @ covs[i] @ transition.T + sigma_trans)
-        factor = cho_factor(pred_cov, lower=True)
+        factor = _cholesky(pred_cov)
         gain = cho_solve(factor, transition @ covs[i]).T
         sm[i] = means[i] + gain @ (sm[i + 1] - transition @ means[i])
         sc[i] = _sym(covs[i] + gain @ (sc[i + 1] - pred_cov) @ gain.T)
@@ -205,12 +204,12 @@ def gauss_assignments(
         log_pi = np.log(np.asarray(mixing, dtype=float))
     shared_factor = None
     if not predictive:
-        shared_factor = cho_factor(_sym(sigma_ems), lower=True)
+        shared_factor = _cholesky(_sym(sigma_ems))
         shared_logdet = 2.0 * np.sum(np.log(np.diag(shared_factor[0])))
     for j in range(k):
         diff = feats - belief.mean[j]
         if predictive:
-            factor = cho_factor(_sym(sigma_ems + belief.cov[j]), lower=True)
+            factor = _cholesky(_sym(sigma_ems + belief.cov[j]))
             logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
         else:
             factor, logdet = shared_factor, shared_logdet
@@ -254,7 +253,7 @@ def gauss_m_step(
                 lag = smoothed[i].cov[j] @ gains[i - 1][j].T + np.outer(m_cur, m_prev)
                 s_prev += p_prev + np.outer(m_prev, m_prev)
                 s_lag += lag
-            factor = cho_factor(_sym(s_prev) + _EIG_FLOOR * np.eye(d), lower=True)
+            factor = _cholesky(_sym(s_prev) + _EIG_FLOOR * np.eye(d))
             new_a[j] = cho_solve(factor, s_lag.T).T
 
     new_q = new_r = None
@@ -284,7 +283,7 @@ def gauss_m_step(
     return new_a, new_q, new_r
 
 
-class GaussModel:
+class GaussModel(SlidingWindow):
     """Sliding-window Gaussian tracker with a softmax head on posterior means.
 
     Single-writer, like the spherical tracker. The per-class transition
@@ -304,7 +303,6 @@ class GaussModel:
                 f"D={config.d} exceeds the D<={_DIM_GATE} gate for the Gaussian "
                 "model (D^3 solves); set allow_high_dim=True to override"
             )
-        self.config = config
         d, k = config.d, config.k
         self.transition = np.tile(np.eye(d), (k, 1, 1))
         self.sigma_trans = config.sigma_trans_scale * np.eye(d)
@@ -314,56 +312,21 @@ class GaussModel:
             if config.init_cov_scale is not None
             else config.sigma_trans_scale
         )
-        self._anchor = GaussBelief(
-            source_weights.copy(), np.tile(init_cov * np.eye(d), (k, 1, 1))
+        super().__init__(
+            config,
+            GaussBelief(source_weights.copy(), np.tile(init_cov * np.eye(d), (k, 1, 1))),
+            window=config.window,
         )
-        self._steps: list[_WindowStep] = []
         self._last_gains: list[np.ndarray] = []
 
     @property
     def prototypes(self) -> np.ndarray:
         """Posterior prototype means of the newest step."""
-        if not self._steps:
-            raise NotAdaptedError("no adaptation step has run yet")
-        return self._steps[-1].belief.mean
-
-    @property
-    def mixing(self) -> np.ndarray:
-        if not self._steps:
-            raise NotAdaptedError("no adaptation step has run yet")
-        return self._steps[-1].mixing
-
-    @property
-    def window_times(self) -> list[int]:
-        return [s.t for s in self._steps]
+        return self._newest().belief.mean
 
     def adapt(self, t: int, feats: np.ndarray) -> "GaussModel":
         cfg = self.config
-        feats = np.asarray(feats, dtype=float)
-        if feats.ndim != 2 or feats.shape[1] != cfg.d:
-            raise DimensionMismatchError(
-                f"batch shape {feats.shape} does not match D={cfg.d}"
-            )
-        if feats.shape[0] == 0:
-            raise EmptyBatchError("adaptation needs at least one sample")
-        feats = normalize_rows(feats)
-        if self._steps and t != self._steps[-1].t + 1:
-            raise NonContiguousTimeError(f"expected t={self._steps[-1].t + 1}, got {t}")
-
-        init = self._steps[-1].belief.copy() if self._steps else self._anchor.copy()
-        self._steps.append(
-            _WindowStep(
-                t=t,
-                feats=feats,
-                belief=init,
-                resp=np.full((feats.shape[0], cfg.k), 1.0 / cfg.k),
-                mixing=np.full(cfg.k, 1.0 / cfg.k),
-            )
-        )
-        while len(self._steps) > cfg.window:
-            evicted = self._steps.pop(0)
-            self._anchor = evicted.belief
-
+        self._push(t, feats)
         for _ in range(cfg.e_sweeps):
             self.coordinate_sweep()
         for s in self._steps:
@@ -432,14 +395,8 @@ class GaussModel:
 
     def predict(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """softmax(W h) with W the newest posterior prototype means."""
-        if not self._steps:
-            raise NotAdaptedError("call adapt() before predict()")
-        feats = normalize_rows(np.asarray(feats, dtype=float))
-        if feats.shape[1] != self.config.d:
-            raise DimensionMismatchError(
-                f"batch dimension {feats.shape[1]} != D={self.config.d}"
-            )
-        logits = feats @ self._steps[-1].belief.mean.T
+        newest = self._newest()
+        logits = self._unit_batch(feats) @ newest.belief.mean.T
         if logits.shape[1] == 1:
             probs = np.ones_like(logits)
         else:

@@ -49,18 +49,6 @@ _SERIES_TERM_CAP = 200
 _UNIFORM_ORDER_MIN = 14.0
 
 
-def _kahan_sum(terms: np.ndarray) -> np.ndarray:
-    """Compensated sum along the last axis."""
-    total = np.zeros(terms.shape[:-1])
-    comp = np.zeros_like(total)
-    for i in range(terms.shape[-1]):
-        y = terms[..., i] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 def _log_i_series(order: float, arg: np.ndarray) -> np.ndarray:
     """Ascending power series in the log domain.
 
@@ -80,7 +68,7 @@ def _log_i_series(order: float, arg: np.ndarray) -> np.ndarray:
             break
     stacked = np.stack(log_terms, axis=-1)
     shift = stacked.max(axis=-1)
-    total = _kahan_sum(np.exp(stacked - shift[..., None]))
+    total = np.exp(stacked - shift[..., None]).sum(axis=-1)
     return (
         order * (np.log(arg) - math.log(2.0))
         - math.lgamma(order + 1.0)
@@ -170,8 +158,7 @@ def _log_i_hankel(order: float, arg: np.ndarray) -> np.ndarray:
 def log_bessel_i(order: float, arg):
     """log I_order(arg) for order >= 0 and arg >= 0.
 
-    Branches: ascending power series (log domain, compensated sum, at most
-    200 terms) when the argument is small absolutely or relative to the
+    Branches: ascending power series (log domain, at most 200 terms) when the argument is small absolutely or relative to the
     order; the uniform large-order expansion for orders >= 14; Hankel's
     large-argument expansion otherwise. Returns -inf where I vanishes
     (arg == 0 with order > 0).

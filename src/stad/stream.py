@@ -58,7 +58,6 @@ __all__ = [
     "write_stream",
     "read_manifest",
     "read_stream",
-    "load_stream",
     "read_trajectory",
     "read_csv_stream",
     "make_label_shift",
@@ -139,8 +138,11 @@ class DriftScenario:
         if dist not in ("uniform", "ordered") and not dist.startswith("dirichlet:"):
             raise DomainError(f"unknown label distribution {dist!r}")
         if dist.startswith("dirichlet:"):
-            alpha = float(dist.split(":", 1)[1])
-            if alpha <= 0.0:
+            try:
+                alpha = float(dist.split(":", 1)[1])
+            except ValueError:
+                raise DomainError(f"bad dirichlet alpha in {dist!r}") from None
+            if not alpha > 0.0:
                 raise DomainError("dirichlet alpha must be positive")
 
 
@@ -268,14 +270,20 @@ def read_manifest(dirpath) -> StreamManifest:
         payload = json.loads(mpath.read_text())
     except json.JSONDecodeError as exc:
         raise CorruptHeaderError(f"{mpath}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise CorruptHeaderError(f"{mpath}: expected a JSON object")
     if payload.get("format_version") != FORMAT_VERSION:
         raise CorruptHeaderError(
             f"{mpath}: unsupported format_version {payload.get('format_version')!r}"
         )
-    steps = [
-        StepEntry(s["t"], s["features"], s.get("labels"), s["count"])
-        for s in payload["steps"]
-    ]
+    try:
+        steps = [
+            StepEntry(int(s["t"]), s["features"], s.get("labels"), int(s["count"]))
+            for s in payload["steps"]
+        ]
+        d, k = int(payload["d"]), int(payload["k"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptHeaderError(f"{mpath}: malformed manifest ({exc!r})") from exc
     if not steps:
         raise CorruptHeaderError(f"{mpath}: no steps")
     if steps[0].t != 1:
@@ -289,8 +297,8 @@ def read_manifest(dirpath) -> StreamManifest:
         raise CorruptHeaderError(f"{mpath}: step with non-positive count")
     return StreamManifest(
         format_version=payload["format_version"],
-        d=int(payload["d"]),
-        k=int(payload["k"]),
+        d=d,
+        k=k,
         steps=steps,
         metadata={str(k_): str(v) for k_, v in payload.get("metadata", {}).items()},
     )
@@ -320,10 +328,6 @@ def read_stream(dirpath) -> Iterator[EmbeddingBatch]:
         yield EmbeddingBatch(entry.t, feats, labels)
 
 
-def load_stream(dirpath) -> list[EmbeddingBatch]:
-    return list(read_stream(dirpath))
-
-
 def read_trajectory(dirpath) -> np.ndarray | None:
     """Ground-truth prototype trajectory as (T, K, D), when present."""
     dirpath = Path(dirpath)
@@ -348,7 +352,7 @@ def read_csv_stream(path, k: int | None = None) -> tuple[list[EmbeddingBatch], i
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if not header or header[0] != "t" or header[1] != "label":
+        if not header or len(header) < 3 or header[:2] != ["t", "label"]:
             raise CorruptHeaderError(f"{path}: expected header t,label,f0..")
         d = len(header) - 2
         rows_by_t: dict[int, list] = {}
@@ -356,9 +360,15 @@ def read_csv_stream(path, k: int | None = None) -> tuple[list[EmbeddingBatch], i
         for row in reader:
             if len(row) != d + 2:
                 raise CorruptPayloadError(f"{path}: row width {len(row)} != {d + 2}")
-            t = int(row[0])
-            rows_by_t.setdefault(t, []).append([float(x) for x in row[2:]])
+            try:
+                t = int(row[0])
+                feats = [float(x) for x in row[2:]]
+            except ValueError as exc:
+                raise CorruptPayloadError(f"{path}: {exc}") from exc
+            rows_by_t.setdefault(t, []).append(feats)
             labels_by_t.setdefault(t, []).append(row[1])
+    if not rows_by_t:
+        raise CorruptPayloadError(f"{path}: no data rows")
     ts = sorted(rows_by_t)
     if ts != list(range(ts[0], ts[0] + len(ts))):
         raise NonContiguousTimeError(f"{path}: non-contiguous time indices {ts}")
@@ -369,7 +379,10 @@ def read_csv_stream(path, k: int | None = None) -> tuple[list[EmbeddingBatch], i
         raw = labels_by_t[t]
         labels = None
         if all(x != "" for x in raw):
-            labels = np.asarray([int(x) for x in raw], dtype=np.uint32)
+            try:
+                labels = np.asarray([int(x) for x in raw], dtype=np.uint32)
+            except (ValueError, OverflowError) as exc:
+                raise CorruptPayloadError(f"{path}: bad label at t={t}: {exc}") from exc
             max_label = max(max_label, int(labels.max()))
         batches.append(EmbeddingBatch(t, feats, labels))
     return batches, (k if k is not None else max_label + 1)
@@ -396,6 +409,8 @@ def make_label_shift(
     batches = list(batches)
     if any(b.labels is None for b in batches):
         raise MissingLabelsError("label-shift reordering needs labels")
+    if any(np.any((b.labels < 0) | (b.labels >= k)) for b in batches):
+        raise DomainError(f"labels must lie in [0, {k}) for label-shift reordering")
     rng = np.random.default_rng(seed)
     if not whole_stream:
         out = []

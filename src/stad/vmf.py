@@ -20,16 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateMessageError,
-    DimensionMismatchError,
-    DomainError,
-    EmptyBatchError,
-    InsufficientHistoryError,
-    NonContiguousTimeError,
-    NotAdaptedError,
-    ZeroVectorError,
-)
+from .errors import DimensionMismatchError, DomainError, InsufficientHistoryError
 from .mathcore import (
     bessel_ratio,
     estimate_kappa_clamped,
@@ -37,6 +28,7 @@ from .mathcore import (
     log_vmf_norm_const,
     normalize_rows,
 )
+from .window import SlidingWindow, mixing_update
 
 __all__ = [
     "VmfConfig",
@@ -116,15 +108,6 @@ class PrototypeBelief:
         return PrototypeBelief(self.mean_dir.copy(), self.conc.copy(), self.expected.copy())
 
 
-@dataclass
-class _WindowStep:
-    t: int
-    feats: np.ndarray   # (N, D), unit rows
-    belief: PrototypeBelief
-    resp: np.ndarray    # (N, K)
-    mixing: np.ndarray  # (K,)
-
-
 def expected_prototype(mean_dir: np.ndarray, conc, d: int) -> np.ndarray:
     """Expected prototype under a vMF belief: A_D(conc) * mean_dir."""
     mean_dir = np.asarray(mean_dir, dtype=float)
@@ -171,56 +154,24 @@ def assignment_step(
 
 
 def prototype_update(
-    data_msg: np.ndarray,
-    past_msg: np.ndarray | None = None,
-    future_msg: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """Belief update for a single prototype from already-scaled messages.
+    total: np.ndarray, previous: PrototypeBelief
+) -> tuple[PrototypeBelief, int]:
+    """Belief update for all K prototypes from their summed messages.
 
-    Messages are natural-parameter vectors: the emission term
-    kappa_ems * sum_n resp_n h_n plus, when present, the temporal
-    neighbours' kappa * expected-direction vectors (or the initial prior's
-    kappa0 * mu0). Returns (mean direction, concentration) of the summed
-    message. Raises when the messages cancel to (near-)zero, in which case
-    the caller keeps its previous belief.
+    Row k of `total` (K, D) is a natural-parameter vector: the emission
+    term kappa_ems * sum_n resp_nk h_n plus the temporal neighbours'
+    kappa * expected-direction vectors (or the initial prior's
+    kappa0 * mu0). Its direction is the new mean direction and its norm
+    the new concentration. A row whose messages cancel to norm <= 1e-12
+    keeps its previous belief. Returns the new belief and the number of
+    such degenerate rows.
     """
-    total = np.asarray(data_msg, dtype=float).copy()
-    for msg in (past_msg, future_msg):
-        if msg is not None:
-            total += np.asarray(msg, dtype=float)
-    if not np.all(np.isfinite(total)):
-        raise DomainError("prototype messages must be finite")
-    norm = float(np.linalg.norm(total))
-    if norm <= _DEGENERATE_EPS:
-        raise DegenerateMessageError("prototype messages cancelled exactly")
-    return total / norm, norm
-
-
-def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
-    """Column means of the responsibilities, floored and renormalized.
-
-    Entries below the floor are pinned to it and the remaining mass is
-    distributed proportionally over the others, so e.g. rows all equal to
-    (1, 0) with floor 0.01 give (0.99, 0.01).
-    """
-    resp = np.asarray(resp, dtype=float)
-    if resp.ndim != 2 or resp.shape[0] == 0:
-        raise EmptyBatchError("mixing update needs at least one sample")
-    pi = resp.mean(axis=0)
-    pi = pi / pi.sum()
-    if pi_floor <= 0.0:
-        return pi
-    pinned = np.zeros(pi.shape[0], dtype=bool)
-    for _ in range(pi.shape[0]):
-        low = (pi < pi_floor) & ~pinned
-        if not low.any():
-            break
-        pinned |= low
-        rest = ~pinned
-        pi[pinned] = pi_floor
-        # the mean of simplex rows keeps max >= 1/K > floor, so rest is non-empty
-        pi[rest] *= (1.0 - pi_floor * pinned.sum()) / pi[rest].sum()
-    return pi
+    norms = np.linalg.norm(total, axis=1)
+    ok = norms > _DEGENERATE_EPS
+    safe = np.where(ok, norms, 1.0)
+    new_dir = np.where(ok[:, None], total / safe[:, None], previous.mean_dir)
+    new_conc = np.where(ok, norms, previous.conc)
+    return PrototypeBelief.from_params(new_dir, new_conc), int((~ok).sum())
 
 
 def kappa_update(
@@ -307,21 +258,18 @@ def predict_probs(
     return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
 
 
-class VmfModel:
+class VmfModel(SlidingWindow):
     """Sliding-window spherical tracker with an adapted softmax head.
 
     Single-writer: adapt/predict must be externally serialized per
-    instance. With static=True the transition chain is dropped: every
-    arrival is fit as a fresh mixture anchored only at the source
-    prototypes (window forced to 1).
+    instance. With static=True the transition chain is dropped: the
+    window holds one step whose anchor never advances from the source
+    prior, so every arrival is fit as a fresh mixture anchored only at
+    the source prototypes.
     """
 
     def __init__(self, source_weights: np.ndarray, config: VmfConfig, static: bool = False):
         source_weights = np.asarray(source_weights, dtype=float)
-        if source_weights.ndim != 2:
-            raise DimensionMismatchError(
-                f"source weights must be (K, D), got {source_weights.shape}"
-            )
         if source_weights.shape != (config.k, config.d):
             raise DimensionMismatchError(
                 f"source weights {source_weights.shape} do not match "
@@ -329,7 +277,6 @@ class VmfModel:
             )
         if config.k < 2:
             raise DomainError("the tracker needs K >= 2 classes")
-        self.config = config
         self.static = static
         self.source_prototypes = normalize_rows(source_weights)
 
@@ -340,13 +287,16 @@ class VmfModel:
         self._kappa_ems = np.broadcast_to(
             np.atleast_1d(np.asarray(config.kappa_ems, dtype=float)), (k,)
         ).copy()
-        self._kappa0 = np.full(k, float(config.kappa0))
 
-        self._anchor = PrototypeBelief.from_params(
-            self.source_prototypes.copy(), self._kappa0.copy()
+        self._prior = PrototypeBelief.from_params(
+            self.source_prototypes.copy(), np.full(k, float(config.kappa0))
         )
-        self._anchor_is_prior = True
-        self._steps: list[_WindowStep] = []
+        super().__init__(
+            config,
+            self._prior,
+            window=1 if static else config.window,
+            fixed_anchor=static,
+        )
         self.degenerate_updates = 0
 
     # -- public views ----------------------------------------------------
@@ -354,15 +304,7 @@ class VmfModel:
     @property
     def prototypes(self) -> np.ndarray:
         """Current adapted weight rows (unit directions, newest step)."""
-        if not self._steps:
-            raise NotAdaptedError("no adaptation step has run yet")
-        return self._steps[-1].belief.mean_dir
-
-    @property
-    def mixing(self) -> np.ndarray:
-        if not self._steps:
-            raise NotAdaptedError("no adaptation step has run yet")
-        return self._steps[-1].mixing
+        return self._newest().belief.mean_dir
 
     @property
     def kappa_trans(self) -> np.ndarray:
@@ -372,50 +314,12 @@ class VmfModel:
     def kappa_ems(self) -> np.ndarray:
         return self._kappa_ems
 
-    @property
-    def window_times(self) -> list[int]:
-        return [s.t for s in self._steps]
-
     # -- adaptation ------------------------------------------------------
 
     def adapt(self, t: int, feats: np.ndarray) -> "VmfModel":
         """Ingest the batch at time t and re-infer the window."""
         cfg = self.config
-        feats = np.asarray(feats, dtype=float)
-        if feats.ndim != 2 or feats.shape[1] != cfg.d:
-            raise DimensionMismatchError(
-                f"batch shape {feats.shape} does not match D={cfg.d}"
-            )
-        if feats.shape[0] == 0:
-            raise EmptyBatchError("adaptation needs at least one sample")
-        feats = normalize_rows(feats)
-        if self._steps and t != self._steps[-1].t + 1:
-            raise NonContiguousTimeError(
-                f"expected t={self._steps[-1].t + 1}, got {t}"
-            )
-
-        if self.static:
-            init = PrototypeBelief.from_params(
-                self.source_prototypes.copy(), self._kappa0.copy()
-            )
-        elif self._steps:
-            init = self._steps[-1].belief.copy()
-        else:
-            init = self._anchor.copy()
-        step = _WindowStep(
-            t=t,
-            feats=feats,
-            belief=init,
-            resp=np.full((feats.shape[0], cfg.k), 1.0 / cfg.k),
-            mixing=np.full(cfg.k, 1.0 / cfg.k),
-        )
-        self._steps.append(step)
-        window = 1 if self.static else cfg.window
-        while len(self._steps) > window:
-            evicted = self._steps.pop(0)
-            self._anchor = evicted.belief
-            self._anchor_is_prior = False
-
+        self._push(t, feats)
         for _ in range(cfg.e_sweeps):
             self.coordinate_ascent_sweep()
         for s in self._steps:
@@ -455,28 +359,19 @@ class VmfModel:
                 per_class=cfg.per_class_kappa,
             )
             data_msg = self._kappa_ems[:, None] * (step.resp.T @ step.feats)
-            if self.static:
-                total = self._kappa0[:, None] * self.source_prototypes + data_msg
+            if i == 0:
+                total = self._anchor_message() + data_msg
             else:
-                if i == 0:
-                    total = self._anchor_message() + data_msg
-                else:
-                    total = (
-                        self._kappa_trans[:, None] * steps[i - 1].belief.expected
-                        + data_msg
-                    )
-                if i + 1 < len(steps):
-                    total = total + (
-                        self._kappa_trans[:, None] * steps[i + 1].belief.expected
-                    )
-            norms = np.linalg.norm(total, axis=1)
-            ok = norms > _DEGENERATE_EPS
-            safe = np.where(ok, norms, 1.0)
-            new_dir = np.where(ok[:, None], total / safe[:, None], step.belief.mean_dir)
-            new_conc = np.where(ok, norms, step.belief.conc)
-            if not np.all(ok):
-                self.degenerate_updates += int((~ok).sum())
-            step.belief = PrototypeBelief.from_params(new_dir, new_conc)
+                total = (
+                    self._kappa_trans[:, None] * steps[i - 1].belief.expected
+                    + data_msg
+                )
+            if i + 1 < len(steps):
+                total = total + (
+                    self._kappa_trans[:, None] * steps[i + 1].belief.expected
+                )
+            step.belief, degenerate = prototype_update(total, step.belief)
+            self.degenerate_updates += degenerate
 
     def _anchor_message(self) -> np.ndarray:
         """Natural-parameter message the left boundary receives.
@@ -485,7 +380,7 @@ class VmfModel:
         evicted belief contributes kappa_trans * (expected direction),
         i.e. it is treated as one more fixed vMF neighbour.
         """
-        if self._anchor_is_prior:
+        if self._anchor is self._prior:
             return self._anchor.conc[:, None] * self._anchor.mean_dir
         return self._kappa_trans[:, None] * self._anchor.expected
 
@@ -493,16 +388,9 @@ class VmfModel:
 
     def predict(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Class probabilities and argmax labels for a batch."""
-        if not self._steps:
-            raise NotAdaptedError("call adapt() before predict()")
-        feats = normalize_rows(np.asarray(feats, dtype=float))
-        if feats.shape[1] != self.config.d:
-            raise DimensionMismatchError(
-                f"batch dimension {feats.shape[1]} != D={self.config.d}"
-            )
-        newest = self._steps[-1]
+        newest = self._newest()
         probs = predict_probs(
-            feats,
+            self._unit_batch(feats),
             newest.belief.mean_dir,
             self._kappa_ems,
             newest.mixing,
@@ -518,33 +406,22 @@ class VmfModel:
         within-window transitions) plus the entropies of the vMF beliefs
         and the categorical assignments.
         """
-        if not self._steps:
-            raise NotAdaptedError("no adaptation step has run yet")
-        cfg = self.config
-        d = cfg.d
+        self._newest()  # raises NotAdaptedError before the first step
+        d = self.config.d
         total = 0.0
         steps = self._steps
 
-        if self.static:
-            prior_scale = self._kappa0
-            prior_msg = self._kappa0[:, None] * self.source_prototypes
-            for s in steps:
-                total += float(np.sum(log_vmf_norm_const(d, prior_scale)))
-                total += float(np.sum(prior_msg * s.belief.expected))
-        else:
-            prior_scale = (
-                self._anchor.conc if self._anchor_is_prior else self._kappa_trans
-            )
-            total += float(np.sum(log_vmf_norm_const(d, prior_scale)))
-            total += float(np.sum(self._anchor_message() * steps[0].belief.expected))
-            for prev, cur in zip(steps, steps[1:]):
-                total += float(np.sum(log_vmf_norm_const(d, self._kappa_trans)))
-                total += float(
-                    np.sum(
-                        self._kappa_trans
-                        * np.sum(prev.belief.expected * cur.belief.expected, axis=1)
-                    )
+        prior_scale = self._anchor.conc if self._anchor is self._prior else self._kappa_trans
+        total += float(np.sum(log_vmf_norm_const(d, prior_scale)))
+        total += float(np.sum(self._anchor_message() * steps[0].belief.expected))
+        for prev, cur in zip(steps, steps[1:]):
+            total += float(np.sum(log_vmf_norm_const(d, self._kappa_trans)))
+            total += float(
+                np.sum(
+                    self._kappa_trans
+                    * np.sum(prev.belief.expected * cur.belief.expected, axis=1)
                 )
+            )
 
         for s in steps:
             align = s.feats @ s.belief.expected.T  # (N, K)

@@ -9,6 +9,7 @@ from stad.errors import (
     InsufficientHistoryError,
     NonContiguousTimeError,
     NotAdaptedError,
+    NotPositiveDefiniteError,
 )
 from stad.gauss import (
     GaussBelief,
@@ -71,6 +72,13 @@ class TestKfUpdateWeighted:
         )
         assert mean[0] == pytest.approx(0.5)
         assert cov[0, 0] == pytest.approx(0.5)
+
+    def test_non_psd_innovation_raises_stad_error(self):
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            kf_update_weighted(
+                np.zeros(2), np.eye(2), np.ones((3, 2)), np.ones(3), -10.0 * np.eye(2)
+            )
+        assert isinstance(info.value, np.linalg.LinAlgError)
 
     def test_empty_cluster_returns_prior(self):
         m0, p0 = np.array([1.0, 2.0]), 0.4 * np.eye(2)

@@ -8,7 +8,6 @@ from scipy.special import softmax
 from scipy.stats import ortho_group
 
 from stad.errors import (
-    DegenerateMessageError,
     DimensionMismatchError,
     DomainError,
     EmptyBatchError,
@@ -132,28 +131,47 @@ class TestAssignmentStep:
 
 
 class TestPrototypeUpdate:
+    PREVIOUS = PrototypeBelief.from_params(np.array([[0.6, 0.8]]), np.array([3.0]))
+
     def test_data_only(self):
-        mean, conc = prototype_update(np.array([0.0, 1.0]))
-        np.testing.assert_allclose(mean, [0.0, 1.0])
-        assert conc == pytest.approx(1.0)
+        belief, degenerate = prototype_update(np.array([[0.0, 1.0]]), self.PREVIOUS)
+        np.testing.assert_allclose(belief.mean_dir, [[0.0, 1.0]])
+        np.testing.assert_allclose(belief.conc, [1.0])
+        assert degenerate == 0
 
     def test_prior_passthrough(self):
-        mean, conc = prototype_update(
-            np.zeros(2), past_msg=100.0 * np.array([1.0, 0.0])
+        belief, _ = prototype_update(
+            np.zeros((1, 2)) + 100.0 * np.array([[1.0, 0.0]]), self.PREVIOUS
         )
-        np.testing.assert_allclose(mean, [1.0, 0.0])
-        assert conc == pytest.approx(100.0)
+        np.testing.assert_allclose(belief.mean_dir, [[1.0, 0.0]])
+        np.testing.assert_allclose(belief.conc, [100.0])
+        np.testing.assert_allclose(belief.expected, expected_prototype(belief.mean_dir, np.array([100.0]), 2))
 
     def test_vector_sum(self):
-        mean, conc = prototype_update(
-            np.array([0.0, 1.0]), past_msg=np.array([1.0, 0.0])
+        belief, _ = prototype_update(
+            np.array([[0.0, 1.0]]) + np.array([[1.0, 0.0]]), self.PREVIOUS
         )
-        np.testing.assert_allclose(mean, [1 / math.sqrt(2)] * 2, atol=1e-15)
-        assert conc == pytest.approx(math.sqrt(2.0))
+        np.testing.assert_allclose(belief.mean_dir, [[1 / math.sqrt(2)] * 2], atol=1e-15)
+        np.testing.assert_allclose(belief.conc, [math.sqrt(2.0)])
 
     def test_exact_cancellation(self):
-        with pytest.raises(DegenerateMessageError):
-            prototype_update(np.array([1.0, 0.0]), past_msg=np.array([-1.0, 0.0]))
+        # row 0 cancels and keeps its previous belief; row 1 updates
+        previous = PrototypeBelief.from_params(np.eye(2), np.array([3.0, 4.0]))
+        total = np.array([[1.0, 0.0], [0.0, 2.0]]) + np.array([[-1.0, 0.0], [0.0, 0.0]])
+        belief, degenerate = prototype_update(total, previous)
+        assert degenerate == 1
+        np.testing.assert_array_equal(belief.mean_dir[0], previous.mean_dir[0])
+        assert belief.conc[0] == previous.conc[0]
+        np.testing.assert_array_equal(belief.expected[0], previous.expected[0])
+        assert belief.conc[1] == 2.0
+
+    def test_model_counts_cancelled_rows(self):
+        # kappa0 = 0 sends no prior message, and the two opposite samples
+        # cancel in both classes' data messages under uniform assignments
+        model = VmfModel(np.eye(2), VmfConfig(d=2, k=2, kappa0=0.0, window=1))
+        model.adapt(1, np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        assert model.degenerate_updates == 2 * model.config.e_sweeps
+        np.testing.assert_array_equal(model.prototypes, np.eye(2))
 
 
 class TestExpectedPrototype:
