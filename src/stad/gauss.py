@@ -7,8 +7,14 @@ prototypes with a shared emission covariance. Filtering, smoothing and
 parameter M-steps are closed form; the mixture enters through
 responsibility-weighted pseudo-observations.
 
-All D x D solves go through Cholesky factorizations; nothing inverts a
-matrix explicitly. Cost scales with D^3, so the model is gated to
+With the identity transition and nothing learned (the defaults), Q, R
+and the initial covariance are all multiples of I, so every filtered and
+smoothed covariance stays c * I; the model then runs a scalar Kalman
+path that carries one variance per class, at O(K D) per step plus the
+assignments. With either learn flag set it runs the dense path, where
+every D x D solve goes through a Cholesky factorization and nothing
+inverts a matrix explicitly. The dense path scales with D^3, and
+`GaussBelief.cov` is (K, D, D) on both paths, so the model is gated to
 D <= 256 unless explicitly overridden.
 """
 
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import (
     ConfigError,
@@ -72,8 +78,20 @@ class GaussConfig:
             raise DomainError("window and e_sweeps must be >= 1")
         if self.sigma_trans_scale < 0.0 or self.sigma_ems_scale <= 0.0:
             raise DomainError("covariance scales must be positive (trans >= 0)")
+        if self.initial_cov_scale < 0.0:
+            raise DomainError(f"init_cov_scale must be >= 0, got {self.initial_cov_scale}")
+        if self.initial_cov_scale == 0.0 and self.sigma_trans_scale == 0.0:
+            # P0 = Q = 0 leaves the smoother gain 0 / 0 on the first steps
+            raise DomainError("init_cov_scale and sigma_trans_scale cannot both be 0")
         if not 0.0 <= self.pi_floor < 1.0 / self.k:
             raise DomainError(f"pi_floor must lie in [0, 1/K), got {self.pi_floor}")
+
+    @property
+    def initial_cov_scale(self) -> float:
+        """The prior covariance scale: init_cov_scale, or sigma_trans_scale if None."""
+        if self.init_cov_scale is None:
+            return self.sigma_trans_scale
+        return self.init_cov_scale
 
 
 @dataclass
@@ -190,8 +208,10 @@ def gauss_assignments(
     """Responsibilities under the Gaussian mixture emission.
 
     Default plugs in the posterior means with the emission covariance
-    alone; predictive=True adds each class's posterior covariance
-    (marginal predictive form).
+    alone: R = L L^T is factored once, and the batch and the means are
+    whitened by L^{-1}, so the quadratic forms are plain squared
+    distances. predictive=True adds each class's posterior covariance
+    (marginal predictive form), one factorization per class.
     """
     feats = np.asarray(feats, dtype=float)
     k, d = belief.mean.shape
@@ -199,22 +219,24 @@ def gauss_assignments(
         raise DimensionMismatchError(f"batch {feats.shape} vs prototypes (*, {d})")
     if k == 1:
         return np.ones((feats.shape[0], 1))
-    logits = np.empty((feats.shape[0], k))
     with np.errstate(divide="ignore"):
         log_pi = np.log(np.asarray(mixing, dtype=float))
-    shared_factor = None
-    if not predictive:
-        shared_factor = _cholesky(_sym(sigma_ems))
-        shared_logdet = 2.0 * np.sum(np.log(np.diag(shared_factor[0])))
-    for j in range(k):
-        diff = feats - belief.mean[j]
-        if predictive:
+    if predictive:
+        quad = np.empty((feats.shape[0], k))
+        logdet = np.empty(k)
+        for j in range(k):
             factor = _cholesky(_sym(sigma_ems + belief.cov[j]))
-            logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
-        else:
-            factor, logdet = shared_factor, shared_logdet
-        quad = np.sum(diff * cho_solve(factor, diff.T).T, axis=1)
-        logits[:, j] = log_pi[j] - 0.5 * (quad + logdet + d * np.log(2.0 * np.pi))
+            logdet[j] = 2.0 * np.sum(np.log(np.diag(factor[0])))
+            diff = feats - belief.mean[j]
+            quad[:, j] = np.sum(diff * cho_solve(factor, diff.T).T, axis=1)
+    else:
+        chol = _cholesky(_sym(sigma_ems))[0]
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        x = solve_triangular(chol, feats.T, lower=True)         # (D, N)
+        m = solve_triangular(chol, belief.mean.T, lower=True)   # (D, K)
+        quad = (np.einsum("dn,dn->n", x, x)[:, None] - 2.0 * (x.T @ m)
+                + np.einsum("dk,dk->k", m, m))
+    logits = log_pi - 0.5 * (quad + logdet + d * np.log(2.0 * np.pi))
     return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
 
 
@@ -238,47 +260,45 @@ def gauss_m_step(
     """
     t_len = len(smoothed)
     k, d = smoothed[0].mean.shape
-    if (learn_transition or learn_sigmas) and t_len < 2:
+    if not (learn_transition or learn_sigmas):
+        return None, None, None
+    if t_len < 2:
         raise InsufficientHistoryError("parameter learning needs >= 2 window steps")
+
+    means = np.stack([b.mean for b in smoothed])   # (T, K, D)
+    covs = np.stack([b.cov for b in smoothed])     # (T, K, D, D)
+    # second moments summed over the T-1 transitions, per class: (K, D, D)
+    s_prev = covs[:-1].sum(axis=0) + np.einsum("tkd,tke->kde", means[:-1], means[:-1])
+    s_lag = ((covs[1:] @ np.swapaxes(np.stack(gains), -1, -2)).sum(axis=0)
+             + np.einsum("tkd,tke->kde", means[1:], means[:-1]))
 
     new_a = None
     if learn_transition:
         new_a = np.empty((k, d, d))
         for j in range(k):
-            s_prev = np.zeros((d, d))
-            s_lag = np.zeros((d, d))
-            for i in range(1, t_len):
-                m_prev, m_cur = smoothed[i - 1].mean[j], smoothed[i].mean[j]
-                p_prev = smoothed[i - 1].cov[j]
-                lag = smoothed[i].cov[j] @ gains[i - 1][j].T + np.outer(m_cur, m_prev)
-                s_prev += p_prev + np.outer(m_prev, m_prev)
-                s_lag += lag
-            factor = _cholesky(_sym(s_prev) + _EIG_FLOOR * np.eye(d))
-            new_a[j] = cho_solve(factor, s_lag.T).T
+            factor = _cholesky(_sym(s_prev[j]) + _EIG_FLOOR * np.eye(d))
+            new_a[j] = cho_solve(factor, s_lag[j].T).T
 
     new_q = new_r = None
     if learn_sigmas:
-        a_used = new_a if new_a is not None else transition
-        q_acc = np.zeros((d, d))
-        for j in range(k):
-            for i in range(1, t_len):
-                m_prev, m_cur = smoothed[i - 1].mean[j], smoothed[i].mean[j]
-                e_prev = smoothed[i - 1].cov[j] + np.outer(m_prev, m_prev)
-                e_cur = smoothed[i].cov[j] + np.outer(m_cur, m_cur)
-                e_lag = smoothed[i].cov[j] @ gains[i - 1][j].T + np.outer(m_cur, m_prev)
-                a_j = a_used[j]
-                q_acc += e_cur - a_j @ e_lag.T - e_lag @ a_j.T + a_j @ e_prev @ a_j.T
+        a = new_a if new_a is not None else transition
+        s_cur = covs[1:].sum(axis=0) + np.einsum("tkd,tke->kde", means[1:], means[1:])
+        a_lag = a @ np.swapaxes(s_lag, -1, -2)
+        q_acc = (s_cur - a_lag - np.swapaxes(a_lag, -1, -2)
+                 + a @ s_prev @ np.swapaxes(a, -1, -2)).sum(axis=0)
         new_q = _eig_floor(q_acc / ((t_len - 1) * k))
 
+        # sum_nk w_nk (h_n - m_k)(h_n - m_k)^T + w_k P_k, expanded so that
+        # no (N, K, D) difference array is built
         r_acc = np.zeros((d, d))
         n_total = 0
-        for i in range(t_len):
-            h = feats[i]
+        for b, h, w in zip(smoothed, feats, resps):
             n_total += h.shape[0]
-            for j in range(k):
-                diff = h - smoothed[i].mean[j]
-                w = resps[i][:, j]
-                r_acc += (diff * w[:, None]).T @ diff + w.sum() * smoothed[i].cov[j]
+            w_k = w.sum(axis=0)
+            cross = b.mean.T @ (w.T @ h)
+            r_acc += ((h * w.sum(axis=1)[:, None]).T @ h - cross - cross.T
+                      + (b.mean * w_k[:, None]).T @ b.mean
+                      + np.einsum("k,kde->de", w_k, b.cov))
         new_r = _eig_floor(r_acc / n_total)
     return new_a, new_q, new_r
 
@@ -289,6 +309,13 @@ class GaussModel(SlidingWindow):
     Single-writer, like the spherical tracker. The per-class transition
     defaults to the identity (random-walk drift); transition matrices and
     the shared covariances can be learned from the window.
+
+    The sweep picks its Kalman path from the learn flags. With both off,
+    the transition stays I and Q, R and the prior covariance stay
+    multiples of I, so every posterior covariance is c * I and the scalar
+    path carries only c per class. With either flag on, the dense path
+    runs per class with D x D Cholesky solves and keeps the smoother
+    gains for the M-step. Both paths store (K, D, D) covariances.
     """
 
     def __init__(self, source_weights: np.ndarray, config: GaussConfig):
@@ -307,16 +334,13 @@ class GaussModel(SlidingWindow):
         self.transition = np.tile(np.eye(d), (k, 1, 1))
         self.sigma_trans = config.sigma_trans_scale * np.eye(d)
         self.sigma_ems = config.sigma_ems_scale * np.eye(d)
-        init_cov = (
-            config.init_cov_scale
-            if config.init_cov_scale is not None
-            else config.sigma_trans_scale
-        )
+        init_cov = config.initial_cov_scale * np.eye(d)
         super().__init__(
             config,
-            GaussBelief(source_weights.copy(), np.tile(init_cov * np.eye(d), (k, 1, 1))),
+            GaussBelief(source_weights.copy(), np.tile(init_cov, (k, 1, 1))),
             window=config.window,
         )
+        self._scalar_path = not (config.learn_transition or config.learn_sigmas)
         self._last_gains: list[np.ndarray] = []
 
     @property
@@ -352,9 +376,7 @@ class GaussModel(SlidingWindow):
     def coordinate_sweep(self) -> None:
         """Assignments, forward filter, backward smooth over the window."""
         cfg = self.config
-        steps = self._steps
-        k, d = cfg.k, cfg.d
-        for step in steps:
+        for step in self._steps:
             step.resp = gauss_assignments(
                 step.feats,
                 step.belief,
@@ -362,6 +384,48 @@ class GaussModel(SlidingWindow):
                 self.sigma_ems,
                 predictive=cfg.assign_with_predictive,
             )
+        if self._scalar_path:
+            self._scalar_filter_smooth()
+        else:
+            self._dense_filter_smooth()
+
+    def _scalar_filter_smooth(self) -> None:
+        """Filter and smooth every class at once, each covariance being c * I.
+
+        Predict adds q to c, the update gain is c / (c + r / w) for a total
+        weight w (a weight at or below 1e-8 keeps the prior, as in
+        kf_update_weighted), and the smoother gain is c_f / (c_f + q).
+        """
+        cfg = self.config
+        q, r = cfg.sigma_trans_scale, cfg.sigma_ems_scale
+        steps = self._steps
+        mean, var = self._anchor.mean, self._anchor.cov[:, 0, 0]
+        f_means, f_vars = [], []
+        for step in steps:
+            var = var + q
+            weight = step.resp.sum(axis=0)
+            live = weight > _EMPTY_CLUSTER_EPS
+            weight = np.where(live, weight, 1.0)
+            obs = (step.resp.T @ step.feats) / weight[:, None]
+            gain = np.where(live, var / (var + r / weight), 0.0)
+            mean = mean + gain[:, None] * (obs - mean)
+            var = (1.0 - gain) * var
+            f_means.append(mean)
+            f_vars.append(var)
+        eye = np.eye(cfg.d)
+        steps[-1].belief = GaussBelief(mean, var[:, None, None] * eye)
+        for i in range(len(steps) - 2, -1, -1):
+            pred = f_vars[i] + q
+            gain = f_vars[i] / pred
+            mean = f_means[i] + gain[:, None] * (mean - f_means[i])
+            var = f_vars[i] + gain * (var - pred) * gain
+            steps[i].belief = GaussBelief(mean, var[:, None, None] * eye)
+
+    def _dense_filter_smooth(self) -> None:
+        """Per-class dense Kalman filter and RTS smoother; keeps the smoother gains."""
+        cfg = self.config
+        steps = self._steps
+        k, d = cfg.k, cfg.d
         t_len = len(steps)
         f_means = np.empty((t_len, k, d))
         f_covs = np.empty((t_len, k, d, d))

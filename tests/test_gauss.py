@@ -6,6 +6,7 @@ import pytest
 from stad.errors import (
     ConfigError,
     DimensionMismatchError,
+    DomainError,
     InsufficientHistoryError,
     NonContiguousTimeError,
     NotAdaptedError,
@@ -179,6 +180,20 @@ class TestGaussAssignments:
         )
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_shared_covariance_matches_explicit_inverse(self):
+        rng = np.random.default_rng(19)
+        k, d = 4, 5
+        belief = GaussBelief(rng.standard_normal((k, d)), np.stack([np.eye(d)] * k))
+        mixing = rng.dirichlet(np.ones(k))
+        r = random_spd(rng, d, 0.2)
+        feats = rng.standard_normal((9, d))
+        resp = gauss_assignments(feats, belief, mixing, r)
+        diff = feats[:, None, :] - belief.mean[None]
+        quad = np.einsum("nkd,de,nke->nk", diff, np.linalg.inv(r), diff)
+        logits = np.log(mixing) - 0.5 * quad
+        want = np.exp(logits - logits.max(axis=1, keepdims=True))
+        np.testing.assert_allclose(resp, want / want.sum(axis=1, keepdims=True), atol=1e-12)
+
     def test_predictive_variant_widens(self):
         # adding posterior covariance flattens the responsibilities
         wide = np.stack([10.0 * np.eye(1), np.eye(1) * 1e-9])
@@ -279,6 +294,22 @@ class TestGaussMStep:
                 w = resps[i][:, j]
                 r_acc += (diff * w[:, None]).T @ diff + w.sum() * beliefs[i].cov[j]
         np.testing.assert_allclose(new_r, r_acc / n_tot, atol=1e-8)
+
+
+class TestGaussConfig:
+    @pytest.mark.parametrize("kwargs", [
+        dict(sigma_trans_scale=0.0),                       # P0 = Q = 0
+        dict(sigma_trans_scale=0.0, init_cov_scale=0.0),
+        dict(init_cov_scale=-1.0),
+    ])
+    def test_rejects_singular_or_negative_initial_covariance(self, kwargs):
+        with pytest.raises(DomainError):
+            GaussConfig(d=3, k=2, **kwargs)
+
+    def test_accepts_fixed_chain_with_positive_prior(self):
+        cfg = GaussConfig(d=3, k=2, sigma_trans_scale=0.0, init_cov_scale=10.0)
+        assert cfg.initial_cov_scale == 10.0
+        assert GaussConfig(d=3, k=2, init_cov_scale=0.0).initial_cov_scale == 0.0
 
 
 class TestGaussModel:
@@ -452,3 +483,43 @@ class TestGaussModel:
         assert not np.allclose(model.sigma_trans, q_before)
         assert np.linalg.eigvalsh(model.sigma_trans).min() >= 1e-8 - 1e-12
         assert np.linalg.eigvalsh(model.sigma_ems).min() >= 1e-8 - 1e-12
+
+    @pytest.mark.parametrize("window,e_sweeps,predictive", [
+        (1, 3, False), (3, 1, True), (5, 3, True), (5, 1, False),
+    ])
+    def test_scalar_path_equals_dense_path(self, window, e_sweeps, predictive):
+        rng = np.random.default_rng(20)
+        d, k = 6, 4
+        w0 = normalize_rows(rng.standard_normal((k, d)))
+        w0[3] *= 20.0  # far from every unit-norm sample: zero responsibility
+        cfg = GaussConfig(d=d, k=k, window=window, e_sweeps=e_sweeps,
+                          assign_with_predictive=predictive)
+        scalar, dense = GaussModel(w0, cfg), GaussModel(w0, cfg)
+        dense._scalar_path = False
+        for t in range(1, window + 4):
+            labels = rng.integers(0, 3, size=12)
+            batch = w0[labels] + 0.3 * rng.standard_normal((12, d))
+            scalar.adapt(t, batch)
+            dense.adapt(t, batch)
+            assert scalar._steps[-1].resp[:, 3].sum() <= 1e-8
+            for a, b in zip(scalar._steps, dense._steps):
+                np.testing.assert_allclose(a.belief.mean, b.belief.mean, atol=1e-10)
+                np.testing.assert_allclose(a.belief.cov, b.belief.cov, atol=1e-10)
+                np.testing.assert_allclose(a.resp, b.resp, atol=1e-10)
+                np.testing.assert_allclose(a.mixing, b.mixing, atol=1e-10)
+            np.testing.assert_allclose(scalar._anchor.mean, dense._anchor.mean, atol=1e-10)
+            np.testing.assert_allclose(scalar._anchor.cov, dense._anchor.cov, atol=1e-10)
+            h = rng.standard_normal((5, d))
+            np.testing.assert_allclose(scalar.predict(h)[0], dense.predict(h)[0], atol=1e-10)
+        assert scalar.window_times[0] == 4  # three steps were evicted into the anchor
+
+    def test_learned_sigmas_take_the_dense_path(self):
+        rng = np.random.default_rng(21)
+        d, k = 3, 2
+        model = GaussModel(rng.standard_normal((k, d)),
+                           GaussConfig(d=d, k=k, learn_sigmas=True))
+        for t in range(1, 4):
+            model.adapt(t, rng.standard_normal((10, d)))
+        cov = model._steps[-1].belief.cov
+        iso = cov[:, :1, :1] * np.eye(d)
+        assert np.abs(cov - iso).max() > 1e-6
