@@ -198,12 +198,19 @@ def kf_smooth(
     return sm, sc, gains
 
 
+def _sq_dist(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(N, K) squared distances between the columns of x (D, N) and m (D, K)."""
+    return (np.einsum("dn,dn->n", x, x)[:, None] - 2.0 * (x.T @ m)
+            + np.einsum("dk,dk->k", m, m))
+
+
 def gauss_assignments(
     feats: np.ndarray,
     belief: GaussBelief,
     mixing: np.ndarray,
     sigma_ems: np.ndarray,
     predictive: bool = False,
+    isotropic: bool = False,
 ) -> np.ndarray:
     """Responsibilities under the Gaussian mixture emission.
 
@@ -211,7 +218,10 @@ def gauss_assignments(
     alone: R = L L^T is factored once, and the batch and the means are
     whitened by L^{-1}, so the quadratic forms are plain squared
     distances. predictive=True adds each class's posterior covariance
-    (marginal predictive form), one factorization per class.
+    (marginal predictive form), one factorization per class. isotropic
+    says that R = r I and every posterior covariance is c_j I, as on the
+    scalar Kalman path; the predictive form then needs no factorization,
+    since R + c_j I = (r + c_j) I.
     """
     feats = np.asarray(feats, dtype=float)
     k, d = belief.mean.shape
@@ -221,7 +231,11 @@ def gauss_assignments(
         return np.ones((feats.shape[0], 1))
     with np.errstate(divide="ignore"):
         log_pi = np.log(np.asarray(mixing, dtype=float))
-    if predictive:
+    if predictive and isotropic:
+        var = sigma_ems[0, 0] + belief.cov[:, 0, 0]   # (K,)
+        logdet = d * np.log(var)
+        quad = _sq_dist(feats.T, belief.mean.T) / var
+    elif predictive:
         quad = np.empty((feats.shape[0], k))
         logdet = np.empty(k)
         for j in range(k):
@@ -234,8 +248,7 @@ def gauss_assignments(
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         x = solve_triangular(chol, feats.T, lower=True)         # (D, N)
         m = solve_triangular(chol, belief.mean.T, lower=True)   # (D, K)
-        quad = (np.einsum("dn,dn->n", x, x)[:, None] - 2.0 * (x.T @ m)
-                + np.einsum("dk,dk->k", m, m))
+        quad = _sq_dist(x, m)
     logits = log_pi - 0.5 * (quad + logdet + d * np.log(2.0 * np.pi))
     return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
 
@@ -313,7 +326,8 @@ class GaussModel(SlidingWindow):
     The sweep picks its Kalman path from the learn flags. With both off,
     the transition stays I and Q, R and the prior covariance stay
     multiples of I, so every posterior covariance is c * I and the scalar
-    path carries only c per class. With either flag on, the dense path
+    path carries only c per class; its predictive assignments, if asked
+    for, factor nothing. With either flag on, the dense path
     runs per class with D x D Cholesky solves and keeps the smoother
     gains for the M-step. Both paths store (K, D, D) covariances.
     """
@@ -383,6 +397,7 @@ class GaussModel(SlidingWindow):
                 step.mixing,
                 self.sigma_ems,
                 predictive=cfg.assign_with_predictive,
+                isotropic=self._scalar_path,
             )
         if self._scalar_path:
             self._scalar_filter_smooth()

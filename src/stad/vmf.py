@@ -154,24 +154,34 @@ def assignment_step(
 
 
 def prototype_update(
-    total: np.ndarray, previous: PrototypeBelief
-) -> tuple[PrototypeBelief, int]:
-    """Belief update for all K prototypes from their summed messages.
+    belief: PrototypeBelief, total: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Move `belief` to the update from its summed messages, in place.
 
     Row k of `total` (K, D) is a natural-parameter vector: the emission
-    term kappa_ems * sum_n resp_nk h_n plus the temporal neighbours'
+    term sum_n kappa_ems resp_nk h_n plus the temporal neighbours'
     kappa * expected-direction vectors (or the initial prior's
     kappa0 * mu0). Its direction is the new mean direction and its norm
     the new concentration. A row whose messages cancel to norm <= 1e-12
-    keeps its previous belief. Returns the new belief and the number of
-    such degenerate rows.
+    keeps its previous direction and concentration.
+
+    `total` is normalized in place and becomes `belief.mean_dir`;
+    `belief.expected` is rewritten in place and `belief.conc` replaced.
+    Returns the array that was `belief.mean_dir`, free for reuse as the
+    next `total`, and the number of degenerate rows.
     """
-    norms = np.linalg.norm(total, axis=1)
-    ok = norms > _DEGENERATE_EPS
-    safe = np.where(ok, norms, 1.0)
-    new_dir = np.where(ok[:, None], total / safe[:, None], previous.mean_dir)
-    new_conc = np.where(ok, norms, previous.conc)
-    return PrototypeBelief.from_params(new_dir, new_conc), int((~ok).sum())
+    norms = np.sqrt(np.einsum("kd,kd->k", total, total))
+    bad = norms <= _DEGENERATE_EPS
+    degenerate = int(np.count_nonzero(bad))
+    if degenerate:
+        total[bad] = belief.mean_dir[bad]
+        norms[bad] = 1.0
+    total /= norms[:, None]
+    if degenerate:
+        norms[bad] = belief.conc[bad]
+    np.multiply(bessel_ratio(total.shape[1], norms)[:, None], total, out=belief.expected)
+    spare, belief.mean_dir, belief.conc = belief.mean_dir, total, norms
+    return spare, degenerate
 
 
 def kappa_update(
@@ -266,6 +276,11 @@ class VmfModel(SlidingWindow):
     window holds one step whose anchor never advances from the source
     prior, so every arrival is fit as a fresh mixture anchored only at
     the source prototypes.
+
+    The sweep rewrites the (K, D) arrays of the window's beliefs in place
+    and passes them between steps as scratch space, so `prototypes`
+    returns a copy: an array a caller holds is a snapshot that later
+    `adapt` calls leave alone.
     """
 
     def __init__(self, source_weights: np.ndarray, config: VmfConfig, static: bool = False):
@@ -298,13 +313,17 @@ class VmfModel(SlidingWindow):
             fixed_anchor=static,
         )
         self.degenerate_updates = 0
+        self._total = np.empty((k, config.d))  # the sweep's message buffer
 
     # -- public views ----------------------------------------------------
 
     @property
     def prototypes(self) -> np.ndarray:
-        """Current adapted weight rows (unit directions, newest step)."""
-        return self._newest().belief.mean_dir
+        """Current adapted weight rows (unit directions, newest step).
+
+        A snapshot: the sweep reuses the arrays it updates in place.
+        """
+        return self._newest().belief.mean_dir.copy()
 
     @property
     def kappa_trans(self) -> np.ndarray:
@@ -346,43 +365,57 @@ class VmfModel(SlidingWindow):
         Each update is the exact coordinate maximizer of the window
         objective given its neighbours, so repeated sweeps with fixed
         concentrations never decrease the evidence lower bound.
+
+        The updates allocate no (K, D) array. The summed messages are
+        built in a buffer the model owns, which then becomes the step's
+        mean direction, while the replaced mean direction becomes the
+        buffer. Until its update writes it, a step's own expected
+        prototype holds the neighbour messages.
         """
         cfg = self.config
         steps = self._steps
+        kappa_trans = self._kappa_trans[:, None]
         for i, step in enumerate(steps):
+            belief = step.belief
             step.resp = assignment_step(
                 step.feats,
-                step.belief.expected,
+                belief.expected,
                 step.mixing,
                 self._kappa_ems,
                 cfg.d,
                 per_class=cfg.per_class_kappa,
             )
-            data_msg = self._kappa_ems[:, None] * (step.resp.T @ step.feats)
+            total = np.matmul((step.resp * self._kappa_ems).T, step.feats, out=self._total)
             if i == 0:
-                total = self._anchor_message() + data_msg
+                scale, left = self._anchor_message()
             else:
-                total = (
-                    self._kappa_trans[:, None] * steps[i - 1].belief.expected
-                    + data_msg
-                )
-            if i + 1 < len(steps):
-                total = total + (
-                    self._kappa_trans[:, None] * steps[i + 1].belief.expected
-                )
-            step.belief, degenerate = prototype_update(total, step.belief)
+                scale, left = self._kappa_trans, steps[i - 1].belief.expected
+            right = steps[i + 1].belief.expected if i + 1 < len(steps) else None
+            msg = belief.expected
+            if right is None:
+                np.multiply(scale[:, None], left, out=msg)
+            elif scale is self._kappa_trans:  # both neighbours: scale their sum once
+                np.add(left, right, out=msg)
+                msg *= kappa_trans
+            else:
+                np.multiply(scale[:, None], left, out=msg)
+                total += msg
+                np.multiply(kappa_trans, right, out=msg)
+            total += msg
+            self._total, degenerate = prototype_update(belief, total)
             self.degenerate_updates += degenerate
 
-    def _anchor_message(self) -> np.ndarray:
-        """Natural-parameter message the left boundary receives.
+    def _anchor_message(self) -> tuple[np.ndarray, np.ndarray]:
+        """Natural-parameter message the left boundary receives, as (scale, direction).
 
-        The initial prior contributes kappa0 * mu0 exactly; a frozen
-        evicted belief contributes kappa_trans * (expected direction),
-        i.e. it is treated as one more fixed vMF neighbour.
+        The message is scale[:, None] * direction. The initial prior
+        contributes kappa0 * mu0 exactly; a frozen evicted belief
+        contributes kappa_trans * (expected direction), i.e. it is treated
+        as one more fixed vMF neighbour.
         """
         if self._anchor is self._prior:
-            return self._anchor.conc[:, None] * self._anchor.mean_dir
-        return self._kappa_trans[:, None] * self._anchor.expected
+            return self._anchor.conc, self._anchor.mean_dir
+        return self._kappa_trans, self._anchor.expected
 
     # -- prediction and diagnostics ---------------------------------------
 
@@ -411,9 +444,9 @@ class VmfModel(SlidingWindow):
         total = 0.0
         steps = self._steps
 
-        prior_scale = self._anchor.conc if self._anchor is self._prior else self._kappa_trans
-        total += float(np.sum(log_vmf_norm_const(d, prior_scale)))
-        total += float(np.sum(self._anchor_message() * steps[0].belief.expected))
+        scale, direction = self._anchor_message()
+        total += float(np.sum(log_vmf_norm_const(d, scale)))
+        total += float(np.sum(scale * np.sum(direction * steps[0].belief.expected, axis=1)))
         for prev, cur in zip(steps, steps[1:]):
             total += float(np.sum(log_vmf_norm_const(d, self._kappa_trans)))
             total += float(

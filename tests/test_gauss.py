@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
+from stad import gauss
 from stad.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -512,6 +514,29 @@ class TestGaussModel:
             h = rng.standard_normal((5, d))
             np.testing.assert_allclose(scalar.predict(h)[0], dense.predict(h)[0], atol=1e-10)
         assert scalar.window_times[0] == 4  # three steps were evicted into the anchor
+
+    def test_scalar_predictive_assignments_factor_nothing(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(gauss, "cho_factor", counting)
+        rng = np.random.default_rng(22)
+        d, k = 5, 3
+        w0 = normalize_rows(rng.standard_normal((k, d)))
+        cfg = GaussConfig(d=d, k=k, assign_with_predictive=True)
+        scalar, dense = GaussModel(w0, cfg), GaussModel(w0, cfg)
+        dense._scalar_path = False
+        for t in range(1, 4):
+            batch = rng.standard_normal((8, d))
+            scalar.adapt(t, batch)
+            assert not calls
+            dense.adapt(t, batch)
+            # one factorization per class and step in each sweep's assignments
+            assert len(calls) >= k * t * cfg.e_sweeps
+            calls.clear()
 
     def test_learned_sigmas_take_the_dense_path(self):
         rng = np.random.default_rng(21)

@@ -131,39 +131,52 @@ class TestAssignmentStep:
 
 
 class TestPrototypeUpdate:
-    PREVIOUS = PrototypeBelief.from_params(np.array([[0.6, 0.8]]), np.array([3.0]))
+    @staticmethod
+    def previous():
+        return PrototypeBelief.from_params(np.array([[0.6, 0.8]]), np.array([3.0]))
 
     def test_data_only(self):
-        belief, degenerate = prototype_update(np.array([[0.0, 1.0]]), self.PREVIOUS)
+        belief = self.previous()
+        _, degenerate = prototype_update(belief, np.array([[0.0, 1.0]]))
         np.testing.assert_allclose(belief.mean_dir, [[0.0, 1.0]])
         np.testing.assert_allclose(belief.conc, [1.0])
         assert degenerate == 0
 
     def test_prior_passthrough(self):
-        belief, _ = prototype_update(
-            np.zeros((1, 2)) + 100.0 * np.array([[1.0, 0.0]]), self.PREVIOUS
-        )
+        belief = self.previous()
+        prototype_update(belief, np.zeros((1, 2)) + 100.0 * np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(belief.mean_dir, [[1.0, 0.0]])
         np.testing.assert_allclose(belief.conc, [100.0])
         np.testing.assert_allclose(belief.expected, expected_prototype(belief.mean_dir, np.array([100.0]), 2))
 
     def test_vector_sum(self):
-        belief, _ = prototype_update(
-            np.array([[0.0, 1.0]]) + np.array([[1.0, 0.0]]), self.PREVIOUS
-        )
+        belief = self.previous()
+        prototype_update(belief, np.array([[0.0, 1.0]]) + np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(belief.mean_dir, [[1 / math.sqrt(2)] * 2], atol=1e-15)
         np.testing.assert_allclose(belief.conc, [math.sqrt(2.0)])
 
     def test_exact_cancellation(self):
         # row 0 cancels and keeps its previous belief; row 1 updates
-        previous = PrototypeBelief.from_params(np.eye(2), np.array([3.0, 4.0]))
+        belief = PrototypeBelief.from_params(np.eye(2), np.array([3.0, 4.0]))
+        previous = belief.copy()
         total = np.array([[1.0, 0.0], [0.0, 2.0]]) + np.array([[-1.0, 0.0], [0.0, 0.0]])
-        belief, degenerate = prototype_update(total, previous)
+        _, degenerate = prototype_update(belief, total)
         assert degenerate == 1
         np.testing.assert_array_equal(belief.mean_dir[0], previous.mean_dir[0])
         assert belief.conc[0] == previous.conc[0]
         np.testing.assert_array_equal(belief.expected[0], previous.expected[0])
         assert belief.conc[1] == 2.0
+
+    def test_total_becomes_the_mean_direction(self):
+        # the update writes in place and hands back the replaced buffer
+        belief = self.previous()
+        old_dir, old_expected = belief.mean_dir, belief.expected
+        total = np.array([[3.0, 4.0]])
+        spare, _ = prototype_update(belief, total)
+        assert spare is old_dir
+        assert belief.mean_dir is total
+        assert belief.expected is old_expected
+        np.testing.assert_allclose(belief.mean_dir, [[0.6, 0.8]])
 
     def test_model_counts_cancelled_rows(self):
         # kappa0 = 0 sends no prior message, and the two opposite samples
@@ -172,6 +185,133 @@ class TestPrototypeUpdate:
         model.adapt(1, np.array([[1.0, 0.0], [-1.0, 0.0]]))
         assert model.degenerate_updates == 2 * model.config.e_sweeps
         np.testing.assert_array_equal(model.prototypes, np.eye(2))
+
+
+class ReferenceSweepModel(VmfModel):
+    """VmfModel whose sweep is written out of place from the natural parameters.
+
+    Row k of a step's summed message is kappa_ems * sum_n resp_nk h_n plus
+    kappa_trans * E[mu_k] of each neighbour step, where the left boundary
+    takes kappa0 * mu0 from the source prior or kappa_trans * E[mu_k] of the
+    evicted anchor. Its direction and norm are the new belief, unless the
+    norm is <= 1e-12, which keeps the previous belief.
+    """
+
+    def coordinate_ascent_sweep(self):
+        cfg = self.config
+        steps = self._steps
+        kt = self._kappa_trans[:, None]
+        for i, step in enumerate(steps):
+            step.resp = assignment_step(
+                step.feats, step.belief.expected, step.mixing, self._kappa_ems,
+                cfg.d, per_class=cfg.per_class_kappa,
+            )
+            total = self._kappa_ems[:, None] * (step.resp.T @ step.feats)
+            if i > 0:
+                total = total + kt * steps[i - 1].belief.expected
+            elif self._anchor is self._prior:
+                total = total + self._prior.conc[:, None] * self._prior.mean_dir
+            else:
+                total = total + kt * self._anchor.expected
+            if i + 1 < len(steps):
+                total = total + kt * steps[i + 1].belief.expected
+            norms = np.linalg.norm(total, axis=1)
+            ok = norms > 1e-12
+            mean_dir = np.where(ok[:, None], total / np.where(ok, norms, 1.0)[:, None],
+                                step.belief.mean_dir)
+            conc = np.where(ok, norms, step.belief.conc)
+            step.belief = PrototypeBelief.from_params(mean_dir, conc)
+            self.degenerate_updates += int(np.sum(~ok))
+
+
+def assert_matches_reference(model, reference, batches, probe):
+    for t, batch in enumerate(batches, start=1):
+        model.adapt(t, batch)
+        reference.adapt(t, batch)
+        assert model.window_times == reference.window_times
+        for a, b in zip(model._steps, reference._steps):
+            np.testing.assert_allclose(a.belief.mean_dir, b.belief.mean_dir, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a.belief.expected, b.belief.expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a.belief.conc, b.belief.conc, rtol=1e-12)
+            np.testing.assert_allclose(a.resp, b.resp, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a.mixing, b.mixing, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.kappa_trans, reference.kappa_trans, rtol=1e-12)
+        np.testing.assert_allclose(model.kappa_ems, reference.kappa_ems, rtol=1e-12)
+        assert model.degenerate_updates == reference.degenerate_updates
+        probs, labels = model.predict(probe)
+        ref_probs, ref_labels = reference.predict(probe)
+        np.testing.assert_allclose(probs, ref_probs, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(labels, ref_labels)
+
+
+class TestSweepMatchesReference:
+    @pytest.mark.parametrize("kwargs,static", [
+        (dict(), False),
+        (dict(learn_kappa_ems=True), False),
+        (dict(learn_kappa_trans=True, learn_kappa_ems=True), False),
+        (dict(per_class_kappa=True, kappa_trans=(50.0, 80.0, 120.0, 200.0),
+              kappa_ems=(30.0, 60.0, 90.0, 150.0), learn_kappa_ems=True), False),
+        (dict(), True),
+        (dict(window=1, e_sweeps=3), False),
+        (dict(window=5, e_sweeps=3), False),
+    ])
+    def test_model_matches_reference(self, kwargs, static):
+        rng = np.random.default_rng(21)
+        d, k = 16, 4
+        dirs = normalize_rows(rng.standard_normal((k, d)))
+        w0 = dirs + 0.2 * rng.standard_normal((k, d))
+        cfg = VmfConfig(d=d, k=k, **kwargs)
+        steps = (1 if static else cfg.window) + 4   # four steps are evicted into the anchor
+        batches = [cluster_batch(rng, dirs, rng.integers(0, k, size=30), noise=0.4)
+                   for _ in range(steps)]
+        probe = normalize_rows(rng.standard_normal((9, d)))
+        model = VmfModel(w0, cfg, static=static)
+        reference = ReferenceSweepModel(w0, cfg, static=static)
+        assert_matches_reference(model, reference, batches, probe)
+        assert model._anchor is not model._prior or static
+
+    def test_cancelled_rows_match_reference(self):
+        # the first batch cancels in both classes (see TestPrototypeUpdate);
+        # the later ones do not
+        rng = np.random.default_rng(22)
+        cfg = VmfConfig(d=2, k=2, kappa0=0.0, window=2)
+        batches = [np.array([[1.0, 0.0], [-1.0, 0.0]])]
+        batches += [normalize_rows(rng.standard_normal((6, 2))) for _ in range(4)]
+        model = VmfModel(np.eye(2), cfg)
+        reference = ReferenceSweepModel(np.eye(2), cfg)
+        assert_matches_reference(model, reference, batches, normalize_rows(np.eye(2) + 0.5))
+        assert model.degenerate_updates >= 2 * cfg.e_sweeps
+
+
+class TestHeldArrays:
+    @pytest.mark.parametrize("static", [False, True])
+    def test_views_and_frozen_beliefs_never_change(self, static):
+        rng = np.random.default_rng(23)
+        d, k = 12, 3
+        model = VmfModel(rng.standard_normal((k, d)), VmfConfig(d=d, k=k, window=2),
+                         static=static)
+        source = model.source_prototypes.copy()
+        prior = model._prior
+        prior_saved = prior.copy()
+        held = []
+        anchor = anchor_saved = None
+        for t in range(1, 12):
+            model.adapt(t, rng.standard_normal((20, d)))
+            held.append((model.prototypes, model.prototypes.copy()))
+            held.append((model.mixing, model.mixing.copy()))
+            if anchor is None and model._anchor is not prior:
+                anchor, anchor_saved = model._anchor, model._anchor.copy()
+        for array, saved in held:
+            np.testing.assert_array_equal(array, saved)
+        np.testing.assert_array_equal(model.source_prototypes, source)
+        assert model._prior is prior
+        for frozen, saved in [(prior, prior_saved), (anchor, anchor_saved)]:
+            if frozen is None:
+                assert static   # a static window never evicts into the anchor
+                continue
+            np.testing.assert_array_equal(frozen.mean_dir, saved.mean_dir)
+            np.testing.assert_array_equal(frozen.conc, saved.conc)
+            np.testing.assert_array_equal(frozen.expected, saved.expected)
 
 
 class TestExpectedPrototype:
