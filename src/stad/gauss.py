@@ -34,7 +34,7 @@ from .errors import (
 )
 # normalize_rows is unused here; it stays importable because bench/tracing.py rebinds it
 from .mathcore import log_sum_exp, normalize_rows
-from .window import SlidingWindow, mixing_update
+from .window import SlidingWindow, check_sizes, mixing_update
 
 __all__ = [
     "GaussConfig",
@@ -70,12 +70,7 @@ class GaussConfig:
     allow_high_dim: bool = False
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError(f"d must be >= 1, got {self.d}")
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.window < 1 or self.e_sweeps < 1:
-            raise DomainError("window and e_sweeps must be >= 1")
+        check_sizes(self, d_min=1)
         if self.sigma_trans_scale < 0.0 or self.sigma_ems_scale <= 0.0:
             raise DomainError("covariance scales must be positive (trans >= 0)")
         if self.initial_cov_scale < 0.0:

@@ -28,7 +28,7 @@ from .mathcore import (
     log_vmf_norm_const,
     normalize_rows,
 )
-from .window import SlidingWindow, mixing_update
+from .window import SlidingWindow, check_sizes, mixing_update
 
 __all__ = [
     "VmfConfig",
@@ -49,17 +49,17 @@ _DEGENERATE_EPS = 1e-12
 class VmfConfig:
     """Knobs for the spherical tracker.
 
-    kappa_trans / kappa_ems may be scalars (shared across classes) or
-    length-K sequences; per_class_kappa switches assignments and
-    predictions to the bias-term form and makes learned concentrations
-    class specific.
+    kappa_trans / kappa_ems / kappa0 may be scalars (shared across
+    classes) or length-K sequences; per_class_kappa switches assignments
+    and predictions to the bias-term form and makes learned
+    concentrations class specific.
     """
 
     d: int
     k: int
     kappa_trans: float | tuple = 100.0
     kappa_ems: float | tuple = 100.0
-    kappa0: float = 100.0
+    kappa0: float | tuple = 100.0
     window: int = 3
     e_sweeps: int = 2
     learn_kappa_trans: bool = False
@@ -68,20 +68,15 @@ class VmfConfig:
     pi_floor: float = 1e-4
 
     def __post_init__(self):
-        if self.d < 2:
-            raise DomainError(f"d must be >= 2, got {self.d}")
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.window < 1:
-            raise DomainError(f"window must be >= 1, got {self.window}")
-        if self.e_sweeps < 1:
-            raise DomainError(f"e_sweeps must be >= 1, got {self.e_sweeps}")
+        check_sizes(self, d_min=2)
         if not 0.0 <= self.pi_floor < 1.0 / self.k:
             raise DomainError(
                 f"pi_floor must lie in [0, 1/K), got {self.pi_floor}"
             )
         for name in ("kappa_trans", "kappa_ems", "kappa0"):
             vals = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if vals.ndim != 1 or vals.size not in (1, self.k):
+                raise DomainError(f"{name} needs 1 or K={self.k} values, got {vals.shape}")
             if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
                 raise DomainError(f"{name} must be finite and >= 0")
 
@@ -296,16 +291,11 @@ class VmfModel(SlidingWindow):
         self.source_prototypes = normalize_rows(source_weights)
 
         k = config.k
-        self._kappa_trans = np.broadcast_to(
-            np.atleast_1d(np.asarray(config.kappa_trans, dtype=float)), (k,)
-        ).copy()
-        self._kappa_ems = np.broadcast_to(
-            np.atleast_1d(np.asarray(config.kappa_ems, dtype=float)), (k,)
-        ).copy()
-
-        self._prior = PrototypeBelief.from_params(
-            self.source_prototypes.copy(), np.full(k, float(config.kappa0))
+        self._kappa_trans, self._kappa_ems, kappa0 = (
+            np.broadcast_to(np.atleast_1d(np.asarray(value, dtype=float)), (k,)).copy()
+            for value in (config.kappa_trans, config.kappa_ems, config.kappa0)
         )
+        self._prior = PrototypeBelief.from_params(self.source_prototypes.copy(), kappa0)
         super().__init__(
             config,
             self._prior,

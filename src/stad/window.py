@@ -9,6 +9,7 @@ only in the belief type, the sweep over the window and the head.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -16,13 +17,14 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    DomainError,
     EmptyBatchError,
     NonContiguousTimeError,
     NotAdaptedError,
 )
 from .mathcore import normalize_rows
 
-__all__ = ["WindowStep", "SlidingWindow", "mixing_update"]
+__all__ = ["WindowStep", "SlidingWindow", "mixing_update", "check_sizes"]
 
 
 @dataclass
@@ -32,6 +34,16 @@ class WindowStep:
     belief: Any         # the tracker's belief over the K prototypes
     resp: np.ndarray    # (N, K)
     mixing: np.ndarray  # (K,)
+
+
+def check_sizes(config, d_min: int) -> None:
+    """Raise DomainError unless a tracker config's d, k, window and
+    e_sweeps are integers (bools excluded) at or above their minimums."""
+    for name, minimum in (("d", d_min), ("k", 1), ("window", 1), ("e_sweeps", 1)):
+        value = getattr(config, name)
+        integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        if not integral or value < minimum:
+            raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:

@@ -308,6 +308,18 @@ class TestGaussConfig:
         with pytest.raises(DomainError):
             GaussConfig(d=3, k=2, **kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(window=2.5),
+        dict(e_sweeps=1.0),
+        dict(d=3.0),
+        dict(k=2.5),
+        dict(k=0),
+        dict(e_sweeps=False),
+    ])
+    def test_rejects_malformed_sizes(self, kwargs):
+        with pytest.raises(DomainError):
+            GaussConfig(**{"d": 3, "k": 2, **kwargs})
+
     def test_accepts_fixed_chain_with_positive_prior(self):
         cfg = GaussConfig(d=3, k=2, sigma_trans_scale=0.0, init_cov_scale=10.0)
         assert cfg.initial_cov_scale == 10.0

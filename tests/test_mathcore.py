@@ -1,6 +1,7 @@
 """Tests for the special-function and vector core."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,54 @@ class TestBesselRatio:
         for kappa in [1e-6, 0.1, 1.0, 10.0, 119.0, 125.0, 1e4, 1e6]:
             want = oracles.mp_bessel_ratio(d, kappa)
             assert bessel_ratio(d, kappa) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 64, 512, 2048])
+    def test_near_machine_precision_on_both_branches(self, d):
+        # kappa <= D runs the Gauss fraction, kappa > D Perron's
+        grid = [1e-6, 0.1, 1.0, 0.5 * d, 0.999 * d, d, 1.001 * d, 3.0 * d, 1e4, 1e6]
+        for kappa in grid:
+            want = oracles.mp_bessel_ratio(d, kappa)
+            assert bessel_ratio(d, kappa) == pytest.approx(want, rel=1e-14), kappa
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 64, 512, 2048])
+    def test_within_amos_bounds(self, d):
+        # Amos (1974): x / (v + 1/2 + sqrt(x^2 + (v + 3/2)^2)) <= I_{v+1}(x) / I_v(x)
+        # <= x / (v + sqrt(x^2 + (v + 2)^2)) with v = D/2 - 1, less 4e-16 for rounding
+        v = d / 2.0 - 1.0
+        kappa = np.geomspace(1e-8, 1e8, 400)
+        got = bessel_ratio(d, kappa)
+        lower = kappa / (v + 0.5 + np.hypot(kappa, v + 1.5))
+        upper = kappa / (v + np.hypot(kappa, v + 2.0))
+        assert np.all(got >= lower * (1.0 - 4e-16))
+        assert np.all(got <= upper * (1.0 + 4e-16))
+
+    @pytest.mark.parametrize("d", [2, 8, 512, 2048])
+    def test_strictly_increasing_across_branch_switch(self, d):
+        grid = np.linspace(0.9 * d, 1.1 * d, 401)
+        assert np.any(grid <= d) and np.any(grid > d)
+        vals = bessel_ratio(d, grid)
+        assert np.all(np.diff(vals) > 0)
+
+    def test_non_increasing_in_dimension(self):
+        dims = [2, 3, 4, 8, 16, 64, 256, 512, 1024, 2048]
+        for kappa in [1e-3, 0.5, 5.0, 100.0, 1000.0, 3000.0, 1e5]:
+            vals = [bessel_ratio(d, kappa) for d in dims]
+            assert all(b <= a for a, b in zip(vals, vals[1:])), kappa
+
+    @pytest.mark.parametrize("d", [2, 512, 2048])
+    def test_huge_kappa_is_finite_and_near_one(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bessel_ratio(d, 1e300)
+            assert np.all(bessel_ratio(d, np.array([1e300, np.finfo(float).max])) == 1.0)
+        assert math.isfinite(got) and got == pytest.approx(1.0, abs=1e-15)
+
+    def test_batch_shape_and_mixed_branches(self):
+        kappa = np.array([[0.0, 2.0], [1e3, 1e300]])
+        got = bessel_ratio(4, kappa)
+        assert got.shape == (2, 2)
+        for g, x in zip(got.ravel(), kappa.ravel()):
+            assert g == bessel_ratio(4, float(x))
 
 
 class TestLogVmfNormConst:
@@ -195,6 +244,16 @@ class TestNormalize:
         np.testing.assert_allclose(normalize_rows(m), [[0.6, 0.8], [0.0, 1.0]])
         with pytest.raises(ZeroVectorError):
             normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    def test_overflowing_norms_give_unit_rows(self):
+        # the squared norm of these finite rows overflows
+        m = np.array([[1e200, 1e200], [3.0, 4.0], [-1.7e308, 1e308]])
+        got = normalize_rows(m)
+        np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(got[0], [0.5**0.5, 0.5**0.5], rtol=1e-15)
+        np.testing.assert_array_equal(got[1], m[1] / 5.0)
+        np.testing.assert_allclose(normalize(np.array([1e200, -1e200])),
+                                   [0.5**0.5, -(0.5**0.5)], rtol=1e-15)
 
 
 class TestLogSumExp:

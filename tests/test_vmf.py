@@ -73,6 +73,26 @@ class TestConfig:
         with pytest.raises(DomainError):
             VmfConfig(d=4, k=2, kappa_ems=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(kappa_trans=(1.0, 2.0)),          # neither 1 nor K = 3 values
+        dict(kappa_ems=(1.0, 2.0, 3.0, 4.0)),
+        dict(kappa0=(1.0, 2.0)),
+        dict(kappa0=np.ones((3, 1))),
+        dict(window=2.5),
+        dict(e_sweeps=2.0),
+        dict(d=4.0),
+        dict(k=3.5),
+        dict(window=True),
+    ])
+    def test_rejects_malformed_sizes(self, kwargs):
+        with pytest.raises(DomainError):
+            VmfConfig(**{"d": 4, "k": 3, **kwargs})
+
+    def test_accepts_per_class_kappa0_and_numpy_sizes(self):
+        cfg = VmfConfig(d=np.int64(4), k=np.int32(3), kappa0=(10.0, 20.0, 30.0))
+        model = VmfModel(np.eye(3, 4), cfg)
+        np.testing.assert_array_equal(model._prior.conc, [10.0, 20.0, 30.0])
+
 
 class TestInit:
     def test_rows_normalized_and_uniform_mixing(self):
@@ -87,6 +107,13 @@ class TestInit:
     def test_zero_source_row_rejected(self):
         with pytest.raises(ZeroVectorError):
             VmfModel(np.array([[1.0, 0.0], [0.0, 0.0]]), VmfConfig(d=2, k=2))
+
+    def test_huge_rows_adapt_as_unit_rows(self):
+        # a squared norm above the float range must not turn a row into zeros
+        model = VmfModel(np.eye(2), VmfConfig(d=2, k=2, window=1))
+        model.adapt(1, np.array([[1e200, 1e200], [3.0, -4.0]]))
+        np.testing.assert_allclose(model._steps[0].feats,
+                                   [[0.5**0.5, 0.5**0.5], [0.6, -0.8]])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
