@@ -7,14 +7,16 @@ prototypes with a shared emission covariance. Filtering, smoothing and
 parameter M-steps are closed form; the mixture enters through
 responsibility-weighted pseudo-observations.
 
-With the identity transition and nothing learned (the defaults), Q, R
-and the initial covariance are all multiples of I, so every filtered and
-smoothed covariance stays c * I; the model then runs a scalar Kalman
-path that carries one variance per class, at O(K D) per step plus the
-assignments. With either learn flag set it runs the dense path, where
-every D x D solve goes through a Cholesky factorization and nothing
-inverts a matrix explicitly. The dense path scales with D^3, and
-`GaussBelief.cov` is (K, D, D) on both paths, so the model is gated to
+The stored form of the covariances picks the Kalman path. With the
+identity transition and nothing learned (the defaults), Q, R and the
+initial covariance are multiples of I, and every filtered and smoothed
+covariance stays c * I. The model then stores Q and R as the floats q
+and r and each belief's covariance as one variance per class, shape
+(K,), and runs a scalar path at O(K D) per step plus the assignments.
+With either learn flag set it stores (D, D) and (K, D, D) matrices and
+runs the dense path, where every D x D solve goes through a Cholesky
+factorization and nothing inverts a matrix explicitly. The dense path
+scales with D^3, so a model that learns its parameters is gated to
 D <= 256 unless explicitly overridden.
 """
 
@@ -71,10 +73,12 @@ class GaussConfig:
 
     def __post_init__(self):
         check_sizes(self, d_min=1)
-        if self.sigma_trans_scale < 0.0 or self.sigma_ems_scale <= 0.0:
-            raise DomainError("covariance scales must be positive (trans >= 0)")
-        if self.initial_cov_scale < 0.0:
-            raise DomainError(f"init_cov_scale must be >= 0, got {self.initial_cov_scale}")
+        # chained comparisons also reject NaN
+        if not (0.0 <= self.sigma_trans_scale < np.inf and 0.0 < self.sigma_ems_scale < np.inf):
+            raise DomainError("covariance scales must be finite and positive (trans >= 0)")
+        if not 0.0 <= self.initial_cov_scale < np.inf:
+            raise DomainError(
+                f"init_cov_scale must be finite and >= 0, got {self.initial_cov_scale}")
         if self.initial_cov_scale == 0.0 and self.sigma_trans_scale == 0.0:
             # P0 = Q = 0 leaves the smoother gain 0 / 0 on the first steps
             raise DomainError("init_cov_scale and sigma_trans_scale cannot both be 0")
@@ -94,7 +98,7 @@ class GaussBelief:
     """Posterior mean and covariance per class prototype."""
 
     mean: np.ndarray  # (K, D)
-    cov: np.ndarray   # (K, D, D)
+    cov: np.ndarray   # (K,) variances c of c * I, or (K, D, D)
 
     def copy(self) -> "GaussBelief":
         return GaussBelief(self.mean.copy(), self.cov.copy())
@@ -203,20 +207,19 @@ def gauss_assignments(
     feats: np.ndarray,
     belief: GaussBelief,
     mixing: np.ndarray,
-    sigma_ems: np.ndarray,
+    sigma_ems: np.ndarray | float,
     predictive: bool = False,
-    isotropic: bool = False,
 ) -> np.ndarray:
     """Responsibilities under the Gaussian mixture emission.
 
     Default plugs in the posterior means with the emission covariance
-    alone: R = L L^T is factored once, and the batch and the means are
-    whitened by L^{-1}, so the quadratic forms are plain squared
-    distances. predictive=True adds each class's posterior covariance
-    (marginal predictive form), one factorization per class. isotropic
-    says that R = r I and every posterior covariance is c_j I, as on the
-    scalar Kalman path; the predictive form then needs no factorization,
-    since R + c_j I = (r + c_j) I.
+    alone; predictive=True adds each class's posterior covariance
+    (marginal predictive form). A (K,) belief covariance means the scalar
+    form: R = r I with sigma_ems the float r, and class j's covariance
+    c_j I, so the quadratic forms are squared distances over r (+ c_j)
+    and nothing is factored. In the dense form R = L L^T is factored
+    once and the batch and the means are whitened by L^{-1}; the
+    predictive form factors R + P_j once per class.
     """
     feats = np.asarray(feats, dtype=float)
     k, d = belief.mean.shape
@@ -226,8 +229,8 @@ def gauss_assignments(
         return np.ones((feats.shape[0], 1))
     with np.errstate(divide="ignore"):
         log_pi = np.log(np.asarray(mixing, dtype=float))
-    if predictive and isotropic:
-        var = sigma_ems[0, 0] + belief.cov[:, 0, 0]   # (K,)
+    if belief.cov.ndim == 1:
+        var = sigma_ems + belief.cov if predictive else sigma_ems
         logdet = d * np.log(var)
         quad = _sq_dist(feats.T, belief.mean.T) / var
     elif predictive:
@@ -318,13 +321,15 @@ class GaussModel(SlidingWindow):
     defaults to the identity (random-walk drift); transition matrices and
     the shared covariances can be learned from the window.
 
-    The sweep picks its Kalman path from the learn flags. With both off,
-    the transition stays I and Q, R and the prior covariance stay
-    multiples of I, so every posterior covariance is c * I and the scalar
-    path carries only c per class; its predictive assignments, if asked
-    for, factor nothing. With either flag on, the dense path
-    runs per class with D x D Cholesky solves and keeps the smoother
-    gains for the M-step. Both paths store (K, D, D) covariances.
+    The learn flags pick the stored form, and the form picks the Kalman
+    path. With both off, the transition stays I (`transition` is None),
+    `sigma_trans` and `sigma_ems` are the floats q and r, and every belief
+    covariance is (K,): the scalar path carries one variance per class
+    and its assignments factor nothing. With either flag on, the
+    transition is (K, D, D), Q and R are (D, D) and the covariances
+    (K, D, D); the dense path runs per class with D x D Cholesky solves
+    and keeps the smoother gains for the M-step. Only that form is gated
+    to D <= 256.
     """
 
     def __init__(self, source_weights: np.ndarray, config: GaussConfig):
@@ -334,22 +339,23 @@ class GaussModel(SlidingWindow):
                 f"source weights {source_weights.shape} do not match "
                 f"config (K={config.k}, D={config.d})"
             )
-        if config.d > _DIM_GATE and not config.allow_high_dim:
-            raise ConfigError(
-                f"D={config.d} exceeds the D<={_DIM_GATE} gate for the Gaussian "
-                "model (D^3 solves); set allow_high_dim=True to override"
-            )
         d, k = config.d, config.k
-        self.transition = np.tile(np.eye(d), (k, 1, 1))
-        self.sigma_trans = config.sigma_trans_scale * np.eye(d)
-        self.sigma_ems = config.sigma_ems_scale * np.eye(d)
-        init_cov = config.initial_cov_scale * np.eye(d)
+        dense = config.learn_transition or config.learn_sigmas
+        if dense and d > _DIM_GATE and not config.allow_high_dim:
+            raise ConfigError(
+                f"D={d} exceeds the D<={_DIM_GATE} gate for a Gaussian model that "
+                "learns its parameters (D^3 solves); set allow_high_dim=True to override"
+            )
+        eye = np.eye(d) if dense else 1.0
+        self.transition = np.tile(eye, (k, 1, 1)) if dense else None
+        self.sigma_trans = config.sigma_trans_scale * eye
+        self.sigma_ems = config.sigma_ems_scale * eye
+        init_cov = config.initial_cov_scale * (self.transition if dense else np.ones(k))
         super().__init__(
             config,
-            GaussBelief(source_weights.copy(), np.tile(init_cov, (k, 1, 1))),
+            GaussBelief(source_weights.copy(), init_cov),
             window=config.window,
         )
-        self._scalar_path = not (config.learn_transition or config.learn_sigmas)
         self._last_gains: list[np.ndarray] = []
 
     @property
@@ -384,17 +390,15 @@ class GaussModel(SlidingWindow):
 
     def coordinate_sweep(self) -> None:
         """Assignments, forward filter, backward smooth over the window."""
-        cfg = self.config
         for step in self._steps:
             step.resp = gauss_assignments(
                 step.feats,
                 step.belief,
                 step.mixing,
                 self.sigma_ems,
-                predictive=cfg.assign_with_predictive,
-                isotropic=self._scalar_path,
+                predictive=self.config.assign_with_predictive,
             )
-        if self._scalar_path:
+        if self._anchor.cov.ndim == 1:
             self._scalar_filter_smooth()
         else:
             self._dense_filter_smooth()
@@ -406,10 +410,9 @@ class GaussModel(SlidingWindow):
         weight w (a weight at or below 1e-8 keeps the prior, as in
         kf_update_weighted), and the smoother gain is c_f / (c_f + q).
         """
-        cfg = self.config
-        q, r = cfg.sigma_trans_scale, cfg.sigma_ems_scale
+        q, r = self.sigma_trans, self.sigma_ems
         steps = self._steps
-        mean, var = self._anchor.mean, self._anchor.cov[:, 0, 0]
+        mean, var = self._anchor.mean, self._anchor.cov
         f_means, f_vars = [], []
         for step in steps:
             var = var + q
@@ -422,14 +425,13 @@ class GaussModel(SlidingWindow):
             var = (1.0 - gain) * var
             f_means.append(mean)
             f_vars.append(var)
-        eye = np.eye(cfg.d)
-        steps[-1].belief = GaussBelief(mean, var[:, None, None] * eye)
+        steps[-1].belief = GaussBelief(mean, var)
         for i in range(len(steps) - 2, -1, -1):
             pred = f_vars[i] + q
             gain = f_vars[i] / pred
             mean = f_means[i] + gain[:, None] * (mean - f_means[i])
             var = f_vars[i] + gain * (var - pred) * gain
-            steps[i].belief = GaussBelief(mean, var[:, None, None] * eye)
+            steps[i].belief = GaussBelief(mean, var)
 
     def _dense_filter_smooth(self) -> None:
         """Per-class dense Kalman filter and RTS smoother; keeps the smoother gains."""

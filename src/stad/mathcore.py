@@ -4,7 +4,8 @@ Everything the trackers need from directional statistics lives here: the
 log modified Bessel function of the first kind, the Bessel ratio
 A_D(kappa) = I_{D/2}(kappa) / I_{D/2-1}(kappa), the log normalizer of the
 von Mises-Fisher density, the closed-form concentration estimate from a
-mean resultant length, and small vector helpers (normalize, log-sum-exp).
+mean resultant length, and small vector helpers (row normalization,
+log-sum-exp).
 
 All functions are pure and accept scalars or arrays for the concentration
 argument. `log_bessel_i` stays accurate to better than 1e-8 relative in
@@ -28,7 +29,6 @@ __all__ = [
     "log_vmf_norm_const",
     "estimate_kappa",
     "estimate_kappa_clamped",
-    "normalize",
     "normalize_rows",
     "log_sum_exp",
     "KAPPA_MIN",
@@ -138,14 +138,14 @@ def _debye_correction(t: np.ndarray, order: float) -> np.ndarray:
 def _log_i_uniform(order: float, arg: np.ndarray) -> np.ndarray:
     """Uniform large-order asymptotic expansion (Abramowitz-Stegun 9.7.7)."""
     z = arg / order
-    root = np.sqrt(1.0 + z * z)
+    root = np.hypot(1.0, z)
     eta = root + np.log(z) - np.log1p(root)
     t = 1.0 / root
     corr = _debye_correction(t, order)
     return (
         order * eta
         - 0.5 * math.log(2.0 * math.pi * order)
-        - 0.25 * np.log1p(z * z)
+        - 0.5 * np.log(root)
         + np.log1p(corr)
     )
 
@@ -187,7 +187,7 @@ def log_bessel_i(order: float, arg):
 
     live = ~zero
     x = arr[live]
-    series = (x <= _SERIES_ARG_MAX) | (x * x <= 160.0 * (order + 1.0))
+    series = x <= max(_SERIES_ARG_MAX, math.sqrt(160.0 * (order + 1.0)))
     res = np.empty_like(x)
     if np.any(series):
         res[series] = _log_i_series(order, x[series])
@@ -399,25 +399,6 @@ def estimate_kappa_clamped(r_bar, d: int):
     """
     arr = np.clip(np.asarray(r_bar, dtype=np.float64), _R_BAR_MIN, _R_BAR_MAX)
     return np.clip(estimate_kappa(arr, d), KAPPA_MIN, KAPPA_MAX)
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    """v / ||v||, rejecting vectors with norm <= 1e-12.
-
-    A finite vector whose squared norm overflows (norm above ~1.3e154) is
-    scaled by its largest entry first.
-    """
-    arr = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("cannot normalize a non-finite vector")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(arr))
-    if norm <= 1e-12:
-        raise ZeroVectorError("cannot normalize a (near-)zero vector")
-    if math.isinf(norm):
-        arr = arr / np.max(np.abs(arr))
-        norm = float(np.linalg.norm(arr))
-    return arr / norm
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:

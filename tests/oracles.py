@@ -38,6 +38,12 @@ def mp_log_bessel_i(order: float, arg: float) -> float:
     return float(mp.log(mp.besseli(mp.mpf(order), mp.mpf(arg))))
 
 
+def mp_log_vmf_norm_const(d: int, kappa: float) -> float:
+    """log C_D(kappa) = (D/2 - 1) log kappa - (D/2) log(2 pi) - log I_{D/2-1}(kappa)."""
+    v, k = mp.mpf(d) / 2 - 1, mp.mpf(kappa)
+    return float(v * mp.log(k) - (v + 1) * mp.log(2 * mp.pi) - mp.log(mp.besseli(v, k)))
+
+
 def mp_bessel_ratio(d: int, kappa: float) -> float:
     if kappa == 0:
         return 0.0

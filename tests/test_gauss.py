@@ -38,6 +38,19 @@ def random_spd(rng, d, scale=1.0):
     return scale * (m @ m.T + d * np.eye(d))
 
 
+def dense_twin(w0, cfg):
+    """A default-config model moved to the dense form: a (K, D, D) anchor,
+    (D, D) Q and R and identity transitions, so it runs the dense path."""
+    model = GaussModel(w0, cfg)
+    k, d = w0.shape
+    eye = np.eye(d)
+    model._anchor = GaussBelief(w0.copy(), np.tile(cfg.initial_cov_scale * eye, (k, 1, 1)))
+    model.transition = np.tile(eye, (k, 1, 1))
+    model.sigma_trans = cfg.sigma_trans_scale * eye
+    model.sigma_ems = cfg.sigma_ems_scale * eye
+    return model
+
+
 class TestKfPredict:
     def test_identity_transition_adds_noise(self):
         q = 0.3 * np.eye(2)
@@ -320,6 +333,12 @@ class TestGaussConfig:
         with pytest.raises(DomainError):
             GaussConfig(**{"d": 3, "k": 2, **kwargs})
 
+    @pytest.mark.parametrize("name", ["sigma_trans_scale", "sigma_ems_scale", "init_cov_scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_scales(self, name, value):
+        with pytest.raises(DomainError):
+            GaussConfig(d=4, k=2, **{name: value})
+
     def test_accepts_fixed_chain_with_positive_prior(self):
         cfg = GaussConfig(d=3, k=2, sigma_trans_scale=0.0, init_cov_scale=10.0)
         assert cfg.initial_cov_scale == 10.0
@@ -328,9 +347,28 @@ class TestGaussConfig:
 
 class TestGaussModel:
     def test_high_dim_gate(self):
-        with pytest.raises(ConfigError):
-            GaussModel(np.zeros((2, 300)), GaussConfig(d=300, k=2))
-        GaussModel(np.zeros((2, 300)), GaussConfig(d=300, k=2, allow_high_dim=True))
+        # only the dense form, which learned parameters need, is gated
+        for flag in ("learn_transition", "learn_sigmas"):
+            with pytest.raises(ConfigError):
+                GaussModel(np.zeros((2, 300)), GaussConfig(d=300, k=2, **{flag: True}))
+            GaussModel(np.zeros((2, 300)),
+                       GaussConfig(d=300, k=2, allow_high_dim=True, **{flag: True}))
+        model = GaussModel(np.zeros((2, 300)), GaussConfig(d=300, k=2))
+        assert model._anchor.cov.shape == (2,)
+
+    def test_default_model_at_paper_dimension(self):
+        rng = np.random.default_rng(23)
+        d, k, n = 2048, 3, 8
+        w0 = normalize_rows(rng.standard_normal((k, d)))
+        model = GaussModel(w0, GaussConfig(d=d, k=k))
+        for t in range(1, 5):
+            labels = rng.integers(0, k, size=n)
+            model.adapt(t, w0[labels] + 0.02 * rng.standard_normal((n, d)))
+            assert all(s.belief.cov.shape == (k,) for s in model._steps)
+        assert model._anchor.cov.shape == (k,)
+        probs, _ = model.predict(w0 + 0.02 * rng.standard_normal((k, d)))
+        assert np.all(np.isfinite(probs))
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_rigid_limit_stays_at_source(self):
         rng = np.random.default_rng(9)
@@ -357,7 +395,8 @@ class TestGaussModel:
             pm, pc, feats, np.ones(9), cfg.sigma_ems_scale * np.eye(d)
         )
         np.testing.assert_allclose(model.prototypes[0], want_mean, atol=1e-12)
-        np.testing.assert_allclose(model._steps[-1].belief.cov[0], want_cov, atol=1e-12)
+        var = model._steps[-1].belief.cov[0]
+        np.testing.assert_allclose(var * np.eye(d), want_cov, atol=1e-12)
 
     def test_single_class_matches_dense_smoother(self):
         rng = np.random.default_rng(11)
@@ -381,7 +420,7 @@ class TestGaussModel:
             sm, sc, _ = oracles.dense_rts_smoother(fm, fc, np.eye(d), 0.05 * np.eye(d))
             for i, step in enumerate(model._steps):
                 np.testing.assert_allclose(step.belief.mean[0], sm[i], atol=1e-8)
-                np.testing.assert_allclose(step.belief.cov[0], sc[i], atol=1e-8)
+                np.testing.assert_allclose(step.belief.cov[0] * np.eye(d), sc[i], atol=1e-8)
 
     def test_stationary_clusters_reach_weighted_means(self):
         rng = np.random.default_rng(12)
@@ -469,14 +508,21 @@ class TestGaussModel:
 
     def test_covariances_stay_symmetric_psd(self):
         rng = np.random.default_rng(16)
-        model = GaussModel(rng.standard_normal((3, 4)), GaussConfig(d=4, k=3))
+        w0 = rng.standard_normal((3, 4))
+        learned = GaussModel(w0, GaussConfig(d=4, k=3, learn_transition=True,
+                                             learn_sigmas=True))
+        default = GaussModel(w0, GaussConfig(d=4, k=3))
         for t in range(1, 5):
-            model.adapt(t, rng.standard_normal((15, 4)))
-            for s in model._steps:
+            batch = rng.standard_normal((15, 4))
+            learned.adapt(t, batch)
+            default.adapt(t, batch)
+            for s in learned._steps:
                 for j in range(3):
                     cov = s.belief.cov[j]
                     np.testing.assert_allclose(cov, cov.T, atol=1e-10)
                     assert np.linalg.eigvalsh(cov).min() >= -1e-8
+            for s in default._steps:
+                assert s.belief.cov.shape == (3,) and np.all(s.belief.cov > 0.0)
 
     def test_time_contiguity_and_not_adapted(self):
         rng = np.random.default_rng(17)
@@ -508,8 +554,7 @@ class TestGaussModel:
         w0[3] *= 20.0  # far from every unit-norm sample: zero responsibility
         cfg = GaussConfig(d=d, k=k, window=window, e_sweeps=e_sweeps,
                           assign_with_predictive=predictive)
-        scalar, dense = GaussModel(w0, cfg), GaussModel(w0, cfg)
-        dense._scalar_path = False
+        scalar, dense = GaussModel(w0, cfg), dense_twin(w0, cfg)
         for t in range(1, window + 4):
             labels = rng.integers(0, 3, size=12)
             batch = w0[labels] + 0.3 * rng.standard_normal((12, d))
@@ -517,12 +562,15 @@ class TestGaussModel:
             dense.adapt(t, batch)
             assert scalar._steps[-1].resp[:, 3].sum() <= 1e-8
             for a, b in zip(scalar._steps, dense._steps):
+                assert a.belief.cov.shape == (k,) and b.belief.cov.shape == (k, d, d)
                 np.testing.assert_allclose(a.belief.mean, b.belief.mean, atol=1e-10)
-                np.testing.assert_allclose(a.belief.cov, b.belief.cov, atol=1e-10)
+                np.testing.assert_allclose(a.belief.cov[:, None, None] * np.eye(d),
+                                           b.belief.cov, atol=1e-10)
                 np.testing.assert_allclose(a.resp, b.resp, atol=1e-10)
                 np.testing.assert_allclose(a.mixing, b.mixing, atol=1e-10)
             np.testing.assert_allclose(scalar._anchor.mean, dense._anchor.mean, atol=1e-10)
-            np.testing.assert_allclose(scalar._anchor.cov, dense._anchor.cov, atol=1e-10)
+            np.testing.assert_allclose(scalar._anchor.cov[:, None, None] * np.eye(d),
+                                       dense._anchor.cov, atol=1e-10)
             h = rng.standard_normal((5, d))
             np.testing.assert_allclose(scalar.predict(h)[0], dense.predict(h)[0], atol=1e-10)
         assert scalar.window_times[0] == 4  # three steps were evicted into the anchor
@@ -538,17 +586,18 @@ class TestGaussModel:
         rng = np.random.default_rng(22)
         d, k = 5, 3
         w0 = normalize_rows(rng.standard_normal((k, d)))
-        cfg = GaussConfig(d=d, k=k, assign_with_predictive=True)
-        scalar, dense = GaussModel(w0, cfg), GaussModel(w0, cfg)
-        dense._scalar_path = False
-        for t in range(1, 4):
-            batch = rng.standard_normal((8, d))
-            scalar.adapt(t, batch)
-            assert not calls
-            dense.adapt(t, batch)
-            # one factorization per class and step in each sweep's assignments
-            assert len(calls) >= k * t * cfg.e_sweeps
-            calls.clear()
+        # plug-in assignments too: the scalar form never factors r * I
+        for predictive in (True, False):
+            cfg = GaussConfig(d=d, k=k, assign_with_predictive=predictive)
+            scalar, dense = GaussModel(w0, cfg), dense_twin(w0, cfg)
+            for t in range(1, 4):
+                batch = rng.standard_normal((8, d))
+                scalar.adapt(t, batch)
+                assert not calls
+                dense.adapt(t, batch)
+                # the dense filter alone factors once per class and step in each sweep
+                assert len(calls) >= k * t * cfg.e_sweeps
+                calls.clear()
 
     def test_learned_sigmas_take_the_dense_path(self):
         rng = np.random.default_rng(21)

@@ -16,7 +16,6 @@ from stad.mathcore import (
     log_bessel_i,
     log_sum_exp,
     log_vmf_norm_const,
-    normalize,
     normalize_rows,
 )
 
@@ -56,6 +55,17 @@ class TestLogBesselI:
             want = oracles.mp_log_bessel_i(order, arg)
             got = log_bessel_i(order, arg)
             assert got == pytest.approx(want, rel=1e-8), (order, arg)
+
+    @pytest.mark.parametrize("d,kappa", [(512, 1e160), (512, 1e200), (2048, 1e300)])
+    def test_huge_argument_matches_mpmath_without_overflow(self, d, kappa):
+        order = d / 2.0 - 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_bessel_i(order, kappa)
+            norm_const = log_vmf_norm_const(d, kappa)
+        assert got == pytest.approx(oracles.mp_log_bessel_i(order, kappa), rel=1e-12)
+        want = oracles.mp_log_vmf_norm_const(d, kappa)
+        assert norm_const == pytest.approx(want, rel=1e-12)
 
     def test_vectorized_matches_scalar(self):
         args = np.array([0.0, 1e-4, 0.7, 30.0, 119.0, 500.0, 2e5])
@@ -218,26 +228,28 @@ class TestEstimateKappa:
 
 
 class TestNormalize:
+    """Single vectors, as (1, D) rows of normalize_rows."""
+
     def test_three_four(self):
-        np.testing.assert_allclose(normalize(np.array([3.0, 4.0])), [0.6, 0.8])
+        np.testing.assert_allclose(normalize_rows(np.array([[3.0, 4.0]])), [[0.6, 0.8]])
 
     def test_unit_vector_unchanged(self):
-        v = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(normalize(v), v)
+        v = np.array([[0.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(normalize_rows(v), v)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorError):
-            normalize(np.array([0.0, 0.0]))
+            normalize_rows(np.array([[0.0, 0.0]]))
 
     @given(
         st.floats(min_value=1e-6, max_value=1e6),
         st.lists(st.floats(min_value=-10, max_value=10), min_size=2, max_size=6),
     )
     def test_scale_invariance(self, c, coords):
-        v = np.asarray(coords)
+        v = np.asarray([coords])
         if np.linalg.norm(v) < 1e-3:
             return
-        np.testing.assert_allclose(normalize(c * v), normalize(v), atol=1e-12)
+        np.testing.assert_allclose(normalize_rows(c * v), normalize_rows(v), atol=1e-12)
 
     def test_rows_variant(self):
         m = np.array([[3.0, 4.0], [0.0, 2.0]])
@@ -252,8 +264,8 @@ class TestNormalize:
         np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=1e-15)
         np.testing.assert_allclose(got[0], [0.5**0.5, 0.5**0.5], rtol=1e-15)
         np.testing.assert_array_equal(got[1], m[1] / 5.0)
-        np.testing.assert_allclose(normalize(np.array([1e200, -1e200])),
-                                   [0.5**0.5, -(0.5**0.5)], rtol=1e-15)
+        np.testing.assert_allclose(normalize_rows(np.array([[1e200, -1e200]])),
+                                   [[0.5**0.5, -(0.5**0.5)]], rtol=1e-15)
 
 
 class TestLogSumExp:
