@@ -225,8 +225,6 @@ def gauss_assignments(
     k, d = belief.mean.shape
     if feats.ndim != 2 or feats.shape[1] != d:
         raise DimensionMismatchError(f"batch {feats.shape} vs prototypes (*, {d})")
-    if k == 1:
-        return np.ones((feats.shape[0], 1))
     with np.errstate(divide="ignore"):
         log_pi = np.log(np.asarray(mixing, dtype=float))
     if belief.cov.ndim == 1:
@@ -473,8 +471,5 @@ class GaussModel(SlidingWindow):
         """softmax(W h) with W the newest posterior prototype means."""
         newest = self._newest()
         logits = self._unit_batch(feats) @ newest.belief.mean.T
-        if logits.shape[1] == 1:
-            probs = np.ones_like(logits)
-        else:
-            probs = np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
+        probs = np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
         return probs, probs.argmax(axis=1)

@@ -1,5 +1,12 @@
 """Embedding streams: on-disk format, readers/writers, reordering, synthesis.
 
+Every step of a stream obeys one contract. Its features are a 2-D (N, D)
+array of finite values with N, D >= 1, and its labels, when present, are
+N integers in [0, K). `write_stream` enforces it on what it writes;
+`read_stream` and `read_csv_stream` enforce it on what they read. In a
+stream directory step i (1-based) has t = i; a CSV dump keeps its own
+contiguous t values.
+
 A stream directory holds one feature file per time step plus a JSON
 manifest. Feature files carry a 16-byte header (magic ``STADEMB1``, row
 count, column count, both unsigned 32-bit little-endian) followed by a
@@ -28,7 +35,7 @@ import csv
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -38,7 +45,6 @@ from scipy.special import betaincinv
 from .errors import (
     CorruptHeaderError,
     CorruptPayloadError,
-    DimensionMismatchError,
     DomainError,
     InfeasibleSeparationError,
     MissingFileError,
@@ -71,6 +77,7 @@ MAGIC = b"STADEMB1"
 MANIFEST_NAME = "manifest.json"
 TRAJECTORY_NAME = "trajectory.emb"
 FORMAT_VERSION = 1
+MAX_DRIFT_DEG = 10.0  # largest drift per step that still counts as gradual
 _HEADER = struct.Struct("<8sII")
 _SEPARATION_RETRIES = 200
 
@@ -96,6 +103,10 @@ class StepEntry:
     count: int
 
 
+# StepEntry field -> key of a step in the manifest
+_STEP_KEYS = {"t": "t", "feature_path": "features", "label_path": "labels", "count": "count"}
+
+
 @dataclass
 class StreamManifest:
     format_version: int
@@ -103,6 +114,19 @@ class StreamManifest:
     k: int
     steps: list[StepEntry]
     metadata: dict[str, str] = field(default_factory=dict)
+
+
+def _dirichlet_alpha(dist: str) -> float | None:
+    """alpha of a ``dirichlet:<alpha>`` label distribution; None for other names."""
+    if not dist.startswith("dirichlet:"):
+        return None
+    try:
+        alpha = float(dist.split(":", 1)[1])
+    except ValueError:
+        raise DomainError(f"bad dirichlet alpha in {dist!r}") from None
+    if not 0.0 < alpha < math.inf:
+        raise DomainError("dirichlet alpha must be positive and finite")
+    return alpha
 
 
 @dataclass
@@ -120,7 +144,6 @@ class DriftScenario:
     drift_scale: float = 0.02
     label_distribution: str = "uniform"  # uniform | ordered | dirichlet:<alpha>
     seed: int = 0
-    max_drift_deg: float = 10.0
 
     def __post_init__(self):
         if self.geometry not in ("sphere", "euclidean"):
@@ -129,21 +152,42 @@ class DriftScenario:
             raise DomainError("d >= 2, k >= 1, t_steps >= 1, n_per_step >= 1 required")
         if self.kappa_true <= 0.0 or self.sigma_true <= 0.0:
             raise DomainError("spread parameters must be positive")
-        if not 0.0 <= self.drift_deg_per_step <= self.max_drift_deg:
+        if not 0.0 <= self.drift_deg_per_step <= MAX_DRIFT_DEG:
             raise DomainError(
-                f"drift per step must lie in [0, {self.max_drift_deg}] degrees "
+                f"drift per step must lie in [0, {MAX_DRIFT_DEG}] degrees "
                 "(gradual-shift contract)"
             )
         dist = self.label_distribution
-        if dist not in ("uniform", "ordered") and not dist.startswith("dirichlet:"):
+        if dist not in ("uniform", "ordered") and _dirichlet_alpha(dist) is None:
             raise DomainError(f"unknown label distribution {dist!r}")
-        if dist.startswith("dirichlet:"):
-            try:
-                alpha = float(dist.split(":", 1)[1])
-            except ValueError:
-                raise DomainError(f"bad dirichlet alpha in {dist!r}") from None
-            if not alpha > 0.0:
-                raise DomainError("dirichlet alpha must be positive")
+
+
+# -- the step contract -----------------------------------------------------
+
+
+def _check_step(t, feats: np.ndarray, labels: np.ndarray | None, d: int | None, k: int,
+                error: type[Exception]) -> None:
+    """Raise `error` unless step t meets the step contract (module docstring).
+
+    `d` of None accepts any D >= 1.
+    """
+    if feats.ndim != 2 or feats.size == 0 or d not in (None, feats.shape[1]):
+        raise error(f"step t={t}: features of shape {feats.shape}, expected (N >= 1, {d})")
+    if not np.isfinite(feats).all():
+        raise error(f"step t={t}: non-finite features")
+    if labels is None:
+        return
+    if labels.dtype.kind not in "iu" or labels.shape != feats.shape[:1]:
+        raise error(f"step t={t}: labels {labels.dtype} {labels.shape}, not {len(feats)} integers")
+    low, high = int(labels.min()), int(labels.max())
+    if low < 0 or high >= k:
+        raise error(f"step t={t}: labels span [{low}, {high}], outside [0, {k})")
+
+
+def _check_time(i: int, t) -> None:
+    """The time rule of a stream directory: step i (1-based) has t = i."""
+    if t != i:
+        raise NonContiguousTimeError(f"step {i} has t={t!r}; step i must have t = i")
 
 
 # -- binary payloads -------------------------------------------------------
@@ -178,10 +222,6 @@ def read_matrix(path) -> np.ndarray:
     return np.frombuffer(body, dtype="<f4").reshape(rows, cols)
 
 
-def _write_labels(path, labels: np.ndarray) -> None:
-    np.asarray(labels, dtype="<u4").tofile(path)
-
-
 def _read_labels(path, count: int) -> np.ndarray:
     path = Path(path)
     if not path.exists():
@@ -203,104 +243,84 @@ def write_stream(
     k: int,
     metadata: dict[str, str] | None = None,
 ) -> StreamManifest:
-    """Write batches and a manifest into a directory."""
+    """Write batches and a manifest into a directory.
+
+    Enforces the step contract and the time rule (module docstring), raising
+    DomainError or NonContiguousTimeError, so whatever it writes reads back.
+    """
+    k = int(k)
+    if k < 1:
+        raise DomainError(f"class count k={k} must be at least 1")
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     steps: list[StepEntry] = []
     d = None
-    for batch in batches:
-        if d is None:
-            d = batch.features.shape[1]
-        elif batch.features.shape[1] != d:
-            raise DimensionMismatchError(
-                f"step {batch.t}: dimension {batch.features.shape[1]} != {d}"
-            )
-        if steps and batch.t != steps[-1].t + 1:
-            raise NonContiguousTimeError(
-                f"step {batch.t} follows step {steps[-1].t}"
-            )
-        if batch.count == 0:
-            raise DomainError(f"step {batch.t} is empty")
-        feat_name = f"step_{batch.t:05d}.emb"
-        write_matrix(dirpath / feat_name, batch.features)
+    for i, batch in enumerate(batches, start=1):
+        _check_time(i, batch.t)
+        feats = np.asarray(batch.features, dtype="<f4")
+        labels = None if batch.labels is None else np.asarray(batch.labels)
+        _check_step(i, feats, labels, d, k, DomainError)
+        d = feats.shape[1]
+        name = f"step_{i:05d}"
+        write_matrix(dirpath / f"{name}.emb", feats)
         label_name = None
-        if batch.labels is not None:
-            if len(batch.labels) != batch.count:
-                raise DimensionMismatchError(
-                    f"step {batch.t}: {len(batch.labels)} labels for "
-                    f"{batch.count} rows"
-                )
-            label_name = f"step_{batch.t:05d}.lbl"
-            _write_labels(dirpath / label_name, batch.labels)
-        steps.append(StepEntry(batch.t, feat_name, label_name, batch.count))
+        if labels is not None:
+            label_name = f"{name}.lbl"
+            labels.astype("<u4").tofile(dirpath / label_name)
+        steps.append(StepEntry(i, f"{name}.emb", label_name, len(feats)))
     if not steps:
         raise DomainError("cannot write an empty stream")
-    manifest = StreamManifest(
-        format_version=FORMAT_VERSION,
-        d=int(d),
-        k=int(k),
-        steps=steps,
-        metadata=dict(metadata or {}),
-    )
-    payload = {
-        "format_version": manifest.format_version,
-        "d": manifest.d,
-        "k": manifest.k,
-        "steps": [
-            {
-                "t": s.t,
-                "features": s.feature_path,
-                "labels": s.label_path,
-                "count": s.count,
-            }
-            for s in steps
-        ],
-        "metadata": manifest.metadata,
-    }
+    metadata = {str(key): str(value) for key, value in (metadata or {}).items()}
+    manifest = StreamManifest(FORMAT_VERSION, d, k, steps, metadata)
+    payload = asdict(manifest)
+    payload["steps"] = [{_STEP_KEYS[name]: v for name, v in s.items()} for s in payload["steps"]]
     (dirpath / MANIFEST_NAME).write_text(json.dumps(payload, indent=1))
     return manifest
 
 
+def _manifest_int(value, what: str, low: int) -> int:
+    if type(value) is not int or value < low:
+        raise CorruptHeaderError(f"manifest {what} is {value!r}, expected an integer >= {low}")
+    return value
+
+
+def _file_name(value, what: str) -> str:
+    """`value` if it names a file inside the stream directory."""
+    if not isinstance(value, str) or value in ("", ".", "..") or "/" in value or "\\" in value:
+        raise CorruptHeaderError(f"manifest {what} is {value!r}, expected a plain file name")
+    return value
+
+
 def read_manifest(dirpath) -> StreamManifest:
-    dirpath = Path(dirpath)
-    mpath = dirpath / MANIFEST_NAME
+    mpath = Path(dirpath) / MANIFEST_NAME
     if not mpath.exists():
         raise MissingFileError(str(mpath))
     try:
         payload = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CorruptHeaderError(f"{mpath}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise CorruptHeaderError(f"{mpath}: expected a JSON object")
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise CorruptHeaderError(
-            f"{mpath}: unsupported format_version {payload.get('format_version')!r}"
-        )
-    try:
-        steps = [
-            StepEntry(int(s["t"]), s["features"], s.get("labels"), int(s["count"]))
-            for s in payload["steps"]
-        ]
-        d, k = int(payload["d"]), int(payload["k"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptHeaderError(f"{mpath}: malformed manifest ({exc!r})") from exc
-    if not steps:
+    if _manifest_int(payload.get("format_version"), "format_version", 1) != FORMAT_VERSION:
+        raise CorruptHeaderError(f"{mpath}: unsupported format_version")
+    raw_steps, metadata = payload.get("steps"), payload.get("metadata", {})
+    if not isinstance(raw_steps, list) or not raw_steps:
         raise CorruptHeaderError(f"{mpath}: no steps")
-    if steps[0].t != 1:
-        raise NonContiguousTimeError(f"first step is t={steps[0].t}, expected 1")
-    for prev, cur in zip(steps, steps[1:]):
-        if cur.t != prev.t + 1:
-            raise NonContiguousTimeError(
-                f"step t={cur.t} follows t={prev.t}; steps must be contiguous"
-            )
-    if any(s.count <= 0 for s in steps):
-        raise CorruptHeaderError(f"{mpath}: step with non-positive count")
+    if not isinstance(metadata, dict) or not all(isinstance(s, dict) for s in raw_steps):
+        raise CorruptHeaderError(f"{mpath}: metadata and every step must be JSON objects")
+    steps = [StepEntry(**{name: s.get(key) for name, key in _STEP_KEYS.items()}) for s in raw_steps]
+    for i, entry in enumerate(steps, start=1):
+        _check_time(i, _manifest_int(entry.t, f"step {i} t", 1))
+        _manifest_int(entry.count, f"step {i} count", 1)
+        _file_name(entry.feature_path, f"step {i} features")
+        if entry.label_path is not None:
+            _file_name(entry.label_path, f"step {i} labels")
     return StreamManifest(
-        format_version=payload["format_version"],
-        d=d,
-        k=k,
+        format_version=FORMAT_VERSION,
+        d=_manifest_int(payload.get("d"), "d", 1),
+        k=_manifest_int(payload.get("k"), "k", 1),
         steps=steps,
-        metadata={str(k_): str(v) for k_, v in payload.get("metadata", {}).items()},
+        metadata={key: str(value) for key, value in metadata.items()},
     )
 
 
@@ -310,21 +330,12 @@ def read_stream(dirpath) -> Iterator[EmbeddingBatch]:
     manifest = read_manifest(dirpath)
     for entry in manifest.steps:
         feats = read_matrix(dirpath / entry.feature_path)
-        if feats.shape != (entry.count, manifest.d):
-            raise CorruptPayloadError(
-                f"step t={entry.t}: payload shape {feats.shape} does not match "
-                f"manifest ({entry.count}, {manifest.d})"
-            )
-        if not np.all(np.isfinite(feats)):
-            raise CorruptPayloadError(f"step t={entry.t}: non-finite features")
+        if len(feats) != entry.count:
+            raise CorruptPayloadError(f"step t={entry.t}: {len(feats)} rows, not {entry.count}")
         labels = None
         if entry.label_path is not None:
             labels = _read_labels(dirpath / entry.label_path, entry.count)
-            if labels.size and labels.max() >= manifest.k:
-                raise CorruptPayloadError(
-                    f"step t={entry.t}: label {int(labels.max())} out of range "
-                    f"for K={manifest.k}"
-                )
+        _check_step(entry.t, feats, labels, manifest.d, manifest.k, CorruptPayloadError)
         yield EmbeddingBatch(entry.t, feats, labels)
 
 
@@ -335,16 +346,21 @@ def read_trajectory(dirpath) -> np.ndarray | None:
     name = manifest.metadata.get("trajectory")
     if name is None:
         return None
-    flat = read_matrix(dirpath / name).astype(float)
-    t_len = len(manifest.steps)
-    return flat.reshape(t_len, manifest.k, manifest.d)
+    flat = read_matrix(dirpath / _file_name(name, "trajectory")).astype(float)
+    shape = (len(manifest.steps), manifest.k, manifest.d)
+    if flat.size != math.prod(shape):
+        raise CorruptPayloadError(f"trajectory of shape {flat.shape}, expected {shape}")
+    return flat.reshape(shape)
 
 
 def read_csv_stream(path, k: int | None = None) -> tuple[list[EmbeddingBatch], int]:
     """Ingest a CSV dump with header ``t,label,f0..f{D-1}``.
 
-    Label entries may be empty (unlabeled streams). Returns the batches
-    and the inferred class count (max label + 1) unless `k` is given.
+    Rows are grouped into steps by t, whose values must be contiguous. A
+    label entry may be empty; a step with an empty one is unlabeled.
+    Enforces the step contract (module docstring) with CorruptPayloadError.
+    Returns the batches and `k`, or when `k` is None the inferred class
+    count: max label + 1, or 0 when no step carries labels.
     """
     path = Path(path)
     if not path.exists():
@@ -356,7 +372,6 @@ def read_csv_stream(path, k: int | None = None) -> tuple[list[EmbeddingBatch], i
             raise CorruptHeaderError(f"{path}: expected header t,label,f0..")
         d = len(header) - 2
         rows_by_t: dict[int, list] = {}
-        labels_by_t: dict[int, list] = {}
         for row in reader:
             if len(row) != d + 2:
                 raise CorruptPayloadError(f"{path}: row width {len(row)} != {d + 2}")
@@ -365,27 +380,29 @@ def read_csv_stream(path, k: int | None = None) -> tuple[list[EmbeddingBatch], i
                 feats = [float(x) for x in row[2:]]
             except ValueError as exc:
                 raise CorruptPayloadError(f"{path}: {exc}") from exc
-            rows_by_t.setdefault(t, []).append(feats)
-            labels_by_t.setdefault(t, []).append(row[1])
+            rows_by_t.setdefault(t, []).append((row[1], feats))
     if not rows_by_t:
         raise CorruptPayloadError(f"{path}: no data rows")
     ts = sorted(rows_by_t)
     if ts != list(range(ts[0], ts[0] + len(ts))):
         raise NonContiguousTimeError(f"{path}: non-contiguous time indices {ts}")
     batches = []
-    max_label = -1
     for t in ts:
-        feats = np.asarray(rows_by_t[t], dtype=np.float32)
-        raw = labels_by_t[t]
+        raw, feats = zip(*rows_by_t[t])
         labels = None
-        if all(x != "" for x in raw):
+        if all(raw):
             try:
-                labels = np.asarray([int(x) for x in raw], dtype=np.uint32)
-            except (ValueError, OverflowError) as exc:
+                labels = np.array([int(x) for x in raw])
+            except ValueError as exc:
                 raise CorruptPayloadError(f"{path}: bad label at t={t}: {exc}") from exc
-            max_label = max(max_label, int(labels.max()))
-        batches.append(EmbeddingBatch(t, feats, labels))
-    return batches, (k if k is not None else max_label + 1)
+        batches.append(EmbeddingBatch(t, np.asarray(feats, dtype=np.float32), labels))
+    if k is None:
+        k = max((int(b.labels.max()) + 1 for b in batches if b.labels is not None), default=0)
+    for b in batches:
+        _check_step(b.t, b.features, b.labels, d, k, CorruptPayloadError)
+        if b.labels is not None:
+            b.labels = b.labels.astype(np.uint32)
+    return batches, k
 
 
 # -- label-shift reordering -------------------------------------------------
@@ -412,26 +429,14 @@ def make_label_shift(
     if any(np.any((b.labels < 0) | (b.labels >= k)) for b in batches):
         raise DomainError(f"labels must lie in [0, {k}) for label-shift reordering")
     rng = np.random.default_rng(seed)
-    if not whole_stream:
-        out = []
-        for b in batches:
-            order = rng.permutation(k)
-            idx = np.concatenate(
-                [np.flatnonzero(b.labels == c) for c in order]
-            ).astype(int)
-            out.append(EmbeddingBatch(b.t, b.features[idx], b.labels[idx]))
-        return out
-    feats = np.concatenate([b.features for b in batches])
-    labels = np.concatenate([b.labels for b in batches])
-    order = rng.permutation(k)
-    idx = np.concatenate([np.flatnonzero(labels == c) for c in order]).astype(int)
-    feats, labels = feats[idx], labels[idx]
     out = []
-    offset = 0
-    for b in batches:
-        n = b.count
-        out.append(EmbeddingBatch(b.t, feats[offset:offset + n], labels[offset:offset + n]))
-        offset += n
+    for group in [batches] if whole_stream else [[b] for b in batches]:
+        labels = np.concatenate([b.labels for b in group])
+        idx = np.concatenate([np.flatnonzero(labels == c) for c in rng.permutation(k)])
+        bounds = np.cumsum([b.count for b in group])[:-1]
+        feats = np.concatenate([b.features for b in group])[idx]
+        out += [EmbeddingBatch(b.t, f, y) for b, f, y in
+                zip(group, np.split(feats, bounds), np.split(labels[idx], bounds))]
     return out
 
 
@@ -521,8 +526,7 @@ def _draw_labels(rng: np.random.Generator, scenario: DriftScenario) -> np.ndarra
         return np.concatenate(
             [np.full(counts[c], c, dtype=np.uint32) for c in order]
         )
-    alpha = float(dist.split(":", 1)[1])
-    probs = rng.dirichlet(np.full(k, alpha))
+    probs = rng.dirichlet(np.full(k, _dirichlet_alpha(dist)))
     return rng.choice(k, size=n, p=probs).astype(np.uint32)
 
 
@@ -535,10 +539,10 @@ def synth_drift(scenario: DriftScenario) -> tuple[list[EmbeddingBatch], np.ndarr
     means by fixed per-class drift vectors. Deterministic per seed.
     """
     rng = np.random.default_rng(scenario.seed)
-    d, k, t_len = scenario.d, scenario.k, scenario.t_steps
+    d, k, n = scenario.d, scenario.k, scenario.n_per_step
     base = well_separated_directions(rng, d, k)
-
-    if scenario.geometry == "sphere":
+    sphere = scenario.geometry == "sphere"
+    if sphere:
         # per-class orthonormal partner spanning the rotation plane
         partners = np.empty_like(base)
         for j in range(k):
@@ -546,52 +550,35 @@ def synth_drift(scenario: DriftScenario) -> tuple[list[EmbeddingBatch], np.ndarr
             g -= (g @ base[j]) * base[j]
             partners[j] = g / np.linalg.norm(g)
         step_rad = math.radians(scenario.drift_deg_per_step)
-        trajectory = np.empty((t_len, k, d))
-        for i in range(t_len):
-            ang = i * step_rad
-            trajectory[i] = math.cos(ang) * base + math.sin(ang) * partners
-        batches = []
-        for i in range(t_len):
-            labels = _draw_labels(rng, scenario)
-            feats = np.empty((scenario.n_per_step, d))
-            for j in range(k):
-                rows = np.flatnonzero(labels == j)
-                if rows.size:
-                    feats[rows] = sample_vmf(
-                        rng, trajectory[i, j], scenario.kappa_true, rows.size
-                    )
-            batches.append(
-                EmbeddingBatch(i + 1, feats.astype(np.float32), labels)
-            )
-        return batches, trajectory
-
-    drift_vecs = scenario.drift_scale * normalize_rows(rng.standard_normal((k, d)))
-    trajectory = np.empty((t_len, k, d))
-    for i in range(t_len):
-        trajectory[i] = base + i * drift_vecs
+        trajectory = np.stack([
+            math.cos(i * step_rad) * base + math.sin(i * step_rad) * partners
+            for i in range(scenario.t_steps)
+        ])
+    else:
+        drift_vecs = scenario.drift_scale * normalize_rows(rng.standard_normal((k, d)))
+        trajectory = np.stack([base + i * drift_vecs for i in range(scenario.t_steps)])
     batches = []
-    for i in range(t_len):
+    for t, centers in enumerate(trajectory, start=1):
         labels = _draw_labels(rng, scenario)
-        feats = trajectory[i][labels] + scenario.sigma_true * rng.standard_normal(
-            (scenario.n_per_step, d)
-        )
-        batches.append(EmbeddingBatch(i + 1, feats.astype(np.float32), labels))
+        if sphere:
+            feats = np.empty((n, d))
+            for j in np.unique(labels):
+                rows = np.flatnonzero(labels == j)
+                feats[rows] = sample_vmf(rng, centers[j], scenario.kappa_true, rows.size)
+        else:
+            feats = centers[labels] + scenario.sigma_true * rng.standard_normal((n, d))
+        batches.append(EmbeddingBatch(t, feats.astype(np.float32), labels))
     return batches, trajectory
 
 
 def write_synthetic(dirpath, scenario: DriftScenario) -> StreamManifest:
-    """Generate, write, and describe a synthetic stream directory."""
+    """Write synth_drift's stream and trajectory into a directory.
+
+    The manifest metadata names the trajectory file and records every
+    DriftScenario field as a string.
+    """
     batches, trajectory = synth_drift(scenario)
-    metadata = {
-        "trajectory": TRAJECTORY_NAME,
-        "geometry": scenario.geometry,
-        "kappa_true": str(scenario.kappa_true),
-        "sigma_true": str(scenario.sigma_true),
-        "drift_deg_per_step": str(scenario.drift_deg_per_step),
-        "drift_scale": str(scenario.drift_scale),
-        "label_distribution": scenario.label_distribution,
-        "seed": str(scenario.seed),
-    }
+    metadata = {"trajectory": TRAJECTORY_NAME, **asdict(scenario)}
     manifest = write_stream(dirpath, batches, scenario.k, metadata)
     flat = trajectory.reshape(scenario.t_steps * scenario.k, scenario.d)
     write_matrix(Path(dirpath) / TRAJECTORY_NAME, flat)

@@ -136,8 +136,6 @@ def assignment_step(
     if not np.all(np.isfinite(feats)):
         raise DomainError("embeddings contain non-finite entries")
     k = expected.shape[0]
-    if k == 1:
-        return np.ones((feats.shape[0], 1))
     kappa_ems = np.broadcast_to(np.asarray(kappa_ems, dtype=float), (k,))
     with np.errstate(divide="ignore"):
         logits = np.log(np.asarray(mixing, dtype=float)) + kappa_ems * (
@@ -249,8 +247,6 @@ def predict_probs(
     feats = np.asarray(feats, dtype=float)
     prototypes = np.asarray(prototypes, dtype=float)
     k = prototypes.shape[0]
-    if k == 1:
-        return np.ones((feats.shape[0], 1))
     kappa_ems = np.broadcast_to(np.asarray(kappa_ems, dtype=float), (k,))
     mixing = np.asarray(mixing, dtype=float)
     logits = kappa_ems * (feats @ prototypes.T)

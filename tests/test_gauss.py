@@ -398,6 +398,14 @@ class TestGaussModel:
         var = model._steps[-1].belief.cov[0]
         np.testing.assert_allclose(var * np.eye(d), want_cov, atol=1e-12)
 
+    def test_single_class_predicts_certainty(self):
+        model = GaussModel(np.array([[1.0, 0.5]]), GaussConfig(d=2, k=1))
+        feats = normalize_rows(np.random.default_rng(12).standard_normal((5, 2)))
+        model.adapt(1, feats)
+        probs, labels = model.predict(feats)
+        np.testing.assert_array_equal(probs, np.ones((5, 1)))
+        np.testing.assert_array_equal(labels, np.zeros(5))
+
     def test_single_class_matches_dense_smoother(self):
         rng = np.random.default_rng(11)
         for _ in range(10):

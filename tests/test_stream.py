@@ -1,14 +1,19 @@
 """Tests for the stream format, CSV ingest, label shift and synthetic drift."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stad.errors import (
     CorruptHeaderError,
     CorruptPayloadError,
     MissingFileError,
+    NonContiguousTimeError,
     StadError,
 )
 from stad.stream import (
@@ -20,9 +25,11 @@ from stad.stream import (
     read_manifest,
     read_matrix,
     read_stream,
+    read_trajectory,
     synth_drift,
     write_matrix,
     write_stream,
+    write_synthetic,
 )
 
 
@@ -85,6 +92,20 @@ CORRUPTIONS = {
     "no steps": (CorruptHeaderError, lambda p: _edit_manifest(p, _set("steps", []))),
     "zero count": (CorruptHeaderError, lambda p: _edit_manifest(p, _set_step(0, "count", 0))),
     "count not a number": (CorruptHeaderError, lambda p: _edit_manifest(p, _set_step(0, "count", "x"))),
+    "metadata not an object": (CorruptHeaderError, lambda p: _edit_manifest(p, _set("metadata", []))),
+    "features not a string": (CorruptHeaderError, lambda p: _edit_manifest(p, _set_step(0, "features", 5))),
+    "features names the directory": (
+        CorruptHeaderError,
+        lambda p: _edit_manifest(p, _set_step(0, "features", "")),
+    ),
+    "features outside the directory": (
+        CorruptHeaderError,
+        lambda p: _edit_manifest(p, _set_step(0, "features", "../x")),
+    ),
+    "labels in a subdirectory": (
+        CorruptHeaderError,
+        lambda p: _edit_manifest(p, _set_step(1, "labels", "sub/step_00002.lbl")),
+    ),
     "feature file missing": (MissingFileError, lambda p: (p / "step_00002.emb").unlink()),
     "label file missing": (MissingFileError, lambda p: (p / "step_00001.lbl").unlink()),
     "truncated header": (CorruptHeaderError, _write_bytes("step_00001.emb", b"STADEMB1")),
@@ -109,6 +130,72 @@ def test_corrupt_stream_rejected(stream_dir, case):
     corrupt(stream_dir)
     with pytest.raises(error):
         list(read_stream(stream_dir))
+
+
+def _batch(t=1, feats=((0.5, 1.0), (1.0, 0.0)), labels=(0, 1)):
+    labels = None if labels is None else np.asarray(labels)
+    return EmbeddingBatch(t, np.asarray(feats, dtype=np.float32), labels)
+
+
+WRITER_VIOLATIONS = {
+    "first step t=2": [_batch(t=2)],
+    "label 5 with K=2": [_batch(labels=(0, 5))],
+    "label -1": [_batch(labels=(0, -1))],
+    "NaN features": [_batch(feats=((0.5, np.nan), (1.0, 0.0)))],
+    "1-D batch": [EmbeddingBatch(1, np.ones(2, np.float32), np.zeros(2, np.uint32))],
+    "wrong D": [_batch(), _batch(t=2, feats=((1.0, 2.0, 3.0), (0.0, 1.0, 0.0)))],
+    "label-count mismatch": [_batch(labels=(0, 1, 1))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_VIOLATIONS))
+def test_write_stream_enforces_step_contract(tmp_path, case):
+    with pytest.raises(StadError):
+        write_stream(tmp_path, WRITER_VIOLATIONS[case], k=2)
+
+
+_FIELDS = [("format_version",), ("d",), ("k",), ("steps",), ("metadata",), ("steps", 1)] + [
+    ("steps", i, key) for i in range(3) for key in ("t", "features", "labels", "count")
+]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(deadline=None)
+@given(path=st.sampled_from(_FIELDS), value=_JSON)
+def test_manifest_field_overwrite_raises_only_stad_errors(path, value):
+    def overwrite(payload):
+        *parents, key = path
+        for name in parents:
+            payload = payload[name]
+        payload[key] = value
+
+    with tempfile.TemporaryDirectory() as tmp:
+        write_stream(tmp, small_batches(), k=3)
+        _edit_manifest(Path(tmp), overwrite)
+        try:
+            list(read_stream(tmp))
+        except StadError:
+            pass
+
+
+def test_write_synthetic_round_trip(tmp_path):
+    scenario = DriftScenario(d=5, k=3, t_steps=4, n_per_step=12, seed=5)
+    write_synthetic(tmp_path, scenario)
+    want, trajectory = synth_drift(scenario)
+    for a, b in zip(want, read_stream(tmp_path), strict=True):
+        assert (b.t, b.features.tobytes(), b.labels.tobytes()) == (a.t, a.features.tobytes(),
+                                                                   a.labels.tobytes())
+    np.testing.assert_array_equal(read_trajectory(tmp_path),
+                                  trajectory.astype(np.float32).astype(float))
+    assert read_manifest(tmp_path).metadata["seed"] == "5"
+
+
+def test_read_trajectory_absent(stream_dir):
+    assert read_trajectory(stream_dir) is None
 
 
 def test_read_matrix_missing_file(tmp_path):
@@ -140,6 +227,22 @@ def test_csv_ingest_with_unlabeled_rows(tmp_path):
 def test_csv_rejects_malformed_rows(tmp_path, text):
     with pytest.raises((CorruptHeaderError, CorruptPayloadError)):
         read_csv_stream(_csv(tmp_path, text))
+
+
+@pytest.mark.parametrize("text, k", [
+    ("t,label,f0\n1,0,nan\n", None),
+    ("t,label,f0,f1\n1,,0.5,inf\n", None),
+    ("t,label,f0\n1,0,0.5\n1,3,0.1\n", 2),
+])
+def test_csv_enforces_step_contract(tmp_path, text, k):
+    with pytest.raises(CorruptPayloadError):
+        read_csv_stream(_csv(tmp_path, text), k=k)
+
+
+def test_csv_stream_must_start_at_one_to_be_written(tmp_path):
+    batches, k = read_csv_stream(_csv(tmp_path, "t,label,f0\n2,0,0.5\n3,1,0.1\n"))
+    with pytest.raises(NonContiguousTimeError):
+        write_stream(tmp_path / "out", batches, k)
 
 
 def test_csv_missing_file(tmp_path):
