@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, cho_solve
 
 from stad import gauss
 from stad.errors import (
@@ -617,3 +617,105 @@ class TestGaussModel:
         cov = model._steps[-1].belief.cov
         iso = cov[:, :1, :1] * np.eye(d)
         assert np.abs(cov - iso).max() > 1e-6
+
+
+class PerClassLoopModel(GaussModel):
+    """Reference for the dense path: one kf_* call per class and step, and a
+    per-class transition solve, as the dense path was first written."""
+
+    def adapt(self, t, feats):
+        cfg = self.config
+        self._push(t, feats)
+        for _ in range(cfg.e_sweeps):
+            self.coordinate_sweep()
+        for s in self._steps:
+            s.mixing = mixing_update(s.resp, cfg.pi_floor)
+        if len(self._steps) >= 2:
+            beliefs = [s.belief for s in self._steps]
+            new_a = self.transition
+            if cfg.learn_transition:
+                new_a = per_class_transition(beliefs, self._last_gains)
+                self.transition = new_a
+            if cfg.learn_sigmas:
+                _, self.sigma_trans, self.sigma_ems = gauss_m_step(
+                    beliefs, self._last_gains, [s.resp for s in self._steps],
+                    [s.feats for s in self._steps], new_a, False, True)
+        return self
+
+    def _dense_filter_smooth(self):
+        k, d = self.config.k, self.config.d
+        steps = self._steps
+        t_len = len(steps)
+        f_means = np.empty((t_len, k, d))
+        f_covs = np.empty((t_len, k, d, d))
+        prev = self._anchor
+        for i, step in enumerate(steps):
+            for j in range(k):
+                pm, pc = kf_predict(prev.mean[j], prev.cov[j], self.transition[j],
+                                    self.sigma_trans)
+                f_means[i, j], f_covs[i, j] = kf_update_weighted(
+                    pm, pc, step.feats, step.resp[:, j], self.sigma_ems)
+            prev = GaussBelief(f_means[i], f_covs[i])
+        s_means = np.empty_like(f_means)
+        s_covs = np.empty_like(f_covs)
+        gains_per_class = []
+        for j in range(k):
+            sm, sc, gains = kf_smooth(f_means[:, j], f_covs[:, j], self.transition[j],
+                                      self.sigma_trans)
+            s_means[:, j], s_covs[:, j] = sm, sc
+            gains_per_class.append(gains)
+        self._last_gains = [np.stack([gains_per_class[j][i] for j in range(k)])
+                            for i in range(t_len - 1)]
+        for i, step in enumerate(steps):
+            step.belief = GaussBelief(s_means[i], s_covs[i])
+
+
+def per_class_transition(beliefs, gains):
+    """Lag-one least squares per class, one Cholesky solve each."""
+    k, d = beliefs[0].mean.shape
+    new_a = np.empty((k, d, d))
+    for j in range(k):
+        s_prev = sum(b.cov[j] + np.outer(b.mean[j], b.mean[j]) for b in beliefs[:-1])
+        s_lag = sum(cur.cov[j] @ g[j].T + np.outer(cur.mean[j], prev.mean[j])
+                    for prev, cur, g in zip(beliefs[:-1], beliefs[1:], gains))
+        factor = cho_factor(0.5 * (s_prev + s_prev.T) + 1e-8 * np.eye(d), lower=True)
+        new_a[j] = cho_solve(factor, s_lag.T).T
+    return new_a
+
+
+class TestDensePathOracle:
+    @pytest.mark.parametrize("predictive", [False, True])
+    @pytest.mark.parametrize("e_sweeps", [1, 2])
+    @pytest.mark.parametrize("window", [1, 3, 5])
+    def test_matches_per_class_loop(self, window, e_sweeps, predictive):
+        rng = np.random.default_rng(24)
+        d, k = 6, 4
+        w0 = normalize_rows(rng.standard_normal((k, d)))
+        w0[3] *= 20.0  # far from every sample: an empty cluster
+        cfg = GaussConfig(d=d, k=k, window=window, e_sweeps=e_sweeps,
+                          learn_transition=True, learn_sigmas=True,
+                          assign_with_predictive=predictive)
+        model, ref = GaussModel(w0, cfg), PerClassLoopModel(w0, cfg)
+        for t in range(1, window + 4):
+            labels = rng.integers(0, 3, size=12)
+            batch = w0[labels] + 0.3 * rng.standard_normal((12, d))
+            model.adapt(t, batch)
+            ref.adapt(t, batch)
+            assert model._steps[-1].resp[:, 3].sum() <= 1e-8
+            for a, b in zip(model._steps, ref._steps):
+                np.testing.assert_allclose(a.belief.mean, b.belief.mean, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(a.belief.cov, b.belief.cov, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(a.resp, b.resp, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(a.mixing, b.mixing, rtol=0, atol=1e-10)
+            assert len(model._last_gains) == len(ref._last_gains) == len(model._steps) - 1
+            for g, h in zip(model._last_gains, ref._last_gains):
+                np.testing.assert_allclose(g, h, rtol=0, atol=1e-10)
+            for name in ("transition", "sigma_trans", "sigma_ems"):
+                np.testing.assert_allclose(getattr(model, name), getattr(ref, name),
+                                           rtol=0, atol=1e-10)
+            np.testing.assert_allclose(model._anchor.mean, ref._anchor.mean, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(model._anchor.cov, ref._anchor.cov, rtol=0, atol=1e-10)
+            h = rng.standard_normal((5, d))
+            np.testing.assert_allclose(model.predict(h)[0], ref.predict(h)[0],
+                                       rtol=0, atol=1e-10)
+        assert model.window_times[0] == 4  # three steps were evicted into the anchor
