@@ -14,10 +14,15 @@ covariance stays c * I. The model then stores Q and R as the floats q
 and r and each belief's covariance as one variance per class, shape
 (K,), and runs a scalar path at O(K D) per step plus the assignments.
 With either learn flag set it stores (D, D) and (K, D, D) matrices and
-runs the dense path, where every D x D solve goes through a Cholesky
-factorization and nothing inverts a matrix explicitly. The dense path
-scales with D^3, so a model that learns its parameters is gated to
-D <= 256 unless explicitly overridden.
+runs the dense path. There the kf_* functions take a leading class axis,
+so one filter step and one smoother step each handle all K classes in
+stacked array operations; only the Cholesky factorizations and the solves
+on them run one class at a time, through `_cholesky`. Nothing inverts a
+matrix explicitly, a measurement update makes one triangular solve, and
+the smoother reuses the filter's predictions. Non-finite input raises
+DomainError, checked once per stacked array. The dense path scales with
+D^3, so a model that learns its parameters is gated to D <= 256 unless
+explicitly overridden.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     ConfigError,
@@ -114,23 +120,49 @@ def _eig_floor(m: np.ndarray, floor: float = _EIG_FLOOR) -> np.ndarray:
     return _sym((vecs * vals) @ vecs.T)
 
 
+def _finite(where: str, *arrays) -> None:
+    """Raise DomainError unless every entry of every array is finite.
+
+    One check per stacked array: the factorizations and solves that follow
+    skip scipy's per-call finiteness checks.
+    """
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise DomainError(f"{where}: inputs must be finite")
+
+
 def _cholesky(m: np.ndarray):
-    """Lower Cholesky factor of a symmetric positive-definite matrix, for cho_solve."""
+    """Lower Cholesky factor of one finite symmetric positive-definite matrix.
+
+    Reads the lower triangle only; returns cho_factor's (factor, lower) pair.
+    """
     try:
-        return cho_factor(m, lower=True)
+        return cho_factor(m, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
 
 
 def kf_predict(mean: np.ndarray, cov: np.ndarray, transition: np.ndarray,
                sigma_trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-step-ahead prior: A m and A P A^T + Q (symmetrized)."""
+    """One-step-ahead prior: A m and A P A^T + Q (symmetrized).
+
+    mean is (..., D) and cov (..., D, D): (D,) for one class, (K, D) for K
+    classes at once. The transition is (D, D), shared, or carries the
+    trailing class axes of mean, (K, D, D) for one matrix per class.
+    """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    d = mean.shape[-1]
-    if transition.shape != (d, d) or sigma_trans.shape != (d, d) or cov.shape[-2:] != (d, d):
+    transition = np.asarray(transition, dtype=float)
+    sigma_trans = np.asarray(sigma_trans, dtype=float)
+    lead, d = mean.shape[:-1], mean.shape[-1]
+    class_axes = transition.ndim - 2  # 0 for a shared transition
+    if (cov.shape != lead + (d, d) or sigma_trans.shape != (d, d)
+            or transition.shape[-2:] != (d, d)
+            or transition.shape[:-2] != lead[len(lead) - class_axes:]):
         raise DimensionMismatchError("inconsistent shapes in kf_predict")
-    return transition @ mean, _sym(transition @ cov @ transition.T + sigma_trans)
+    _finite("kf_predict", mean, cov, transition, sigma_trans)
+    pred_mean = (transition @ mean[..., None])[..., 0]
+    return pred_mean, _sym(transition @ cov @ np.swapaxes(transition, -1, -2) + sigma_trans)
 
 
 def kf_update_weighted(
@@ -142,30 +174,49 @@ def kf_update_weighted(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measurement update from a responsibility-weighted batch.
 
-    The weighted batch collapses to one pseudo-observation: the weighted
-    mean with emission noise scaled down by the total weight. A total
-    weight at or below 1e-8 (an empty cluster) returns the prior
-    unchanged. The gain is computed through a symmetric positive-definite
-    solve; a non-PSD innovation covariance raises NotPositiveDefiniteError
-    (a StadError and a LinAlgError), which signals an invariant violation
-    upstream.
+    mean (D,), cov (D, D) and resp_col (N,) update one class; mean (K, D),
+    cov (K, D, D) and resp_col (N, K) update K classes at once. Each class's
+    weighted batch collapses to one pseudo-observation: the weighted mean
+    with emission noise scaled down by the total weight w. A total weight
+    at or below 1e-8 (an empty cluster) keeps that class's prior. Otherwise
+    S = P + R / w is factored as L L^T, and one triangular solve gives
+    W = L^{-1} P and y = L^{-1} (obs - m); the posterior is m + W^T y and
+    P - W^T W. A non-positive-definite S raises NotPositiveDefiniteError (a
+    StadError and a LinAlgError), which signals an invariant violation
+    upstream; non-finite input raises DomainError.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     feats = np.asarray(feats, dtype=float)
-    resp_col = np.asarray(resp_col, dtype=float)
-    if np.any(resp_col < 0.0):
+    resp = np.asarray(resp_col, dtype=float)
+    sigma_ems = np.asarray(sigma_ems, dtype=float)
+    single = mean.ndim == 1
+    if single:
+        mean, cov, resp = mean[None], cov[None], resp[:, None]
+    k, d = mean.shape
+    if (cov.shape != (k, d, d) or feats.ndim != 2 or feats.shape[1] != d
+            or resp.shape != (feats.shape[0], k) or sigma_ems.shape != (d, d)):
+        raise DimensionMismatchError("inconsistent shapes in kf_update_weighted")
+    if np.any(resp < 0.0):
         raise DomainError("responsibilities must be nonnegative")
-    weight = float(resp_col.sum())
-    if weight <= _EMPTY_CLUSTER_EPS:
-        return mean.copy(), cov.copy()
-    obs = (resp_col @ feats) / weight
-    innov_cov = cov + sigma_ems / weight
-    factor = _cholesky(_sym(innov_cov))
-    gain = cho_solve(factor, cov).T
-    new_mean = mean + gain @ (obs - mean)
-    eye = np.eye(mean.shape[-1])
-    new_cov = _sym((eye - gain) @ cov)
+    _finite("kf_update_weighted", mean, cov, feats, resp, sigma_ems)
+    weight = resp.sum(axis=0)
+    live = np.flatnonzero(weight > _EMPTY_CLUSTER_EPS)
+    new_mean, new_cov = mean.copy(), cov.copy()
+    if live.size:
+        w, prior = weight[live], cov[live]
+        obs = (resp[:, live].T @ feats) / w[:, None]
+        innov_cov = prior + sigma_ems / w[:, None, None]
+        # [W | y] = L^{-1} [P | obs - m], one class at a time
+        white = np.concatenate([prior, (obs - mean[live])[..., None]], axis=-1)
+        for i in range(live.size):
+            # potrf succeeded, so L has a positive diagonal and trtrs cannot fail
+            white[i] = dtrtrs(_cholesky(innov_cov[i])[0], white[i], lower=1)[0]
+        w_mat, y = white[..., :d], white[..., d]
+        new_mean[live] += (y[:, None, :] @ w_mat)[:, 0]
+        new_cov[live] = _sym(prior - np.swapaxes(w_mat, -1, -2) @ w_mat)
+    if single:
+        return new_mean[0], new_cov[0]
     return new_mean, new_cov
 
 
@@ -174,26 +225,50 @@ def kf_smooth(
     covs: np.ndarray,
     transition: np.ndarray,
     sigma_trans: np.ndarray,
+    predicted: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Backward (Rauch-Tung-Striebel) pass over filtered moments.
 
-    means is (T, D), covs (T, D, D). Returns smoothed means/covs and the
-    T-1 smoother gain matrices (needed for lag-one cross moments). A
-    single step returns the filtered moments unchanged.
+    means (T, D) and covs (T, D, D) smooth one chain; (T, K, D) and
+    (T, K, D, D) smooth K chains at once, with transition (D, D) or
+    (K, D, D). `predicted` is the filter's (means, covs) predicted for
+    steps 1..T-1, A m_i and A P_i A^T + Q from step i; without it they are
+    recomputed by kf_predict. Returns smoothed means/covs and the T-1
+    smoother gains J_i = P_i A^T (A P_i A^T + Q)^{-1}, each (D, D) or
+    (K, D, D), needed for lag-one cross moments. A single step returns the
+    filtered moments unchanged.
     """
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
-    t_len = means.shape[0]
-    sm = means.copy()
-    sc = covs.copy()
-    gains: list[np.ndarray] = []
+    transition = np.asarray(transition, dtype=float)
+    single = means.ndim == 2
+    if predicted is None:
+        predicted = kf_predict(means[:-1], covs[:-1], transition, sigma_trans)
+    pred_means, pred_covs = (np.asarray(p, dtype=float) for p in predicted)
+    if single:
+        means, covs = means[:, None], covs[:, None]
+        pred_means, pred_covs = pred_means[:, None], pred_covs[:, None]
+    t_len, k, d = means.shape
+    if (covs.shape != (t_len, k, d, d) or transition.shape not in ((d, d), (k, d, d))
+            or pred_means.shape != (t_len - 1, k, d)
+            or pred_covs.shape != (t_len - 1, k, d, d)):
+        raise DimensionMismatchError("inconsistent shapes in kf_smooth")
+    _finite("kf_smooth", means, covs, transition, pred_means, pred_covs)
+    sm, sc = means.copy(), covs.copy()
+    gains: list[np.ndarray] = [None] * (t_len - 1)
     for i in range(t_len - 2, -1, -1):
-        pred_cov = _sym(transition @ covs[i] @ transition.T + sigma_trans)
-        factor = _cholesky(pred_cov)
-        gain = cho_solve(factor, transition @ covs[i]).T
-        sm[i] = means[i] + gain @ (sm[i + 1] - transition @ means[i])
-        sc[i] = _sym(covs[i] + gain @ (sc[i + 1] - pred_cov) @ gain.T)
-        gains.insert(0, gain)
+        ap = transition @ covs[i]
+        # J^T = (A P A^T + Q)^{-1} A P, one class at a time
+        gain_t = np.stack([
+            cho_solve(_cholesky(pred_covs[i, j]), ap[j], check_finite=False)
+            for j in range(k)
+        ])
+        gain = np.swapaxes(gain_t, -1, -2)
+        sm[i] = means[i] + (gain @ (sm[i + 1] - pred_means[i])[..., None])[..., 0]
+        sc[i] = _sym(covs[i] + gain @ (sc[i + 1] - pred_covs[i]) @ gain_t)
+        gains[i] = gain
+    if single:
+        return sm[:, 0], sc[:, 0], [g[0] for g in gains]
     return sm, sc, gains
 
 
@@ -232,18 +307,21 @@ def gauss_assignments(
         logdet = d * np.log(var)
         quad = _sq_dist(feats.T, belief.mean.T) / var
     elif predictive:
+        _finite("gauss_assignments", feats, belief.mean, belief.cov, sigma_ems)
+        innov_cov = _sym(sigma_ems + belief.cov)
         quad = np.empty((feats.shape[0], k))
         logdet = np.empty(k)
         for j in range(k):
-            factor = _cholesky(_sym(sigma_ems + belief.cov[j]))
-            logdet[j] = 2.0 * np.sum(np.log(np.diag(factor[0])))
-            diff = feats - belief.mean[j]
-            quad[:, j] = np.sum(diff * cho_solve(factor, diff.T).T, axis=1)
+            chol = _cholesky(innov_cov[j])[0]
+            logdet[j] = 2.0 * np.sum(np.log(np.diag(chol)))
+            white = dtrtrs(chol, (feats - belief.mean[j]).T, lower=1)[0]
+            quad[:, j] = np.einsum("dn,dn->n", white, white)
     else:
+        _finite("gauss_assignments", feats, belief.mean, sigma_ems)
         chol = _cholesky(_sym(sigma_ems))[0]
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        x = solve_triangular(chol, feats.T, lower=True)         # (D, N)
-        m = solve_triangular(chol, belief.mean.T, lower=True)   # (D, K)
+        x = dtrtrs(chol, feats.T, lower=1)[0]          # (D, N)
+        m = dtrtrs(chol, belief.mean.T, lower=1)[0]    # (D, K)
         quad = _sq_dist(x, m)
     logits = log_pi - 0.5 * (quad + logdet + d * np.log(2.0 * np.pi))
     return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
@@ -276,17 +354,22 @@ def gauss_m_step(
 
     means = np.stack([b.mean for b in smoothed])   # (T, K, D)
     covs = np.stack([b.cov for b in smoothed])     # (T, K, D, D)
+    gain_stack = np.stack(gains)                   # (T-1, K, D, D)
+    _finite("gauss_m_step", means, covs, gain_stack, transition, *resps, *feats)
     # second moments summed over the T-1 transitions, per class: (K, D, D)
     s_prev = covs[:-1].sum(axis=0) + np.einsum("tkd,tke->kde", means[:-1], means[:-1])
-    s_lag = ((covs[1:] @ np.swapaxes(np.stack(gains), -1, -2)).sum(axis=0)
+    s_lag = ((covs[1:] @ np.swapaxes(gain_stack, -1, -2)).sum(axis=0)
              + np.einsum("tkd,tke->kde", means[1:], means[:-1]))
 
     new_a = None
     if learn_transition:
-        new_a = np.empty((k, d, d))
-        for j in range(k):
-            factor = _cholesky(_sym(s_prev[j]) + _EIG_FLOOR * np.eye(d))
-            new_a[j] = cho_solve(factor, s_lag[j].T).T
+        # A_j = S_lag S_prev^{-1}: solve S_prev A_j^T = S_lag^T, one class at a time
+        s_prev_reg = _sym(s_prev) + _EIG_FLOOR * np.eye(d)
+        s_lag_t = np.swapaxes(s_lag, -1, -2)
+        new_a = np.swapaxes(np.stack([
+            cho_solve(_cholesky(s_prev_reg[j]), s_lag_t[j], check_finite=False)
+            for j in range(k)
+        ]), -1, -2)
 
     new_q = new_r = None
     if learn_sigmas:
@@ -325,9 +408,10 @@ class GaussModel(SlidingWindow):
     covariance is (K,): the scalar path carries one variance per class
     and its assignments factor nothing. With either flag on, the
     transition is (K, D, D), Q and R are (D, D) and the covariances
-    (K, D, D); the dense path runs per class with D x D Cholesky solves
-    and keeps the smoother gains for the M-step. Only that form is gated
-    to D <= 256.
+    (K, D, D); each window step of the dense path makes one kf_predict
+    and one kf_update_weighted call for all K classes, one kf_smooth call
+    covers the window, and its (K, D, D) smoother gains are kept for the
+    M-step. Only that form is gated to D <= 256.
     """
 
     def __init__(self, source_weights: np.ndarray, config: GaussConfig):
@@ -432,40 +516,30 @@ class GaussModel(SlidingWindow):
             steps[i].belief = GaussBelief(mean, var)
 
     def _dense_filter_smooth(self) -> None:
-        """Per-class dense Kalman filter and RTS smoother; keeps the smoother gains."""
-        cfg = self.config
+        """Dense Kalman filter and RTS smoother, all K classes at once.
+
+        Each window step makes one kf_predict and one kf_update_weighted
+        call; one kf_smooth call reuses the filter's predictions and keeps
+        the smoother gains, one (K, D, D) stack per transition, for the M-step.
+        """
         steps = self._steps
-        k, d = cfg.k, cfg.d
         t_len = len(steps)
-        f_means = np.empty((t_len, k, d))
-        f_covs = np.empty((t_len, k, d, d))
-        prev = self._anchor
+        k, d = self._anchor.mean.shape
+        p_means, f_means = np.empty((2, t_len, k, d))
+        p_covs, f_covs = np.empty((2, t_len, k, d, d))
+        mean, cov = self._anchor.mean, self._anchor.cov
         for i, step in enumerate(steps):
-            for j in range(k):
-                pm, pc = kf_predict(
-                    prev.mean[j], prev.cov[j], self.transition[j], self.sigma_trans
-                )
-                f_means[i, j], f_covs[i, j] = kf_update_weighted(
-                    pm, pc, step.feats, step.resp[:, j], self.sigma_ems
-                )
-            prev = GaussBelief(f_means[i], f_covs[i])
-        s_means = np.empty_like(f_means)
-        s_covs = np.empty_like(f_covs)
-        gains_per_class = []
-        for j in range(k):
-            sm, sc, gains = kf_smooth(
-                f_means[:, j], f_covs[:, j], self.transition[j], self.sigma_trans
+            p_means[i], p_covs[i] = kf_predict(mean, cov, self.transition, self.sigma_trans)
+            mean, cov = kf_update_weighted(
+                p_means[i], p_covs[i], step.feats, step.resp, self.sigma_ems
             )
-            s_means[:, j] = sm
-            s_covs[:, j] = sc
-            gains_per_class.append(gains)
-        # regroup gains as [transition index][class]
-        self._last_gains = [
-            np.stack([gains_per_class[j][i] for j in range(k)])
-            for i in range(t_len - 1)
-        ]
-        for i, step in enumerate(steps):
-            step.belief = GaussBelief(s_means[i], s_covs[i])
+            f_means[i], f_covs[i] = mean, cov
+        s_means, s_covs, self._last_gains = kf_smooth(
+            f_means, f_covs, self.transition, self.sigma_trans,
+            predicted=(p_means[1:], p_covs[1:]),
+        )
+        for step, s_mean, s_cov in zip(steps, s_means, s_covs):
+            step.belief = GaussBelief(s_mean, s_cov)
 
     def predict(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """softmax(W h) with W the newest posterior prototype means."""

@@ -247,6 +247,9 @@ def write_stream(
 
     Enforces the step contract and the time rule (module docstring), raising
     DomainError or NonContiguousTimeError, so whatever it writes reads back.
+    An existing manifest is removed before the first step file is written,
+    so a rewrite rejected part-way leaves a directory that read_stream
+    refuses instead of one that mixes new and old steps.
     """
     k = int(k)
     if k < 1:
@@ -262,6 +265,8 @@ def write_stream(
         _check_step(i, feats, labels, d, k, DomainError)
         d = feats.shape[1]
         name = f"step_{i:05d}"
+        if i == 1:
+            (dirpath / MANIFEST_NAME).unlink(missing_ok=True)
         write_matrix(dirpath / f"{name}.emb", feats)
         label_name = None
         if labels is not None:

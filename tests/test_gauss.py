@@ -13,6 +13,7 @@ from stad.errors import (
     NonContiguousTimeError,
     NotAdaptedError,
     NotPositiveDefiniteError,
+    StadError,
 )
 from stad.gauss import (
     GaussBelief,
@@ -161,6 +162,126 @@ class TestKfSmooth:
         np.testing.assert_allclose(sm, np.stack(om), atol=1e-8)
         np.testing.assert_allclose(sc, np.stack(oc), atol=1e-8)
         np.testing.assert_allclose(np.stack(gains), np.stack(og), atol=1e-8)
+
+
+class TestStackedKf:
+    """A leading class axis gives the same numbers as one call per class."""
+
+    K, D, N = 4, 5, 9
+
+    def setup_method(self):
+        rng = np.random.default_rng(25)
+        k, d, n = self.K, self.D, self.N
+        self.mean = rng.standard_normal((k, d))
+        self.cov = np.stack([random_spd(rng, d, 0.2) for _ in range(k)])
+        self.a = np.eye(d) + 0.2 * rng.standard_normal((k, d, d))
+        self.q = random_spd(rng, d, 0.05)
+        self.r = random_spd(rng, d, 0.3)
+        self.feats = rng.standard_normal((n, d))
+        self.resp = rng.dirichlet(np.ones(k), size=n)
+        self.resp[:, 2] = 0.0  # an empty cluster keeps its prior
+        self.rng = rng
+
+    def test_predict(self):
+        mean, cov = kf_predict(self.mean, self.cov, self.a, self.q)
+        for j in range(self.K):
+            m1, c1 = kf_predict(self.mean[j], self.cov[j], self.a[j], self.q)
+            np.testing.assert_allclose(mean[j], m1, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cov[j], c1, rtol=0, atol=1e-12)
+        shared_mean, shared_cov = kf_predict(self.mean, self.cov, self.a[0], self.q)
+        want_mean, want_cov = kf_predict(self.mean[1], self.cov[1], self.a[0], self.q)
+        np.testing.assert_allclose(shared_mean[1], want_mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(shared_cov[1], want_cov, rtol=0, atol=1e-12)
+
+    def test_update(self):
+        mean, cov = kf_update_weighted(self.mean, self.cov, self.feats, self.resp, self.r)
+        for j in range(self.K):
+            m1, c1 = kf_update_weighted(self.mean[j], self.cov[j], self.feats,
+                                        self.resp[:, j], self.r)
+            np.testing.assert_allclose(mean[j], m1, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cov[j], c1, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(mean[2], self.mean[2])
+        np.testing.assert_array_equal(cov[2], self.cov[2])
+
+    def test_smooth(self):
+        t_len = 4
+        means = self.rng.standard_normal((t_len, self.K, self.D))
+        covs = np.stack([np.stack([random_spd(self.rng, self.D, 0.2) for _ in range(self.K)])
+                         for _ in range(t_len)])
+        sm, sc, gains = kf_smooth(means, covs, self.a, self.q)
+        assert len(gains) == t_len - 1 and gains[0].shape == (self.K, self.D, self.D)
+        for j in range(self.K):
+            sm1, sc1, g1 = kf_smooth(means[:, j], covs[:, j], self.a[j], self.q)
+            np.testing.assert_allclose(sm[:, j], sm1, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sc[:, j], sc1, rtol=0, atol=1e-12)
+            for g, h in zip(gains, g1):
+                np.testing.assert_allclose(g[j], h, rtol=0, atol=1e-12)
+        # the filter's predictions stand in for the recomputed ones
+        predicted = kf_predict(means[:-1], covs[:-1], self.a, self.q)
+        reused = kf_smooth(means, covs, self.a, self.q, predicted=predicted)
+        np.testing.assert_array_equal(reused[0], sm)
+        np.testing.assert_array_equal(reused[1], sc)
+        for g, h in zip(reused[2], gains):
+            np.testing.assert_array_equal(g, h)
+
+    def test_one_non_pd_class_raises(self):
+        cov = self.cov.copy()
+        cov[1] = -10.0 * np.eye(self.D)
+        with pytest.raises(NotPositiveDefiniteError):
+            kf_update_weighted(self.mean, cov, self.feats, self.resp, self.r)
+        means = np.stack([self.mean, self.mean])
+        covs = np.stack([self.cov, self.cov])
+        pred_covs = self.cov[None].copy()
+        pred_covs[0, 3] = -np.eye(self.D)
+        with pytest.raises(NotPositiveDefiniteError):
+            kf_smooth(means, covs, self.a, self.q, predicted=(self.mean[None], pred_covs))
+
+    def test_mismatched_class_axes_raise(self):
+        with pytest.raises(DimensionMismatchError):
+            kf_predict(self.mean, self.cov, self.a[:2], self.q)
+        with pytest.raises(DimensionMismatchError):
+            kf_update_weighted(self.mean, self.cov, self.feats, self.resp[:, :2], self.r)
+        with pytest.raises(DimensionMismatchError):
+            kf_smooth(np.stack([self.mean] * 2), np.stack([self.cov] * 2), self.a[:2], self.q)
+
+
+class TestNonFiniteInputs:
+    """A NaN covariance raises a StadError, not scipy's bare ValueError."""
+
+    @staticmethod
+    def nan_cov(d=2, lead=()):
+        cov = np.tile(np.eye(d), lead + (1, 1))
+        cov[..., 0, 1] = np.nan
+        return cov
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_kf_predict(self, lead):
+        with pytest.raises(DomainError):
+            kf_predict(np.zeros(lead + (2,)), self.nan_cov(lead=lead), np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_kf_update_weighted(self, lead):
+        mean, resp, feats = np.zeros(lead + (2,)), np.ones((4,) + lead), np.ones((4, 2))
+        with pytest.raises(DomainError):
+            kf_update_weighted(mean, self.nan_cov(lead=lead), feats, resp, np.eye(2))
+        with pytest.raises(DomainError):
+            kf_update_weighted(mean, np.tile(np.eye(2), lead + (1, 1)), feats, resp,
+                               self.nan_cov())
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_kf_smooth(self, lead):
+        means = np.zeros((2,) + lead + (2,))
+        with pytest.raises(DomainError):
+            kf_smooth(means, self.nan_cov(lead=(2,) + lead), np.eye(2), 0.1 * np.eye(2))
+
+    @pytest.mark.parametrize("predictive", [False, True])
+    def test_model_with_nan_emission_covariance(self, predictive):
+        rng = np.random.default_rng(26)
+        cfg = GaussConfig(d=2, k=3, learn_sigmas=True, assign_with_predictive=predictive)
+        model = GaussModel(rng.standard_normal((3, 2)), cfg)
+        model.sigma_ems = self.nan_cov()
+        with pytest.raises(StadError):
+            model.adapt(1, rng.standard_normal((6, 2)))
 
 
 class TestGaussAssignments:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from stad.errors import (
     CorruptHeaderError,
     CorruptPayloadError,
+    DomainError,
     MissingFileError,
     NonContiguousTimeError,
     StadError,
@@ -152,6 +153,18 @@ WRITER_VIOLATIONS = {
 def test_write_stream_enforces_step_contract(tmp_path, case):
     with pytest.raises(StadError):
         write_stream(tmp_path, WRITER_VIOLATIONS[case], k=2)
+
+
+def test_rejected_rewrite_leaves_no_readable_mix(tmp_path):
+    def steps(*fills):
+        return [EmbeddingBatch(t, np.full((2, 2), fill, np.float32), None)
+                for t, fill in enumerate(fills, start=1)]
+
+    write_stream(tmp_path, steps(1.0, 1.0, 1.0), k=2)
+    with pytest.raises(DomainError):
+        write_stream(tmp_path, steps(7.0, np.nan), k=2)
+    with pytest.raises(MissingFileError):
+        list(read_stream(tmp_path))
 
 
 _FIELDS = [("format_version",), ("d",), ("k",), ("steps",), ("metadata",), ("steps", 1)] + [
