@@ -212,9 +212,9 @@ def kf_update_weighted(
         for i in range(live.size):
             # potrf succeeded, so L has a positive diagonal and trtrs cannot fail
             white[i] = dtrtrs(_cholesky(innov_cov[i])[0], white[i], lower=1)[0]
-        w_mat, y = white[..., :d], white[..., d]
-        new_mean[live] += (y[:, None, :] @ w_mat)[:, 0]
-        new_cov[live] = _sym(prior - np.swapaxes(w_mat, -1, -2) @ w_mat)
+        white_p, y = white[..., :d], white[..., d]
+        new_mean[live] += (y[:, None, :] @ white_p)[:, 0]
+        new_cov[live] = _sym(prior - np.swapaxes(white_p, -1, -2) @ white_p)
     if single:
         return new_mean[0], new_cov[0]
     return new_mean, new_cov
@@ -355,7 +355,7 @@ def gauss_m_step(
     means = np.stack([b.mean for b in smoothed])   # (T, K, D)
     covs = np.stack([b.cov for b in smoothed])     # (T, K, D, D)
     gain_stack = np.stack(gains)                   # (T-1, K, D, D)
-    _finite("gauss_m_step", means, covs, gain_stack, transition, *resps, *feats)
+    _finite("gauss_m_step", means, covs, gain_stack, *resps, *feats)
     # second moments summed over the T-1 transitions, per class: (K, D, D)
     s_prev = covs[:-1].sum(axis=0) + np.einsum("tkd,tke->kde", means[:-1], means[:-1])
     s_lag = ((covs[1:] @ np.swapaxes(gain_stack, -1, -2)).sum(axis=0)
@@ -373,7 +373,10 @@ def gauss_m_step(
 
     new_q = new_r = None
     if learn_sigmas:
-        a = new_a if new_a is not None else transition
+        a = new_a
+        if a is None:
+            a = np.asarray(transition, dtype=float)
+            _finite("gauss_m_step", a)
         s_cur = covs[1:].sum(axis=0) + np.einsum("tkd,tke->kde", means[1:], means[1:])
         a_lag = a @ np.swapaxes(s_lag, -1, -2)
         q_acc = (s_cur - a_lag - np.swapaxes(a_lag, -1, -2)
