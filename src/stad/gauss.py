@@ -106,7 +106,15 @@ class GaussBelief:
     mean: np.ndarray  # (K, D)
     cov: np.ndarray   # (K,) variances c of c * I, or (K, D, D)
 
-    def copy(self) -> "GaussBelief":
+    def copy(self, into: "GaussBelief | None" = None) -> "GaussBelief":
+        """A copy in fresh arrays, whatever `into` is.
+
+        Every sweep replaces each step's belief with new arrays (on the
+        dense path, views into the smoother's stacked arrays), so storage
+        taken from a retired belief would serve only the first
+        assignments, and on the dense path it would keep a whole old stack
+        alive.
+        """
         return GaussBelief(self.mean.copy(), self.cov.copy())
 
 

@@ -43,6 +43,15 @@ __all__ = [
 ]
 
 _DEGENERATE_EPS = 1e-12
+# Bytes of float64 per row block of the prototype update's (K, D) passes:
+# a block of each operand the pass touches then stays in L2.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _row_blocks(k: int, d: int) -> list[slice]:
+    """Slices of max(1, _BLOCK_BYTES // (8 D)) rows covering K rows."""
+    rows = max(1, _BLOCK_BYTES // (8 * d))
+    return [slice(lo, lo + rows) for lo in range(0, k, rows)]
 
 
 @dataclass
@@ -99,8 +108,18 @@ class PrototypeBelief:
         conc = np.asarray(conc, dtype=float)
         return cls(mean_dir, conc, expected_prototype(mean_dir, conc, mean_dir.shape[1]))
 
-    def copy(self) -> "PrototypeBelief":
-        return PrototypeBelief(self.mean_dir.copy(), self.conc.copy(), self.expected.copy())
+    def copy(self, into: "PrototypeBelief | None" = None) -> "PrototypeBelief":
+        """A copy in fresh arrays, or written into the arrays of `into`.
+
+        With `into`, that belief takes this one's values and is returned,
+        so whoever still holds `into` sees them change.
+        """
+        if into is None:
+            return PrototypeBelief(self.mean_dir.copy(), self.conc.copy(), self.expected.copy())
+        np.copyto(into.mean_dir, self.mean_dir)
+        np.copyto(into.conc, self.conc)
+        np.copyto(into.expected, self.expected)
+        return into
 
 
 def expected_prototype(mean_dir: np.ndarray, conc, d: int) -> np.ndarray:
@@ -147,7 +166,7 @@ def assignment_step(
 
 
 def prototype_update(
-    belief: PrototypeBelief, total: np.ndarray
+    belief: PrototypeBelief, total: np.ndarray, sq_norms: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
     """Move `belief` to the update from its summed messages, in place.
 
@@ -156,24 +175,37 @@ def prototype_update(
     kappa * expected-direction vectors (or the initial prior's
     kappa0 * mu0). Its direction is the new mean direction and its norm
     the new concentration. A row whose messages cancel to norm <= 1e-12
-    keeps its previous direction and concentration.
+    keeps its previous direction and concentration. `sq_norms` may hold
+    the squared row norms of `total` (the sweep writes them as it sums
+    the messages); they are computed here otherwise.
 
     `total` is normalized in place and becomes `belief.mean_dir`;
     `belief.expected` is rewritten in place and `belief.conc` replaced.
-    Returns the array that was `belief.mean_dir`, free for reuse as the
-    next `total`, and the number of degenerate rows.
+    Both (K, D) writes walk row blocks of about 256 KiB, so that a block
+    is still in cache for its second pass; the Bessel ratio is taken once
+    over all K rows. Every element sees the same operations as in a
+    whole-array pass, so the block size does not change a bit of the
+    result. Returns the array that was `belief.mean_dir`, free for reuse
+    as the next `total`, and the number of degenerate rows.
     """
-    norms = np.sqrt(np.einsum("kd,kd->k", total, total))
+    k, d = total.shape
+    if sq_norms is None:
+        sq_norms = np.einsum("kd,kd->k", total, total)
+    norms = np.sqrt(sq_norms)
     bad = norms <= _DEGENERATE_EPS
     degenerate = int(np.count_nonzero(bad))
+    conc = norms
     if degenerate:
         total[bad] = belief.mean_dir[bad]
+        conc = np.where(bad, belief.conc, norms)
         norms[bad] = 1.0
-    total /= norms[:, None]
-    if degenerate:
-        norms[bad] = belief.conc[bad]
-    np.multiply(bessel_ratio(total.shape[1], norms)[:, None], total, out=belief.expected)
-    spare, belief.mean_dir, belief.conc = belief.mean_dir, total, norms
+    ratio = bessel_ratio(d, conc)[:, None]
+    for rows in _row_blocks(k, d):
+        mean_dir, expected = total[rows], belief.expected[rows]
+        mean_dir /= norms[rows, None]
+        np.copyto(expected, mean_dir)
+        expected *= ratio[rows]
+    spare, belief.mean_dir, belief.conc = belief.mean_dir, total, conc
     return spare, degenerate
 
 
@@ -271,7 +303,13 @@ class VmfModel(SlidingWindow):
     The sweep rewrites the (K, D) arrays of the window's beliefs in place
     and passes them between steps as scratch space, so `prototypes`
     returns a copy: an array a caller holds is a snapshot that later
-    `adapt` calls leave alone.
+    `adapt` calls leave alone. Its elementwise (K, D) work walks row
+    blocks of about 256 KiB (see `coordinate_ascent_sweep`), which gives
+    the same bits as whole-array passes. A new step takes the arrays of
+    the belief that leaves the model at that push (the retired anchor,
+    or with static=True the evicted step's belief, never the source
+    prior), so once the prior has left the anchor, pushes allocate no
+    belief storage.
     """
 
     def __init__(self, source_weights: np.ndarray, config: VmfConfig, static: bool = False):
@@ -291,15 +329,15 @@ class VmfModel(SlidingWindow):
             np.broadcast_to(np.atleast_1d(np.asarray(value, dtype=float)), (k,)).copy()
             for value in (config.kappa_trans, config.kappa_ems, config.kappa0)
         )
-        self._prior = PrototypeBelief.from_params(self.source_prototypes.copy(), kappa0)
         super().__init__(
             config,
-            self._prior,
+            PrototypeBelief.from_params(self.source_prototypes.copy(), kappa0),
             window=1 if static else config.window,
             fixed_anchor=static,
         )
         self.degenerate_updates = 0
         self._total = np.empty((k, config.d))  # the sweep's message buffer
+        self._sq_norms = np.empty(k)           # its squared row norms
 
     # -- public views ----------------------------------------------------
 
@@ -352,15 +390,23 @@ class VmfModel(SlidingWindow):
         objective given its neighbours, so repeated sweeps with fixed
         concentrations never decrease the evidence lower bound.
 
-        The updates allocate no (K, D) array. The summed messages are
-        built in a buffer the model owns, which then becomes the step's
-        mean direction, while the replaced mean direction becomes the
-        buffer. Until its update writes it, a step's own expected
-        prototype holds the neighbour messages.
+        The updates allocate no (K, D) array. The emission term is one
+        matmul into a buffer the model owns (`_total`). Then a walk over
+        row blocks of about 256 KiB builds the anchor or neighbour message
+        in the step's own expected prototype (free until its update
+        rewrites it) by a copy and in-place adds and scales, adds it to
+        the buffer and writes the block's squared row norms, all while the
+        block is in cache. `prototype_update` makes the second walk; the
+        buffer becomes the step's mean direction, and the replaced mean
+        direction the next buffer. Each element sees the same operations
+        in the same order as in a whole-array pass, so the results do not
+        depend on the block size.
         """
         cfg = self.config
         steps = self._steps
         kappa_trans = self._kappa_trans[:, None]
+        blocks = _row_blocks(cfg.k, cfg.d)
+        sq_norms = self._sq_norms
         for i, step in enumerate(steps):
             belief = step.belief
             step.resp = assignment_step(
@@ -377,18 +423,23 @@ class VmfModel(SlidingWindow):
             else:
                 scale, left = self._kappa_trans, steps[i - 1].belief.expected
             right = steps[i + 1].belief.expected if i + 1 < len(steps) else None
-            msg = belief.expected
-            if right is None:
-                np.multiply(scale[:, None], left, out=msg)
-            elif scale is self._kappa_trans:  # both neighbours: scale their sum once
-                np.add(left, right, out=msg)
-                msg *= kappa_trans
-            else:
-                np.multiply(scale[:, None], left, out=msg)
-                total += msg
-                np.multiply(kappa_trans, right, out=msg)
-            total += msg
-            self._total, degenerate = prototype_update(belief, total)
+            # with both neighbours on kappa_trans, scale their sum once
+            summed = right is not None and scale is self._kappa_trans
+            for rows in blocks:
+                msg, block = belief.expected[rows], total[rows]
+                np.copyto(msg, left[rows])
+                if summed:
+                    msg += right[rows]
+                    msg *= kappa_trans[rows]
+                else:
+                    msg *= scale[rows, None]
+                    if right is not None:
+                        block += msg
+                        np.copyto(msg, right[rows])
+                        msg *= kappa_trans[rows]
+                block += msg
+                np.einsum("kd,kd->k", block, block, out=sq_norms[rows])
+            self._total, degenerate = prototype_update(belief, total, sq_norms)
             self.degenerate_updates += degenerate
 
     def _anchor_message(self) -> tuple[np.ndarray, np.ndarray]:

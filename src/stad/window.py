@@ -78,13 +78,14 @@ class SlidingWindow:
 
     `config` needs `d` and `k`. The window holds at most `window` steps;
     with `fixed_anchor` the anchor never advances and every step starts
-    from it, which turns the window into a fresh fit per batch. Subclasses
-    run their sweep and head over `_steps`.
+    from it, which turns the window into a fresh fit per batch. The
+    initial anchor is kept as `_prior` and never written. Subclasses run
+    their sweep and head over `_steps`.
     """
 
     def __init__(self, config, anchor, window: int, fixed_anchor: bool = False):
         self.config = config
-        self._anchor = anchor
+        self._prior = self._anchor = anchor
         self._window = window
         self._fixed_anchor = fixed_anchor
         self._steps: list[WindowStep] = []
@@ -114,10 +115,17 @@ class SlidingWindow:
     def _push(self, t: int, feats: np.ndarray) -> None:
         """Append the batch at time t as the newest step and evict the oldest.
 
-        The new step starts from the newest belief (the anchor when the
-        window is empty or the anchor is fixed) with uniform responsibilities
-        and mixing; an evicted step's belief becomes the anchor unless the
-        anchor is fixed.
+        The new step starts from a copy of the newest belief (the anchor
+        when the window is empty or the anchor is fixed) with uniform
+        responsibilities and mixing; an evicted step's belief becomes the
+        anchor unless the anchor is fixed.
+
+        Once the window is full, each push retires a belief: the anchor
+        that the evicted step's belief replaces or, with a fixed anchor,
+        the evicted step's own belief. The copy is written into the arrays
+        of the retired belief, as far as the belief type's `copy(into=...)`
+        reuses them, except that the initial anchor (`_prior`) is kept and
+        never written.
         """
         feats = self._unit_batch(feats)
         if feats.shape[0] == 0:
@@ -125,12 +133,18 @@ class SlidingWindow:
         if self._steps and t != self._steps[-1].t + 1:
             raise NonContiguousTimeError(f"expected t={self._steps[-1].t + 1}, got {t}")
         start = self._anchor if self._fixed_anchor or not self._steps else self._steps[-1].belief
+        leaving = None
+        if len(self._steps) == self._window:
+            if self._fixed_anchor:
+                leaving = self._steps[0].belief
+            elif self._anchor is not self._prior:
+                leaving = self._anchor
         k = self.config.k
         self._steps.append(
             WindowStep(
                 t=t,
                 feats=feats,
-                belief=start.copy(),
+                belief=start.copy(into=leaving),
                 resp=np.full((feats.shape[0], k), 1.0 / k),
                 mixing=np.full(k, 1.0 / k),
             )

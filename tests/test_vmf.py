@@ -16,6 +16,7 @@ from stad.errors import (
     NotAdaptedError,
     ZeroVectorError,
 )
+from stad import vmf
 from stad.mathcore import estimate_kappa_clamped, normalize_rows
 from stad.vmf import (
     PrototypeBelief,
@@ -271,27 +272,53 @@ def assert_matches_reference(model, reference, batches, probe):
         np.testing.assert_array_equal(labels, ref_labels)
 
 
+SWEEP_CONFIGS = [
+    (dict(), False),
+    (dict(learn_kappa_ems=True), False),
+    (dict(learn_kappa_trans=True, learn_kappa_ems=True), False),
+    (dict(per_class_kappa=True, kappa_trans=(50.0, 80.0, 120.0, 200.0),
+          kappa_ems=(30.0, 60.0, 90.0, 150.0), learn_kappa_ems=True), False),
+    (dict(), True),
+    (dict(window=1, e_sweeps=3), False),
+    (dict(window=5, e_sweeps=3), False),
+]
+
+
+def sweep_case(kwargs, static):
+    """Source weights, config, batches and probe of one SWEEP_CONFIGS case (D=16, K=4)."""
+    rng = np.random.default_rng(21)
+    d, k = 16, 4
+    dirs = normalize_rows(rng.standard_normal((k, d)))
+    w0 = dirs + 0.2 * rng.standard_normal((k, d))
+    cfg = VmfConfig(d=d, k=k, **kwargs)
+    steps = (1 if static else cfg.window) + 4   # four steps are evicted into the anchor
+    batches = [cluster_batch(rng, dirs, rng.integers(0, k, size=30), noise=0.4)
+               for _ in range(steps)]
+    probe = normalize_rows(rng.standard_normal((9, d)))
+    return w0, cfg, batches, probe
+
+
+def cancelling_case():
+    """D=2, K=4, window 2, whose first batch cancels in rows 0 and 2.
+
+    Rows 0 and 2 have kappa0 = 0, so they send no prior message and their
+    expected prototypes are 0; rows 1 and 3 point along (0, 1), orthogonal
+    to both samples. The assignments are therefore uniform and the two
+    opposite samples cancel in every data message, leaving rows 0 and 2
+    with nothing.
+    """
+    rng = np.random.default_rng(24)
+    w0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    cfg = VmfConfig(d=2, k=4, kappa0=(0.0, 5.0, 0.0, 5.0), window=2)
+    batches = [np.array([[1.0, 0.0], [-1.0, 0.0]])]
+    batches += [normalize_rows(rng.standard_normal((6, 2))) for _ in range(4)]
+    return w0, cfg, batches, normalize_rows(rng.standard_normal((5, 2)))
+
+
 class TestSweepMatchesReference:
-    @pytest.mark.parametrize("kwargs,static", [
-        (dict(), False),
-        (dict(learn_kappa_ems=True), False),
-        (dict(learn_kappa_trans=True, learn_kappa_ems=True), False),
-        (dict(per_class_kappa=True, kappa_trans=(50.0, 80.0, 120.0, 200.0),
-              kappa_ems=(30.0, 60.0, 90.0, 150.0), learn_kappa_ems=True), False),
-        (dict(), True),
-        (dict(window=1, e_sweeps=3), False),
-        (dict(window=5, e_sweeps=3), False),
-    ])
+    @pytest.mark.parametrize("kwargs,static", SWEEP_CONFIGS)
     def test_model_matches_reference(self, kwargs, static):
-        rng = np.random.default_rng(21)
-        d, k = 16, 4
-        dirs = normalize_rows(rng.standard_normal((k, d)))
-        w0 = dirs + 0.2 * rng.standard_normal((k, d))
-        cfg = VmfConfig(d=d, k=k, **kwargs)
-        steps = (1 if static else cfg.window) + 4   # four steps are evicted into the anchor
-        batches = [cluster_batch(rng, dirs, rng.integers(0, k, size=30), noise=0.4)
-                   for _ in range(steps)]
-        probe = normalize_rows(rng.standard_normal((9, d)))
+        w0, cfg, batches, probe = sweep_case(kwargs, static)
         model = VmfModel(w0, cfg, static=static)
         reference = ReferenceSweepModel(w0, cfg, static=static)
         assert_matches_reference(model, reference, batches, probe)
@@ -310,9 +337,63 @@ class TestSweepMatchesReference:
         assert model.degenerate_updates >= 2 * cfg.e_sweeps
 
 
+def run_record(w0, cfg, static, batches, probe):
+    """Every window step's state and the probe prediction after each adapt."""
+    model = VmfModel(w0, cfg, static=static)
+    record = []
+    for t, batch in enumerate(batches, start=1):
+        model.adapt(t, batch)
+        for s in model._steps:
+            record += [s.belief.mean_dir.copy(), s.belief.expected.copy(),
+                       s.belief.conc.copy(), s.resp, s.mixing]
+        record += [*model.predict(probe), model.degenerate_updates]
+    return record
+
+
+class TestBlockBoundaries:
+    """The sweep's row blocks change no bit of the result.
+
+    The default block holds 256 KiB // (8 D) rows, far more than K in
+    these tests, so the blocks are forced down to 1, 2, K-1, K and K+3
+    rows through the byte budget.
+    """
+
+    @staticmethod
+    def assert_block_sizes_agree(monkeypatch, w0, cfg, static, batches, probe):
+        expected = run_record(w0, cfg, static, batches, probe)
+        for rows in (1, 2, cfg.k - 1, cfg.k, cfg.k + 3):
+            monkeypatch.setattr(vmf, "_BLOCK_BYTES", rows * 8 * cfg.d)
+            assert len(vmf._row_blocks(cfg.k, cfg.d)) == -(-cfg.k // rows)
+            got = run_record(w0, cfg, static, batches, probe)
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kwargs,static", SWEEP_CONFIGS)
+    def test_blocks_match_one_block(self, monkeypatch, kwargs, static):
+        w0, cfg, batches, probe = sweep_case(kwargs, static)
+        self.assert_block_sizes_agree(monkeypatch, w0, cfg, static, batches, probe)
+
+    def test_cancelled_row_on_a_block_boundary(self, monkeypatch):
+        # with 2-row blocks the cancelled row 2 opens the second block
+        w0, cfg, batches, probe = cancelling_case()
+        model = VmfModel(w0, cfg).adapt(1, batches[0])
+        assert model.degenerate_updates == 2 * cfg.e_sweeps
+        self.assert_block_sizes_agree(monkeypatch, w0, cfg, False, batches, probe)
+
+
+def assert_same_belief(belief, saved):
+    np.testing.assert_array_equal(belief.mean_dir, saved.mean_dir)
+    np.testing.assert_array_equal(belief.conc, saved.conc)
+    np.testing.assert_array_equal(belief.expected, saved.expected)
+
+
 class TestHeldArrays:
     @pytest.mark.parametrize("static", [False, True])
     def test_views_and_frozen_beliefs_never_change(self, static):
+        # A retired anchor's arrays are reused for a new step, so an anchor
+        # is checked only while it is the anchor: it keeps the values the
+        # evicted step's belief had when it was evicted.
         rng = np.random.default_rng(23)
         d, k = 12, 3
         model = VmfModel(rng.standard_normal((k, d)), VmfConfig(d=d, k=k, window=2),
@@ -320,27 +401,63 @@ class TestHeldArrays:
         source = model.source_prototypes.copy()
         prior = model._prior
         prior_saved = prior.copy()
+        anchor, anchor_saved = prior, prior_saved
         held = []
-        anchor = anchor_saved = None
+        evictions = 0
         for t in range(1, 12):
+            oldest = model._steps[0].belief if model._steps else None
+            oldest_saved = oldest.copy() if oldest is not None else None
             model.adapt(t, rng.standard_normal((20, d)))
             held.append((model.prototypes, model.prototypes.copy()))
             held.append((model.mixing, model.mixing.copy()))
-            if anchor is None and model._anchor is not prior:
-                anchor, anchor_saved = model._anchor, model._anchor.copy()
+            if model._anchor is not anchor:
+                assert model._anchor is oldest   # the evicted step's belief
+                anchor, anchor_saved = oldest, oldest_saved
+                evictions += 1
+            assert_same_belief(anchor, anchor_saved)
+            assert_same_belief(prior, prior_saved)
         for array, saved in held:
             np.testing.assert_array_equal(array, saved)
         np.testing.assert_array_equal(model.source_prototypes, source)
         assert model._prior is prior
-        for frozen, saved in [(prior, prior_saved), (anchor, anchor_saved)]:
-            if frozen is None:
-                assert static   # a static window never evicts into the anchor
-                continue
-            np.testing.assert_array_equal(frozen.mean_dir, saved.mean_dir)
-            np.testing.assert_array_equal(frozen.conc, saved.conc)
-            np.testing.assert_array_equal(frozen.expected, saved.expected)
+        assert evictions == (0 if static else 9)
 
 
+class TestStorageReuse:
+    @staticmethod
+    def live_arrays(model):
+        """The model's (K, D) arrays: every step's belief, the anchor's, the
+        prior's (when it is not the anchor) and the sweep's message buffer."""
+        beliefs = [s.belief for s in model._steps] + [model._anchor]
+        if model._prior is not model._anchor:
+            beliefs.append(model._prior)
+        return [a for b in beliefs for a in (b.mean_dir, b.expected)] + [model._total]
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    @pytest.mark.parametrize("static", [False, True])
+    def test_full_window_allocates_no_belief_storage(self, static, window):
+        rng = np.random.default_rng(25)
+        d, k = 6, 3
+        model = VmfModel(rng.standard_normal((k, d)), VmfConfig(d=d, k=k, window=window),
+                         static=static)
+        prior = model._prior
+        prior_saved = prior.copy()
+        seen = {}   # data address -> array, kept alive so no address is recycled
+        counts = []
+        for t in range(1, window + 6):
+            model.adapt(t, rng.standard_normal((10, d)))
+            live = self.live_arrays(model)
+            for i, a in enumerate(live):
+                assert a.shape == (k, d)
+                for b in live[i + 1:]:
+                    assert not np.shares_memory(a, b)
+                seen.setdefault(a.__array_interface__["data"][0], a)
+            counts.append(len(seen))
+            assert_same_belief(prior, prior_saved)
+        # a static window reuses from its second step; a moving anchor from
+        # the second eviction on, since the first one retires the prior
+        settled = 1 if static else window + 1
+        assert counts[settled - 1:] == [len(live)] * (len(counts) - settled + 1)
 class TestExpectedPrototype:
     def test_high_concentration_limit(self):
         rho = unit([1.0, 2.0, -1.0, 0.5])
