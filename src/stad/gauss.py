@@ -14,12 +14,15 @@ covariance stays c * I. The model then stores Q and R as the floats q
 and r and each belief's covariance as one variance per class, shape
 (K,), and runs a scalar path at O(K D) per step plus the assignments.
 With either learn flag set it stores (D, D) and (K, D, D) matrices and
-runs the dense path. There the kf_* functions take a leading class axis,
-so one filter step and one smoother step each handle all K classes in
-stacked array operations; only the Cholesky factorizations and the solves
-on them run one class at a time, through `_cholesky`. Nothing inverts a
-matrix explicitly, a measurement update makes one triangular solve, and
-the smoother reuses the filter's predictions. Non-finite input raises
+runs the dense path. There the kf_* functions take one stacked form, a
+leading class axis of size K, so one filter step and one smoother step
+each handle all K classes. Every factorization goes through `_cholesky`.
+The smoother gain and the M-step's transition solve factor and solve a
+(K, D, D) stack in one call; the measurement update and the predictive
+assignments factor and solve one class at a time, because a stacked
+triangular solve was slower than that loop. Nothing inverts a matrix
+explicitly, a measurement update makes one triangular solve per class,
+and the smoother takes the filter's predictions. Non-finite input raises
 DomainError, checked once per stacked array. The dense path scales with
 D^3, so a model that learns its parameters is gated to D <= 256 unless
 explicitly overridden.
@@ -42,7 +45,7 @@ from .errors import (
 )
 # normalize_rows is unused here; it stays importable because bench/tracing.py rebinds it
 from .mathcore import log_sum_exp, normalize_rows
-from .window import SlidingWindow, check_sizes, mixing_update
+from .window import SlidingWindow, check_config, check_source, mixing_update
 
 __all__ = [
     "GaussConfig",
@@ -78,7 +81,7 @@ class GaussConfig:
     allow_high_dim: bool = False
 
     def __post_init__(self):
-        check_sizes(self, d_min=1)
+        check_config(self, d_min=1)
         # chained comparisons also reject NaN
         if not (0.0 <= self.sigma_trans_scale < np.inf and 0.0 < self.sigma_ems_scale < np.inf):
             raise DomainError("covariance scales must be finite and positive (trans >= 0)")
@@ -88,8 +91,6 @@ class GaussConfig:
         if self.initial_cov_scale == 0.0 and self.sigma_trans_scale == 0.0:
             # P0 = Q = 0 leaves the smoother gain 0 / 0 on the first steps
             raise DomainError("init_cov_scale and sigma_trans_scale cannot both be 0")
-        if not 0.0 <= self.pi_floor < 1.0 / self.k:
-            raise DomainError(f"pi_floor must lie in [0, 1/K), got {self.pi_floor}")
 
     @property
     def initial_cov_scale(self) -> float:
@@ -140,33 +141,32 @@ def _finite(where: str, *arrays) -> None:
 
 
 def _cholesky(m: np.ndarray):
-    """Lower Cholesky factor of one finite symmetric positive-definite matrix.
+    """Lower Cholesky factor of one finite symmetric positive-definite
+    (D, D) matrix, or of each matrix of a (K, D, D) stack.
 
-    Reads the lower triangle only; returns cho_factor's (factor, lower) pair.
+    Reads the lower triangles only; returns the (factor, lower) pair that
+    cho_solve takes, with lower True.
     """
     try:
-        return cho_factor(m, lower=True, check_finite=False)
+        return cho_factor(m, lower=True, check_finite=False)[0], True
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
 
 
 def kf_predict(mean: np.ndarray, cov: np.ndarray, transition: np.ndarray,
                sigma_trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-step-ahead prior: A m and A P A^T + Q (symmetrized).
+    """One-step-ahead prior of K classes: A_j m_j and A_j P_j A_j^T + Q
+    (symmetrized).
 
-    mean is (..., D) and cov (..., D, D): (D,) for one class, (K, D) for K
-    classes at once. The transition is (D, D), shared, or carries the
-    trailing class axes of mean, (K, D, D) for one matrix per class.
+    mean is (K, D), cov and transition (K, D, D), one matrix per class,
+    and Q (D, D).
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     transition = np.asarray(transition, dtype=float)
     sigma_trans = np.asarray(sigma_trans, dtype=float)
-    lead, d = mean.shape[:-1], mean.shape[-1]
-    class_axes = transition.ndim - 2  # 0 for a shared transition
-    if (cov.shape != lead + (d, d) or sigma_trans.shape != (d, d)
-            or transition.shape[-2:] != (d, d)
-            or transition.shape[:-2] != lead[len(lead) - class_axes:]):
+    if (mean.ndim != 2 or cov.shape != mean.shape + mean.shape[1:]
+            or transition.shape != cov.shape or sigma_trans.shape != cov.shape[1:]):
         raise DimensionMismatchError("inconsistent shapes in kf_predict")
     _finite("kf_predict", mean, cov, transition, sigma_trans)
     pred_mean = (transition @ mean[..., None])[..., 0]
@@ -180,34 +180,32 @@ def kf_update_weighted(
     resp_col: np.ndarray,
     sigma_ems: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Measurement update from a responsibility-weighted batch.
+    """Measurement update of K classes from a responsibility-weighted batch.
 
-    mean (D,), cov (D, D) and resp_col (N,) update one class; mean (K, D),
-    cov (K, D, D) and resp_col (N, K) update K classes at once. Each class's
-    weighted batch collapses to one pseudo-observation: the weighted mean
-    with emission noise scaled down by the total weight w. A total weight
-    at or below 1e-8 (an empty cluster) keeps that class's prior. Otherwise
-    S = P + R / w is factored as L L^T, and one triangular solve gives
-    W = L^{-1} P and y = L^{-1} (obs - m); the posterior is m + W^T y and
-    P - W^T W. A non-positive-definite S raises NotPositiveDefiniteError (a
-    StadError and a LinAlgError), which signals an invariant violation
-    upstream; non-finite input raises DomainError.
+    mean is (K, D), cov (K, D, D), feats (N, D), resp_col (N, K) and R
+    (D, D). Each class's weighted batch collapses to one pseudo-observation:
+    the weighted mean with emission noise scaled down by the total weight
+    w. A total weight at or below 1e-8 (an empty cluster) keeps that
+    class's prior. Otherwise S = P + R / w is factored as L L^T, and one
+    triangular solve gives W = L^{-1} P and y = L^{-1} (obs - m); the
+    posterior is m + W^T y and P - W^T W. A non-positive-definite S raises
+    NotPositiveDefiniteError (a StadError and a LinAlgError), which signals
+    an invariant violation upstream; non-finite input raises DomainError.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     feats = np.asarray(feats, dtype=float)
     resp = np.asarray(resp_col, dtype=float)
     sigma_ems = np.asarray(sigma_ems, dtype=float)
-    single = mean.ndim == 1
-    if single:
-        mean, cov, resp = mean[None], cov[None], resp[:, None]
-    k, d = mean.shape
-    if (cov.shape != (k, d, d) or feats.ndim != 2 or feats.shape[1] != d
-            or resp.shape != (feats.shape[0], k) or sigma_ems.shape != (d, d)):
+    if (mean.ndim != 2 or cov.shape != mean.shape + mean.shape[1:]
+            or feats.ndim != 2 or feats.shape[1:] != mean.shape[1:]
+            or resp.shape != (feats.shape[0], mean.shape[0])
+            or sigma_ems.shape != cov.shape[1:]):
         raise DimensionMismatchError("inconsistent shapes in kf_update_weighted")
     if np.any(resp < 0.0):
         raise DomainError("responsibilities must be nonnegative")
     _finite("kf_update_weighted", mean, cov, feats, resp, sigma_ems)
+    d = mean.shape[1]
     weight = resp.sum(axis=0)
     live = np.flatnonzero(weight > _EMPTY_CLUSTER_EPS)
     new_mean, new_cov = mean.copy(), cov.copy()
@@ -215,7 +213,9 @@ def kf_update_weighted(
         w, prior = weight[live], cov[live]
         obs = (resp[:, live].T @ feats) / w[:, None]
         innov_cov = prior + sigma_ems / w[:, None, None]
-        # [W | y] = L^{-1} [P | obs - m], one class at a time
+        # [W | y] = L^{-1} [P | obs - m], one class at a time: at K=10, D=64
+        # on one BLAS thread a stacked solve_triangular took about 0.56 ms
+        # against 0.42 ms for this dtrtrs loop
         white = np.concatenate([prior, (obs - mean[live])[..., None]], axis=-1)
         for i in range(live.size):
             # potrf succeeded, so L has a positive diagonal and trtrs cannot fail
@@ -223,60 +223,46 @@ def kf_update_weighted(
         white_p, y = white[..., :d], white[..., d]
         new_mean[live] += (y[:, None, :] @ white_p)[:, 0]
         new_cov[live] = _sym(prior - np.swapaxes(white_p, -1, -2) @ white_p)
-    if single:
-        return new_mean[0], new_cov[0]
     return new_mean, new_cov
 
 
 def kf_smooth(
     means: np.ndarray,
     covs: np.ndarray,
+    pred_means: np.ndarray,
+    pred_covs: np.ndarray,
     transition: np.ndarray,
-    sigma_trans: np.ndarray,
-    predicted: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Backward (Rauch-Tung-Striebel) pass over filtered moments.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward (Rauch-Tung-Striebel) pass over the filtered moments of K
+    chains.
 
-    means (T, D) and covs (T, D, D) smooth one chain; (T, K, D) and
-    (T, K, D, D) smooth K chains at once, with transition (D, D) or
-    (K, D, D). `predicted` is the filter's (means, covs) predicted for
-    steps 1..T-1, A m_i and A P_i A^T + Q from step i; without it they are
-    recomputed by kf_predict. Returns smoothed means/covs and the T-1
-    smoother gains J_i = P_i A^T (A P_i A^T + Q)^{-1}, each (D, D) or
-    (K, D, D), needed for lag-one cross moments. A single step returns the
-    filtered moments unchanged.
+    means is (T, K, D) and covs (T, K, D, D); pred_means (T-1, K, D) and
+    pred_covs (T-1, K, D, D) are the filter's predictions for steps
+    1..T-1, A m_i and A P_i A^T + Q from step i; transition is (K, D, D).
+    Returns the smoothed means and covs and the smoother gains
+    J_i = P_i A^T (A P_i A^T + Q)^{-1}, one (T-1, K, D, D) array, needed
+    for lag-one cross moments. A single step returns the filtered moments
+    unchanged.
     """
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
+    pred_means = np.asarray(pred_means, dtype=float)
+    pred_covs = np.asarray(pred_covs, dtype=float)
     transition = np.asarray(transition, dtype=float)
-    single = means.ndim == 2
-    if predicted is None:
-        predicted = kf_predict(means[:-1], covs[:-1], transition, sigma_trans)
-    pred_means, pred_covs = (np.asarray(p, dtype=float) for p in predicted)
-    if single:
-        means, covs = means[:, None], covs[:, None]
-        pred_means, pred_covs = pred_means[:, None], pred_covs[:, None]
-    t_len, k, d = means.shape
-    if (covs.shape != (t_len, k, d, d) or transition.shape not in ((d, d), (k, d, d))
-            or pred_means.shape != (t_len - 1, k, d)
-            or pred_covs.shape != (t_len - 1, k, d, d)):
+    if (means.ndim != 3 or covs.shape != means.shape + means.shape[2:]
+            or pred_means.shape != (means.shape[0] - 1,) + means.shape[1:]
+            or pred_covs.shape != (means.shape[0] - 1,) + covs.shape[1:]
+            or transition.shape != covs.shape[1:]):
         raise DimensionMismatchError("inconsistent shapes in kf_smooth")
-    _finite("kf_smooth", means, covs, transition, pred_means, pred_covs)
+    _finite("kf_smooth", means, covs, pred_means, pred_covs, transition)
     sm, sc = means.copy(), covs.copy()
-    gains: list[np.ndarray] = [None] * (t_len - 1)
-    for i in range(t_len - 2, -1, -1):
-        ap = transition @ covs[i]
-        # J^T = (A P A^T + Q)^{-1} A P, one class at a time
-        gain_t = np.stack([
-            cho_solve(_cholesky(pred_covs[i, j]), ap[j], check_finite=False)
-            for j in range(k)
-        ])
-        gain = np.swapaxes(gain_t, -1, -2)
+    gains = np.empty(pred_covs.shape)
+    for i in range(means.shape[0] - 2, -1, -1):
+        # J^T = (A P A^T + Q)^{-1} A P, all K classes in one stacked solve
+        gain_t = cho_solve(_cholesky(pred_covs[i]), transition @ covs[i], check_finite=False)
+        gains[i] = gain = np.swapaxes(gain_t, -1, -2)
         sm[i] = means[i] + (gain @ (sm[i + 1] - pred_means[i])[..., None])[..., 0]
         sc[i] = _sym(covs[i] + gain @ (sc[i + 1] - pred_covs[i]) @ gain_t)
-        gains[i] = gain
-    if single:
-        return sm[:, 0], sc[:, 0], [g[0] for g in gains]
     return sm, sc, gains
 
 
@@ -319,6 +305,7 @@ def gauss_assignments(
         innov_cov = _sym(sigma_ems + belief.cov)
         quad = np.empty((feats.shape[0], k))
         logdet = np.empty(k)
+        # one class at a time: a stacked triangular solve is slower (kf_update_weighted)
         for j in range(k):
             chol = _cholesky(innov_cov[j])[0]
             logdet[j] = 2.0 * np.sum(np.log(np.diag(chol)))
@@ -337,7 +324,7 @@ def gauss_assignments(
 
 def gauss_m_step(
     smoothed: list[GaussBelief],
-    gains: list[np.ndarray],
+    gains: np.ndarray,
     resps: list[np.ndarray],
     feats: list[np.ndarray],
     transition: np.ndarray,
@@ -346,10 +333,12 @@ def gauss_m_step(
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """Closed-form transition / covariance re-estimates over the window.
 
+    gains holds the T-1 smoother gains of kf_smooth, (T-1, K, D, D).
     Lag-one cross moments use E[w_t w_{t-1}^T] = m_t m_{t-1}^T +
     P_t^s J_{t-1}^T. The transition matrix solves the per-class lag-one
-    least squares; both covariances average residual second moments over
-    classes and steps, symmetrized with eigenvalues floored at 1e-8.
+    least squares, all K classes in one stacked solve; both covariances
+    average residual second moments over classes and steps, symmetrized
+    with eigenvalues floored at 1e-8.
     Returns (transition per class or None, sigma_trans or None,
     sigma_ems or None).
     """
@@ -362,7 +351,7 @@ def gauss_m_step(
 
     means = np.stack([b.mean for b in smoothed])   # (T, K, D)
     covs = np.stack([b.cov for b in smoothed])     # (T, K, D, D)
-    gain_stack = np.stack(gains)                   # (T-1, K, D, D)
+    gain_stack = np.asarray(gains, dtype=float)    # (T-1, K, D, D)
     _finite("gauss_m_step", means, covs, gain_stack, *resps, *feats)
     # second moments summed over the T-1 transitions, per class: (K, D, D)
     s_prev = covs[:-1].sum(axis=0) + np.einsum("tkd,tke->kde", means[:-1], means[:-1])
@@ -371,13 +360,10 @@ def gauss_m_step(
 
     new_a = None
     if learn_transition:
-        # A_j = S_lag S_prev^{-1}: solve S_prev A_j^T = S_lag^T, one class at a time
+        # A_j = S_lag S_prev^{-1}: solve S_prev A_j^T = S_lag^T
         s_prev_reg = _sym(s_prev) + _EIG_FLOOR * np.eye(d)
-        s_lag_t = np.swapaxes(s_lag, -1, -2)
-        new_a = np.swapaxes(np.stack([
-            cho_solve(_cholesky(s_prev_reg[j]), s_lag_t[j], check_finite=False)
-            for j in range(k)
-        ]), -1, -2)
+        new_a = np.swapaxes(cho_solve(_cholesky(s_prev_reg), np.swapaxes(s_lag, -1, -2),
+                                      check_finite=False), -1, -2)
 
     new_q = new_r = None
     if learn_sigmas:
@@ -421,17 +407,13 @@ class GaussModel(SlidingWindow):
     transition is (K, D, D), Q and R are (D, D) and the covariances
     (K, D, D); each window step of the dense path makes one kf_predict
     and one kf_update_weighted call for all K classes, one kf_smooth call
-    covers the window, and its (K, D, D) smoother gains are kept for the
-    M-step. Only that form is gated to D <= 256.
+    covers the window with the filter's predictions, and its
+    (T-1, K, D, D) smoother gains are kept for the M-step. Only that form
+    is gated to D <= 256.
     """
 
     def __init__(self, source_weights: np.ndarray, config: GaussConfig):
-        source_weights = np.asarray(source_weights, dtype=float)
-        if source_weights.shape != (config.k, config.d):
-            raise DimensionMismatchError(
-                f"source weights {source_weights.shape} do not match "
-                f"config (K={config.k}, D={config.d})"
-            )
+        source_weights = check_source(source_weights, config)
         d, k = config.d, config.k
         dense = config.learn_transition or config.learn_sigmas
         if dense and d > _DIM_GATE and not config.allow_high_dim:
@@ -449,7 +431,7 @@ class GaussModel(SlidingWindow):
             GaussBelief(source_weights.copy(), init_cov),
             window=config.window,
         )
-        self._last_gains: list[np.ndarray] = []
+        self._last_gains: np.ndarray | None = None
 
     @property
     def prototypes(self) -> np.ndarray:
@@ -531,7 +513,7 @@ class GaussModel(SlidingWindow):
 
         Each window step makes one kf_predict and one kf_update_weighted
         call; one kf_smooth call reuses the filter's predictions and keeps
-        the smoother gains, one (K, D, D) stack per transition, for the M-step.
+        the (T-1, K, D, D) smoother gains for the M-step.
         """
         steps = self._steps
         t_len = len(steps)
@@ -546,8 +528,7 @@ class GaussModel(SlidingWindow):
             )
             f_means[i], f_covs[i] = mean, cov
         s_means, s_covs, self._last_gains = kf_smooth(
-            f_means, f_covs, self.transition, self.sigma_trans,
-            predicted=(p_means[1:], p_covs[1:]),
+            f_means, f_covs, p_means[1:], p_covs[1:], self.transition
         )
         for step, s_mean, s_cov in zip(steps, s_means, s_covs):
             step.belief = GaussBelief(s_mean, s_cov)

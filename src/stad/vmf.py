@@ -28,7 +28,7 @@ from .mathcore import (
     log_vmf_norm_const,
     normalize_rows,
 )
-from .window import SlidingWindow, check_sizes, mixing_update
+from .window import SlidingWindow, check_config, check_source, mixing_update
 
 __all__ = [
     "VmfConfig",
@@ -77,11 +77,7 @@ class VmfConfig:
     pi_floor: float = 1e-4
 
     def __post_init__(self):
-        check_sizes(self, d_min=2)
-        if not 0.0 <= self.pi_floor < 1.0 / self.k:
-            raise DomainError(
-                f"pi_floor must lie in [0, 1/K), got {self.pi_floor}"
-            )
+        check_config(self, d_min=2)
         for name in ("kappa_trans", "kappa_ems", "kappa0"):
             vals = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if vals.ndim != 1 or vals.size not in (1, self.k):
@@ -123,12 +119,10 @@ class PrototypeBelief:
 
 
 def expected_prototype(mean_dir: np.ndarray, conc, d: int) -> np.ndarray:
-    """Expected prototype under a vMF belief: A_D(conc) * mean_dir."""
+    """Expected prototypes under a vMF belief: A_D(conc) * mean_dir, for
+    (K, D) directions and (K,) concentrations."""
     mean_dir = np.asarray(mean_dir, dtype=float)
-    ratio = bessel_ratio(d, conc)
-    if mean_dir.ndim == 1:
-        return float(ratio) * mean_dir
-    return np.asarray(ratio)[:, None] * mean_dir
+    return np.asarray(bessel_ratio(d, conc))[:, None] * mean_dir
 
 
 def assignment_step(
@@ -313,12 +307,7 @@ class VmfModel(SlidingWindow):
     """
 
     def __init__(self, source_weights: np.ndarray, config: VmfConfig, static: bool = False):
-        source_weights = np.asarray(source_weights, dtype=float)
-        if source_weights.shape != (config.k, config.d):
-            raise DimensionMismatchError(
-                f"source weights {source_weights.shape} do not match "
-                f"config (K={config.k}, D={config.d})"
-            )
+        source_weights = check_source(source_weights, config)
         if config.k < 2:
             raise DomainError("the tracker needs K >= 2 classes")
         self.static = static

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .mathcore import normalize_rows
 
-__all__ = ["WindowStep", "SlidingWindow", "mixing_update", "check_sizes"]
+__all__ = ["WindowStep", "SlidingWindow", "mixing_update", "check_config", "check_source"]
 
 
 @dataclass
@@ -36,14 +36,29 @@ class WindowStep:
     mixing: np.ndarray  # (K,)
 
 
-def check_sizes(config, d_min: int) -> None:
+def check_config(config, d_min: int) -> None:
     """Raise DomainError unless a tracker config's d, k, window and
-    e_sweeps are integers (bools excluded) at or above their minimums."""
+    e_sweeps are integers (bools excluded) at or above their minimums and
+    its pi_floor lies in [0, 1/K)."""
     for name, minimum in (("d", d_min), ("k", 1), ("window", 1), ("e_sweeps", 1)):
         value = getattr(config, name)
         integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
         if not integral or value < minimum:
             raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if not 0.0 <= config.pi_floor < 1.0 / config.k:
+        raise DomainError(f"pi_floor must lie in [0, 1/K), got {config.pi_floor}")
+
+
+def check_source(source_weights, config) -> np.ndarray:
+    """The source classifier weights as a float (K, D) array; raise
+    DimensionMismatchError unless their shape matches the config."""
+    source_weights = np.asarray(source_weights, dtype=float)
+    if source_weights.shape != (config.k, config.d):
+        raise DimensionMismatchError(
+            f"source weights {source_weights.shape} do not match "
+            f"config (K={config.k}, D={config.d})"
+        )
+    return source_weights
 
 
 def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:

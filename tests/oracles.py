@@ -181,3 +181,45 @@ def map_pooled_gaussian_mixture_em(
         for s in avail:
             mixings[s] = resps[s].mean(axis=0)
     return means, resps
+
+
+def exact_chain_posterior(
+    anchor_mean: np.ndarray,
+    anchor_cov: np.ndarray,
+    transition: np.ndarray,
+    q: np.ndarray,
+    r: np.ndarray,
+    observations: list,
+):
+    """Exact Gaussian posterior of one linear chain, from its joint precision.
+
+    The states are x_0 (the anchor) and x_1..x_T, one per window step:
+    x_0 ~ N(anchor_mean, anchor_cov), x_t = A x_{t-1} + N(0, q), and each
+    entry of `observations` is None (no data) or (obs, w), a pseudo-
+    observation obs = x_t + N(0, r / w). The (T+1) D x (T+1) D precision
+    and its information vector are summed term by term and solved
+    directly. Returns the posterior means (T, D) and marginal covariances
+    (T, D, D) of x_1..x_T.
+    """
+    d = anchor_mean.shape[0]
+    t_len = len(observations)
+    blocks = [slice(i * d, (i + 1) * d) for i in range(t_len + 1)]
+    prec = np.zeros(((t_len + 1) * d,) * 2)
+    info = np.zeros((t_len + 1) * d)
+    p0_inv = np.linalg.inv(anchor_cov)
+    prec[blocks[0], blocks[0]] += p0_inv
+    info[blocks[0]] += p0_inv @ anchor_mean
+    q_inv, r_inv = np.linalg.inv(q), np.linalg.inv(r)
+    # x_t - A x_{t-1}: its quadratic form in (x_{t-1}, x_t) is [-A I]^T q^-1 [-A I]
+    link = np.concatenate([-transition, np.eye(d)], axis=1)
+    for t in range(1, t_len + 1):
+        pair = slice((t - 1) * d, (t + 1) * d)
+        prec[pair, pair] += link.T @ q_inv @ link
+        if observations[t - 1] is not None:
+            obs, w = observations[t - 1]
+            prec[blocks[t], blocks[t]] += w * r_inv
+            info[blocks[t]] += w * r_inv @ obs
+    cov = np.linalg.inv(prec)
+    mean = cov @ info
+    return (np.stack([mean[b] for b in blocks[1:]]),
+            np.stack([cov[b, b] for b in blocks[1:]]))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from stad import gauss, mathcore, vmf
-from stad.gauss import GaussModel
+from stad.gauss import GaussConfig, GaussModel
 from stad.mathcore import normalize_rows
 from stad.vmf import VmfConfig, VmfModel
 
@@ -31,6 +31,17 @@ VMF_SPANS = {
     "log_sum_exp": "mathcore.log_sum_exp",
 }
 VMF_METHODS = ("adapt", "predict", "coordinate_ascent_sweep")
+# The same for the Gaussian tracker's dense path.
+GAUSS_SPANS = {
+    "kf_predict": "gauss.kf_predict",
+    "kf_update_weighted": "gauss.kf_update_weighted",
+    "kf_smooth": "gauss.kf_smooth",
+    "gauss_assignments": "gauss.gauss_assignments",
+    "gauss_m_step": "gauss.gauss_m_step",
+    "mixing_update": "vmf.mixing_update",
+    "log_sum_exp": "mathcore.log_sum_exp",
+}
+GAUSS_METHODS = ("adapt", "predict", "coordinate_sweep")
 
 
 def load_tracing():
@@ -42,6 +53,13 @@ def load_tracing():
 
 def snapshot():
     return [(owner, dict(vars(owner))) for owner in OWNERS]
+
+
+def assert_restored(before):
+    after = snapshot()
+    for (owner, old), (_, new) in zip(before, after):
+        for name, value in old.items():
+            assert new[name] is value, f"{owner.__name__}.{name} not restored"
 
 
 def test_install_rebinds_and_uninstall_restores():
@@ -69,7 +87,33 @@ def test_install_rebinds_and_uninstall_restores():
             assert f"vmf.{name}" in fired, name
     finally:
         uninstall()
-    after = snapshot()
-    for (owner, old), (_, new) in zip(before, after):
-        for name, value in old.items():
-            assert new[name] is value, f"{owner.__name__}.{name} not restored"
+    assert_restored(before)
+
+
+def test_gauss_dense_path_fires_every_wrapped_name():
+    tracing = load_tracing()
+    before = snapshot()
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        for name in (*GAUSS_SPANS, "cho_factor"):
+            assert vars(gauss)[name] is not dict(before)[gauss][name], name
+        rng = np.random.default_rng(1)
+        d, k = 5, 3
+        model = GaussModel(rng.standard_normal((k, d)),
+                           GaussConfig(d=d, k=k, window=2, learn_sigmas=True))
+        tracer.timed = True
+        for t in (1, 2, 3):
+            model.adapt(t, rng.standard_normal((12, d)))
+        model.predict(rng.standard_normal((4, d)))
+        fired = {span[0] for span in tracer.spans}
+        for name, span in GAUSS_SPANS.items():
+            assert span in fired, name
+        for name in GAUSS_METHODS:
+            assert f"gauss.{name}" in fired, name
+        # _cholesky looks up gauss.cho_factor at call time
+        assert tracer.counts["cho_factor.calls"] > 0
+        assert tracer.counts["kf_update_weighted.calls"] > 0
+    finally:
+        uninstall()
+    assert_restored(before)

@@ -52,19 +52,28 @@ def dense_twin(w0, cfg):
     return model
 
 
+def smooth(means, covs, transition, sigma_trans):
+    """kf_smooth of (T, K, ...) filtered moments, its predictions made by kf_predict."""
+    pred_means, pred_covs = np.empty(means[1:].shape), np.empty(covs[1:].shape)
+    for i in range(len(means) - 1):
+        pred_means[i], pred_covs[i] = kf_predict(means[i], covs[i], transition, sigma_trans)
+    return kf_smooth(means, covs, pred_means, pred_covs, transition)
+
+
 class TestKfPredict:
     def test_identity_transition_adds_noise(self):
         q = 0.3 * np.eye(2)
-        mean, cov = kf_predict(np.array([1.0, -2.0]), 0.5 * np.eye(2), np.eye(2), q)
-        np.testing.assert_allclose(mean, [1.0, -2.0])
-        np.testing.assert_allclose(cov, 0.8 * np.eye(2))
+        mean, cov = kf_predict(np.array([[1.0, -2.0]]), 0.5 * np.eye(2)[None],
+                               np.eye(2)[None], q)
+        np.testing.assert_allclose(mean, [[1.0, -2.0]])
+        np.testing.assert_allclose(cov, 0.8 * np.eye(2)[None])
 
     def test_scaling_transition(self):
         mean, cov = kf_predict(
-            np.array([3.0]), np.zeros((1, 1)), 2.0 * np.eye(1), 0.7 * np.eye(1)
+            np.array([[3.0]]), np.zeros((1, 1, 1)), 2.0 * np.eye(1)[None], 0.7 * np.eye(1)
         )
-        assert mean[0] == pytest.approx(6.0)
-        assert cov[0, 0] == pytest.approx(0.7)
+        assert mean[0, 0] == pytest.approx(6.0)
+        assert cov[0, 0, 0] == pytest.approx(0.7)
 
     def test_random_instance_matches_dense_reference(self):
         rng = np.random.default_rng(0)
@@ -73,34 +82,35 @@ class TestKfPredict:
         q = random_spd(rng, d, 0.1)
         m0 = rng.standard_normal(d)
         p0 = random_spd(rng, d)
-        mean, cov = kf_predict(m0, p0, a, q)
-        np.testing.assert_allclose(mean, a @ m0, atol=1e-10)
-        np.testing.assert_allclose(cov, a @ p0 @ a.T + q, atol=1e-10)
+        mean, cov = kf_predict(m0[None], p0[None], a[None], q)
+        np.testing.assert_allclose(mean[0], a @ m0, atol=1e-10)
+        np.testing.assert_allclose(cov[0], a @ p0 @ a.T + q, atol=1e-10)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            kf_predict(np.zeros(2), np.eye(2), np.eye(3), np.eye(2))
+            kf_predict(np.zeros((1, 2)), np.eye(2)[None], np.eye(3)[None], np.eye(2))
 
 
 class TestKfUpdateWeighted:
     def test_textbook_scalar_step(self):
         mean, cov = kf_update_weighted(
-            np.zeros(1), np.eye(1), np.array([[1.0]]), np.ones(1), np.eye(1)
+            np.zeros((1, 1)), np.eye(1)[None], np.array([[1.0]]), np.ones((1, 1)), np.eye(1)
         )
-        assert mean[0] == pytest.approx(0.5)
-        assert cov[0, 0] == pytest.approx(0.5)
+        assert mean[0, 0] == pytest.approx(0.5)
+        assert cov[0, 0, 0] == pytest.approx(0.5)
 
     def test_non_psd_innovation_raises_stad_error(self):
         with pytest.raises(NotPositiveDefiniteError) as info:
             kf_update_weighted(
-                np.zeros(2), np.eye(2), np.ones((3, 2)), np.ones(3), -10.0 * np.eye(2)
+                np.zeros((1, 2)), np.eye(2)[None], np.ones((3, 2)), np.ones((3, 1)),
+                -10.0 * np.eye(2),
             )
         assert isinstance(info.value, np.linalg.LinAlgError)
 
     def test_empty_cluster_returns_prior(self):
-        m0, p0 = np.array([1.0, 2.0]), 0.4 * np.eye(2)
+        m0, p0 = np.array([[1.0, 2.0]]), 0.4 * np.eye(2)[None]
         feats = np.random.default_rng(1).standard_normal((5, 2))
-        mean, cov = kf_update_weighted(m0, p0, feats, np.zeros(5), np.eye(2))
+        mean, cov = kf_update_weighted(m0, p0, feats, np.zeros((5, 1)), np.eye(2))
         np.testing.assert_array_equal(mean, m0)
         np.testing.assert_array_equal(cov, p0)
 
@@ -112,41 +122,41 @@ class TestKfUpdateWeighted:
         r = random_spd(rng, d, 0.5)
         feats = rng.standard_normal((n, d))
         w = rng.uniform(0.1, 1.0, size=n)
-        mean, cov = kf_update_weighted(m0, p0, feats, w, r)
+        mean, cov = kf_update_weighted(m0[None], p0[None], feats, w[:, None], r)
         obs = (w @ feats) / w.sum()
         gain = p0 @ np.linalg.inv(p0 + r / w.sum())
-        np.testing.assert_allclose(mean, m0 + gain @ (obs - m0), atol=1e-9)
-        np.testing.assert_allclose(cov, (np.eye(d) - gain) @ p0, atol=1e-9)
+        np.testing.assert_allclose(mean[0], m0 + gain @ (obs - m0), atol=1e-9)
+        np.testing.assert_allclose(cov[0], (np.eye(d) - gain) @ p0, atol=1e-9)
 
     def test_covariance_symmetric_psd(self):
         rng = np.random.default_rng(3)
         d = 4
         _, cov = kf_update_weighted(
-            rng.standard_normal(d),
-            random_spd(rng, d),
+            rng.standard_normal((1, d)),
+            random_spd(rng, d)[None],
             rng.standard_normal((7, d)),
-            rng.uniform(0.0, 1.0, size=7),
+            rng.uniform(0.0, 1.0, size=(7, 1)),
             random_spd(rng, d, 0.3),
         )
-        np.testing.assert_allclose(cov, cov.T, atol=1e-10)
-        assert np.linalg.eigvalsh(cov).min() >= -1e-8
+        np.testing.assert_allclose(cov[0], cov[0].T, atol=1e-10)
+        assert np.linalg.eigvalsh(cov[0]).min() >= -1e-8
 
 
 class TestKfSmooth:
     def test_single_step_is_identity(self):
-        means = np.array([[1.0, 2.0]])
-        covs = np.array([0.5 * np.eye(2)])
-        sm, sc, gains = kf_smooth(means, covs, np.eye(2), 0.1 * np.eye(2))
+        means = np.array([[[1.0, 2.0]]])
+        covs = np.array([[0.5 * np.eye(2)]])
+        sm, sc, gains = smooth(means, covs, np.eye(2)[None], 0.1 * np.eye(2))
         np.testing.assert_array_equal(sm, means)
         np.testing.assert_array_equal(sc, covs)
-        assert gains == []
+        assert gains.shape == (0, 1, 2, 2)
 
     def test_rigid_chain_equalizes_means(self):
         rng = np.random.default_rng(4)
         d = 2
-        means = rng.standard_normal((3, d))
-        covs = np.stack([random_spd(rng, d) for _ in range(3)])
-        sm, _, _ = kf_smooth(means, covs, np.eye(d), 1e-14 * np.eye(d))
+        means = rng.standard_normal((3, 1, d))
+        covs = np.stack([random_spd(rng, d) for _ in range(3)])[:, None]
+        sm, _, _ = smooth(means, covs, np.eye(d)[None], 1e-14 * np.eye(d))
         np.testing.assert_allclose(sm[0], sm[2], atol=1e-6)
         np.testing.assert_allclose(sm[1], sm[2], atol=1e-6)
 
@@ -157,15 +167,15 @@ class TestKfSmooth:
         q = random_spd(rng, d, 0.05)
         means = rng.standard_normal((t, d))
         covs = np.stack([random_spd(rng, d) for _ in range(t)])
-        sm, sc, gains = kf_smooth(means, covs, a, q)
+        sm, sc, gains = smooth(means[:, None], covs[:, None], a[None], q)
         om, oc, og = oracles.dense_rts_smoother(list(means), list(covs), a, q)
-        np.testing.assert_allclose(sm, np.stack(om), atol=1e-8)
-        np.testing.assert_allclose(sc, np.stack(oc), atol=1e-8)
-        np.testing.assert_allclose(np.stack(gains), np.stack(og), atol=1e-8)
+        np.testing.assert_allclose(sm[:, 0], np.stack(om), atol=1e-8)
+        np.testing.assert_allclose(sc[:, 0], np.stack(oc), atol=1e-8)
+        np.testing.assert_allclose(gains[:, 0], np.stack(og), atol=1e-8)
 
 
 class TestStackedKf:
-    """A leading class axis gives the same numbers as one call per class."""
+    """K classes in one call give the same numbers as one call per class."""
 
     K, D, N = 4, 5, 9
 
@@ -185,21 +195,18 @@ class TestStackedKf:
     def test_predict(self):
         mean, cov = kf_predict(self.mean, self.cov, self.a, self.q)
         for j in range(self.K):
-            m1, c1 = kf_predict(self.mean[j], self.cov[j], self.a[j], self.q)
-            np.testing.assert_allclose(mean[j], m1, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(cov[j], c1, rtol=0, atol=1e-12)
-        shared_mean, shared_cov = kf_predict(self.mean, self.cov, self.a[0], self.q)
-        want_mean, want_cov = kf_predict(self.mean[1], self.cov[1], self.a[0], self.q)
-        np.testing.assert_allclose(shared_mean[1], want_mean, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(shared_cov[1], want_cov, rtol=0, atol=1e-12)
+            m1, c1 = kf_predict(self.mean[j:j + 1], self.cov[j:j + 1], self.a[j:j + 1],
+                                self.q)
+            np.testing.assert_allclose(mean[j:j + 1], m1, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cov[j:j + 1], c1, rtol=0, atol=1e-12)
 
     def test_update(self):
         mean, cov = kf_update_weighted(self.mean, self.cov, self.feats, self.resp, self.r)
         for j in range(self.K):
-            m1, c1 = kf_update_weighted(self.mean[j], self.cov[j], self.feats,
-                                        self.resp[:, j], self.r)
-            np.testing.assert_allclose(mean[j], m1, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(cov[j], c1, rtol=0, atol=1e-12)
+            m1, c1 = kf_update_weighted(self.mean[j:j + 1], self.cov[j:j + 1], self.feats,
+                                        self.resp[:, j:j + 1], self.r)
+            np.testing.assert_allclose(mean[j:j + 1], m1, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cov[j:j + 1], c1, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(mean[2], self.mean[2])
         np.testing.assert_array_equal(cov[2], self.cov[2])
 
@@ -208,21 +215,13 @@ class TestStackedKf:
         means = self.rng.standard_normal((t_len, self.K, self.D))
         covs = np.stack([np.stack([random_spd(self.rng, self.D, 0.2) for _ in range(self.K)])
                          for _ in range(t_len)])
-        sm, sc, gains = kf_smooth(means, covs, self.a, self.q)
-        assert len(gains) == t_len - 1 and gains[0].shape == (self.K, self.D, self.D)
+        sm, sc, gains = smooth(means, covs, self.a, self.q)
+        assert gains.shape == (t_len - 1, self.K, self.D, self.D)
         for j in range(self.K):
-            sm1, sc1, g1 = kf_smooth(means[:, j], covs[:, j], self.a[j], self.q)
-            np.testing.assert_allclose(sm[:, j], sm1, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(sc[:, j], sc1, rtol=0, atol=1e-12)
-            for g, h in zip(gains, g1):
-                np.testing.assert_allclose(g[j], h, rtol=0, atol=1e-12)
-        # the filter's predictions stand in for the recomputed ones
-        predicted = kf_predict(means[:-1], covs[:-1], self.a, self.q)
-        reused = kf_smooth(means, covs, self.a, self.q, predicted=predicted)
-        np.testing.assert_array_equal(reused[0], sm)
-        np.testing.assert_array_equal(reused[1], sc)
-        for g, h in zip(reused[2], gains):
-            np.testing.assert_array_equal(g, h)
+            sm1, sc1, g1 = smooth(means[:, j:j + 1], covs[:, j:j + 1], self.a[j:j + 1], self.q)
+            np.testing.assert_allclose(sm[:, j:j + 1], sm1, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sc[:, j:j + 1], sc1, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gains[:, j:j + 1], g1, rtol=0, atol=1e-12)
 
     def test_one_non_pd_class_raises(self):
         cov = self.cov.copy()
@@ -234,7 +233,7 @@ class TestStackedKf:
         pred_covs = self.cov[None].copy()
         pred_covs[0, 3] = -np.eye(self.D)
         with pytest.raises(NotPositiveDefiniteError):
-            kf_smooth(means, covs, self.a, self.q, predicted=(self.mean[None], pred_covs))
+            kf_smooth(means, covs, self.mean[None], pred_covs, self.a)
 
     def test_mismatched_class_axes_raise(self):
         with pytest.raises(DimensionMismatchError):
@@ -242,7 +241,8 @@ class TestStackedKf:
         with pytest.raises(DimensionMismatchError):
             kf_update_weighted(self.mean, self.cov, self.feats, self.resp[:, :2], self.r)
         with pytest.raises(DimensionMismatchError):
-            kf_smooth(np.stack([self.mean] * 2), np.stack([self.cov] * 2), self.a[:2], self.q)
+            kf_smooth(np.stack([self.mean] * 2), np.stack([self.cov] * 2),
+                      self.mean[None], self.cov[None], self.a[:2])
 
 
 class TestNonFiniteInputs:
@@ -254,12 +254,13 @@ class TestNonFiniteInputs:
         cov[..., 0, 1] = np.nan
         return cov
 
-    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("lead", [(1,), (3,)])
     def test_kf_predict(self, lead):
         with pytest.raises(DomainError):
-            kf_predict(np.zeros(lead + (2,)), self.nan_cov(lead=lead), np.eye(2), np.eye(2))
+            kf_predict(np.zeros(lead + (2,)), self.nan_cov(lead=lead),
+                       np.tile(np.eye(2), lead + (1, 1)), np.eye(2))
 
-    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("lead", [(1,), (3,)])
     def test_kf_update_weighted(self, lead):
         mean, resp, feats = np.zeros(lead + (2,)), np.ones((4,) + lead), np.ones((4, 2))
         with pytest.raises(DomainError):
@@ -268,11 +269,31 @@ class TestNonFiniteInputs:
             kf_update_weighted(mean, np.tile(np.eye(2), lead + (1, 1)), feats, resp,
                                self.nan_cov())
 
-    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("lead", [(1,), (3,)])
     def test_kf_smooth(self, lead):
-        means = np.zeros((2,) + lead + (2,))
+        means, eyes = np.zeros((2,) + lead + (2,)), np.tile(np.eye(2), lead + (1, 1))
         with pytest.raises(DomainError):
-            kf_smooth(means, self.nan_cov(lead=(2,) + lead), np.eye(2), 0.1 * np.eye(2))
+            kf_smooth(means, self.nan_cov(lead=(2,) + lead), means[1:], eyes[None], eyes)
+
+    def test_unstacked_shapes_raise(self):
+        """The kf_* take one stacked form: a 1-D mean, a (T, D) chain or a
+        shared (D, D) transition is a shape error, not a bare ValueError."""
+        eye, mean, feats = np.eye(2), np.zeros((1, 2)), np.ones((4, 2))
+        chain, chain_covs = np.zeros((2, 1, 2)), np.tile(eye, (2, 1, 1, 1))
+        calls = [
+            # a 1-D mean with its (D, D) covariance
+            lambda: kf_predict(mean[0], eye, eye[None], eye),
+            lambda: kf_update_weighted(mean[0], eye, feats, np.ones(4), eye),
+            # a (T, D) chain with (T, D, D) covariances
+            lambda: kf_smooth(chain[:, 0], chain_covs[:, 0], chain[1:, 0], chain_covs[1:, 0],
+                              eye[None]),
+            # a shared (D, D) transition
+            lambda: kf_predict(mean, eye[None], eye, eye),
+            lambda: kf_smooth(chain, chain_covs, chain[1:], chain_covs[1:], eye),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionMismatchError):
+                call()
 
     @pytest.mark.parametrize("predictive", [False, True])
     def test_model_with_nan_emission_covariance(self, predictive):
@@ -510,14 +531,14 @@ class TestGaussModel:
         feats = normalize_rows(rng.standard_normal((9, d)))
         model.adapt(1, feats)
         pm, pc = kf_predict(
-            w0[0], 0.3 * np.eye(d), np.eye(d), cfg.sigma_trans_scale * np.eye(d)
+            w0, 0.3 * np.eye(d)[None], np.eye(d)[None], cfg.sigma_trans_scale * np.eye(d)
         )
         want_mean, want_cov = kf_update_weighted(
-            pm, pc, feats, np.ones(9), cfg.sigma_ems_scale * np.eye(d)
+            pm, pc, feats, np.ones((9, 1)), cfg.sigma_ems_scale * np.eye(d)
         )
-        np.testing.assert_allclose(model.prototypes[0], want_mean, atol=1e-12)
+        np.testing.assert_allclose(model.prototypes, want_mean, atol=1e-12)
         var = model._steps[-1].belief.cov[0]
-        np.testing.assert_allclose(var * np.eye(d), want_cov, atol=1e-12)
+        np.testing.assert_allclose(var * np.eye(d), want_cov[0], atol=1e-12)
 
     def test_single_class_predicts_certainty(self):
         model = GaussModel(np.array([[1.0, 0.5]]), GaussConfig(d=2, k=1))
@@ -740,8 +761,58 @@ class TestGaussModel:
         assert np.abs(cov - iso).max() > 1e-6
 
 
+class TestExactPosterior:
+    """With the responsibilities held fixed, one filter and smoother pass
+    gives each class's exact chain posterior, solved from the joint
+    precision of the anchor and the window."""
+
+    @pytest.mark.parametrize("t_len", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_smoothed_window_equals_joint_solve(self, dense, k, t_len):
+        rng = np.random.default_rng(27)
+        d, n = 3, 8
+        cfg = GaussConfig(d=d, k=k, window=t_len, learn_transition=dense,
+                          sigma_trans_scale=0.05, sigma_ems_scale=0.4, init_cov_scale=0.2)
+        model = GaussModel(rng.standard_normal((k, d)), cfg)
+        eye = np.eye(d)
+        if dense:
+            model.transition = eye + 0.2 * rng.standard_normal((k, d, d))
+            model.sigma_trans = random_spd(rng, d, 0.02)
+            model.sigma_ems = random_spd(rng, d, 0.1)
+            model._anchor = GaussBelief(model._anchor.mean,
+                                        np.stack([random_spd(rng, d, 0.05) for _ in range(k)]))
+        for t in range(1, t_len + 1):
+            model._push(t, rng.standard_normal((n, d)))
+            model._steps[-1].resp = rng.dirichlet(np.ones(k), size=n)
+        if k > 1:  # class 0 sees no data at step 2
+            resp = model._steps[1].resp
+            resp[:, 0] = 0.0
+            resp /= resp.sum(axis=1, keepdims=True)
+        if dense:
+            model._dense_filter_smooth()
+            a, q, r = model.transition, model.sigma_trans, model.sigma_ems
+            anchor_cov, covs = model._anchor.cov, [s.belief.cov for s in model._steps]
+        else:
+            model._scalar_filter_smooth()
+            a, q, r = np.tile(eye, (k, 1, 1)), model.sigma_trans * eye, model.sigma_ems * eye
+            anchor_cov = model._anchor.cov[:, None, None] * eye
+            covs = [s.belief.cov[:, None, None] * eye for s in model._steps]
+        for j in range(k):
+            observations = []
+            for s in model._steps:
+                w = s.resp[:, j].sum()
+                observations.append((s.resp[:, j] @ s.feats / w, w) if w > 0.0 else None)
+            want_means, want_covs = oracles.exact_chain_posterior(
+                model._anchor.mean[j], anchor_cov[j], a[j], q, r, observations)
+            for i, s in enumerate(model._steps):
+                np.testing.assert_allclose(s.belief.mean[j], want_means[i], rtol=0, atol=1e-10)
+                np.testing.assert_allclose(covs[i][j], want_covs[i], rtol=0, atol=1e-10)
+
+
 class PerClassLoopModel(GaussModel):
-    """Reference for the dense path: one kf_* call per class and step, and a
+    """Reference for the dense path: one kf_* call per class on its [j:j+1]
+    slices and step, smoother predictions recomputed by kf_predict, and a
     per-class transition solve, as the dense path was first written."""
 
     def adapt(self, t, feats):
@@ -772,21 +843,19 @@ class PerClassLoopModel(GaussModel):
         prev = self._anchor
         for i, step in enumerate(steps):
             for j in range(k):
-                pm, pc = kf_predict(prev.mean[j], prev.cov[j], self.transition[j],
+                cls = slice(j, j + 1)
+                pm, pc = kf_predict(prev.mean[cls], prev.cov[cls], self.transition[cls],
                                     self.sigma_trans)
-                f_means[i, j], f_covs[i, j] = kf_update_weighted(
-                    pm, pc, step.feats, step.resp[:, j], self.sigma_ems)
+                f_means[i, cls], f_covs[i, cls] = kf_update_weighted(
+                    pm, pc, step.feats, step.resp[:, cls], self.sigma_ems)
             prev = GaussBelief(f_means[i], f_covs[i])
         s_means = np.empty_like(f_means)
         s_covs = np.empty_like(f_covs)
-        gains_per_class = []
+        self._last_gains = np.empty((t_len - 1, k, d, d))
         for j in range(k):
-            sm, sc, gains = kf_smooth(f_means[:, j], f_covs[:, j], self.transition[j],
-                                      self.sigma_trans)
-            s_means[:, j], s_covs[:, j] = sm, sc
-            gains_per_class.append(gains)
-        self._last_gains = [np.stack([gains_per_class[j][i] for j in range(k)])
-                            for i in range(t_len - 1)]
+            cls = slice(j, j + 1)
+            s_means[:, cls], s_covs[:, cls], self._last_gains[:, cls] = smooth(
+                f_means[:, cls], f_covs[:, cls], self.transition[cls], self.sigma_trans)
         for i, step in enumerate(steps):
             step.belief = GaussBelief(s_means[i], s_covs[i])
 

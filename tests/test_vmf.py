@@ -461,16 +461,16 @@ class TestStorageReuse:
 class TestExpectedPrototype:
     def test_high_concentration_limit(self):
         rho = unit([1.0, 2.0, -1.0, 0.5])
-        out = expected_prototype(rho, 1e6, 4)
-        assert np.linalg.norm(out - rho) < 1e-4
+        out = expected_prototype(rho[None], np.array([1e6]), 4)
+        assert np.linalg.norm(out[0] - rho) < 1e-4
 
     def test_low_concentration_limit(self):
-        out = expected_prototype(np.array([1.0, 0.0, 0.0, 0.0]), 1e-6, 4)
+        out = expected_prototype(np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([1e-6]), 4)
         assert np.linalg.norm(out) < 1e-3
 
     def test_frozen_ratio_value(self):
-        out = expected_prototype(np.array([1.0, 0.0, 0.0, 0.0]), 2.0, 4)
-        np.testing.assert_allclose(out, [A_4_2, 0.0, 0.0, 0.0], rtol=1e-9)
+        out = expected_prototype(np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([2.0]), 4)
+        np.testing.assert_allclose(out, [[A_4_2, 0.0, 0.0, 0.0]], rtol=1e-9)
 
     def test_norm_below_one(self):
         rng = np.random.default_rng(3)
