@@ -26,6 +26,17 @@ and the smoother takes the filter's predictions. Non-finite input raises
 DomainError, checked once per stacked array. The dense path scales with
 D^3, so a model that learns its parameters is gated to D <= 256 unless
 explicitly overridden.
+
+A dense `adapt` computes only what is read. The anchor, A and Q stay
+fixed until the M-step, so the anchor's prediction is made once and
+shared by every sweep. With plug-in assignments, a sweep before the
+last reads nothing of the previous sweep but its smoothed means, so it
+smooths only those; between sweeps each step keeps the covariance of
+the previous `adapt` (a new step, that of the step it was copied from).
+The last sweep, and every sweep with predictive assignments, smooths the
+covariances too and keeps the gains the M-step reads. The M-step floors
+its covariance estimates with eigh only when a Cholesky test finds an
+eigenvalue below the floor.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     DomainError,
+    EmptyBatchError,
     InsufficientHistoryError,
     NotPositiveDefiniteError,
 )
@@ -124,9 +136,19 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 def _eig_floor(m: np.ndarray, floor: float = _EIG_FLOOR) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(_sym(m))
-    vals = np.maximum(vals, floor)
-    return _sym((vecs * vals) @ vecs.T)
+    """The symmetric part of m with every eigenvalue below floor raised to it.
+
+    When sym(m) - floor * I has a Cholesky factor, no eigenvalue is below
+    the floor, and sym(m) comes back as it is; only a matrix that fails
+    that test is decomposed by eigh and rebuilt from the floored spectrum.
+    """
+    sym = _sym(m)
+    try:
+        _cholesky(sym - floor * np.eye(sym.shape[-1]))
+    except NotPositiveDefiniteError:
+        vals, vecs = np.linalg.eigh(sym)
+        return _sym((vecs * np.maximum(vals, floor)) @ vecs.T)
+    return sym
 
 
 def _finite(where: str, *arrays) -> None:
@@ -266,6 +288,26 @@ def kf_smooth(
     return sm, sc, gains
 
 
+def _smooth_means(means: np.ndarray, covs: np.ndarray, pred_means: np.ndarray,
+                  pred_covs: np.ndarray, transition: np.ndarray) -> np.ndarray:
+    """The smoothed means of kf_smooth alone, from the same arguments.
+
+    m^s_i = m_i + P_i A^T x with x = (A P_i A^T + Q)^{-1} (m^s_{i+1} - A m_i):
+    one stacked solve against a (K, D, 1) right-hand side per backward
+    step, where kf_smooth solves for the (K, D, D) gain and then carries
+    the covariances. It checks nothing: its caller passes the filter's
+    output, built from checked arrays, and the next sweep's assignments
+    check the means it returns.
+    """
+    sm = means.copy()
+    a_t = np.swapaxes(transition, -1, -2)
+    for i in range(means.shape[0] - 2, -1, -1):
+        x = cho_solve(_cholesky(pred_covs[i]), (sm[i + 1] - pred_means[i])[..., None],
+                      check_finite=False)
+        sm[i] = means[i] + (covs[i] @ (a_t @ x))[..., 0]
+    return sm
+
+
 def _sq_dist(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(N, K) squared distances between the columns of x (D, N) and m (D, K)."""
     return (np.einsum("dn,dn->n", x, x)[:, None] - 2.0 * (x.T @ m)
@@ -340,14 +382,39 @@ def gauss_m_step(
     average residual second moments over classes and steps, symmetrized
     with eigenvalues floored at 1e-8.
     Returns (transition per class or None, sigma_trans or None,
-    sigma_ems or None).
+    sigma_ems or None); with both flags off, (None, None, None) before any
+    check.
+
+    With a flag on, fewer than 2 steps raise InsufficientHistoryError.
+    Every belief needs a (K, D) mean and a (K, D, D) covariance of one K
+    and D, gains must be (T-1, K, D, D) and transition (K, D, D), and with
+    learn_sigmas feats and resps need T entries, (N_t, D) and (N_t, K);
+    anything else raises DimensionMismatchError. Learning R from batches
+    that are all empty raises EmptyBatchError.
     """
-    t_len = len(smoothed)
-    k, d = smoothed[0].mean.shape
     if not (learn_transition or learn_sigmas):
         return None, None, None
+    t_len = len(smoothed)
     if t_len < 2:
         raise InsufficientHistoryError("parameter learning needs >= 2 window steps")
+    shape = np.shape(smoothed[0].mean)
+    if len(shape) != 2 or any(np.shape(b.mean) != shape or np.shape(b.cov) != shape + shape[1:]
+                              for b in smoothed):
+        raise DimensionMismatchError(
+            "gauss_m_step needs (K, D) means and (K, D, D) covariances of one K and D")
+    k, d = shape
+    if np.shape(gains) != (t_len - 1, k, d, d) or np.shape(transition) != (k, d, d):
+        raise DimensionMismatchError(
+            f"gauss_m_step needs ({t_len - 1}, {k}, {d}, {d}) gains and a ({k}, {d}, {d}) "
+            f"transition, got {np.shape(gains)} and {np.shape(transition)}")
+    if learn_sigmas and (
+            len(feats) != t_len or len(resps) != t_len
+            or any(np.ndim(h) != 2 or np.shape(h)[1] != d or np.shape(w) != (len(h), k)
+                   for h, w in zip(feats, resps))):
+        raise DimensionMismatchError(
+            f"gauss_m_step needs {t_len} batches (N_t, {d}) and responsibilities (N_t, {k})")
+    if learn_sigmas and not sum(len(h) for h in feats):
+        raise EmptyBatchError("gauss_m_step needs at least one sample to learn R")
 
     means = np.stack([b.mean for b in smoothed])   # (T, K, D)
     covs = np.stack([b.cov for b in smoothed])     # (T, K, D, D)
@@ -405,11 +472,15 @@ class GaussModel(SlidingWindow):
     covariance is (K,): the scalar path carries one variance per class
     and its assignments factor nothing. With either flag on, the
     transition is (K, D, D), Q and R are (D, D) and the covariances
-    (K, D, D); each window step of the dense path makes one kf_predict
-    and one kf_update_weighted call for all K classes, one kf_smooth call
-    covers the window with the filter's predictions, and its
-    (T-1, K, D, D) smoother gains are kept for the M-step. Only that form
-    is gated to D <= 256.
+    (K, D, D); each sweep of the dense path makes one kf_update_weighted
+    call per window step for all K classes and one kf_predict call per
+    step after the first, the anchor's prediction being made once per
+    `adapt`. Sweeps before the last smooth only the means when the
+    assignments are plug-in, so between sweeps the step covariances are
+    those of the previous `adapt`. The last sweep makes one kf_smooth
+    call over the window with the filter's predictions and keeps its
+    (T-1, K, D, D) smoother gains for the M-step. Only the dense form is
+    gated to D <= 256.
     """
 
     def __init__(self, source_weights: np.ndarray, config: GaussConfig):
@@ -441,8 +512,13 @@ class GaussModel(SlidingWindow):
     def adapt(self, t: int, feats: np.ndarray) -> "GaussModel":
         cfg = self.config
         self._push(t, feats)
-        for _ in range(cfg.e_sweeps):
-            self.coordinate_sweep()
+        # A, Q and the anchor hold still until the M-step, so later sweeps
+        # reuse the first sweep's anchor prediction; predictive assignments
+        # read the covariances, so then every sweep smooths them
+        anchor_pred = None
+        for sweep in range(cfg.e_sweeps):
+            full = cfg.assign_with_predictive or sweep == cfg.e_sweeps - 1
+            anchor_pred = self.coordinate_sweep(full, anchor_pred)
         for s in self._steps:
             s.mixing = mixing_update(s.resp, cfg.pi_floor)
         if (cfg.learn_transition or cfg.learn_sigmas) and len(self._steps) >= 2:
@@ -463,8 +539,16 @@ class GaussModel(SlidingWindow):
                 self.sigma_ems = new_r
         return self
 
-    def coordinate_sweep(self) -> None:
-        """Assignments, forward filter, backward smooth over the window."""
+    def coordinate_sweep(self, full: bool = True, anchor_pred=None):
+        """Assignments, forward filter, backward smooth over the window.
+
+        A bare call does the whole sweep. The dense path takes two hints
+        from `adapt`, which owns their validity: with full False it smooths
+        the means alone and each step keeps its covariance, and an
+        anchor_pred from an earlier sweep of the same `adapt` stands in for
+        the anchor's kf_predict. Returns the dense path's anchor prediction
+        (None on the scalar path, which ignores both hints).
+        """
         for step in self._steps:
             step.resp = gauss_assignments(
                 step.feats,
@@ -475,8 +559,8 @@ class GaussModel(SlidingWindow):
             )
         if self._anchor.cov.ndim == 1:
             self._scalar_filter_smooth()
-        else:
-            self._dense_filter_smooth()
+            return None
+        return self._dense_filter_smooth(full, anchor_pred)
 
     def _scalar_filter_smooth(self) -> None:
         """Filter and smooth every class at once, each covariance being c * I.
@@ -508,30 +592,43 @@ class GaussModel(SlidingWindow):
             var = f_vars[i] + gain * (var - pred) * gain
             steps[i].belief = GaussBelief(mean, var)
 
-    def _dense_filter_smooth(self) -> None:
+    def _dense_filter_smooth(self, full: bool = True, anchor_pred=None):
         """Dense Kalman filter and RTS smoother, all K classes at once.
 
-        Each window step makes one kf_predict and one kf_update_weighted
-        call; one kf_smooth call reuses the filter's predictions and keeps
-        the (T-1, K, D, D) smoother gains for the M-step.
+        Each window step makes one kf_update_weighted call and, past the
+        first, one kf_predict call; the first step's prediction is
+        anchor_pred, made here when None and returned. With full, one
+        kf_smooth call reuses the filter's predictions and keeps the
+        (T-1, K, D, D) smoother gains for the M-step. Without it only the
+        smoothed means are computed: each step's covariance stays as it
+        was and the kept gains stay those of the last full smooth.
         """
         steps = self._steps
         t_len = len(steps)
         k, d = self._anchor.mean.shape
         p_means, f_means = np.empty((2, t_len, k, d))
         p_covs, f_covs = np.empty((2, t_len, k, d, d))
-        mean, cov = self._anchor.mean, self._anchor.cov
+        if anchor_pred is None:
+            anchor_pred = kf_predict(self._anchor.mean, self._anchor.cov, self.transition,
+                                     self.sigma_trans)
+        p_means[0], p_covs[0] = anchor_pred
         for i, step in enumerate(steps):
-            p_means[i], p_covs[i] = kf_predict(mean, cov, self.transition, self.sigma_trans)
-            mean, cov = kf_update_weighted(
+            if i:
+                p_means[i], p_covs[i] = kf_predict(f_means[i - 1], f_covs[i - 1],
+                                                   self.transition, self.sigma_trans)
+            f_means[i], f_covs[i] = kf_update_weighted(
                 p_means[i], p_covs[i], step.feats, step.resp, self.sigma_ems
             )
-            f_means[i], f_covs[i] = mean, cov
-        s_means, s_covs, self._last_gains = kf_smooth(
-            f_means, f_covs, p_means[1:], p_covs[1:], self.transition
-        )
+        if full:
+            s_means, s_covs, self._last_gains = kf_smooth(
+                f_means, f_covs, p_means[1:], p_covs[1:], self.transition
+            )
+        else:
+            s_means = _smooth_means(f_means, f_covs, p_means[1:], p_covs[1:], self.transition)
+            s_covs = [step.belief.cov for step in steps]
         for step, s_mean, s_cov in zip(steps, s_means, s_covs):
             step.belief = GaussBelief(s_mean, s_cov)
+        return anchor_pred
 
     def predict(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """softmax(W h) with W the newest posterior prototype means."""

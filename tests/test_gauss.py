@@ -9,6 +9,7 @@ from stad.errors import (
     ConfigError,
     DimensionMismatchError,
     DomainError,
+    EmptyBatchError,
     InsufficientHistoryError,
     NonContiguousTimeError,
     NotAdaptedError,
@@ -387,6 +388,52 @@ class TestGaussMStep:
         with pytest.raises(InsufficientHistoryError):
             gauss_m_step([belief], [], [], [], np.stack([np.eye(2)] * 2), True, False)
 
+    def test_empty_window_raises_insufficient_history(self):
+        with pytest.raises(InsufficientHistoryError):
+            gauss_m_step([], [], [], [], np.stack([np.eye(2)] * 2), True, False)
+
+    @staticmethod
+    def valid_inputs(t=3, k=2, d=2):
+        rng = np.random.default_rng(9)
+        return dict(
+            smoothed=[GaussBelief(rng.standard_normal((k, d)),
+                                  np.stack([random_spd(rng, d, 0.2) for _ in range(k)]))
+                      for _ in range(t)],
+            gains=np.tile(0.5 * np.eye(d), (t - 1, k, 1, 1)),
+            resps=[rng.dirichlet(np.ones(k), size=6) for _ in range(t)],
+            feats=[rng.standard_normal((6, d)) for _ in range(t)],
+            transition=np.tile(np.eye(d), (k, 1, 1)),
+            learn_transition=True,
+            learn_sigmas=True,
+        )
+
+    MISMATCHES = {
+        "short_feats": lambda a: dict(feats=a["feats"][:-1]),
+        "short_resps": lambda a: dict(resps=a["resps"][:-1]),
+        "shared_transition": lambda a: dict(transition=np.eye(2), learn_transition=False),
+        "short_gains": lambda a: dict(gains=a["gains"][:-1]),
+        "class_count": lambda a: dict(smoothed=a["smoothed"][:-1] + [
+            GaussBelief(np.zeros((3, 2)), np.stack([np.eye(2)] * 3))]),
+        "feature_dim": lambda a: dict(feats=[np.ones((6, 3))] * 3),
+        "resp_classes": lambda a: dict(resps=[np.full((6, 3), 1.0 / 3.0)] * 3),
+        "scalar_covs": lambda a: dict(smoothed=[
+            GaussBelief(b.mean, np.ones(2)) for b in a["smoothed"]]),
+    }
+
+    def test_all_empty_batches_raise(self):
+        args = self.valid_inputs()
+        args.update(feats=[np.empty((0, 2))] * 3, resps=[np.empty((0, 2))] * 3)
+        with pytest.raises(EmptyBatchError):
+            gauss_m_step(**args)
+
+    @pytest.mark.parametrize("case", list(MISMATCHES))
+    def test_mismatched_inputs_raise(self, case):
+        args = self.valid_inputs()
+        gauss_m_step(**args)
+        args.update(self.MISMATCHES[case](args))
+        with pytest.raises(DimensionMismatchError):
+            gauss_m_step(**args)
+
     def test_matches_independent_script(self):
         rng = np.random.default_rng(8)
         k, d, t = 2, 2, 3
@@ -451,6 +498,39 @@ class TestGaussMStep:
                 w = resps[i][:, j]
                 r_acc += (diff * w[:, None]).T @ diff + w.sum() * beliefs[i].cov[j]
         np.testing.assert_allclose(new_r, r_acc / n_tot, atol=1e-8)
+
+
+class TestEigFloor:
+    floor = gauss._EIG_FLOOR
+
+    def with_spectrum(self, vals, seed=0):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(vals),) * 2))
+        return (q * np.asarray(vals)) @ q.T
+
+    def eigh_floor(self, m):
+        vals, vecs = np.linalg.eigh(gauss._sym(m))
+        return gauss._sym((vecs * np.maximum(vals, self.floor)) @ vecs.T)
+
+    def test_above_floor_returns_symmetric_part(self):
+        rng = np.random.default_rng(3)
+        m = self.with_spectrum(np.linspace(0.01, 1.0, 8)) + 1e-3 * rng.standard_normal((8, 8))
+        out = gauss._eig_floor(m)
+        np.testing.assert_array_equal(out, gauss._sym(m))
+        np.testing.assert_allclose(out, self.eigh_floor(m), rtol=0, atol=1e-14)
+
+    def test_below_floor_raises_smallest_eigenvalue_to_floor(self):
+        vals = np.array([-0.5, 1e-12, 0.3, 1.0])
+        out = gauss._eig_floor(self.with_spectrum(vals, seed=1))
+        got = np.linalg.eigvalsh(out)
+        np.testing.assert_allclose(got, [self.floor, self.floor, 0.3, 1.0], rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(out, out.T)
+
+    @pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+    def test_eigenvalue_near_floor(self, offset):
+        m = self.with_spectrum([self.floor + offset, 0.2, 0.7, 1.0], seed=2)
+        out = gauss._eig_floor(m)
+        assert np.linalg.eigvalsh(out).min() >= self.floor - 1e-15
+        np.testing.assert_allclose(out, self.eigh_floor(m), rtol=0, atol=1e-14)
 
 
 class TestGaussConfig:
@@ -834,7 +914,9 @@ class PerClassLoopModel(GaussModel):
                     [s.feats for s in self._steps], new_a, False, True)
         return self
 
-    def _dense_filter_smooth(self):
+    def _dense_filter_smooth(self, full=True, anchor_pred=None):
+        # the reference ignores the sweep hints: it predicts the anchor and
+        # smooths in full every time
         k, d = self.config.k, self.config.d
         steps = self._steps
         t_len = len(steps)
@@ -875,7 +957,7 @@ def per_class_transition(beliefs, gains):
 
 class TestDensePathOracle:
     @pytest.mark.parametrize("predictive", [False, True])
-    @pytest.mark.parametrize("e_sweeps", [1, 2])
+    @pytest.mark.parametrize("e_sweeps", [1, 2, 3])
     @pytest.mark.parametrize("window", [1, 3, 5])
     def test_matches_per_class_loop(self, window, e_sweeps, predictive):
         rng = np.random.default_rng(24)
@@ -909,3 +991,25 @@ class TestDensePathOracle:
             np.testing.assert_allclose(model.predict(h)[0], ref.predict(h)[0],
                                        rtol=0, atol=1e-10)
         assert model.window_times[0] == 4  # three steps were evicted into the anchor
+
+    def test_bare_sweep_after_adapt_matches_per_class_loop(self):
+        # the M-step has just moved A, Q and R: a bare sweep must predict
+        # the anchor afresh and smooth the covariances and gains in full
+        rng = np.random.default_rng(25)
+        d, k = 6, 4
+        w0 = normalize_rows(rng.standard_normal((k, d)))
+        cfg = GaussConfig(d=d, k=k, window=3, e_sweeps=2,
+                          learn_transition=True, learn_sigmas=True)
+        model, ref = GaussModel(w0, cfg), PerClassLoopModel(w0, cfg)
+        for t in range(1, 6):
+            labels = rng.integers(0, k, size=12)
+            batch = w0[labels] + 0.3 * rng.standard_normal((12, d))
+            model.adapt(t, batch)
+            ref.adapt(t, batch)
+            model.coordinate_sweep()
+            ref.coordinate_sweep()
+            for a, b in zip(model._steps, ref._steps):
+                np.testing.assert_allclose(a.belief.mean, b.belief.mean, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(a.belief.cov, b.belief.cov, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(a.resp, b.resp, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(model._last_gains, ref._last_gains, rtol=0, atol=1e-10)
