@@ -403,10 +403,10 @@ def gauss_m_step(
         raise DimensionMismatchError(
             "gauss_m_step needs (K, D) means and (K, D, D) covariances of one K and D")
     k, d = shape
-    if np.shape(gains) != (t_len - 1, k, d, d) or np.shape(transition) != (k, d, d):
+    if (len(gains) != t_len - 1 or any(np.shape(g) != (k, d, d) for g in gains)
+            or np.shape(transition) != (k, d, d)):
         raise DimensionMismatchError(
-            f"gauss_m_step needs ({t_len - 1}, {k}, {d}, {d}) gains and a ({k}, {d}, {d}) "
-            f"transition, got {np.shape(gains)} and {np.shape(transition)}")
+            f"gauss_m_step needs {t_len - 1} gains and a transition, each ({k}, {d}, {d})")
     if learn_sigmas and (
             len(feats) != t_len or len(resps) != t_len
             or any(np.ndim(h) != 2 or np.shape(h)[1] != d or np.shape(w) != (len(h), k)

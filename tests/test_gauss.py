@@ -412,6 +412,7 @@ class TestGaussMStep:
         "short_resps": lambda a: dict(resps=a["resps"][:-1]),
         "shared_transition": lambda a: dict(transition=np.eye(2), learn_transition=False),
         "short_gains": lambda a: dict(gains=a["gains"][:-1]),
+        "ragged_gains": lambda a: dict(gains=[a["gains"][0], np.eye(2)]),
         "class_count": lambda a: dict(smoothed=a["smoothed"][:-1] + [
             GaussBelief(np.zeros((3, 2)), np.stack([np.eye(2)] * 3))]),
         "feature_dim": lambda a: dict(feats=[np.ones((6, 3))] * 3),
