@@ -21,27 +21,35 @@ The smoother gain and the M-step's transition solve factor and solve a
 (K, D, D) stack in one call; the measurement update and the predictive
 assignments factor and solve one class at a time, because a stacked
 triangular solve was slower than that loop. Nothing inverts a matrix
-explicitly, a measurement update makes one triangular solve per class,
-and the smoother takes the filter's predictions. Non-finite input raises
+explicitly, a measurement update makes one triangular solve per class
+for its covariances and one solve against R's factor for its means, and
+the smoother takes the filter's predictions. Non-finite input raises
 DomainError, checked once per stacked array. The dense path scales with
 D^3, so a model that learns its parameters is gated to D <= 256 unless
 explicitly overridden.
 
-A dense `adapt` computes only what is read. The anchor, A and Q stay
-fixed until the M-step, so the anchor's prediction is made once and
-shared by every sweep. With plug-in assignments, a sweep before the
-last reads nothing of the previous sweep but its smoothed means, so it
-smooths only those; between sweeps each step keeps the covariance of
-the previous `adapt` (a new step, that of the step it was copied from).
-The last sweep, and every sweep with predictive assignments, smooths the
-covariances too and keeps the gains the M-step reads. The M-step floors
-its covariance estimates with eigh only when a Cholesky test finds an
-eigenvalue below the floor.
+A dense `adapt` computes only what is read. The anchor, A, Q and R stay
+fixed until the M-step, and the filter covariances depend on a batch
+only through each class's total weight w = resp.sum(0). So within one
+`adapt` the filter keeps a record: its predicted and filtered moments,
+in stacks allocated once per `adapt`, and the weights each step last
+ran with. A later sweep keeps the covariances of the longest prefix of
+steps whose weights are bit for bit those of the record, moves only
+their means, and recomputes from the first step that differs; the
+anchor's prediction is made once. Each `adapt` starts a fresh record
+and drops it at its end, so a bare sweep recomputes everything.
+With plug-in assignments, a sweep before the last reads nothing of the
+previous sweep but its smoothed means, so it smooths only those; between
+sweeps each step keeps the covariance of the previous `adapt` (a new
+step, that of the step it was copied from). The last sweep, and every
+sweep with predictive assignments, smooths the covariances too and keeps
+the gains the M-step reads. The M-step floors its covariance estimates
+with eigh only when a Cholesky test finds an eigenvalue below the floor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -208,9 +216,11 @@ def kf_update_weighted(
     (D, D). Each class's weighted batch collapses to one pseudo-observation:
     the weighted mean with emission noise scaled down by the total weight
     w. A total weight at or below 1e-8 (an empty cluster) keeps that
-    class's prior. Otherwise S = P + R / w is factored as L L^T, and one
-    triangular solve gives W = L^{-1} P and y = L^{-1} (obs - m); the
-    posterior is m + W^T y and P - W^T W. A non-positive-definite S raises
+    class's prior. Otherwise S = P + R / w is factored as L L^T, one
+    triangular solve gives W = L^{-1} P, and the posterior covariance is
+    P_f = P - W^T W. The posterior mean is m + w P_f R^{-1} (obs - m), the
+    same gain in information form, from one factorization of R (see
+    `_update_means`). A non-positive-definite S or R raises
     NotPositiveDefiniteError (a StadError and a LinAlgError), which signals
     an invariant violation upstream; non-finite input raises DomainError.
     """
@@ -224,28 +234,48 @@ def kf_update_weighted(
             or resp.shape != (feats.shape[0], mean.shape[0])
             or sigma_ems.shape != cov.shape[1:]):
         raise DimensionMismatchError("inconsistent shapes in kf_update_weighted")
-    if np.any(resp < 0.0):
-        raise DomainError("responsibilities must be nonnegative")
-    _finite("kf_update_weighted", mean, cov, feats, resp, sigma_ems)
-    d = mean.shape[1]
+    _check_weighted("kf_update_weighted", resp, mean, cov, feats, sigma_ems)
     weight = resp.sum(axis=0)
     live = np.flatnonzero(weight > _EMPTY_CLUSTER_EPS)
-    new_mean, new_cov = mean.copy(), cov.copy()
-    if live.size:
-        w, prior = weight[live], cov[live]
-        obs = (resp[:, live].T @ feats) / w[:, None]
-        innov_cov = prior + sigma_ems / w[:, None, None]
-        # [W | y] = L^{-1} [P | obs - m], one class at a time: at K=10, D=64
-        # on one BLAS thread a stacked solve_triangular took about 0.56 ms
-        # against 0.42 ms for this dtrtrs loop
-        white = np.concatenate([prior, (obs - mean[live])[..., None]], axis=-1)
-        for i in range(live.size):
-            # potrf succeeded, so L has a positive diagonal and trtrs cannot fail
-            white[i] = dtrtrs(_cholesky(innov_cov[i])[0], white[i], lower=1)[0]
-        white_p, y = white[..., :d], white[..., d]
-        new_mean[live] += (y[:, None, :] @ white_p)[:, 0]
-        new_cov[live] = _sym(prior - np.swapaxes(white_p, -1, -2) @ white_p)
-    return new_mean, new_cov
+    new_cov = cov.copy()
+    if not live.size:
+        return mean.copy(), new_cov
+    prior = cov[live]
+    innov_cov = prior + sigma_ems / weight[live, None, None]
+    # W = L^{-1} P one class at a time (at K=10, D=64 on one BLAS thread a
+    # stacked solve_triangular took about 0.56 ms against 0.42 ms for this
+    # dtrtrs loop), solved in place: white_t[i] holds W^T, so white_t[i].T
+    # is P_i, then W_i, in the Fortran order dtrtrs writes without a copy
+    white_t = np.swapaxes(prior, -1, -2).copy()
+    for i in range(live.size):
+        # potrf succeeded, so L has a positive diagonal and trtrs cannot fail
+        dtrtrs(_cholesky(innov_cov[i])[0], white_t[i].T, lower=1, overwrite_b=1)
+    new_cov[live] = _sym(prior - white_t @ np.swapaxes(white_t, -1, -2))
+    return _update_means(mean, new_cov, feats, resp, weight, _cholesky(sigma_ems)), new_cov
+
+
+def _check_weighted(where: str, resp: np.ndarray, *arrays) -> None:
+    """Raise DomainError unless resp is nonnegative and it and every array finite."""
+    if np.any(resp < 0.0):
+        raise DomainError("responsibilities must be nonnegative")
+    _finite(where, resp, *arrays)
+
+
+def _update_means(mean: np.ndarray, post_cov: np.ndarray, feats: np.ndarray,
+                  resp: np.ndarray, weight: np.ndarray, ems_factor) -> np.ndarray:
+    """Posterior means of a measurement update whose covariances are known.
+
+    m + P_f R^{-1} (resp^T h - w m), which is m + w P_f R^{-1} (obs - m)
+    for the weighted mean obs: the Kalman gain P S^{-1} in information
+    form. mean is the prior (K, D), post_cov the posterior (K, D, D),
+    weight the column sums of resp and ems_factor R's `_cholesky` factor.
+    A class with weight at or below 1e-8 keeps its prior mean. It checks
+    nothing; kf_update_weighted and the dense filter check its inputs.
+    """
+    resid = resp.T @ feats - weight[:, None] * mean
+    resid[weight <= _EMPTY_CLUSTER_EPS] = 0.0
+    x = cho_solve(ems_factor, resid.T, check_finite=False).T
+    return mean + (post_cov @ x[..., None])[..., 0]
 
 
 def kf_smooth(
@@ -459,6 +489,22 @@ def gauss_m_step(
     return new_a, new_q, new_r
 
 
+@dataclass
+class _FilterRecord:
+    """What the dense filter keeps from one sweep to the next of an `adapt`.
+
+    The predicted and filtered moments, two stacks of (2, T, K, D) and
+    (2, T, K, D, D) allocated once; the weights w = resp.sum(0) each
+    window step last ran with; and R's Cholesky factor, made on the first
+    reuse. It is valid while A, Q, R and the anchor hold still, that is
+    until the M-step.
+    """
+
+    stacks: tuple[np.ndarray, np.ndarray] | None = None
+    weights: list[np.ndarray] = field(default_factory=list)
+    ems_factor: tuple[np.ndarray, bool] | None = None
+
+
 class GaussModel(SlidingWindow):
     """Sliding-window Gaussian tracker with a softmax head on posterior means.
 
@@ -472,14 +518,19 @@ class GaussModel(SlidingWindow):
     covariance is (K,): the scalar path carries one variance per class
     and its assignments factor nothing. With either flag on, the
     transition is (K, D, D), Q and R are (D, D) and the covariances
-    (K, D, D); each sweep of the dense path makes one kf_update_weighted
-    call per window step for all K classes and one kf_predict call per
-    step after the first, the anchor's prediction being made once per
-    `adapt`. Sweeps before the last smooth only the means when the
-    assignments are plug-in, so between sweeps the step covariances are
-    those of the previous `adapt`. The last sweep makes one kf_smooth
-    call over the window with the filter's predictions and keeps its
-    (T-1, K, D, D) smoother gains for the M-step. Only the dense form is
+    (K, D, D). The first sweep of a dense `adapt` makes one
+    kf_update_weighted call per window step for all K classes and one
+    kf_predict call per step after the first. A later sweep of the same
+    `adapt` keeps the filter covariances of the steps whose weights
+    repeat, a prefix of the window, and makes those calls only from the
+    first step whose weights moved; the anchor's prediction is made once
+    per `adapt`. This record of the filter lives only inside `adapt`,
+    because the M-step moves A, Q and R. Sweeps before the last smooth
+    only the means when the assignments are plug-in, so between sweeps
+    the step covariances are those of the previous `adapt`. The last
+    sweep makes one kf_smooth call over the window with the filter's
+    predictions and keeps its (T-1, K, D, D) smoother gains for the
+    M-step. Only the dense form is
     gated to D <= 256.
     """
 
@@ -503,6 +554,7 @@ class GaussModel(SlidingWindow):
             window=config.window,
         )
         self._last_gains: np.ndarray | None = None
+        self._record: _FilterRecord | None = None  # set only inside `adapt`
 
     @property
     def prototypes(self) -> np.ndarray:
@@ -512,13 +564,16 @@ class GaussModel(SlidingWindow):
     def adapt(self, t: int, feats: np.ndarray) -> "GaussModel":
         cfg = self.config
         self._push(t, feats)
-        # A, Q and the anchor hold still until the M-step, so later sweeps
-        # reuse the first sweep's anchor prediction; predictive assignments
-        # read the covariances, so then every sweep smooths them
-        anchor_pred = None
-        for sweep in range(cfg.e_sweeps):
-            full = cfg.assign_with_predictive or sweep == cfg.e_sweeps - 1
-            anchor_pred = self.coordinate_sweep(full, anchor_pred)
+        # A, Q, R and the anchor hold still until the M-step, so the dense
+        # filter's record is valid from the first sweep to the last; the
+        # predictive assignments read the covariances, so then every sweep
+        # smooths them
+        self._record = _FilterRecord()
+        try:
+            for sweep in range(cfg.e_sweeps):
+                self.coordinate_sweep(cfg.assign_with_predictive or sweep == cfg.e_sweeps - 1)
+        finally:
+            self._record = None
         for s in self._steps:
             s.mixing = mixing_update(s.resp, cfg.pi_floor)
         if (cfg.learn_transition or cfg.learn_sigmas) and len(self._steps) >= 2:
@@ -539,16 +594,19 @@ class GaussModel(SlidingWindow):
                 self.sigma_ems = new_r
         return self
 
-    def coordinate_sweep(self, full: bool = True, anchor_pred=None):
+    def coordinate_sweep(self, full: bool = True) -> None:
         """Assignments, forward filter, backward smooth over the window.
 
-        A bare call does the whole sweep. The dense path takes two hints
-        from `adapt`, which owns their validity: with full False it smooths
-        the means alone and each step keeps its covariance, and an
-        anchor_pred from an earlier sweep of the same `adapt` stands in for
-        the anchor's kf_predict. Returns the dense path's anchor prediction
-        (None on the scalar path, which ignores both hints).
+        A bare call does the whole sweep. With full False the dense path
+        smooths the means alone and each step keeps its covariance; `adapt`
+        passes that for the sweeps before the last when the assignments are
+        plug-in, which read no covariance. Inside `adapt` the dense filter
+        also reuses its record of the previous sweep (see
+        `_dense_filter_smooth`); outside it there is no record, so a bare
+        call recomputes everything. The scalar path ignores `full`. Raises
+        NotAdaptedError before the first `adapt`.
         """
+        self._newest()
         for step in self._steps:
             step.resp = gauss_assignments(
                 step.feats,
@@ -559,8 +617,8 @@ class GaussModel(SlidingWindow):
             )
         if self._anchor.cov.ndim == 1:
             self._scalar_filter_smooth()
-            return None
-        return self._dense_filter_smooth(full, anchor_pred)
+        else:
+            self._dense_filter_smooth(full)
 
     def _scalar_filter_smooth(self) -> None:
         """Filter and smooth every class at once, each covariance being c * I.
@@ -592,33 +650,55 @@ class GaussModel(SlidingWindow):
             var = f_vars[i] + gain * (var - pred) * gain
             steps[i].belief = GaussBelief(mean, var)
 
-    def _dense_filter_smooth(self, full: bool = True, anchor_pred=None):
+    def _dense_filter_smooth(self, full: bool = True) -> None:
         """Dense Kalman filter and RTS smoother, all K classes at once.
 
-        Each window step makes one kf_update_weighted call and, past the
-        first, one kf_predict call; the first step's prediction is
-        anchor_pred, made here when None and returned. With full, one
-        kf_smooth call reuses the filter's predictions and keeps the
-        (T-1, K, D, D) smoother gains for the M-step. Without it only the
-        smoothed means are computed: each step's covariance stays as it
-        was and the kept gains stay those of the last full smooth.
+        The filter writes its predicted and filtered moments into the
+        stacks of a `_FilterRecord`, which `adapt` keeps for all its sweeps
+        (a bare call uses a fresh one). The longest prefix of steps whose
+        weights equal the record's bit for bit keeps its covariances, and
+        only its means move: A m, then m + w P_f R^{-1} (obs - m) with R
+        factored once per record. Step 0's prediction is kept whenever the
+        record holds weights, because A, Q and the anchor hold still. From
+        the first step that differs, each step makes one kf_predict (past
+        step 0) and one kf_update_weighted call. With full, one kf_smooth
+        call reuses the filter's predictions and keeps the (T-1, K, D, D)
+        smoother gains for the M-step. Without it only the smoothed means
+        are computed: each step's covariance stays as it was and the kept
+        gains stay those of the last full smooth.
         """
         steps = self._steps
         t_len = len(steps)
-        k, d = self._anchor.mean.shape
-        p_means, f_means = np.empty((2, t_len, k, d))
-        p_covs, f_covs = np.empty((2, t_len, k, d, d))
-        if anchor_pred is None:
-            anchor_pred = kf_predict(self._anchor.mean, self._anchor.cov, self.transition,
-                                     self.sigma_trans)
-        p_means[0], p_covs[0] = anchor_pred
+        record = self._record if self._record is not None else _FilterRecord()
+        if record.stacks is None:
+            k, d = self._anchor.mean.shape
+            record.stacks = (np.empty((2, t_len, k, d)), np.empty((2, t_len, k, d, d)))
+        (p_means, f_means), (p_covs, f_covs) = record.stacks
+        weights = [step.resp.sum(axis=0) for step in steps]
+        kept = 0
+        if record.weights:
+            while kept < t_len and np.array_equal(weights[kept], record.weights[kept]):
+                kept += 1
+        else:
+            p_means[0], p_covs[0] = kf_predict(self._anchor.mean, self._anchor.cov,
+                                               self.transition, self.sigma_trans)
+        if kept and record.ems_factor is None:
+            record.ems_factor = _cholesky(self.sigma_ems)
         for i, step in enumerate(steps):
+            if i < kept:
+                if i:
+                    p_means[i] = (self.transition @ f_means[i - 1][..., None])[..., 0]
+                _check_weighted("_dense_filter_smooth", step.resp, p_means[i])
+                f_means[i] = _update_means(p_means[i], f_covs[i], step.feats, step.resp,
+                                           weights[i], record.ems_factor)
+                continue
             if i:
                 p_means[i], p_covs[i] = kf_predict(f_means[i - 1], f_covs[i - 1],
                                                    self.transition, self.sigma_trans)
             f_means[i], f_covs[i] = kf_update_weighted(
                 p_means[i], p_covs[i], step.feats, step.resp, self.sigma_ems
             )
+        record.weights = weights
         if full:
             s_means, s_covs, self._last_gains = kf_smooth(
                 f_means, f_covs, p_means[1:], p_covs[1:], self.transition
@@ -628,7 +708,6 @@ class GaussModel(SlidingWindow):
             s_covs = [step.belief.cov for step in steps]
         for step, s_mean, s_cov in zip(steps, s_means, s_covs):
             step.belief = GaussBelief(s_mean, s_cov)
-        return anchor_pred
 
     def predict(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """softmax(W h) with W the newest posterior prototype means."""

@@ -389,8 +389,10 @@ class VmfModel(SlidingWindow):
         buffer becomes the step's mean direction, and the replaced mean
         direction the next buffer. Each element sees the same operations
         in the same order as in a whole-array pass, so the results do not
-        depend on the block size.
+        depend on the block size. Raises NotAdaptedError before the first
+        `adapt`.
         """
+        self._newest()
         cfg = self.config
         steps = self._steps
         kappa_trans = self._kappa_trans[:, None]
@@ -489,7 +491,10 @@ class VmfModel(SlidingWindow):
             per_class_ll = (
                 log_pi + log_vmf_norm_const(d, self._kappa_ems) + self._kappa_ems * align
             )
-            total += float(np.sum(s.resp * per_class_ll))
+            # a class of mixing weight 0 has -inf here and responsibility 0,
+            # and contributes 0
+            total += float(np.sum(np.multiply(s.resp, per_class_ll, where=s.resp > 0.0,
+                                              out=np.zeros_like(per_class_ll))))
             # categorical entropy, 0 log 0 := 0
             with np.errstate(divide="ignore", invalid="ignore"):
                 ent = -np.where(s.resp > 0.0, s.resp * np.log(s.resp), 0.0)

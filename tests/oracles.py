@@ -223,3 +223,64 @@ def exact_chain_posterior(
     mean = cov @ info
     return (np.stack([mean[b] for b in blocks[1:]]),
             np.stack([cov[b, b] for b in blocks[1:]]))
+
+
+def vmf_window_elbo(
+    etas: np.ndarray,
+    anchor_scale: np.ndarray,
+    anchor_vec: np.ndarray,
+    kappa_trans: float,
+    kappa_ems: float,
+    feats: list,
+    resps: list,
+    mixings: list,
+):
+    """Mean-field ELBO of a vMF window and its gradient, in natural parameters.
+
+    etas is (T, K, D): step t's belief over class k's prototype is vMF
+    with direction eta/|eta| and concentration |eta|, so its expected
+    prototype is e = A_D(|eta|) eta/|eta|. The anchor's message to step 0
+    is anchor_scale[:, None] * anchor_vec; consecutive steps are tied by
+    kappa_trans, and sample n of step t belongs to class k with
+    responsibility resps[t][n, k], emission concentration kappa_ems. The
+    ELBO is the expected log joint (anchor, transitions, assignments and
+    emissions, normalizers included) plus the entropies of the vMF beliefs
+    and of the assignments. Bessel values come from scipy's scaled ive.
+
+    With c the sum of messages to eta (the anchor or neighbours' kappa e,
+    plus kappa_ems sum_n r_nk h_n), the gradient is J (c - eta) with J the
+    Jacobian of e in eta, so eta = c is the stationary point.
+    """
+    t_len, k, d = etas.shape
+    nu = d / 2.0 - 1.0
+
+    def log_c(kappa):
+        kappa = np.asarray(kappa, dtype=float)
+        return (nu * np.log(kappa) - (nu + 1.0) * np.log(2.0 * np.pi)
+                - np.log(ive(nu, kappa)) - kappa)
+
+    gamma = np.linalg.norm(etas, axis=2)                  # (T, K)
+    mu = etas / gamma[..., None]
+    a = ive(d / 2.0, gamma) / ive(nu, gamma)
+    e = a[..., None] * mu
+    msgs = np.zeros_like(etas)
+    msgs[0] += anchor_scale[:, None] * anchor_vec
+    msgs[1:] += kappa_trans * e[:-1]
+    msgs[:-1] += kappa_trans * e[1:]
+    elbo = float(np.sum(log_c(anchor_scale)) + np.sum(anchor_scale[:, None] * anchor_vec * e[0]))
+    elbo += (t_len - 1) * k * float(log_c(kappa_trans))
+    elbo += kappa_trans * float(np.sum(e[:-1] * e[1:]))
+    for t, (h, r, pi) in enumerate(zip(feats, resps, mixings)):
+        msgs[t] += kappa_ems * (r.T @ h)
+        with np.errstate(divide="ignore"):
+            log_pi = np.log(pi)
+        elbo += float(np.sum(r * (np.where(r > 0.0, log_pi, 0.0) + log_c(kappa_ems)
+                                  + kappa_ems * (h @ e[t].T))))
+        elbo -= float(np.sum(np.where(r > 0.0, r * np.log(np.where(r > 0.0, r, 1.0)), 0.0)))
+    elbo += float(np.sum(-log_c(gamma) - gamma * a))
+    # J = (A / g) I + (A' - A / g) mu mu^T, with A' = 1 - A^2 - (D - 1) A / g
+    a_prime = 1.0 - a * a - (d - 1) * a / gamma
+    diff = msgs - etas
+    grad = ((a / gamma)[..., None] * diff
+            + ((a_prime - a / gamma) * np.sum(mu * diff, axis=2))[..., None] * mu)
+    return elbo, grad

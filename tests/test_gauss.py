@@ -826,7 +826,8 @@ class TestGaussModel:
                 scalar.adapt(t, batch)
                 assert not calls
                 dense.adapt(t, batch)
-                # the dense filter alone factors once per class and step in each sweep
+                # soft assignments move every step's weights between sweeps, so the
+                # dense filter alone factors once per class and step in each sweep
                 assert len(calls) >= k * t * cfg.e_sweeps
                 calls.clear()
 
@@ -915,9 +916,9 @@ class PerClassLoopModel(GaussModel):
                     [s.feats for s in self._steps], new_a, False, True)
         return self
 
-    def _dense_filter_smooth(self, full=True, anchor_pred=None):
-        # the reference ignores the sweep hints: it predicts the anchor and
-        # smooths in full every time
+    def _dense_filter_smooth(self, full=True):
+        # the reference ignores the sweep hint and keeps no record: it
+        # predicts the anchor, filters and smooths in full every time
         k, d = self.config.k, self.config.d
         steps = self._steps
         t_len = len(steps)
@@ -1014,3 +1015,80 @@ class TestDensePathOracle:
                 np.testing.assert_allclose(a.belief.cov, b.belief.cov, rtol=0, atol=1e-10)
                 np.testing.assert_allclose(a.resp, b.resp, rtol=0, atol=1e-10)
             np.testing.assert_allclose(model._last_gains, ref._last_gains, rtol=0, atol=1e-10)
+
+
+class TestDenseFilterRecord:
+    """Within one `adapt`, a sweep keeps the filter covariances of the
+    longest prefix of steps whose weights equal the previous sweep's."""
+
+    D, K, N = 6, 4, 12
+
+    def model_pair(self, e_sweeps, learn_sigmas=True):
+        w0 = np.eye(self.K, self.D)
+        w0[3] *= 20.0  # far from every sample: an empty cluster on every path
+        cfg = GaussConfig(d=self.D, k=self.K, window=3, e_sweeps=e_sweeps,
+                          sigma_ems_scale=1e-3, learn_transition=True,
+                          learn_sigmas=learn_sigmas)
+        return w0, GaussModel(w0, cfg), PerClassLoopModel(w0, cfg)
+
+    def confident_batch(self, rng, w0):
+        # the same label counts at every step, and responsibilities of exactly
+        # 0 and 1, so the weights repeat bit for bit across sweeps and steps
+        labels = np.repeat([0, 1, 2], self.N // 3)
+        return w0[labels] + 0.01 * rng.standard_normal((self.N, self.D))
+
+    def assert_matches(self, model, ref):
+        for a, b in zip(model._steps, ref._steps):
+            np.testing.assert_allclose(a.belief.mean, b.belief.mean, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(a.belief.cov, b.belief.cov, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(a.resp, b.resp, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(model._last_gains, ref._last_gains, rtol=0, atol=1e-10)
+        for name in ("transition", "sigma_trans", "sigma_ems"):
+            np.testing.assert_allclose(getattr(model, name), getattr(ref, name),
+                                       rtol=0, atol=1e-10)
+
+    def counted_updates(self, monkeypatch):
+        """The weights of every kf_update_weighted call, in call order."""
+        weights = []
+
+        def counting(*args, **kwargs):
+            weights.append(args[3].sum(axis=0))
+            return kf_update_weighted(*args, **kwargs)
+
+        monkeypatch.setattr(gauss, "kf_update_weighted", counting)
+        return weights
+
+    def test_confident_stream_updates_each_step_once_per_adapt(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        w0, model, ref = self.model_pair(e_sweeps=3)
+        calls = self.counted_updates(monkeypatch)
+        for t in range(1, 7):
+            batch = self.confident_batch(rng, w0)
+            ref.adapt(t, batch)
+            calls.clear()
+            model.adapt(t, batch)
+            # the M-step moved A, Q and R, so the first sweep recomputes
+            # every step although its weights equal the last adapt's
+            assert len(calls) == len(model._steps)
+            assert set(np.unique(model._steps[-1].resp)) == {0.0, 1.0}
+            assert model._record is None
+            self.assert_matches(model, ref)
+
+    def test_weights_changed_at_the_last_step_recompute_it(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        # R stays 1e-3: the confident samples keep responsibilities of 0
+        # and 1, and the one sample between two classes moves between sweeps
+        w0, model, ref = self.model_pair(e_sweeps=2, learn_sigmas=False)
+        calls = self.counted_updates(monkeypatch)
+        for t in range(1, 6):
+            batch = self.confident_batch(rng, w0)
+            if t == 5:
+                batch[0] = normalize_rows(model.prototypes[:2].sum(axis=0, keepdims=True))[0]
+            ref.adapt(t, batch)
+            calls.clear()
+            model.adapt(t, batch)
+            self.assert_matches(model, ref)
+        # the second sweep kept the two older steps and recomputed the
+        # newest, whose weights had moved by about half a sample
+        assert len(calls) == len(model._steps) + 1
+        assert np.abs(calls[-1] - calls[len(model._steps) - 1]).max() > 1e-3

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import softmax
 from scipy.stats import ortho_group
 
@@ -786,3 +787,79 @@ class TestInvariants:
         for c in range(k):
             assert angular_deg(model.prototypes[c], rho[c]) < math.degrees(1e-6)
         np.testing.assert_allclose(model._steps[-1].resp, resp, atol=1e-8)
+
+
+class TestWindowElboOracle:
+    """The sweeps' fixed point against a numerical optimum of the window ELBO.
+
+    The tracker needs K >= 2, so class 1 gets mixing weight 0 at every
+    step: its responsibilities are exactly 0 and class 0's exactly 1, and
+    each class is a K=1 chain, class 1 one without data. With the
+    responsibilities fixed, the ELBO is a function of each step's natural
+    parameter eta in R^D alone (`oracles.vmf_window_elbo`), which L-BFGS-B
+    maximizes from the source prototypes. A window of `steps` > `window`
+    has an evicted belief for its anchor, the others the source prior.
+    Recorded: the ELBO gap (fixed point minus optimum) was at most 7e-14
+    relative, the concentrations agreed within 2.3e-7 relative and the
+    unit directions within 1.4e-8. The optimizer's own convergence sets
+    these, so the bounds are 1e-9, 1e-5 and 1e-6.
+    """
+
+    KAPPA_TRANS, KAPPA_EMS, KAPPA0 = 10.0, 20.0, 50.0
+
+    @pytest.mark.parametrize("d, window, steps", [(3, 2, 2), (3, 2, 3), (8, 3, 3), (8, 2, 3)])
+    def test_fixed_point_is_the_optimum(self, d, window, steps):
+        rng = np.random.default_rng(40)
+        pole = np.eye(1, d)[0]
+        w0 = np.stack([pole, -pole])
+        cfg = VmfConfig(d=d, k=2, kappa_trans=self.KAPPA_TRANS, kappa_ems=self.KAPPA_EMS,
+                        kappa0=self.KAPPA0, window=window, e_sweeps=1)
+        model = VmfModel(w0, cfg)
+        drift = unit(rng.standard_normal(d))
+        for t in range(1, steps + 1):
+            centre = unit(pole + 0.2 * t * drift)
+            model.adapt(t, cluster_batch(rng, centre[None], np.zeros(8, dtype=int), noise=0.3))
+        for s in model._steps:
+            s.mixing = np.array([1.0, 0.0])
+
+        def etas():
+            return np.stack([s.belief.conc[:, None] * s.belief.mean_dir for s in model._steps])
+
+        prev = etas()
+        for _ in range(100):
+            model.coordinate_ascent_sweep()
+            cur = etas()
+            if np.abs(cur - prev).max() <= 1e-12 * np.abs(cur).max():
+                break
+            prev = cur
+        else:
+            pytest.fail("the sweeps did not converge")
+        for s in model._steps:
+            assert np.all(s.resp[:, 0] == 1.0) and np.all(s.resp[:, 1] == 0.0)
+
+        if model._anchor is model._prior:
+            anchor_scale, anchor_vec = np.full(2, self.KAPPA0), w0
+        else:  # an evicted belief: kappa_trans times its expected prototype
+            gone = model._anchor
+            anchor_scale = np.full(2, self.KAPPA_TRANS)
+            anchor_vec = oracles.scipy_bessel_ratio(d, gone.conc)[:, None] * gone.mean_dir
+        args = (anchor_scale, anchor_vec, self.KAPPA_TRANS, self.KAPPA_EMS,
+                [s.feats for s in model._steps], [s.resp for s in model._steps],
+                [s.mixing for s in model._steps])
+
+        def neg_elbo(x):
+            value, grad = oracles.vmf_window_elbo(x.reshape(cur.shape), *args)
+            return -value, -grad.ravel()
+
+        start = np.broadcast_to(self.KAPPA0 * w0, cur.shape).ravel()
+        res = minimize(neg_elbo, start, jac=True, method="L-BFGS-B",
+                       options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 1000})
+        best = res.x.reshape(cur.shape)
+        elbo = model.window_elbo()
+        assert elbo == pytest.approx(oracles.vmf_window_elbo(cur, *args)[0], rel=1e-12)
+        assert abs(elbo + res.fun) <= 1e-9 * abs(res.fun)
+        np.testing.assert_allclose(np.linalg.norm(cur, axis=2), np.linalg.norm(best, axis=2),
+                                   rtol=1e-5)
+        np.testing.assert_allclose(cur / np.linalg.norm(cur, axis=2, keepdims=True),
+                                   best / np.linalg.norm(best, axis=2, keepdims=True),
+                                   rtol=0, atol=1e-6)

@@ -17,6 +17,7 @@ MODELS = {
     "vmf": lambda: VmfModel(np.eye(2, D), VmfConfig(d=D, k=2)),
     "vmf-static": lambda: VmfModel(np.eye(2, D), VmfConfig(d=D, k=2), static=True),
     "gauss": lambda: GaussModel(np.eye(2, D), GaussConfig(d=D, k=2)),
+    "gauss-dense": lambda: GaussModel(np.eye(2, D), GaussConfig(d=D, k=2, learn_transition=True)),
 }
 BATCH = np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.2], [0.3, 0.0, 1.0]])
 
@@ -55,6 +56,12 @@ def test_views_and_predict_need_an_adapt(model):
     for view in (lambda: model.predict(BATCH), lambda: model.prototypes, lambda: model.mixing):
         with pytest.raises(NotAdaptedError):
             view()
+
+
+def test_sweep_needs_an_adapt(model):
+    sweep = getattr(model, "coordinate_sweep", None) or model.coordinate_ascent_sweep
+    with pytest.raises(NotAdaptedError):
+        sweep()
 
 
 def test_static_anchor_never_advances():
