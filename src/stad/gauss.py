@@ -16,17 +16,17 @@ and r and each belief's covariance as one variance per class, shape
 With either learn flag set it stores (D, D) and (K, D, D) matrices and
 runs the dense path. There the kf_* functions take one stacked form, a
 leading class axis of size K, so one filter step and one smoother step
-each handle all K classes. Every factorization goes through `_cholesky`.
-The smoother gain and the M-step's transition solve factor and solve a
-(K, D, D) stack in one call; the measurement update and the predictive
-assignments factor and solve one class at a time, because a stacked
-triangular solve was slower than that loop. Nothing inverts a matrix
-explicitly, a measurement update makes one triangular solve per class
-for its covariances and one solve against R's factor for its means, and
-the smoother takes the filter's predictions. Non-finite input raises
-DomainError, checked once per stacked array. The dense path scales with
-D^3, so a model that learns its parameters is gated to D <= 256 unless
-explicitly overridden.
+each handle all K classes. Every factorization goes through `_cholesky`
+and every solve through `_solve`, which overwrites its right-hand side
+with right-side BLAS trsm calls, one factor at a time. The smoother gain
+and the M-step's transition solve factor a (K, D, D) stack in one call;
+the measurement update and the predictive assignments factor one class
+at a time. Nothing inverts a matrix explicitly, a measurement update
+makes one triangular solve per class for its covariances and one solve
+against R's factor for its means, and the smoother takes the filter's
+predictions. Non-finite input raises DomainError, checked once per
+stacked array. The dense path scales with D^3, so a model that learns
+its parameters is gated to D <= 256 unless explicitly overridden.
 
 A dense `adapt` computes only what is read. The anchor, A, Q and R stay
 fixed until the M-step, and the filter covariances depend on a batch
@@ -52,8 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg import cho_factor
+from scipy.linalg.blas import dtrsm
 
 from .errors import (
     ConfigError,
@@ -170,17 +170,38 @@ def _finite(where: str, *arrays) -> None:
             raise DomainError(f"{where}: inputs must be finite")
 
 
-def _cholesky(m: np.ndarray):
-    """Lower Cholesky factor of one finite symmetric positive-definite
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of one finite symmetric positive-definite
     (D, D) matrix, or of each matrix of a (K, D, D) stack.
 
-    Reads the lower triangles only; returns the (factor, lower) pair that
-    cho_solve takes, with lower True.
+    Reads the lower triangles only. The factor is L in its lower triangle;
+    what lies above the diagonal is not part of it, and `_solve` reads
+    only the lower triangle.
     """
     try:
-        return cho_factor(m, lower=True, check_finite=False)[0], True
+        return cho_factor(m, lower=True, check_finite=False)[0]
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
+
+
+def _solve(factor: np.ndarray, x: np.ndarray, half: bool = False) -> np.ndarray:
+    """x <- S^{-1} x for S = L L^T, or x <- L^{-1} x with half, in place.
+
+    factor is `_cholesky`'s L of one (D, D) matrix and x is (D, n), or
+    factor is a (K, D, D) stack and x (K, D, n), one block per matrix.
+    Returns x. An x that is not a writable C-ordered float array is
+    copied first, so use the return value. Each block runs as right-side
+    trsm calls on the Fortran view x[i].T: x^T <- x^T L^{-T}, then
+    x^T L^{-1}. On OpenBLAS with one thread these ran about twice as fast
+    as the left-side kernel, potrs or trtrs on 64 x 64 blocks, for the
+    same flops. It checks nothing.
+    """
+    x = np.require(x, dtype=float, requirements="CAW")
+    for low, block in zip(factor.reshape(-1, *factor.shape[-2:]), x.reshape(-1, *x.shape[-2:])):
+        dtrsm(1.0, low, block.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        if not half:
+            dtrsm(1.0, low, block.T, side=1, lower=1, trans_a=0, overwrite_b=1)
+    return x
 
 
 def kf_predict(mean: np.ndarray, cov: np.ndarray, transition: np.ndarray,
@@ -216,8 +237,9 @@ def kf_update_weighted(
     (D, D). Each class's weighted batch collapses to one pseudo-observation:
     the weighted mean with emission noise scaled down by the total weight
     w. A total weight at or below 1e-8 (an empty cluster) keeps that
-    class's prior. Otherwise S = P + R / w is factored as L L^T, one
-    triangular solve gives W = L^{-1} P, and the posterior covariance is
+    class's prior. Otherwise S = P + R / w is factored as L L^T and W =
+    L^{-1} P solved in place, one class at a time (a `_cholesky` and a
+    half `_solve` per class), and the posterior covariance is
     P_f = P - W^T W. The posterior mean is m + w P_f R^{-1} (obs - m), the
     same gain in information form, from one factorization of R (see
     `_update_means`). A non-positive-definite S or R raises
@@ -242,15 +264,11 @@ def kf_update_weighted(
         return mean.copy(), new_cov
     prior = cov[live]
     innov_cov = prior + sigma_ems / weight[live, None, None]
-    # W = L^{-1} P one class at a time (at K=10, D=64 on one BLAS thread a
-    # stacked solve_triangular took about 0.56 ms against 0.42 ms for this
-    # dtrtrs loop), solved in place: white_t[i] holds W^T, so white_t[i].T
-    # is P_i, then W_i, in the Fortran order dtrtrs writes without a copy
-    white_t = np.swapaxes(prior, -1, -2).copy()
+    # W = L^{-1} P, factored and solved in place one class at a time
+    white = prior.copy()
     for i in range(live.size):
-        # potrf succeeded, so L has a positive diagonal and trtrs cannot fail
-        dtrtrs(_cholesky(innov_cov[i])[0], white_t[i].T, lower=1, overwrite_b=1)
-    new_cov[live] = _sym(prior - white_t @ np.swapaxes(white_t, -1, -2))
+        _solve(_cholesky(innov_cov[i]), white[i], half=True)
+    new_cov[live] = _sym(prior - np.swapaxes(white, -1, -2) @ white)
     return _update_means(mean, new_cov, feats, resp, weight, _cholesky(sigma_ems)), new_cov
 
 
@@ -272,9 +290,9 @@ def _update_means(mean: np.ndarray, post_cov: np.ndarray, feats: np.ndarray,
     A class with weight at or below 1e-8 keeps its prior mean. It checks
     nothing; kf_update_weighted and the dense filter check its inputs.
     """
-    resid = resp.T @ feats - weight[:, None] * mean
-    resid[weight <= _EMPTY_CLUSTER_EPS] = 0.0
-    x = cho_solve(ems_factor, resid.T, check_finite=False).T
+    resid = feats.T @ resp - mean.T * weight   # (D, K)
+    resid[:, weight <= _EMPTY_CLUSTER_EPS] = 0.0
+    x = _solve(ems_factor, resid).T
     return mean + (post_cov @ x[..., None])[..., 0]
 
 
@@ -293,8 +311,10 @@ def kf_smooth(
     1..T-1, A m_i and A P_i A^T + Q from step i; transition is (K, D, D).
     Returns the smoothed means and covs and the smoother gains
     J_i = P_i A^T (A P_i A^T + Q)^{-1}, one (T-1, K, D, D) array, needed
-    for lag-one cross moments. A single step returns the filtered moments
-    unchanged.
+    for lag-one cross moments. Each backward step factors the K predicted
+    covariances in one `_cholesky` call and solves J^T = (A P A^T + Q)^{-1}
+    A P with one `_solve` on the stack. A single step returns the filtered
+    moments unchanged.
     """
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
@@ -310,8 +330,8 @@ def kf_smooth(
     sm, sc = means.copy(), covs.copy()
     gains = np.empty(pred_covs.shape)
     for i in range(means.shape[0] - 2, -1, -1):
-        # J^T = (A P A^T + Q)^{-1} A P, all K classes in one stacked solve
-        gain_t = cho_solve(_cholesky(pred_covs[i]), transition @ covs[i], check_finite=False)
+        # J^T = (A P A^T + Q)^{-1} A P, all K classes in one stacked call
+        gain_t = _solve(_cholesky(pred_covs[i]), transition @ covs[i])
         gains[i] = gain = np.swapaxes(gain_t, -1, -2)
         sm[i] = means[i] + (gain @ (sm[i + 1] - pred_means[i])[..., None])[..., 0]
         sc[i] = _sym(covs[i] + gain @ (sc[i + 1] - pred_covs[i]) @ gain_t)
@@ -332,8 +352,7 @@ def _smooth_means(means: np.ndarray, covs: np.ndarray, pred_means: np.ndarray,
     sm = means.copy()
     a_t = np.swapaxes(transition, -1, -2)
     for i in range(means.shape[0] - 2, -1, -1):
-        x = cho_solve(_cholesky(pred_covs[i]), (sm[i + 1] - pred_means[i])[..., None],
-                      check_finite=False)
+        x = _solve(_cholesky(pred_covs[i]), (sm[i + 1] - pred_means[i])[..., None])
         sm[i] = means[i] + (covs[i] @ (a_t @ x))[..., 0]
     return sm
 
@@ -359,37 +378,50 @@ def gauss_assignments(
     form: R = r I with sigma_ems the float r, and class j's covariance
     c_j I, so the quadratic forms are squared distances over r (+ c_j)
     and nothing is factored. In the dense form R = L L^T is factored
-    once and the batch and the means are whitened by L^{-1}; the
-    predictive form factors R + P_j once per class.
+    once, and one half `_solve` whitens the batch and the means together,
+    as the (D, N + K) columns of one array; the predictive form factors
+    R + P_j and whitens the batch once per class.
+
+    The mean must be (K, D), the batch (N, D) and mixing (K,); the scalar
+    form takes a float sigma_ems and the dense form (K, D, D) covariances
+    with a (D, D) sigma_ems. Anything else raises DimensionMismatchError.
     """
     feats = np.asarray(feats, dtype=float)
-    k, d = belief.mean.shape
-    if feats.ndim != 2 or feats.shape[1] != d:
-        raise DimensionMismatchError(f"batch {feats.shape} vs prototypes (*, {d})")
+    mixing = np.asarray(mixing, dtype=float)
+    sigma_ems = np.asarray(sigma_ems, dtype=float)
+    mean, cov = np.asarray(belief.mean, dtype=float), np.asarray(belief.cov, dtype=float)
+    if mean.ndim != 2 or feats.ndim != 2 or feats.shape[1] != mean.shape[1]:
+        raise DimensionMismatchError(f"batch {feats.shape} vs prototypes {mean.shape}")
+    (k, d), scalar = mean.shape, cov.ndim == 1
+    if (mixing.shape != (k,) or cov.shape != ((k,) if scalar else (k, d, d))
+            or sigma_ems.shape != (() if scalar else (d, d))):
+        raise DimensionMismatchError(f"gauss_assignments needs ({k},) mixing, and ({k},) "
+                                     f"covariances with a float R or ({k}, {d}, {d}) with a "
+                                     f"({d}, {d}) R")
     with np.errstate(divide="ignore"):
-        log_pi = np.log(np.asarray(mixing, dtype=float))
-    if belief.cov.ndim == 1:
-        var = sigma_ems + belief.cov if predictive else sigma_ems
+        log_pi = np.log(mixing)
+    if scalar:
+        var = sigma_ems + cov if predictive else sigma_ems
         logdet = d * np.log(var)
-        quad = _sq_dist(feats.T, belief.mean.T) / var
+        quad = _sq_dist(feats.T, mean.T) / var
     elif predictive:
-        _finite("gauss_assignments", feats, belief.mean, belief.cov, sigma_ems)
-        innov_cov = _sym(sigma_ems + belief.cov)
+        _finite("gauss_assignments", feats, mean, cov, sigma_ems)
+        innov_cov = _sym(sigma_ems + cov)
+        feats_t = feats.T.copy()
         quad = np.empty((feats.shape[0], k))
         logdet = np.empty(k)
-        # one class at a time: a stacked triangular solve is slower (kf_update_weighted)
         for j in range(k):
-            chol = _cholesky(innov_cov[j])[0]
+            chol = _cholesky(innov_cov[j])
             logdet[j] = 2.0 * np.sum(np.log(np.diag(chol)))
-            white = dtrtrs(chol, (feats - belief.mean[j]).T, lower=1)[0]
+            white = _solve(chol, feats_t - mean[j][:, None], half=True)
             quad[:, j] = np.einsum("dn,dn->n", white, white)
     else:
-        _finite("gauss_assignments", feats, belief.mean, sigma_ems)
-        chol = _cholesky(_sym(sigma_ems))[0]
+        _finite("gauss_assignments", feats, mean, sigma_ems)
+        chol = _cholesky(_sym(sigma_ems))
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        x = dtrtrs(chol, feats.T, lower=1)[0]          # (D, N)
-        m = dtrtrs(chol, belief.mean.T, lower=1)[0]    # (D, K)
-        quad = _sq_dist(x, m)
+        # the batch and the means whitened in one solve: (D, N + K)
+        white = _solve(chol, np.concatenate((feats.T, mean.T), axis=1), half=True)
+        quad = _sq_dist(white[:, :feats.shape[0]], white[:, feats.shape[0]:])
     logits = log_pi - 0.5 * (quad + logdet + d * np.log(2.0 * np.pi))
     return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
 
@@ -459,8 +491,7 @@ def gauss_m_step(
     if learn_transition:
         # A_j = S_lag S_prev^{-1}: solve S_prev A_j^T = S_lag^T
         s_prev_reg = _sym(s_prev) + _EIG_FLOOR * np.eye(d)
-        new_a = np.swapaxes(cho_solve(_cholesky(s_prev_reg), np.swapaxes(s_lag, -1, -2),
-                                      check_finite=False), -1, -2)
+        new_a = np.swapaxes(_solve(_cholesky(s_prev_reg), np.swapaxes(s_lag, -1, -2)), -1, -2)
 
     new_q = new_r = None
     if learn_sigmas:
@@ -502,7 +533,7 @@ class _FilterRecord:
 
     stacks: tuple[np.ndarray, np.ndarray] | None = None
     weights: list[np.ndarray] = field(default_factory=list)
-    ems_factor: tuple[np.ndarray, bool] | None = None
+    ems_factor: np.ndarray | None = None
 
 
 class GaussModel(SlidingWindow):

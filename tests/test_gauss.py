@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from stad import gauss
 from stad.errors import (
@@ -361,6 +361,90 @@ class TestGaussAssignments:
             np.array([[0.0]]), belief, np.full(2, 0.5), np.eye(1), predictive=True
         )
         assert abs(pred[0, 0] - 0.5) < abs(plug[0, 0] - 0.5)
+
+    @pytest.mark.parametrize("dense, mixing, sigma_ems", [
+        (True, np.full(2, 1 / 3), np.eye(3)),        # mixing not (K,)
+        (False, np.full((1, 3), 1 / 3), 0.5),         # mixing (1, K)
+        (False, np.full(3, 1 / 3), np.eye(3)),       # (D, D) R with (K,) covariances
+        (True, np.full(3, 1 / 3), 0.5),              # float R with (K, D, D) covariances
+        (True, np.full(3, 1 / 3), np.eye(2)),        # R of another D
+    ])
+    @pytest.mark.parametrize("predictive", [False, True])
+    def test_mismatched_shapes_raise(self, dense, mixing, sigma_ems, predictive):
+        rng = np.random.default_rng(27)
+        cov = np.tile(np.eye(3), (3, 1, 1)) if dense else np.ones(3)
+        belief = GaussBelief(rng.standard_normal((3, 3)), cov)
+        with pytest.raises(DimensionMismatchError):
+            gauss_assignments(rng.standard_normal((5, 3)), belief, mixing, sigma_ems,
+                              predictive=predictive)
+
+    def test_prototypes_not_a_matrix_raise(self):
+        belief = GaussBelief(np.zeros(3), np.ones(3))
+        with pytest.raises(DimensionMismatchError):
+            gauss_assignments(np.zeros((2, 3)), belief, np.ones(1), 0.5)
+
+
+class TestSolve:
+    """`_solve` against scipy's cho_solve and solve_triangular."""
+
+    def spd_stack(self, rng, k, d):
+        return np.stack([random_spd(rng, d) for _ in range(k)])
+
+    def assert_close(self, got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def want(self, spd, x, half):
+        if half:
+            return solve_triangular(np.linalg.cholesky(spd), x, lower=True)
+        return cho_solve(cho_factor(spd, lower=True), x)
+
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_single_matrix(self, d, half):
+        rng = np.random.default_rng(d)
+        spd = random_spd(rng, d)
+        x = rng.standard_normal((d, 5))
+        got = gauss._solve(gauss._cholesky(spd), x.copy(), half=half)
+        self.assert_close(got, self.want(spd, x, half))
+
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_stack(self, d, half):
+        rng = np.random.default_rng(100 + d)
+        spd = self.spd_stack(rng, 4, d)
+        x = rng.standard_normal((4, d, 7))
+        got = gauss._solve(gauss._cholesky(spd), x.copy(), half=half)
+        for i in range(4):
+            self.assert_close(got[i], self.want(spd[i], x[i], half))
+
+    @pytest.mark.parametrize("half", [False, True])
+    def test_solves_in_place(self, half):
+        rng = np.random.default_rng(5)
+        spd = self.spd_stack(rng, 3, 6)
+        x = rng.standard_normal((3, 6, 6))
+        want = np.stack([self.want(s, b, half) for s, b in zip(spd, x)])
+        out = gauss._solve(gauss._cholesky(spd), x, half=half)
+        assert out is x
+        self.assert_close(x, want)
+
+    @pytest.mark.parametrize("half", [False, True])
+    def test_transposed_view_comes_back_solved(self, half):
+        rng = np.random.default_rng(8)
+        spd = self.spd_stack(rng, 3, 5)
+        x = np.swapaxes(rng.standard_normal((3, 5, 5)), -1, -2)
+        want = np.stack([self.want(s, b, half) for s, b in zip(spd, x)])
+        self.assert_close(gauss._solve(gauss._cholesky(spd), x, half=half), want)
+        single = rng.standard_normal((4, 5)).T
+        self.assert_close(gauss._solve(gauss._cholesky(spd[0]), single, half=half),
+                          self.want(spd[0], single, half))
+
+    def test_reads_the_lower_triangle_only(self):
+        rng = np.random.default_rng(9)
+        spd = random_spd(rng, 4)
+        factor = gauss._cholesky(spd)
+        factor[np.triu_indices(4, 1)] = np.nan
+        x = rng.standard_normal((4, 3))
+        self.assert_close(gauss._solve(factor, x.copy()), self.want(spd, x, False))
 
 
 class TestGaussMStep:
