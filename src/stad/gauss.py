@@ -189,8 +189,11 @@ def _solve(factor: np.ndarray, x: np.ndarray, half: bool = False) -> np.ndarray:
 
     factor is `_cholesky`'s L of one (D, D) matrix and x is (D, n), or
     factor is a (K, D, D) stack and x (K, D, n), one block per matrix.
-    Returns x. An x that is not a writable C-ordered float array is
-    copied first, so use the return value. Each block runs as right-side
+    Returns x. A writable C-ordered float x is overwritten, also when it
+    is a view of a caller's array (a transposed (K, 1, 1) or (1, n) view
+    is C-ordered), so pass a fresh array unless the caller means its own
+    to be overwritten. Any other x is copied first, so use the return
+    value. Each block runs as right-side
     trsm calls on the Fortran view x[i].T: x^T <- x^T L^{-T}, then
     x^T L^{-1}. On OpenBLAS with one thread these ran about twice as fast
     as the left-side kernel, potrs or trtrs on 64 x 64 blocks, for the
@@ -491,7 +494,10 @@ def gauss_m_step(
     if learn_transition:
         # A_j = S_lag S_prev^{-1}: solve S_prev A_j^T = S_lag^T
         s_prev_reg = _sym(s_prev) + _EIG_FLOOR * np.eye(d)
-        new_a = np.swapaxes(_solve(_cholesky(s_prev_reg), np.swapaxes(s_lag, -1, -2)), -1, -2)
+        # a fresh right-hand side: at D = 1 the transposed view of s_lag is
+        # C-ordered, and _solve would overwrite s_lag itself
+        s_lag_t = np.swapaxes(s_lag, -1, -2).copy()
+        new_a = np.swapaxes(_solve(_cholesky(s_prev_reg), s_lag_t), -1, -2)
 
     new_q = new_r = None
     if learn_sigmas:

@@ -467,6 +467,34 @@ class TestGaussMStep:
         for j in range(k):
             np.testing.assert_allclose(new_a[j], np.eye(d), atol=1e-6)
 
+    def test_one_dimension_matches_closed_form(self):
+        # At D = 1 every moment is a scalar per class: a = s_lag / s_prev,
+        # q = mean_k (s_cur - 2 a s_lag + a^2 s_prev) / (T - 1), and r the
+        # weighted mean of (h - m)^2 + P over every sample and class.
+        rng = np.random.default_rng(11)
+        t_len, k = 4, 3
+        means = rng.standard_normal((t_len, k))
+        covs = rng.uniform(0.5, 1.5, (t_len, k))
+        gains = rng.uniform(0.2, 0.9, (t_len - 1, k))
+        feats = [rng.standard_normal((n, 1)) for n in (5, 0, 4, 6)]
+        resps = [normalize_rows(rng.uniform(0.1, 1.0, (len(h), k))) for h in feats]
+        beliefs = [GaussBelief(m[:, None], c[:, None, None]) for m, c in zip(means, covs)]
+        new_a, new_q, new_r = gauss_m_step(
+            beliefs, [g[:, None, None] for g in gains], resps, feats,
+            np.ones((k, 1, 1)), True, True)
+
+        s_prev = (covs[:-1] + means[:-1] ** 2).sum(axis=0)
+        s_lag = (covs[1:] * gains + means[1:] * means[:-1]).sum(axis=0)
+        s_cur = (covs[1:] + means[1:] ** 2).sum(axis=0)
+        a = s_lag / (s_prev + 1e-8)
+        q = (s_cur - 2.0 * a * s_lag + a ** 2 * s_prev).sum() / ((t_len - 1) * k)
+        r = sum((w * ((h - m) ** 2 + c)).sum() for h, w, m, c in zip(feats, resps, means, covs))
+        r /= sum(len(h) for h in feats)
+        assert q > 1e-8
+        np.testing.assert_allclose(new_a[:, 0, 0], a, rtol=1e-12)
+        np.testing.assert_allclose(new_q, [[q]], rtol=1e-10)
+        np.testing.assert_allclose(new_r, [[r]], rtol=1e-12)
+
     def test_insufficient_history(self):
         belief = GaussBelief(np.zeros((2, 2)), np.stack([np.eye(2)] * 2))
         with pytest.raises(InsufficientHistoryError):
