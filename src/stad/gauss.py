@@ -28,22 +28,18 @@ predictions. Non-finite input raises DomainError, checked once per
 stacked array. The dense path scales with D^3, so a model that learns
 its parameters is gated to D <= 256 unless explicitly overridden.
 
-A dense `adapt` computes only what is read. The anchor, A, Q and R stay
-fixed until the M-step, and the filter covariances depend on a batch
-only through each class's total weight w = resp.sum(0). So within one
-`adapt` the filter keeps a record: its predicted and filtered moments,
-in stacks allocated once per `adapt`, and the weights each step last
-ran with. A later sweep keeps the covariances of the longest prefix of
-steps whose weights are bit for bit those of the record, moves only
-their means, and recomputes from the first step that differs; the
-anchor's prediction is made once. Each `adapt` starts a fresh record
-and drops it at its end, so a bare sweep recomputes everything.
-With plug-in assignments, a sweep before the last reads nothing of the
-previous sweep but its smoothed means, so it smooths only those; between
-sweeps each step keeps the covariance of the previous `adapt` (a new
-step, that of the step it was copied from). The last sweep, and every
-sweep with predictive assignments, smooths the covariances too and keeps
-the gains the M-step reads. The M-step floors its covariance estimates
+A dense `adapt` computes only what is read. The filter covariances
+depend on a batch only through each class's total weight w = resp.sum(0),
+so a later sweep of one `adapt` keeps the covariances of the longest
+prefix of steps whose weights repeat bit for bit, moves only their means,
+and recomputes from the first step that differs; the anchor's prediction
+is made once (see `_FilterRecord`). With plug-in assignments, a sweep
+before the last reads nothing of the previous sweep but its smoothed
+means, so it smooths only those; between sweeps each step keeps the
+covariance of the previous `adapt` (a new step, that of the step it was
+copied from). The last sweep, and every sweep with predictive
+assignments, smooths the covariances too and keeps the gains the M-step
+reads. The M-step floors its covariance estimates
 with eigh only when a Cholesky test finds an eigenvalue below the floor.
 """
 
@@ -401,6 +397,8 @@ def gauss_assignments(
         raise DimensionMismatchError(f"gauss_assignments needs ({k},) mixing, and ({k},) "
                                      f"covariances with a float R or ({k}, {d}, {d}) with a "
                                      f"({d}, {d}) R")
+    if scalar and not 0.0 < float(sigma_ems) < np.inf:
+        raise DomainError(f"the emission variance r must be finite and > 0, got {sigma_ems}")
     with np.errstate(divide="ignore"):
         log_pi = np.log(mixing)
     if scalar:
@@ -533,8 +531,11 @@ class _FilterRecord:
     The predicted and filtered moments, two stacks of (2, T, K, D) and
     (2, T, K, D, D) allocated once; the weights w = resp.sum(0) each
     window step last ran with; and R's Cholesky factor, made on the first
-    reuse. It is valid while A, Q, R and the anchor hold still, that is
-    until the M-step.
+    reuse. It is valid while A, Q, R and the anchor hold still, so it
+    lives from `_push`, which makes a fresh one, to `_reestimate`, which
+    drops it before the M-step. A sweep of `adapt` that raises drops it
+    too. So no record outlives its `adapt`, and a bare `coordinate_sweep`
+    finds none and recomputes everything.
     """
 
     stacks: tuple[np.ndarray, np.ndarray] | None = None
@@ -561,8 +562,7 @@ class GaussModel(SlidingWindow):
     `adapt` keeps the filter covariances of the steps whose weights
     repeat, a prefix of the window, and makes those calls only from the
     first step whose weights moved; the anchor's prediction is made once
-    per `adapt`. This record of the filter lives only inside `adapt`,
-    because the M-step moves A, Q and R. Sweeps before the last smooth
+    per `adapt` (see `_FilterRecord`). Sweeps before the last smooth
     only the means when the assignments are plug-in, so between sweeps
     the step covariances are those of the previous `adapt`. The last
     sweep makes one kf_smooth call over the window with the filter's
@@ -591,26 +591,30 @@ class GaussModel(SlidingWindow):
             window=config.window,
         )
         self._last_gains: np.ndarray | None = None
-        self._record: _FilterRecord | None = None  # set only inside `adapt`
+        self._record: _FilterRecord | None = None
 
     @property
     def prototypes(self) -> np.ndarray:
         """Posterior prototype means of the newest step."""
         return self._newest().belief.mean
 
-    def adapt(self, t: int, feats: np.ndarray) -> "GaussModel":
-        cfg = self.config
-        self._push(t, feats)
-        # A, Q, R and the anchor hold still until the M-step, so the dense
-        # filter's record is valid from the first sweep to the last; the
-        # predictive assignments read the covariances, so then every sweep
-        # smooths them
+    def _push(self, t: int, feats: np.ndarray) -> None:
+        super()._push(t, feats)
         self._record = _FilterRecord()
+
+    def _sweep(self, last: bool) -> None:
+        # the predictive assignments read the covariances, so then every
+        # sweep smooths them; a sweep that raises drops the filter record
         try:
-            for sweep in range(cfg.e_sweeps):
-                self.coordinate_sweep(cfg.assign_with_predictive or sweep == cfg.e_sweeps - 1)
-        finally:
+            self.coordinate_sweep(self.config.assign_with_predictive or last)
+        except BaseException:
             self._record = None
+            raise
+
+    def _reestimate(self) -> None:
+        """Mixing weights of every window step, then the M-step if one is learned."""
+        cfg = self.config
+        self._record = None  # the M-step moves A, Q and R
         for s in self._steps:
             s.mixing = mixing_update(s.resp, cfg.pi_floor)
         if (cfg.learn_transition or cfg.learn_sigmas) and len(self._steps) >= 2:
@@ -629,7 +633,6 @@ class GaussModel(SlidingWindow):
                 self.sigma_trans = new_q
             if new_r is not None:
                 self.sigma_ems = new_r
-        return self
 
     def coordinate_sweep(self, full: bool = True) -> None:
         """Assignments, forward filter, backward smooth over the window.
@@ -638,10 +641,9 @@ class GaussModel(SlidingWindow):
         smooths the means alone and each step keeps its covariance; `adapt`
         passes that for the sweeps before the last when the assignments are
         plug-in, which read no covariance. Inside `adapt` the dense filter
-        also reuses its record of the previous sweep (see
-        `_dense_filter_smooth`); outside it there is no record, so a bare
-        call recomputes everything. The scalar path ignores `full`. Raises
-        NotAdaptedError before the first `adapt`.
+        also reuses its record of the previous sweep (see `_FilterRecord`).
+        The scalar path ignores `full`. Raises NotAdaptedError before the
+        first `adapt`.
         """
         self._newest()
         for step in self._steps:
@@ -691,14 +693,14 @@ class GaussModel(SlidingWindow):
         """Dense Kalman filter and RTS smoother, all K classes at once.
 
         The filter writes its predicted and filtered moments into the
-        stacks of a `_FilterRecord`, which `adapt` keeps for all its sweeps
-        (a bare call uses a fresh one). The longest prefix of steps whose
-        weights equal the record's bit for bit keeps its covariances, and
-        only its means move: A m, then m + w P_f R^{-1} (obs - m) with R
-        factored once per record. Step 0's prediction is kept whenever the
-        record holds weights, because A, Q and the anchor hold still. From
-        the first step that differs, each step makes one kf_predict (past
-        step 0) and one kf_update_weighted call. With full, one kf_smooth
+        stacks of the model's `_FilterRecord`, or of a fresh one outside
+        `adapt`. The longest prefix of steps whose weights equal the
+        record's bit for bit keeps its covariances, and only its means move:
+        A m, then m + w P_f R^{-1} (obs - m) with R factored once per
+        record. Step 0's prediction is kept whenever the record holds
+        weights, because A, Q and the anchor hold still. From the first
+        step that differs, each step makes one kf_predict (past step 0) and
+        one kf_update_weighted call. With full, one kf_smooth
         call reuses the filter's predictions and keeps the (T-1, K, D, D)
         smoother gains for the M-step. Without it only the smoothed means
         are computed: each step's covariance stays as it was and the kept

@@ -6,12 +6,15 @@ embeddings at each step follow a vMF mixture around the current
 prototypes. Inference is mean-field coordinate ascent over a sliding
 window: per-sample assignment updates and per-class prototype-belief
 updates alternate in fixed left-to-right sweeps, followed by closed-form
-mixing-weight (and optionally concentration) re-estimates.
+mixing-weight (and optionally concentration) re-estimates. The window
+engine's `adapt` runs that loop; this module supplies the sweep and the
+re-estimates.
 
 The newest prototype directions double as an adapted last-layer weight
-matrix: predictions are a temperature-scaled softmax of their dot
-products with the embeddings, with per-class normalizer and mixing-weight
-bias terms when those are not shared/uniform.
+matrix: predictions are the assignment step's cluster posterior on those
+directions, a temperature-scaled softmax of their dot products with the
+embeddings plus the log-mixing (and, with per-class concentrations,
+log-normalizer) bias terms.
 """
 
 from __future__ import annotations
@@ -146,14 +149,16 @@ def assignment_step(
         raise DimensionMismatchError(
             f"feats {feats.shape} vs prototypes {expected.shape}"
         )
-    if not np.all(np.isfinite(feats)):
-        raise DomainError("embeddings contain non-finite entries")
     k = expected.shape[0]
     kappa_ems = np.broadcast_to(np.asarray(kappa_ems, dtype=float), (k,))
+    with np.errstate(invalid="ignore", over="ignore"):
+        dots = feats @ expected.T
+    # a NaN or infinity in either input reaches the dots of its row, so
+    # this O(N K) check also covers the (N, D) batch
+    if not np.isfinite(dots).all():
+        raise DomainError("embeddings or prototypes contain non-finite entries")
     with np.errstate(divide="ignore"):
-        logits = np.log(np.asarray(mixing, dtype=float)) + kappa_ems * (
-            feats @ expected.T
-        )
+        logits = np.log(np.asarray(mixing, dtype=float)) + kappa_ems * dots
     if per_class:
         logits = logits + log_vmf_norm_const(d, kappa_ems)
     return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
@@ -263,26 +268,14 @@ def predict_probs(
     d: int,
     per_class: bool = False,
 ) -> np.ndarray:
-    """Class probabilities from prototype directions.
+    """Class probabilities from prototype directions: the cluster posterior
+    of `assignment_step` with the prototypes' unit directions in place of
+    their expected prototypes.
 
-    Shared concentration with uniform mixing reduces exactly to
-    softmax(kappa_ems * W h); per-class concentrations or non-uniform
-    mixing add the log-normalizer / log-mixing bias terms of the full
-    cluster posterior.
+    With a shared concentration and uniform mixing the bias terms are one
+    constant per row, so this is softmax(kappa_ems * W h).
     """
-    feats = np.asarray(feats, dtype=float)
-    prototypes = np.asarray(prototypes, dtype=float)
-    k = prototypes.shape[0]
-    kappa_ems = np.broadcast_to(np.asarray(kappa_ems, dtype=float), (k,))
-    mixing = np.asarray(mixing, dtype=float)
-    logits = kappa_ems * (feats @ prototypes.T)
-    if per_class:
-        with np.errstate(divide="ignore"):
-            logits = logits + log_vmf_norm_const(d, kappa_ems) + np.log(mixing)
-    elif np.ptp(mixing) > 0.0:
-        with np.errstate(divide="ignore"):
-            logits = logits + np.log(mixing)
-    return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
+    return assignment_step(feats, prototypes, mixing, kappa_ems, d, per_class=per_class)
 
 
 class VmfModel(SlidingWindow):
@@ -348,12 +341,12 @@ class VmfModel(SlidingWindow):
 
     # -- adaptation ------------------------------------------------------
 
-    def adapt(self, t: int, feats: np.ndarray) -> "VmfModel":
-        """Ingest the batch at time t and re-infer the window."""
+    def _sweep(self, last: bool) -> None:
+        self.coordinate_ascent_sweep()
+
+    def _reestimate(self) -> None:
+        """Mixing weights of every window step, then the learned concentrations."""
         cfg = self.config
-        self._push(t, feats)
-        for _ in range(cfg.e_sweeps):
-            self.coordinate_ascent_sweep()
         for s in self._steps:
             s.mixing = mixing_update(s.resp, cfg.pi_floor)
         if cfg.learn_kappa_ems or (cfg.learn_kappa_trans and len(self._steps) >= 2):
@@ -370,7 +363,6 @@ class VmfModel(SlidingWindow):
                 self._kappa_trans = new_trans
             if new_ems is not None:
                 self._kappa_ems = new_ems
-        return self
 
     def coordinate_ascent_sweep(self) -> None:
         """One left-to-right pass of assignment + prototype updates.

@@ -3,8 +3,14 @@
 Both trackers keep the most recent batches and re-infer all of them at
 every step; the belief of the newest step doubles as the classification
 head. A step that falls out of the window leaves its belief behind as the
-fixed anchor the oldest remaining step is tied to. The trackers differ
-only in the belief type, the sweep over the window and the head.
+fixed anchor the oldest remaining step is tied to.
+
+One loop, `SlidingWindow.adapt`, runs every step of both trackers: it
+pushes the batch, runs `e_sweeps` coordinate sweeps over the window and
+then re-estimates the mixing weights and the tracker's parameters in
+closed form. The trackers differ only in the belief type and in the three
+hooks that loop calls, `_push` (which a tracker may extend), `_sweep` and
+`_reestimate`, and in the head.
 """
 
 from __future__ import annotations
@@ -69,10 +75,16 @@ def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
     (1, 0) with floor 0.01 give (0.99, 0.01).
     """
     resp = np.asarray(resp, dtype=float)
-    if resp.ndim != 2 or resp.shape[0] == 0:
+    if resp.ndim != 2:
+        raise DimensionMismatchError(f"responsibilities must be (N, K), got {resp.shape}")
+    if resp.shape[0] == 0:
         raise EmptyBatchError("mixing update needs at least one sample")
     pi = resp.mean(axis=0)
-    pi = pi / pi.sum()
+    total = pi.sum()
+    # any NaN or infinity in resp reaches its column means and their sum
+    if not np.isfinite(total):
+        raise DomainError("responsibilities must be finite")
+    pi = pi / total
     if pi_floor <= 0.0:
         return pi
     pinned = np.zeros(pi.shape[0], dtype=bool)
@@ -89,13 +101,17 @@ def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
 
 
 class SlidingWindow:
-    """Window state, batch checks and views common to both trackers.
+    """Window state, batch checks, views and the adapt loop of both trackers.
 
-    `config` needs `d` and `k`. The window holds at most `window` steps;
-    with `fixed_anchor` the anchor never advances and every step starts
-    from it, which turns the window into a fresh fit per batch. The
-    initial anchor is kept as `_prior` and never written. Subclasses run
-    their sweep and head over `_steps`.
+    `config` needs `d`, `k` and `e_sweeps`. The window holds at most
+    `window` steps; with `fixed_anchor` the anchor never advances and
+    every step starts from it, which turns the window into a fresh fit per
+    batch. The initial anchor is kept as `_prior` and never written.
+
+    `adapt` is `_push`, then `e_sweeps` calls of `_sweep(last)`, `last`
+    true on the final one, then `_reestimate()`. A subclass supplies
+    `_sweep`, one coordinate sweep over `_steps`, and `_reestimate`, the
+    closed-form mixing and parameter updates, and its own head.
     """
 
     def __init__(self, config, anchor, window: int, fixed_anchor: bool = False):
@@ -112,6 +128,15 @@ class SlidingWindow:
     @property
     def window_times(self) -> list[int]:
         return [s.t for s in self._steps]
+
+    def adapt(self, t: int, feats: np.ndarray) -> "SlidingWindow":
+        """Ingest the batch at time t and re-infer the window; returns self."""
+        self._push(t, feats)
+        sweeps = self.config.e_sweeps
+        for sweep in range(sweeps):
+            self._sweep(sweep == sweeps - 1)
+        self._reestimate()
+        return self
 
     def _newest(self) -> WindowStep:
         if not self._steps:

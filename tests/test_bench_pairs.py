@@ -14,7 +14,8 @@ METRICS = [{"name": "step_ms_p50", "better": "lower"}, {"name": "accuracy", "bet
 
 
 def report(step_ms, accuracy=1.0, correct=True):
-    return {"correct": correct,
+    # bench/run.py reports also count attempted and failed steps
+    return {"correct": correct, "attempted": 10, "failed": 0 if correct else 1,
             "metrics": {"step_ms_p50": {"value": step_ms, "unit": "ms"},
                         "accuracy": {"value": accuracy, "unit": "fraction"}}}
 
@@ -52,3 +53,50 @@ def test_incorrect_runs_come_first():
                                          ("12", [12])])
 def test_parse_seeds(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds
+
+
+def test_a_failed_run_is_named_and_the_other_pairs_are_kept(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    names = [m["name"] for m in bench_pairs.json.loads(bench_pairs.BENCHMARK.read_text())
+             ["end_to_end"]]
+
+    def path(checkout, seed):
+        return checkout / ".bench_data" / "runs" / f"w-s{seed}-trace0.json"
+
+    # a report an earlier run of seed 2 left behind must not be read
+    path(change, 2).parent.mkdir(parents=True)
+    path(change, 2).write_text("{}")
+    ran = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        ran.append((cwd.name, seed))
+        assert "check" not in kwargs or not kwargs["check"]
+        if (cwd, seed) == (change, 2):
+            return bench_pairs.subprocess.CompletedProcess(cmd, 1)
+        value = 10.0 if cwd == parent else 9.0
+        report = {"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {n: {"value": value} for n in names}}
+        path(cwd, seed).parent.mkdir(parents=True, exist_ok=True)
+        path(cwd, seed).write_text(bench_pairs.json.dumps(report))
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "1-3"]) == 0
+    # alternating order, and seed 3 still runs after seed 2's failure
+    assert ran == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+                   ("parent", 3), ("change", 3)]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "failed: seed 2 change (exit 1)"
+    assert "  seed 2:" not in "\n".join(lines)
+    assert lines[1:5] == ["step_ms_p50 (lower is better)", "  seed 1: 10 -> 9 (-10.0%)",
+                          "  seed 3: 10 -> 9 (-10.0%)",
+                          "  median 10 [10, 10] -> 9 (-10.0%), change better in 2 of 2,"
+                          " median moved beyond the parent's quartiles"]
+    assert not path(change, 2).exists()
+
+
+def test_no_finished_pair():
+    pairs = [(1, {"exit_code": 2}, report(1.0))]
+    assert bench_pairs.summarize(pairs, METRICS) == ["failed: seed 1 parent (exit 2)",
+                                                     "no pair with two finished runs"]

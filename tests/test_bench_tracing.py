@@ -55,23 +55,31 @@ def snapshot():
     return [(owner, dict(vars(owner))) for owner in OWNERS]
 
 
-def assert_restored(before):
+def methods(cls, names):
+    """The methods a traced class rebinds, looked up as a caller sees them:
+    `adapt` is inherited from the window engine, so it is not in vars(cls)."""
+    return {name: getattr(cls, name) for name in names}
+
+
+def assert_restored(before, cls, names, before_methods):
     after = snapshot()
     for (owner, old), (_, new) in zip(before, after):
         for name, value in old.items():
             assert new[name] is value, f"{owner.__name__}.{name} not restored"
+    for name, value in methods(cls, names).items():
+        assert value is before_methods[name], f"{cls.__name__}.{name} not restored"
 
 
 def test_install_rebinds_and_uninstall_restores():
     tracing = load_tracing()
-    before = snapshot()
+    before, before_methods = snapshot(), methods(VmfModel, VMF_METHODS)
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
     try:
         for name in VMF_SPANS:
             assert vars(vmf)[name] is not dict(before)[vmf][name], name
         for name in VMF_METHODS:
-            assert vars(VmfModel)[name] is not dict(before)[VmfModel][name], name
+            assert getattr(VmfModel, name) is not before_methods[name], name
         # every wrapped vMF layer fires, so each is looked up by name at call time
         rng = np.random.default_rng(0)
         d, k = 8, 3
@@ -87,17 +95,19 @@ def test_install_rebinds_and_uninstall_restores():
             assert f"vmf.{name}" in fired, name
     finally:
         uninstall()
-    assert_restored(before)
+    assert_restored(before, VmfModel, VMF_METHODS, before_methods)
 
 
 def test_gauss_dense_path_fires_every_wrapped_name():
     tracing = load_tracing()
-    before = snapshot()
+    before, before_methods = snapshot(), methods(GaussModel, GAUSS_METHODS)
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
     try:
         for name in (*GAUSS_SPANS, "cho_factor"):
             assert vars(gauss)[name] is not dict(before)[gauss][name], name
+        for name in GAUSS_METHODS:
+            assert getattr(GaussModel, name) is not before_methods[name], name
         rng = np.random.default_rng(1)
         d, k = 5, 3
         model = GaussModel(rng.standard_normal((k, d)),
@@ -116,4 +126,4 @@ def test_gauss_dense_path_fires_every_wrapped_name():
         assert tracer.counts["kf_update_weighted.calls"] > 0
     finally:
         uninstall()
-    assert_restored(before)
+    assert_restored(before, GaussModel, GAUSS_METHODS, before_methods)

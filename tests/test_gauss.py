@@ -108,6 +108,12 @@ class TestKfUpdateWeighted:
             )
         assert isinstance(info.value, np.linalg.LinAlgError)
 
+    def test_negative_responsibilities_rejected(self):
+        resp = np.array([[0.5], [-0.1], [0.6]])
+        with pytest.raises(DomainError):
+            kf_update_weighted(np.zeros((1, 2)), np.eye(2)[None], np.ones((3, 2)), resp,
+                               np.eye(2))
+
     def test_empty_cluster_returns_prior(self):
         m0, p0 = np.array([[1.0, 2.0]]), 0.4 * np.eye(2)[None]
         feats = np.random.default_rng(1).standard_normal((5, 2))
@@ -382,6 +388,15 @@ class TestGaussAssignments:
         belief = GaussBelief(np.zeros(3), np.ones(3))
         with pytest.raises(DimensionMismatchError):
             gauss_assignments(np.zeros((2, 3)), belief, np.ones(1), 0.5)
+
+    @pytest.mark.parametrize("r", [-1.0, 0.0, np.inf, np.nan])
+    @pytest.mark.parametrize("predictive", [False, True])
+    def test_scalar_r_not_finite_and_positive_raises(self, r, predictive):
+        # checked before its log, which would otherwise warn or give NaN
+        belief = GaussBelief(np.zeros((2, 3)), np.ones(2))
+        with pytest.raises(DomainError):
+            gauss_assignments(np.ones((4, 3)), belief, np.full(2, 0.5), r,
+                              predictive=predictive)
 
 
 class TestSolve:
@@ -1204,3 +1219,31 @@ class TestDenseFilterRecord:
         # newest, whose weights had moved by about half a sample
         assert len(calls) == len(model._steps) + 1
         assert np.abs(calls[-1] - calls[len(model._steps) - 1]).max() > 1e-3
+
+    def test_a_sweep_that_raises_leaves_no_record_to_reuse(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        w0, model, _ = self.model_pair(e_sweeps=2, learn_sigmas=False)
+        for t in range(1, 5):
+            model.adapt(t, self.confident_batch(rng, w0))
+        batch = self.confident_batch(rng, w0)
+        batch[0] = normalize_rows(model.prototypes[:2].sum(axis=0, keepdims=True))[0]
+        calls = []
+
+        def failing_in_the_second_sweep(*args, **kwargs):
+            # the first sweep updates every step; the second only the newest,
+            # whose weights moved, and that call fails
+            calls.append(args[3].sum(axis=0))
+            if len(calls) > len(model._steps):
+                raise NotPositiveDefiniteError("forced")
+            return kf_update_weighted(*args, **kwargs)
+
+        monkeypatch.setattr(gauss, "kf_update_weighted", failing_in_the_second_sweep)
+        with pytest.raises(NotPositiveDefiniteError):
+            model.adapt(5, batch)
+        assert len(calls) == len(model._steps) + 1
+        assert model._record is None
+        # the first sweep's record would let a bare sweep keep the two older
+        # steps; without it every step is filtered again
+        calls = self.counted_updates(monkeypatch)
+        model.coordinate_sweep()
+        assert len(calls) == len(model._steps)

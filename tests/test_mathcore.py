@@ -27,6 +27,17 @@ LOG_I_16_50 = 44.563904337870705508
 A_4_2 = 0.43312742672231175832
 
 
+@pytest.mark.parametrize("call", [
+    lambda d: bessel_ratio(d, 1.0),
+    lambda d: log_vmf_norm_const(d, 1.0),
+    lambda d: estimate_kappa(0.5, d),
+], ids=["bessel_ratio", "log_vmf_norm_const", "estimate_kappa"])
+@pytest.mark.parametrize("d", [1, 0])
+def test_dimension_below_two_rejected(call, d):
+    with pytest.raises(DomainError):
+        call(d)
+
+
 class TestLogBesselI:
     def test_order0_at_zero(self):
         assert log_bessel_i(0, 0.0) == 0.0
@@ -257,6 +268,13 @@ class TestNormalize:
         with pytest.raises(ZeroVectorError):
             normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("m", [np.ones(3), np.ones((2, 2, 2)),
+                                   np.array([[1.0, np.nan]]), np.array([[np.inf, 1.0]])],
+                             ids=["1-D", "3-D", "NaN", "inf"])
+    def test_non_matrix_or_non_finite_rejected(self, m):
+        with pytest.raises(DomainError):
+            normalize_rows(m)
+
     def test_overflowing_norms_give_unit_rows(self):
         # the squared norm of these finite rows overflows
         m = np.array([[1e200, 1e200], [3.0, 4.0], [-1.7e308, 1e308]])
@@ -283,6 +301,11 @@ class TestLogSumExp:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             log_sum_exp([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_and_plus_inf_rejected(self, bad):
+        with pytest.raises(DomainError):
+            log_sum_exp([0.0, bad])
 
     def test_neg_inf_entries(self):
         assert log_sum_exp([-math.inf, 0.0]) == pytest.approx(0.0, abs=1e-12)

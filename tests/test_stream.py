@@ -13,12 +13,15 @@ from stad.errors import (
     CorruptHeaderError,
     CorruptPayloadError,
     DomainError,
+    InfeasibleSeparationError,
     MissingFileError,
+    MissingLabelsError,
     NonContiguousTimeError,
     StadError,
 )
 from stad.stream import (
     MANIFEST_NAME,
+    TRAJECTORY_NAME,
     DriftScenario,
     EmbeddingBatch,
     make_label_shift,
@@ -27,7 +30,9 @@ from stad.stream import (
     read_matrix,
     read_stream,
     read_trajectory,
+    sample_vmf,
     synth_drift,
+    well_separated_directions,
     write_matrix,
     write_stream,
     write_synthetic,
@@ -112,6 +117,10 @@ CORRUPTIONS = {
     "truncated header": (CorruptHeaderError, _write_bytes("step_00001.emb", b"STADEMB1")),
     "bad magic": (CorruptHeaderError, _write_bytes("step_00001.emb", _header(5, 3, b"NOTMAGIC"))),
     "short payload": (CorruptPayloadError, _write_bytes("step_00001.emb", _header(5, 3) + bytes(8))),
+    "row count vs manifest": (
+        CorruptPayloadError,
+        lambda p: write_matrix(p / "step_00001.emb", np.ones((4, 3))),
+    ),
     "shape vs manifest": (CorruptPayloadError, lambda p: write_matrix(p / "step_00001.emb", np.ones((5, 2)))),
     "non-finite features": (
         CorruptPayloadError,
@@ -153,6 +162,18 @@ WRITER_VIOLATIONS = {
 def test_write_stream_enforces_step_contract(tmp_path, case):
     with pytest.raises(StadError):
         write_stream(tmp_path, WRITER_VIOLATIONS[case], k=2)
+
+
+@pytest.mark.parametrize("batches, k", [([_batch()], 0), ([], 2)], ids=["k=0", "no batches"])
+def test_write_stream_rejects_bad_k_and_empty_stream(tmp_path, batches, k):
+    with pytest.raises(DomainError):
+        write_stream(tmp_path, batches, k=k)
+
+
+@pytest.mark.parametrize("arr", [np.ones(3), np.ones((2, 2, 2))], ids=["1-D", "3-D"])
+def test_write_matrix_rejects_non_matrix(tmp_path, arr):
+    with pytest.raises(DomainError):
+        write_matrix(tmp_path / "x.emb", arr)
 
 
 def test_rejected_rewrite_leaves_no_readable_mix(tmp_path):
@@ -207,6 +228,13 @@ def test_write_synthetic_round_trip(tmp_path):
     assert read_manifest(tmp_path).metadata["seed"] == "5"
 
 
+def test_read_trajectory_of_the_wrong_size_rejected(tmp_path):
+    write_synthetic(tmp_path, DriftScenario(d=5, k=3, t_steps=4, n_per_step=12, seed=5))
+    write_matrix(tmp_path / TRAJECTORY_NAME, np.ones((4 * 3 - 1, 5)))
+    with pytest.raises(CorruptPayloadError):
+        read_trajectory(tmp_path)
+
+
 def test_read_trajectory_absent(stream_dir):
     assert read_trajectory(stream_dir) is None
 
@@ -256,6 +284,11 @@ def test_csv_stream_must_start_at_one_to_be_written(tmp_path):
     batches, k = read_csv_stream(_csv(tmp_path, "t,label,f0\n2,0,0.5\n3,1,0.1\n"))
     with pytest.raises(NonContiguousTimeError):
         write_stream(tmp_path / "out", batches, k)
+
+
+def test_csv_gap_in_t_rejected(tmp_path):
+    with pytest.raises(NonContiguousTimeError):
+        read_csv_stream(_csv(tmp_path, "t,label,f0\n1,0,0.5\n3,1,0.1\n"))
 
 
 def test_csv_missing_file(tmp_path):
@@ -323,19 +356,62 @@ def _manifest_without_steps(tmp_path):
     read_manifest(tmp_path)
 
 
-@pytest.mark.parametrize("case", [
-    lambda tmp: read_csv_stream(_csv(tmp, "t,label,f0\n")),
-    lambda tmp: read_csv_stream(_csv(tmp, "t\n1\n")),
-    lambda tmp: read_csv_stream(_csv(tmp, "t,label,f0\n1,0,abc\n")),
-    lambda tmp: read_csv_stream(_csv(tmp, "t,label,f0\n1,z,0.5\n")),
-    _manifest_without_steps,
-    lambda tmp: DriftScenario(label_distribution="dirichlet:x"),
-    lambda tmp: _shift_out_of_range(),
+def _shift_without_labels():
+    make_label_shift([EmbeddingBatch(1, np.ones((2, 2), np.float32))], seed=0, k=2)
+
+
+@pytest.mark.parametrize("case, error", [
+    (lambda tmp: read_csv_stream(_csv(tmp, "t,label,f0\n")), CorruptPayloadError),
+    (lambda tmp: read_csv_stream(_csv(tmp, "t\n1\n")), CorruptHeaderError),
+    (lambda tmp: read_csv_stream(_csv(tmp, "t,label,f0\n1,0,abc\n")), CorruptPayloadError),
+    (lambda tmp: read_csv_stream(_csv(tmp, "t,label,f0\n1,z,0.5\n")), CorruptPayloadError),
+    (_manifest_without_steps, CorruptHeaderError),
+    (lambda tmp: DriftScenario(label_distribution="dirichlet:x"), DomainError),
+    (lambda tmp: _shift_out_of_range(), DomainError),
+    (lambda tmp: _shift_without_labels(), MissingLabelsError),
 ], ids=["header-only csv", "one-column header", "non-numeric field", "non-numeric label",
-        "manifest without steps", "dirichlet alpha not a number", "label shift label >= k"])
-def test_bad_input_raises_stad_error(tmp_path, case):
-    with pytest.raises(StadError):
+        "manifest without steps", "dirichlet alpha not a number", "label shift label >= k",
+        "label shift without labels"])
+def test_bad_input_raises_stad_error(tmp_path, case, error):
+    assert issubclass(error, StadError)
+    with pytest.raises(error):
         case(tmp_path)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"geometry": "torus"},
+    {"d": 1}, {"k": 0}, {"t_steps": 0}, {"n_per_step": 0},
+    {"kappa_true": 0.0}, {"sigma_true": -0.1},
+    {"drift_deg_per_step": 10.5}, {"drift_deg_per_step": -1.0},
+    {"label_distribution": "zipf"}, {"label_distribution": "dirichlet:0"},
+    {"label_distribution": "dirichlet:-1"}, {"label_distribution": "dirichlet:inf"},
+])
+def test_drift_scenario_rejects(kwargs):
+    with pytest.raises(DomainError):
+        DriftScenario(**kwargs)
+
+
+def test_ordered_labels_come_in_one_run_per_class():
+    scenario = DriftScenario(d=4, k=3, t_steps=3, n_per_step=30, label_distribution="ordered")
+    batches, _ = synth_drift(scenario)
+    for b in batches:
+        runs = [c for i, c in enumerate(b.labels) if i == 0 or c != b.labels[i - 1]]
+        assert len(runs) == len(set(runs))
+        assert b.labels.max() < 3
+
+
+@pytest.mark.parametrize("mu, kappa", [(np.ones(1), 5.0), (np.array([1.0, 0.0]), 0.0),
+                                       (np.array([1.0, 0.0]), -1.0)],
+                         ids=["d=1", "kappa=0", "kappa<0"])
+def test_sample_vmf_rejects(mu, kappa):
+    with pytest.raises(DomainError):
+        sample_vmf(np.random.default_rng(0), mu, kappa, 4)
+
+
+def test_infeasible_separation_raises():
+    # 50 random directions on the circle never keep every pair 1.8 degrees apart
+    with pytest.raises(InfeasibleSeparationError):
+        well_separated_directions(np.random.default_rng(0), 2, 50)
 
 
 def test_dirichlet_labels_parse():

@@ -121,6 +121,10 @@ class TestInit:
         with pytest.raises(DimensionMismatchError):
             VmfModel(np.eye(3), VmfConfig(d=2, k=2))
 
+    def test_single_class_rejected(self):
+        with pytest.raises(DomainError):
+            VmfModel(np.eye(1, 2), VmfConfig(d=2, k=1))
+
 
 class TestAssignmentStep:
     def test_single_class_is_certain(self):
@@ -157,6 +161,18 @@ class TestAssignmentStep:
         feats = np.array([[np.nan, 0.0]])
         with pytest.raises(DomainError):
             assignment_step(feats, np.eye(2), np.ones(2) / 2, 1.0, 2)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    @pytest.mark.parametrize("expected", [np.eye(3), np.array([[0.0, 1.0, 1.0], [-1.0, 1.0, 0.0]])],
+                             ids=["identity", "zero and negative weights"])
+    def test_infinite_entries_rejected(self, bad, expected):
+        # inf * 0 and inf - inf give NaN dots, inf * w an infinite one
+        feats = np.array([[0.1, 0.2, 0.3], [bad, 0.0, 1.0]])
+        mixing = np.full(len(expected), 1.0 / len(expected))
+        with pytest.raises(DomainError):
+            assignment_step(feats, expected, mixing, 2.0, 3)
+        with pytest.raises(DomainError):
+            assignment_step(feats[:1], np.where(expected == 1.0, bad, expected), mixing, 2.0, 3)
 
 
 class TestPrototypeUpdate:
@@ -506,6 +522,18 @@ class TestMixingUpdate:
     def test_empty_rejected(self):
         with pytest.raises(EmptyBatchError):
             mixing_update(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("resp", [np.ones(3), np.ones((2, 2, 2))], ids=["1-D", "3-D"])
+    def test_not_a_matrix_rejected(self, resp):
+        with pytest.raises(DimensionMismatchError):
+            mixing_update(resp)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        resp = np.full((4, 3), 1.0 / 3.0)
+        resp[2, 1] = bad
+        with pytest.raises(DomainError):
+            mixing_update(resp, 1e-4)
 
 
 class TestKappaUpdate:

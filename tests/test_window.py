@@ -11,6 +11,7 @@ from stad.errors import (
 )
 from stad.gauss import GaussConfig, GaussModel
 from stad.vmf import VmfConfig, VmfModel
+from stad.window import SlidingWindow
 
 D = 3
 MODELS = {
@@ -43,6 +44,22 @@ def test_predict_rejects_bad_batch_like_adapt(model, bad):
     model.adapt(1, BATCH)
     with pytest.raises(DimensionMismatchError):
         model.predict(bad)
+
+
+def test_adapt_is_the_one_window_loop(model, monkeypatch):
+    # push, e_sweeps sweeps with `last` on the final one, then the re-estimates
+    assert type(model).adapt is SlidingWindow.adapt
+    calls = []
+    for hook in ("_push", "_sweep", "_reestimate"):
+        def spy(*args, hook=hook, original=getattr(model, hook)):
+            calls.append((hook, args[0]) if hook == "_sweep" else (hook,))
+            return original(*args)
+
+        monkeypatch.setattr(model, hook, spy)
+    sweeps = model.config.e_sweeps
+    assert model.adapt(1, BATCH) is model
+    assert calls == [("_push",), *(("_sweep", i == sweeps - 1) for i in range(sweeps)),
+                     ("_reestimate",)]
 
 
 def test_non_contiguous_time_rejected(model):

@@ -10,7 +10,9 @@ swapped on every next seed, and reads the report each run writes to
 for every end-to-end metric of `BENCHMARK.json`, it prints the per-seed
 values and change, the parent's median with its quartiles, the change's
 median, and in how many pairs the change was better (ties count for
-neither side). A run whose report says it was not correct is named first.
+neither side). A run whose report says it was not correct is named first,
+and so is a run that exited non-zero, with its exit code; such a run
+leaves its pair out of the comparison, and the next seeds still run.
 `--seeds` takes a range `A-B` or a comma list. Standard library only.
 """
 
@@ -35,11 +37,16 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in a checkout; returns its report."""
-    subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-                    "--seconds", str(seconds), "--trace", "0"],
-                   cwd=checkout, check=True, stdout=subprocess.DEVNULL)
+    """One untraced benchmark run in a checkout; returns its report, or
+    {"exit_code": code} when the run exits non-zero. (A report has a
+    `failed` key of its own, the count of failed steps.)"""
     report = checkout / ".bench_data" / "runs" / f"{workload}-s{seed}-trace0.json"
+    report.unlink(missing_ok=True)  # a report left by an earlier run of this seed
+    done = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=checkout, stdout=subprocess.DEVNULL)
+    if done.returncode:
+        return {"exit_code": done.returncode}
     return json.loads(report.read_text())
 
 
@@ -47,10 +54,19 @@ def summarize(pairs: list[tuple[int, dict, dict]], metrics: list[dict]) -> list[
     """The printed comparison of (seed, parent report, change report) pairs.
 
     metrics holds the `end_to_end` entries of BENCHMARK.json: each a
-    `name` and whether `lower` or `higher` is `better`.
+    `name` and whether `lower` or `higher` is `better`. A pair with a
+    failed run (see `run`) is named and left out of every metric.
     """
-    lines = [f"not correct: seed {seed} {side}" for seed, *reports in pairs
-             for side, report in zip(("parent", "change"), reports) if not report["correct"]]
+    lines = []
+    for seed, *reports in pairs:
+        for side, report in zip(("parent", "change"), reports):
+            if "exit_code" in report:
+                lines.append(f"failed: seed {seed} {side} (exit {report['exit_code']})")
+            elif not report["correct"]:
+                lines.append(f"not correct: seed {seed} {side}")
+    pairs = [pair for pair in pairs if not any("exit_code" in report for report in pair[1:])]
+    if not pairs:
+        return lines + ["no pair with two finished runs"]
     for metric in metrics:
         name, sign = metric["name"], (1.0 if metric["better"] == "lower" else -1.0)
         lines.append(f"{name} ({metric['better']} is better)")
