@@ -20,27 +20,27 @@ each handle all K classes. Every factorization goes through `_cholesky`
 and every solve through `_solve`, which overwrites its right-hand side
 with right-side BLAS trsm calls, one factor at a time. The smoother gain
 and the M-step's transition solve factor a (K, D, D) stack in one call;
-the measurement update and the predictive assignments factor one class
-at a time. Nothing inverts a matrix explicitly, a measurement update
-makes one triangular solve per class for its covariances and one solve
-against R's factor for its means, and the smoother takes the filter's
-predictions. Non-finite input raises DomainError, checked once per
-stacked array. The dense path scales with D^3, so a model that learns
-its parameters is gated to D <= 256 unless explicitly overridden.
+the measurement update factors one class at a time. Nothing inverts a
+matrix explicitly, a measurement update makes one triangular solve per
+class for its covariances and one solve against R's factor for its
+means, and the smoother takes the filter's predictions. Non-finite input
+raises DomainError, checked once per stacked array. The dense path
+scales with D^3, so a model that learns its parameters is limited to
+D <= 256.
 
 A dense `adapt` computes only what is read. The filter covariances
 depend on a batch only through each class's total weight w = resp.sum(0),
 so a later sweep of one `adapt` keeps the covariances of the longest
 prefix of steps whose weights repeat bit for bit, moves only their means,
 and recomputes from the first step that differs; the anchor's prediction
-is made once (see `_FilterRecord`). With plug-in assignments, a sweep
-before the last reads nothing of the previous sweep but its smoothed
-means, so it smooths only those; between sweeps each step keeps the
-covariance of the previous `adapt` (a new step, that of the step it was
-copied from). The last sweep, and every sweep with predictive
-assignments, smooths the covariances too and keeps the gains the M-step
-reads. The M-step floors its covariance estimates
-with eigh only when a Cholesky test finds an eigenvalue below the floor.
+is made once (see `_FilterRecord`). The assignments plug in the
+posterior means alone, so a sweep before the last reads nothing of the
+previous sweep but its smoothed means, and it smooths only those;
+between sweeps each step keeps the covariance of the previous `adapt` (a
+new step, that of the step it was copied from). The last sweep smooths
+the covariances too and keeps the gains the M-step reads. The M-step
+floors its covariance estimates with eigh only when a Cholesky test finds
+an eigenvalue below the floor.
 """
 
 from __future__ import annotations
@@ -81,7 +81,12 @@ _DIM_GATE = 256
 
 @dataclass
 class GaussConfig:
-    """Knobs for the Gaussian tracker."""
+    """Knobs for the Gaussian tracker.
+
+    With learn_transition or learn_sigmas set, the model keeps dense
+    (D, D) matrices and refuses D > 256. The assignments always plug in
+    the posterior means with the emission covariance alone.
+    """
 
     d: int
     k: int
@@ -93,8 +98,6 @@ class GaussConfig:
     learn_sigmas: bool = False
     pi_floor: float = 1e-4
     init_cov_scale: float | None = None  # None: one transition step's worth
-    assign_with_predictive: bool = False  # add belief cov to the emission cov
-    allow_high_dim: bool = False
 
     def __post_init__(self):
         check_config(self, d_min=1)
@@ -367,19 +370,16 @@ def gauss_assignments(
     belief: GaussBelief,
     mixing: np.ndarray,
     sigma_ems: np.ndarray | float,
-    predictive: bool = False,
 ) -> np.ndarray:
     """Responsibilities under the Gaussian mixture emission.
 
-    Default plugs in the posterior means with the emission covariance
-    alone; predictive=True adds each class's posterior covariance
-    (marginal predictive form). A (K,) belief covariance means the scalar
-    form: R = r I with sigma_ems the float r, and class j's covariance
-    c_j I, so the quadratic forms are squared distances over r (+ c_j)
-    and nothing is factored. In the dense form R = L L^T is factored
-    once, and one half `_solve` whitens the batch and the means together,
-    as the (D, N + K) columns of one array; the predictive form factors
-    R + P_j and whitens the batch once per class.
+    Plugs in the posterior means with the emission covariance alone; the
+    belief covariances set only the form. A (K,) belief covariance means
+    the scalar form: R = r I with sigma_ems the float r, so the quadratic
+    forms are squared distances over r and nothing is factored. In the
+    dense form R = L L^T is factored once, and one half `_solve` whitens
+    the batch and the means together, as the (D, N + K) columns of one
+    array.
 
     The mean must be (K, D), the batch (N, D) and mixing (K,); the scalar
     form takes a float sigma_ems and the dense form (K, D, D) covariances
@@ -402,20 +402,8 @@ def gauss_assignments(
     with np.errstate(divide="ignore"):
         log_pi = np.log(mixing)
     if scalar:
-        var = sigma_ems + cov if predictive else sigma_ems
-        logdet = d * np.log(var)
-        quad = _sq_dist(feats.T, mean.T) / var
-    elif predictive:
-        _finite("gauss_assignments", feats, mean, cov, sigma_ems)
-        innov_cov = _sym(sigma_ems + cov)
-        feats_t = feats.T.copy()
-        quad = np.empty((feats.shape[0], k))
-        logdet = np.empty(k)
-        for j in range(k):
-            chol = _cholesky(innov_cov[j])
-            logdet[j] = 2.0 * np.sum(np.log(np.diag(chol)))
-            white = _solve(chol, feats_t - mean[j][:, None], half=True)
-            quad[:, j] = np.einsum("dn,dn->n", white, white)
+        logdet = d * np.log(sigma_ems)
+        quad = _sq_dist(feats.T, mean.T) / sigma_ems
     else:
         _finite("gauss_assignments", feats, mean, sigma_ems)
         chol = _cholesky(_sym(sigma_ems))
@@ -531,11 +519,13 @@ class _FilterRecord:
     The predicted and filtered moments, two stacks of (2, T, K, D) and
     (2, T, K, D, D) allocated once; the weights w = resp.sum(0) each
     window step last ran with; and R's Cholesky factor, made on the first
-    reuse. It is valid while A, Q, R and the anchor hold still, so it
-    lives from `_push`, which makes a fresh one, to `_reestimate`, which
-    drops it before the M-step. A sweep of `adapt` that raises drops it
-    too. So no record outlives its `adapt`, and a bare `coordinate_sweep`
-    finds none and recomputes everything.
+    reuse. It is valid while A, Q, R and the anchor hold still, so
+    `_push` and `_reestimate` (before the M-step) each put a fresh one in
+    place. The dense filter clears `weights` before it writes the stacks,
+    so a sweep that raises leaves nothing to reuse. A bare
+    `coordinate_sweep` after `adapt` starts from the fresh record, and a
+    second bare sweep reuses the first one's, which holds while nobody
+    sets `transition`, `sigma_trans` or `sigma_ems` in between.
     """
 
     stacks: tuple[np.ndarray, np.ndarray] | None = None
@@ -563,22 +553,21 @@ class GaussModel(SlidingWindow):
     repeat, a prefix of the window, and makes those calls only from the
     first step whose weights moved; the anchor's prediction is made once
     per `adapt` (see `_FilterRecord`). Sweeps before the last smooth
-    only the means when the assignments are plug-in, so between sweeps
-    the step covariances are those of the previous `adapt`. The last
-    sweep makes one kf_smooth call over the window with the filter's
+    only the means, which is all the plug-in assignments read, so between
+    sweeps the step covariances are those of the previous `adapt`. The
+    last sweep makes one kf_smooth call over the window with the filter's
     predictions and keeps its (T-1, K, D, D) smoother gains for the
-    M-step. Only the dense form is
-    gated to D <= 256.
+    M-step. The dense form is limited to D <= 256.
     """
 
     def __init__(self, source_weights: np.ndarray, config: GaussConfig):
         source_weights = check_source(source_weights, config)
         d, k = config.d, config.k
         dense = config.learn_transition or config.learn_sigmas
-        if dense and d > _DIM_GATE and not config.allow_high_dim:
+        if dense and d > _DIM_GATE:
             raise ConfigError(
-                f"D={d} exceeds the D<={_DIM_GATE} gate for a Gaussian model that "
-                "learns its parameters (D^3 solves); set allow_high_dim=True to override"
+                f"D={d} exceeds the D<={_DIM_GATE} limit for a Gaussian model that "
+                "learns its parameters (D^3 solves)"
             )
         eye = np.eye(d) if dense else 1.0
         self.transition = np.tile(eye, (k, 1, 1)) if dense else None
@@ -591,7 +580,7 @@ class GaussModel(SlidingWindow):
             window=config.window,
         )
         self._last_gains: np.ndarray | None = None
-        self._record: _FilterRecord | None = None
+        self._record = _FilterRecord()
 
     @property
     def prototypes(self) -> np.ndarray:
@@ -603,18 +592,12 @@ class GaussModel(SlidingWindow):
         self._record = _FilterRecord()
 
     def _sweep(self, last: bool) -> None:
-        # the predictive assignments read the covariances, so then every
-        # sweep smooths them; a sweep that raises drops the filter record
-        try:
-            self.coordinate_sweep(self.config.assign_with_predictive or last)
-        except BaseException:
-            self._record = None
-            raise
+        self.coordinate_sweep(last)
 
     def _reestimate(self) -> None:
         """Mixing weights of every window step, then the M-step if one is learned."""
         cfg = self.config
-        self._record = None  # the M-step moves A, Q and R
+        self._record = _FilterRecord()  # the M-step moves A, Q and R
         for s in self._steps:
             s.mixing = mixing_update(s.resp, cfg.pi_floor)
         if (cfg.learn_transition or cfg.learn_sigmas) and len(self._steps) >= 2:
@@ -639,10 +622,11 @@ class GaussModel(SlidingWindow):
 
         A bare call does the whole sweep. With full False the dense path
         smooths the means alone and each step keeps its covariance; `adapt`
-        passes that for the sweeps before the last when the assignments are
-        plug-in, which read no covariance. Inside `adapt` the dense filter
-        also reuses its record of the previous sweep (see `_FilterRecord`).
-        The scalar path ignores `full`. Raises NotAdaptedError before the
+        passes that for the sweeps before the last, whose assignments read
+        no covariance. The dense filter also reuses its record of the
+        previous sweep (see `_FilterRecord`), also between two bare calls,
+        so set `transition`, `sigma_trans` or `sigma_ems` by hand only
+        before an `adapt`. The scalar path ignores `full`. Raises NotAdaptedError before the
         first `adapt`.
         """
         self._newest()
@@ -652,7 +636,6 @@ class GaussModel(SlidingWindow):
                 step.belief,
                 step.mixing,
                 self.sigma_ems,
-                predictive=self.config.assign_with_predictive,
             )
         if self._anchor.cov.ndim == 1:
             self._scalar_filter_smooth()
@@ -693,22 +676,21 @@ class GaussModel(SlidingWindow):
         """Dense Kalman filter and RTS smoother, all K classes at once.
 
         The filter writes its predicted and filtered moments into the
-        stacks of the model's `_FilterRecord`, or of a fresh one outside
-        `adapt`. The longest prefix of steps whose weights equal the
-        record's bit for bit keeps its covariances, and only its means move:
-        A m, then m + w P_f R^{-1} (obs - m) with R factored once per
-        record. Step 0's prediction is kept whenever the record holds
-        weights, because A, Q and the anchor hold still. From the first
-        step that differs, each step makes one kf_predict (past step 0) and
-        one kf_update_weighted call. With full, one kf_smooth
-        call reuses the filter's predictions and keeps the (T-1, K, D, D)
-        smoother gains for the M-step. Without it only the smoothed means
+        stacks of the model's `_FilterRecord`. The longest prefix of steps
+        whose weights equal the record's bit for bit keeps its covariances,
+        and only its means move: A m, then m + w P_f R^{-1} (obs - m) with
+        R factored once per record. Step 0's prediction is kept whenever
+        the record holds weights, because A, Q and the anchor hold still.
+        From the first step that differs, each step makes one kf_predict
+        (past step 0) and one kf_update_weighted call. With full, one
+        kf_smooth call reuses the filter's predictions and keeps the
+        (T-1, K, D, D) smoother gains for the M-step. Without it only the smoothed means
         are computed: each step's covariance stays as it was and the kept
         gains stay those of the last full smooth.
         """
         steps = self._steps
         t_len = len(steps)
-        record = self._record if self._record is not None else _FilterRecord()
+        record = self._record
         if record.stacks is None:
             k, d = self._anchor.mean.shape
             record.stacks = (np.empty((2, t_len, k, d)), np.empty((2, t_len, k, d, d)))
@@ -718,6 +700,8 @@ class GaussModel(SlidingWindow):
         if record.weights:
             while kept < t_len and np.array_equal(weights[kept], record.weights[kept]):
                 kept += 1
+            # empty until the stacks are rewritten: a sweep that raises leaves nothing to reuse
+            record.weights = []
         else:
             p_means[0], p_covs[0] = kf_predict(self._anchor.mean, self._anchor.cov,
                                                self.transition, self.sigma_trans)

@@ -13,8 +13,8 @@ re-estimates.
 The newest prototype directions double as an adapted last-layer weight
 matrix: predictions are the assignment step's cluster posterior on those
 directions, a temperature-scaled softmax of their dot products with the
-embeddings plus the log-mixing (and, with per-class concentrations,
-log-normalizer) bias terms.
+embeddings plus the log-mixing (and, when the emission concentrations
+differ between classes, log-normalizer) bias terms.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ class VmfConfig:
     """Knobs for the spherical tracker.
 
     kappa_trans / kappa_ems / kappa0 may be scalars (shared across
-    classes) or length-K sequences; per_class_kappa switches assignments
-    and predictions to the bias-term form and makes learned
-    concentrations class specific.
+    classes) or length-K sequences; per_class_kappa makes learned
+    concentrations class specific. Whenever the kappa_ems values differ,
+    assignments and predictions add the log-normalizer bias
+    log C_D(kappa_ems_k) (see `assignment_step`).
     """
 
     d: int
@@ -134,14 +135,14 @@ def assignment_step(
     mixing: np.ndarray,
     kappa_ems: np.ndarray,
     d: int,
-    per_class: bool = False,
 ) -> np.ndarray:
     """Posterior class responsibilities for one batch.
 
-    Log-domain: log pi_k [+ log C_D(kappa_k) under per-class
-    concentrations] + kappa_k <expected_k, h>, normalized per row. With a
-    shared concentration the normalizer term is identical across classes
-    and is omitted, so it cancels exactly.
+    Log-domain: log pi_k + log C_D(kappa_k) + kappa_k <expected_k, h>,
+    normalized per row. The normalizer term is added only when the
+    kappa_ems values differ; when they are all equal it is one constant
+    in every row, which the normalization cancels, so leaving it out is
+    exact.
     """
     feats = np.asarray(feats, dtype=float)
     expected = np.asarray(expected, dtype=float)
@@ -159,7 +160,7 @@ def assignment_step(
         raise DomainError("embeddings or prototypes contain non-finite entries")
     with np.errstate(divide="ignore"):
         logits = np.log(np.asarray(mixing, dtype=float)) + kappa_ems * dots
-    if per_class:
+    if np.any(kappa_ems != kappa_ems[0]):
         logits = logits + log_vmf_norm_const(d, kappa_ems)
     return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
 
@@ -266,16 +267,16 @@ def predict_probs(
     kappa_ems: np.ndarray,
     mixing: np.ndarray,
     d: int,
-    per_class: bool = False,
 ) -> np.ndarray:
     """Class probabilities from prototype directions: the cluster posterior
     of `assignment_step` with the prototypes' unit directions in place of
     their expected prototypes.
 
-    With a shared concentration and uniform mixing the bias terms are one
-    constant per row, so this is softmax(kappa_ems * W h).
+    The log C_D(kappa_k) bias applies, as there, only when the kappa_ems
+    values differ. With a shared concentration and uniform mixing this is
+    softmax(kappa_ems * W h).
     """
-    return assignment_step(feats, prototypes, mixing, kappa_ems, d, per_class=per_class)
+    return assignment_step(feats, prototypes, mixing, kappa_ems, d)
 
 
 class VmfModel(SlidingWindow):
@@ -398,7 +399,6 @@ class VmfModel(SlidingWindow):
                 step.mixing,
                 self._kappa_ems,
                 cfg.d,
-                per_class=cfg.per_class_kappa,
             )
             total = np.matmul((step.resp * self._kappa_ems).T, step.feats, out=self._total)
             if i == 0:
@@ -448,7 +448,6 @@ class VmfModel(SlidingWindow):
             self._kappa_ems,
             newest.mixing,
             self.config.d,
-            per_class=self.config.per_class_kappa,
         )
         return probs, probs.argmax(axis=1)
 

@@ -72,7 +72,8 @@ def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
 
     Entries below the floor are pinned to it and the remaining mass is
     distributed proportionally over the others, so e.g. rows all equal to
-    (1, 0) with floor 0.01 give (0.99, 0.01).
+    (1, 0) with floor 0.01 give (0.99, 0.01). A non-finite or negative
+    entry, or a zero total, raises DomainError.
     """
     resp = np.asarray(resp, dtype=float)
     if resp.ndim != 2:
@@ -81,9 +82,10 @@ def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
         raise EmptyBatchError("mixing update needs at least one sample")
     pi = resp.mean(axis=0)
     total = pi.sum()
-    # any NaN or infinity in resp reaches its column means and their sum
-    if not np.isfinite(total):
-        raise DomainError("responsibilities must be finite")
+    # any NaN or infinity in resp reaches its column means and their sum;
+    # a negative entry need not, so the entries are checked too
+    if not 0.0 < total < np.inf or resp.min() < 0.0:
+        raise DomainError("responsibilities must be finite and nonnegative, with a positive sum")
     pi = pi / total
     if pi_floor <= 0.0:
         return pi

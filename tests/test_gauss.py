@@ -302,10 +302,10 @@ class TestNonFiniteInputs:
             with pytest.raises(DimensionMismatchError):
                 call()
 
-    @pytest.mark.parametrize("predictive", [False, True])
-    def test_model_with_nan_emission_covariance(self, predictive):
+    @pytest.mark.parametrize("learn_transition", [False, True])
+    def test_model_with_nan_emission_covariance(self, learn_transition):
         rng = np.random.default_rng(26)
-        cfg = GaussConfig(d=2, k=3, learn_sigmas=True, assign_with_predictive=predictive)
+        cfg = GaussConfig(d=2, k=3, learn_sigmas=True, learn_transition=learn_transition)
         model = GaussModel(rng.standard_normal((3, 2)), cfg)
         model.sigma_ems = self.nan_cov()
         with pytest.raises(StadError):
@@ -358,16 +358,6 @@ class TestGaussAssignments:
         want = np.exp(logits - logits.max(axis=1, keepdims=True))
         np.testing.assert_allclose(resp, want / want.sum(axis=1, keepdims=True), atol=1e-12)
 
-    def test_predictive_variant_widens(self):
-        # adding posterior covariance flattens the responsibilities
-        wide = np.stack([10.0 * np.eye(1), np.eye(1) * 1e-9])
-        belief = GaussBelief(np.array([[0.0], [2.0]]), wide)
-        plug = gauss_assignments(np.array([[0.0]]), belief, np.full(2, 0.5), np.eye(1))
-        pred = gauss_assignments(
-            np.array([[0.0]]), belief, np.full(2, 0.5), np.eye(1), predictive=True
-        )
-        assert abs(pred[0, 0] - 0.5) < abs(plug[0, 0] - 0.5)
-
     @pytest.mark.parametrize("dense, mixing, sigma_ems", [
         (True, np.full(2, 1 / 3), np.eye(3)),        # mixing not (K,)
         (False, np.full((1, 3), 1 / 3), 0.5),         # mixing (1, K)
@@ -375,14 +365,14 @@ class TestGaussAssignments:
         (True, np.full(3, 1 / 3), 0.5),              # float R with (K, D, D) covariances
         (True, np.full(3, 1 / 3), np.eye(2)),        # R of another D
     ])
-    @pytest.mark.parametrize("predictive", [False, True])
-    def test_mismatched_shapes_raise(self, dense, mixing, sigma_ems, predictive):
+    @pytest.mark.parametrize("one_row", [False, True])
+    def test_mismatched_shapes_raise(self, dense, mixing, sigma_ems, one_row):
         rng = np.random.default_rng(27)
         cov = np.tile(np.eye(3), (3, 1, 1)) if dense else np.ones(3)
         belief = GaussBelief(rng.standard_normal((3, 3)), cov)
         with pytest.raises(DimensionMismatchError):
-            gauss_assignments(rng.standard_normal((5, 3)), belief, mixing, sigma_ems,
-                              predictive=predictive)
+            gauss_assignments(rng.standard_normal((1 if one_row else 5, 3)), belief, mixing,
+                              sigma_ems)
 
     def test_prototypes_not_a_matrix_raise(self):
         belief = GaussBelief(np.zeros(3), np.ones(3))
@@ -390,13 +380,12 @@ class TestGaussAssignments:
             gauss_assignments(np.zeros((2, 3)), belief, np.ones(1), 0.5)
 
     @pytest.mark.parametrize("r", [-1.0, 0.0, np.inf, np.nan])
-    @pytest.mark.parametrize("predictive", [False, True])
-    def test_scalar_r_not_finite_and_positive_raises(self, r, predictive):
+    @pytest.mark.parametrize("one_row", [False, True])
+    def test_scalar_r_not_finite_and_positive_raises(self, r, one_row):
         # checked before its log, which would otherwise warn or give NaN
         belief = GaussBelief(np.zeros((2, 3)), np.ones(2))
         with pytest.raises(DomainError):
-            gauss_assignments(np.ones((4, 3)), belief, np.full(2, 0.5), r,
-                              predictive=predictive)
+            gauss_assignments(np.ones((1 if one_row else 4, 3)), belief, np.full(2, 0.5), r)
 
 
 class TestSolve:
@@ -701,8 +690,6 @@ class TestGaussModel:
         for flag in ("learn_transition", "learn_sigmas"):
             with pytest.raises(ConfigError):
                 GaussModel(np.zeros((2, 300)), GaussConfig(d=300, k=2, **{flag: True}))
-            GaussModel(np.zeros((2, 300)),
-                       GaussConfig(d=300, k=2, allow_high_dim=True, **{flag: True}))
         model = GaussModel(np.zeros((2, 300)), GaussConfig(d=300, k=2))
         assert model._anchor.cov.shape == (2,)
 
@@ -902,16 +889,16 @@ class TestGaussModel:
         assert np.linalg.eigvalsh(model.sigma_trans).min() >= 1e-8 - 1e-12
         assert np.linalg.eigvalsh(model.sigma_ems).min() >= 1e-8 - 1e-12
 
-    @pytest.mark.parametrize("window,e_sweeps,predictive", [
+    @pytest.mark.parametrize("window,e_sweeps,wide_prior", [
         (1, 3, False), (3, 1, True), (5, 3, True), (5, 1, False),
     ])
-    def test_scalar_path_equals_dense_path(self, window, e_sweeps, predictive):
+    def test_scalar_path_equals_dense_path(self, window, e_sweeps, wide_prior):
         rng = np.random.default_rng(20)
         d, k = 6, 4
         w0 = normalize_rows(rng.standard_normal((k, d)))
         w0[3] *= 20.0  # far from every unit-norm sample: zero responsibility
         cfg = GaussConfig(d=d, k=k, window=window, e_sweeps=e_sweeps,
-                          assign_with_predictive=predictive)
+                          init_cov_scale=0.2 if wide_prior else None)
         scalar, dense = GaussModel(w0, cfg), dense_twin(w0, cfg)
         for t in range(1, window + 4):
             labels = rng.integers(0, 3, size=12)
@@ -933,7 +920,7 @@ class TestGaussModel:
             np.testing.assert_allclose(scalar.predict(h)[0], dense.predict(h)[0], atol=1e-10)
         assert scalar.window_times[0] == 4  # three steps were evicted into the anchor
 
-    def test_scalar_predictive_assignments_factor_nothing(self, monkeypatch):
+    def test_scalar_assignments_factor_nothing(self, monkeypatch):
         calls = []
 
         def counting(*args, **kwargs):
@@ -944,19 +931,18 @@ class TestGaussModel:
         rng = np.random.default_rng(22)
         d, k = 5, 3
         w0 = normalize_rows(rng.standard_normal((k, d)))
-        # plug-in assignments too: the scalar form never factors r * I
-        for predictive in (True, False):
-            cfg = GaussConfig(d=d, k=k, assign_with_predictive=predictive)
-            scalar, dense = GaussModel(w0, cfg), dense_twin(w0, cfg)
-            for t in range(1, 4):
-                batch = rng.standard_normal((8, d))
-                scalar.adapt(t, batch)
-                assert not calls
-                dense.adapt(t, batch)
-                # soft assignments move every step's weights between sweeps, so the
-                # dense filter alone factors once per class and step in each sweep
-                assert len(calls) >= k * t * cfg.e_sweeps
-                calls.clear()
+        # the scalar form never factors r * I
+        cfg = GaussConfig(d=d, k=k)
+        scalar, dense = GaussModel(w0, cfg), dense_twin(w0, cfg)
+        for t in range(1, 4):
+            batch = rng.standard_normal((8, d))
+            scalar.adapt(t, batch)
+            assert not calls
+            dense.adapt(t, batch)
+            # soft assignments move every step's weights between sweeps, so the
+            # dense filter alone factors once per class and step in each sweep
+            assert len(calls) >= k * t * cfg.e_sweeps
+            calls.clear()
 
     def test_learned_sigmas_take_the_dense_path(self):
         rng = np.random.default_rng(21)
@@ -1085,17 +1071,16 @@ def per_class_transition(beliefs, gains):
 
 
 class TestDensePathOracle:
-    @pytest.mark.parametrize("predictive", [False, True])
+    @pytest.mark.parametrize("learn_sigmas", [False, True])
     @pytest.mark.parametrize("e_sweeps", [1, 2, 3])
     @pytest.mark.parametrize("window", [1, 3, 5])
-    def test_matches_per_class_loop(self, window, e_sweeps, predictive):
+    def test_matches_per_class_loop(self, window, e_sweeps, learn_sigmas):
         rng = np.random.default_rng(24)
         d, k = 6, 4
         w0 = normalize_rows(rng.standard_normal((k, d)))
         w0[3] *= 20.0  # far from every sample: an empty cluster
         cfg = GaussConfig(d=d, k=k, window=window, e_sweeps=e_sweeps,
-                          learn_transition=True, learn_sigmas=True,
-                          assign_with_predictive=predictive)
+                          learn_transition=True, learn_sigmas=learn_sigmas)
         model, ref = GaussModel(w0, cfg), PerClassLoopModel(w0, cfg)
         for t in range(1, window + 4):
             labels = rng.integers(0, 3, size=12)
@@ -1198,7 +1183,7 @@ class TestDenseFilterRecord:
             # every step although its weights equal the last adapt's
             assert len(calls) == len(model._steps)
             assert set(np.unique(model._steps[-1].resp)) == {0.0, 1.0}
-            assert model._record is None
+            assert not model._record.weights
             self.assert_matches(model, ref)
 
     def test_weights_changed_at_the_last_step_recompute_it(self, monkeypatch):
@@ -1241,7 +1226,7 @@ class TestDenseFilterRecord:
         with pytest.raises(NotPositiveDefiniteError):
             model.adapt(5, batch)
         assert len(calls) == len(model._steps) + 1
-        assert model._record is None
+        assert not model._record.weights
         # the first sweep's record would let a bare sweep keep the two older
         # steps; without it every step is filtered again
         calls = self.counted_updates(monkeypatch)

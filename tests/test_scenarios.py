@@ -1,13 +1,16 @@
 """Named scenarios of known failure regimes.
 
 Each scenario runs a tracker at its default settings over a synthetic
-stream and scores it against the unadapted source head, the prototypes
-at the first step of the true trajectory.
+stream. The accuracy scenario scores it against the unadapted source
+head, the prototypes at the first step of the true trajectory; the
+invariant scenarios check, after every step, what must hold whatever the
+accuracy.
 """
 
 import numpy as np
 import pytest
 
+from stad.gauss import GaussConfig, GaussModel
 from stad.stream import DriftScenario, synth_drift
 from stad.vmf import VmfConfig, VmfModel
 
@@ -35,3 +38,58 @@ def test_vmf_default_at_d512_keeps_up_with_source_head():
     source = trajectory[0]
     adapted, unadapted = accuracies(VmfModel(source, VmfConfig(d=d, k=k)), batches, source)
     assert adapted >= unadapted
+
+
+INVARIANT_CASES = ["one-sample", "k-above-n", "float32", "class-absent", "no-drift"]
+
+
+def invariant_stream(tracker, case):
+    """Source head and per-step batches (D=16) of one invariant case.
+
+    The stream's features are float32; every case but "float32" passes
+    them as float64. "class-absent" drops class 0 from every step after
+    the first.
+    """
+    k = 6 if case == "k-above-n" else 4
+    n = {"one-sample": 1, "k-above-n": 3}.get(case, 12)
+    batches, trajectory = synth_drift(DriftScenario(
+        geometry="sphere" if tracker == "vmf" else "euclidean", d=16, k=k, t_steps=8,
+        n_per_step=n, drift_deg_per_step=0.0 if case == "no-drift" else 2.0,
+        drift_scale=0.0 if case == "no-drift" else 0.02, seed=5))
+    feats = []
+    for i, batch in enumerate(batches):
+        h = batch.features if case == "float32" else batch.features.astype(float)
+        feats.append(h[batch.labels != 0] if case == "class-absent" and i else h)
+    return trajectory[0], feats
+
+
+def assert_simplex_rows(p, floor=0.0):
+    assert np.all(p >= floor * (1.0 - 1e-12))
+    np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", INVARIANT_CASES)
+@pytest.mark.parametrize("tracker", ["vmf", "gauss"])
+def test_invariants_hold_at_defaults(tracker, case):
+    source, feats = invariant_stream(tracker, case)
+    k, d = source.shape
+    if tracker == "vmf":
+        model = VmfModel(source, VmfConfig(d=d, k=k))
+    else:
+        model = GaussModel(source, GaussConfig(d=d, k=k))
+    for t, h in enumerate(feats, start=1):
+        assert h.shape[0] >= 1
+        model.adapt(t, h)
+        probs, labels = model.predict(h)
+        assert_simplex_rows(probs)
+        np.testing.assert_array_equal(labels, probs.argmax(axis=1))
+        for step in model._steps:
+            assert_simplex_rows(step.resp)
+            assert_simplex_rows(step.mixing, model.config.pi_floor)
+            if tracker == "vmf":
+                np.testing.assert_allclose(np.linalg.norm(step.belief.mean_dir, axis=1), 1.0,
+                                           rtol=0, atol=1e-12)
+            else:
+                assert np.isfinite(step.belief.mean).all()
+        if tracker == "vmf":
+            assert np.isfinite(model.window_elbo())

@@ -248,8 +248,7 @@ class ReferenceSweepModel(VmfModel):
         kt = self._kappa_trans[:, None]
         for i, step in enumerate(steps):
             step.resp = assignment_step(
-                step.feats, step.belief.expected, step.mixing, self._kappa_ems,
-                cfg.d, per_class=cfg.per_class_kappa,
+                step.feats, step.belief.expected, step.mixing, self._kappa_ems, cfg.d,
             )
             total = self._kappa_ems[:, None] * (step.resp.T @ step.feats)
             if i > 0:
@@ -535,6 +534,15 @@ class TestMixingUpdate:
         with pytest.raises(DomainError):
             mixing_update(resp, 1e-4)
 
+    @pytest.mark.parametrize("resp", [
+        np.array([[-1.0, 0.5], [0.2, 0.3]]),   # column means (-0.4, 0.4): a zero total
+        np.zeros((3, 3)),
+        np.array([[-0.5, 1.5], [0.5, 0.5]]),   # column means (0, 1): a valid-looking total
+    ], ids=["negative", "zero-total", "negative-in-positive-total"])
+    def test_off_simplex_rejected(self, resp):
+        with pytest.raises(DomainError):
+            mixing_update(resp, 1e-4)
+
 
 class TestKappaUpdate:
     def test_identical_expected_gives_r_squared(self):
@@ -747,16 +755,20 @@ class TestInvariants:
                 assert np.all(s.belief.conc > 0.0)
 
     def test_elbo_monotone_over_sweeps(self):
-        rng = np.random.default_rng(17)
-        model = VmfModel(rng.standard_normal((3, 8)), VmfConfig(d=8, k=3))
-        for t in range(1, 4):
-            model.adapt(t, rng.standard_normal((20, 8)))
-        elbo = model.window_elbo()
-        for _ in range(6):
-            model.coordinate_ascent_sweep()
-            new = model.window_elbo()
-            assert new >= elbo - 1e-6
-            elbo = new
+        # a shared kappa_ems, and per-class values that only the
+        # log C_D(kappa_k) bias of the assignments keeps monotone
+        for kappa_ems in (100.0, (5.0, 50.0, 500.0)):
+            rng = np.random.default_rng(17)
+            model = VmfModel(rng.standard_normal((3, 8)),
+                             VmfConfig(d=8, k=3, kappa_ems=kappa_ems))
+            for t in range(1, 4):
+                model.adapt(t, rng.standard_normal((20, 8)))
+            elbo = model.window_elbo()
+            for _ in range(6):
+                model.coordinate_ascent_sweep()
+                new = model.window_elbo()
+                assert new >= elbo - 1e-6, kappa_ems
+                elbo = new
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(18)
