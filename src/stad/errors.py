@@ -4,8 +4,6 @@ Every error raised by the library derives from StadError so that callers
 can catch one base class.
 """
 
-from numpy.linalg import LinAlgError
-
 
 class StadError(Exception):
     """Base class for all library errors."""
@@ -41,14 +39,6 @@ class InsufficientHistoryError(StadError):
 
 class NotAdaptedError(StadError):
     """Prediction was requested before any adaptation step."""
-
-
-class NotPositiveDefiniteError(StadError, LinAlgError):
-    """A covariance that must be positive definite is not; its Cholesky factorization failed."""
-
-
-class ConfigError(StadError):
-    """Invalid or unsupported configuration values."""
 
 
 class StreamFormatError(StadError):

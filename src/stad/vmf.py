@@ -342,7 +342,7 @@ class VmfModel(SlidingWindow):
 
     # -- adaptation ------------------------------------------------------
 
-    def _sweep(self, last: bool) -> None:
+    def _sweep(self) -> None:
         self.coordinate_ascent_sweep()
 
     def _reestimate(self) -> None:

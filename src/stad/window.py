@@ -110,10 +110,10 @@ class SlidingWindow:
     every step starts from it, which turns the window into a fresh fit per
     batch. The initial anchor is kept as `_prior` and never written.
 
-    `adapt` is `_push`, then `e_sweeps` calls of `_sweep(last)`, `last`
-    true on the final one, then `_reestimate()`. A subclass supplies
-    `_sweep`, one coordinate sweep over `_steps`, and `_reestimate`, the
-    closed-form mixing and parameter updates, and its own head.
+    `adapt` is `_push`, then `e_sweeps` calls of `_sweep()`, then
+    `_reestimate()`. A subclass supplies `_sweep`, one coordinate sweep
+    over `_steps`, and `_reestimate`, the closed-form mixing and parameter
+    updates, and its own head.
     """
 
     def __init__(self, config, anchor, window: int, fixed_anchor: bool = False):
@@ -134,9 +134,8 @@ class SlidingWindow:
     def adapt(self, t: int, feats: np.ndarray) -> "SlidingWindow":
         """Ingest the batch at time t and re-infer the window; returns self."""
         self._push(t, feats)
-        sweeps = self.config.e_sweeps
-        for sweep in range(sweeps):
-            self._sweep(sweep == sweeps - 1)
+        for _ in range(self.config.e_sweeps):
+            self._sweep()
         self._reestimate()
         return self
 
