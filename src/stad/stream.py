@@ -2,10 +2,9 @@
 
 Every step of a stream obeys one contract. Its features are a 2-D (N, D)
 array of finite values with N, D >= 1, and its labels, when present, are
-N integers in [0, K). `write_stream` enforces it on what it writes;
-`read_stream` and `read_csv_stream` enforce it on what they read. In a
-stream directory step i (1-based) has t = i; a CSV dump keeps its own
-contiguous t values.
+N integers in [0, K). `write_stream` enforces it on what it writes and
+`read_stream` on what it reads. In a stream directory step i (1-based)
+has t = i.
 
 A stream directory holds one feature file per time step plus a JSON
 manifest. Feature files carry a 16-byte header (magic ``STADEMB1``, row
@@ -31,7 +30,6 @@ stored alongside for tracking metrics.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import struct
@@ -65,7 +63,6 @@ __all__ = [
     "read_manifest",
     "read_stream",
     "read_trajectory",
-    "read_csv_stream",
     "make_label_shift",
     "sample_vmf",
     "well_separated_directions",
@@ -356,58 +353,6 @@ def read_trajectory(dirpath) -> np.ndarray | None:
     if flat.size != math.prod(shape):
         raise CorruptPayloadError(f"trajectory of shape {flat.shape}, expected {shape}")
     return flat.reshape(shape)
-
-
-def read_csv_stream(path, k: int | None = None) -> tuple[list[EmbeddingBatch], int]:
-    """Ingest a CSV dump with header ``t,label,f0..f{D-1}``.
-
-    Rows are grouped into steps by t, whose values must be contiguous. A
-    label entry may be empty; a step with an empty one is unlabeled.
-    Enforces the step contract (module docstring) with CorruptPayloadError.
-    Returns the batches and `k`, or when `k` is None the inferred class
-    count: max label + 1, or 0 when no step carries labels.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise MissingFileError(str(path))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or len(header) < 3 or header[:2] != ["t", "label"]:
-            raise CorruptHeaderError(f"{path}: expected header t,label,f0..")
-        d = len(header) - 2
-        rows_by_t: dict[int, list] = {}
-        for row in reader:
-            if len(row) != d + 2:
-                raise CorruptPayloadError(f"{path}: row width {len(row)} != {d + 2}")
-            try:
-                t = int(row[0])
-                feats = [float(x) for x in row[2:]]
-            except ValueError as exc:
-                raise CorruptPayloadError(f"{path}: {exc}") from exc
-            rows_by_t.setdefault(t, []).append((row[1], feats))
-    if not rows_by_t:
-        raise CorruptPayloadError(f"{path}: no data rows")
-    ts = sorted(rows_by_t)
-    if ts != list(range(ts[0], ts[0] + len(ts))):
-        raise NonContiguousTimeError(f"{path}: non-contiguous time indices {ts}")
-    batches = []
-    for t in ts:
-        raw, feats = zip(*rows_by_t[t])
-        labels = None
-        if all(raw):
-            try:
-                labels = np.array([int(x) for x in raw])
-            except ValueError as exc:
-                raise CorruptPayloadError(f"{path}: bad label at t={t}: {exc}") from exc
-        batches.append(EmbeddingBatch(t, np.asarray(feats, dtype=np.float32), labels))
-    if k is None:
-        k = max((int(b.labels.max()) + 1 for b in batches if b.labels is not None), default=0)
-    for b in batches:
-        _check_step(b.t, b.features, b.labels, d, k, CorruptPayloadError)
-        if b.labels is not None:
-            b.labels = b.labels.astype(np.uint32)
-    return batches, k
 
 
 # -- label-shift reordering -------------------------------------------------

@@ -12,13 +12,14 @@ re-estimates.
 
 The newest prototype directions double as an adapted last-layer weight
 matrix: predictions are the assignment step's cluster posterior on those
-directions, a temperature-scaled softmax of their dot products with the
-embeddings plus the log-mixing (and, when the emission concentrations
-differ between classes, log-normalizer) bias terms.
+directions, a softmax of their dot products with the embeddings at
+temperature 1 / kappa_ems plus the log-mixing bias.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,33 +62,28 @@ def _row_blocks(k: int, d: int) -> list[slice]:
 class VmfConfig:
     """Knobs for the spherical tracker.
 
-    kappa_trans / kappa_ems / kappa0 may be scalars (shared across
-    classes) or length-K sequences; per_class_kappa makes learned
-    concentrations class specific. Whenever the kappa_ems values differ,
-    assignments and predictions add the log-normalizer bias
-    log C_D(kappa_ems_k) (see `assignment_step`).
+    kappa_trans, kappa_ems and kappa0 are each one concentration shared by
+    all K classes: real numbers (bools excluded), finite and >= 0.
     """
 
     d: int
     k: int
-    kappa_trans: float | tuple = 100.0
-    kappa_ems: float | tuple = 100.0
-    kappa0: float | tuple = 100.0
+    kappa_trans: float = 100.0
+    kappa_ems: float = 100.0
+    kappa0: float = 100.0
     window: int = 3
     e_sweeps: int = 2
     learn_kappa_trans: bool = False
     learn_kappa_ems: bool = False
-    per_class_kappa: bool = False
     pi_floor: float = 1e-4
 
     def __post_init__(self):
         check_config(self, d_min=2)
         for name in ("kappa_trans", "kappa_ems", "kappa0"):
-            vals = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if vals.ndim != 1 or vals.size not in (1, self.k):
-                raise DomainError(f"{name} needs 1 or K={self.k} values, got {vals.shape}")
-            if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
-                raise DomainError(f"{name} must be finite and >= 0")
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not real or not 0.0 <= value < math.inf:
+                raise DomainError(f"{name} must be a finite real number >= 0, got {value!r}")
 
 
 @dataclass
@@ -130,19 +126,13 @@ def expected_prototype(mean_dir: np.ndarray, conc, d: int) -> np.ndarray:
 
 
 def assignment_step(
-    feats: np.ndarray,
-    expected: np.ndarray,
-    mixing: np.ndarray,
-    kappa_ems: np.ndarray,
-    d: int,
+    feats: np.ndarray, expected: np.ndarray, mixing: np.ndarray, kappa_ems: float
 ) -> np.ndarray:
     """Posterior class responsibilities for one batch.
 
-    Log-domain: log pi_k + log C_D(kappa_k) + kappa_k <expected_k, h>,
-    normalized per row. The normalizer term is added only when the
-    kappa_ems values differ; when they are all equal it is one constant
-    in every row, which the normalization cancels, so leaving it out is
-    exact.
+    Log-domain: log pi_k + kappa_ems <expected_k, h>, normalized per row.
+    The vMF log-normalizer log C_D(kappa_ems) is the same in every class,
+    so the normalization cancels it and it is left out.
     """
     feats = np.asarray(feats, dtype=float)
     expected = np.asarray(expected, dtype=float)
@@ -150,8 +140,6 @@ def assignment_step(
         raise DimensionMismatchError(
             f"feats {feats.shape} vs prototypes {expected.shape}"
         )
-    k = expected.shape[0]
-    kappa_ems = np.broadcast_to(np.asarray(kappa_ems, dtype=float), (k,))
     with np.errstate(invalid="ignore", over="ignore"):
         dots = feats @ expected.T
     # a NaN or infinity in either input reaches the dots of its row, so
@@ -160,8 +148,6 @@ def assignment_step(
         raise DomainError("embeddings or prototypes contain non-finite entries")
     with np.errstate(divide="ignore"):
         logits = np.log(np.asarray(mixing, dtype=float)) + kappa_ems * dots
-    if np.any(kappa_ems != kappa_ems[0]):
-        logits = logits + log_vmf_norm_const(d, kappa_ems)
     return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
 
 
@@ -216,16 +202,16 @@ def kappa_update(
     d: int,
     learn_trans: bool,
     learn_ems: bool,
-    per_class: bool = False,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Concentration re-estimates from window-wide resultant lengths.
+) -> tuple[float | None, float | None]:
+    """Shared concentration re-estimates from window-wide resultant lengths.
 
     The transition resultant averages the dot products of consecutive
     expected prototypes over window transitions and classes; the emission
     resultant averages the responsibility-weighted alignments of
     embeddings with their expected prototypes over every window step (the
     emission term exists for all steps, so the sum is not restricted to
-    steps with a predecessor). Estimates are clamped to [1e-6, 1e6].
+    steps with a predecessor). Each estimate is one float, or None when
+    it is not learned, clamped to [1e-6, 1e6].
     """
     kappa_trans = kappa_ems = None
     if learn_trans:
@@ -239,44 +225,26 @@ def kappa_update(
                 for i in range(len(beliefs) - 1)
             ]
         )  # (T-1, K)
-        r = np.abs(dots.mean(axis=0)) if per_class else np.abs(dots.mean())
-        kappa_trans = np.broadcast_to(
-            np.atleast_1d(estimate_kappa_clamped(r, d)), (beliefs[0].mean_dir.shape[0],)
-        ).copy()
+        kappa_trans = float(estimate_kappa_clamped(abs(dots.mean()), d))
     if learn_ems:
-        align_sum = np.zeros(beliefs[0].mean_dir.shape[0])
-        count_sum = np.zeros_like(align_sum)
+        align_sum = np.zeros(beliefs[0].mean_dir.shape[0])  # per class, summed last
         n_total = 0
         for belief, resp, h in zip(beliefs, resps, feats):
             align_sum += np.sum(resp * (h @ belief.expected.T), axis=0)
-            count_sum += resp.sum(axis=0)
             n_total += h.shape[0]
-        if per_class:
-            r = np.abs(align_sum) / np.maximum(count_sum, 1e-300)
-        else:
-            r = np.abs(align_sum.sum()) / n_total
-        kappa_ems = np.broadcast_to(
-            np.atleast_1d(estimate_kappa_clamped(r, d)), align_sum.shape
-        ).copy()
+        kappa_ems = float(estimate_kappa_clamped(abs(align_sum.sum()) / n_total, d))
     return kappa_trans, kappa_ems
 
 
 def predict_probs(
-    feats: np.ndarray,
-    prototypes: np.ndarray,
-    kappa_ems: np.ndarray,
-    mixing: np.ndarray,
-    d: int,
+    feats: np.ndarray, prototypes: np.ndarray, kappa_ems: float, mixing: np.ndarray
 ) -> np.ndarray:
     """Class probabilities from prototype directions: the cluster posterior
     of `assignment_step` with the prototypes' unit directions in place of
-    their expected prototypes.
-
-    The log C_D(kappa_k) bias applies, as there, only when the kappa_ems
-    values differ. With a shared concentration and uniform mixing this is
+    their expected prototypes. With uniform mixing this is
     softmax(kappa_ems * W h).
     """
-    return assignment_step(feats, prototypes, mixing, kappa_ems, d)
+    return assignment_step(feats, prototypes, mixing, kappa_ems)
 
 
 class VmfModel(SlidingWindow):
@@ -308,13 +276,12 @@ class VmfModel(SlidingWindow):
         self.source_prototypes = normalize_rows(source_weights)
 
         k = config.k
-        self._kappa_trans, self._kappa_ems, kappa0 = (
-            np.broadcast_to(np.atleast_1d(np.asarray(value, dtype=float)), (k,)).copy()
-            for value in (config.kappa_trans, config.kappa_ems, config.kappa0)
-        )
+        self._kappa_trans = float(config.kappa_trans)
+        self._kappa_ems = float(config.kappa_ems)
+        self._kappa0 = float(config.kappa0)
         super().__init__(
             config,
-            PrototypeBelief.from_params(self.source_prototypes.copy(), kappa0),
+            PrototypeBelief.from_params(self.source_prototypes.copy(), np.full(k, self._kappa0)),
             window=1 if static else config.window,
             fixed_anchor=static,
         )
@@ -333,11 +300,11 @@ class VmfModel(SlidingWindow):
         return self._newest().belief.mean_dir.copy()
 
     @property
-    def kappa_trans(self) -> np.ndarray:
+    def kappa_trans(self) -> float:
         return self._kappa_trans
 
     @property
-    def kappa_ems(self) -> np.ndarray:
+    def kappa_ems(self) -> float:
         return self._kappa_ems
 
     # -- adaptation ------------------------------------------------------
@@ -358,7 +325,6 @@ class VmfModel(SlidingWindow):
                 cfg.d,
                 learn_trans=cfg.learn_kappa_trans and len(self._steps) >= 2,
                 learn_ems=cfg.learn_kappa_ems,
-                per_class=cfg.per_class_kappa,
             )
             if new_trans is not None:
                 self._kappa_trans = new_trans
@@ -388,53 +354,49 @@ class VmfModel(SlidingWindow):
         self._newest()
         cfg = self.config
         steps = self._steps
-        kappa_trans = self._kappa_trans[:, None]
+        kappa_trans = self._kappa_trans
         blocks = _row_blocks(cfg.k, cfg.d)
         sq_norms = self._sq_norms
         for i, step in enumerate(steps):
             belief = step.belief
-            step.resp = assignment_step(
-                step.feats,
-                belief.expected,
-                step.mixing,
-                self._kappa_ems,
-                cfg.d,
-            )
+            step.resp = assignment_step(step.feats, belief.expected, step.mixing, self._kappa_ems)
             total = np.matmul((step.resp * self._kappa_ems).T, step.feats, out=self._total)
             if i == 0:
                 scale, left = self._anchor_message()
             else:
-                scale, left = self._kappa_trans, steps[i - 1].belief.expected
+                scale, left = kappa_trans, steps[i - 1].belief.expected
             right = steps[i + 1].belief.expected if i + 1 < len(steps) else None
-            # with both neighbours on kappa_trans, scale their sum once
-            summed = right is not None and scale is self._kappa_trans
+            # with both neighbours on kappa_trans, scale their sum once; the
+            # source prior sends kappa0 * mu0 on its own, even when kappa0
+            # equals kappa_trans
+            summed = right is not None and (i > 0 or self._anchor is not self._prior)
             for rows in blocks:
                 msg, block = belief.expected[rows], total[rows]
                 np.copyto(msg, left[rows])
                 if summed:
                     msg += right[rows]
-                    msg *= kappa_trans[rows]
+                    msg *= kappa_trans
                 else:
-                    msg *= scale[rows, None]
+                    msg *= scale
                     if right is not None:
                         block += msg
                         np.copyto(msg, right[rows])
-                        msg *= kappa_trans[rows]
+                        msg *= kappa_trans
                 block += msg
                 np.einsum("kd,kd->k", block, block, out=sq_norms[rows])
             self._total, degenerate = prototype_update(belief, total, sq_norms)
             self.degenerate_updates += degenerate
 
-    def _anchor_message(self) -> tuple[np.ndarray, np.ndarray]:
+    def _anchor_message(self) -> tuple[float, np.ndarray]:
         """Natural-parameter message the left boundary receives, as (scale, direction).
 
-        The message is scale[:, None] * direction. The initial prior
-        contributes kappa0 * mu0 exactly; a frozen evicted belief
-        contributes kappa_trans * (expected direction), i.e. it is treated
-        as one more fixed vMF neighbour.
+        The message is scale * direction. The initial prior contributes
+        kappa0 * mu0 exactly; a frozen evicted belief contributes
+        kappa_trans * (expected direction), i.e. it is treated as one more
+        fixed vMF neighbour.
         """
         if self._anchor is self._prior:
-            return self._anchor.conc, self._anchor.mean_dir
+            return self._kappa0, self._anchor.mean_dir
         return self._kappa_trans, self._anchor.expected
 
     # -- prediction and diagnostics ---------------------------------------
@@ -443,11 +405,7 @@ class VmfModel(SlidingWindow):
         """Class probabilities and argmax labels for a batch."""
         newest = self._newest()
         probs = predict_probs(
-            self._unit_batch(feats),
-            newest.belief.mean_dir,
-            self._kappa_ems,
-            newest.mixing,
-            self.config.d,
+            self._unit_batch(feats), newest.belief.mean_dir, self._kappa_ems, newest.mixing
         )
         return probs, probs.argmax(axis=1)
 
@@ -459,21 +417,17 @@ class VmfModel(SlidingWindow):
         and the categorical assignments.
         """
         self._newest()  # raises NotAdaptedError before the first step
-        d = self.config.d
+        d, k = self.config.d, self.config.k
         total = 0.0
         steps = self._steps
 
+        # K vMF factors per transition, each with the shared concentration
         scale, direction = self._anchor_message()
-        total += float(np.sum(log_vmf_norm_const(d, scale)))
-        total += float(np.sum(scale * np.sum(direction * steps[0].belief.expected, axis=1)))
+        total += k * float(log_vmf_norm_const(d, scale))
+        total += scale * float(np.sum(direction * steps[0].belief.expected))
         for prev, cur in zip(steps, steps[1:]):
-            total += float(np.sum(log_vmf_norm_const(d, self._kappa_trans)))
-            total += float(
-                np.sum(
-                    self._kappa_trans
-                    * np.sum(prev.belief.expected * cur.belief.expected, axis=1)
-                )
-            )
+            total += k * float(log_vmf_norm_const(d, self._kappa_trans))
+            total += self._kappa_trans * float(np.sum(prev.belief.expected * cur.belief.expected))
 
         for s in steps:
             align = s.feats @ s.belief.expected.T  # (N, K)

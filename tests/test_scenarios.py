@@ -40,6 +40,20 @@ def test_vmf_default_at_d512_keeps_up_with_source_head():
     assert adapted >= unadapted
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "learn_transition alone, at the default q = 0.01 and r = 0.5, shrinks the learned "
+    "a_k towards 0 and the prototypes with them: accuracy 0.367 against 1.000 for the "
+    "source head; learning q and r as well reads 1.000"))
+def test_gauss_learned_transition_alone_keeps_up_with_source_head():
+    d, k = 64, 10
+    batches, trajectory = synth_drift(DriftScenario(
+        geometry="euclidean", d=d, k=k, t_steps=20, n_per_step=200, seed=0))
+    source = trajectory[0]
+    model = GaussModel(source, GaussConfig(d=d, k=k, learn_transition=True))
+    adapted, unadapted = accuracies(model, batches, source)
+    assert adapted >= unadapted
+
+
 INVARIANT_CASES = ["one-sample", "k-above-n", "float32", "class-absent", "no-drift"]
 
 

@@ -25,7 +25,6 @@ from stad.stream import (
     DriftScenario,
     EmbeddingBatch,
     make_label_shift,
-    read_csv_stream,
     read_manifest,
     read_matrix,
     read_stream,
@@ -148,20 +147,24 @@ def _batch(t=1, feats=((0.5, 1.0), (1.0, 0.0)), labels=(0, 1)):
 
 
 WRITER_VIOLATIONS = {
-    "first step t=2": [_batch(t=2)],
-    "label 5 with K=2": [_batch(labels=(0, 5))],
-    "label -1": [_batch(labels=(0, -1))],
-    "NaN features": [_batch(feats=((0.5, np.nan), (1.0, 0.0)))],
-    "1-D batch": [EmbeddingBatch(1, np.ones(2, np.float32), np.zeros(2, np.uint32))],
-    "wrong D": [_batch(), _batch(t=2, feats=((1.0, 2.0, 3.0), (0.0, 1.0, 0.0)))],
-    "label-count mismatch": [_batch(labels=(0, 1, 1))],
+    "first step t=2": ([_batch(t=2)], NonContiguousTimeError),
+    "label 5 with K=2": ([_batch(labels=(0, 5))], DomainError),
+    "label -1": ([_batch(labels=(0, -1))], DomainError),
+    "NaN features": ([_batch(feats=((0.5, np.nan), (1.0, 0.0)))], DomainError),
+    "1-D batch": ([EmbeddingBatch(1, np.ones(2, np.float32), np.zeros(2, np.uint32))],
+                  DomainError),
+    "wrong D": ([_batch(), _batch(t=2, feats=((1.0, 2.0, 3.0), (0.0, 1.0, 0.0)))],
+                DomainError),
+    "label-count mismatch": ([_batch(labels=(0, 1, 1))], DomainError),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WRITER_VIOLATIONS))
 def test_write_stream_enforces_step_contract(tmp_path, case):
-    with pytest.raises(StadError):
-        write_stream(tmp_path, WRITER_VIOLATIONS[case], k=2)
+    batches, error = WRITER_VIOLATIONS[case]
+    assert issubclass(error, StadError)
+    with pytest.raises(error):
+        write_stream(tmp_path, batches, k=2)
 
 
 @pytest.mark.parametrize("batches, k", [([_batch()], 0), ([], 2)], ids=["k=0", "no batches"])
@@ -244,58 +247,6 @@ def test_read_matrix_missing_file(tmp_path):
         read_matrix(tmp_path / "absent.emb")
 
 
-def _csv(tmp_path, text):
-    path = tmp_path / "dump.csv"
-    path.write_text(text)
-    return path
-
-
-def test_csv_ingest_with_unlabeled_rows(tmp_path):
-    path = _csv(tmp_path, "t,label,f0,f1\n2,1,0.5,1\n2,0,1,0\n3,,0,2\n3,,1,1\n")
-    batches, k = read_csv_stream(path)
-    assert k == 2
-    assert [b.t for b in batches] == [2, 3]
-    np.testing.assert_array_equal(batches[0].labels, [1, 0])
-    assert batches[1].labels is None
-    np.testing.assert_array_equal(batches[1].features, np.array([[0, 2], [1, 1]], np.float32))
-    assert read_csv_stream(path, k=5)[1] == 5
-
-
-@pytest.mark.parametrize("text", [
-    "t,label,f0\n1,0,0.5,0.1\n",
-    "t,labels,f0\n1,0,0.5\n",
-])
-def test_csv_rejects_malformed_rows(tmp_path, text):
-    with pytest.raises((CorruptHeaderError, CorruptPayloadError)):
-        read_csv_stream(_csv(tmp_path, text))
-
-
-@pytest.mark.parametrize("text, k", [
-    ("t,label,f0\n1,0,nan\n", None),
-    ("t,label,f0,f1\n1,,0.5,inf\n", None),
-    ("t,label,f0\n1,0,0.5\n1,3,0.1\n", 2),
-])
-def test_csv_enforces_step_contract(tmp_path, text, k):
-    with pytest.raises(CorruptPayloadError):
-        read_csv_stream(_csv(tmp_path, text), k=k)
-
-
-def test_csv_stream_must_start_at_one_to_be_written(tmp_path):
-    batches, k = read_csv_stream(_csv(tmp_path, "t,label,f0\n2,0,0.5\n3,1,0.1\n"))
-    with pytest.raises(NonContiguousTimeError):
-        write_stream(tmp_path / "out", batches, k)
-
-
-def test_csv_gap_in_t_rejected(tmp_path):
-    with pytest.raises(NonContiguousTimeError):
-        read_csv_stream(_csv(tmp_path, "t,label,f0\n1,0,0.5\n3,1,0.1\n"))
-
-
-def test_csv_missing_file(tmp_path):
-    with pytest.raises(MissingFileError):
-        read_csv_stream(tmp_path / "absent.csv")
-
-
 @pytest.mark.parametrize("whole_stream", [False, True])
 def test_label_shift_is_class_contiguous_permutation(whole_stream):
     batches = small_batches(seed=1, sizes=(9, 7, 8))
@@ -361,16 +312,11 @@ def _shift_without_labels():
 
 
 @pytest.mark.parametrize("case, error", [
-    (lambda tmp: read_csv_stream(_csv(tmp, "t,label,f0\n")), CorruptPayloadError),
-    (lambda tmp: read_csv_stream(_csv(tmp, "t\n1\n")), CorruptHeaderError),
-    (lambda tmp: read_csv_stream(_csv(tmp, "t,label,f0\n1,0,abc\n")), CorruptPayloadError),
-    (lambda tmp: read_csv_stream(_csv(tmp, "t,label,f0\n1,z,0.5\n")), CorruptPayloadError),
     (_manifest_without_steps, CorruptHeaderError),
     (lambda tmp: DriftScenario(label_distribution="dirichlet:x"), DomainError),
     (lambda tmp: _shift_out_of_range(), DomainError),
     (lambda tmp: _shift_without_labels(), MissingLabelsError),
-], ids=["header-only csv", "one-column header", "non-numeric field", "non-numeric label",
-        "manifest without steps", "dirichlet alpha not a number", "label shift label >= k",
+], ids=["manifest without steps", "dirichlet alpha not a number", "label shift label >= k",
         "label shift without labels"])
 def test_bad_input_raises_stad_error(tmp_path, case, error):
     assert issubclass(error, StadError)
