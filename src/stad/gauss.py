@@ -1,24 +1,25 @@
 """Gaussian state-space mixture: K Kalman chains over class prototypes.
 
-Per class k, the prototype drifts as x_t = a_k x_{t-1} + N(0, q I), and
-each step's embeddings follow a Gaussian mixture around the current
-prototypes, h ~ N(x_k, r I). The transition is one scalar a_k per class
-and both noises are isotropic, so from an isotropic prior every filtered
-and smoothed covariance is c I. The model stores one variance c per class,
-shape (K,), and filtering, smoothing and the M-step cost O(K D) per step
-plus the assignments, at any D. Each kf_* function handles all K classes
-in one call; the mixture enters through responsibility-weighted
-pseudo-observations.
+Per class k, the prototype follows a random walk, x_t = x_{t-1} + N(0, q I),
+and each step's embeddings follow a Gaussian mixture around the current
+prototypes, h ~ N(x_k, r I). Both noises are isotropic, so from an
+isotropic prior every filtered and smoothed covariance is c I. The model
+stores one variance c per class, shape (K,), and filtering, smoothing and
+the M-step cost O(K D) per step plus the assignments, at any D. Each kf_*
+function handles all K classes in one call; the mixture enters through
+responsibility-weighted pseudo-observations.
 
-`learn_transition` learns the a_k and `learn_sigmas` learns q and r, in
-closed form from the window's smoothed moments: the isotropic case of the
-Shumway-Stoffer EM M-step (Shumway & Stoffer 1982; the RTS smoother as in
-Sarkka 2013). Unlearned, a_k = 1 (a random walk), and q and r stay the
-configured scales.
+Each learn flag learns one noise, as in the spherical tracker:
+`learn_transition` the transition noise q and `learn_sigmas` the emission
+noise r, in closed form from the window's smoothed moments. This is the
+isotropic random-walk case of the Shumway-Stoffer EM M-step (Shumway &
+Stoffer 1982; the RTS smoother as in Sarkka 2013). Unlearned, q and r stay
+the configured scales.
 
-kf_predict and kf_update_weighted check shapes (and the update the signs
-of its weights and r). kf_smooth checks the stacked moments of the whole
-window once per sweep, so a non-finite value raises DomainError there.
+The kf_* functions check shapes and their noise (q finite and >= 0, r
+finite and > 0), and kf_update_weighted the signs of its weights.
+kf_smooth checks the stacked moments of the whole window once per sweep,
+so a non-finite value raises DomainError there.
 """
 
 from __future__ import annotations
@@ -61,9 +62,10 @@ class GaussConfig:
 
     sigma_trans_scale and sigma_ems_scale are the initial q and r of
     Q = q I and R = r I, and init_cov_scale the prior variance of every
-    prototype (sigma_trans_scale if None). learn_transition learns the
-    per-class transitions a_k, which start at 1, and learn_sigmas learns q
-    and r; each `adapt` re-estimates them once the window holds two steps.
+    prototype (sigma_trans_scale if None). The prototypes follow a random
+    walk; learn_transition learns its noise q and learn_sigmas the emission
+    noise r, and each `adapt` re-estimates them once the window holds two
+    steps.
     The assignments plug in the posterior means with R alone.
     """
 
@@ -117,21 +119,28 @@ class GaussBelief:
 
 
 # bench/tracing.py wraps kf_predict; the sweep looks it up through the module
-def kf_predict(mean: np.ndarray, var: np.ndarray, transition: np.ndarray,
+def kf_predict(mean: np.ndarray, var: np.ndarray,
                sigma_trans: float) -> tuple[np.ndarray, np.ndarray]:
-    """One-step-ahead prior of K classes: a_k m_k and a_k^2 c_k + q.
+    """One random-walk step ahead for K classes: the mean m_k unchanged and
+    the variance c_k + q.
 
-    mean is (K, D), var and transition (K,), and sigma_trans the float q.
-    Checks shapes only; kf_smooth checks the values.
+    mean is (K, D), var (K,) and sigma_trans the float q. Raises
+    DimensionMismatchError for other shapes and DomainError for a q that is
+    not finite and >= 0; kf_smooth checks the moments.
     """
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
-    transition = np.asarray(transition, dtype=float)
-    if (mean.ndim != 2 or var.shape != mean.shape[:1] or transition.shape != var.shape
-            or np.asarray(sigma_trans).ndim):
+    if mean.ndim != 2 or var.shape != mean.shape[:1] or np.asarray(sigma_trans).ndim:
         raise DimensionMismatchError(
-            "kf_predict needs a (K, D) mean, (K,) variances and transitions and a float q")
-    return transition[:, None] * mean, transition * transition * var + sigma_trans
+            "kf_predict needs a (K, D) mean, (K,) variances and a float q")
+    _check_q(sigma_trans)
+    return mean, var + sigma_trans
+
+
+def _check_q(sigma_trans: float) -> None:
+    if not 0.0 <= sigma_trans < np.inf:  # a chained comparison also rejects NaN
+        raise DomainError(
+            f"the transition variance q must be finite and >= 0, got {sigma_trans}")
 
 
 # bench/tracing.py wraps kf_update_weighted and reads resp_col as its 4th
@@ -176,51 +185,38 @@ def kf_update_weighted(
 
 
 # bench/tracing.py wraps kf_smooth; the sweep looks it up through the module
-def kf_smooth(
-    means: np.ndarray,
-    covs: np.ndarray,
-    pred_means: np.ndarray,
-    pred_covs: np.ndarray,
-    transition: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def kf_smooth(means: np.ndarray, covs: np.ndarray,
+              sigma_trans: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward (Rauch-Tung-Striebel) pass over the filtered moments of K
-    chains.
+    random-walk chains.
 
-    means is (T, K, D) and covs (T, K); pred_means (T-1, K, D) and
-    pred_covs (T-1, K) are the filter's predictions for steps 1..T-1,
-    a m_i and a^2 c_i + q from step i; transition is (K,). Returns the
-    smoothed means and variances and the smoother gains
-    J_i = c_i a / (a^2 c_i + q), one (T-1, K) array, which the M-step
-    reads. A single step returns the filtered moments unchanged.
+    means is (T, K, D), covs (T, K) and sigma_trans the float q. Under the
+    random walk the prediction from step i is the filtered mean m_i with
+    variance c_i + q. Returns the smoothed means and variances and the
+    smoother gains J_i = c_i / (c_i + q), one (T-1, K) array, which the
+    M-step reads. A single step returns the filtered moments unchanged.
 
     This is the one value check of a sweep: every mean must be finite and
-    every variance finite and > 0, else DomainError.
+    every variance finite and > 0, else DomainError; so must q be finite
+    and >= 0.
     """
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
-    pred_means = np.asarray(pred_means, dtype=float)
-    pred_covs = np.asarray(pred_covs, dtype=float)
-    transition = np.asarray(transition, dtype=float)
-    if (means.ndim != 3 or covs.shape != means.shape[:2]
-            or pred_means.shape != (means.shape[0] - 1,) + means.shape[1:]
-            or pred_covs.shape != (means.shape[0] - 1,) + covs.shape[1:]
-            or transition.shape != covs.shape[1:]):
+    if means.ndim != 3 or covs.shape != means.shape[:2] or np.asarray(sigma_trans).ndim:
         raise DimensionMismatchError("inconsistent shapes in kf_smooth")
-    if not (np.isfinite(means).all() and np.isfinite(pred_means).all()
-            and np.isfinite(transition).all() and _positive(covs, pred_covs)):
+    _check_q(sigma_trans)
+    # a NaN variance fails both comparisons
+    if not (np.isfinite(means).all() and 0.0 < covs.min(initial=np.inf)
+            and covs.max(initial=0.0) < np.inf):
         raise DomainError("kf_smooth: means must be finite and variances finite and > 0")
     sm, sc = means.copy(), covs.copy()
-    gains = covs[:-1] * transition / pred_covs
+    pred_covs = covs[:-1] + sigma_trans
+    gains = covs[:-1] / pred_covs
     for i in range(means.shape[0] - 2, -1, -1):
         gain = gains[i]
-        sm[i] += gain[:, None] * (sm[i + 1] - pred_means[i])
+        sm[i] += gain[:, None] * (sm[i + 1] - means[i])
         sc[i] += gain * (sc[i + 1] - pred_covs[i]) * gain
     return sm, sc, gains
-
-
-def _positive(*variances: np.ndarray) -> bool:
-    """Whether every entry of every array is finite and > 0 (NaN fails)."""
-    return all(0.0 < v.min(initial=np.inf) and v.max(initial=0.0) < np.inf for v in variances)
 
 
 def _sq_dist(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -269,35 +265,30 @@ def gauss_m_step(
     gains: np.ndarray,
     resps: list[np.ndarray],
     feats: list[np.ndarray],
-    transition: np.ndarray,
     learn_transition: bool,
     learn_sigmas: bool,
-) -> tuple[np.ndarray | None, float | None, float | None]:
-    """Closed-form re-estimates of the a_k, q and r over the window.
+) -> tuple[float | None, float | None]:
+    """Closed-form re-estimates of q and r over the window.
 
-    The isotropic case of the Shumway-Stoffer M-step. From each class's
-    smoothed moments m_t, c_t and the smoother gains J_t of kf_smooth,
-    (T-1, K), the traces of the second moments summed over the T-1
-    transitions are S_prev = sum_t ||m_{t-1}||^2 + D c_{t-1} and
-    S_lag = sum_t m_t . m_{t-1} + D c_t J_{t-1}, and a_k = S_lag / S_prev.
-    q is the mean over classes, transitions and dimensions of
-    E||x_t - a_k x_{t-1}||^2 = ||m_t - a_k m_{t-1}||^2
-    + D (c_t - 2 a_k c_t J_{t-1} + a_k^2 c_{t-1}), with the new a_k when
-    it is learned; that equals sum_k (S_cur - 2 a_k S_lag + a_k^2 S_prev)
-    / ((T-1) K D). r is the mean over samples and dimensions of
-    sum_k w_nk (||h_n - m_k||^2 + D c_k). q and r are floored at 1e-8.
+    The isotropic random-walk case of the Shumway-Stoffer M-step. From each
+    class's smoothed moments m_t, c_t and the smoother gains J_t of
+    kf_smooth, (T-1, K), q is the mean over classes, transitions and
+    dimensions of E||x_t - x_{t-1}||^2 = ||m_t - m_{t-1}||^2
+    + D (c_t (1 - 2 J_{t-1}) + c_{t-1}). r is the mean over samples and
+    dimensions of sum_k w_nk (||h_n - m_k||^2 + D c_k). Both are floored
+    at 1e-8.
 
-    Returns (a as a (K,) array or None, q or None, r or None); with both
-    flags off, (None, None, None) before any check. With a flag on, fewer
-    than 2 steps raise InsufficientHistoryError. Every belief needs a
-    (K, D) mean and a (K,) covariance of one K and D, gains must be
-    (T-1, K) and transition (K,), and with learn_sigmas feats and resps
-    need T entries, (N_t, D) and (N_t, K); anything else raises
+    Returns (q or None, r or None), learning q with learn_transition and r
+    with learn_sigmas; with both flags off, (None, None) before any check.
+    With a flag on, fewer than 2 steps raise InsufficientHistoryError.
+    Every belief needs a (K, D) mean and a (K,) covariance of one K and D
+    and gains must be (T-1, K); with learn_sigmas feats and resps need T
+    entries, (N_t, D) and (N_t, K). Anything else raises
     DimensionMismatchError. Learning r from batches that are all empty
     raises EmptyBatchError, and a non-finite estimate DomainError.
     """
     if not (learn_transition or learn_sigmas):
-        return None, None, None
+        return None, None
     t_len = len(smoothed)
     if t_len < 2:
         raise InsufficientHistoryError("parameter learning needs >= 2 window steps")
@@ -307,10 +298,8 @@ def gauss_m_step(
         raise DimensionMismatchError(
             "gauss_m_step needs (K, D) means and (K,) covariances of one K and D")
     k, d = shape
-    if (len(gains) != t_len - 1 or any(np.shape(g) != (k,) for g in gains)
-            or np.shape(transition) != (k,)):
-        raise DimensionMismatchError(
-            f"gauss_m_step needs {t_len - 1} gains and a transition, each ({k},)")
+    if len(gains) != t_len - 1 or any(np.shape(g) != (k,) for g in gains):
+        raise DimensionMismatchError(f"gauss_m_step needs {t_len - 1} gains, each ({k},)")
     if learn_sigmas and (
             len(feats) != t_len or len(resps) != t_len
             or any(np.ndim(h) != 2 or np.shape(h)[1] != d or np.shape(w) != (len(h), k)
@@ -321,50 +310,44 @@ def gauss_m_step(
     if learn_sigmas and not n_total:
         raise EmptyBatchError("gauss_m_step needs at least one sample to learn r")
 
-    means = np.stack([b.mean for b in smoothed])   # (T, K, D)
-    covs = np.stack([b.cov for b in smoothed])     # (T, K)
-    gain = np.asarray(gains, dtype=float)          # (T-1, K)
-    prev, cur = means[:-1], means[1:]
-    new_a = None
-    a = np.asarray(transition, dtype=float)
-    if learn_transition:
-        s_prev = np.einsum("tkd,tkd->k", prev, prev) + d * covs[:-1].sum(axis=0)
-        s_lag = np.einsum("tkd,tkd->k", cur, prev) + d * (covs[1:] * gain).sum(axis=0)
-        new_a = a = s_lag / s_prev
-    estimates = [a]
     new_q = new_r = None
+    if learn_transition:
+        means = np.stack([b.mean for b in smoothed])   # (T, K, D)
+        covs = np.stack([b.cov for b in smoothed])     # (T, K)
+        gain = np.asarray(gains, dtype=float)          # (T-1, K)
+        step = means[1:] - means[:-1]
+        q_sum = (np.einsum("tkd,tkd->", step, step)
+                 + d * (covs[1:] * (1.0 - 2.0 * gain) + covs[:-1]).sum())
+        new_q = _noise_estimate(q_sum / ((t_len - 1) * k * d))
     if learn_sigmas:
-        resid = cur - a[:, None] * prev
-        q_sum = (np.einsum("tkd,tkd->", resid, resid)
-                 + d * (covs[1:] * (1.0 - 2.0 * a * gain) + a * a * covs[:-1]).sum())
         r_sum = sum(np.sum(w * (_sq_dist(h.T, b.mean.T) + d * b.cov))
                     for b, h, w in zip(smoothed, feats, resps))
-        new_q, new_r = q_sum / ((t_len - 1) * k * d), r_sum / (n_total * d)
-        estimates += [new_q, new_r]
-    if not all(np.isfinite(x).all() for x in estimates):
+        new_r = _noise_estimate(r_sum / (n_total * d))
+    return new_q, new_r
+
+
+def _noise_estimate(value: float) -> float:
+    """A learned noise variance floored at 1e-8; DomainError if not finite."""
+    if not np.isfinite(value):
         raise DomainError("gauss_m_step: the window's moments and batches must be finite")
-    if learn_sigmas:
-        new_q, new_r = max(float(new_q), _NOISE_FLOOR), max(float(new_r), _NOISE_FLOOR)
-    return new_a, new_q, new_r
+    return max(float(value), _NOISE_FLOOR)
 
 
 class GaussModel(SlidingWindow):
     """Sliding-window Gaussian tracker with a softmax head on posterior means.
 
-    Single-writer, like the spherical tracker. `transition` holds the K
-    scalar transitions a_k (ones until learned), `sigma_trans` and
-    `sigma_ems` are the floats q and r, and every belief covariance is
-    c I, stored as (K,) variances. A sweep computes the assignments of
-    every window step, then makes one kf_predict and one
-    kf_update_weighted call per window step for all K classes and one
-    kf_smooth call over the window, whose (T-1, K) gains the M-step reads.
-    Each sweep reads `transition`, `sigma_trans` and `sigma_ems` afresh, so
-    values set by hand take effect at the next sweep.
+    Single-writer, like the spherical tracker. `sigma_trans` and
+    `sigma_ems` are the floats q and r of the random walk and the emission,
+    and every belief covariance is c I, stored as (K,) variances. A sweep
+    computes the assignments of every window step, then makes one
+    kf_predict and one kf_update_weighted call per window step for all K
+    classes and one kf_smooth call over the window, whose (T-1, K) gains
+    the M-step reads. Each sweep reads `sigma_trans` and `sigma_ems` afresh,
+    so values set by hand take effect at the next sweep.
     """
 
     def __init__(self, source_weights: np.ndarray, config: GaussConfig):
         source_weights = check_source(source_weights, config)
-        self.transition = np.ones(config.k)
         self.sigma_trans = float(config.sigma_trans_scale)
         self.sigma_ems = float(config.sigma_ems_scale)
         super().__init__(
@@ -389,19 +372,18 @@ class GaussModel(SlidingWindow):
         for s in self._steps:
             s.mixing = mixing_update(s.resp, cfg.pi_floor)
         if len(self._steps) >= 2:
-            new_a, new_q, new_r = gauss_m_step(
+            new_q, new_r = gauss_m_step(
                 [s.belief for s in self._steps],
                 self._last_gains,
                 [s.resp for s in self._steps],
                 [s.feats for s in self._steps],
-                self.transition,
                 cfg.learn_transition,
                 cfg.learn_sigmas,
             )
-            if new_a is not None:
-                self.transition = new_a
             if new_q is not None:
-                self.sigma_trans, self.sigma_ems = new_q, new_r
+                self.sigma_trans = new_q
+            if new_r is not None:
+                self.sigma_ems = new_r
 
     def coordinate_sweep(self) -> None:
         """Assignments, forward filter and backward smoother over the window.
@@ -416,19 +398,15 @@ class GaussModel(SlidingWindow):
     def _filter_smooth(self) -> None:
         """Filter the window forward from the anchor and smooth it back,
         with the responsibilities held fixed."""
-        a, q, r = self.transition, self.sigma_trans, self.sigma_ems
+        q, r = self.sigma_trans, self.sigma_ems
         mean, var = self._anchor.mean, self._anchor.cov
-        p_means, p_vars, f_means, f_vars = [], [], [], []
+        f_means, f_vars = [], []
         for step in self._steps:
-            mean, var = kf_predict(mean, var, a, q)
-            p_means.append(mean)
-            p_vars.append(var)
+            mean, var = kf_predict(mean, var, q)
             mean, var = kf_update_weighted(mean, var, step.feats, step.resp, r)
             f_means.append(mean)
             f_vars.append(var)
-        # stacked before slicing, so that a one-step window passes (0, K, D) and (0, K)
-        s_means, s_vars, self._last_gains = kf_smooth(
-            f_means, f_vars, np.asarray(p_means)[1:], np.asarray(p_vars)[1:], a)
+        s_means, s_vars, self._last_gains = kf_smooth(f_means, f_vars, q)
         for step, s_mean, s_var in zip(self._steps, s_means, s_vars):
             step.belief = GaussBelief(s_mean, s_var)
 

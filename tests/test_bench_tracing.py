@@ -98,7 +98,7 @@ def test_install_rebinds_and_uninstall_restores():
     assert_restored(before, VmfModel, VMF_METHODS, before_methods)
 
 
-def test_gauss_dense_path_fires_every_wrapped_name():
+def test_gauss_default_model_fires_every_wrapped_name():
     tracing = load_tracing()
     before, before_methods = snapshot(), methods(GaussModel, GAUSS_METHODS)
     tracer = tracing.Tracer()

@@ -35,63 +35,41 @@ import oracles
 LAMBDA_TWO_POINT = 0.88079707797788244406
 
 
-def smooth(means, covs, transition, sigma_trans):
-    """kf_smooth of (T, K, ...) filtered moments, its predictions made by kf_predict."""
-    pred_means, pred_covs = np.empty(means[1:].shape), np.empty(covs[1:].shape)
-    for i in range(len(means) - 1):
-        pred_means[i], pred_covs[i] = kf_predict(means[i], covs[i], transition, sigma_trans)
-    return kf_smooth(means, covs, pred_means, pred_covs, transition)
+def dense_m_step(means, covs, gains, resps, feats, learn_transition, learn_sigmas):
+    """The random-walk M-step from dense (D, D) moments, with explicit sums.
 
-
-def dense_m_step(means, covs, gains, resps, feats, transition, learn_transition,
-                 learn_sigmas):
-    """The isotropic M-step from dense (D, D) moments, with explicit sums.
-
-    means[t] is (K, D), covs[t] and gains[t] (K, D, D). Per class the
-    second moments S_prev and S_lag give a_k = tr S_lag / tr S_prev, the
-    least-squares transition of the form a I. Q-hat and R-hat are the dense
-    averages of the residual second moments, and q and r their tr / D,
-    floored at 1e-8. Returns (a, q or None, r or None).
+    means[t] is (K, D), covs[t] and gains[t] (K, D, D). Q-hat is the dense
+    average over transitions and classes of E[(x_i - x_{i-1})(x_i - x_{i-1})^T],
+    R-hat that of the emission residuals, and q and r their tr / D, floored
+    at 1e-8. Returns (q or None, r or None).
     """
     t_len, (k, d) = len(means), means[0].shape
-    eye = np.eye(d)
-    a = np.array(transition, dtype=float)
-
-    def moments(j, i):
-        """E[x_{i-1} x_{i-1}^T], E[x_i x_i^T] and E[x_i x_{i-1}^T] of class j."""
-        prev, cur = means[i - 1][j], means[i][j]
-        return (covs[i - 1][j] + np.outer(prev, prev), covs[i][j] + np.outer(cur, cur),
-                covs[i][j] @ gains[i - 1][j].T + np.outer(cur, prev))
-
+    q = r = None
     if learn_transition:
+        q_acc = np.zeros((d, d))
         for j in range(k):
-            s_prev = sum(moments(j, i)[0] for i in range(1, t_len))
-            s_lag = sum(moments(j, i)[2] for i in range(1, t_len))
-            a[j] = np.trace(s_lag) / np.trace(s_prev)
-    if not learn_sigmas:
-        return a, None, None
-    q_acc = np.zeros((d, d))
-    for j in range(k):
-        aj = a[j] * eye
-        for i in range(1, t_len):
-            e_prev, e_cur, e_lag = moments(j, i)
-            q_acc += e_cur - aj @ e_lag.T - e_lag @ aj.T + aj @ e_prev @ aj.T
-    r_acc = np.zeros((d, d))
-    for i in range(t_len):
-        for j in range(k):
-            diff = feats[i] - means[i][j]
-            w = resps[i][:, j]
-            r_acc += (diff * w[:, None]).T @ diff + w.sum() * covs[i][j]
-    q_hat = q_acc / ((t_len - 1) * k)
-    r_hat = r_acc / sum(len(h) for h in feats)
-    return a, max(np.trace(q_hat) / d, 1e-8), max(np.trace(r_hat) / d, 1e-8)
+            for i in range(1, t_len):
+                prev, cur = means[i - 1][j], means[i][j]
+                e_lag = covs[i][j] @ gains[i - 1][j].T + np.outer(cur, prev)
+                q_acc += (covs[i][j] + np.outer(cur, cur) - e_lag.T - e_lag
+                          + covs[i - 1][j] + np.outer(prev, prev))
+        q = max(np.trace(q_acc / ((t_len - 1) * k)) / d, 1e-8)
+    if learn_sigmas:
+        r_acc = np.zeros((d, d))
+        for i in range(t_len):
+            for j in range(k):
+                diff = feats[i] - means[i][j]
+                w = resps[i][:, j]
+                r_acc += (diff * w[:, None]).T @ diff + w.sum() * covs[i][j]
+        r = max(np.trace(r_acc / sum(len(h) for h in feats)) / d, 1e-8)
+    return q, r
 
 
 class DenseReference:
     """STAD-Gauss written from the textbook with (D, D) matrices.
 
     Explicit-inverse assignments; per class, the dense Kalman filter and
-    RTS smoother of `oracles` with transition a_k I, Q = q I and R = r I;
+    RTS smoother of `oracles` with transition I, Q = q I and R = r I;
     `dense_m_step`; and softmax(W h) as the head. Only `mixing_update`
     comes from the package.
     """
@@ -99,7 +77,6 @@ class DenseReference:
     def __init__(self, w0, cfg):
         k, d = w0.shape
         self.cfg, self.eye = cfg, np.eye(d)
-        self.transition = np.ones(k)
         self.sigma_trans, self.sigma_ems = cfg.sigma_trans_scale, cfg.sigma_ems_scale
         self.anchor = (w0.copy(), np.tile(cfg.initial_cov_scale * self.eye, (k, 1, 1)))
         self.steps = []
@@ -121,12 +98,14 @@ class DenseReference:
         for s in self.steps:
             s["mixing"] = mixing_update(s["resp"], cfg.pi_floor)
         if len(self.steps) >= 2:
-            self.transition, q, r = dense_m_step(
+            q, r = dense_m_step(
                 [s["mean"] for s in self.steps], [s["cov"] for s in self.steps], self.gains,
                 [s["resp"] for s in self.steps], [s["feats"] for s in self.steps],
-                self.transition, cfg.learn_transition, cfg.learn_sigmas)
+                cfg.learn_transition, cfg.learn_sigmas)
             if q is not None:
-                self.sigma_trans, self.sigma_ems = q, r
+                self.sigma_trans = q
+            if r is not None:
+                self.sigma_ems = r
 
     def sweep(self):
         r_inv = np.linalg.inv(self.sigma_ems * self.eye)
@@ -138,14 +117,13 @@ class DenseReference:
         q, r = self.sigma_trans * self.eye, self.sigma_ems * self.eye
         self.gains = np.empty((len(self.steps) - 1, self.cfg.k) + self.eye.shape)
         for j in range(self.cfg.k):
-            a = self.transition[j] * self.eye
             obs = []
             for s in self.steps:
                 w = s["resp"][:, j].sum()
                 obs.append((s["resp"][:, j] @ s["feats"] / w, w) if w > 1e-8 else None)
-            fm, fc = oracles.dense_kalman_filter(self.anchor[0][j], self.anchor[1][j], a, q, r,
-                                                 obs)
-            sm, sc, gains = oracles.dense_rts_smoother(fm, fc, a, q)
+            fm, fc = oracles.dense_kalman_filter(self.anchor[0][j], self.anchor[1][j], self.eye,
+                                                 q, r, obs)
+            sm, sc, gains = oracles.dense_rts_smoother(fm, fc, self.eye, q)
             for s, m, c in zip(self.steps, sm, sc):
                 s["mean"][j], s["cov"][j] = m, c
             for i, g in enumerate(gains):
@@ -176,45 +154,39 @@ def assert_matches_reference(model, ref):
     close(model._anchor.mean, ref.anchor[0])
     close(iso(model._anchor.cov), ref.anchor[1])
     close(iso(model._last_gains), ref.gains)
-    for name in ("transition", "sigma_trans", "sigma_ems"):
+    for name in ("sigma_trans", "sigma_ems"):
         close(getattr(model, name), getattr(ref, name))
 
 
 class TestKfPredict:
     def test_identity_transition_adds_noise(self):
-        mean, var = kf_predict(np.array([[1.0, -2.0]]), np.array([0.5]), np.ones(1), 0.3)
+        mean, var = kf_predict(np.array([[1.0, -2.0]]), np.array([0.5]), 0.3)
         np.testing.assert_allclose(mean, [[1.0, -2.0]])
         np.testing.assert_allclose(var, [0.8])
-
-    def test_scaling_transition(self):
-        mean, var = kf_predict(np.array([[3.0]]), np.zeros(1), np.array([2.0]), 0.7)
-        assert mean[0, 0] == pytest.approx(6.0)
-        assert var[0] == pytest.approx(0.7)
 
     def test_random_instance_matches_dense_reference(self):
         rng = np.random.default_rng(0)
         k, d = 3, 4
-        a, var, q = rng.uniform(0.5, 1.5, k), rng.uniform(0.1, 1.0, k), 0.05
+        var, q = rng.uniform(0.1, 1.0, k), 0.05
         m0 = rng.standard_normal((k, d))
-        mean, got = kf_predict(m0, var, a, q)
+        mean, got = kf_predict(m0, var, q)
+        eye = np.eye(d)
         for j in range(k):
-            a_j = a[j] * np.eye(d)
-            np.testing.assert_allclose(mean[j], a_j @ m0[j], atol=1e-10)
-            np.testing.assert_allclose(got[j] * np.eye(d),
-                                       a_j @ (var[j] * np.eye(d)) @ a_j.T + q * np.eye(d),
+            np.testing.assert_allclose(mean[j], eye @ m0[j], atol=1e-10)
+            np.testing.assert_allclose(got[j] * eye, eye @ (var[j] * eye) @ eye.T + q * eye,
                                        atol=1e-10)
 
-    def test_zero_transition_forgets_the_past(self):
-        mean, var = kf_predict(np.array([[3.0, -1.0], [2.0, 5.0]]), np.array([0.4, 9.0]),
-                               np.array([0.0, 1.0]), 0.2)
-        np.testing.assert_array_equal(mean[0], [0.0, 0.0])
-        assert var[0] == 0.2 and var[1] == pytest.approx(9.2)
+    @pytest.mark.parametrize("q", [-0.5, -1e-4, np.inf, np.nan])
+    def test_q_not_finite_and_nonnegative_raises(self, q):
+        # a negative q would lower the variances (to 0.5 here) and run on
+        with pytest.raises(DomainError):
+            kf_predict(np.zeros((2, 3)), np.ones(2), q)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            kf_predict(np.zeros((1, 2)), np.ones(1), np.ones(2), 0.1)
+            kf_predict(np.zeros((1, 2)), np.ones(2), 0.1)
         with pytest.raises(DimensionMismatchError):
-            kf_predict(np.zeros((1, 2)), np.ones(1), np.ones(1), np.full(1, 0.1))
+            kf_predict(np.zeros((1, 2)), np.ones(1), np.full(1, 0.1))
 
 
 class TestKfUpdateWeighted:
@@ -278,7 +250,7 @@ class TestKfSmooth:
     def test_single_step_is_identity(self):
         means = np.array([[[1.0, 2.0]]])
         covs = np.array([[0.5]])
-        sm, sc, gains = smooth(means, covs, np.ones(1), 0.1)
+        sm, sc, gains = kf_smooth(means, covs, 0.1)
         np.testing.assert_array_equal(sm, means)
         np.testing.assert_array_equal(sc, covs)
         assert gains.shape == (0, 1)
@@ -287,7 +259,7 @@ class TestKfSmooth:
         rng = np.random.default_rng(4)
         means = rng.standard_normal((3, 1, 2))
         covs = rng.uniform(0.5, 1.5, (3, 1))
-        sm, _, _ = smooth(means, covs, np.ones(1), 1e-14)
+        sm, _, _ = kf_smooth(means, covs, 1e-14)
         np.testing.assert_allclose(sm[0], sm[2], atol=1e-6)
         np.testing.assert_allclose(sm[1], sm[2], atol=1e-6)
 
@@ -295,31 +267,36 @@ class TestKfSmooth:
         # the future only adds information: c_s <= c_f at every step of a
         # filtered chain
         rng = np.random.default_rng(13)
-        k, a = 4, rng.uniform(0.5, 1.5, 4)
+        k = 4
         mean, var = rng.standard_normal((k, 2)), rng.uniform(0.1, 1.0, k)
         means, covs = [], []
         for _ in range(5):
-            mean, var = kf_predict(mean, var, a, 0.1)
+            mean, var = kf_predict(mean, var, 0.1)
             mean, var = kf_update_weighted(mean, var, rng.standard_normal((6, 2)),
                                            rng.dirichlet(np.ones(k), size=6), 0.5)
             means.append(mean)
             covs.append(var)
-        _, sc, _ = smooth(np.stack(means), np.stack(covs), a, 0.1)
+        _, sc, _ = kf_smooth(np.stack(means), np.stack(covs), 0.1)
         assert np.all(sc <= np.stack(covs)) and np.all(sc > 0.0)
 
     def test_random_instance_matches_dense_reference(self):
         rng = np.random.default_rng(5)
         d, t = 2, 3
-        a, q = 0.9, 0.05
+        q = 0.05
         means = rng.standard_normal((t, d))
         covs = rng.uniform(0.5, 1.5, t)
-        sm, sc, gains = smooth(means[:, None], covs[:, None], np.array([a]), q)
+        sm, sc, gains = kf_smooth(means[:, None], covs[:, None], q)
         eye = np.eye(d)
-        om, oc, og = oracles.dense_rts_smoother(list(means), [c * eye for c in covs], a * eye,
+        om, oc, og = oracles.dense_rts_smoother(list(means), [c * eye for c in covs], eye,
                                                 q * eye)
         np.testing.assert_allclose(sm[:, 0], np.stack(om), atol=1e-8)
         np.testing.assert_allclose(sc[:, 0, None, None] * eye, np.stack(oc), atol=1e-8)
         np.testing.assert_allclose(gains[:, 0, None, None] * eye, np.stack(og), atol=1e-8)
+
+    @pytest.mark.parametrize("q", [-1e-4, np.inf, np.nan])
+    def test_q_not_finite_and_nonnegative_raises(self, q):
+        with pytest.raises(DomainError):
+            kf_smooth(np.zeros((2, 1, 3)), np.ones((2, 1)), q)
 
 
 class TestStackedKf:
@@ -332,7 +309,6 @@ class TestStackedKf:
         k, d, n = self.K, self.D, self.N
         self.mean = rng.standard_normal((k, d))
         self.cov = rng.uniform(0.1, 0.5, k)
-        self.a = rng.uniform(0.8, 1.2, k)
         self.q, self.r = 0.05, 0.3
         self.feats = rng.standard_normal((n, d))
         self.resp = rng.dirichlet(np.ones(k), size=n)
@@ -340,9 +316,9 @@ class TestStackedKf:
         self.rng = rng
 
     def test_predict(self):
-        mean, cov = kf_predict(self.mean, self.cov, self.a, self.q)
+        mean, cov = kf_predict(self.mean, self.cov, self.q)
         for j in range(self.K):
-            m1, c1 = kf_predict(self.mean[j:j + 1], self.cov[j:j + 1], self.a[j:j + 1], self.q)
+            m1, c1 = kf_predict(self.mean[j:j + 1], self.cov[j:j + 1], self.q)
             np.testing.assert_allclose(mean[j:j + 1], m1, rtol=0, atol=1e-12)
             np.testing.assert_allclose(cov[j:j + 1], c1, rtol=0, atol=1e-12)
 
@@ -360,36 +336,31 @@ class TestStackedKf:
         t_len = 4
         means = self.rng.standard_normal((t_len, self.K, self.D))
         covs = self.rng.uniform(0.1, 0.5, (t_len, self.K))
-        sm, sc, gains = smooth(means, covs, self.a, self.q)
+        sm, sc, gains = kf_smooth(means, covs, self.q)
         assert gains.shape == (t_len - 1, self.K)
         for j in range(self.K):
-            sm1, sc1, g1 = smooth(means[:, j:j + 1], covs[:, j:j + 1], self.a[j:j + 1], self.q)
+            sm1, sc1, g1 = kf_smooth(means[:, j:j + 1], covs[:, j:j + 1], self.q)
             np.testing.assert_allclose(sm[:, j:j + 1], sm1, rtol=0, atol=1e-12)
             np.testing.assert_allclose(sc[:, j:j + 1], sc1, rtol=0, atol=1e-12)
             np.testing.assert_allclose(gains[:, j:j + 1], g1, rtol=0, atol=1e-12)
 
     def test_one_non_pd_class_raises(self):
         # kf_predict and kf_update_weighted check no variance; the smoother,
-        # the sweep's one value check, rejects a filtered or predicted
-        # variance at or below 0 in any one class
-        covs = np.stack([self.cov] * 2)
-        covs[1, 1] = 0.0
-        with pytest.raises(DomainError):
-            kf_smooth(np.stack([self.mean] * 2), covs, self.mean[None], self.cov[None], self.a)
-        pred_covs = self.cov[None].copy()
-        pred_covs[0, 3] = -1.0
-        with pytest.raises(DomainError):
-            kf_smooth(np.stack([self.mean] * 2), np.stack([self.cov] * 2), self.mean[None],
-                      pred_covs, self.a)
+        # the sweep's one value check, rejects a filtered variance at or
+        # below 0 in any one class, at the last step or an earlier one
+        for t, j, value in ((1, 1, 0.0), (0, 3, -1.0)):
+            covs = np.stack([self.cov] * 2)
+            covs[t, j] = value
+            with pytest.raises(DomainError):
+                kf_smooth(np.stack([self.mean] * 2), covs, self.q)
 
     def test_mismatched_class_axes_raise(self):
         with pytest.raises(DimensionMismatchError):
-            kf_predict(self.mean, self.cov, self.a[:2], self.q)
+            kf_predict(self.mean, self.cov[:2], self.q)
         with pytest.raises(DimensionMismatchError):
             kf_update_weighted(self.mean, self.cov, self.feats, self.resp[:, :2], self.r)
         with pytest.raises(DimensionMismatchError):
-            kf_smooth(np.stack([self.mean] * 2), np.stack([self.cov] * 2),
-                      self.mean[None], self.cov[None], self.a[:2])
+            kf_smooth(np.stack([self.mean] * 2), np.stack([self.cov[:2]] * 2), self.q)
 
 
 class TestNonFiniteInputs:
@@ -403,18 +374,17 @@ class TestNonFiniteInputs:
         return var
 
     @staticmethod
-    def smooth_two(mean, var, pred_mean, pred_var):
+    def smooth_two(mean, var):
         """kf_smooth of a two-step chain whose second step holds the given moments."""
-        return kf_smooth(np.stack([mean, mean]), np.stack([np.ones(len(var)), var]),
-                         pred_mean[None], pred_var[None], np.ones(len(var)))
+        return kf_smooth(np.stack([mean, mean]), np.stack([np.ones(len(var)), var]), 1.0)
 
     @pytest.mark.parametrize("lead", [(1,), (3,)])
     def test_kf_predict(self, lead):
         k = lead[0]
-        mean, var = kf_predict(np.zeros((k, 2)), self.nan_var(k), np.ones(k), 1.0)
+        mean, var = kf_predict(np.zeros((k, 2)), self.nan_var(k), 1.0)
         assert np.isnan(var[0])
         with pytest.raises(DomainError):
-            self.smooth_two(np.zeros((k, 2)), np.ones(k), mean, var)
+            self.smooth_two(mean, var)
 
     @pytest.mark.parametrize("lead", [(1,), (3,)])
     def test_kf_update_weighted(self, lead):
@@ -422,7 +392,7 @@ class TestNonFiniteInputs:
         mean, resp, feats = np.zeros((k, 2)), np.ones((4, k)), np.ones((4, 2))
         upd_mean, upd_var = kf_update_weighted(mean, self.nan_var(k), feats, resp, 1.0)
         with pytest.raises(DomainError):
-            self.smooth_two(upd_mean, upd_var, mean, np.ones(k))
+            self.smooth_two(upd_mean, upd_var)
         # a NaN r fails the update's own check on r
         with pytest.raises(DomainError):
             kf_update_weighted(mean, np.ones(k), feats, resp, np.nan)
@@ -432,40 +402,47 @@ class TestNonFiniteInputs:
         k = lead[0]
         means, ones = np.zeros((2, k, 2)), np.ones((2, k))
         with pytest.raises(DomainError):
-            kf_smooth(means, np.stack([ones[0], self.nan_var(k)]), means[1:], ones[1:],
-                      np.ones(k))
+            kf_smooth(means, np.stack([ones[0], self.nan_var(k)]), 1.0)
         nan_means = means.copy()
         nan_means[0, 0, 1] = np.nan
         with pytest.raises(DomainError):
-            kf_smooth(nan_means, ones, means[1:], ones[1:], np.ones(k))
+            kf_smooth(nan_means, ones, 1.0)
 
     def test_unstacked_shapes_raise(self):
         """The kf_* take one stacked form: a 1-D mean, a (T, D) chain or a
-        float transition is a shape error, not a bare ValueError."""
+        per-class q is a shape error, not a bare ValueError."""
         mean, feats, one = np.zeros((1, 2)), np.ones((4, 2)), np.ones(1)
         chain, chain_vars = np.zeros((2, 1, 2)), np.ones((2, 1))
         calls = [
             # a 1-D mean with its scalar variance
-            lambda: kf_predict(mean[0], 1.0, one, 0.1),
+            lambda: kf_predict(mean[0], 1.0, 0.1),
             lambda: kf_update_weighted(mean[0], 1.0, feats, np.ones(4), 0.5),
             # a (T, D) chain with (T,) variances
-            lambda: kf_smooth(chain[:, 0], chain_vars[:, 0], chain[1:, 0], chain_vars[1:, 0],
-                              one),
-            # a float transition shared by every class
-            lambda: kf_predict(mean, one, 1.0, 0.1),
-            lambda: kf_smooth(chain, chain_vars, chain[1:], chain_vars[1:], 1.0),
+            lambda: kf_smooth(chain[:, 0], chain_vars[:, 0], 0.1),
+            # a (K,) q, one per class
+            lambda: kf_predict(mean, one, 0.1 * one),
+            lambda: kf_smooth(chain, chain_vars, 0.1 * one),
         ]
         for call in calls:
             with pytest.raises(DimensionMismatchError):
                 call()
 
-    @pytest.mark.parametrize("name", ["transition", "sigma_trans"])
+    @pytest.mark.parametrize("name", ["sigma_trans"])
     def test_model_with_nan_transition_parameter(self, name):
         rng = np.random.default_rng(30)
         model = GaussModel(rng.standard_normal((3, 2)), GaussConfig(d=2, k=3))
-        setattr(model, name, np.full(3, np.nan) if name == "transition" else np.nan)
+        setattr(model, name, np.nan)
         with pytest.raises(DomainError):
             model.adapt(1, rng.standard_normal((6, 2)))
+
+    def test_model_with_negative_transition_variance(self):
+        # set by hand, a q below 0 would shrink every predicted variance
+        rng = np.random.default_rng(35)
+        model = GaussModel(rng.standard_normal((3, 2)), GaussConfig(d=2, k=3))
+        model.adapt(1, rng.standard_normal((6, 2)))
+        model.sigma_trans = -1e-4
+        with pytest.raises(DomainError):
+            model.adapt(2, rng.standard_normal((6, 2)))
 
     @pytest.mark.parametrize("learn_transition", [False, True])
     def test_model_with_nan_emission_covariance(self, learn_transition):
@@ -545,7 +522,7 @@ class TestGaussAssignments:
 
 
 def learned_window(seed, d=4, k=3, steps=4):
-    """A model that learns a_k, q and r after `steps` adapts on a drifting
+    """A model that learns q and r after `steps` adapts on a drifting
     stream: the window's smoothed beliefs, the last smoother gains, the
     responsibilities and batches, as gauss_m_step reads them."""
     rng = np.random.default_rng(seed)
@@ -557,13 +534,13 @@ def learned_window(seed, d=4, k=3, steps=4):
         model.adapt(t, w0[labels] + t * drift[labels] + 0.1 * rng.standard_normal((12, d)))
     steps = model._steps
     return ([s.belief for s in steps], model._last_gains, [s.resp for s in steps],
-            [s.feats for s in steps], model.transition)
+            [s.feats for s in steps])
 
 
-def expected_log_lik(beliefs, gains, resps, feats, a, q, r):
-    """The window's expected complete-data log-likelihood in a_k, q and r.
+def expected_log_lik(beliefs, gains, resps, feats, q, r):
+    """The window's expected complete-data log-likelihood in q and r.
 
-    Over the T - 1 transitions, E log N(x_t; a_k x_{t-1}, q I), and over
+    Over the T - 1 transitions, E log N(x_t; x_{t-1}, q I), and over
     every sample and class, w_nk E log N(h_n; x_k, r I), the expectations
     taken from dense c I covariances and J I cross-covariances.
     """
@@ -576,7 +553,7 @@ def expected_log_lik(beliefs, gains, resps, feats, a, q, r):
             e_prev = prev.cov[j] * eye + np.outer(prev.mean[j], prev.mean[j])
             e_cur = cur.cov[j] * eye + np.outer(cur.mean[j], cur.mean[j])
             e_lag = cur.cov[j] * gains[i - 1][j] * eye + np.outer(cur.mean[j], prev.mean[j])
-            sq = np.trace(e_cur) - 2.0 * a[j] * np.trace(e_lag) + a[j] ** 2 * np.trace(e_prev)
+            sq = np.trace(e_cur) - 2.0 * np.trace(e_lag) + np.trace(e_prev)
             total += -0.5 * d * np.log(2.0 * np.pi * q) - 0.5 * sq / q
     for b, h, w in zip(beliefs, feats, resps):
         for n in range(len(h)):
@@ -589,23 +566,13 @@ def expected_log_lik(beliefs, gains, resps, feats, a, q, r):
 class TestGaussMStep:
     def test_learn_flags_off(self):
         belief = GaussBelief(np.zeros((2, 2)), np.ones(2))
-        out = gauss_m_step([belief, belief], [np.ones(2)], [], [], np.ones(2), False, False)
-        assert out == (None, None, None)
-
-    def test_static_chain_recovers_identity(self):
-        rng = np.random.default_rng(7)
-        k, d = 2, 3
-        mean = rng.standard_normal((k, d))
-        cov = rng.uniform(0.5, 1.5, k)
-        beliefs = [GaussBelief(mean.copy(), cov.copy()) for _ in range(3)]
-        gains = [np.ones(k) for _ in range(2)]
-        new_a, _, _ = gauss_m_step(beliefs, gains, [], [], np.ones(k), True, False)
-        np.testing.assert_allclose(new_a, np.ones(k), atol=1e-6)
+        out = gauss_m_step([belief, belief], [np.ones(2)], [], [], False, False)
+        assert out == (None, None)
 
     def test_one_dimension_matches_closed_form(self):
-        # At D = 1 every moment is a scalar per class: a = s_lag / s_prev,
-        # q = mean_k (s_cur - 2 a s_lag + a^2 s_prev) / (T - 1), and r the
-        # weighted mean of (h - m)^2 + P over every sample and class.
+        # At D = 1 every moment is a scalar per class: q = mean_k (s_cur -
+        # 2 s_lag + s_prev) / (T - 1), and r the weighted mean of
+        # (h - m)^2 + P over every sample and class.
         rng = np.random.default_rng(11)
         t_len, k = 4, 3
         means = rng.standard_normal((t_len, k))
@@ -614,29 +581,26 @@ class TestGaussMStep:
         feats = [rng.standard_normal((n, 1)) for n in (5, 0, 4, 6)]
         resps = [normalize_rows(rng.uniform(0.1, 1.0, (len(h), k))) for h in feats]
         beliefs = [GaussBelief(m[:, None], c) for m, c in zip(means, covs)]
-        new_a, new_q, new_r = gauss_m_step(beliefs, list(gains), resps, feats, np.ones(k),
-                                           True, True)
+        new_q, new_r = gauss_m_step(beliefs, list(gains), resps, feats, True, True)
 
         s_prev = (covs[:-1] + means[:-1] ** 2).sum(axis=0)
         s_lag = (covs[1:] * gains + means[1:] * means[:-1]).sum(axis=0)
         s_cur = (covs[1:] + means[1:] ** 2).sum(axis=0)
-        a = s_lag / s_prev
-        q = (s_cur - 2.0 * a * s_lag + a ** 2 * s_prev).sum() / ((t_len - 1) * k)
+        q = (s_cur - 2.0 * s_lag + s_prev).sum() / ((t_len - 1) * k)
         r = sum((w * ((h - m) ** 2 + c)).sum() for h, w, m, c in zip(feats, resps, means, covs))
         r /= sum(len(h) for h in feats)
         assert q > 1e-8
-        np.testing.assert_allclose(new_a, a, rtol=1e-12)
         np.testing.assert_allclose(new_q, q, rtol=1e-10)
         np.testing.assert_allclose(new_r, r, rtol=1e-12)
 
     def test_insufficient_history(self):
         belief = GaussBelief(np.zeros((2, 2)), np.ones(2))
         with pytest.raises(InsufficientHistoryError):
-            gauss_m_step([belief], [], [], [], np.ones(2), True, False)
+            gauss_m_step([belief], [], [], [], True, False)
 
     def test_empty_window_raises_insufficient_history(self):
         with pytest.raises(InsufficientHistoryError):
-            gauss_m_step([], [], [], [], np.ones(2), True, False)
+            gauss_m_step([], [], [], [], True, False)
 
     @staticmethod
     def valid_inputs(t=3, k=2, d=2):
@@ -647,7 +611,6 @@ class TestGaussMStep:
             gains=np.full((t - 1, k), 0.5),
             resps=[rng.dirichlet(np.ones(k), size=6) for _ in range(t)],
             feats=[rng.standard_normal((6, d)) for _ in range(t)],
-            transition=np.ones(k),
             learn_transition=True,
             learn_sigmas=True,
         )
@@ -655,7 +618,6 @@ class TestGaussMStep:
     MISMATCHES = {
         "short_feats": lambda a: dict(feats=a["feats"][:-1]),
         "short_resps": lambda a: dict(resps=a["resps"][:-1]),
-        "shared_transition": lambda a: dict(transition=np.eye(2), learn_transition=False),
         "short_gains": lambda a: dict(gains=a["gains"][:-1]),
         "ragged_gains": lambda a: dict(gains=[a["gains"][0], np.eye(2)]),
         "class_count": lambda a: dict(smoothed=a["smoothed"][:-1] + [
@@ -695,44 +657,29 @@ class TestGaussMStep:
         gains = [rng.uniform(0.3, 0.7, k) for _ in range(t - 1)]
         resps = [rng.dirichlet(np.ones(k), size=6) for _ in range(t)]
         feats = [rng.standard_normal((6, d)) for _ in range(t)]
-        a0 = np.array([0.9, 1.1])
         eye = np.eye(d)
 
         def dense(var):
             return var[:, None, None] * eye
 
-        for learn_transition in (False, True):
-            new_a, new_q, new_r = gauss_m_step(beliefs, gains, resps, feats, a0,
-                                               learn_transition, True)
-            want_a, want_q, want_r = dense_m_step(
-                [b.mean for b in beliefs], [dense(b.cov) for b in beliefs],
-                [dense(g) for g in gains], resps, feats, a0, learn_transition, True)
-            assert want_q > 1e-8 and want_r > 1e-8
-            if learn_transition:
-                np.testing.assert_allclose(new_a, want_a, atol=1e-8)
-            else:
-                assert new_a is None
-            np.testing.assert_allclose(new_q, want_q, atol=1e-8)
-            np.testing.assert_allclose(new_r, want_r, atol=1e-8)
+        # each flag learns its own noise, and only that one
+        for flags in ((True, False), (False, True), (True, True)):
+            got = gauss_m_step(beliefs, gains, resps, feats, *flags)
+            want = dense_m_step([b.mean for b in beliefs], [dense(b.cov) for b in beliefs],
+                                [dense(g) for g in gains], resps, feats, *flags)
+            for flag, new, ref in zip(flags, got, want):
+                if flag:
+                    assert ref > 1e-8
+                    np.testing.assert_allclose(new, ref, atol=1e-8)
+                else:
+                    assert new is None and ref is None
 
     def test_transition_alone_reads_no_batches(self):
         args = self.valid_inputs()
-        want, _, _ = gauss_m_step(**args)
+        want, _ = gauss_m_step(**args)
         args.update(feats=[], resps=[], learn_sigmas=False)
-        new_a, new_q, new_r = gauss_m_step(**args)
-        np.testing.assert_array_equal(new_a, want)
-        assert new_q is None and new_r is None
-
-    def test_class_permutation_permutes_the_transitions(self):
-        args = self.valid_inputs(k=3)
-        perm = np.array([2, 0, 1])
-        a, q, r = gauss_m_step(**args)
-        args.update(
-            smoothed=[GaussBelief(b.mean[perm], b.cov[perm]) for b in args["smoothed"]],
-            gains=args["gains"][:, perm], resps=[w[:, perm] for w in args["resps"]])
-        pa, pq, pr = gauss_m_step(**args)
-        np.testing.assert_allclose(pa, a[perm], rtol=1e-12)
-        np.testing.assert_allclose([pq, pr], [q, r], rtol=1e-12)
+        new_q, new_r = gauss_m_step(**args)
+        assert new_q == want and new_r is None
 
     def test_floors_q_and_r(self):
         # a static, exactly fitted window: both residuals vanish
@@ -740,19 +687,19 @@ class TestGaussMStep:
         beliefs = [GaussBelief(mean, np.zeros(2)) for _ in range(3)]
         feats = [mean.copy() for _ in range(3)]
         resps = [np.eye(2) for _ in range(3)]
-        _, q, r = gauss_m_step(beliefs, [np.ones(2)] * 2, resps, feats, np.ones(2), False, True)
+        q, r = gauss_m_step(beliefs, [np.ones(2)] * 2, resps, feats, True, True)
         assert q == r == 1e-8
 
-    @pytest.mark.parametrize("name", ["a", "q", "r"])
+    @pytest.mark.parametrize("name", ["q", "r"])
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 999), factor=st.sampled_from([0.9, 0.99, 1.01, 1.1]))
     def test_moving_off_the_estimates_lowers_the_expected_log_likelihood(self, name, seed,
                                                                           factor):
-        beliefs, gains, resps, feats, transition = learned_window(seed)
-        a, q, r = gauss_m_step(beliefs, gains, resps, feats, transition, True, True)
+        beliefs, gains, resps, feats = learned_window(seed)
+        q, r = gauss_m_step(beliefs, gains, resps, feats, True, True)
         assert q > 1e-8 and r > 1e-8  # no floor is active
-        best = expected_log_lik(beliefs, gains, resps, feats, a, q, r)
-        moved = dict(a=a, q=q, r=r)
+        best = expected_log_lik(beliefs, gains, resps, feats, q, r)
+        moved = dict(q=q, r=r)
         moved[name] = moved[name] * factor
         assert expected_log_lik(beliefs, gains, resps, feats, **moved) < best
 
@@ -802,7 +749,6 @@ class TestGaussModel:
             labels = rng.integers(0, k, size=n)
             model.adapt(t, w0[labels] + 0.02 * rng.standard_normal((n, d)))
         assert np.all(np.isfinite(model.prototypes))
-        assert model.transition.shape == (k,) and np.all(np.isfinite(model.transition))
         assert model.sigma_trans > 0.0 and model.sigma_ems > 0.0
 
     def test_default_model_at_paper_dimension(self):
@@ -988,10 +934,9 @@ class TestGaussModel:
         cfg = GaussConfig(d=2, k=2, learn_transition=True, learn_sigmas=True)
         model = GaussModel(rng.standard_normal((2, 2)), cfg)
         model.adapt(1, rng.standard_normal((10, 2)))
-        q_before = model.sigma_trans
+        q_before, r_before = model.sigma_trans, model.sigma_ems
         model.adapt(2, rng.standard_normal((10, 2)))
-        assert model.sigma_trans != q_before
-        assert np.all(model.transition != 1.0)
+        assert model.sigma_trans != q_before and model.sigma_ems != r_before
         assert model.sigma_trans >= 1e-8 and model.sigma_ems >= 1e-8
 
     @pytest.mark.parametrize("window,e_sweeps,wide_prior", [
@@ -1056,7 +1001,6 @@ class TestGaussModel:
         model = GaussModel(rng.standard_normal((2, 3)), cfg)
         for t in range(1, 4):
             model.adapt(t, rng.standard_normal((10, 3)))
-        np.testing.assert_array_equal(model.transition, np.ones(2))
         assert (model.sigma_trans, model.sigma_ems) == (0.01, 0.5)
 
     def test_learned_model_is_orthogonally_invariant(self):
@@ -1073,7 +1017,6 @@ class TestGaussModel:
             plain.adapt(t, batch)
             rotated.adapt(t, batch @ rot.T)
         np.testing.assert_allclose(rotated.prototypes, plain.prototypes @ rot.T, atol=1e-8)
-        np.testing.assert_allclose(rotated.transition, plain.transition, rtol=1e-8)
         np.testing.assert_allclose([rotated.sigma_trans, rotated.sigma_ems],
                                    [plain.sigma_trans, plain.sigma_ems], rtol=1e-8)
 
@@ -1086,8 +1029,21 @@ class TestGaussModel:
             model.adapt(t, rng.standard_normal((10, d)))
         assert model._steps[-1].belief.cov.shape == (k,)
         assert isinstance(model.sigma_trans, float) and isinstance(model.sigma_ems, float)
-        # the transition is not learned, so it stays exactly 1
-        np.testing.assert_array_equal(model.transition, np.ones(k))
+        # q is not learned, so it stays exactly the configured scale
+        assert model.sigma_trans == 0.01
+
+    @pytest.mark.parametrize("learn_transition, learn_sigmas",
+                             [(True, False), (False, True), (True, True)])
+    def test_each_flag_learns_its_own_noise(self, learn_transition, learn_sigmas):
+        rng = np.random.default_rng(36)
+        d, k = 3, 2
+        cfg = GaussConfig(d=d, k=k, learn_transition=learn_transition,
+                          learn_sigmas=learn_sigmas)
+        model = GaussModel(rng.standard_normal((k, d)), cfg)
+        for t in range(1, 4):
+            model.adapt(t, rng.standard_normal((10, d)))
+        assert (model.sigma_trans != 0.01) == learn_transition
+        assert (model.sigma_ems != 0.5) == learn_sigmas
 
 
 class TestExactPosterior:
@@ -1106,8 +1062,7 @@ class TestExactPosterior:
         model = GaussModel(rng.standard_normal((k, d)), cfg)
         eye = np.eye(d)
         if learned:
-            # what an M-step could leave: a_k off 1, and other q, r and prior variances
-            model.transition = 1.0 + 0.2 * rng.standard_normal(k)
+            # what an M-step could leave: other q, r and prior variances
             model.sigma_trans = 0.02
             model.sigma_ems = 0.1
             model._anchor = GaussBelief(model._anchor.mean, rng.uniform(0.02, 0.1, k))
@@ -1126,8 +1081,7 @@ class TestExactPosterior:
                 w = s.resp[:, j].sum()
                 observations.append((s.resp[:, j] @ s.feats / w, w) if w > 0.0 else None)
             want_means, want_covs = oracles.exact_chain_posterior(
-                model._anchor.mean[j], model._anchor.cov[j] * eye, model.transition[j] * eye,
-                q, r, observations)
+                model._anchor.mean[j], model._anchor.cov[j] * eye, eye, q, r, observations)
             for i, s in enumerate(model._steps):
                 np.testing.assert_allclose(s.belief.mean[j], want_means[i], rtol=0, atol=1e-10)
                 np.testing.assert_allclose(s.belief.cov[j] * eye, want_covs[i], rtol=0,
@@ -1158,8 +1112,8 @@ class TestDensePathOracle:
             assert_matches_reference(model, ref)
             h = rng.standard_normal((5, d))
             np.testing.assert_allclose(model.predict(h)[0], ref.predict(h), rtol=0, atol=1e-10)
-        if window > 1:  # the three classes that see data learn a_k off 1
-            assert np.all(model.transition[:3] != 1.0)
+        if window > 1:  # the M-step has run, and q was learned
+            assert model.sigma_trans != cfg.sigma_trans_scale
         assert model.window_times[0] == 4  # three steps were evicted into the anchor
 
     @pytest.mark.parametrize("window", [1, 3, 5])
@@ -1175,10 +1129,10 @@ class TestDensePathOracle:
             model.adapt(t, batch)
             ref.adapt(t, batch)
             assert_matches_reference(model, ref)
-        np.testing.assert_array_equal(model.transition, np.ones(k))
+        assert model.sigma_trans == cfg.sigma_trans_scale
 
     def test_bare_sweep_after_adapt_matches_per_class_loop(self):
-        # the M-step has just moved a_k, q and r: a bare sweep filters and
+        # the M-step has just moved q and r: a bare sweep filters and
         # smooths the window afresh with them
         rng = np.random.default_rng(25)
         d, k = 6, 4
@@ -1195,11 +1149,11 @@ class TestDensePathOracle:
             ref.sweep()
             assert_matches_reference(model, ref)
 
-    @pytest.mark.parametrize("names", [("transition",), ("sigma_trans",), ("sigma_ems",),
-                                       ("transition", "sigma_trans", "sigma_ems")],
-                             ids=["a", "q", "r", "all"])
+    @pytest.mark.parametrize("names", [("sigma_trans",), ("sigma_ems",),
+                                       ("sigma_trans", "sigma_ems")],
+                             ids=["q", "r", "all"])
     def test_parameters_set_between_bare_sweeps_take_effect(self, names):
-        # two bare sweeps with a_k, q or r set by hand between them equal a
+        # two bare sweeps with q or r set by hand between them equal a
         # fresh recompute with the new values
         rng = np.random.default_rng(29)
         d, k = 6, 3
@@ -1214,10 +1168,10 @@ class TestDensePathOracle:
             ref.adapt(t, batch)
         model.coordinate_sweep()
         ref.sweep()
-        new = dict(transition=rng.uniform(0.8, 1.2, k), sigma_trans=0.03, sigma_ems=0.2)
+        new = dict(sigma_trans=0.03, sigma_ems=0.2)
         for tracker in (model, ref):
             for name in names:
-                setattr(tracker, name, np.copy(new[name]) if name == "transition" else new[name])
+                setattr(tracker, name, new[name])
         model.coordinate_sweep()
         ref.sweep()
         assert_matches_reference(model, ref)

@@ -18,9 +18,8 @@ MODELS = {
     "vmf": lambda: VmfModel(np.eye(2, D), VmfConfig(d=D, k=2)),
     "vmf-static": lambda: VmfModel(np.eye(2, D), VmfConfig(d=D, k=2), static=True),
     "gauss": lambda: GaussModel(np.eye(2, D), GaussConfig(d=D, k=2)),
-    # the id predates the one scalar form; this is the model that learns a_k, q and r
-    "gauss-dense": lambda: GaussModel(np.eye(2, D), GaussConfig(d=D, k=2, learn_transition=True,
-                                                                learn_sigmas=True)),
+    "gauss-learned": lambda: GaussModel(np.eye(2, D), GaussConfig(d=D, k=2, learn_transition=True,
+                                                                  learn_sigmas=True)),
 }
 BATCH = np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.2], [0.3, 0.0, 1.0]])
 
