@@ -139,7 +139,7 @@ class DriftScenario:
     sigma_true: float = 0.1
     drift_deg_per_step: float = 2.0
     drift_scale: float = 0.02
-    label_distribution: str = "uniform"  # uniform | ordered | dirichlet:<alpha>
+    label_distribution: str = "uniform"  # uniform | dirichlet:<alpha>
     seed: int = 0
 
     def __post_init__(self):
@@ -155,7 +155,7 @@ class DriftScenario:
                 "(gradual-shift contract)"
             )
         dist = self.label_distribution
-        if dist not in ("uniform", "ordered") and _dirichlet_alpha(dist) is None:
+        if dist != "uniform" and _dirichlet_alpha(dist) is None:
             raise DomainError(f"unknown label distribution {dist!r}")
 
 
@@ -371,7 +371,10 @@ def make_label_shift(
     drawn class order before re-splitting into the original step sizes,
     reproducing the harsher consecutive-same-class regime. Features and
     labels are co-permuted, so the output is a permutation of the input
-    multiset; within a class the original order is preserved.
+    multiset; within a class the original order is preserved. The
+    trackers' answers do not depend on row order within a batch, so the
+    per-step reorder leaves them as on the input stream; whole_stream=True
+    shifts the class proportions of each step.
     """
     batches = list(batches)
     if any(b.labels is None for b in batches):
@@ -470,12 +473,6 @@ def _draw_labels(rng: np.random.Generator, scenario: DriftScenario) -> np.ndarra
     dist = scenario.label_distribution
     if dist == "uniform":
         return rng.integers(0, k, size=n).astype(np.uint32)
-    if dist == "ordered":
-        counts = np.bincount(rng.integers(0, k, size=n), minlength=k)
-        order = rng.permutation(k)
-        return np.concatenate(
-            [np.full(counts[c], c, dtype=np.uint32) for c in order]
-        )
     probs = rng.dirichlet(np.full(k, _dirichlet_alpha(dist)))
     return rng.choice(k, size=n, p=probs).astype(np.uint32)
 

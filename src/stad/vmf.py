@@ -6,9 +6,9 @@ embeddings at each step follow a vMF mixture around the current
 prototypes. Inference is mean-field coordinate ascent over a sliding
 window: per-sample assignment updates and per-class prototype-belief
 updates alternate in fixed left-to-right sweeps, followed by closed-form
-mixing-weight (and optionally concentration) re-estimates. The window
-engine's `adapt` runs that loop; this module supplies the sweep and the
-re-estimates.
+mixing-weight (and optionally emission-concentration) re-estimates. The
+window engine's `adapt` runs that loop; this module supplies the sweep and
+the re-estimates.
 
 The newest prototype directions double as an adapted last-layer weight
 matrix: predictions are the assignment step's cluster posterior on those
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, InsufficientHistoryError
+from .errors import DimensionMismatchError, DomainError, EmptyBatchError
 from .mathcore import (
     bessel_ratio,
     estimate_kappa_clamped,
@@ -63,7 +63,8 @@ class VmfConfig:
     """Knobs for the spherical tracker.
 
     kappa_trans, kappa_ems and kappa0 are each one concentration shared by
-    all K classes: real numbers (bools excluded), finite and >= 0.
+    all K classes: real numbers (bools excluded), finite and >= 0. Only
+    kappa_ems is learned, with learn_kappa_ems; the other two stay as set.
     """
 
     d: int
@@ -73,7 +74,6 @@ class VmfConfig:
     kappa0: float = 100.0
     window: int = 3
     e_sweeps: int = 2
-    learn_kappa_trans: bool = False
     learn_kappa_ems: bool = False
     pi_floor: float = 1e-4
 
@@ -200,40 +200,34 @@ def kappa_update(
     resps: list[np.ndarray],
     feats: list[np.ndarray],
     d: int,
-    learn_trans: bool,
-    learn_ems: bool,
-) -> tuple[float | None, float | None]:
-    """Shared concentration re-estimates from window-wide resultant lengths.
+) -> float:
+    """Shared emission concentration re-estimate from the window-wide resultant length.
 
-    The transition resultant averages the dot products of consecutive
-    expected prototypes over window transitions and classes; the emission
-    resultant averages the responsibility-weighted alignments of
-    embeddings with their expected prototypes over every window step (the
-    emission term exists for all steps, so the sum is not restricted to
-    steps with a predecessor). Each estimate is one float, or None when
-    it is not learned, clamped to [1e-6, 1e6].
+    The resultant averages the responsibility-weighted alignments of
+    embeddings with their expected prototypes over every window step. The
+    estimate is one float, clamped to [1e-6, 1e6].
+
+    beliefs, resps and feats need one entry per window step: (K, d)
+    expected prototypes of one K, batches (N_t, d) and responsibilities
+    (N_t, K). Anything else raises DimensionMismatchError, and a window
+    without a sample EmptyBatchError.
     """
-    kappa_trans = kappa_ems = None
-    if learn_trans:
-        if len(beliefs) < 2:
-            raise InsufficientHistoryError(
-                "transition concentration needs >= 2 window steps"
-            )
-        dots = np.stack(
-            [
-                np.sum(beliefs[i].expected * beliefs[i + 1].expected, axis=1)
-                for i in range(len(beliefs) - 1)
-            ]
-        )  # (T-1, K)
-        kappa_trans = float(estimate_kappa_clamped(abs(dots.mean()), d))
-    if learn_ems:
-        align_sum = np.zeros(beliefs[0].mean_dir.shape[0])  # per class, summed last
-        n_total = 0
-        for belief, resp, h in zip(beliefs, resps, feats):
-            align_sum += np.sum(resp * (h @ belief.expected.T), axis=0)
-            n_total += h.shape[0]
-        kappa_ems = float(estimate_kappa_clamped(abs(align_sum.sum()) / n_total, d))
-    return kappa_trans, kappa_ems
+    t_len = len(beliefs)
+    shape = np.shape(beliefs[0].expected) if t_len else (0, d)
+    if (len(resps) != t_len or len(feats) != t_len or len(shape) != 2 or shape[1] != d
+            or any(np.shape(b.expected) != shape for b in beliefs)
+            or any(np.ndim(h) != 2 or np.shape(h)[1] != d or np.shape(w) != (len(h), shape[0])
+                   for h, w in zip(feats, resps))):
+        raise DimensionMismatchError(
+            f"kappa_update needs {t_len} batches (N_t, {d}) and responsibilities "
+            f"(N_t, K), one per (K, {d}) belief of one K")
+    n_total = sum(len(h) for h in feats)
+    if not n_total:
+        raise EmptyBatchError("kappa_update needs at least one sample")
+    align_sum = np.zeros(shape[0])  # per class, summed last
+    for belief, resp, h in zip(beliefs, resps, feats):
+        align_sum += np.sum(resp * (h @ belief.expected.T), axis=0)
+    return float(estimate_kappa_clamped(abs(align_sum.sum()) / n_total, d))
 
 
 def predict_probs(
@@ -313,23 +307,17 @@ class VmfModel(SlidingWindow):
         self.coordinate_ascent_sweep()
 
     def _reestimate(self) -> None:
-        """Mixing weights of every window step, then the learned concentrations."""
+        """Mixing weights of every window step, then the learned emission concentration."""
         cfg = self.config
         for s in self._steps:
             s.mixing = mixing_update(s.resp, cfg.pi_floor)
-        if cfg.learn_kappa_ems or (cfg.learn_kappa_trans and len(self._steps) >= 2):
-            new_trans, new_ems = kappa_update(
+        if cfg.learn_kappa_ems:
+            self._kappa_ems = kappa_update(
                 [s.belief for s in self._steps],
                 [s.resp for s in self._steps],
                 [s.feats for s in self._steps],
                 cfg.d,
-                learn_trans=cfg.learn_kappa_trans and len(self._steps) >= 2,
-                learn_ems=cfg.learn_kappa_ems,
             )
-            if new_trans is not None:
-                self._kappa_trans = new_trans
-            if new_ems is not None:
-                self._kappa_ems = new_ems
 
     def coordinate_ascent_sweep(self) -> None:
         """One left-to-right pass of assignment + prototype updates.

@@ -8,8 +8,8 @@ fixed anchor the oldest remaining step is tied to.
 One loop, `SlidingWindow.adapt`, runs every step of both trackers: it
 pushes the batch, runs `e_sweeps` coordinate sweeps over the window and
 then re-estimates the mixing weights and the tracker's parameters in
-closed form. The trackers differ only in the belief type and in the three
-hooks that loop calls, `_push` (which a tracker may extend), `_sweep` and
+closed form. The batch push is shared; the trackers differ only in the
+belief type, in the two hooks that loop calls after it, `_sweep` and
 `_reestimate`, and in the head.
 """
 

@@ -12,7 +12,6 @@ from stad.errors import (
     DimensionMismatchError,
     DomainError,
     EmptyBatchError,
-    InsufficientHistoryError,
     NonContiguousTimeError,
     NotAdaptedError,
     ZeroVectorError,
@@ -297,7 +296,6 @@ def assert_matches_reference(model, reference, batches, probe):
 SWEEP_CONFIGS = [
     pytest.param(dict(), False, id="kwargs0-False"),
     pytest.param(dict(learn_kappa_ems=True), False, id="kwargs1-False"),
-    pytest.param(dict(learn_kappa_trans=True, learn_kappa_ems=True), False, id="kwargs2-False"),
     pytest.param(dict(kappa_trans=50.0, kappa_ems=30.0, kappa0=80.0, learn_kappa_ems=True),
                  False, id="distinct-kappas-False"),
     pytest.param(dict(), True, id="kwargs4-True"),
@@ -567,52 +565,25 @@ class TestMixingUpdate:
             mixing_update(resp, 1e-4)
 
 
+def kappa_case(sizes=(7, 9), d=5, k=3):
+    """Beliefs, responsibilities and unit batches of one window, one step per size."""
+    rng = np.random.default_rng(6)
+    beliefs, resps, feats = [], [], []
+    for n in sizes:
+        rho = normalize_rows(rng.standard_normal((k, d)))
+        conc = rng.uniform(5.0, 50.0, size=k)
+        beliefs.append(PrototypeBelief.from_params(rho, conc))
+        resps.append(rng.dirichlet(np.ones(k), size=n))
+        feats.append(normalize_rows(rng.standard_normal((n, d))) if n else np.zeros((0, d)))
+    return beliefs, resps, feats
+
+
 class TestKappaUpdate:
-    def test_identical_expected_gives_r_squared(self):
-        d, k, r = 6, 2, 0.8
-        rho = normalize_rows(np.random.default_rng(5).standard_normal((k, d)))
-        belief = PrototypeBelief(rho, np.full(k, 10.0), r * rho)
-        kt, _ = kappa_update(
-            [belief, belief], [], [], d, learn_trans=True, learn_ems=False
-        )
-        want = estimate_kappa_clamped(r * r, d)
-        assert type(kt) is float
-        assert kt == pytest.approx(want, rel=1e-12)
-
-    def test_zero_resultant_clamps_to_floor(self):
-        d, k = 4, 2
-        rho = np.eye(2, 4)
-        belief_a = PrototypeBelief(rho, np.ones(k), 0.5 * rho)
-        # second step orthogonal in expectation => zero dot products
-        rho_b = np.roll(np.eye(2, 4), 2, axis=1)
-        belief_b = PrototypeBelief(rho_b, np.ones(k), 0.5 * rho_b)
-        kt, _ = kappa_update(
-            [belief_a, belief_b], [], [], d, learn_trans=True, learn_ems=False
-        )
-        assert kt == pytest.approx(1e-6)
-
-    def test_insufficient_history(self):
-        belief = PrototypeBelief(np.eye(2), np.ones(2), 0.5 * np.eye(2))
-        with pytest.raises(InsufficientHistoryError):
-            kappa_update([belief], [], [], 2, learn_trans=True, learn_ems=False)
-
     def test_matches_independent_script(self):
-        rng = np.random.default_rng(6)
         d, k = 5, 3
-        beliefs, resps, feats = [], [], []
-        for n in (7, 9):
-            rho = normalize_rows(rng.standard_normal((k, d)))
-            conc = rng.uniform(5.0, 50.0, size=k)
-            beliefs.append(PrototypeBelief.from_params(rho, conc))
-            resps.append(rng.dirichlet(np.ones(k), size=n))
-            feats.append(normalize_rows(rng.standard_normal((n, d))))
-        kt, ke = kappa_update(
-            beliefs, resps, feats, d, learn_trans=True, learn_ems=True
-        )
-        # independent evaluation of the two resultant-length formulas
-        r_trans = abs(
-            np.mean(np.sum(beliefs[0].expected * beliefs[1].expected, axis=1))
-        )
+        beliefs, resps, feats = kappa_case(d=d, k=k)
+        ke = kappa_update(beliefs, resps, feats, d)
+        # independent evaluation of the emission resultant length
         num = 0.0
         for b, r, h in zip(beliefs, resps, feats):
             num += sum(
@@ -621,9 +592,31 @@ class TestKappaUpdate:
                 for k_ in range(k)
             )
         r_ems = abs(num) / sum(h.shape[0] for h in feats)
-        assert type(kt) is float and type(ke) is float
-        assert kt == pytest.approx(estimate_kappa_clamped(r_trans, d), rel=1e-10)
+        assert type(ke) is float
         assert ke == pytest.approx(estimate_kappa_clamped(r_ems, d), rel=1e-10)
+
+    @pytest.mark.parametrize("case, error", [
+        (lambda b, r, h: ([], [], []), EmptyBatchError),
+        (lambda b, r, h: (b, r, kappa_case(sizes=(0, 0))[2]), DimensionMismatchError),
+        (lambda b, r, h: kappa_case(sizes=(0, 0)), EmptyBatchError),
+        (lambda b, r, h: (b, r[:1], h[:1]), DimensionMismatchError),
+        (lambda b, r, h: (b, r, h[:1]), DimensionMismatchError),
+        (lambda b, r, h: (b[:1], r, h), DimensionMismatchError),
+        (lambda b, r, h: (b, r, [h[0], h[1][:, :4]]), DimensionMismatchError),
+        (lambda b, r, h: (b, r, [h[0], h[1][0]]), DimensionMismatchError),
+        (lambda b, r, h: (b, [r[0], r[1][:, :2]], h), DimensionMismatchError),
+        (lambda b, r, h: (b, [r[0], r[1][:5]], h), DimensionMismatchError),
+        (lambda b, r, h: ([b[0], PrototypeBelief.from_params(np.eye(2, 5), np.ones(2))], r, h),
+         DimensionMismatchError),
+        (lambda b, r, h: ([PrototypeBelief.from_params(np.eye(3, 4), np.ones(3))] * 2, r, h),
+         DimensionMismatchError),
+    ], ids=["empty lists", "batches of other sizes", "all batches empty",
+            "one batch for two beliefs", "one batch, two resps", "one belief, two batches",
+            "batch of wrong D", "1-D batch", "resp of wrong K", "resp of wrong N",
+            "beliefs of two K", "beliefs of wrong D"])
+    def test_mismatched_inputs_raise(self, case, error):
+        with pytest.raises(error):
+            kappa_update(*case(*kappa_case()), 5)
 
 
 class TestAdapt:

@@ -17,6 +17,7 @@ D = 3
 MODELS = {
     "vmf": lambda: VmfModel(np.eye(2, D), VmfConfig(d=D, k=2)),
     "vmf-static": lambda: VmfModel(np.eye(2, D), VmfConfig(d=D, k=2), static=True),
+    "vmf-learned": lambda: VmfModel(np.eye(2, D), VmfConfig(d=D, k=2, learn_kappa_ems=True)),
     "gauss": lambda: GaussModel(np.eye(2, D), GaussConfig(d=D, k=2)),
     "gauss-learned": lambda: GaussModel(np.eye(2, D), GaussConfig(d=D, k=2, learn_transition=True,
                                                                   learn_sigmas=True)),
@@ -59,6 +60,27 @@ def test_adapt_is_the_one_window_loop(model, monkeypatch):
         monkeypatch.setattr(model, hook, spy)
     assert model.adapt(1, BATCH) is model
     assert calls == ["_push", *["_sweep"] * model.config.e_sweeps, "_reestimate"]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_row_order_within_a_batch_does_not_matter(name):
+    rng = np.random.default_rng(3)
+    batches = [np.eye(2, D)[rng.integers(0, 2, size=7)] + 0.3 * rng.standard_normal((7, D))
+               for _ in range(6)]
+    probe = rng.standard_normal((5, D))
+    model, shuffled = MODELS[name](), MODELS[name]()
+    for t, batch in enumerate(batches, start=1):
+        model.adapt(t, batch)
+        shuffled.adapt(t, batch[rng.permutation(len(batch))])
+        np.testing.assert_allclose(shuffled.prototypes, model.prototypes, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(shuffled.mixing, model.mixing, rtol=0, atol=1e-12)
+        for learned in ("kappa_ems", "sigma_trans", "sigma_ems"):
+            if hasattr(model, learned):
+                assert getattr(shuffled, learned) == pytest.approx(getattr(model, learned),
+                                                                   rel=1e-12, abs=0)
+        perm = rng.permutation(len(probe))
+        np.testing.assert_allclose(shuffled.predict(probe[perm])[0], model.predict(probe)[0][perm],
+                                   rtol=0, atol=1e-12)
 
 
 def test_non_contiguous_time_rejected(model):
