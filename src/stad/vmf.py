@@ -14,6 +14,12 @@ The newest prototype directions double as an adapted last-layer weight
 matrix: predictions are the assignment step's cluster posterior on those
 directions, a softmax of their dot products with the embeddings at
 temperature 1 / kappa_ems plus the log-mixing bias.
+
+A belief stores its unit mean directions as one (K, D) array and its
+concentrations and their Bessel ratios A_D(conc) as (K,) vectors. The
+expected prototypes A_D(conc_k) m_k are never formed: the assignment
+step, the transition messages, the concentration re-estimate and the
+ELBO scale their dot products or message rows by class instead.
 """
 
 from __future__ import annotations
@@ -58,6 +64,11 @@ def _row_blocks(k: int, d: int) -> list[slice]:
     return [slice(lo, lo + rows) for lo in range(0, k, rows)]
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The K dot products of matching rows of two (K, D) arrays."""
+    return np.einsum("kd,kd->k", a, b)
+
+
 @dataclass
 class VmfConfig:
     """Knobs for the spherical tracker.
@@ -90,19 +101,27 @@ class VmfConfig:
 class PrototypeBelief:
     """Variational vMF belief over the K prototype directions.
 
-    mean_dir rows are unit vectors, conc the matching concentrations, and
-    expected caches A_D(conc) * mean_dir (norm < 1).
+    mean_dir rows are unit vectors, conc the matching concentrations and
+    ratio their Bessel ratios A_D(conc). The expected prototypes are
+    ratio[:, None] * mean_dir (norm < 1); that (K, D) product is not
+    stored, since its users can scale by class for O(K) or O(N K) work.
     """
 
     mean_dir: np.ndarray  # (K, D)
     conc: np.ndarray      # (K,)
-    expected: np.ndarray  # (K, D)
+    ratio: np.ndarray     # (K,), A_D(conc)
 
     @classmethod
     def from_params(cls, mean_dir: np.ndarray, conc: np.ndarray) -> "PrototypeBelief":
+        """The belief with these directions and concentrations; mean_dir is
+        kept, not copied, when it is already a float array."""
         mean_dir = np.asarray(mean_dir, dtype=float)
         conc = np.asarray(conc, dtype=float)
-        return cls(mean_dir, conc, expected_prototype(mean_dir, conc, mean_dir.shape[1]))
+        # A_D(conc) is the expected prototype of the unit row (1,): the
+        # ratio is taken through `expected_prototype`, whose span the traced
+        # benchmark records, at O(K) cost
+        ones = np.ones((conc.shape[0], 1))
+        return cls(mean_dir, conc, expected_prototype(ones, conc, mean_dir.shape[1])[:, 0])
 
     def copy(self, into: "PrototypeBelief | None" = None) -> "PrototypeBelief":
         """A copy in fresh arrays, or written into the arrays of `into`.
@@ -111,10 +130,10 @@ class PrototypeBelief:
         so whoever still holds `into` sees them change.
         """
         if into is None:
-            return PrototypeBelief(self.mean_dir.copy(), self.conc.copy(), self.expected.copy())
+            return PrototypeBelief(self.mean_dir.copy(), self.conc.copy(), self.ratio.copy())
         np.copyto(into.mean_dir, self.mean_dir)
         np.copyto(into.conc, self.conc)
-        np.copyto(into.expected, self.expected)
+        np.copyto(into.ratio, self.ratio)
         return into
 
 
@@ -126,72 +145,84 @@ def expected_prototype(mean_dir: np.ndarray, conc, d: int) -> np.ndarray:
 
 
 def assignment_step(
-    feats: np.ndarray, expected: np.ndarray, mixing: np.ndarray, kappa_ems: float
+    feats: np.ndarray, prototypes: np.ndarray, mixing: np.ndarray, kappa
 ) -> np.ndarray:
     """Posterior class responsibilities for one batch.
 
-    Log-domain: log pi_k + kappa_ems <expected_k, h>, normalized per row.
-    The vMF log-normalizer log C_D(kappa_ems) is the same in every class,
-    so the normalization cancels it and it is left out.
+    Log-domain: log pi_k + kappa_k <prototypes_k, h>, normalized per row.
+    kappa is one concentration for every class (a float) or one per class
+    (K,); anything else raises DimensionMismatchError. The sweep passes
+    the unit mean directions with kappa_ems * A_D(conc), which gives
+    kappa_ems times the dots with the expected prototypes. The vMF
+    log-normalizer log C_D(kappa_ems) is the same in every class, so the
+    normalization cancels it and it is left out.
     """
     feats = np.asarray(feats, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    if feats.ndim != 2 or expected.ndim != 2 or feats.shape[1] != expected.shape[1]:
+    prototypes = np.asarray(prototypes, dtype=float)
+    if feats.ndim != 2 or prototypes.ndim != 2 or feats.shape[1] != prototypes.shape[1]:
         raise DimensionMismatchError(
-            f"feats {feats.shape} vs prototypes {expected.shape}"
+            f"feats {feats.shape} vs prototypes {prototypes.shape}"
         )
+    if np.ndim(kappa):
+        kappa = np.asarray(kappa, dtype=float)
+        if kappa.shape != prototypes.shape[:1]:
+            raise DimensionMismatchError(
+                f"concentration {kappa.shape} for {prototypes.shape[0]} classes")
     with np.errstate(invalid="ignore", over="ignore"):
-        dots = feats @ expected.T
+        dots = feats @ prototypes.T
     # a NaN or infinity in either input reaches the dots of its row, so
     # this O(N K) check also covers the (N, D) batch
     if not np.isfinite(dots).all():
         raise DomainError("embeddings or prototypes contain non-finite entries")
     with np.errstate(divide="ignore"):
-        logits = np.log(np.asarray(mixing, dtype=float)) + kappa_ems * dots
+        logits = np.log(np.asarray(mixing, dtype=float)) + kappa * dots
     return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
 
 
 def prototype_update(
-    belief: PrototypeBelief, total: np.ndarray, sq_norms: np.ndarray | None = None
+    belief: PrototypeBelief, total: np.ndarray, messages=()
 ) -> tuple[np.ndarray, int]:
     """Move `belief` to the update from its summed messages, in place.
 
-    Row k of `total` (K, D) is a natural-parameter vector: the emission
-    term sum_n kappa_ems resp_nk h_n plus the temporal neighbours'
-    kappa * expected-direction vectors (or the initial prior's
-    kappa0 * mu0). Its direction is the new mean direction and its norm
-    the new concentration. A row whose messages cancel to norm <= 1e-12
-    keeps its previous direction and concentration. `sq_norms` may hold
-    the squared row norms of `total` (the sweep writes them as it sums
-    the messages); they are computed here otherwise.
+    Row k of the natural parameter is row k of `total` (K, D), the
+    emission term sum_n kappa_ems resp_nk h_n, plus scale_k * direction_k
+    for each (scale, direction) of `messages`: (K,) scales and (K, D) unit
+    directions, such as a neighbour's kappa_trans * A_D(conc) with its
+    mean direction, or the source prior's kappa0 with mu0. Its direction
+    is the new mean direction and its norm the new concentration. A row
+    whose natural parameter has norm <= 1e-12 keeps its previous
+    direction and concentration.
 
-    `total` is normalized in place and becomes `belief.mean_dir`;
-    `belief.expected` is rewritten in place and `belief.conc` replaced.
-    Both (K, D) writes walk row blocks of about 256 KiB, so that a block
-    is still in cache for its second pass; the Bessel ratio is taken once
-    over all K rows. Every element sees the same operations as in a
+    One walk over row blocks of about 256 KiB adds the messages to
+    `total` in place, takes the block's row norms and divides its rows by
+    them while the block is in cache: with two messages that is 6 (K, D)
+    passes. The Bessel ratios of the new concentrations are then taken
+    once over all K rows. Every element sees the same operations as in a
     whole-array pass, so the block size does not change a bit of the
-    result. Returns the array that was `belief.mean_dir`, free for reuse
-    as the next `total`, and the number of degenerate rows.
+    result. `total` becomes `belief.mean_dir`, and `belief.conc` and
+    `belief.ratio` are replaced. Returns the array that was
+    `belief.mean_dir`, free for reuse as the next `total`, and the number
+    of degenerate rows.
     """
     k, d = total.shape
-    if sq_norms is None:
-        sq_norms = np.einsum("kd,kd->k", total, total)
-    norms = np.sqrt(sq_norms)
-    bad = norms <= _DEGENERATE_EPS
+    blocks = _row_blocks(k, d)
+    scratch = np.empty((min(k, blocks[0].stop), d))
+    conc = np.empty(k)
+    for rows in blocks:
+        block = total[rows]
+        for scale, direction in messages:
+            block += np.multiply(direction[rows], scale[rows, None], out=scratch[:len(block)])
+        norms = np.sqrt(np.einsum("kd,kd->k", block, block), out=conc[rows])
+        bad = norms <= _DEGENERATE_EPS
+        if bad.any():
+            block[bad] = belief.mean_dir[rows][bad]
+            norms = np.where(bad, 1.0, norms)
+        block /= norms[:, None]
+    bad = conc <= _DEGENERATE_EPS
     degenerate = int(np.count_nonzero(bad))
-    conc = norms
-    if degenerate:
-        total[bad] = belief.mean_dir[bad]
-        conc = np.where(bad, belief.conc, norms)
-        norms[bad] = 1.0
-    ratio = bessel_ratio(d, conc)[:, None]
-    for rows in _row_blocks(k, d):
-        mean_dir, expected = total[rows], belief.expected[rows]
-        mean_dir /= norms[rows, None]
-        np.copyto(expected, mean_dir)
-        expected *= ratio[rows]
-    spare, belief.mean_dir, belief.conc = belief.mean_dir, total, conc
+    conc[bad] = belief.conc[bad]
+    spare = belief.mean_dir
+    belief.mean_dir, belief.conc, belief.ratio = total, conc, bessel_ratio(d, conc)
     return spare, degenerate
 
 
@@ -204,18 +235,19 @@ def kappa_update(
     """Shared emission concentration re-estimate from the window-wide resultant length.
 
     The resultant averages the responsibility-weighted alignments of
-    embeddings with their expected prototypes over every window step. The
-    estimate is one float, clamped to [1e-6, 1e6].
+    embeddings with their expected prototypes over every window step;
+    each class's summed dots with its mean direction are scaled by its
+    A_D(conc). The estimate is one float, clamped to [1e-6, 1e6].
 
-    beliefs, resps and feats need one entry per window step: (K, d)
-    expected prototypes of one K, batches (N_t, d) and responsibilities
+    beliefs, resps and feats need one entry per window step: beliefs over
+    (K, d) directions of one K, batches (N_t, d) and responsibilities
     (N_t, K). Anything else raises DimensionMismatchError, and a window
     without a sample EmptyBatchError.
     """
     t_len = len(beliefs)
-    shape = np.shape(beliefs[0].expected) if t_len else (0, d)
+    shape = np.shape(beliefs[0].mean_dir) if t_len else (0, d)
     if (len(resps) != t_len or len(feats) != t_len or len(shape) != 2 or shape[1] != d
-            or any(np.shape(b.expected) != shape for b in beliefs)
+            or any(np.shape(b.mean_dir) != shape for b in beliefs)
             or any(np.ndim(h) != 2 or np.shape(h)[1] != d or np.shape(w) != (len(h), shape[0])
                    for h, w in zip(feats, resps))):
         raise DimensionMismatchError(
@@ -226,7 +258,7 @@ def kappa_update(
         raise EmptyBatchError("kappa_update needs at least one sample")
     align_sum = np.zeros(shape[0])  # per class, summed last
     for belief, resp, h in zip(beliefs, resps, feats):
-        align_sum += np.sum(resp * (h @ belief.expected.T), axis=0)
+        align_sum += np.sum(resp * (h @ belief.mean_dir.T), axis=0) * belief.ratio
     return float(estimate_kappa_clamped(abs(align_sum.sum()) / n_total, d))
 
 
@@ -234,8 +266,8 @@ def predict_probs(
     feats: np.ndarray, prototypes: np.ndarray, kappa_ems: float, mixing: np.ndarray
 ) -> np.ndarray:
     """Class probabilities from prototype directions: the cluster posterior
-    of `assignment_step` with the prototypes' unit directions in place of
-    their expected prototypes. With uniform mixing this is
+    of `assignment_step` on the prototypes' unit directions, at the one
+    concentration kappa_ems in every class. With uniform mixing this is
     softmax(kappa_ems * W h).
     """
     return assignment_step(feats, prototypes, mixing, kappa_ems)
@@ -254,12 +286,15 @@ class VmfModel(SlidingWindow):
     and passes them between steps as scratch space, so `prototypes`
     returns a copy: an array a caller holds is a snapshot that later
     `adapt` calls leave alone. Its elementwise (K, D) work walks row
-    blocks of about 256 KiB (see `coordinate_ascent_sweep`), which gives
-    the same bits as whole-array passes. A new step takes the arrays of
-    the belief that leaves the model at that push (the retired anchor,
-    or with static=True the evicted step's belief, never the source
-    prior), so once the prior has left the anchor, pushes allocate no
-    belief storage.
+    blocks of about 256 KiB (see `prototype_update`), which gives the same
+    bits as whole-array passes. A new step takes the arrays of the belief
+    that leaves the model at that push (the retired anchor, or with
+    static=True the evicted step's belief, never the source prior), so
+    once the prior has left the anchor, pushes allocate no belief storage.
+    The source prior's mean direction is `source_prototypes` itself, made
+    read-only. A full window thus holds window + 3 (K, D) arrays: one per
+    step, the anchor's, the sweep's message buffer and
+    `source_prototypes`; with static=True, whose anchor is the prior, 3.
     """
 
     def __init__(self, source_weights: np.ndarray, config: VmfConfig, static: bool = False):
@@ -268,6 +303,7 @@ class VmfModel(SlidingWindow):
             raise DomainError("the tracker needs K >= 2 classes")
         self.static = static
         self.source_prototypes = normalize_rows(source_weights)
+        self.source_prototypes.flags.writeable = False
 
         k = config.k
         self._kappa_trans = float(config.kappa_trans)
@@ -275,13 +311,12 @@ class VmfModel(SlidingWindow):
         self._kappa0 = float(config.kappa0)
         super().__init__(
             config,
-            PrototypeBelief.from_params(self.source_prototypes.copy(), np.full(k, self._kappa0)),
+            PrototypeBelief.from_params(self.source_prototypes, np.full(k, self._kappa0)),
             window=1 if static else config.window,
             fixed_anchor=static,
         )
         self.degenerate_updates = 0
         self._total = np.empty((k, config.d))  # the sweep's message buffer
-        self._sq_norms = np.empty(k)           # its squared row norms
 
     # -- public views ----------------------------------------------------
 
@@ -326,66 +361,45 @@ class VmfModel(SlidingWindow):
         objective given its neighbours, so repeated sweeps with fixed
         concentrations never decrease the evidence lower bound.
 
-        The updates allocate no (K, D) array. The emission term is one
-        matmul into a buffer the model owns (`_total`). Then a walk over
-        row blocks of about 256 KiB builds the anchor or neighbour message
-        in the step's own expected prototype (free until its update
-        rewrites it) by a copy and in-place adds and scales, adds it to
-        the buffer and writes the block's squared row norms, all while the
-        block is in cache. `prototype_update` makes the second walk; the
-        buffer becomes the step's mean direction, and the replaced mean
-        direction the next buffer. Each element sees the same operations
-        in the same order as in a whole-array pass, so the results do not
-        depend on the block size. Raises NotAdaptedError before the first
-        `adapt`.
+        The updates allocate no (K, D) array. The assignment step scales
+        the dots with a step's mean directions by kappa_ems * A_D(conc).
+        The emission term is one matmul into a buffer the model owns
+        (`_total`); `prototype_update` adds each neighbour's mean
+        direction scaled by kappa_trans * A_D(conc), or the prior's
+        kappa0 * mu0, and normalizes the rows in one walk over row blocks.
+        The buffer becomes the step's mean direction, and the replaced
+        mean direction the next buffer. Raises NotAdaptedError before the
+        first `adapt`.
         """
         self._newest()
-        cfg = self.config
         steps = self._steps
-        kappa_trans = self._kappa_trans
-        blocks = _row_blocks(cfg.k, cfg.d)
-        sq_norms = self._sq_norms
+        kappa_ems = self._kappa_ems
         for i, step in enumerate(steps):
             belief = step.belief
-            step.resp = assignment_step(step.feats, belief.expected, step.mixing, self._kappa_ems)
-            total = np.matmul((step.resp * self._kappa_ems).T, step.feats, out=self._total)
-            if i == 0:
-                scale, left = self._anchor_message()
-            else:
-                scale, left = kappa_trans, steps[i - 1].belief.expected
-            right = steps[i + 1].belief.expected if i + 1 < len(steps) else None
-            # with both neighbours on kappa_trans, scale their sum once; the
-            # source prior sends kappa0 * mu0 on its own, even when kappa0
-            # equals kappa_trans
-            summed = right is not None and (i > 0 or self._anchor is not self._prior)
-            for rows in blocks:
-                msg, block = belief.expected[rows], total[rows]
-                np.copyto(msg, left[rows])
-                if summed:
-                    msg += right[rows]
-                    msg *= kappa_trans
-                else:
-                    msg *= scale
-                    if right is not None:
-                        block += msg
-                        np.copyto(msg, right[rows])
-                        msg *= kappa_trans
-                block += msg
-                np.einsum("kd,kd->k", block, block, out=sq_norms[rows])
-            self._total, degenerate = prototype_update(belief, total, sq_norms)
+            step.resp = assignment_step(step.feats, belief.mean_dir, step.mixing,
+                                        kappa_ems * belief.ratio)
+            total = np.matmul((step.resp * kappa_ems).T, step.feats, out=self._total)
+            messages = [self._anchor_message() if i == 0 else self._message(steps[i - 1].belief)]
+            if i + 1 < len(steps):
+                messages.append(self._message(steps[i + 1].belief))
+            self._total, degenerate = prototype_update(belief, total, messages)
             self.degenerate_updates += degenerate
 
-    def _anchor_message(self) -> tuple[float, np.ndarray]:
+    def _message(self, belief: PrototypeBelief) -> tuple[np.ndarray, np.ndarray]:
+        """A neighbour's natural-parameter message, as ((K,) scale, (K, D)
+        direction): kappa_trans times its expected prototypes."""
+        return self._kappa_trans * belief.ratio, belief.mean_dir
+
+    def _anchor_message(self) -> tuple[np.ndarray, np.ndarray]:
         """Natural-parameter message the left boundary receives, as (scale, direction).
 
-        The message is scale * direction. The initial prior contributes
-        kappa0 * mu0 exactly; a frozen evicted belief contributes
-        kappa_trans * (expected direction), i.e. it is treated as one more
-        fixed vMF neighbour.
+        The initial prior contributes kappa0 * mu0 exactly (its conc is
+        kappa0 in every class); a frozen evicted belief is treated as one
+        more fixed vMF neighbour (`_message`).
         """
         if self._anchor is self._prior:
-            return self._kappa0, self._anchor.mean_dir
-        return self._kappa_trans, self._anchor.expected
+            return self._prior.conc, self._prior.mean_dir
+        return self._message(self._anchor)
 
     # -- prediction and diagnostics ---------------------------------------
 
@@ -409,16 +423,21 @@ class VmfModel(SlidingWindow):
         total = 0.0
         steps = self._steps
 
-        # K vMF factors per transition, each with the shared concentration
+        # K vMF factors per transition, each with the shared concentration;
+        # E[mu_a] . E[mu_b] is A_D(conc_a) A_D(conc_b) m_a . m_b per class
         scale, direction = self._anchor_message()
-        total += k * float(log_vmf_norm_const(d, scale))
-        total += scale * float(np.sum(direction * steps[0].belief.expected))
+        first = steps[0].belief
+        factor = self._kappa0 if self._anchor is self._prior else self._kappa_trans
+        total += k * float(log_vmf_norm_const(d, factor))
+        total += float(np.sum(scale * first.ratio * _row_dots(direction, first.mean_dir)))
         for prev, cur in zip(steps, steps[1:]):
+            a, b = prev.belief, cur.belief
             total += k * float(log_vmf_norm_const(d, self._kappa_trans))
-            total += self._kappa_trans * float(np.sum(prev.belief.expected * cur.belief.expected))
+            total += self._kappa_trans * float(
+                np.sum(a.ratio * b.ratio * _row_dots(a.mean_dir, b.mean_dir)))
 
         for s in steps:
-            align = s.feats @ s.belief.expected.T  # (N, K)
+            align = (s.feats @ s.belief.mean_dir.T) * s.belief.ratio  # (N, K)
             with np.errstate(divide="ignore"):
                 log_pi = np.log(s.mixing)
             per_class_ll = (
@@ -434,7 +453,5 @@ class VmfModel(SlidingWindow):
             total += float(np.sum(ent))
             # vMF belief entropy: -log C_D(gamma) - gamma A_D(gamma)
             gamma = s.belief.conc
-            total += float(
-                np.sum(-log_vmf_norm_const(d, gamma) - gamma * bessel_ratio(d, gamma))
-            )
+            total += float(np.sum(-log_vmf_norm_const(d, gamma) - gamma * s.belief.ratio))
         return total

@@ -100,3 +100,64 @@ def test_no_finished_pair():
     pairs = [(1, {"exit_code": 2}, report(1.0))]
     assert bench_pairs.summarize(pairs, METRICS) == ["failed: seed 1 parent (exit 2)",
                                                      "no pair with two finished runs"]
+
+
+def test_incorrect_runs_leave_their_pairs_out():
+    # seed 2's change run failed a step, and its figures must not count
+    pairs = [(1, report(10.0), report(9.0)), (2, report(10.0), report(1.0, correct=False)),
+             (3, report(12.0), report(11.0))]
+    lines = bench_pairs.summarize(pairs, METRICS[:1])
+    assert lines[:2] == ["not correct: seed 2 change",
+                         "failed steps of finished runs: parent 0 of 30 (0.0%),"
+                         " change 1 of 30 (3.3%)"]
+    assert "  seed 2:" not in "\n".join(lines)
+    assert lines[-1] == "  median 11 [10.5, 11.5] -> 10 (-9.1%), change better in 2 of 2"
+    result = bench_pairs.compare(pairs, METRICS[:1])
+    assert result["left_out"] == [2]
+    assert result["metrics"][0]["seeds"] == [1, 3]
+
+
+def test_json_writes_the_comparison(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    metrics = bench_pairs.json.loads(bench_pairs.BENCHMARK.read_text())["end_to_end"]
+    threads = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+    def fake_run(cmd, cwd, **kwargs):
+        if cmd[0] == "git":   # the commit lookup: the parent is no work tree
+            return bench_pairs.subprocess.CompletedProcess(
+                cmd, 128 if cwd == parent else 0, stdout="abc123\n" if cwd == change else "")
+        seed = int(cmd[cmd.index("--seed") + 1])
+        value = (10.0 if cwd == parent else 8.0) + seed
+        report = {"correct": True, "attempted": 10, "failed": 0,
+                  "env": {"threads": threads, "numpy": "2.4.6"},
+                  "metrics": {m["name"]: {"value": value} for m in metrics}}
+        path = cwd / ".bench_data" / "runs" / f"w-s{seed}-trace0.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(bench_pairs.json.dumps(report))
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    argv = [str(parent), str(change), "--workload", "w", "--seeds", "1-3", "--json", str(out)]
+    assert bench_pairs.main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    written = bench_pairs.json.loads(out.read_text())
+    assert written["workload"] == "w" and written["seeds"] == [1, 2, 3]
+    assert written["commits"] == {"parent": None, "change": "abc123"}
+    assert [(r["seed"], r["side"]) for r in written["runs"]] == [
+        (1, "parent"), (1, "change"), (2, "parent"), (2, "change"), (3, "parent"), (3, "change")]
+    assert all(r["env"]["threads"] == threads and r["correct"] for r in written["runs"])
+    assert written["left_out"] == []
+    assert written["failed_steps"]["change"] == {"failed": 0, "attempted": 30, "share": 0.0}
+    step = written["metrics"][0]
+    assert step["name"] == "step_ms_p50" and step["unit"] == "ms"
+    assert (step["parent"], step["change"]) == ([11.0, 12.0, 13.0], [9.0, 10.0, 11.0])
+    assert (step["parent_median"], step["parent_q1"], step["parent_q3"]) == (12.0, 11.5, 12.5)
+    assert step["change_median"] == 10.0
+    assert (step["change_better_in"], step["pairs"], step["beyond_quartiles"]) == (3, 3, True)
+    # the file holds what was printed
+    assert printed[:5] == ["step_ms_p50 (lower is better)", "  seed 1: 11 -> 9 (-18.2%)",
+                           "  seed 2: 12 -> 10 (-16.7%)", "  seed 3: 13 -> 11 (-15.4%)",
+                           "  median 12 [11.5, 12.5] -> 10 (-16.7%), change better in 3 of 3,"
+                           " median moved beyond the parent's quartiles"]
+    assert len(written["metrics"]) == len(metrics)

@@ -1,9 +1,12 @@
 """Tests for the spherical prototype tracker."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import softmax
 from scipy.stats import ortho_group
@@ -17,7 +20,13 @@ from stad.errors import (
     ZeroVectorError,
 )
 from stad import vmf
-from stad.mathcore import estimate_kappa_clamped, normalize_rows
+from stad.mathcore import (
+    bessel_ratio,
+    estimate_kappa_clamped,
+    log_sum_exp,
+    log_vmf_norm_const,
+    normalize_rows,
+)
 from stad.vmf import (
     PrototypeBelief,
     VmfConfig,
@@ -179,6 +188,47 @@ class TestAssignmentStep:
         with pytest.raises(DomainError):
             assignment_step(feats[:1], np.where(expected == 1.0, bad, expected), mixing, 2.0)
 
+    @pytest.mark.parametrize("kappa", [np.ones(2), np.ones(4), np.ones((3, 1)), np.ones((1, 3)),
+                                       np.ones((4, 3)), [1.0, 2.0]],
+                             ids=["too few", "too many", "column", "row", "(N, K)", "short list"])
+    def test_concentration_neither_float_nor_per_class_rejected(self, kappa):
+        rng = np.random.default_rng(26)
+        feats = normalize_rows(rng.standard_normal((4, 5)))
+        prototypes = normalize_rows(rng.standard_normal((3, 5)))
+        with pytest.raises(DimensionMismatchError):
+            assignment_step(feats, prototypes, np.full(3, 1 / 3), kappa)
+
+    def test_per_class_concentration_scales_each_column(self):
+        rng = np.random.default_rng(27)
+        feats = normalize_rows(rng.standard_normal((6, 5)))
+        prototypes = normalize_rows(rng.standard_normal((3, 5)))
+        mixing = np.array([0.2, 0.3, 0.5])
+        kappa = np.array([3.0, 40.0, 0.0])
+        resp = assignment_step(feats, prototypes, mixing, kappa)
+        np.testing.assert_allclose(resp, softmax(np.log(mixing) + kappa * (feats @ prototypes.T),
+                                                 axis=1), rtol=0, atol=1e-12)
+        # a per-class scale moves between the concentration and the rows
+        np.testing.assert_allclose(
+            resp, assignment_step(feats, kappa[:, None] * prototypes, mixing, 1.0),
+            rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(assignment_step(feats, prototypes, mixing, list(kappa)),
+                                      resp)
+
+    @pytest.mark.parametrize("kappa", [25.0, np.float64(0.5), np.array(7.0)],
+                             ids=["float", "numpy float", "0-d array"])
+    def test_scalar_concentration_keeps_the_head_bits(self, kappa):
+        # predict_probs with one concentration computes exactly what the head
+        # computed with its scalar kappa_ems: log pi + kappa <w_k, h>, then a
+        # log-sum-exp normalization
+        rng = np.random.default_rng(28)
+        feats = normalize_rows(rng.standard_normal((9, 16)))
+        prototypes = normalize_rows(rng.standard_normal((5, 16)))
+        mixing = rng.dirichlet(np.ones(5))
+        logits = np.log(mixing) + kappa * (feats @ prototypes.T)
+        head = np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
+        probs = predict_probs(feats, prototypes, kappa, mixing)
+        assert probs.tobytes() == head.tobytes()
+
 
 class TestPrototypeUpdate:
     @staticmethod
@@ -197,7 +247,9 @@ class TestPrototypeUpdate:
         prototype_update(belief, np.zeros((1, 2)) + 100.0 * np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(belief.mean_dir, [[1.0, 0.0]])
         np.testing.assert_allclose(belief.conc, [100.0])
-        np.testing.assert_allclose(belief.expected, expected_prototype(belief.mean_dir, np.array([100.0]), 2))
+        np.testing.assert_array_equal(belief.ratio, bessel_ratio(2, belief.conc))
+        np.testing.assert_allclose(belief.ratio[:, None] * belief.mean_dir,
+                                   expected_prototype(belief.mean_dir, np.array([100.0]), 2))
 
     def test_vector_sum(self):
         belief = self.previous()
@@ -214,19 +266,23 @@ class TestPrototypeUpdate:
         assert degenerate == 1
         np.testing.assert_array_equal(belief.mean_dir[0], previous.mean_dir[0])
         assert belief.conc[0] == previous.conc[0]
-        np.testing.assert_array_equal(belief.expected[0], previous.expected[0])
+        assert belief.ratio[0] == previous.ratio[0]
         assert belief.conc[1] == 2.0
+        np.testing.assert_array_equal(belief.ratio, bessel_ratio(2, belief.conc))
 
     def test_total_becomes_the_mean_direction(self):
-        # the update writes in place and hands back the replaced buffer
+        # the update writes in place and hands back the replaced buffer; the
+        # belief's one (K, D) array is its mean direction, the rest is (K,)
         belief = self.previous()
-        old_dir, old_expected = belief.mean_dir, belief.expected
+        old_dir = belief.mean_dir
         total = np.array([[3.0, 4.0]])
         spare, _ = prototype_update(belief, total)
         assert spare is old_dir
         assert belief.mean_dir is total
-        assert belief.expected is old_expected
+        assert [f.name for f in dataclasses.fields(belief)] == ["mean_dir", "conc", "ratio"]
+        assert belief.conc.shape == belief.ratio.shape == (1,)
         np.testing.assert_allclose(belief.mean_dir, [[0.6, 0.8]])
+        np.testing.assert_array_equal(belief.ratio, bessel_ratio(2, np.array([5.0])))
 
     def test_model_counts_cancelled_rows(self):
         # kappa0 = 0 sends no prior message, and the two opposite samples
@@ -250,19 +306,23 @@ class ReferenceSweepModel(VmfModel):
     def coordinate_ascent_sweep(self):
         steps = self._steps
         kt = self._kappa_trans
+
+        def expected(belief):
+            return expected_prototype(belief.mean_dir, belief.conc, self.config.d)
+
         for i, step in enumerate(steps):
             step.resp = assignment_step(
-                step.feats, step.belief.expected, step.mixing, self._kappa_ems,
+                step.feats, expected(step.belief), step.mixing, self._kappa_ems,
             )
             total = self._kappa_ems * (step.resp.T @ step.feats)
             if i > 0:
-                total = total + kt * steps[i - 1].belief.expected
+                total = total + kt * expected(steps[i - 1].belief)
             elif self._anchor is self._prior:
                 total = total + self._prior.conc[:, None] * self._prior.mean_dir
             else:
-                total = total + kt * self._anchor.expected
+                total = total + kt * expected(self._anchor)
             if i + 1 < len(steps):
-                total = total + kt * steps[i + 1].belief.expected
+                total = total + kt * expected(steps[i + 1].belief)
             norms = np.linalg.norm(total, axis=1)
             ok = norms > 1e-12
             mean_dir = np.where(ok[:, None], total / np.where(ok, norms, 1.0)[:, None],
@@ -279,7 +339,7 @@ def assert_matches_reference(model, reference, batches, probe):
         assert model.window_times == reference.window_times
         for a, b in zip(model._steps, reference._steps):
             np.testing.assert_allclose(a.belief.mean_dir, b.belief.mean_dir, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(a.belief.expected, b.belief.expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a.belief.ratio, b.belief.ratio, rtol=0, atol=1e-12)
             np.testing.assert_allclose(a.belief.conc, b.belief.conc, rtol=1e-12)
             np.testing.assert_allclose(a.resp, b.resp, rtol=0, atol=1e-12)
             np.testing.assert_allclose(a.mixing, b.mixing, rtol=0, atol=1e-12)
@@ -362,7 +422,7 @@ def run_record(w0, cfg, static, batches, probe):
     for t, batch in enumerate(batches, start=1):
         model.adapt(t, batch)
         for s in model._steps:
-            record += [s.belief.mean_dir.copy(), s.belief.expected.copy(),
+            record += [s.belief.mean_dir.copy(), s.belief.ratio.copy(),
                        s.belief.conc.copy(), s.resp, s.mixing]
         record += [*model.predict(probe), model.degenerate_updates]
     return record
@@ -416,13 +476,13 @@ class TestBlockBoundaries:
         assert_same_belief(blocked, whole)
         np.testing.assert_array_equal(blocked.mean_dir[2], previous.mean_dir[2])
         assert blocked.conc[2] == previous.conc[2]
-        np.testing.assert_array_equal(blocked.expected[2], previous.expected[2])
+        assert blocked.ratio[2] == previous.ratio[2]
 
 
 def assert_same_belief(belief, saved):
     np.testing.assert_array_equal(belief.mean_dir, saved.mean_dir)
     np.testing.assert_array_equal(belief.conc, saved.conc)
-    np.testing.assert_array_equal(belief.expected, saved.expected)
+    np.testing.assert_array_equal(belief.ratio, saved.ratio)
 
 
 class TestHeldArrays:
@@ -460,41 +520,146 @@ class TestHeldArrays:
         assert evictions == (0 if static else 9)
 
 
+def held_arrays(model):
+    """Every distinct (K, D) array the model reaches through its attributes,
+    its window steps and their beliefs, each object once."""
+    shape = (model.config.k, model.config.d)
+    found = {}
+
+    def visit(obj):
+        if isinstance(obj, np.ndarray):
+            if obj.shape == shape:
+                found.setdefault(id(obj), obj)
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+        elif dataclasses.is_dataclass(obj):
+            for field in dataclasses.fields(obj):
+                visit(getattr(obj, field.name))
+
+    for value in vars(model).values():
+        visit(value)
+    return list(found.values())
+
+
 class TestStorageReuse:
     @staticmethod
-    def live_arrays(model):
-        """The model's (K, D) arrays: every step's belief, the anchor's, the
-        prior's (when it is not the anchor) and the sweep's message buffer."""
-        beliefs = [s.belief for s in model._steps] + [model._anchor]
-        if model._prior is not model._anchor:
-            beliefs.append(model._prior)
-        return [a for b in beliefs for a in (b.mean_dir, b.expected)] + [model._total]
-
-    @pytest.mark.parametrize("window", [1, 2, 3])
-    @pytest.mark.parametrize("static", [False, True])
-    def test_full_window_allocates_no_belief_storage(self, static, window):
+    def run(static, window, steps):
+        """The model after each of `steps` adapts (D=6, K=3, batches of 10) and
+        the (K, D) arrays it held then; asserts they never share memory."""
         rng = np.random.default_rng(25)
         d, k = 6, 3
         model = VmfModel(rng.standard_normal((k, d)), VmfConfig(d=d, k=k, window=window),
                          static=static)
         prior = model._prior
         prior_saved = prior.copy()
-        seen = {}   # data address -> array, kept alive so no address is recycled
-        counts = []
-        for t in range(1, window + 6):
+        held = []
+        for t in range(1, steps + 1):
             model.adapt(t, rng.standard_normal((10, d)))
-            live = self.live_arrays(model)
+            live = held_arrays(model)
             for i, a in enumerate(live):
-                assert a.shape == (k, d)
                 for b in live[i + 1:]:
                     assert not np.shares_memory(a, b)
+            held.append(live)
+            assert_same_belief(prior, prior_saved)
+        return model, held
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    @pytest.mark.parametrize("static", [False, True])
+    def test_full_window_allocates_no_belief_storage(self, static, window):
+        _, held = self.run(static, window, window + 5)
+        seen = {}   # data address -> array, kept alive so no address is recycled
+        counts = []
+        for live in held:
+            for a in live:
                 seen.setdefault(a.__array_interface__["data"][0], a)
             counts.append(len(seen))
-            assert_same_belief(prior, prior_saved)
         # a static window reuses from its second step; a moving anchor from
         # the second eviction on, since the first one retires the prior
         settled = 1 if static else window + 1
-        assert counts[settled - 1:] == [len(live)] * (len(counts) - settled + 1)
+        assert counts[settled - 1:] == [len(held[-1])] * (len(counts) - settled + 1)
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    @pytest.mark.parametrize("static", [False, True])
+    def test_full_window_holds_window_plus_three_arrays(self, static, window):
+        # one mean direction per step, the anchor's, the message buffer and
+        # source_prototypes, which the prior shares read-only; with
+        # static=True the window is one step and the anchor is the prior
+        model, held = self.run(static, window, window + 4)
+        assert model._prior.mean_dir is model.source_prototypes
+        assert not model.source_prototypes.flags.writeable
+        full = 3 if static else window + 3
+        settled = 1 if static else window + 1
+        assert [len(live) for live in held[settled - 1:]] == [full] * (len(held) - settled + 1)
+        assert {id(a) for a in held[-1]} == {id(a) for a in held[settled - 1]}
+
+
+def expected_of(belief, d):
+    return expected_prototype(belief.mean_dir, belief.conc, d)
+
+
+def reference_kappa_ems(beliefs, resps, feats, d):
+    """kappa_update's resultant written on the expected prototypes."""
+    num = sum(float(np.sum(r * (h @ expected_of(b, d).T))) for b, r, h in zip(beliefs, resps, feats))
+    return float(estimate_kappa_clamped(abs(num) / sum(len(h) for h in feats), d))
+
+
+def reference_elbo(model):
+    """The window ELBO written on the expected prototypes: anchor and
+    transition factors, emissions, and the vMF and categorical entropies."""
+    cfg, steps = model.config, model._steps
+    d, k, kt, ke = cfg.d, cfg.k, model.kappa_trans, model.kappa_ems
+    if model._anchor is model._prior:
+        factor, left = cfg.kappa0, model._prior.mean_dir
+    else:
+        factor, left = kt, expected_of(model._anchor, d)
+    total = k * log_vmf_norm_const(d, factor) + factor * np.sum(left * expected_of(steps[0].belief, d))
+    for prev, cur in zip(steps, steps[1:]):
+        total += k * log_vmf_norm_const(d, kt)
+        total += kt * np.sum(expected_of(prev.belief, d) * expected_of(cur.belief, d))
+    for s in steps:
+        live = s.resp > 0.0
+        with np.errstate(divide="ignore"):
+            ll = np.log(s.mixing) + log_vmf_norm_const(d, ke) + ke * (s.feats @ expected_of(s.belief, d).T)
+        total += np.sum(s.resp[live] * ll[live]) - np.sum(s.resp[live] * np.log(s.resp[live]))
+        gamma = s.belief.conc
+        total += np.sum(-log_vmf_norm_const(d, gamma) - gamma * bessel_ratio(d, gamma))
+    return float(total)
+
+
+class TestCachedRatio:
+    """Each belief's cached A_D(conc) stays in step with its concentrations,
+    and the users that scale by it agree with the expected prototypes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(window=st.integers(1, 4), e_sweeps=st.integers(1, 3), static=st.booleans(),
+           kappa0=st.sampled_from([0.0, 30.0]), kappa_trans=st.sampled_from([0.0, 50.0]),
+           cancel=st.booleans(), learn=st.booleans(), seed=st.integers(0, 2**16))
+    def test_ratio_matches_conc_after_every_adapt(self, window, e_sweeps, static, kappa0,
+                                                   kappa_trans, cancel, learn, seed):
+        rng = np.random.default_rng(seed)
+        d, k = 3, 3
+        cfg = VmfConfig(d=d, k=k, window=window, e_sweeps=e_sweeps, kappa0=kappa0,
+                        kappa_trans=kappa_trans, learn_kappa_ems=learn)
+        model = VmfModel(rng.standard_normal((k, d)), cfg, static=static)
+        for t in range(1, window + 4):
+            if cancel and t == 1:   # opposite rows: every row cancels at kappa0 = 0
+                batch = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+            else:
+                batch = rng.standard_normal((int(rng.integers(1, 8)), d))
+            model.adapt(t, batch)
+            steps = model._steps
+            for belief in [s.belief for s in steps] + [model._anchor]:
+                np.testing.assert_array_equal(belief.ratio, bessel_ratio(d, belief.conc))
+            beliefs, resps, feats = ([s.belief for s in steps], [s.resp for s in steps],
+                                     [s.feats for s in steps])
+            assert kappa_update(beliefs, resps, feats, d) == pytest.approx(
+                reference_kappa_ems(beliefs, resps, feats, d), rel=1e-12)
+            assert model.window_elbo() == pytest.approx(reference_elbo(model), rel=1e-12)
+        if cancel and kappa0 == 0.0:
+            assert model.degenerate_updates >= k
+
+
 class TestExpectedPrototype:
     def test_high_concentration_limit(self):
         rho = unit([1.0, 2.0, -1.0, 0.5])
@@ -587,7 +752,7 @@ class TestKappaUpdate:
         num = 0.0
         for b, r, h in zip(beliefs, resps, feats):
             num += sum(
-                r[n_, k_] * float(b.expected[k_] @ h[n_])
+                r[n_, k_] * float(expected_prototype(b.mean_dir, b.conc, d)[k_] @ h[n_])
                 for n_ in range(h.shape[0])
                 for k_ in range(k)
             )

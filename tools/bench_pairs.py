@@ -1,7 +1,7 @@
 """Compare two checkouts on one benchmark workload, in alternating pairs.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload NAME --seeds 301-310
-        [--seconds 16]
+        [--seconds 16] [--json PATH]
 
 For each seed it runs the untraced benchmark (`bench/run.py --trace 0`)
 once in each checkout, the parent first on the first seed and the order
@@ -10,10 +10,14 @@ swapped on every next seed, and reads the report each run writes to
 for every end-to-end metric of `BENCHMARK.json`, it prints the per-seed
 values and change, the parent's median with its quartiles, the change's
 median, and in how many pairs the change was better (ties count for
-neither side). A run whose report says it was not correct is named first,
-and so is a run that exited non-zero, with its exit code; such a run
-leaves its pair out of the comparison, and the next seeds still run.
-`--seeds` takes a range `A-B` or a comma list. Standard library only.
+neither side). A run that exited non-zero is named first, with its exit
+code, and so is a run whose report says it was not correct (a failed
+step, or answers that differ between passes); such a run leaves its pair
+out of the comparison, and the next seeds still run. When a finished run
+was not correct, each side's share of failed steps over its finished runs
+follows. `--json PATH` also writes all of this to PATH, with the commit
+of each checkout and each run's environment (its BLAS thread pins among
+it). `--seeds` takes a range `A-B` or a comma list. Standard library only.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+SIDES = ("parent", "change")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -50,43 +55,78 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(report.read_text())
 
 
-def summarize(pairs: list[tuple[int, dict, dict]], metrics: list[dict]) -> list[str]:
-    """The printed comparison of (seed, parent report, change report) pairs.
+def compare(pairs: list[tuple[int, dict, dict]], metrics: list[dict]) -> dict:
+    """The comparison of (seed, parent report, change report) pairs, as data.
 
     metrics holds the `end_to_end` entries of BENCHMARK.json: each a
-    `name` and whether `lower` or `higher` is `better`. A pair with a
-    failed run (see `run`) is named and left out of every metric.
+    `name` and whether `lower` or `higher` is `better`. A pair with a run
+    that failed or was not correct (see `run`) is left out of every metric.
     """
-    lines = []
-    for seed, *reports in pairs:
-        for side, report in zip(("parent", "change"), reports):
-            if "exit_code" in report:
-                lines.append(f"failed: seed {seed} {side} (exit {report['exit_code']})")
-            elif not report["correct"]:
-                lines.append(f"not correct: seed {seed} {side}")
-    pairs = [pair for pair in pairs if not any("exit_code" in report for report in pair[1:])]
-    if not pairs:
-        return lines + ["no pair with two finished runs"]
-    for metric in metrics:
+    runs = [{"seed": seed, "side": side, "exit_code": report.get("exit_code"),
+             **{key: report.get(key) for key in ("correct", "attempted", "failed", "env")}}
+            for seed, *reports in pairs for side, report in zip(SIDES, reports)]
+    shares = {}
+    for side in SIDES:
+        done = [r for r in runs if r["side"] == side and r["exit_code"] is None]
+        attempted = sum(r["attempted"] for r in done)
+        failed = sum(r["failed"] for r in done)
+        shares[side] = {"failed": failed, "attempted": attempted,
+                        "share": failed / attempted if attempted else 0.0}
+    good = [all("exit_code" not in report and report["correct"] for report in reports)
+            for _, *reports in pairs]
+    kept = [pair for pair, ok in zip(pairs, good) if ok]
+    out = {"runs": runs, "failed_steps": shares,
+           "left_out": [pair[0] for pair, ok in zip(pairs, good) if not ok], "metrics": []}
+    for metric in metrics if kept else []:
         name, sign = metric["name"], (1.0 if metric["better"] == "lower" else -1.0)
-        lines.append(f"{name} ({metric['better']} is better)")
-        parent, change = [], []
-        for seed, old_report, new_report in pairs:
-            old = old_report["metrics"][name]["value"]
-            new = new_report["metrics"][name]["value"]
-            parent.append(old)
-            change.append(new)
-            lines.append(f"  seed {seed}: {old:.6g} -> {new:.6g} ({_rel(old, new)})")
-        wins = sum(sign * (new - old) < 0 for old, new in zip(parent, change))
-        old_med, new_med = statistics.median(parent), statistics.median(change)
+        parent = [old["metrics"][name]["value"] for _, old, _ in kept]
+        change = [new["metrics"][name]["value"] for _, _, new in kept]
+        old_med = statistics.median(parent)
         q1, q3 = (statistics.quantiles(parent, n=4, method="inclusive")[::2]
                   if len(parent) > 1 else (old_med, old_med))
-        beyond = (", median moved beyond the parent's quartiles"
-                  if abs(new_med - old_med) > q3 - q1 else "")
-        lines.append(f"  median {old_med:.6g} [{q1:.6g}, {q3:.6g}] -> {new_med:.6g}"
-                     f" ({_rel(old_med, new_med)}), change better in {wins} of {len(pairs)}"
-                     + beyond)
+        new_med = statistics.median(change)
+        out["metrics"].append({
+            "name": name, "unit": metric.get("unit"), "better": metric["better"],
+            "seeds": [seed for seed, *_ in kept], "parent": parent, "change": change,
+            "parent_median": old_med, "parent_q1": q1, "parent_q3": q3, "change_median": new_med,
+            "change_better_in": sum(sign * (new - old) < 0 for old, new in zip(parent, change)),
+            "pairs": len(kept), "beyond_quartiles": abs(new_med - old_med) > q3 - q1})
+    return out
+
+
+def summarize(pairs: list[tuple[int, dict, dict]], metrics: list[dict]) -> list[str]:
+    """The printed comparison of (seed, parent report, change report) pairs
+    (see `compare`): the failed and incorrect runs, then each metric."""
+    result = compare(pairs, metrics)
+    lines = []
+    for run in result["runs"]:
+        if run["exit_code"] is not None:
+            lines.append(f"failed: seed {run['seed']} {run['side']} (exit {run['exit_code']})")
+        elif not run["correct"]:
+            lines.append(f"not correct: seed {run['seed']} {run['side']}")
+    if any(run["exit_code"] is None and not run["correct"] for run in result["runs"]):
+        lines.append("failed steps of finished runs: " + ", ".join(
+            f"{side} {s['failed']} of {s['attempted']} ({100.0 * s['share']:.1f}%)"
+            for side, s in result["failed_steps"].items()))
+    if not result["metrics"]:
+        return lines + ["no pair with two finished runs"]
+    for m in result["metrics"]:
+        lines.append(f"{m['name']} ({m['better']} is better)")
+        for seed, old, new in zip(m["seeds"], m["parent"], m["change"]):
+            lines.append(f"  seed {seed}: {old:.6g} -> {new:.6g} ({_rel(old, new)})")
+        old_med, new_med = m["parent_median"], m["change_median"]
+        beyond = ", median moved beyond the parent's quartiles" if m["beyond_quartiles"] else ""
+        lines.append(f"  median {old_med:.6g} [{m['parent_q1']:.6g}, {m['parent_q3']:.6g}]"
+                     f" -> {new_med:.6g} ({_rel(old_med, new_med)}), change better in"
+                     f" {m['change_better_in']} of {m['pairs']}" + beyond)
     return lines
+
+
+def commit(checkout: Path) -> str | None:
+    """The commit checked out in `checkout`, or None outside a git work tree."""
+    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
+                          text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def _rel(old: float, new: float) -> str:
@@ -100,6 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--seconds", type=float, default=16.0)
+    parser.add_argument("--json", type=Path, help="also write the comparison to this file")
     args = parser.parse_args(argv)
     pairs = []
     for index, seed in enumerate(args.seeds):
@@ -111,6 +152,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"# seed {seed} done", file=sys.stderr)
     metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
     print("\n".join(summarize(pairs, metrics)))
+    if args.json is not None:
+        result = {"workload": args.workload, "seconds": args.seconds, "seeds": args.seeds,
+                  "commits": {side: commit(path) for side, path in
+                              zip(SIDES, (args.parent, args.change))},
+                  **compare(pairs, metrics)}
+        args.json.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
 
