@@ -129,7 +129,7 @@ def test_json_writes_the_comparison(tmp_path, monkeypatch, capsys):
         seed = int(cmd[cmd.index("--seed") + 1])
         value = (10.0 if cwd == parent else 8.0) + seed
         report = {"correct": True, "attempted": 10, "failed": 0,
-                  "env": {"threads": threads, "numpy": "2.4.6"},
+                  "env": {"threads": threads, "stad": str(cwd / "src" / "stad")},
                   "metrics": {m["name"]: {"value": value} for m in metrics}}
         path = cwd / ".bench_data" / "runs" / f"w-s{seed}-trace0.json"
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -146,7 +146,8 @@ def test_json_writes_the_comparison(tmp_path, monkeypatch, capsys):
     assert written["commits"] == {"parent": None, "change": "abc123"}
     assert [(r["seed"], r["side"]) for r in written["runs"]] == [
         (1, "parent"), (1, "change"), (2, "parent"), (2, "change"), (3, "parent"), (3, "change")]
-    assert all(r["env"]["threads"] == threads and r["correct"] for r in written["runs"])
+    assert all(r["env"] == {"threads": threads, "stad": "src/stad"} and r["correct"]
+               for r in written["runs"])
     assert written["left_out"] == []
     assert written["failed_steps"]["change"] == {"failed": 0, "attempted": 30, "share": 0.0}
     step = written["metrics"][0]

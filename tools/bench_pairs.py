@@ -44,7 +44,9 @@ def parse_seeds(text: str) -> list[int]:
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in a checkout; returns its report, or
     {"exit_code": code} when the run exits non-zero. (A report has a
-    `failed` key of its own, the count of failed steps.)"""
+    `failed` key of its own, the count of failed steps.) The package
+    directory the run imported, `env.stad`, is given relative to the
+    checkout when it lies inside it."""
     report = checkout / ".bench_data" / "runs" / f"{workload}-s{seed}-trace0.json"
     report.unlink(missing_ok=True)  # a report left by an earlier run of this seed
     done = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
@@ -52,7 +54,11 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                           cwd=checkout, stdout=subprocess.DEVNULL)
     if done.returncode:
         return {"exit_code": done.returncode}
-    return json.loads(report.read_text())
+    result = json.loads(report.read_text())
+    stad = result.get("env", {}).get("stad")
+    if stad and Path(stad).resolve().is_relative_to(checkout.resolve()):
+        result["env"]["stad"] = str(Path(stad).resolve().relative_to(checkout.resolve()))
+    return result
 
 
 def compare(pairs: list[tuple[int, dict, dict]], metrics: list[dict]) -> dict:
