@@ -293,6 +293,11 @@ class TestPrototypeUpdate:
         np.testing.assert_array_equal(model.prototypes, np.eye(2))
 
 
+def expected_of(belief, d):
+    """A belief's expected prototypes, from its directions and concentrations alone."""
+    return expected_prototype(belief.mean_dir, belief.conc, d)
+
+
 class ReferenceSweepModel(VmfModel):
     """VmfModel whose sweep is written out of place from the natural parameters.
 
@@ -305,24 +310,20 @@ class ReferenceSweepModel(VmfModel):
 
     def coordinate_ascent_sweep(self):
         steps = self._steps
-        kt = self._kappa_trans
-
-        def expected(belief):
-            return expected_prototype(belief.mean_dir, belief.conc, self.config.d)
-
+        kt, d = self._kappa_trans, self.config.d
         for i, step in enumerate(steps):
             step.resp = assignment_step(
-                step.feats, expected(step.belief), step.mixing, self._kappa_ems,
+                step.feats, expected_of(step.belief, d), step.mixing, self._kappa_ems,
             )
             total = self._kappa_ems * (step.resp.T @ step.feats)
             if i > 0:
-                total = total + kt * expected(steps[i - 1].belief)
+                total = total + kt * expected_of(steps[i - 1].belief, d)
             elif self._anchor is self._prior:
                 total = total + self._prior.conc[:, None] * self._prior.mean_dir
             else:
-                total = total + kt * expected(self._anchor)
+                total = total + kt * expected_of(self._anchor, d)
             if i + 1 < len(steps):
-                total = total + kt * expected(steps[i + 1].belief)
+                total = total + kt * expected_of(steps[i + 1].belief, d)
             norms = np.linalg.norm(total, axis=1)
             ok = norms > 1e-12
             mean_dir = np.where(ok[:, None], total / np.where(ok, norms, 1.0)[:, None],
@@ -594,13 +595,10 @@ class TestStorageReuse:
         assert {id(a) for a in held[-1]} == {id(a) for a in held[settled - 1]}
 
 
-def expected_of(belief, d):
-    return expected_prototype(belief.mean_dir, belief.conc, d)
-
-
 def reference_kappa_ems(beliefs, resps, feats, d):
     """kappa_update's resultant written on the expected prototypes."""
-    num = sum(float(np.sum(r * (h @ expected_of(b, d).T))) for b, r, h in zip(beliefs, resps, feats))
+    num = sum(float(np.sum(r * (h @ expected_of(b, d).T)))
+              for b, r, h in zip(beliefs, resps, feats))
     return float(estimate_kappa_clamped(abs(num) / sum(len(h) for h in feats), d))
 
 
@@ -613,14 +611,16 @@ def reference_elbo(model):
         factor, left = cfg.kappa0, model._prior.mean_dir
     else:
         factor, left = kt, expected_of(model._anchor, d)
-    total = k * log_vmf_norm_const(d, factor) + factor * np.sum(left * expected_of(steps[0].belief, d))
+    total = k * log_vmf_norm_const(d, factor)
+    total += factor * np.sum(left * expected_of(steps[0].belief, d))
     for prev, cur in zip(steps, steps[1:]):
         total += k * log_vmf_norm_const(d, kt)
         total += kt * np.sum(expected_of(prev.belief, d) * expected_of(cur.belief, d))
     for s in steps:
         live = s.resp > 0.0
         with np.errstate(divide="ignore"):
-            ll = np.log(s.mixing) + log_vmf_norm_const(d, ke) + ke * (s.feats @ expected_of(s.belief, d).T)
+            ll = (np.log(s.mixing) + log_vmf_norm_const(d, ke)
+                  + ke * (s.feats @ expected_of(s.belief, d).T))
         total += np.sum(s.resp[live] * ll[live]) - np.sum(s.resp[live] * np.log(s.resp[live]))
         gamma = s.belief.conc
         total += np.sum(-log_vmf_norm_const(d, gamma) - gamma * bessel_ratio(d, gamma))
