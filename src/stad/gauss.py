@@ -34,12 +34,11 @@ from scipy.linalg import cho_factor  # noqa: F401
 from .errors import (
     DimensionMismatchError,
     DomainError,
-    EmptyBatchError,
     InsufficientHistoryError,
 )
 # normalize_rows is unused here; it stays importable because bench/tracing.py rebinds it
 from .mathcore import log_sum_exp, normalize_rows  # noqa: F401
-from .window import SlidingWindow, check_config, check_source, mixing_update
+from .window import SlidingWindow, check_batches, check_config, check_source, mixing_update
 
 __all__ = [
     "GaussConfig",
@@ -300,15 +299,8 @@ def gauss_m_step(
     k, d = shape
     if len(gains) != t_len - 1 or any(np.shape(g) != (k,) for g in gains):
         raise DimensionMismatchError(f"gauss_m_step needs {t_len - 1} gains, each ({k},)")
-    if learn_sigmas and (
-            len(feats) != t_len or len(resps) != t_len
-            or any(np.ndim(h) != 2 or np.shape(h)[1] != d or np.shape(w) != (len(h), k)
-                   for h, w in zip(feats, resps))):
-        raise DimensionMismatchError(
-            f"gauss_m_step needs {t_len} batches (N_t, {d}) and responsibilities (N_t, {k})")
-    n_total = sum(len(h) for h in feats)
-    if learn_sigmas and not n_total:
-        raise EmptyBatchError("gauss_m_step needs at least one sample to learn r")
+    if learn_sigmas:
+        n_total = check_batches(feats, resps, t_len, k, d, "gauss_m_step")
 
     new_q = new_r = None
     if learn_transition:

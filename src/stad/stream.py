@@ -24,14 +24,19 @@ row. The manifest schema::
 Synthetic temporal-drift generators cover both geometries: vMF clusters
 whose mean directions rotate a fixed number of degrees per step inside
 per-class random 2-planes, and Euclidean Gaussian clusters translated by
-fixed per-class drift vectors. Ground-truth prototype trajectories are
-stored alongside for tracking metrics.
+fixed per-class drift vectors. Each step draws its labels uniformly, or
+from class proportions drawn from a symmetric Dirichlet
+(`DriftScenario.dirichlet_alpha`), and samples every row at that step's
+centres. Ground-truth prototype trajectories are stored alongside for
+tracking metrics. `make_label_shift` reorders the rows of each step class
+by class; it moves no sample to another step.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -50,6 +55,7 @@ from .errors import (
     NonContiguousTimeError,
 )
 from .mathcore import normalize_rows
+from .window import check_int
 
 __all__ = [
     "MAGIC",
@@ -113,22 +119,18 @@ class StreamManifest:
     metadata: dict[str, str] = field(default_factory=dict)
 
 
-def _dirichlet_alpha(dist: str) -> float | None:
-    """alpha of a ``dirichlet:<alpha>`` label distribution; None for other names."""
-    if not dist.startswith("dirichlet:"):
-        return None
-    try:
-        alpha = float(dist.split(":", 1)[1])
-    except ValueError:
-        raise DomainError(f"bad dirichlet alpha in {dist!r}") from None
-    if not 0.0 < alpha < math.inf:
-        raise DomainError("dirichlet alpha must be positive and finite")
-    return alpha
-
-
 @dataclass
 class DriftScenario:
-    """Description of a synthetic gradually drifting stream."""
+    """Description of a synthetic gradually drifting stream.
+
+    d, k, t_steps, n_per_step and seed are integers (bools excluded), with
+    d >= 2, seed >= 0 and the others >= 1. kappa_true and sigma_true are
+    finite and > 0, drift_scale is finite and drift_deg_per_step lies in
+    [0, MAX_DRIFT_DEG]. Each step's labels are uniform over the K classes
+    when dirichlet_alpha is None; otherwise each step draws its class
+    proportions from a symmetric Dirichlet of that alpha, a real number
+    (bools excluded), finite and > 0. Anything else raises DomainError.
+    """
 
     geometry: str = "sphere"  # sphere | euclidean
     d: int = 16
@@ -139,24 +141,28 @@ class DriftScenario:
     sigma_true: float = 0.1
     drift_deg_per_step: float = 2.0
     drift_scale: float = 0.02
-    label_distribution: str = "uniform"  # uniform | dirichlet:<alpha>
+    dirichlet_alpha: float | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.geometry not in ("sphere", "euclidean"):
             raise DomainError(f"unknown geometry {self.geometry!r}")
-        if self.d < 2 or self.k < 1 or self.t_steps < 1 or self.n_per_step < 1:
-            raise DomainError("d >= 2, k >= 1, t_steps >= 1, n_per_step >= 1 required")
-        if self.kappa_true <= 0.0 or self.sigma_true <= 0.0:
-            raise DomainError("spread parameters must be positive")
+        for name, minimum in (("d", 2), ("k", 1), ("t_steps", 1), ("n_per_step", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), minimum)
+        # chained comparisons also reject NaN
+        if not (0.0 < self.kappa_true < math.inf and 0.0 < self.sigma_true < math.inf
+                and -math.inf < self.drift_scale < math.inf):
+            raise DomainError("kappa_true and sigma_true must be finite and > 0, "
+                              "drift_scale finite")
         if not 0.0 <= self.drift_deg_per_step <= MAX_DRIFT_DEG:
             raise DomainError(
                 f"drift per step must lie in [0, {MAX_DRIFT_DEG}] degrees "
                 "(gradual-shift contract)"
             )
-        dist = self.label_distribution
-        if dist != "uniform" and _dirichlet_alpha(dist) is None:
-            raise DomainError(f"unknown label distribution {dist!r}")
+        alpha = self.dirichlet_alpha
+        if alpha is not None and (not isinstance(alpha, numbers.Real) or isinstance(alpha, bool)
+                                  or not 0.0 < alpha < math.inf):
+            raise DomainError(f"dirichlet_alpha must be None or a finite real > 0, got {alpha!r}")
 
 
 # -- the step contract -----------------------------------------------------
@@ -358,23 +364,15 @@ def read_trajectory(dirpath) -> np.ndarray | None:
 # -- label-shift reordering -------------------------------------------------
 
 
-def make_label_shift(
-    batches: Iterable[EmbeddingBatch],
-    seed: int,
-    k: int,
-    whole_stream: bool = False,
-) -> list[EmbeddingBatch]:
-    """Reorder samples class-contiguously with random class orders.
+def make_label_shift(batches: Iterable[EmbeddingBatch], seed: int, k: int) -> list[EmbeddingBatch]:
+    """Reorder each step's samples class-contiguously, in a random class order.
 
-    Default reorders within each step independently (one drawn order per
-    step); whole_stream=True sorts the entire sample sequence by a single
-    drawn class order before re-splitting into the original step sizes,
-    reproducing the harsher consecutive-same-class regime. Features and
-    labels are co-permuted, so the output is a permutation of the input
-    multiset; within a class the original order is preserved. The
-    trackers' answers do not depend on row order within a batch, so the
-    per-step reorder leaves them as on the input stream; whole_stream=True
-    shifts the class proportions of each step.
+    Every step draws its own order of the K classes, and its rows are
+    sorted by their class's place in that order, stably, so within a
+    class the original order is preserved. Features and labels are
+    co-permuted, so each step keeps its multiset of samples. The trackers'
+    answers do not depend on row order within a batch, so they are those
+    of the input stream.
     """
     batches = list(batches)
     if any(b.labels is None for b in batches):
@@ -383,13 +381,10 @@ def make_label_shift(
         raise DomainError(f"labels must lie in [0, {k}) for label-shift reordering")
     rng = np.random.default_rng(seed)
     out = []
-    for group in [batches] if whole_stream else [[b] for b in batches]:
-        labels = np.concatenate([b.labels for b in group])
-        idx = np.concatenate([np.flatnonzero(labels == c) for c in rng.permutation(k)])
-        bounds = np.cumsum([b.count for b in group])[:-1]
-        feats = np.concatenate([b.features for b in group])[idx]
-        out += [EmbeddingBatch(b.t, f, y) for b, f, y in
-                zip(group, np.split(feats, bounds), np.split(labels[idx], bounds))]
+    for b in batches:
+        rank = np.argsort(rng.permutation(k))  # place of each class in the drawn order
+        idx = np.argsort(rank[b.labels], kind="stable")
+        out.append(EmbeddingBatch(b.t, b.features[idx], b.labels[idx]))
     return out
 
 
@@ -399,11 +394,12 @@ def make_label_shift(
 def sample_vmf(rng: np.random.Generator, mu: np.ndarray, kappa: float, n: int) -> np.ndarray:
     """Exact vMF sampling via the rejection scheme of Wood (1994)."""
     mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 1 or mu.shape[0] < 2 or not np.isfinite(mu).all():
+        raise DomainError(f"vMF sampling needs a finite 1-D mu of d >= 2, got shape {mu.shape}")
+    if not 0.0 < kappa < math.inf:  # a chained comparison also rejects NaN
+        raise DomainError(f"vMF sampling needs a finite kappa > 0, got {kappa!r}")
+    check_int("n", n, 0)
     d = mu.shape[0]
-    if d < 2:
-        raise DomainError("vMF sampling needs d >= 2")
-    if kappa <= 0.0:
-        raise DomainError("vMF sampling needs kappa > 0")
     b = (-2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2)) / (d - 1.0)
     x0 = (1.0 - b) / (1.0 + b)
     c = kappa * x0 + (d - 1.0) * math.log(1.0 - x0 * x0)
@@ -457,6 +453,8 @@ def _min_pairwise_angle_deg(dirs: np.ndarray) -> float:
 
 def well_separated_directions(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
     """K unit directions with pairwise angles above the packing target."""
+    check_int("d", d, 1)
+    check_int("k", k, 1)
     target = _separation_target_deg(d, k)
     for _ in range(_SEPARATION_RETRIES):
         dirs = normalize_rows(rng.standard_normal((k, d)))
@@ -470,10 +468,9 @@ def well_separated_directions(rng: np.random.Generator, d: int, k: int) -> np.nd
 
 def _draw_labels(rng: np.random.Generator, scenario: DriftScenario) -> np.ndarray:
     n, k = scenario.n_per_step, scenario.k
-    dist = scenario.label_distribution
-    if dist == "uniform":
+    if scenario.dirichlet_alpha is None:
         return rng.integers(0, k, size=n).astype(np.uint32)
-    probs = rng.dirichlet(np.full(k, _dirichlet_alpha(dist)))
+    probs = rng.dirichlet(np.full(k, scenario.dirichlet_alpha))
     return rng.choice(k, size=n, p=probs).astype(np.uint32)
 
 

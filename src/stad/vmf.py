@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, EmptyBatchError
+from .errors import DimensionMismatchError, DomainError
 from .mathcore import (
     bessel_ratio,
     estimate_kappa_clamped,
@@ -38,7 +38,7 @@ from .mathcore import (
     log_vmf_norm_const,
     normalize_rows,
 )
-from .window import SlidingWindow, check_config, check_source, mixing_update
+from .window import SlidingWindow, check_batches, check_config, check_source, mixing_update
 
 __all__ = [
     "VmfConfig",
@@ -150,12 +150,13 @@ def assignment_step(
     """Posterior class responsibilities for one batch.
 
     Log-domain: log pi_k + kappa_k <prototypes_k, h>, normalized per row.
-    kappa is one concentration for every class (a float) or one per class
-    (K,); anything else raises DimensionMismatchError. The sweep passes
-    the unit mean directions with kappa_ems * A_D(conc), which gives
-    kappa_ems times the dots with the expected prototypes. The vMF
-    log-normalizer log C_D(kappa_ems) is the same in every class, so the
-    normalization cancels it and it is left out.
+    mixing is (K,), and kappa one concentration for every class (a float)
+    or one per class (K,); anything else raises DimensionMismatchError,
+    before any O(N K) work. The sweep passes the unit mean directions
+    with kappa_ems * A_D(conc), which gives kappa_ems times the dots with
+    the expected prototypes. The vMF log-normalizer log C_D(kappa_ems) is
+    the same in every class, so the normalization cancels it and it is
+    left out.
     """
     feats = np.asarray(feats, dtype=float)
     prototypes = np.asarray(prototypes, dtype=float)
@@ -163,11 +164,12 @@ def assignment_step(
         raise DimensionMismatchError(
             f"feats {feats.shape} vs prototypes {prototypes.shape}"
         )
+    mixing = np.asarray(mixing, dtype=float)
+    if mixing.shape != prototypes.shape[:1] or np.shape(kappa) not in ((), mixing.shape):
+        raise DimensionMismatchError(f"mixing {mixing.shape} and concentration "
+                                     f"{np.shape(kappa)} for {prototypes.shape[0]} classes")
     if np.ndim(kappa):
         kappa = np.asarray(kappa, dtype=float)
-        if kappa.shape != prototypes.shape[:1]:
-            raise DimensionMismatchError(
-                f"concentration {kappa.shape} for {prototypes.shape[0]} classes")
     with np.errstate(invalid="ignore", over="ignore"):
         dots = feats @ prototypes.T
     # a NaN or infinity in either input reaches the dots of its row, so
@@ -175,7 +177,7 @@ def assignment_step(
     if not np.isfinite(dots).all():
         raise DomainError("embeddings or prototypes contain non-finite entries")
     with np.errstate(divide="ignore"):
-        logits = np.log(np.asarray(mixing, dtype=float)) + kappa * dots
+        logits = np.log(mixing) + kappa * dots
     return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
 
 
@@ -191,7 +193,8 @@ def prototype_update(
     mean direction, or the source prior's kappa0 with mu0. Its direction
     is the new mean direction and its norm the new concentration. A row
     whose natural parameter has norm <= 1e-12 keeps its previous
-    direction and concentration.
+    direction and concentration. A `total` of another shape than
+    `belief.mean_dir` raises DimensionMismatchError.
 
     One walk over row blocks of about 256 KiB adds the messages to
     `total` in place, takes the block's row norms and divides its rows by
@@ -204,6 +207,8 @@ def prototype_update(
     `belief.mean_dir`, free for reuse as the next `total`, and the number
     of degenerate rows.
     """
+    if np.shape(total) != belief.mean_dir.shape:
+        raise DimensionMismatchError(f"total {np.shape(total)} for {belief.mean_dir.shape} beliefs")
     k, d = total.shape
     blocks = _row_blocks(k, d)
     scratch = np.empty((min(k, blocks[0].stop), d))
@@ -248,18 +253,10 @@ def kappa_update(
     (N_t, K). Anything else raises DimensionMismatchError, and a window
     without a sample EmptyBatchError.
     """
-    t_len = len(beliefs)
-    shape = np.shape(beliefs[0].mean_dir) if t_len else (0, d)
-    if (len(resps) != t_len or len(feats) != t_len or len(shape) != 2 or shape[1] != d
-            or any(np.shape(b.mean_dir) != shape for b in beliefs)
-            or any(np.ndim(h) != 2 or np.shape(h)[1] != d or np.shape(w) != (len(h), shape[0])
-                   for h, w in zip(feats, resps))):
-        raise DimensionMismatchError(
-            f"kappa_update needs {t_len} batches (N_t, {d}) and responsibilities "
-            f"(N_t, K), one per (K, {d}) belief of one K")
-    n_total = sum(len(h) for h in feats)
-    if not n_total:
-        raise EmptyBatchError("kappa_update needs at least one sample")
+    shape = np.shape(beliefs[0].mean_dir) if beliefs else (0, d)
+    if len(shape) != 2 or shape[1] != d or any(np.shape(b.mean_dir) != shape for b in beliefs):
+        raise DimensionMismatchError(f"kappa_update needs (K, {d}) beliefs of one K")
+    n_total = check_batches(feats, resps, len(beliefs), shape[0], d, "kappa_update")
     align_sum = np.zeros(shape[0])  # per class, summed last
     for belief, resp, h in zip(beliefs, resps, feats):
         align_sum += np.sum(resp * (h @ belief.mean_dir.T), axis=0) * belief.ratio

@@ -30,7 +30,8 @@ from .errors import (
 )
 from .mathcore import normalize_rows
 
-__all__ = ["WindowStep", "SlidingWindow", "mixing_update", "check_config", "check_source"]
+__all__ = ["WindowStep", "SlidingWindow", "mixing_update", "check_int", "check_config",
+           "check_source", "check_batches"]
 
 
 @dataclass
@@ -42,15 +43,18 @@ class WindowStep:
     mixing: np.ndarray  # (K,)
 
 
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise DomainError unless value is an integer (bools excluded) >= minimum."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def check_config(config, d_min: int) -> None:
     """Raise DomainError unless a tracker config's d, k, window and
     e_sweeps are integers (bools excluded) at or above their minimums and
     its pi_floor lies in [0, 1/K)."""
     for name, minimum in (("d", d_min), ("k", 1), ("window", 1), ("e_sweeps", 1)):
-        value = getattr(config, name)
-        integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-        if not integral or value < minimum:
-            raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        check_int(name, getattr(config, name), minimum)
     if not 0.0 <= config.pi_floor < 1.0 / config.k:
         raise DomainError(f"pi_floor must lie in [0, 1/K), got {config.pi_floor}")
 
@@ -65,6 +69,24 @@ def check_source(source_weights, config) -> np.ndarray:
             f"config (K={config.k}, D={config.d})"
         )
     return source_weights
+
+
+def check_batches(feats: list, resps: list, t_len: int, k: int, d: int, who: str) -> int:
+    """The sample count of a window's batches.
+
+    feats and resps need t_len entries each: batches (N_t, d) and their
+    responsibilities (N_t, k). Anything else raises DimensionMismatchError
+    and a window without a sample EmptyBatchError, each naming `who`.
+    """
+    if (len(feats) != t_len or len(resps) != t_len
+            or any(np.ndim(h) != 2 or np.shape(h)[1] != d or np.shape(w) != (len(h), k)
+                   for h, w in zip(feats, resps))):
+        raise DimensionMismatchError(
+            f"{who} needs {t_len} batches (N_t, {d}) and responsibilities (N_t, {k})")
+    n_total = sum(len(h) for h in feats)
+    if not n_total:
+        raise EmptyBatchError(f"{who} needs at least one sample")
+    return n_total
 
 
 def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:

@@ -17,7 +17,7 @@ FIELDS = {
     GaussConfig: ["d", "k", "sigma_trans_scale", "sigma_ems_scale", "window", "e_sweeps",
                   "learn_transition", "learn_sigmas", "pi_floor", "init_cov_scale"],
     DriftScenario: ["geometry", "d", "k", "t_steps", "n_per_step", "kappa_true", "sigma_true",
-                    "drift_deg_per_step", "drift_scale", "label_distribution", "seed"],
+                    "drift_deg_per_step", "drift_scale", "dirichlet_alpha", "seed"],
 }
 
 

@@ -1,4 +1,4 @@
-"""Tests for the stream format, CSV ingest, label shift and synthetic drift."""
+"""Tests for the stream format, label shift and synthetic drift."""
 
 import json
 import tempfile
@@ -247,20 +247,17 @@ def test_read_matrix_missing_file(tmp_path):
         read_matrix(tmp_path / "absent.emb")
 
 
-@pytest.mark.parametrize("whole_stream", [False, True])
-def test_label_shift_is_class_contiguous_permutation(whole_stream):
+def test_label_shift_is_class_contiguous_permutation():
     batches = small_batches(seed=1, sizes=(9, 7, 8))
     for b in batches:
         b.features[:, 0] = np.arange(b.count)  # tags the original row order
-    out = make_label_shift(batches, seed=3, k=3, whole_stream=whole_stream)
+    out = make_label_shift(batches, seed=3, k=3)
     assert [b.count for b in out] == [b.count for b in batches]
 
-    def rows(seq):
-        return [(int(label), tuple(f)) for b in seq for label, f in zip(b.labels, b.features)]
+    def rows(b):
+        return [(int(label), tuple(f)) for label, f in zip(b.labels, b.features)]
 
-    groups = [out] if whole_stream else [[b] for b in out]
-    sources = [batches] if whole_stream else [[b] for b in batches]
-    for got, src in zip(groups, sources):
+    for got, src in zip(out, batches):
         assert sorted(rows(got)) == sorted(rows(src))
         labels = [label for label, _ in rows(got)]
         # class-contiguous: each class appears as a single run
@@ -270,6 +267,22 @@ def test_label_shift_is_class_contiguous_permutation(whole_stream):
             assert [f for label, f in rows(got) if label == c] == [
                 f for label, f in rows(src) if label == c
             ]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_label_shift_matches_per_class_concatenation(seed):
+    """Each step's rows are those of every class in the drawn order, one
+    np.flatnonzero per class, concatenated: the construction the
+    benchmark's label-shift streams were first written with."""
+    k = 4
+    batches = small_batches(seed=seed, d=3, k=k, sizes=(1, 9, 16, 5))
+    rng = np.random.default_rng(seed)
+    out = make_label_shift(batches, seed=seed, k=k)
+    for b, got in zip(batches, out, strict=True):
+        idx = np.concatenate([np.flatnonzero(b.labels == c) for c in rng.permutation(k)])
+        assert got.t == b.t
+        assert got.features.tobytes() == b.features[idx].tobytes()
+        assert got.labels.tobytes() == b.labels[idx].tobytes()
 
 
 def test_synth_drift_sphere_is_deterministic_with_stated_drift():
@@ -313,11 +326,13 @@ def _shift_without_labels():
 
 @pytest.mark.parametrize("case, error", [
     (_manifest_without_steps, CorruptHeaderError),
-    (lambda tmp: DriftScenario(label_distribution="dirichlet:x"), DomainError),
+    (lambda tmp: DriftScenario(dirichlet_alpha="x"), DomainError),
     (lambda tmp: _shift_out_of_range(), DomainError),
     (lambda tmp: _shift_without_labels(), MissingLabelsError),
+    (lambda tmp: well_separated_directions(np.random.default_rng(0), 4, 0), DomainError),
+    (lambda tmp: well_separated_directions(np.random.default_rng(0), 4.0, 2), DomainError),
 ], ids=["manifest without steps", "dirichlet alpha not a number", "label shift label >= k",
-        "label shift without labels"])
+        "label shift without labels", "no directions", "directions of float d"])
 def test_bad_input_raises_stad_error(tmp_path, case, error):
     assert issubclass(error, StadError)
     with pytest.raises(error):
@@ -329,21 +344,38 @@ def test_bad_input_raises_stad_error(tmp_path, case, error):
     {"d": 1}, {"k": 0}, {"t_steps": 0}, {"n_per_step": 0},
     {"kappa_true": 0.0}, {"sigma_true": -0.1},
     {"drift_deg_per_step": 10.5}, {"drift_deg_per_step": -1.0},
-    {"label_distribution": "zipf"}, {"label_distribution": "dirichlet:0"},
-    {"label_distribution": "dirichlet:-1"}, {"label_distribution": "dirichlet:inf"},
-    {"label_distribution": "ordered"},
+    {"dirichlet_alpha": "x"}, {"dirichlet_alpha": 0},
+    {"dirichlet_alpha": -1.0}, {"dirichlet_alpha": float("inf")},
+    {"dirichlet_alpha": True}, {"dirichlet_alpha": float("nan")},
+    {"d": 4.0}, {"k": True}, {"n_per_step": 2.5}, {"t_steps": np.float64(3.0)}, {"seed": -1},
+    {"seed": 1.0}, {"kappa_true": float("nan")}, {"kappa_true": float("inf")},
+    {"sigma_true": float("nan")}, {"sigma_true": float("inf")},
+    {"drift_scale": float("nan")}, {"drift_scale": float("-inf")},
+    {"drift_deg_per_step": float("nan")},
 ])
 def test_drift_scenario_rejects(kwargs):
     with pytest.raises(DomainError):
         DriftScenario(**kwargs)
 
 
-@pytest.mark.parametrize("mu, kappa", [(np.ones(1), 5.0), (np.array([1.0, 0.0]), 0.0),
-                                       (np.array([1.0, 0.0]), -1.0)],
-                         ids=["d=1", "kappa=0", "kappa<0"])
-def test_sample_vmf_rejects(mu, kappa):
+E1 = np.array([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("mu, kappa, n", [
+    (np.ones(1), 5.0, 4), (E1, 0.0, 4), (E1, -1.0, 4),
+    (E1, float("nan"), 4), (E1, float("inf"), 4), (E1, 5.0, -1), (E1, 5.0, 2.5), (E1, 5.0, True),
+    (np.eye(3), 5.0, 4), (np.array([1.0, np.nan, 0.0]), 5.0, 4),
+    (np.array([np.inf, 0.0, 0.0]), 5.0, 4), (np.float64(1.0), 5.0, 4),
+], ids=["d=1", "kappa=0", "kappa<0", "kappa nan", "kappa inf", "n<0", "n not an integer",
+        "n a bool", "mu 2-D", "mu nan", "mu inf", "mu scalar"])
+def test_sample_vmf_rejects(mu, kappa, n):
+    # with a non-finite kappa the rejection loop would never accept a sample
     with pytest.raises(DomainError):
-        sample_vmf(np.random.default_rng(0), mu, kappa, 4)
+        sample_vmf(np.random.default_rng(0), mu, kappa, n)
+
+
+def test_sample_vmf_of_no_samples():
+    assert sample_vmf(np.random.default_rng(0), E1, 5.0, 0).shape == (0, 3)
 
 
 def test_infeasible_separation_raises():
@@ -352,7 +384,15 @@ def test_infeasible_separation_raises():
         well_separated_directions(np.random.default_rng(0), 2, 50)
 
 
+def test_drift_scenario_accepts_numpy_numbers():
+    scenario = DriftScenario(d=np.int64(4), k=np.int32(3), t_steps=np.uint8(2), n_per_step=5,
+                             kappa_true=np.float32(20.0), dirichlet_alpha=np.float64(2.0),
+                             seed=np.int64(0))
+    batches, _ = synth_drift(scenario)
+    assert [b.features.shape for b in batches] == [(5, 4), (5, 4)]
+
+
 def test_dirichlet_labels_parse():
-    scenario = DriftScenario(d=4, k=3, t_steps=1, n_per_step=30, label_distribution="dirichlet:0.5")
+    scenario = DriftScenario(d=4, k=3, t_steps=1, n_per_step=30, dirichlet_alpha=0.5)
     batches, _ = synth_drift(scenario)
     assert batches[0].labels.max() < 3

@@ -105,7 +105,7 @@ class TestConfig:
         with pytest.raises(DomainError):
             VmfConfig(**{"d": 4, "k": 3, **kwargs})
 
-    def test_accepts_per_class_kappa0_and_numpy_sizes(self):
+    def test_accepts_shared_kappa0_and_numpy_sizes(self):
         # the shared kappa0 becomes the prior's concentration in every class
         cfg = VmfConfig(d=np.int64(4), k=np.int32(3), kappa0=np.float32(20.0))
         model = VmfModel(np.eye(3, 4), cfg)
@@ -198,6 +198,18 @@ class TestAssignmentStep:
         with pytest.raises(DimensionMismatchError):
             assignment_step(feats, prototypes, np.full(3, 1 / 3), kappa)
 
+    @pytest.mark.parametrize("mixing", [np.full(4, 0.25), np.full(2, 0.5), np.full((3, 3), 1 / 3),
+                                        np.full((1, 3), 1 / 3), np.float64(1.0)],
+                             ids=["K+1", "K-1", "(K, K)", "row", "scalar"])
+    def test_mixing_of_wrong_shape_rejected(self, mixing):
+        rng = np.random.default_rng(25)
+        feats = normalize_rows(rng.standard_normal((4, 5)))
+        prototypes = normalize_rows(rng.standard_normal((3, 5)))
+        with pytest.raises(DimensionMismatchError):
+            assignment_step(feats, prototypes, mixing, 2.0)
+        with pytest.raises(DimensionMismatchError):
+            predict_probs(feats, prototypes, 2.0, mixing)
+
     def test_per_class_concentration_scales_each_column(self):
         rng = np.random.default_rng(27)
         feats = normalize_rows(rng.standard_normal((6, 5)))
@@ -250,6 +262,15 @@ class TestPrototypeUpdate:
         np.testing.assert_array_equal(belief.ratio, bessel_ratio(2, belief.conc))
         np.testing.assert_allclose(belief.ratio[:, None] * belief.mean_dir,
                                    expected_prototype(belief.mean_dir, np.array([100.0]), 2))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (2,), (1, 2, 1)])
+    def test_total_of_another_shape_rejected(self, shape):
+        belief = self.previous()
+        before = belief.copy()
+        with pytest.raises(DimensionMismatchError):
+            prototype_update(belief, np.ones(shape))
+        for name in ("mean_dir", "conc", "ratio"):
+            np.testing.assert_array_equal(getattr(belief, name), getattr(before, name))
 
     def test_vector_sum(self):
         belief = self.previous()

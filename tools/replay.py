@@ -1,0 +1,122 @@
+"""Replay one benchmark run's streams through a checkout and hash every step.
+
+    python3 tools/replay.py CHECKOUT --workload NAME --seed 7 [--tiny]
+
+The run's streams are written by CHECKOUT's own `bench/streams.py`, in a
+process of its own, into a temporary directory that is removed at the end.
+Each stream is then fed to the tracker that CHECKOUT's `bench/episode.py`
+builds with `make_model`, as a benchmark pass feeds it: `adapt` on each
+batch, then `predict` on the same batch. Every step prints one JSON line::
+
+    {"stream": 0, "t": 1, "probs": SHA, "labels": SHA, "prototypes": SHA,
+     "mixing": SHA, "scalars": SHA, "degenerate_updates": 0}
+
+Each SHA is the SHA-256 of the array's float64 bytes (the predicted
+labels as int64); `scalars` covers the learned scalars, kappa_ems for vMF
+and q, r for Gauss. The last line gives `accuracy` and
+`proto_angle_err_deg` over all streams, scored as `episode.py` scores a
+pass. Two checkouts that print the same lines gave bit-identical answers
+on the run.
+
+The `bench/` modules and `stad` are imported from CHECKOUT (its `bench/`
+and `src/` go first on sys.path), with one BLAS thread as in every
+benchmark process. Nothing under CHECKOUT is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def load(name: str, path: Path):
+    """The module at `path`, imported under `name`."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def scalars(model) -> bytes:
+    """The learned scalars of either tracker as float64 bytes."""
+    values = [float(getattr(model, name)) for name in ("kappa_ems", "sigma_trans", "sigma_ems")
+              if hasattr(model, name)]
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def replay(episode, w, stream_dir: Path, index: int, score: dict) -> None:
+    """Print one line per step of one stream and add its scores to `score`."""
+    model = episode.make_model(w, episode.source_head(stream_dir))
+    truth = episode.Truth(stream_dir)
+    for batch in episode.read_stream(stream_dir):
+        model.adapt(batch.t, batch.features)
+        probs, pred = model.predict(batch.features)
+        protos = model.prototypes
+        print(json.dumps({
+            "stream": index,
+            "t": batch.t,
+            "probs": sha(probs.astype("<f8").tobytes()),
+            "labels": sha(pred.astype("<i8").tobytes()),
+            "prototypes": sha(protos.astype("<f8").tobytes()),
+            "mixing": sha(model.mixing.astype("<f8").tobytes()),
+            "scalars": sha(scalars(model)),
+            "degenerate_updates": getattr(model, "degenerate_updates", 0),
+        }))
+        score["correct"] += int((pred == batch.labels).sum())
+        score["samples"] += batch.count
+        score["angle_sum"] += float(episode.angles_deg(protos, truth.centres(batch.t)).sum())
+        score["rows"] += w.k
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--tiny", action="store_true")
+    args = parser.parse_args(argv)
+    checkout = args.checkout.resolve()
+    bench, src = checkout / "bench", checkout / "src"
+
+    workloads = load("workloads", bench / "workloads.py")
+    if args.workload not in workloads.WORKLOADS:
+        parser.error(f"unknown workload {args.workload!r}; "
+                     f"choose from {', '.join(sorted(workloads.WORKLOADS))}")
+    w = workloads.get(args.workload, args.tiny)
+    # before numpy loads, so that this process and the stream writer use one thread
+    for var in workloads.THREAD_VARS:
+        os.environ[var] = "1"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    sys.path[:0] = [str(src), str(bench)]
+    episode = load("episode", bench / "episode.py")
+    if not Path(episode.stad.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"imported stad from {episode.stad.__file__}, not from {src}")
+
+    score = dict(correct=0, samples=0, angle_sum=0.0, rows=0)
+    with tempfile.TemporaryDirectory(prefix="stad-replay-") as tmp:
+        cmd = [sys.executable, str(bench / "streams.py"), "--workload", args.workload,
+               "--seed", str(args.seed), "--out", tmp] + (["--tiny"] if args.tiny else [])
+        subprocess.run(cmd, env=env, check=True)
+        for index in range(w.processes):
+            replay(episode, w, Path(tmp) / str(index), index, score)
+    print(json.dumps({"accuracy": score["correct"] / score["samples"],
+                      "proto_angle_err_deg": score["angle_sum"] / score["rows"]}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
