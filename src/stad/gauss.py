@@ -38,7 +38,8 @@ from .errors import (
 )
 # normalize_rows is unused here; it stays importable because bench/tracing.py rebinds it
 from .mathcore import log_sum_exp, normalize_rows  # noqa: F401
-from .window import SlidingWindow, check_batches, check_config, check_source, mixing_update
+from .window import (SlidingWindow, check_batches, check_config, check_real, check_source,
+                     mixing_update)
 
 __all__ = [
     "GaussConfig",
@@ -81,12 +82,9 @@ class GaussConfig:
 
     def __post_init__(self):
         check_config(self, d_min=1)
-        # chained comparisons also reject NaN
-        if not (0.0 <= self.sigma_trans_scale < np.inf and 0.0 < self.sigma_ems_scale < np.inf):
-            raise DomainError("covariance scales must be finite and positive (trans >= 0)")
-        if not 0.0 <= self.initial_cov_scale < np.inf:
-            raise DomainError(
-                f"init_cov_scale must be finite and >= 0, got {self.initial_cov_scale}")
+        check_real("sigma_trans_scale", self.sigma_trans_scale, 0.0)
+        check_real("sigma_ems_scale", self.sigma_ems_scale, 0.0, above=True)
+        check_real("init_cov_scale", self.initial_cov_scale, 0.0)
         if self.initial_cov_scale == 0.0 and self.sigma_trans_scale == 0.0:
             # P0 = Q = 0 leaves the smoother gain 0 / 0 on the first steps
             raise DomainError("init_cov_scale and sigma_trans_scale cannot both be 0")

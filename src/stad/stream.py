@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -55,7 +54,7 @@ from .errors import (
     NonContiguousTimeError,
 )
 from .mathcore import normalize_rows
-from .window import check_int
+from .window import check_int, check_real
 
 __all__ = [
     "MAGIC",
@@ -149,20 +148,13 @@ class DriftScenario:
             raise DomainError(f"unknown geometry {self.geometry!r}")
         for name, minimum in (("d", 2), ("k", 1), ("t_steps", 1), ("n_per_step", 1), ("seed", 0)):
             check_int(name, getattr(self, name), minimum)
-        # chained comparisons also reject NaN
-        if not (0.0 < self.kappa_true < math.inf and 0.0 < self.sigma_true < math.inf
-                and -math.inf < self.drift_scale < math.inf):
-            raise DomainError("kappa_true and sigma_true must be finite and > 0, "
-                              "drift_scale finite")
-        if not 0.0 <= self.drift_deg_per_step <= MAX_DRIFT_DEG:
-            raise DomainError(
-                f"drift per step must lie in [0, {MAX_DRIFT_DEG}] degrees "
-                "(gradual-shift contract)"
-            )
-        alpha = self.dirichlet_alpha
-        if alpha is not None and (not isinstance(alpha, numbers.Real) or isinstance(alpha, bool)
-                                  or not 0.0 < alpha < math.inf):
-            raise DomainError(f"dirichlet_alpha must be None or a finite real > 0, got {alpha!r}")
+        check_real("kappa_true", self.kappa_true, 0.0, above=True)
+        check_real("sigma_true", self.sigma_true, 0.0, above=True)
+        check_real("drift_scale", self.drift_scale)
+        # the gradual-shift contract
+        check_real("drift_deg_per_step", self.drift_deg_per_step, 0.0, MAX_DRIFT_DEG)
+        if self.dirichlet_alpha is not None:
+            check_real("dirichlet_alpha", self.dirichlet_alpha, 0.0, above=True)
 
 
 # -- the step contract -----------------------------------------------------
@@ -396,12 +388,18 @@ def sample_vmf(rng: np.random.Generator, mu: np.ndarray, kappa: float, n: int) -
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.shape[0] < 2 or not np.isfinite(mu).all():
         raise DomainError(f"vMF sampling needs a finite 1-D mu of d >= 2, got shape {mu.shape}")
-    if not 0.0 < kappa < math.inf:  # a chained comparison also rejects NaN
-        raise DomainError(f"vMF sampling needs a finite kappa > 0, got {kappa!r}")
+    check_real("kappa", kappa, 0.0, above=True)
     check_int("n", n, 0)
     d = mu.shape[0]
-    b = (-2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2)) / (d - 1.0)
+    try:
+        b = (-2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2)) / (d - 1.0)
+    except OverflowError:  # kappa**2
+        b = math.inf
     x0 = (1.0 - b) / (1.0 + b)
+    # b cancels to 0 once 4 kappa^2 swamps (d - 1)^2, or is NaN past overflow;
+    # then x0 is 1 or NaN and the envelope's log(1 - x0^2) is undefined
+    if not 0.0 < 1.0 - x0 * x0:
+        raise DomainError(f"vMF sampling at kappa={kappa!r} is beyond float precision in d={d}")
     c = kappa * x0 + (d - 1.0) * math.log(1.0 - x0 * x0)
 
     w = np.empty(n)

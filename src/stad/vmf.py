@@ -19,16 +19,19 @@ A belief stores its unit mean directions as one (K, D) array and its
 concentrations and their Bessel ratios A_D(conc) as (K,) vectors. The
 expected prototypes A_D(conc_k) m_k are never formed: the assignment
 step, the transition messages, the concentration re-estimate and the
-ELBO scale their dot products or message rows by class instead.
+ELBO scale their dot products or message rows by class instead. A
+prototype update is summed in the frame of its left message: a positive
+row scale moves no direction and scales the concentration with it, so the
+left mean direction enters unscaled and one in-place GEMM adds the
+emission term to it.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .errors import DimensionMismatchError, DomainError
 from .mathcore import (
@@ -38,7 +41,8 @@ from .mathcore import (
     log_vmf_norm_const,
     normalize_rows,
 )
-from .window import SlidingWindow, check_batches, check_config, check_source, mixing_update
+from .window import (SlidingWindow, check_batches, check_config, check_real, check_source,
+                     mixing_update)
 
 __all__ = [
     "VmfConfig",
@@ -53,6 +57,10 @@ __all__ = [
 ]
 
 _DEGENERATE_EPS = 1e-12
+# A row of a sweep update takes its left message's scale as its frame only
+# while that scale exceeds this fraction of kappa_ems + kappa_trans, which
+# keeps the framed emission and right-message scales below 1e100.
+_FRAME_MIN = 1e-100
 # Bytes of float64 per row block of the prototype update's (K, D) passes:
 # a block of each operand the pass touches then stays in L2.
 _BLOCK_BYTES = 256 * 1024
@@ -91,10 +99,7 @@ class VmfConfig:
     def __post_init__(self):
         check_config(self, d_min=2)
         for name in ("kappa_trans", "kappa_ems", "kappa0"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not real or not 0.0 <= value < math.inf:
-                raise DomainError(f"{name} must be a finite real number >= 0, got {value!r}")
+            check_real(name, getattr(self, name), 0.0)
 
 
 @dataclass
@@ -182,24 +187,26 @@ def assignment_step(
 
 
 def prototype_update(
-    belief: PrototypeBelief, total: np.ndarray, messages=()
+    belief: PrototypeBelief, total: np.ndarray, messages=(), frame=None
 ) -> tuple[np.ndarray, int]:
     """Move `belief` to the update from its summed messages, in place.
 
-    Row k of the natural parameter is row k of `total` (K, D), the
-    emission term sum_n kappa_ems resp_nk h_n, plus scale_k * direction_k
-    for each (scale, direction) of `messages`: (K,) scales and (K, D) unit
-    directions, such as a neighbour's kappa_trans * A_D(conc) with its
-    mean direction, or the source prior's kappa0 with mu0. Its direction
-    is the new mean direction and its norm the new concentration. A row
-    whose natural parameter has norm <= 1e-12 keeps its previous
-    direction and concentration. A `total` of another shape than
-    `belief.mean_dir` raises DimensionMismatchError.
+    Row k of the natural parameter is frame_k times row k of `total`
+    (K, D) plus scale_k * direction_k for each (scale, direction) of
+    `messages`: (K,) scales and (K, D) unit directions, all in units of
+    the (K,) positive `frame` (ones when None). The sweep frames each
+    update by its left message, so that `total` starts as that message's
+    mean direction (see `VmfModel.coordinate_ascent_sweep`). A positive
+    row scale leaves a row's direction as it is and scales its norm, so
+    the new mean direction is the row's direction and the new
+    concentration frame_k times its norm. A row whose concentration would
+    be <= 1e-12 keeps its previous direction and concentration. A `total`
+    of another shape than `belief.mean_dir` raises DimensionMismatchError.
 
     One walk over row blocks of about 256 KiB adds the messages to
     `total` in place, takes the block's row norms and divides its rows by
-    them while the block is in cache: with two messages that is 6 (K, D)
-    passes. The Bessel ratios of the new concentrations are then taken
+    them while the block is in cache: with one message that is 4 (K, D)
+    passes. The concentrations and their Bessel ratios are then taken
     once over all K rows. Every element sees the same operations as in a
     whole-array pass, so the block size does not change a bit of the
     result. `total` becomes `belief.mean_dir`, and `belief.conc` and
@@ -213,22 +220,23 @@ def prototype_update(
     blocks = _row_blocks(k, d)
     scratch = np.empty((min(k, blocks[0].stop), d))
     conc = np.empty(k)
-    for rows in blocks:
-        block = total[rows]
-        for scale, direction in messages:
-            # each element times its row's scale: the bits of a broadcast
-            # multiply in about 0.6-0.75 of its time
-            part = np.einsum("kd,k->kd", direction[rows], scale[rows], out=scratch[:len(block)])
-            block += part
-        norms = np.sqrt(np.einsum("kd,kd->k", block, block), out=conc[rows])
-        bad = norms <= _DEGENERATE_EPS
-        if bad.any():
-            block[bad] = belief.mean_dir[rows][bad]
-            norms = np.where(bad, 1.0, norms)
-        block /= norms[:, None]
+    # a zero row divides 0 by 0 here; it is degenerate and restored below
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for rows in blocks:
+            block = total[rows]
+            for scale, direction in messages:
+                # each element times its row's scale: the bits of a broadcast
+                # multiply in about 0.6-0.75 of its time
+                block += np.einsum("kd,k->kd", direction[rows], scale[rows],
+                                   out=scratch[:len(block)])
+            norms = np.sqrt(np.einsum("kd,kd->k", block, block), out=conc[rows])
+            block /= norms[:, None]
+    if frame is not None:
+        conc *= frame
     bad = conc <= _DEGENERATE_EPS
     degenerate = int(np.count_nonzero(bad))
     if degenerate:
+        total[bad] = belief.mean_dir[bad]
         conc[bad] = belief.conc[bad]
     spare = belief.mean_dir
     belief.mean_dir, belief.conc, belief.ratio = total, conc, bessel_ratio(d, conc)
@@ -286,12 +294,14 @@ class VmfModel(SlidingWindow):
     The sweep rewrites the (K, D) arrays of the window's beliefs in place
     and passes them between steps as scratch space, so `prototypes`
     returns a copy: an array a caller holds is a snapshot that later
-    `adapt` calls leave alone. Its elementwise (K, D) work walks row
-    blocks of about 256 KiB (see `prototype_update`), which gives the same
-    bits as whole-array passes. A new step takes the arrays of the belief
-    that leaves the model at that push (the retired anchor, or with
-    static=True the evicted step's belief, never the source prior), so
-    once the prior has left the anchor, pushes allocate no belief storage.
+    `adapt` calls leave alone. Each update copies the left mean direction
+    into the message buffer, adds the emission with one BLAS GEMM in
+    place, and walks row blocks of about 256 KiB for the rest (see
+    `prototype_update`), which gives the same bits as whole-array passes.
+    A new step takes the arrays of the belief that leaves the model at
+    that push (the retired anchor, or with static=True the evicted step's
+    belief, never the source prior), so once the prior has left the
+    anchor, pushes allocate no belief storage.
     The source prior's mean direction is `source_prototypes` itself, made
     read-only. A full window thus holds window + 3 (K, D) arrays: one per
     step, the anchor's, the sweep's message buffer and
@@ -364,26 +374,45 @@ class VmfModel(SlidingWindow):
 
         The updates allocate no (K, D) array. The assignment step scales
         the dots with a step's mean directions by kappa_ems * A_D(conc).
-        The emission term is one matmul into a buffer the model owns
-        (`_total`); `prototype_update` adds each neighbour's mean
-        direction scaled by kappa_trans * A_D(conc), or the prior's
-        kappa0 * mu0, and normalizes the rows in one walk over row blocks.
-        The buffer becomes the step's mean direction, and the replaced
-        mean direction the next buffer. Raises NotAdaptedError before the
-        first `adapt`.
+        Each update then runs in the frame of its left message, whose row
+        scales lambda_k are kappa0 from the prior or kappa_trans * A_D(conc)
+        from the left step or the anchor: the left mean direction is
+        copied into a buffer the model owns (`_total`), one GEMM adds
+        (kappa_ems / lambda) resp^T feats into it in place, and
+        `prototype_update` adds the right neighbour's mean direction
+        scaled by its kappa_trans * A_D(conc) / lambda and normalizes the
+        rows in one walk over row blocks. A row whose lambda is 0, or so
+        small that its framed rows could overflow, takes lambda = 1 with
+        its scaled left row. The buffer becomes the step's mean direction,
+        and the replaced mean direction the next buffer. Raises
+        NotAdaptedError before the first `adapt`.
         """
         self._newest()
         steps = self._steps
         kappa_ems = self._kappa_ems
+        # framed rows stay below about N * 1e100, so their squared norms are finite
+        floor = (kappa_ems + self._kappa_trans) * _FRAME_MIN
         for i, step in enumerate(steps):
             belief = step.belief
             step.resp = assignment_step(step.feats, belief.mean_dir, step.mixing,
                                         kappa_ems * belief.ratio)
-            total = np.matmul((step.resp * kappa_ems).T, step.feats, out=self._total)
-            messages = [self._anchor_message() if i == 0 else self._message(steps[i - 1].belief)]
+            scale, direction = self._anchor_message() if i == 0 else self._message(
+                steps[i - 1].belief)
+            total = self._total
+            np.copyto(total, direction)
+            framed = scale > floor
+            if not framed.all():
+                total[~framed] *= scale[~framed, None]
+                scale = np.where(framed, scale, 1.0)
+            # C <- feats^T (resp * kappa_ems / lambda) + C on the transposed,
+            # F-ordered view of the buffer, which BLAS writes in place
+            dgemm(1.0, step.feats.T, (step.resp * (kappa_ems / scale)).T, beta=1.0,
+                  c=total.T, trans_b=True, overwrite_c=True)
+            messages = []
             if i + 1 < len(steps):
-                messages.append(self._message(steps[i + 1].belief))
-            self._total, degenerate = prototype_update(belief, total, messages)
+                right, right_dir = self._message(steps[i + 1].belief)
+                messages.append((right / scale, right_dir))
+            self._total, degenerate = prototype_update(belief, total, messages, scale)
             self.degenerate_updates += degenerate
 
     def _message(self, belief: PrototypeBelief) -> tuple[np.ndarray, np.ndarray]:

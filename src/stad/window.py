@@ -15,6 +15,7 @@ belief type, in the two hooks that loop calls after it, `_sweep` and
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Any
@@ -30,8 +31,8 @@ from .errors import (
 )
 from .mathcore import normalize_rows
 
-__all__ = ["WindowStep", "SlidingWindow", "mixing_update", "check_int", "check_config",
-           "check_source", "check_batches"]
+__all__ = ["WindowStep", "SlidingWindow", "mixing_update", "check_int", "check_real",
+           "check_config", "check_source", "check_batches"]
 
 
 @dataclass
@@ -49,13 +50,28 @@ def check_int(name: str, value, minimum: int) -> None:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_real(name: str, value, minimum: float = -math.inf, maximum: float = math.inf,
+               above: bool = False) -> None:
+    """Raise DomainError unless value is a finite real number (bools
+    excluded) in [minimum, maximum], or in (minimum, maximum] with `above`."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # chained comparisons also reject NaN
+    if not (real and -math.inf < value < math.inf and minimum <= value <= maximum
+            and not (above and value == minimum)):
+        bounds = [f" {'>' if above else '>='} {minimum:g}"] if minimum > -math.inf else []
+        bounds += [f" <= {maximum:g}"] if maximum < math.inf else []
+        raise DomainError(f"{name} must be a finite real number{' and'.join(bounds)}, "
+                          f"got {value!r}")
+
+
 def check_config(config, d_min: int) -> None:
     """Raise DomainError unless a tracker config's d, k, window and
     e_sweeps are integers (bools excluded) at or above their minimums and
-    its pi_floor lies in [0, 1/K)."""
+    its pi_floor is a real number in [0, 1/K)."""
     for name, minimum in (("d", d_min), ("k", 1), ("window", 1), ("e_sweeps", 1)):
         check_int(name, getattr(config, name), minimum)
-    if not 0.0 <= config.pi_floor < 1.0 / config.k:
+    check_real("pi_floor", config.pi_floor, 0.0)
+    if not config.pi_floor < 1.0 / config.k:
         raise DomainError(f"pi_floor must lie in [0, 1/K), got {config.pi_floor}")
 
 

@@ -727,7 +727,7 @@ class TestGaussConfig:
             GaussConfig(**{"d": 3, "k": 2, **kwargs})
 
     @pytest.mark.parametrize("name", ["sigma_trans_scale", "sigma_ems_scale", "init_cov_scale"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, "x", True])
     def test_rejects_non_finite_scales(self, name, value):
         with pytest.raises(DomainError):
             GaussConfig(d=4, k=2, **{name: value})

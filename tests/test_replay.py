@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -13,9 +14,16 @@ STEPS, STREAMS = 6, 2  # every --tiny workload
 HASHED = ("probs", "labels", "prototypes", "mixing", "scalars")
 
 
-def replay(workload: str) -> list[dict]:
+def replay(workload: str, *extra: str) -> list[dict]:
     out = subprocess.run([sys.executable, str(REPLAY), str(ROOT), "--workload", workload,
-                          "--seed", "7", "--tiny"], capture_output=True, text=True, check=True)
+                          "--seed", "7", "--tiny", *extra], capture_output=True, text=True,
+                         check=True)
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def diff(a: Path, b: Path) -> list[dict]:
+    out = subprocess.run([sys.executable, str(REPLAY), "--diff", str(a), str(b)],
+                         capture_output=True, text=True, check=True)
     return [json.loads(line) for line in out.stdout.splitlines()]
 
 
@@ -32,3 +40,39 @@ def test_two_runs_agree_step_by_step(workload):
     # the adapted state moves from step to step
     assert len({s["prototypes"] for s in steps}) == len(steps)
     assert 0.0 <= last["accuracy"] <= 1.0 and last["proto_angle_err_deg"] >= 0.0
+
+
+def test_two_saves_diff_to_zero(tmp_path):
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    assert replay("vmf-d512-shift", "--save", str(a)) == replay("vmf-d512-shift", "--save", str(b))
+    with np.load(a) as saved:
+        assert len(saved.files) == 3 * STEPS * STREAMS
+        assert saved["s1_t6_prototypes"].shape == (4, 32)   # --tiny K, D
+    assert diff(a, b) == [
+        {"array": "probs", "max_abs_diff": 0.0},
+        {"array": "prototypes", "max_abs_diff": 0.0},
+        {"array": "mixing", "max_abs_diff": 0.0},
+        {"argmax_flips": 0, "rows": STEPS * STREAMS * 40, "flipped_max_spread": 0.0},
+    ]
+
+
+def test_diff_reports_differences_and_flips(tmp_path):
+    probs = np.array([[0.5, 0.5 - 1e-13, 1e-13], [0.2, 0.7, 0.1]])
+    flipped = np.array([[0.5 - 1e-13, 0.5, 1e-13], [0.2, 0.7, 0.1]])
+    arrays = dict(s0_t1_prototypes=np.eye(3), s0_t1_mixing=np.full(3, 1 / 3))
+    np.savez(tmp_path / "a.npz", s0_t1_probs=probs, **arrays)
+    arrays["s0_t1_prototypes"] = np.eye(3) + 1e-15
+    np.savez(tmp_path / "b.npz", s0_t1_probs=flipped, **arrays)
+    lines = diff(tmp_path / "a.npz", tmp_path / "b.npz")
+    assert lines[0]["max_abs_diff"] == pytest.approx(1e-13, rel=1e-3)
+    assert lines[1]["max_abs_diff"] == pytest.approx(1e-15, rel=1e-3)
+    assert lines[2]["max_abs_diff"] == 0.0
+    assert lines[3] == {"argmax_flips": 1, "rows": 2, "flipped_max_spread": 0.5 - 1e-13}
+
+
+def test_diff_rejects_archives_of_other_arrays(tmp_path):
+    np.savez(tmp_path / "a.npz", s0_t1_probs=np.ones((2, 3)))
+    np.savez(tmp_path / "b.npz", s0_t1_probs=np.ones((2, 4)))
+    done = subprocess.run([sys.executable, str(REPLAY), "--diff", str(tmp_path / "a.npz"),
+                           str(tmp_path / "b.npz")], capture_output=True, text=True)
+    assert done.returncode != 0 and "shape" in done.stderr

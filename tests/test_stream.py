@@ -352,6 +352,8 @@ def test_bad_input_raises_stad_error(tmp_path, case, error):
     {"sigma_true": float("nan")}, {"sigma_true": float("inf")},
     {"drift_scale": float("nan")}, {"drift_scale": float("-inf")},
     {"drift_deg_per_step": float("nan")},
+    {"kappa_true": "x"}, {"sigma_true": "x"}, {"drift_scale": "x"}, {"drift_deg_per_step": "x"},
+    {"kappa_true": True},
 ])
 def test_drift_scenario_rejects(kwargs):
     with pytest.raises(DomainError):
@@ -366,12 +368,24 @@ E1 = np.array([1.0, 0.0, 0.0])
     (E1, float("nan"), 4), (E1, float("inf"), 4), (E1, 5.0, -1), (E1, 5.0, 2.5), (E1, 5.0, True),
     (np.eye(3), 5.0, 4), (np.array([1.0, np.nan, 0.0]), 5.0, 4),
     (np.array([np.inf, 0.0, 0.0]), 5.0, 4), (np.float64(1.0), 5.0, 4),
+    (E1, "5", 3), (E1, 1e8, 3), (E1, 1e200, 3), (np.eye(2)[0], 1e8, 3),
 ], ids=["d=1", "kappa=0", "kappa<0", "kappa nan", "kappa inf", "n<0", "n not an integer",
-        "n a bool", "mu 2-D", "mu nan", "mu inf", "mu scalar"])
+        "n a bool", "mu 2-D", "mu nan", "mu inf", "mu scalar", "kappa a string",
+        "kappa 1e8 in d=3", "kappa 1e200", "kappa 1e8 in d=2"])
 def test_sample_vmf_rejects(mu, kappa, n):
-    # with a non-finite kappa the rejection loop would never accept a sample
+    # with a non-finite kappa the rejection loop would never accept a sample;
+    # past about 1e7 in d=3 Wood's b rounds to 0, and kappa**2 overflows at 1e200
     with pytest.raises(DomainError):
         sample_vmf(np.random.default_rng(0), mu, kappa, n)
+
+
+@pytest.mark.parametrize("d, kappa", [(3, 1e6), (3, 3e7), (64, 1e9), (2048, 1e9)])
+def test_sample_vmf_at_large_kappa_stays_near_mu(d, kappa):
+    mu = np.eye(d)[0]
+    x = sample_vmf(np.random.default_rng(0), mu, kappa, 200)
+    np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-12)
+    # E[mu . x] = A_d(kappa), about 1 - (d - 1) / (2 kappa) here
+    assert x[:, 0].mean() == pytest.approx(1.0 - (d - 1) / (2.0 * kappa), abs=(d - 1) / kappa)
 
 
 def test_sample_vmf_of_no_samples():

@@ -100,6 +100,7 @@ class TestConfig:
         dict(kappa_ems="5"),
         dict(kappa_trans=float("nan")),
         dict(kappa0=np.float64(np.inf)),
+        dict(pi_floor="x"),
     ])
     def test_rejects_malformed_sizes(self, kwargs):
         with pytest.raises(DomainError):
@@ -305,6 +306,30 @@ class TestPrototypeUpdate:
         np.testing.assert_allclose(belief.mean_dir, [[0.6, 0.8]])
         np.testing.assert_array_equal(belief.ratio, bessel_ratio(2, np.array([5.0])))
 
+    def test_frame_scales_the_concentration(self):
+        # a positive row scale keeps the direction and scales the norm
+        belief = self.previous()
+        prototype_update(belief, np.array([[3.0, 4.0]]), frame=np.array([2.0]))
+        np.testing.assert_allclose(belief.mean_dir, [[0.6, 0.8]])
+        assert belief.conc[0] == 10.0
+        np.testing.assert_array_equal(belief.ratio, bessel_ratio(2, np.array([10.0])))
+
+    def test_frame_decides_which_rows_are_degenerate(self):
+        # row 0 cancels exactly in its frame; rows 1 and 2 have one small
+        # norm, and only frame * norm <= 1e-12 keeps the previous belief
+        belief = PrototypeBelief.from_params(np.eye(3), np.array([3.0, 4.0, 5.0]))
+        previous = belief.copy()
+        total = np.array([[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0], [0.0, 0.0, 1e-13]])
+        messages = [(np.array([1.0, 0.0, 0.0]), np.array([[-1.0, 0.0, 0.0]] * 3))]
+        _, degenerate = prototype_update(belief, total, messages, frame=np.array([4.0, 1.0, 100.0]))
+        assert degenerate == 2
+        for row in (0, 1):
+            np.testing.assert_array_equal(belief.mean_dir[row], previous.mean_dir[row])
+            assert belief.conc[row] == previous.conc[row]
+        np.testing.assert_array_equal(belief.mean_dir[2], [0.0, 0.0, 1.0])
+        assert belief.conc[2] == pytest.approx(1e-11, rel=1e-15)
+        np.testing.assert_array_equal(belief.ratio, bessel_ratio(3, belief.conc))
+
     def test_model_counts_cancelled_rows(self):
         # kappa0 = 0 sends no prior message, and the two opposite samples
         # cancel in both classes' data messages under uniform assignments
@@ -435,6 +460,74 @@ class TestSweepMatchesReference:
         reference = ReferenceSweepModel(np.eye(2), cfg)
         assert_matches_reference(model, reference, batches, normalize_rows(np.eye(2) + 0.5))
         assert model.degenerate_updates >= 2 * cfg.e_sweeps
+
+
+class TestFramedUpdate:
+    """Each update runs in the frame of its left message's row scales; rows
+    whose scale is 0 or tiny take frame 1, as the unframed update."""
+
+    @pytest.mark.parametrize("kwargs,static", [
+        pytest.param(dict(kappa0=0.0), False, id="kappa0-zero"),
+        pytest.param(dict(kappa0=0.0), True, id="kappa0-zero-static"),
+        pytest.param(dict(kappa_trans=0.0), False, id="kappa-trans-zero"),
+        pytest.param(dict(kappa0=1e-300), False, id="kappa0-tiny"),
+        pytest.param(dict(kappa0=1e-300, window=1, e_sweeps=3), False, id="kappa0-tiny-window1"),
+    ])
+    def test_unframed_rows_match_reference(self, kwargs, static):
+        w0, cfg, batches, probe = sweep_case(kwargs, static)
+        model = VmfModel(w0, cfg, static=static)
+        reference = ReferenceSweepModel(w0, cfg, static=static)
+        assert_matches_reference(model, reference, batches, probe)
+
+    def test_framed_and_unframed_rows_in_one_update_match_reference(self):
+        # a prior concentration per class: 0 and 1e-300 take frame 1, the
+        # others their own scale, in the first step's update
+        w0, cfg, batches, probe = sweep_case(dict(window=2), False)
+        model = VmfModel(w0, cfg)
+        reference = ReferenceSweepModel(w0, cfg)
+        conc = np.array([0.0, 1e-300, 80.0, 1e5])
+        for m in (model, reference):
+            m._prior = m._anchor = PrototypeBelief.from_params(m.source_prototypes, conc)
+        assert_matches_reference(model, reference, batches, probe)
+
+    def test_cancelling_rows_on_the_frame_path(self):
+        # both classes start at e1 with kappa0 = kappa_ems, so each takes half
+        # of the two samples at -e1: in the frame kappa0 every row is
+        # e1 + (kappa_ems / kappa0) * (-e1) = 0 and keeps the prior's belief
+        cfg = VmfConfig(d=2, k=2, window=1)
+        w0 = np.array([[1.0, 0.0], [1.0, 0.0]])
+        batch = np.array([[-1.0, 0.0], [-1.0, 0.0]])
+        model = VmfModel(w0, cfg).adapt(1, batch)
+        reference = ReferenceSweepModel(w0, cfg).adapt(1, batch)
+        assert model.degenerate_updates == reference.degenerate_updates == 2 * cfg.e_sweeps
+        belief = model._steps[0].belief
+        np.testing.assert_array_equal(belief.mean_dir, w0)
+        np.testing.assert_array_equal(belief.conc, [cfg.kappa0] * 2)
+
+    def test_gemm_writes_into_the_buffer(self, monkeypatch):
+        # the emission is added by BLAS into the F-ordered transpose of
+        # `_total`, which then becomes the step's mean direction
+        rng = np.random.default_rng(26)
+        d, k = 6, 3
+        model = VmfModel(rng.standard_normal((k, d)), VmfConfig(d=d, k=k, window=2))
+        real, calls = vmf.dgemm, []
+
+        def spy(*args, c, **kwargs):
+            buffer = model._total
+            out = real(*args, c=c, **kwargs)
+            calls.append((buffer, c.base is buffer, out.T.ctypes.data == buffer.ctypes.data,
+                          kwargs["beta"]))
+            return out
+
+        monkeypatch.setattr(vmf, "dgemm", spy)
+        for t in range(1, 4):
+            before = len(calls)
+            model.adapt(t, rng.standard_normal((5, d)))
+            # one GEMM per update: e_sweeps sweeps over the window's steps
+            assert len(calls) - before == model.config.e_sweeps * len(model._steps)
+        for buffer, is_view, in_place, beta in calls:
+            assert is_view and in_place and beta == 1.0
+        assert any(calls[-1][0] is s.belief.mean_dir for s in model._steps)
 
 
 def run_record(w0, cfg, static, batches, probe):

@@ -5,13 +5,14 @@ import pytest
 
 from stad.errors import (
     DimensionMismatchError,
+    DomainError,
     EmptyBatchError,
     NonContiguousTimeError,
     NotAdaptedError,
 )
 from stad.gauss import GaussConfig, GaussModel
 from stad.vmf import VmfConfig, VmfModel
-from stad.window import SlidingWindow
+from stad.window import SlidingWindow, check_real
 
 D = 3
 MODELS = {
@@ -108,3 +109,21 @@ def test_static_anchor_never_advances():
         model.adapt(t, BATCH)
         assert model.window_times == [t]
         assert model._anchor is model._prior
+
+
+@pytest.mark.parametrize("value, bounds", [
+    ("x", {}), (None, {}), (True, {}), (np.array(1.0), {}), (float("nan"), {}),
+    (float("inf"), {}), (-float("inf"), {}), (-1.0, dict(minimum=0.0)),
+    (0.0, dict(minimum=0.0, above=True)), (2.5, dict(minimum=0.0, maximum=2.0)),
+])
+def test_check_real_rejects(value, bounds):
+    with pytest.raises(DomainError):
+        check_real("x", value, **bounds)
+
+
+@pytest.mark.parametrize("value, bounds", [
+    (0, {}), (-3.5, {}), (np.float32(2.0), {}), (np.int64(7), {}), (0.0, dict(minimum=0.0)),
+    (1e-300, dict(minimum=0.0, above=True)), (2.0, dict(minimum=0.0, maximum=2.0)),
+])
+def test_check_real_accepts(value, bounds):
+    check_real("x", value, **bounds)

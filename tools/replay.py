@@ -1,6 +1,7 @@
 """Replay one benchmark run's streams through a checkout and hash every step.
 
-    python3 tools/replay.py CHECKOUT --workload NAME --seed 7 [--tiny]
+    python3 tools/replay.py CHECKOUT --workload NAME --seed 7 [--tiny] [--save FILE.npz]
+    python3 tools/replay.py --diff A.npz B.npz
 
 The run's streams are written by CHECKOUT's own `bench/streams.py`, in a
 process of its own, into a temporary directory that is removed at the end.
@@ -21,11 +22,21 @@ on the run.
 The `bench/` modules and `stad` are imported from CHECKOUT (its `bench/`
 and `src/` go first on sys.path), with one BLAS thread as in every
 benchmark process. Nothing under CHECKOUT is written.
+
+Hashes only show that answers are bit-identical. `--save FILE.npz` also
+writes each step's arrays, `s<stream>_t<t>_probs`, `_prototypes` and
+`_mixing`, one at a time into an uncompressed archive (about 17 MB per
+step at D=2048, K=1000). `--diff A.npz B.npz` compares two such
+archives, which must hold the same keys and shapes, and prints one JSON
+line per array kind with its largest absolute difference over all steps,
+then the count of rows whose argmax probability differs, out of all rows,
+and the largest max - min probability (in A) of a flipped row.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
 import json
@@ -34,6 +45,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
 
@@ -57,8 +69,20 @@ def scalars(model) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
-def replay(episode, w, stream_dir: Path, index: int, score: dict) -> None:
-    """Print one line per step of one stream and add its scores to `score`."""
+SAVED = ("probs", "prototypes", "mixing")
+
+
+def save_array(archive, key: str, array) -> None:
+    """Write one array into an open zip archive as `key`.npy, as np.savez does."""
+    import numpy as np  # only after main has pinned the BLAS threads
+
+    with archive.open(f"{key}.npy", "w", force_zip64=True) as f:
+        np.lib.format.write_array(f, np.ascontiguousarray(array))
+
+
+def replay(episode, w, stream_dir: Path, index: int, score: dict, archive=None) -> None:
+    """Print one line per step of one stream and add its scores to `score`;
+    with an open zip `archive`, also write the step's arrays into it."""
     model = episode.make_model(w, episode.source_head(stream_dir))
     truth = episode.Truth(stream_dir)
     for batch in episode.read_stream(stream_dir):
@@ -75,19 +99,59 @@ def replay(episode, w, stream_dir: Path, index: int, score: dict) -> None:
             "scalars": sha(scalars(model)),
             "degenerate_updates": getattr(model, "degenerate_updates", 0),
         }))
+        if archive is not None:
+            for name, array in zip(SAVED, (probs, protos, model.mixing)):
+                save_array(archive, f"s{index}_t{batch.t}_{name}", array)
         score["correct"] += int((pred == batch.labels).sum())
         score["samples"] += batch.count
         score["angle_sum"] += float(episode.angles_deg(protos, truth.centres(batch.t)).sum())
         score["rows"] += w.k
 
 
+def diff(a: Path, b: Path) -> list[dict]:
+    """The largest absolute difference of each saved array kind between two
+    `--save` archives, then their argmax flips; raises ValueError unless the
+    archives hold the same keys and shapes."""
+    import numpy as np
+
+    worst = dict.fromkeys(SAVED, 0.0)
+    flips = rows = 0
+    spread = 0.0
+    with np.load(a) as left, np.load(b) as right:
+        if sorted(left.files) != sorted(right.files):
+            raise ValueError(f"{a} and {b} hold different arrays")
+        for key in left.files:
+            x, y = left[key], right[key]
+            if x.shape != y.shape:
+                raise ValueError(f"{key}: shape {x.shape} against {y.shape}")
+            name = key.rsplit("_", 1)[1]
+            if x.size:
+                worst[name] = max(worst[name], float(np.abs(x - y).max()))
+            if name == "probs":
+                flipped = x.argmax(axis=1) != y.argmax(axis=1)
+                flips += int(flipped.sum())
+                rows += len(x)
+                if flipped.any():
+                    spread = max(spread, float(np.ptp(x[flipped], axis=1).max()))
+    return ([{"array": name, "max_abs_diff": worst[name]} for name in SAVED]
+            + [{"argmax_flips": flips, "rows": rows, "flipped_max_spread": spread}])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("checkout", type=Path, nargs="?")
+    parser.add_argument("--workload")
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--tiny", action="store_true")
+    parser.add_argument("--save", type=Path, metavar="FILE.npz")
+    parser.add_argument("--diff", type=Path, nargs=2, metavar=("A", "B"))
     args = parser.parse_args(argv)
+    if args.diff:
+        for line in diff(*args.diff):
+            print(json.dumps(line))
+        return 0
+    if args.checkout is None or args.workload is None or args.seed is None:
+        parser.error("a replay needs CHECKOUT, --workload and --seed")
     checkout = args.checkout.resolve()
     bench, src = checkout / "bench", checkout / "src"
 
@@ -107,12 +171,16 @@ def main(argv=None) -> int:
         raise SystemExit(f"imported stad from {episode.stad.__file__}, not from {src}")
 
     score = dict(correct=0, samples=0, angle_sum=0.0, rows=0)
-    with tempfile.TemporaryDirectory(prefix="stad-replay-") as tmp:
+    with contextlib.ExitStack() as stack:
+        tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="stad-replay-"))
+        archive = None
+        if args.save:
+            archive = stack.enter_context(zipfile.ZipFile(args.save, "w", allowZip64=True))
         cmd = [sys.executable, str(bench / "streams.py"), "--workload", args.workload,
                "--seed", str(args.seed), "--out", tmp] + (["--tiny"] if args.tiny else [])
         subprocess.run(cmd, env=env, check=True)
         for index in range(w.processes):
-            replay(episode, w, Path(tmp) / str(index), index, score)
+            replay(episode, w, Path(tmp) / str(index), index, score, archive)
     print(json.dumps({"accuracy": score["correct"] / score["samples"],
                       "proto_angle_err_deg": score["angle_sum"] / score["rows"]}))
     return 0
