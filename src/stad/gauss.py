@@ -62,10 +62,11 @@ class GaussConfig:
 
     sigma_trans_scale and sigma_ems_scale are the initial q and r of
     Q = q I and R = r I, and init_cov_scale the prior variance of every
-    prototype (sigma_trans_scale if None). The prototypes follow a random
-    walk; learn_transition learns its noise q and learn_sigmas the emission
-    noise r, and each `adapt` re-estimates them once the window holds two
-    steps.
+    prototype (sigma_trans_scale if None): finite real numbers, r > 0 and
+    the others >= 0, not both of q and the prior variance 0. The prototypes
+    follow a random walk; learn_transition learns its noise q and
+    learn_sigmas the emission noise r, and each `adapt` re-estimates them
+    once the window holds two steps.
     The assignments plug in the posterior means with R alone.
     """
 

@@ -123,8 +123,9 @@ class DriftScenario:
     """Description of a synthetic gradually drifting stream.
 
     d, k, t_steps, n_per_step and seed are integers (bools excluded), with
-    d >= 2, seed >= 0 and the others >= 1. kappa_true and sigma_true are
-    finite and > 0, drift_scale is finite and drift_deg_per_step lies in
+    d >= 2, seed >= 0 and the others >= 1. kappa_true, sigma_true,
+    drift_scale and drift_deg_per_step are finite real numbers (bools
+    excluded): kappa_true and sigma_true > 0, drift_deg_per_step in
     [0, MAX_DRIFT_DEG]. Each step's labels are uniform over the K classes
     when dirichlet_alpha is None; otherwise each step draws its class
     proportions from a symmetric Dirichlet of that alpha, a real number
@@ -384,7 +385,12 @@ def make_label_shift(batches: Iterable[EmbeddingBatch], seed: int, k: int) -> li
 
 
 def sample_vmf(rng: np.random.Generator, mu: np.ndarray, kappa: float, n: int) -> np.ndarray:
-    """Exact vMF sampling via the rejection scheme of Wood (1994)."""
+    """Exact vMF sampling via the rejection scheme of Wood (1994).
+
+    kappa is a finite real number > 0 and n an integer >= 0. A kappa so
+    large against d that Wood's envelope rounds away, from about
+    3.5e7 (d - 1) on, raises DomainError, as does any other bad input.
+    """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.shape[0] < 2 or not np.isfinite(mu).all():
         raise DomainError(f"vMF sampling needs a finite 1-D mu of d >= 2, got shape {mu.shape}")

@@ -400,8 +400,8 @@ class VmfModel(SlidingWindow):
                 steps[i - 1].belief)
             total = self._total
             np.copyto(total, direction)
-            framed = scale > floor
-            if not framed.all():
+            if not scale.min() > floor:
+                framed = scale > floor
                 total[~framed] *= scale[~framed, None]
                 scale = np.where(framed, scale, 1.0)
             # C <- feats^T (resp * kappa_ems / lambda) + C on the transposed,
