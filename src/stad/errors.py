@@ -1,8 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one rule for scalar
+arguments.
 
 Every error raised by the library derives from StadError so that callers
-can catch one base class.
+can catch one base class. The package checks its scalar arguments with
+one rule: an integer such as a dimension, a count, a seed or a time index
+with `check_int` below, a real number such as a noise, a concentration
+or a floor with `check_real`; both raise DomainError. This module imports
+nothing from the package, so every other module can use them.
 """
+
+import contextlib
+import math
+import numbers
 
 
 class StadError(Exception):
@@ -63,3 +72,35 @@ class MissingLabelsError(StadError):
 
 class InfeasibleSeparationError(StadError):
     """Could not place the requested number of well-separated directions."""
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise DomainError unless value is an integer (bools excluded) >= minimum."""
+    # type() is int for a plain int, never for a bool; that skips the ABC check
+    if not (type(value) is int or (isinstance(value, numbers.Integral)
+                                   and not isinstance(value, bool))) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, minimum: float = -math.inf, maximum: float = math.inf,
+               above: bool = False) -> None:
+    """Raise DomainError unless value is a finite real number (bools
+    excluded) in [minimum, maximum], or in (minimum, maximum] with `above`.
+
+    Finite means within the largest float: a value is compared as the
+    float it converts to, so an int such as 10**400 is refused here rather
+    than overflowing where it is converted.
+    """
+    number = math.nan
+    if isinstance(value, float):  # numpy's float64 too; skips the ABC check
+        number = value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # beyond the largest float
+            number = float(value)
+    # chained comparisons also reject NaN
+    if not (-math.inf < number < math.inf and minimum <= number <= maximum
+            and not (above and number == minimum)):
+        bounds = [f" {'>' if above else '>='} {minimum:g}"] if minimum > -math.inf else []
+        bounds += [f" <= {maximum:g}"] if maximum < math.inf else []
+        raise DomainError(f"{name} must be a finite real number{' and'.join(bounds)}, "
+                          f"got {value!r}")

@@ -16,8 +16,9 @@ isotropic random-walk case of the Shumway-Stoffer EM M-step (Shumway &
 Stoffer 1982; the RTS smoother as in Sarkka 2013). Unlearned, q and r stay
 the configured scales.
 
-The kf_* functions check shapes and their noise (q finite and >= 0, r
-finite and > 0), and kf_update_weighted the signs of its weights.
+The kf_* functions check shapes and their noise (q a finite real number
+>= 0, r one > 0, through `errors.check_real`), and kf_update_weighted the
+signs of its weights.
 kf_smooth checks the stacked moments of the whole window once per sweep,
 so a non-finite value raises DomainError there.
 """
@@ -31,15 +32,10 @@ import numpy as np
 # counts its calls, which a test pins at zero
 from scipy.linalg import cho_factor  # noqa: F401
 
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    InsufficientHistoryError,
-)
+from .errors import DimensionMismatchError, DomainError, InsufficientHistoryError, check_real
 # normalize_rows is unused here; it stays importable because bench/tracing.py rebinds it
 from .mathcore import log_sum_exp, normalize_rows  # noqa: F401
-from .window import (SlidingWindow, check_batches, check_config, check_real, check_source,
-                     mixing_update)
+from .window import SlidingWindow, check_batches, check_config, check_source, mixing_update
 
 __all__ = [
     "GaussConfig",
@@ -123,22 +119,17 @@ def kf_predict(mean: np.ndarray, var: np.ndarray,
     the variance c_k + q.
 
     mean is (K, D), var (K,) and sigma_trans the float q. Raises
-    DimensionMismatchError for other shapes and DomainError for a q that is
-    not finite and >= 0; kf_smooth checks the moments.
+    DimensionMismatchError for other shapes, an array q included, and
+    DomainError for a q that is not a finite real number >= 0 (a bool or a
+    0-d array too); kf_smooth checks the moments.
     """
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
     if mean.ndim != 2 or var.shape != mean.shape[:1] or np.asarray(sigma_trans).ndim:
         raise DimensionMismatchError(
             "kf_predict needs a (K, D) mean, (K,) variances and a float q")
-    _check_q(sigma_trans)
+    check_real("the transition variance q", sigma_trans, 0.0)
     return mean, var + sigma_trans
-
-
-def _check_q(sigma_trans: float) -> None:
-    if not 0.0 <= sigma_trans < np.inf:  # a chained comparison also rejects NaN
-        raise DomainError(
-            f"the transition variance q must be finite and >= 0, got {sigma_trans}")
 
 
 # bench/tracing.py wraps kf_update_weighted and reads resp_col as its 4th
@@ -159,8 +150,9 @@ def kf_update_weighted(
     m + g (obs - m) and the variance to (1 - g) c. A total weight at or
     below 1e-8 (an empty cluster) keeps that class's prior.
 
-    Raises DimensionMismatchError for inconsistent shapes and DomainError
-    for a negative responsibility or an r that is not finite and > 0.
+    Raises DimensionMismatchError for inconsistent shapes, an array r
+    included, and DomainError for a negative responsibility or an r that
+    is not a finite real number > 0 (a bool or a 0-d array too).
     Non-finite values pass through to kf_smooth, which raises.
     """
     mean = np.asarray(mean, dtype=float)
@@ -171,9 +163,9 @@ def kf_update_weighted(
             or feats.shape[1:] != mean.shape[1:]
             or resp.shape != (feats.shape[0], mean.shape[0]) or np.asarray(sigma_ems).ndim):
         raise DimensionMismatchError("inconsistent shapes in kf_update_weighted")
-    if not 0.0 < sigma_ems < np.inf or resp.min(initial=0.0) < 0.0:
-        raise DomainError("kf_update_weighted needs nonnegative responsibilities and "
-                          f"a finite r > 0, got r = {sigma_ems}")
+    check_real("the emission variance r", sigma_ems, 0.0, above=True)
+    if resp.min(initial=0.0) < 0.0:
+        raise DomainError("kf_update_weighted needs nonnegative responsibilities")
     weight = resp.sum(axis=0)
     live = weight > _EMPTY_CLUSTER_EPS
     weight = np.where(live, weight, 1.0)
@@ -195,14 +187,15 @@ def kf_smooth(means: np.ndarray, covs: np.ndarray,
     M-step reads. A single step returns the filtered moments unchanged.
 
     This is the one value check of a sweep: every mean must be finite and
-    every variance finite and > 0, else DomainError; so must q be finite
-    and >= 0.
+    every variance finite and > 0, else DomainError; q must be a finite
+    real number >= 0 (not a bool or a 0-d array), else DomainError, and
+    not an array of more dimensions, else DimensionMismatchError.
     """
     means = np.asarray(means, dtype=float)
     covs = np.asarray(covs, dtype=float)
     if means.ndim != 3 or covs.shape != means.shape[:2] or np.asarray(sigma_trans).ndim:
         raise DimensionMismatchError("inconsistent shapes in kf_smooth")
-    _check_q(sigma_trans)
+    check_real("the transition variance q", sigma_trans, 0.0)
     # a NaN variance fails both comparisons
     if not (np.isfinite(means).all() and 0.0 < covs.min(initial=np.inf)
             and covs.max(initial=0.0) < np.inf):
@@ -236,8 +229,8 @@ def gauss_assignments(
     so the quadratic forms are squared distances over r and nothing is
     factored. The mean must be (K, D), the belief covariance (K,), the
     batch (N, D), mixing (K,) and sigma_ems the float r; anything else
-    raises DimensionMismatchError, and an r that is not finite and > 0
-    raises DomainError.
+    raises DimensionMismatchError, and an r that is not a finite real
+    number > 0 (a bool or a 0-d array too) raises DomainError.
     """
     feats = np.asarray(feats, dtype=float)
     mixing = np.asarray(mixing, dtype=float)
@@ -248,8 +241,7 @@ def gauss_assignments(
     if mixing.shape != (k,) or np.asarray(belief.cov).shape != (k,) or np.asarray(sigma_ems).ndim:
         raise DimensionMismatchError(
             f"gauss_assignments needs ({k},) mixing, ({k},) covariances and a float r")
-    if not 0.0 < sigma_ems < np.inf:
-        raise DomainError(f"the emission variance r must be finite and > 0, got {sigma_ems}")
+    check_real("the emission variance r", sigma_ems, 0.0, above=True)
     with np.errstate(divide="ignore"):
         log_pi = np.log(mixing)
     quad = _sq_dist(feats.T, mean.T) / sigma_ems
@@ -402,7 +394,8 @@ class GaussModel(SlidingWindow):
             step.belief = GaussBelief(s_mean, s_var)
 
     def predict(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """softmax(W h) with W the newest posterior prototype means."""
+        """softmax(W h) with W the newest posterior prototype means; a batch
+        that does not convert to an (N, D) float array raises a StadError."""
         newest = self._newest()
         logits = self._unit_batch(feats) @ newest.belief.mean.T
         probs = np.exp(logits - log_sum_exp(logits, axis=1)[:, None])

@@ -35,7 +35,7 @@ __all__ = [
     "KAPPA_MAX",
 ]
 
-from .errors import DomainError, EmptyInputError, ZeroVectorError
+from .errors import DomainError, EmptyInputError, ZeroVectorError, check_int, check_real
 
 # Clamp range for estimated concentrations; keeps downstream exponentials finite.
 KAPPA_MIN = 1e-6
@@ -55,6 +55,28 @@ _UNIFORM_ORDER_MIN = 14.0
 # Perron's fraction above it < 60).
 _RATIO_TOL = np.finfo(np.float64).eps
 _RATIO_DEPTH_MAX = 1 << 12
+
+
+def _float_array(values, what: str, dtype=np.float64) -> np.ndarray:
+    """values as an array of `dtype`; DomainError naming `what` if they do
+    not convert (a string, a ragged nesting, ...)."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must convert to an array of real numbers") from exc
+
+
+def _nonnegative(values, what: str, below: float = math.inf) -> tuple[np.ndarray, bool]:
+    """values as a float64 array of at least one dimension, and whether
+    they were a scalar; DomainError unless they convert and every entry is
+    finite, >= 0 and < below."""
+    arr = _float_array(values, what)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    # NaN fails both comparisons
+    if not (0.0 <= arr.min(initial=0.0) and arr.max(initial=0.0) < below):
+        raise DomainError(f"{what} must be finite and lie in [0, {below:g})")
+    return arr, scalar
 
 
 def _log_i_series(order: float, arg: np.ndarray) -> np.ndarray:
@@ -171,15 +193,13 @@ def log_bessel_i(order: float, arg):
     uniform large-order expansion for orders >= 14; Hankel's
     large-argument expansion otherwise. Returns -inf where I vanishes
     (arg == 0 with order > 0).
+
+    An order that is not a finite real number >= 0 (bools excluded), or an
+    argument that does not convert to finite floats >= 0, raises DomainError.
     """
+    check_real("Bessel order", order, 0.0)
     order = float(order)
-    if not math.isfinite(order) or order < 0.0:
-        raise DomainError(f"Bessel order must be finite and >= 0, got {order}")
-    arr = np.asarray(arg, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise DomainError("Bessel argument must be finite and >= 0")
+    arr, scalar = _nonnegative(arg, "Bessel argument")
 
     out = np.empty_like(arr)
     zero = arr == 0.0
@@ -324,17 +344,18 @@ def bessel_ratio(d: int, kappa):
     the answer and stops once the two runs agree to an ulp. Against mpmath
     the result is within 3e-16 relative for D from 2 to 2048 and kappa
     from 1e-6 to 1e6, and no finite kappa overflows.
+
+    A d that is not an integer >= 2 (bools excluded), or a kappa that does
+    not convert to finite floats >= 0, raises DomainError.
     """
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
-    arr = np.asarray(kappa, dtype=np.float64)
+    check_int("d", d, 2)
+    arr = _float_array(kappa, "kappa")
     flat = arr.ravel()
     order = d / 2.0 - 1.0
     if flat.size and 0.0 < flat.min() and flat.max() <= d:
         out = _ratio_gauss(order, flat)
     else:
-        if not np.all(np.isfinite(flat)) or np.any(flat < 0.0):
-            raise DomainError("kappa must be finite and >= 0")
+        flat = _nonnegative(flat, "kappa")[0]
         out = np.zeros_like(flat)
         low = (flat > 0.0) & (flat <= d)
         high = flat > d
@@ -350,14 +371,11 @@ def log_vmf_norm_const(d: int, kappa):
 
     At kappa = 0 this is the log inverse surface area of the unit
     (D-1)-sphere, evaluated through the limit rather than a 0/0 form.
+    A d that is not an integer >= 2 (bools excluded), or a kappa that does
+    not convert to finite floats >= 0, raises DomainError.
     """
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
-    arr = np.asarray(kappa, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise DomainError("kappa must be finite and >= 0")
+    check_int("d", d, 2)
+    arr, scalar = _nonnegative(kappa, "kappa")
     uniform = math.lgamma(d / 2.0) - math.log(2.0) - (d / 2.0) * math.log(math.pi)
     out = np.full_like(arr, uniform)
     pos = arr > 0.0
@@ -377,15 +395,12 @@ def estimate_kappa(r_bar, d: int):
 
     kappa_hat = (r_bar * D - r_bar^3) / (1 - r_bar^2), the standard
     moment-matching approximation to the inverse of A_D. Monotone
-    increasing in r_bar on [0, 1).
+    increasing in r_bar on [0, 1). A d that is not an integer >= 2 (bools
+    excluded), or an r_bar that does not convert to floats in [0, 1),
+    raises DomainError.
     """
-    if d < 2:
-        raise DomainError(f"dimension must be >= 2, got {d}")
-    arr = np.asarray(r_bar, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise DomainError("r_bar must lie in [0, 1)")
+    check_int("d", d, 2)
+    arr, scalar = _nonnegative(r_bar, "r_bar", below=1.0)
     out = (arr * d - arr**3) / (1.0 - arr**2)
     return float(out[0]) if scalar else out
 
@@ -406,8 +421,10 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
 
     Rows whose squared norm overflows (norm above ~1.3e154) are scaled by
     their largest entry and normalized again; the others are untouched.
+    A matrix that does not convert to a 2-d array of finite floats raises
+    DomainError, a (near-)zero row ZeroVectorError.
     """
-    arr = np.asarray(m, dtype=np.float64)
+    arr = _float_array(m, "matrix")
     if arr.ndim != 2:
         raise DomainError(f"expected a 2-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -429,8 +446,9 @@ def log_sum_exp(values, axis=None):
     """log sum exp via max shift; exact for a single element.
 
     Accepts finite values and -inf. An all(-inf) reduction yields -inf.
+    Values that do not convert to floats raise DomainError.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _float_array(values, "log_sum_exp values")
     if arr.size == 0:
         raise EmptyInputError("log_sum_exp of an empty collection")
     if np.any(np.isnan(arr)) or np.any(arr == np.inf):

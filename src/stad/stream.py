@@ -52,9 +52,10 @@ from .errors import (
     MissingFileError,
     MissingLabelsError,
     NonContiguousTimeError,
+    check_int,
+    check_real,
 )
-from .mathcore import normalize_rows
-from .window import check_int, check_real
+from .mathcore import _float_array, normalize_rows
 
 __all__ = [
     "MAGIC",
@@ -190,8 +191,11 @@ def _check_time(i: int, t) -> None:
 
 
 def write_matrix(path, arr: np.ndarray) -> None:
-    """Write a float32 matrix with the 16-byte header."""
-    arr = np.asarray(arr, dtype="<f4")
+    """Write a float32 matrix with the 16-byte header.
+
+    An array that does not convert to a 2-d float32 one raises DomainError.
+    """
+    arr = _float_array(arr, "matrix", dtype="<f4")
     if arr.ndim != 2:
         raise DomainError(f"expected a 2-d array, got shape {arr.shape}")
     with open(path, "wb") as fh:
@@ -243,13 +247,15 @@ def write_stream(
 
     Enforces the step contract and the time rule (module docstring), raising
     DomainError or NonContiguousTimeError, so whatever it writes reads back.
+    A k that is not an integer >= 1 (bools excluded), or metadata that is
+    neither None nor a dict, raises DomainError before anything is written.
     An existing manifest is removed before the first step file is written,
     so a rewrite rejected part-way leaves a directory that read_stream
     refuses instead of one that mixes new and old steps.
     """
-    k = int(k)
-    if k < 1:
-        raise DomainError(f"class count k={k} must be at least 1")
+    check_int("k", k, 1)
+    if metadata is not None and not isinstance(metadata, dict):
+        raise DomainError(f"metadata must be a dict, got {type(metadata).__name__}")
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     steps: list[StepEntry] = []
@@ -366,12 +372,19 @@ def make_label_shift(batches: Iterable[EmbeddingBatch], seed: int, k: int) -> li
     co-permuted, so each step keeps its multiset of samples. The trackers'
     answers do not depend on row order within a batch, so they are those
     of the input stream.
+
+    A batch without labels raises MissingLabelsError. A seed that is not an
+    integer >= 0 or a k that is not one >= 1 (bools excluded), or a step
+    that breaks the step contract (module docstring) for k classes, raises
+    DomainError.
     """
+    check_int("seed", seed, 0)
+    check_int("k", k, 1)
     batches = list(batches)
     if any(b.labels is None for b in batches):
         raise MissingLabelsError("label-shift reordering needs labels")
-    if any(np.any((b.labels < 0) | (b.labels >= k)) for b in batches):
-        raise DomainError(f"labels must lie in [0, {k}) for label-shift reordering")
+    for b in batches:
+        _check_step(b.t, b.features, b.labels, None, k, DomainError)
     rng = np.random.default_rng(seed)
     out = []
     for b in batches:
@@ -391,7 +404,7 @@ def sample_vmf(rng: np.random.Generator, mu: np.ndarray, kappa: float, n: int) -
     large against d that Wood's envelope rounds away, from about
     3.5e7 (d - 1) on, raises DomainError, as does any other bad input.
     """
-    mu = np.asarray(mu, dtype=float)
+    mu = _float_array(mu, "mu")
     if mu.ndim != 1 or mu.shape[0] < 2 or not np.isfinite(mu).all():
         raise DomainError(f"vMF sampling needs a finite 1-D mu of d >= 2, got shape {mu.shape}")
     check_real("kappa", kappa, 0.0, above=True)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, check_int, check_real
 from .mathcore import (
     bessel_ratio,
     estimate_kappa_clamped,
@@ -41,8 +41,7 @@ from .mathcore import (
     log_vmf_norm_const,
     normalize_rows,
 )
-from .window import (SlidingWindow, check_batches, check_config, check_real, check_source,
-                     mixing_update)
+from .window import SlidingWindow, check_batches, check_config, check_source, mixing_update
 
 __all__ = [
     "VmfConfig",
@@ -310,8 +309,7 @@ class VmfModel(SlidingWindow):
 
     def __init__(self, source_weights: np.ndarray, config: VmfConfig, static: bool = False):
         source_weights = check_source(source_weights, config)
-        if config.k < 2:
-            raise DomainError("the tracker needs K >= 2 classes")
+        check_int("k", config.k, 2)  # the tracker needs two classes
         self.static = static
         self.source_prototypes = normalize_rows(source_weights)
         self.source_prototypes.flags.writeable = False
@@ -434,7 +432,8 @@ class VmfModel(SlidingWindow):
     # -- prediction and diagnostics ---------------------------------------
 
     def predict(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Class probabilities and argmax labels for a batch."""
+        """Class probabilities and argmax labels for a batch; a batch that
+        does not convert to an (N, D) float array raises a StadError."""
         newest = self._newest()
         probs = predict_probs(
             self._unit_batch(feats), newest.belief.mean_dir, self._kappa_ems, newest.mixing

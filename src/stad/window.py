@@ -11,12 +11,16 @@ then re-estimates the mixing weights and the tracker's parameters in
 closed form. The batch push is shared; the trackers differ only in the
 belief type, in the two hooks that loop calls after it, `_sweep` and
 `_reestimate`, and in the head.
+
+The checks both trackers share live here too: of a config
+(`check_config`, whose pi_floor rule `mixing_update` applies as well),
+of the source weights (`check_source`) and of a window's batches
+(`check_batches`). The scalar checkers they build on, `check_int` and
+`check_real`, live in `errors`, the one rule every module uses.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -28,11 +32,13 @@ from .errors import (
     EmptyBatchError,
     NonContiguousTimeError,
     NotAdaptedError,
+    check_int,
+    check_real,
 )
-from .mathcore import normalize_rows
+from .mathcore import _float_array, normalize_rows
 
-__all__ = ["WindowStep", "SlidingWindow", "mixing_update", "check_int", "check_real",
-           "check_config", "check_source", "check_batches"]
+__all__ = ["WindowStep", "SlidingWindow", "mixing_update", "check_config", "check_source",
+           "check_batches"]
 
 
 @dataclass
@@ -44,41 +50,27 @@ class WindowStep:
     mixing: np.ndarray  # (K,)
 
 
-def check_int(name: str, value, minimum: int) -> None:
-    """Raise DomainError unless value is an integer (bools excluded) >= minimum."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def check_real(name: str, value, minimum: float = -math.inf, maximum: float = math.inf,
-               above: bool = False) -> None:
-    """Raise DomainError unless value is a finite real number (bools
-    excluded) in [minimum, maximum], or in (minimum, maximum] with `above`."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    # chained comparisons also reject NaN
-    if not (real and -math.inf < value < math.inf and minimum <= value <= maximum
-            and not (above and value == minimum)):
-        bounds = [f" {'>' if above else '>='} {minimum:g}"] if minimum > -math.inf else []
-        bounds += [f" <= {maximum:g}"] if maximum < math.inf else []
-        raise DomainError(f"{name} must be a finite real number{' and'.join(bounds)}, "
-                          f"got {value!r}")
-
-
 def check_config(config, d_min: int) -> None:
     """Raise DomainError unless a tracker config's d, k, window and
     e_sweeps are integers (bools excluded) at or above their minimums and
     its pi_floor is a real number in [0, 1/K)."""
     for name, minimum in (("d", d_min), ("k", 1), ("window", 1), ("e_sweeps", 1)):
         check_int(name, getattr(config, name), minimum)
-    check_real("pi_floor", config.pi_floor, 0.0)
-    if not config.pi_floor < 1.0 / config.k:
-        raise DomainError(f"pi_floor must lie in [0, 1/K), got {config.pi_floor}")
+    _check_pi_floor(config.pi_floor, config.k)
+
+
+def _check_pi_floor(pi_floor, k: int) -> None:
+    """Raise DomainError unless pi_floor is a real number in [0, 1/K)."""
+    check_real("pi_floor", pi_floor, 0.0)
+    if not pi_floor < 1.0 / k:
+        raise DomainError(f"pi_floor must lie in [0, 1/K) for K={k}, got {pi_floor}")
 
 
 def check_source(source_weights, config) -> np.ndarray:
     """The source classifier weights as a float (K, D) array; raise
-    DimensionMismatchError unless their shape matches the config."""
-    source_weights = np.asarray(source_weights, dtype=float)
+    DomainError unless they convert to one and DimensionMismatchError
+    unless their shape matches the config."""
+    source_weights = _float_array(source_weights, "source weights")
     if source_weights.shape != (config.k, config.d):
         raise DimensionMismatchError(
             f"source weights {source_weights.shape} do not match "
@@ -111,7 +103,8 @@ def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
     Entries below the floor are pinned to it and the remaining mass is
     distributed proportionally over the others, so e.g. rows all equal to
     (1, 0) with floor 0.01 give (0.99, 0.01). A non-finite or negative
-    entry, or a zero total, raises DomainError.
+    entry, a zero total, or a pi_floor that is not a real number in
+    [0, 1/K) raises DomainError.
     """
     resp = np.asarray(resp, dtype=float)
     if resp.ndim != 2:
@@ -124,6 +117,7 @@ def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
     # a negative entry need not, so the entries are checked too
     if not 0.0 < total < np.inf or resp.min() < 0.0:
         raise DomainError("responsibilities must be finite and nonnegative, with a positive sum")
+    _check_pi_floor(pi_floor, resp.shape[1])
     pi = pi / total
     if pi_floor <= 0.0:
         return pi
@@ -170,7 +164,14 @@ class SlidingWindow:
         return [s.t for s in self._steps]
 
     def adapt(self, t: int, feats: np.ndarray) -> "SlidingWindow":
-        """Ingest the batch at time t and re-infer the window; returns self."""
+        """Ingest the batch at time t and re-infer the window; returns self.
+
+        t is an integer >= 0 (bools excluded), one above the newest step's
+        once the window holds one; anything else raises DomainError or
+        NonContiguousTimeError. A batch that does not convert to a float
+        array raises DomainError, one that is not (N, D)
+        DimensionMismatchError and an empty one EmptyBatchError.
+        """
         self._push(t, feats)
         for _ in range(self.config.e_sweeps):
             self._sweep()
@@ -183,8 +184,9 @@ class SlidingWindow:
         return self._steps[-1]
 
     def _unit_batch(self, feats: np.ndarray) -> np.ndarray:
-        """An (N, D) batch as float rows of unit norm."""
-        feats = np.asarray(feats, dtype=float)
+        """An (N, D) batch as float rows of unit norm; DomainError unless it
+        converts to finite floats, DimensionMismatchError unless it is (N, D)."""
+        feats = _float_array(feats, "batch")
         if feats.ndim != 2 or feats.shape[1] != self.config.d:
             raise DimensionMismatchError(
                 f"batch shape {feats.shape} does not match D={self.config.d}"
@@ -206,6 +208,7 @@ class SlidingWindow:
         reuses them, except that the initial anchor (`_prior`) is kept and
         never written.
         """
+        check_int("t", t, 0)
         feats = self._unit_batch(feats)
         if feats.shape[0] == 0:
             raise EmptyBatchError("adaptation needs at least one sample")

@@ -1,0 +1,120 @@
+"""Every entry point keeps the promise of `errors.py`: a bad argument raises
+DomainError, a StadError, never a bare TypeError, ValueError or
+OverflowError, and is never run with a value it silently coerced."""
+
+import numpy as np
+import pytest
+
+from stad import gauss, mathcore
+from stad.errors import DomainError
+from stad.gauss import GaussBelief, GaussConfig, GaussModel
+from stad.stream import EmbeddingBatch, make_label_shift, sample_vmf, write_matrix, write_stream
+from stad.vmf import VmfConfig, VmfModel
+from stad.window import mixing_update
+
+MEAN, VAR = np.eye(2, 3), np.full(2, 0.1)
+FEATS, RESP = np.eye(3), np.full((3, 2), 0.5)
+BATCH = np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.2], [0.3, 0.0, 1.0]])
+
+
+def batches(labels=(0, 1, 1)):
+    labels = np.array(labels, dtype=np.uint32)
+    return [EmbeddingBatch(1, np.ones((len(labels), 2), np.float32), labels)]
+
+
+def vmf_model():
+    return VmfModel(np.eye(2, 3), VmfConfig(d=3, k=2))
+
+
+def gauss_model():
+    return GaussModel(np.eye(2, 3), GaussConfig(d=3, k=2))
+
+
+def adapted(make):
+    model = make()
+    model.adapt(1, BATCH)
+    return model
+
+
+CASES = {
+    # gauss: q and r go through check_real after the shape checks
+    "kf_predict q a string": lambda tmp: gauss.kf_predict(MEAN, VAR, "x"),
+    "kf_predict q a bool": lambda tmp: gauss.kf_predict(MEAN, VAR, True),
+    "kf_predict q a 0-d array": lambda tmp: gauss.kf_predict(MEAN, VAR, np.array(0.1)),
+    "kf_predict q 10**400": lambda tmp: gauss.kf_predict(MEAN, VAR, 10**400),
+    "kf_smooth q a string": lambda tmp: gauss.kf_smooth(MEAN[None], VAR[None], "x"),
+    "kf_smooth q a bool": lambda tmp: gauss.kf_smooth(MEAN[None], VAR[None], True),
+    "kf_update_weighted r a string":
+        lambda tmp: gauss.kf_update_weighted(MEAN, VAR, FEATS, RESP, "x"),
+    "kf_update_weighted r a bool":
+        lambda tmp: gauss.kf_update_weighted(MEAN, VAR, FEATS, RESP, True),
+    "kf_update_weighted r a 0-d array":
+        lambda tmp: gauss.kf_update_weighted(MEAN, VAR, FEATS, RESP, np.array(0.5)),
+    "gauss_assignments r a string":
+        lambda tmp: gauss.gauss_assignments(FEATS, GaussBelief(MEAN, VAR), np.full(2, 0.5), "x"),
+    "gauss_assignments r a bool":
+        lambda tmp: gauss.gauss_assignments(FEATS, GaussBelief(MEAN, VAR), np.full(2, 0.5), True),
+    # mathcore: d through check_int, the Bessel order through check_real,
+    # arrays through one conversion
+    "bessel_ratio d=2.5": lambda tmp: mathcore.bessel_ratio(2.5, 1.0),
+    "bessel_ratio d=2.0": lambda tmp: mathcore.bessel_ratio(2.0, 1.0),
+    "bessel_ratio kappa a string": lambda tmp: mathcore.bessel_ratio(3, "x"),
+    "log_vmf_norm_const d=3.0": lambda tmp: mathcore.log_vmf_norm_const(3.0, 1.0),
+    "log_vmf_norm_const kappa a string": lambda tmp: mathcore.log_vmf_norm_const(3, "x"),
+    "estimate_kappa d=3.5": lambda tmp: mathcore.estimate_kappa(0.5, 3.5),
+    "estimate_kappa r_bar a string": lambda tmp: mathcore.estimate_kappa("x", 3),
+    "log_bessel_i order a string": lambda tmp: mathcore.log_bessel_i("x", 1.0),
+    "log_bessel_i order a bool": lambda tmp: mathcore.log_bessel_i(True, 1.0),
+    "log_bessel_i order 10**400": lambda tmp: mathcore.log_bessel_i(10**400, 1.0),
+    "log_bessel_i argument a string": lambda tmp: mathcore.log_bessel_i(1.5, "x"),
+    "normalize_rows a string": lambda tmp: mathcore.normalize_rows("x"),
+    "log_sum_exp a string": lambda tmp: mathcore.log_sum_exp("x"),
+    # stream
+    "write_stream k=2.7": lambda tmp: write_stream(tmp, batches(), 2.7),
+    "write_stream k a string": lambda tmp: write_stream(tmp, batches(), "x"),
+    "write_stream metadata a list": lambda tmp: write_stream(tmp, batches(), 3, metadata=["a"]),
+    "write_matrix a string": lambda tmp: write_matrix(tmp / "m.emb", "x"),
+    "make_label_shift seed=-1": lambda tmp: make_label_shift(batches(), -1, 3),
+    "make_label_shift k a string": lambda tmp: make_label_shift(batches(), 0, "x"),
+    "make_label_shift (N, 1) labels": lambda tmp: make_label_shift(batches([[0], [1]]), 0, 3),
+    "sample_vmf mu a string": lambda tmp: sample_vmf(np.random.default_rng(0), "x", 5.0, 3),
+    # window: pi_floor in [0, 1/K), t an integer >= 0, outside arrays converted
+    "mixing_update floor 0.6 at K=2": lambda tmp: mixing_update(RESP, 0.6),
+    "mixing_update floor 0.4 at K=3": lambda tmp: mixing_update(np.full((2, 3), 1 / 3), 0.4),
+    "mixing_update floor -0.1": lambda tmp: mixing_update(RESP, -0.1),
+    "mixing_update floor a string": lambda tmp: mixing_update(RESP, "x"),
+    "adapt t a bool": lambda tmp: vmf_model().adapt(True, BATCH),
+    "adapt t=1.5": lambda tmp: gauss_model().adapt(1.5, BATCH),
+    "adapt t a string": lambda tmp: vmf_model().adapt("x", BATCH),
+    "adapt t=-1": lambda tmp: gauss_model().adapt(-1, BATCH),
+    "vmf predict a string": lambda tmp: adapted(vmf_model).predict("x"),
+    "gauss predict a string": lambda tmp: adapted(gauss_model).predict("x"),
+    "VmfModel ragged weights": lambda tmp: VmfModel([[1, 2], [3]], VmfConfig(d=2, k=2)),
+    "GaussModel weights a string": lambda tmp: GaussModel("x", GaussConfig(d=3, k=2)),
+    "VmfConfig kappa_ems 10**400":
+        lambda tmp: VmfModel(np.eye(2, 4), VmfConfig(d=4, k=2, kappa_ems=10**400)),
+    "GaussConfig sigma_ems_scale 10**400":
+        lambda tmp: GaussModel(np.eye(2, 3), GaussConfig(d=3, k=2, sigma_ems_scale=10**400)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bad_argument_raises_domain_error(tmp_path, case):
+    with pytest.raises(DomainError):
+        CASES[case](tmp_path)
+
+
+def test_rejected_time_leaves_the_window_usable():
+    model = vmf_model()
+    with pytest.raises(DomainError):
+        model.adapt("x", BATCH)
+    assert model.window_times == []
+    model.adapt(1, BATCH).adapt(2, BATCH)
+    assert model.window_times == [1, 2]
+
+
+def test_rejected_stream_arguments_write_nothing(tmp_path):
+    for k, metadata in ((2.7, None), (3, ["a"])):
+        with pytest.raises(DomainError):
+            write_stream(tmp_path, batches(), k, metadata)
+    assert list(tmp_path.iterdir()) == []

@@ -46,12 +46,16 @@ def test_two_saves_diff_to_zero(tmp_path):
     a, b = tmp_path / "a.npz", tmp_path / "b.npz"
     assert replay("vmf-d512-shift", "--save", str(a)) == replay("vmf-d512-shift", "--save", str(b))
     with np.load(a) as saved:
-        assert len(saved.files) == 3 * STEPS * STREAMS
+        assert len(saved.files) == 5 * STEPS * STREAMS
         assert saved["s1_t6_prototypes"].shape == (4, 32)   # --tiny K, D
+        assert saved["s1_t6_scalars"].shape == (1,)         # kappa_ems
+        assert saved["s1_t6_degenerate_updates"].shape == (1,)
     assert diff(a, b) == [
         {"array": "probs", "max_abs_diff": 0.0},
         {"array": "prototypes", "max_abs_diff": 0.0},
         {"array": "mixing", "max_abs_diff": 0.0},
+        {"array": "scalars", "max_abs_diff": 0.0},
+        {"array": "degenerate_updates", "max_abs_diff": 0.0},
         {"argmax_flips": 0, "rows": STEPS * STREAMS * 40, "flipped_max_spread": 0.0},
     ]
 
@@ -59,15 +63,21 @@ def test_two_saves_diff_to_zero(tmp_path):
 def test_diff_reports_differences_and_flips(tmp_path):
     probs = np.array([[0.5, 0.5 - 1e-13, 1e-13], [0.2, 0.7, 0.1]])
     flipped = np.array([[0.5 - 1e-13, 0.5, 1e-13], [0.2, 0.7, 0.1]])
-    arrays = dict(s0_t1_prototypes=np.eye(3), s0_t1_mixing=np.full(3, 1 / 3))
+    arrays = dict(s0_t1_prototypes=np.eye(3), s0_t1_mixing=np.full(3, 1 / 3),
+                  s0_t1_scalars=np.array([0.01, 0.5]), s0_t1_degenerate_updates=np.array(0))
     np.savez(tmp_path / "a.npz", s0_t1_probs=probs, **arrays)
     arrays["s0_t1_prototypes"] = np.eye(3) + 1e-15
+    # a last-bit move of the learned r, and one more degenerate update
+    arrays["s0_t1_scalars"] = np.array([0.01, np.nextafter(0.5, 1.0)])
+    arrays["s0_t1_degenerate_updates"] = np.array(1)
     np.savez(tmp_path / "b.npz", s0_t1_probs=flipped, **arrays)
     lines = diff(tmp_path / "a.npz", tmp_path / "b.npz")
     assert lines[0]["max_abs_diff"] == pytest.approx(1e-13, rel=1e-3)
     assert lines[1]["max_abs_diff"] == pytest.approx(1e-15, rel=1e-3)
     assert lines[2]["max_abs_diff"] == 0.0
-    assert lines[3] == {"argmax_flips": 1, "rows": 2, "flipped_max_spread": 0.5 - 1e-13}
+    assert lines[3] == {"array": "scalars", "max_abs_diff": np.spacing(0.5)}
+    assert lines[4] == {"array": "degenerate_updates", "max_abs_diff": 1.0}
+    assert lines[5] == {"argmax_flips": 1, "rows": 2, "flipped_max_spread": 0.5 - 1e-13}
 
 
 def test_diff_rejects_archives_of_other_arrays(tmp_path):

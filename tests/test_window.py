@@ -1,5 +1,7 @@
 """Checks both trackers share through the sliding-window engine."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,12 @@ from stad.errors import (
     EmptyBatchError,
     NonContiguousTimeError,
     NotAdaptedError,
+    check_int,
+    check_real,
 )
 from stad.gauss import GaussConfig, GaussModel
 from stad.vmf import VmfConfig, VmfModel
-from stad.window import SlidingWindow, check_real
+from stad.window import SlidingWindow
 
 D = 3
 MODELS = {
@@ -115,6 +119,7 @@ def test_static_anchor_never_advances():
     ("x", {}), (None, {}), (True, {}), (np.array(1.0), {}), (float("nan"), {}),
     (float("inf"), {}), (-float("inf"), {}), (-1.0, dict(minimum=0.0)),
     (0.0, dict(minimum=0.0, above=True)), (2.5, dict(minimum=0.0, maximum=2.0)),
+    (10**400, {}), (-10**400, {}), (np.float32("inf"), {}),
 ])
 def test_check_real_rejects(value, bounds):
     with pytest.raises(DomainError):
@@ -124,6 +129,20 @@ def test_check_real_rejects(value, bounds):
 @pytest.mark.parametrize("value, bounds", [
     (0, {}), (-3.5, {}), (np.float32(2.0), {}), (np.int64(7), {}), (0.0, dict(minimum=0.0)),
     (1e-300, dict(minimum=0.0, above=True)), (2.0, dict(minimum=0.0, maximum=2.0)),
+    (np.float64(1.5), dict(minimum=0.0)), (np.float32(0.5), dict(maximum=1.0)),
+    (Fraction(1, 3), dict(minimum=0.0, above=True)), (7, dict(minimum=0.0, maximum=7.0)),
+    (10**308, {}),
 ])
 def test_check_real_accepts(value, bounds):
     check_real("x", value, **bounds)
+
+
+@pytest.mark.parametrize("value", ["x", None, True, 2.0, 1.5, np.int64(0), np.array(3), -1])
+def test_check_int_rejects(value):
+    with pytest.raises(DomainError):
+        check_int("x", value, 1)
+
+
+@pytest.mark.parametrize("value", [1, 10**400, np.int64(5), np.uint8(1)])
+def test_check_int_accepts(value):
+    check_int("x", value, 1)

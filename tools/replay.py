@@ -24,13 +24,16 @@ and `src/` go first on sys.path), with one BLAS thread as in every
 benchmark process. Nothing under CHECKOUT is written.
 
 Hashes only show that answers are bit-identical. `--save FILE.npz` also
-writes each step's arrays, `s<stream>_t<t>_probs`, `_prototypes` and
-`_mixing`, one at a time into an uncompressed archive (about 17 MB per
-step at D=2048, K=1000). `--diff A.npz B.npz` compares two such
+writes each step's arrays, `s<stream>_t<t>_probs`, `_prototypes`,
+`_mixing`, `_scalars` (the learned scalars above, in that order) and
+`_degenerate_updates`, one at a time into an uncompressed archive (about
+17 MB per step at D=2048, K=1000). `--diff A.npz B.npz` compares two such
 archives, which must hold the same keys and shapes, and prints one JSON
 line per array kind with its largest absolute difference over all steps,
 then the count of rows whose argmax probability differs, out of all rows,
-and the largest max - min probability (in A) of a flipped row.
+and the largest max - min probability (in A) of a flipped row. A learned
+scalar that moves in its last bits thus shows up by itself, not only
+through the probabilities it feeds.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ import hashlib
 import importlib.util
 import json
 import os
-import struct
 import subprocess
 import sys
 import tempfile
@@ -62,14 +64,13 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def scalars(model) -> bytes:
-    """The learned scalars of either tracker as float64 bytes."""
-    values = [float(getattr(model, name)) for name in ("kappa_ems", "sigma_trans", "sigma_ems")
-              if hasattr(model, name)]
-    return struct.pack(f"<{len(values)}d", *values)
+def scalars(model) -> list[float]:
+    """The learned scalars of either tracker: kappa_ems, or q and r."""
+    return [float(getattr(model, name)) for name in ("kappa_ems", "sigma_trans", "sigma_ems")
+            if hasattr(model, name)]
 
 
-SAVED = ("probs", "prototypes", "mixing")
+SAVED = ("probs", "prototypes", "mixing", "scalars", "degenerate_updates")
 
 
 def save_array(archive, key: str, array) -> None:
@@ -83,12 +84,16 @@ def save_array(archive, key: str, array) -> None:
 def replay(episode, w, stream_dir: Path, index: int, score: dict, archive=None) -> None:
     """Print one line per step of one stream and add its scores to `score`;
     with an open zip `archive`, also write the step's arrays into it."""
+    import numpy as np  # only after main has pinned the BLAS threads
+
     model = episode.make_model(w, episode.source_head(stream_dir))
     truth = episode.Truth(stream_dir)
     for batch in episode.read_stream(stream_dir):
         model.adapt(batch.t, batch.features)
         probs, pred = model.predict(batch.features)
         protos = model.prototypes
+        learned = np.array(scalars(model), dtype="<f8")
+        degenerate = getattr(model, "degenerate_updates", 0)
         print(json.dumps({
             "stream": index,
             "t": batch.t,
@@ -96,11 +101,12 @@ def replay(episode, w, stream_dir: Path, index: int, score: dict, archive=None) 
             "labels": sha(pred.astype("<i8").tobytes()),
             "prototypes": sha(protos.astype("<f8").tobytes()),
             "mixing": sha(model.mixing.astype("<f8").tobytes()),
-            "scalars": sha(scalars(model)),
-            "degenerate_updates": getattr(model, "degenerate_updates", 0),
+            "scalars": sha(learned.tobytes()),
+            "degenerate_updates": degenerate,
         }))
         if archive is not None:
-            for name, array in zip(SAVED, (probs, protos, model.mixing)):
+            arrays = (probs, protos, model.mixing, learned, np.array(degenerate))
+            for name, array in zip(SAVED, arrays):
                 save_array(archive, f"s{index}_t{batch.t}_{name}", array)
         score["correct"] += int((pred == batch.labels).sum())
         score["samples"] += batch.count
@@ -124,7 +130,7 @@ def diff(a: Path, b: Path) -> list[dict]:
             x, y = left[key], right[key]
             if x.shape != y.shape:
                 raise ValueError(f"{key}: shape {x.shape} against {y.shape}")
-            name = key.rsplit("_", 1)[1]
+            name = key.split("_", 2)[2]  # s<stream>_t<t>_<name>
             if x.size:
                 worst[name] = max(worst[name], float(np.abs(x - y).max()))
             if name == "probs":
