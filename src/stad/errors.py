@@ -74,12 +74,21 @@ class InfeasibleSeparationError(StadError):
     """Could not place the requested number of well-separated directions."""
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, or its type where repr raises, as
+    it does for an int past the interpreter's digit limit."""
+    try:
+        return repr(value)
+    except Exception:
+        return f"an unprintable {type(value).__name__}"
+
+
 def check_int(name: str, value, minimum: int) -> None:
     """Raise DomainError unless value is an integer (bools excluded) >= minimum."""
     # type() is int for a plain int, never for a bool; that skips the ABC check
     if not (type(value) is int or (isinstance(value, numbers.Integral)
                                    and not isinstance(value, bool))) or value < minimum:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
 
 
 def check_real(name: str, value, minimum: float = -math.inf, maximum: float = math.inf,
@@ -103,4 +112,4 @@ def check_real(name: str, value, minimum: float = -math.inf, maximum: float = ma
         bounds = [f" {'>' if above else '>='} {minimum:g}"] if minimum > -math.inf else []
         bounds += [f" <= {maximum:g}"] if maximum < math.inf else []
         raise DomainError(f"{name} must be a finite real number{' and'.join(bounds)}, "
-                          f"got {value!r}")
+                          f"got {_shown(value)}")

@@ -34,7 +34,7 @@ from scipy.linalg import cho_factor  # noqa: F401
 
 from .errors import DimensionMismatchError, DomainError, InsufficientHistoryError, check_real
 # normalize_rows is unused here; it stays importable because bench/tracing.py rebinds it
-from .mathcore import log_sum_exp, normalize_rows  # noqa: F401
+from .mathcore import _float_array, log_sum_exp, normalize_rows  # noqa: F401
 from .window import SlidingWindow, check_batches, check_config, check_source, mixing_update
 
 __all__ = [
@@ -123,8 +123,8 @@ def kf_predict(mean: np.ndarray, var: np.ndarray,
     DomainError for a q that is not a finite real number >= 0 (a bool or a
     0-d array too); kf_smooth checks the moments.
     """
-    mean = np.asarray(mean, dtype=float)
-    var = np.asarray(var, dtype=float)
+    mean = _float_array(mean, "mean")
+    var = _float_array(var, "variances")
     if mean.ndim != 2 or var.shape != mean.shape[:1] or np.asarray(sigma_trans).ndim:
         raise DimensionMismatchError(
             "kf_predict needs a (K, D) mean, (K,) variances and a float q")
@@ -155,10 +155,10 @@ def kf_update_weighted(
     is not a finite real number > 0 (a bool or a 0-d array too).
     Non-finite values pass through to kf_smooth, which raises.
     """
-    mean = np.asarray(mean, dtype=float)
-    var = np.asarray(var, dtype=float)
-    feats = np.asarray(feats, dtype=float)
-    resp = np.asarray(resp_col, dtype=float)
+    mean = _float_array(mean, "mean")
+    var = _float_array(var, "variances")
+    feats = _float_array(feats, "batch")
+    resp = _float_array(resp_col, "responsibilities")
     if (mean.ndim != 2 or var.shape != mean.shape[:1] or feats.ndim != 2
             or feats.shape[1:] != mean.shape[1:]
             or resp.shape != (feats.shape[0], mean.shape[0]) or np.asarray(sigma_ems).ndim):
@@ -191,8 +191,8 @@ def kf_smooth(means: np.ndarray, covs: np.ndarray,
     real number >= 0 (not a bool or a 0-d array), else DomainError, and
     not an array of more dimensions, else DimensionMismatchError.
     """
-    means = np.asarray(means, dtype=float)
-    covs = np.asarray(covs, dtype=float)
+    means = _float_array(means, "means")
+    covs = _float_array(covs, "variances")
     if means.ndim != 3 or covs.shape != means.shape[:2] or np.asarray(sigma_trans).ndim:
         raise DimensionMismatchError("inconsistent shapes in kf_smooth")
     check_real("the transition variance q", sigma_trans, 0.0)
@@ -232,9 +232,9 @@ def gauss_assignments(
     raises DimensionMismatchError, and an r that is not a finite real
     number > 0 (a bool or a 0-d array too) raises DomainError.
     """
-    feats = np.asarray(feats, dtype=float)
-    mixing = np.asarray(mixing, dtype=float)
-    mean = np.asarray(belief.mean, dtype=float)
+    feats = _float_array(feats, "batch")
+    mixing = _float_array(mixing, "mixing weights")
+    mean = _float_array(belief.mean, "mean")
     if mean.ndim != 2 or feats.ndim != 2 or feats.shape[1] != mean.shape[1]:
         raise DimensionMismatchError(f"batch {feats.shape} vs prototypes {mean.shape}")
     k, d = mean.shape

@@ -262,7 +262,7 @@ def write_stream(
     d = None
     for i, batch in enumerate(batches, start=1):
         _check_time(i, batch.t)
-        feats = np.asarray(batch.features, dtype="<f4")
+        feats = _float_array(batch.features, "features", dtype="<f4")
         labels = None if batch.labels is None else np.asarray(batch.labels)
         _check_step(i, feats, labels, d, k, DomainError)
         d = feats.shape[1]

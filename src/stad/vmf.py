@@ -1,7 +1,9 @@
 """Hyperspherical state-space mixture tracking drifting class prototypes.
 
 Each class k owns a latent prototype direction on the unit sphere that
-drifts over time steps through a vMF transition kernel; observed unit
+drifts over time steps through a vMF transition kernel. The chain starts
+at the source head, and one concentration kappa_trans weights each of its
+links, the one from the source head into the first step too. Observed unit
 embeddings at each step follow a vMF mixture around the current
 prototypes. Inference is mean-field coordinate ascent over a sliding
 window: per-sample assignment updates and per-class prototype-belief
@@ -35,6 +37,8 @@ from scipy.linalg.blas import dgemm
 
 from .errors import DimensionMismatchError, DomainError, check_int, check_real
 from .mathcore import (
+    _float_array,
+    _nonnegative,
     bessel_ratio,
     estimate_kappa_clamped,
     log_sum_exp,
@@ -71,25 +75,21 @@ def _row_blocks(k: int, d: int) -> list[slice]:
     return [slice(lo, lo + rows) for lo in range(0, k, rows)]
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The K dot products of matching rows of two (K, D) arrays."""
-    return np.einsum("kd,kd->k", a, b)
-
-
 @dataclass
 class VmfConfig:
     """Knobs for the spherical tracker.
 
-    kappa_trans, kappa_ems and kappa0 are each one concentration shared by
-    all K classes: real numbers (bools excluded), finite and >= 0. Only
-    kappa_ems is learned, with learn_kappa_ems; the other two stay as set.
+    kappa_trans and kappa_ems are each one concentration shared by all K
+    classes: real numbers (bools excluded), finite and >= 0. kappa_trans
+    weights every link of the transition chain, the link from the source
+    head into the first window step included. Only kappa_ems is learned,
+    with learn_kappa_ems; kappa_trans stays as set.
     """
 
     d: int
     k: int
     kappa_trans: float = 100.0
     kappa_ems: float = 100.0
-    kappa0: float = 100.0
     window: int = 3
     e_sweeps: int = 2
     learn_kappa_ems: bool = False
@@ -97,7 +97,7 @@ class VmfConfig:
 
     def __post_init__(self):
         check_config(self, d_min=2)
-        for name in ("kappa_trans", "kappa_ems", "kappa0"):
+        for name in ("kappa_trans", "kappa_ems"):
             check_real(name, getattr(self, name), 0.0)
 
 
@@ -119,8 +119,8 @@ class PrototypeBelief:
     def from_params(cls, mean_dir: np.ndarray, conc: np.ndarray) -> "PrototypeBelief":
         """The belief with these directions and concentrations; mean_dir is
         kept, not copied, when it is already a float array."""
-        mean_dir = np.asarray(mean_dir, dtype=float)
-        conc = np.asarray(conc, dtype=float)
+        mean_dir = _float_array(mean_dir, "mean directions")
+        conc = _float_array(conc, "concentrations")
         # A_D(conc) is the expected prototype of the unit row (1,): the
         # ratio is taken through `expected_prototype`, whose span the traced
         # benchmark records, at O(K) cost
@@ -144,7 +144,7 @@ class PrototypeBelief:
 def expected_prototype(mean_dir: np.ndarray, conc, d: int) -> np.ndarray:
     """Expected prototypes under a vMF belief: A_D(conc) * mean_dir, for
     (K, D) directions and (K,) concentrations."""
-    mean_dir = np.asarray(mean_dir, dtype=float)
+    mean_dir = _float_array(mean_dir, "mean directions")
     return np.asarray(bessel_ratio(d, conc))[:, None] * mean_dir
 
 
@@ -156,24 +156,27 @@ def assignment_step(
     Log-domain: log pi_k + kappa_k <prototypes_k, h>, normalized per row.
     mixing is (K,), and kappa one concentration for every class (a float)
     or one per class (K,); anything else raises DimensionMismatchError,
-    before any O(N K) work. The sweep passes the unit mean directions
-    with kappa_ems * A_D(conc), which gives kappa_ems times the dots with
-    the expected prototypes. The vMF log-normalizer log C_D(kappa_ems) is
-    the same in every class, so the normalization cancels it and it is
-    left out.
+    and a concentration that is not a finite real number >= 0 (a bool
+    too) DomainError, both before any O(N K) work. The sweep passes the
+    unit mean directions with kappa_ems * A_D(conc), which gives
+    kappa_ems times the dots with the expected prototypes. The vMF
+    log-normalizer log C_D(kappa_ems) is the same in every class, so the
+    normalization cancels it and it is left out.
     """
-    feats = np.asarray(feats, dtype=float)
-    prototypes = np.asarray(prototypes, dtype=float)
+    feats = _float_array(feats, "embeddings")
+    prototypes = _float_array(prototypes, "prototypes")
     if feats.ndim != 2 or prototypes.ndim != 2 or feats.shape[1] != prototypes.shape[1]:
         raise DimensionMismatchError(
             f"feats {feats.shape} vs prototypes {prototypes.shape}"
         )
-    mixing = np.asarray(mixing, dtype=float)
+    mixing = _float_array(mixing, "mixing weights")
     if mixing.shape != prototypes.shape[:1] or np.shape(kappa) not in ((), mixing.shape):
         raise DimensionMismatchError(f"mixing {mixing.shape} and concentration "
                                      f"{np.shape(kappa)} for {prototypes.shape[0]} classes")
     if np.ndim(kappa):
-        kappa = np.asarray(kappa, dtype=float)
+        kappa = _nonnegative(kappa, "the concentration")[0]
+    else:  # a 0-d array is checked as the number it holds
+        check_real("the concentration", kappa[()] if isinstance(kappa, np.ndarray) else kappa, 0.0)
     with np.errstate(invalid="ignore", over="ignore"):
         dots = feats @ prototypes.T
     # a NaN or infinity in either input reaches the dots of its row, so
@@ -288,7 +291,8 @@ class VmfModel(SlidingWindow):
     instance. With static=True the transition chain is dropped: the
     window holds one step whose anchor never advances from the source
     prior, so every arrival is fit as a fresh mixture anchored only at
-    the source prototypes.
+    the source prototypes, through the one link from the source head,
+    of concentration kappa_trans.
 
     The sweep rewrites the (K, D) arrays of the window's beliefs in place
     and passes them between steps as scratch space, so `prototypes`
@@ -317,10 +321,9 @@ class VmfModel(SlidingWindow):
         k = config.k
         self._kappa_trans = float(config.kappa_trans)
         self._kappa_ems = float(config.kappa_ems)
-        self._kappa0 = float(config.kappa0)
         super().__init__(
             config,
-            PrototypeBelief.from_params(self.source_prototypes, np.full(k, self._kappa0)),
+            PrototypeBelief.from_params(self.source_prototypes, np.full(k, self._kappa_trans)),
             window=1 if static else config.window,
             fixed_anchor=static,
         )
@@ -373,17 +376,18 @@ class VmfModel(SlidingWindow):
         The updates allocate no (K, D) array. The assignment step scales
         the dots with a step's mean directions by kappa_ems * A_D(conc).
         Each update then runs in the frame of its left message, whose row
-        scales lambda_k are kappa0 from the prior or kappa_trans * A_D(conc)
-        from the left step or the anchor: the left mean direction is
-        copied into a buffer the model owns (`_total`), one GEMM adds
-        (kappa_ems / lambda) resp^T feats into it in place, and
-        `prototype_update` adds the right neighbour's mean direction
-        scaled by its kappa_trans * A_D(conc) / lambda and normalizes the
-        rows in one walk over row blocks. A row whose lambda is 0, or so
-        small that its framed rows could overflow, takes lambda = 1 with
-        its scaled left row. The buffer becomes the step's mean direction,
-        and the replaced mean direction the next buffer. Raises
-        NotAdaptedError before the first `adapt`.
+        scales lambda_k are kappa_trans from the source prior (the link
+        from the source head) or kappa_trans * A_D(conc) from the left step
+        or an evicted anchor: the left mean direction is copied into a
+        buffer the model owns (`_total`), one GEMM adds (kappa_ems /
+        lambda) resp^T feats into it in place, and `prototype_update` adds
+        the right neighbour's mean direction scaled by its kappa_trans *
+        A_D(conc) / lambda and normalizes the rows in one walk over row
+        blocks. A row whose lambda is 0, or so small that its framed rows
+        could overflow, takes lambda = 1 with its scaled left row. The
+        buffer becomes the step's mean direction, and the replaced mean
+        direction the next buffer. Raises NotAdaptedError before the first
+        `adapt`.
         """
         self._newest()
         steps = self._steps
@@ -421,9 +425,10 @@ class VmfModel(SlidingWindow):
     def _anchor_message(self) -> tuple[np.ndarray, np.ndarray]:
         """Natural-parameter message the left boundary receives, as (scale, direction).
 
-        The initial prior contributes kappa0 * mu0 exactly (its conc is
-        kappa0 in every class); a frozen evicted belief is treated as one
-        more fixed vMF neighbour (`_message`).
+        The source head is the chain's first link: the source prior sends
+        kappa_trans * mu0 exactly (its conc is kappa_trans in every class),
+        the same concentration as every later link. A frozen evicted belief
+        is treated as one more fixed vMF neighbour (`_message`).
         """
         if self._anchor is self._prior:
             return self._prior.conc, self._prior.mean_dir
@@ -443,29 +448,25 @@ class VmfModel(SlidingWindow):
     def window_elbo(self) -> float:
         """Evidence lower bound of the current window state.
 
-        Expected complete-data log density (anchor prior, emissions,
-        within-window transitions) plus the entropies of the vMF beliefs
-        and the categorical assignments.
+        Expected complete-data log density (every link of the chain, from
+        the anchor into the first step and between steps, and the
+        emissions) plus the entropies of the vMF beliefs and the
+        categorical assignments.
         """
         self._newest()  # raises NotAdaptedError before the first step
         d, k = self.config.d, self.config.k
         total = 0.0
         steps = self._steps
 
-        # K vMF factors per transition, each with the shared concentration;
-        # E[mu_a] . E[mu_b] is A_D(conc_a) A_D(conc_b) m_a . m_b per class
-        scale, direction = self._anchor_message()
-        first = steps[0].belief
-        factor = self._kappa0 if self._anchor is self._prior else self._kappa_trans
-        total += k * float(log_vmf_norm_const(d, factor))
-        total += float(np.sum(scale * first.ratio * _row_dots(direction, first.mean_dir)))
-        for prev, cur in zip(steps, steps[1:]):
-            a, b = prev.belief, cur.belief
-            total += k * float(log_vmf_norm_const(d, self._kappa_trans))
-            total += self._kappa_trans * float(
-                np.sum(a.ratio * b.ratio * _row_dots(a.mean_dir, b.mean_dir)))
-
-        for s in steps:
+        link_norm = k * float(log_vmf_norm_const(d, self._kappa_trans))
+        for i, s in enumerate(steps):
+            # the link into this step, K vMF factors at kappa_trans: its left
+            # message (scale, direction) dotted with the expected prototypes
+            # is scale * A_D(conc) m . direction per class
+            scale, direction = self._anchor_message() if i == 0 else self._message(
+                steps[i - 1].belief)
+            total += link_norm + float(np.sum(
+                scale * s.belief.ratio * np.einsum("kd,kd->k", direction, s.belief.mean_dir)))
             align = (s.feats @ s.belief.mean_dir.T) * s.belief.ratio  # (N, K)
             with np.errstate(divide="ignore"):
                 log_pi = np.log(s.mixing)

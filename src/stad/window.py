@@ -106,7 +106,7 @@ def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
     entry, a zero total, or a pi_floor that is not a real number in
     [0, 1/K) raises DomainError.
     """
-    resp = np.asarray(resp, dtype=float)
+    resp = _float_array(resp, "responsibilities")
     if resp.ndim != 2:
         raise DimensionMismatchError(f"responsibilities must be (N, K), got {resp.shape}")
     if resp.shape[0] == 0:

@@ -5,7 +5,7 @@ OverflowError, and is never run with a value it silently coerced."""
 import numpy as np
 import pytest
 
-from stad import gauss, mathcore
+from stad import gauss, mathcore, vmf
 from stad.errors import DomainError
 from stad.gauss import GaussBelief, GaussConfig, GaussModel
 from stad.stream import EmbeddingBatch, make_label_shift, sample_vmf, write_matrix, write_stream
@@ -95,6 +95,30 @@ CASES = {
         lambda tmp: VmfModel(np.eye(2, 4), VmfConfig(d=4, k=2, kappa_ems=10**400)),
     "GaussConfig sigma_ems_scale 10**400":
         lambda tmp: GaussModel(np.eye(2, 3), GaussConfig(d=3, k=2, sigma_ems_scale=10**400)),
+    # vmf: a concentration is a real number >= 0, one or one per class
+    "assignment_step kappa a string":
+        lambda tmp: vmf.assignment_step(FEATS, MEAN, np.full(2, 0.5), "x"),
+    "assignment_step kappa -5.0":
+        lambda tmp: vmf.assignment_step(FEATS, MEAN, np.full(2, 0.5), -5.0),
+    "assignment_step per-class kappa negative":
+        lambda tmp: vmf.assignment_step(FEATS, MEAN, np.full(2, 0.5), np.array([1.0, -1.0])),
+    "predict_probs kappa_ems -5.0":
+        lambda tmp: vmf.predict_probs(FEATS, MEAN, -5.0, np.full(2, 0.5)),
+    # outside arrays through one conversion
+    "assignment_step feats a string":
+        lambda tmp: vmf.assignment_step("x", MEAN, np.full(2, 0.5), 1.0),
+    "expected_prototype mean_dir a string": lambda tmp: vmf.expected_prototype("x", np.ones(2), 3),
+    "PrototypeBelief.from_params mean_dir a string":
+        lambda tmp: vmf.PrototypeBelief.from_params("x", np.ones(2)),
+    "kf_predict mean a string": lambda tmp: gauss.kf_predict("x", VAR, 0.1),
+    "kf_update_weighted feats a string":
+        lambda tmp: gauss.kf_update_weighted(MEAN, VAR, "x", RESP, 0.5),
+    "kf_smooth means a string": lambda tmp: gauss.kf_smooth("x", VAR[None], 0.1),
+    "gauss_assignments feats a string":
+        lambda tmp: gauss.gauss_assignments("x", GaussBelief(MEAN, VAR), np.full(2, 0.5), 0.5),
+    "mixing_update resp a string": lambda tmp: mixing_update("x"),
+    "write_stream features a string":
+        lambda tmp: write_stream(tmp, [EmbeddingBatch(1, "x")], 3),
 }
 
 

@@ -12,8 +12,8 @@ from stad.stream import DriftScenario
 from stad.vmf import VmfConfig
 
 FIELDS = {
-    VmfConfig: ["d", "k", "kappa_trans", "kappa_ems", "kappa0", "window", "e_sweeps",
-                "learn_kappa_ems", "pi_floor"],
+    VmfConfig: ["d", "k", "kappa_trans", "kappa_ems", "window", "e_sweeps", "learn_kappa_ems",
+                "pi_floor"],
     GaussConfig: ["d", "k", "sigma_trans_scale", "sigma_ems_scale", "window", "e_sweeps",
                   "learn_transition", "learn_sigmas", "pi_floor", "init_cov_scale"],
     DriftScenario: ["geometry", "d", "k", "t_steps", "n_per_step", "kappa_true", "sigma_true",

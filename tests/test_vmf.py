@@ -69,7 +69,6 @@ class TestConfig:
     def test_defaults_follow_reference_settings(self):
         cfg = VmfConfig(d=8, k=3)
         assert cfg.window == 3
-        assert cfg.kappa0 == 100.0
         assert cfg.kappa_trans == 100.0
         assert cfg.kappa_ems == 100.0
 
@@ -86,20 +85,20 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(kappa_trans=(1.0, 2.0)),          # a concentration is one real number
         dict(kappa_ems=(1.0, 2.0, 3.0, 4.0)),
-        dict(kappa0=(1.0, 2.0)),
-        dict(kappa0=np.ones((3, 1))),
+        dict(kappa_ems=(1.0, 2.0)),
+        dict(kappa_trans=np.ones((3, 1))),
         dict(window=2.5),
         dict(e_sweeps=2.0),
         dict(d=4.0),
         dict(k=3.5),
         dict(window=True),
-        dict(kappa0=(10.0, 20.0, 30.0)),       # one value per class
+        dict(kappa_trans=(10.0, 20.0, 30.0)),  # one value per class
         dict(kappa_trans=[1.0]),
         dict(kappa_ems=np.array(5.0)),
-        dict(kappa0=True),
+        dict(kappa_trans=True),
         dict(kappa_ems="5"),
         dict(kappa_trans=float("nan")),
-        dict(kappa0=np.float64(np.inf)),
+        dict(kappa_ems=np.float64(np.inf)),
         dict(pi_floor="x"),
     ])
     def test_rejects_malformed_sizes(self, kwargs):
@@ -107,8 +106,9 @@ class TestConfig:
             VmfConfig(**{"d": 4, "k": 3, **kwargs})
 
     def test_accepts_shared_kappa0_and_numpy_sizes(self):
-        # the shared kappa0 becomes the prior's concentration in every class
-        cfg = VmfConfig(d=np.int64(4), k=np.int32(3), kappa0=np.float32(20.0))
+        # the shared kappa_trans weights the link from the source head: it
+        # becomes the prior's concentration in every class
+        cfg = VmfConfig(d=np.int64(4), k=np.int32(3), kappa_trans=np.float32(20.0))
         model = VmfModel(np.eye(3, 4), cfg)
         np.testing.assert_array_equal(model._prior.conc, [20.0, 20.0, 20.0])
 
@@ -331,9 +331,9 @@ class TestPrototypeUpdate:
         np.testing.assert_array_equal(belief.ratio, bessel_ratio(3, belief.conc))
 
     def test_model_counts_cancelled_rows(self):
-        # kappa0 = 0 sends no prior message, and the two opposite samples
+        # kappa_trans = 0 sends no prior message, and the two opposite samples
         # cancel in both classes' data messages under uniform assignments
-        model = VmfModel(np.eye(2), VmfConfig(d=2, k=2, kappa0=0.0, window=1))
+        model = VmfModel(np.eye(2), VmfConfig(d=2, k=2, kappa_trans=0.0, window=1))
         model.adapt(1, np.array([[1.0, 0.0], [-1.0, 0.0]]))
         assert model.degenerate_updates == 2 * model.config.e_sweeps
         np.testing.assert_array_equal(model.prototypes, np.eye(2))
@@ -349,8 +349,8 @@ class ReferenceSweepModel(VmfModel):
 
     Row k of a step's summed message is kappa_ems * sum_n resp_nk h_n plus
     kappa_trans * E[mu_k] of each neighbour step, where the left boundary
-    takes kappa0 * mu0 from the source prior or kappa_trans * E[mu_k] of the
-    evicted anchor. Its direction and norm are the new belief, unless the
+    takes kappa_trans * mu0 from the source prior or kappa_trans * E[mu_k] of
+    the evicted anchor. Its direction and norm are the new belief, unless the
     norm is <= 1e-12, which keeps the previous belief.
     """
 
@@ -403,7 +403,7 @@ def assert_matches_reference(model, reference, batches, probe):
 SWEEP_CONFIGS = [
     pytest.param(dict(), False, id="kwargs0-False"),
     pytest.param(dict(learn_kappa_ems=True), False, id="kwargs1-False"),
-    pytest.param(dict(kappa_trans=50.0, kappa_ems=30.0, kappa0=80.0, learn_kappa_ems=True),
+    pytest.param(dict(kappa_trans=50.0, kappa_ems=30.0, learn_kappa_ems=True),
                  False, id="distinct-kappas-False"),
     pytest.param(dict(), True, id="kwargs4-True"),
     pytest.param(dict(window=1, e_sweeps=3), False, id="kwargs5-False"),
@@ -428,13 +428,14 @@ def sweep_case(kwargs, static):
 def cancelling_case():
     """D=2, K=4, window 2, whose first batch cancels in every row.
 
-    kappa0 = 0, so the prior sends no message and the expected prototypes
-    are 0. The assignments are therefore uniform and the two opposite
-    samples cancel in every data message, leaving every row with nothing.
+    kappa_trans = 0, so the prior sends no message and the expected
+    prototypes are 0. The assignments are therefore uniform and the two
+    opposite samples cancel in every data message, leaving every row with
+    nothing.
     """
     rng = np.random.default_rng(24)
     w0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-    cfg = VmfConfig(d=2, k=4, kappa0=0.0, window=2)
+    cfg = VmfConfig(d=2, k=4, kappa_trans=0.0, window=2)
     batches = [np.array([[1.0, 0.0], [-1.0, 0.0]])]
     batches += [normalize_rows(rng.standard_normal((6, 2))) for _ in range(4)]
     return w0, cfg, batches, normalize_rows(rng.standard_normal((5, 2)))
@@ -453,7 +454,7 @@ class TestSweepMatchesReference:
         # the first batch cancels in both classes (see TestPrototypeUpdate);
         # the later ones do not
         rng = np.random.default_rng(22)
-        cfg = VmfConfig(d=2, k=2, kappa0=0.0, window=2)
+        cfg = VmfConfig(d=2, k=2, kappa_trans=0.0, window=2)
         batches = [np.array([[1.0, 0.0], [-1.0, 0.0]])]
         batches += [normalize_rows(rng.standard_normal((6, 2))) for _ in range(4)]
         model = VmfModel(np.eye(2), cfg)
@@ -464,14 +465,19 @@ class TestSweepMatchesReference:
 
 class TestFramedUpdate:
     """Each update runs in the frame of its left message's row scales; rows
-    whose scale is 0 or tiny take frame 1, as the unframed update."""
+    whose scale is 0 or tiny take frame 1, as the unframed update.
+
+    The kappa0 ids name the concentration of the link from the source
+    head, which is kappa_trans: at 0 or 1e-300 every left message is
+    unframed."""
 
     @pytest.mark.parametrize("kwargs,static", [
-        pytest.param(dict(kappa0=0.0), False, id="kappa0-zero"),
-        pytest.param(dict(kappa0=0.0), True, id="kappa0-zero-static"),
+        pytest.param(dict(kappa_trans=0.0, window=1), False, id="kappa0-zero"),
+        pytest.param(dict(kappa_trans=0.0), True, id="kappa0-zero-static"),
         pytest.param(dict(kappa_trans=0.0), False, id="kappa-trans-zero"),
-        pytest.param(dict(kappa0=1e-300), False, id="kappa0-tiny"),
-        pytest.param(dict(kappa0=1e-300, window=1, e_sweeps=3), False, id="kappa0-tiny-window1"),
+        pytest.param(dict(kappa_trans=1e-300), False, id="kappa0-tiny"),
+        pytest.param(dict(kappa_trans=1e-300, window=1, e_sweeps=3), False,
+                     id="kappa0-tiny-window1"),
     ])
     def test_unframed_rows_match_reference(self, kwargs, static):
         w0, cfg, batches, probe = sweep_case(kwargs, static)
@@ -491,9 +497,10 @@ class TestFramedUpdate:
         assert_matches_reference(model, reference, batches, probe)
 
     def test_cancelling_rows_on_the_frame_path(self):
-        # both classes start at e1 with kappa0 = kappa_ems, so each takes half
-        # of the two samples at -e1: in the frame kappa0 every row is
-        # e1 + (kappa_ems / kappa0) * (-e1) = 0 and keeps the prior's belief
+        # both classes start at e1 with kappa_trans = kappa_ems, so each takes
+        # half of the two samples at -e1: in the frame kappa_trans every row
+        # is e1 + (kappa_ems / kappa_trans) * (-e1) = 0 and keeps the prior's
+        # belief
         cfg = VmfConfig(d=2, k=2, window=1)
         w0 = np.array([[1.0, 0.0], [1.0, 0.0]])
         batch = np.array([[-1.0, 0.0], [-1.0, 0.0]])
@@ -502,7 +509,7 @@ class TestFramedUpdate:
         assert model.degenerate_updates == reference.degenerate_updates == 2 * cfg.e_sweeps
         belief = model._steps[0].belief
         np.testing.assert_array_equal(belief.mean_dir, w0)
-        np.testing.assert_array_equal(belief.conc, [cfg.kappa0] * 2)
+        np.testing.assert_array_equal(belief.conc, [cfg.kappa_trans] * 2)
 
     def test_gemm_writes_into_the_buffer(self, monkeypatch):
         # the emission is added by BLAS into the F-ordered transpose of
@@ -717,16 +724,17 @@ def reference_kappa_ems(beliefs, resps, feats, d):
 
 
 def reference_elbo(model):
-    """The window ELBO written on the expected prototypes: anchor and
-    transition factors, emissions, and the vMF and categorical entropies."""
+    """The window ELBO written on the expected prototypes: the link factors
+    at kappa_trans, the first from the source head mu0 or the evicted
+    anchor, emissions, and the vMF and categorical entropies."""
     cfg, steps = model.config, model._steps
     d, k, kt, ke = cfg.d, cfg.k, model.kappa_trans, model.kappa_ems
     if model._anchor is model._prior:
-        factor, left = cfg.kappa0, model._prior.mean_dir
+        left = model._prior.mean_dir
     else:
-        factor, left = kt, expected_of(model._anchor, d)
-    total = k * log_vmf_norm_const(d, factor)
-    total += factor * np.sum(left * expected_of(steps[0].belief, d))
+        left = expected_of(model._anchor, d)
+    total = k * log_vmf_norm_const(d, kt)
+    total += kt * np.sum(left * expected_of(steps[0].belief, d))
     for prev, cur in zip(steps, steps[1:]):
         total += k * log_vmf_norm_const(d, kt)
         total += kt * np.sum(expected_of(prev.belief, d) * expected_of(cur.belief, d))
@@ -747,17 +755,17 @@ class TestCachedRatio:
 
     @settings(max_examples=40, deadline=None)
     @given(window=st.integers(1, 4), e_sweeps=st.integers(1, 3), static=st.booleans(),
-           kappa0=st.sampled_from([0.0, 30.0]), kappa_trans=st.sampled_from([0.0, 50.0]),
-           cancel=st.booleans(), learn=st.booleans(), seed=st.integers(0, 2**16))
-    def test_ratio_matches_conc_after_every_adapt(self, window, e_sweeps, static, kappa0,
-                                                   kappa_trans, cancel, learn, seed):
+           kappa_trans=st.sampled_from([0.0, 30.0, 50.0]), cancel=st.booleans(),
+           learn=st.booleans(), seed=st.integers(0, 2**16))
+    def test_ratio_matches_conc_after_every_adapt(self, window, e_sweeps, static, kappa_trans,
+                                                   cancel, learn, seed):
         rng = np.random.default_rng(seed)
         d, k = 3, 3
-        cfg = VmfConfig(d=d, k=k, window=window, e_sweeps=e_sweeps, kappa0=kappa0,
-                        kappa_trans=kappa_trans, learn_kappa_ems=learn)
+        cfg = VmfConfig(d=d, k=k, window=window, e_sweeps=e_sweeps, kappa_trans=kappa_trans,
+                        learn_kappa_ems=learn)
         model = VmfModel(rng.standard_normal((k, d)), cfg, static=static)
         for t in range(1, window + 4):
-            if cancel and t == 1:   # opposite rows: every row cancels at kappa0 = 0
+            if cancel and t == 1:   # opposite rows: every row cancels at kappa_trans = 0
                 batch = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
             else:
                 batch = rng.standard_normal((int(rng.integers(1, 8)), d))
@@ -770,7 +778,7 @@ class TestCachedRatio:
             assert kappa_update(beliefs, resps, feats, d) == pytest.approx(
                 reference_kappa_ems(beliefs, resps, feats, d), rel=1e-12)
             assert model.window_elbo() == pytest.approx(reference_elbo(model), rel=1e-12)
-        if cancel and kappa0 == 0.0:
+        if cancel and kappa_trans == 0.0:
             assert model.degenerate_updates >= k
 
 
@@ -930,7 +938,7 @@ class TestAdapt:
         rng = np.random.default_rng(9)
         d = 6
         w0 = normalize_rows(rng.standard_normal((2, d)))
-        cfg = VmfConfig(d=d, k=2, kappa_trans=1e6, kappa0=1e6)
+        cfg = VmfConfig(d=d, k=2, kappa_trans=1e6)
         model = VmfModel(w0, cfg)
         away = normalize_rows(w0 + 0.5 * rng.standard_normal((2, d)))
         for t in (1, 2):
@@ -961,28 +969,30 @@ class TestAdapt:
 
 class TestStaticVariant:
     def test_first_step_matches_zero_transition(self):
+        # at the first step neither model has a link past the one from the
+        # source head, so at one kappa_trans they agree
         rng = np.random.default_rng(12)
         w0 = rng.standard_normal((3, 5))
         batch = rng.standard_normal((15, 5))
         static = VmfModel(w0, VmfConfig(d=5, k=3), static=True).adapt(1, batch)
-        dynamic = VmfModel(w0, VmfConfig(d=5, k=3, kappa_trans=0.0)).adapt(1, batch)
+        dynamic = VmfModel(w0, VmfConfig(d=5, k=3)).adapt(1, batch)
         np.testing.assert_allclose(
             static.prototypes, dynamic.prototypes, atol=1e-12
         )
 
     def test_same_fixed_point_as_zero_transition_window_one(self):
-        # On a stationary stream the static fit and the window-1,
-        # zero-transition dynamic fit share their per-batch fixed point
-        # once the initial-prior pseudo-message is negligible.
+        # On a stationary stream the static fit and the window-1 dynamic
+        # fit share their per-batch fixed point once kappa_trans, and with
+        # it every link's message, is negligible.
         rng = np.random.default_rng(13)
         d = 8
         dirs = np.zeros((2, d))
         dirs[0, 0] = 1.0
         dirs[1, 1] = 1.0
         w0 = normalize_rows(dirs + 0.05 * rng.standard_normal((2, d)))
-        kwargs = dict(d=d, k=2, kappa0=1e-6, e_sweeps=8)
+        kwargs = dict(d=d, k=2, kappa_trans=1e-6, e_sweeps=8)
         static = VmfModel(w0, VmfConfig(**kwargs), static=True)
-        dynamic = VmfModel(w0, VmfConfig(kappa_trans=0.0, window=1, **kwargs))
+        dynamic = VmfModel(w0, VmfConfig(window=1, **kwargs))
         for t in range(1, 9):
             labels = np.repeat([0, 1], 40)
             batch = cluster_batch(rng, dirs, labels, noise=0.1)
@@ -1110,12 +1120,13 @@ class TestInvariants:
         init = normalize_rows(dirs + 0.1 * rng.standard_normal((k, d)))
         sweeps = 5
         cfg = VmfConfig(
-            d=d, k=k, kappa_trans=0.0, kappa0=1e-6, window=1, e_sweeps=sweeps,
+            d=d, k=k, kappa_trans=1e-6, window=1, e_sweeps=sweeps,
             kappa_ems=100.0, pi_floor=0.0,
         )
         model = VmfModel(init, cfg).adapt(1, feats)
         rho, _, resp = oracles.variational_vmf_mixture_em(
-            feats, model.source_prototypes, kappa_ems=100.0, kappa0=1e-6, sweeps=sweeps
+            feats, model.source_prototypes, kappa_ems=100.0, kappa0=cfg.kappa_trans,
+            sweeps=sweeps
         )
         for c in range(k):
             assert angular_deg(model.prototypes[c], rho[c]) < math.degrees(1e-6)
@@ -1138,7 +1149,7 @@ class TestWindowElboOracle:
     these, so the bounds are 1e-9, 1e-5 and 1e-6.
     """
 
-    KAPPA_TRANS, KAPPA_EMS, KAPPA0 = 10.0, 20.0, 50.0
+    KAPPA_TRANS, KAPPA_EMS = 10.0, 20.0
 
     @pytest.mark.parametrize("d, window, steps", [(3, 2, 2), (3, 2, 3), (8, 3, 3), (8, 2, 3)])
     def test_fixed_point_is_the_optimum(self, d, window, steps):
@@ -1146,7 +1157,7 @@ class TestWindowElboOracle:
         pole = np.eye(1, d)[0]
         w0 = np.stack([pole, -pole])
         cfg = VmfConfig(d=d, k=2, kappa_trans=self.KAPPA_TRANS, kappa_ems=self.KAPPA_EMS,
-                        kappa0=self.KAPPA0, window=window, e_sweeps=1)
+                        window=window, e_sweeps=1)
         model = VmfModel(w0, cfg)
         drift = unit(rng.standard_normal(d))
         for t in range(1, steps + 1):
@@ -1170,11 +1181,10 @@ class TestWindowElboOracle:
         for s in model._steps:
             assert np.all(s.resp[:, 0] == 1.0) and np.all(s.resp[:, 1] == 0.0)
 
-        if model._anchor is model._prior:
-            anchor_scale, anchor_vec = np.full(2, self.KAPPA0), w0
-        else:  # an evicted belief: kappa_trans times its expected prototype
+        # kappa_trans times the source head, or an evicted belief's expected prototype
+        anchor_scale, anchor_vec = np.full(2, self.KAPPA_TRANS), w0
+        if model._anchor is not model._prior:
             gone = model._anchor
-            anchor_scale = np.full(2, self.KAPPA_TRANS)
             anchor_vec = oracles.scipy_bessel_ratio(d, gone.conc)[:, None] * gone.mean_dir
         args = (anchor_scale, anchor_vec, self.KAPPA_TRANS, self.KAPPA_EMS,
                 [s.feats for s in model._steps], [s.resp for s in model._steps],
@@ -1184,7 +1194,7 @@ class TestWindowElboOracle:
             value, grad = oracles.vmf_window_elbo(x.reshape(cur.shape), *args)
             return -value, -grad.ravel()
 
-        start = np.broadcast_to(self.KAPPA0 * w0, cur.shape).ravel()
+        start = np.broadcast_to(self.KAPPA_TRANS * w0, cur.shape).ravel()
         res = minimize(neg_elbo, start, jac=True, method="L-BFGS-B",
                        options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 1000})
         best = res.x.reshape(cur.shape)

@@ -120,6 +120,8 @@ def test_static_anchor_never_advances():
     (float("inf"), {}), (-float("inf"), {}), (-1.0, dict(minimum=0.0)),
     (0.0, dict(minimum=0.0, above=True)), (2.5, dict(minimum=0.0, maximum=2.0)),
     (10**400, {}), (-10**400, {}), (np.float32("inf"), {}),
+    # past the digit limit for str, so the message must not repr them
+    pytest.param(10**5000, {}, id="10**5000"), pytest.param(-10**5000, {}, id="-10**5000"),
 ])
 def test_check_real_rejects(value, bounds):
     with pytest.raises(DomainError):
@@ -137,7 +139,8 @@ def test_check_real_accepts(value, bounds):
     check_real("x", value, **bounds)
 
 
-@pytest.mark.parametrize("value", ["x", None, True, 2.0, 1.5, np.int64(0), np.array(3), -1])
+@pytest.mark.parametrize("value", ["x", None, True, 2.0, 1.5, np.int64(0), np.array(3), -1,
+                                   pytest.param(-10**5000, id="-10**5000")])
 def test_check_int_rejects(value):
     with pytest.raises(DomainError):
         check_int("x", value, 1)
