@@ -274,8 +274,10 @@ def gauss_m_step(
     Every belief needs a (K, D) mean and a (K,) covariance of one K and D
     and gains must be (T-1, K); with learn_sigmas feats and resps need T
     entries, (N_t, D) and (N_t, K). Anything else raises
-    DimensionMismatchError. Learning r from batches that are all empty
-    raises EmptyBatchError, and a non-finite estimate DomainError.
+    DimensionMismatchError. Means, covariances or (with learn_transition)
+    gains that do not convert to float arrays raise DomainError, as does a
+    non-finite estimate; learning r from batches that are all empty raises
+    EmptyBatchError.
     """
     if not (learn_transition or learn_sigmas):
         return None, None
@@ -293,18 +295,18 @@ def gauss_m_step(
     if learn_sigmas:
         n_total = check_batches(feats, resps, t_len, k, d, "gauss_m_step")
 
+    means = _float_array([b.mean for b in smoothed], "means")        # (T, K, D)
+    covs = _float_array([b.cov for b in smoothed], "covariances")    # (T, K)
     new_q = new_r = None
     if learn_transition:
-        means = np.stack([b.mean for b in smoothed])   # (T, K, D)
-        covs = np.stack([b.cov for b in smoothed])     # (T, K)
-        gain = np.asarray(gains, dtype=float)          # (T-1, K)
+        gain = _float_array(gains, "gains")                          # (T-1, K)
         step = means[1:] - means[:-1]
         q_sum = (np.einsum("tkd,tkd->", step, step)
                  + d * (covs[1:] * (1.0 - 2.0 * gain) + covs[:-1]).sum())
         new_q = _noise_estimate(q_sum / ((t_len - 1) * k * d))
     if learn_sigmas:
-        r_sum = sum(np.sum(w * (_sq_dist(h.T, b.mean.T) + d * b.cov))
-                    for b, h, w in zip(smoothed, feats, resps))
+        r_sum = sum(np.sum(w * (_sq_dist(h.T, m.T) + d * c))
+                    for m, c, h, w in zip(means, covs, feats, resps))
         new_r = _noise_estimate(r_sum / (n_total * d))
     return new_q, new_r
 
@@ -336,14 +338,14 @@ class GaussModel(SlidingWindow):
         super().__init__(
             config,
             GaussBelief(source_weights.copy(), np.full(config.k, config.initial_cov_scale)),
-            window=config.window,
         )
         self._last_gains: np.ndarray | None = None
 
     @property
     def prototypes(self) -> np.ndarray:
-        """Posterior prototype means of the newest step."""
-        return self._newest().belief.mean
+        """Posterior prototype means of the newest step; a snapshot, so that
+        writing into it changes no belief."""
+        return self._newest().belief.mean.copy()
 
     def _sweep(self) -> None:
         self.coordinate_sweep()

@@ -288,11 +288,11 @@ class VmfModel(SlidingWindow):
     """Sliding-window spherical tracker with an adapted softmax head.
 
     Single-writer: adapt/predict must be externally serialized per
-    instance. With static=True the transition chain is dropped: the
-    window holds one step whose anchor never advances from the source
-    prior, so every arrival is fit as a fresh mixture anchored only at
-    the source prototypes, through the one link from the source head,
-    of concentration kappa_trans.
+    instance. With static=True, the window engine's one `static` flag,
+    the transition chain is dropped: the window holds one step whose
+    anchor never advances from the source prior, so every arrival is fit
+    as a fresh mixture anchored only at the source prototypes, through
+    the one link from the source head, of concentration kappa_trans.
 
     The sweep rewrites the (K, D) arrays of the window's beliefs in place
     and passes them between steps as scratch space, so `prototypes`
@@ -314,7 +314,6 @@ class VmfModel(SlidingWindow):
     def __init__(self, source_weights: np.ndarray, config: VmfConfig, static: bool = False):
         source_weights = check_source(source_weights, config)
         check_int("k", config.k, 2)  # the tracker needs two classes
-        self.static = static
         self.source_prototypes = normalize_rows(source_weights)
         self.source_prototypes.flags.writeable = False
 
@@ -324,8 +323,7 @@ class VmfModel(SlidingWindow):
         super().__init__(
             config,
             PrototypeBelief.from_params(self.source_prototypes, np.full(k, self._kappa_trans)),
-            window=1 if static else config.window,
-            fixed_anchor=static,
+            static=static,
         )
         self.degenerate_updates = 0
         self._total = np.empty((k, config.d))  # the sweep's message buffer

@@ -137,10 +137,10 @@ def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
 class SlidingWindow:
     """Window state, batch checks, views and the adapt loop of both trackers.
 
-    `config` needs `d`, `k` and `e_sweeps`. The window holds at most
-    `window` steps; with `fixed_anchor` the anchor never advances and
-    every step starts from it, which turns the window into a fresh fit per
-    batch. The initial anchor is kept as `_prior` and never written.
+    `config` needs `d`, `k`, `window` and `e_sweeps`. The window holds at
+    most `config.window` steps. With `static` it holds one step whose
+    anchor stays the initial one, which turns the window into a fresh fit
+    per batch. The initial anchor is kept as `_prior` and never written.
 
     `adapt` is `_push`, then `e_sweeps` calls of `_sweep()`, then
     `_reestimate()`. A subclass supplies `_sweep`, one coordinate sweep
@@ -148,16 +148,18 @@ class SlidingWindow:
     updates, and its own head.
     """
 
-    def __init__(self, config, anchor, window: int, fixed_anchor: bool = False):
+    def __init__(self, config, anchor, static: bool = False):
         self.config = config
         self._prior = self._anchor = anchor
-        self._window = window
-        self._fixed_anchor = fixed_anchor
+        self._window = 1 if static else config.window
+        self._static = static
         self._steps: list[WindowStep] = []
 
     @property
     def mixing(self) -> np.ndarray:
-        return self._newest().mixing
+        """Mixing weights of the newest step; a snapshot, like the
+        trackers' `prototypes`, so that writing into it changes no step."""
+        return self._newest().mixing.copy()
 
     @property
     def window_times(self) -> list[int]:
@@ -194,19 +196,19 @@ class SlidingWindow:
         return normalize_rows(feats)
 
     def _push(self, t: int, feats: np.ndarray) -> None:
-        """Append the batch at time t as the newest step and evict the oldest.
+        """Append the batch at time t as the newest step, evicting the oldest
+        step first when the window is full.
 
         The new step starts from a copy of the newest belief (the anchor
-        when the window is empty or the anchor is fixed) with uniform
-        responsibilities and mixing; an evicted step's belief becomes the
-        anchor unless the anchor is fixed.
+        when the window is empty or `static`) with uniform responsibilities
+        and mixing. The evicted step's belief becomes the anchor, except
+        with `static`, where the anchor stays the initial one.
 
-        Once the window is full, each push retires a belief: the anchor
-        that the evicted step's belief replaces or, with a fixed anchor,
-        the evicted step's own belief. The copy is written into the arrays
-        of the retired belief, as far as the belief type's `copy(into=...)`
-        reuses them, except that the initial anchor (`_prior`) is kept and
-        never written.
+        So once the window is full, each push retires a belief: with
+        `static` the evicted step's own, otherwise the anchor it replaces.
+        The copy is written into the arrays of the retired belief, as far as
+        the belief type's `copy(into=...)` reuses them, except that the
+        initial anchor (`_prior`) is kept and never written.
         """
         check_int("t", t, 0)
         feats = self._unit_batch(feats)
@@ -214,13 +216,15 @@ class SlidingWindow:
             raise EmptyBatchError("adaptation needs at least one sample")
         if self._steps and t != self._steps[-1].t + 1:
             raise NonContiguousTimeError(f"expected t={self._steps[-1].t + 1}, got {t}")
-        start = self._anchor if self._fixed_anchor or not self._steps else self._steps[-1].belief
+        start = self._anchor if self._static or not self._steps else self._steps[-1].belief
         leaving = None
         if len(self._steps) == self._window:
-            if self._fixed_anchor:
-                leaving = self._steps[0].belief
-            elif self._anchor is not self._prior:
-                leaving = self._anchor
+            evicted = self._steps.pop(0).belief
+            if self._static:
+                leaving = evicted
+            else:
+                leaving = None if self._anchor is self._prior else self._anchor
+                self._anchor = evicted
         k = self.config.k
         self._steps.append(
             WindowStep(
@@ -231,7 +235,3 @@ class SlidingWindow:
                 mixing=np.full(k, 1.0 / k),
             )
         )
-        while len(self._steps) > self._window:
-            evicted = self._steps.pop(0)
-            if not self._fixed_anchor:
-                self._anchor = evicted.belief

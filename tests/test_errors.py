@@ -119,6 +119,12 @@ CASES = {
     "mixing_update resp a string": lambda tmp: mixing_update("x"),
     "write_stream features a string":
         lambda tmp: write_stream(tmp, [EmbeddingBatch(1, "x")], 3),
+    "gauss_m_step gains a string":
+        lambda tmp: gauss.gauss_m_step([GaussBelief(MEAN, VAR)] * 2, [["x", "y"]], [], [],
+                                       True, False),
+    "gauss_m_step means a string":
+        lambda tmp: gauss.gauss_m_step([GaussBelief(np.full((2, 3), "x"), VAR)] * 2, [VAR],
+                                       [RESP] * 2, [FEATS] * 2, False, True),
 }
 
 

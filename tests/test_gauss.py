@@ -1045,6 +1045,22 @@ class TestGaussModel:
         assert (model.sigma_trans != 0.01) == learn_transition
         assert (model.sigma_ems != 0.5) == learn_sigmas
 
+    def test_writing_into_views_changes_nothing(self):
+        # two twin models; the held views of one are written into, and a
+        # written mixing would reach the next adapt's first sweep
+        rng = np.random.default_rng(41)
+        d, k = 4, 3
+        w0, batches = rng.standard_normal((k, d)), rng.standard_normal((3, 12, d))
+        written, twin = (GaussModel(w0, GaussConfig(d=d, k=k, window=2)) for _ in range(2))
+        for t in (1, 2):
+            written.adapt(t, batches[t - 1])
+            twin.adapt(t, batches[t - 1])
+            written.prototypes[:] = 0.5
+            written.mixing[:] = [0.98, 0.01, 0.01]
+            np.testing.assert_array_equal(written.mixing, twin.mixing)
+            np.testing.assert_array_equal(written.predict(batches[2])[0],
+                                          twin.predict(batches[2])[0])
+
 
 class TestExactPosterior:
     """With the responsibilities held fixed, one filter and smoother pass

@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 REPLAY = ROOT / "tools" / "replay.py"
 STEPS, STREAMS = 6, 2  # every --tiny workload
 HASHED = ("probs", "labels", "prototypes", "mixing", "scalars")
+TINY_N = {"vmf-d512-shift": 40, "gauss-d64-mstep": 30}  # the --tiny batch sizes
 
 
 def replay(workload: str, *extra: str) -> list[dict]:
@@ -40,6 +41,8 @@ def test_two_runs_agree_step_by_step(workload):
     # the adapted state moves from step to step
     assert len({s["prototypes"] for s in steps}) == len(steps)
     assert 0.0 <= last["accuracy"] <= 1.0 and last["proto_angle_err_deg"] >= 0.0
+    assert last["predict_rows"] == STEPS * STREAMS * TINY_N[workload]
+    assert 0 <= last["flat_rows"] <= last["predict_rows"]
 
 
 def test_two_saves_diff_to_zero(tmp_path):

@@ -641,6 +641,23 @@ class TestHeldArrays:
         assert model._prior is prior
         assert evictions == (0 if static else 9)
 
+    @pytest.mark.parametrize("static", [False, True])
+    def test_writing_into_views_changes_nothing(self, static):
+        # two twin models; the held views of one are written into
+        rng = np.random.default_rng(41)
+        d, k = 5, 3
+        w0, batches = rng.standard_normal((k, d)), rng.standard_normal((3, 12, d))
+        written, twin = (VmfModel(w0, VmfConfig(d=d, k=k, window=2), static=static)
+                         for _ in range(2))
+        for t in (1, 2):
+            written.adapt(t, batches[t - 1])
+            twin.adapt(t, batches[t - 1])
+            written.prototypes[:] = 0.5
+            written.mixing[:] = [0.98, 0.01, 0.01]
+            np.testing.assert_array_equal(written.mixing, twin.mixing)
+            np.testing.assert_array_equal(written.predict(batches[2])[0],
+                                          twin.predict(batches[2])[0])
+
 
 def held_arrays(model):
     """Every distinct (K, D) array the model reaches through its attributes,

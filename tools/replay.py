@@ -16,8 +16,9 @@ Each SHA is the SHA-256 of the array's float64 bytes (the predicted
 labels as int64); `scalars` covers the learned scalars, kappa_ems for vMF
 and q, r for Gauss. The last line gives `accuracy` and
 `proto_angle_err_deg` over all streams, scored as `episode.py` scores a
-pass. Two checkouts that print the same lines gave bit-identical answers
-on the run.
+pass, then `flat_rows`, the predict rows whose max - min probability is
+below 1e-6, out of `predict_rows`, all predict rows. Two checkouts that
+print the same lines gave bit-identical answers on the run.
 
 The `bench/` modules and `stad` are imported from CHECKOUT (its `bench/`
 and `src/` go first on sys.path), with one BLAS thread as in every
@@ -71,6 +72,7 @@ def scalars(model) -> list[float]:
 
 
 SAVED = ("probs", "prototypes", "mixing", "scalars", "degenerate_updates")
+FLAT = 1e-6  # a predict row whose max - min probability is below this is flat
 
 
 def save_array(archive, key: str, array) -> None:
@@ -109,6 +111,7 @@ def replay(episode, w, stream_dir: Path, index: int, score: dict, archive=None) 
             for name, array in zip(SAVED, arrays):
                 save_array(archive, f"s{index}_t{batch.t}_{name}", array)
         score["correct"] += int((pred == batch.labels).sum())
+        score["flat_rows"] += int((np.ptp(probs, axis=1) < FLAT).sum())
         score["samples"] += batch.count
         score["angle_sum"] += float(episode.angles_deg(protos, truth.centres(batch.t)).sum())
         score["rows"] += w.k
@@ -176,7 +179,7 @@ def main(argv=None) -> int:
     if not Path(episode.stad.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"imported stad from {episode.stad.__file__}, not from {src}")
 
-    score = dict(correct=0, samples=0, angle_sum=0.0, rows=0)
+    score = dict(correct=0, samples=0, angle_sum=0.0, rows=0, flat_rows=0)
     with contextlib.ExitStack() as stack:
         tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="stad-replay-"))
         archive = None
@@ -188,7 +191,8 @@ def main(argv=None) -> int:
         for index in range(w.processes):
             replay(episode, w, Path(tmp) / str(index), index, score, archive)
     print(json.dumps({"accuracy": score["correct"] / score["samples"],
-                      "proto_angle_err_deg": score["angle_sum"] / score["rows"]}))
+                      "proto_angle_err_deg": score["angle_sum"] / score["rows"],
+                      "flat_rows": score["flat_rows"], "predict_rows": score["samples"]}))
     return 0
 
 
