@@ -293,7 +293,7 @@ def gauss_m_step(
     if len(gains) != t_len - 1 or any(np.shape(g) != (k,) for g in gains):
         raise DimensionMismatchError(f"gauss_m_step needs {t_len - 1} gains, each ({k},)")
     if learn_sigmas:
-        n_total = check_batches(feats, resps, t_len, k, d, "gauss_m_step")
+        feats, resps, n_total = check_batches(feats, resps, t_len, k, d, "gauss_m_step")
 
     means = _float_array([b.mean for b in smoothed], "means")        # (T, K, D)
     covs = _float_array([b.cov for b in smoothed], "covariances")    # (T, K)

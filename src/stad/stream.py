@@ -27,9 +27,8 @@ per-class random 2-planes, and Euclidean Gaussian clusters translated by
 fixed per-class drift vectors. Each step draws its labels uniformly, or
 from class proportions drawn from a symmetric Dirichlet
 (`DriftScenario.dirichlet_alpha`), and samples every row at that step's
-centres. Ground-truth prototype trajectories are stored alongside for
-tracking metrics. `make_label_shift` reorders the rows of each step class
-by class; it moves no sample to another step.
+centres. `make_label_shift` reorders the rows of each step class by
+class; it moves no sample to another step.
 """
 
 from __future__ import annotations
@@ -68,17 +67,14 @@ __all__ = [
     "write_stream",
     "read_manifest",
     "read_stream",
-    "read_trajectory",
     "make_label_shift",
     "sample_vmf",
     "well_separated_directions",
     "synth_drift",
-    "write_synthetic",
 ]
 
 MAGIC = b"STADEMB1"
 MANIFEST_NAME = "manifest.json"
-TRAJECTORY_NAME = "trajectory.emb"
 FORMAT_VERSION = 1
 MAX_DRIFT_DEG = 10.0  # largest drift per step that still counts as gradual
 _HEADER = struct.Struct("<8sII")
@@ -346,20 +342,6 @@ def read_stream(dirpath) -> Iterator[EmbeddingBatch]:
         yield EmbeddingBatch(entry.t, feats, labels)
 
 
-def read_trajectory(dirpath) -> np.ndarray | None:
-    """Ground-truth prototype trajectory as (T, K, D), when present."""
-    dirpath = Path(dirpath)
-    manifest = read_manifest(dirpath)
-    name = manifest.metadata.get("trajectory")
-    if name is None:
-        return None
-    flat = read_matrix(dirpath / _file_name(name, "trajectory")).astype(float)
-    shape = (len(manifest.steps), manifest.k, manifest.d)
-    if flat.size != math.prod(shape):
-        raise CorruptPayloadError(f"trajectory of shape {flat.shape}, expected {shape}")
-    return flat.reshape(shape)
-
-
 # -- label-shift reordering -------------------------------------------------
 
 
@@ -456,8 +438,6 @@ def _separation_target_deg(d: int, k: int) -> float:
     angles >= 2 alpha, with the cap fraction bounded by 1/K. Random
     resampling cannot reach the bound, so the target uses half its chord.
     """
-    if k <= 1:
-        return 0.0
     s = float(betaincinv((d - 1.0) / 2.0, 0.5, min(1.0, 1.0 / k)))
     return math.degrees(2.0 * math.asin(0.5 * math.sqrt(s)))
 
@@ -530,17 +510,3 @@ def synth_drift(scenario: DriftScenario) -> tuple[list[EmbeddingBatch], np.ndarr
             feats = centers[labels] + scenario.sigma_true * rng.standard_normal((n, d))
         batches.append(EmbeddingBatch(t, feats.astype(np.float32), labels))
     return batches, trajectory
-
-
-def write_synthetic(dirpath, scenario: DriftScenario) -> StreamManifest:
-    """Write synth_drift's stream and trajectory into a directory.
-
-    The manifest metadata names the trajectory file and records every
-    DriftScenario field as a string.
-    """
-    batches, trajectory = synth_drift(scenario)
-    metadata = {"trajectory": TRAJECTORY_NAME, **asdict(scenario)}
-    manifest = write_stream(dirpath, batches, scenario.k, metadata)
-    flat = trajectory.reshape(scenario.t_steps * scenario.k, scenario.d)
-    write_matrix(Path(dirpath) / TRAJECTORY_NAME, flat)
-    return manifest

@@ -266,7 +266,7 @@ def kappa_update(
     shape = np.shape(beliefs[0].mean_dir) if beliefs else (0, d)
     if len(shape) != 2 or shape[1] != d or any(np.shape(b.mean_dir) != shape for b in beliefs):
         raise DimensionMismatchError(f"kappa_update needs (K, {d}) beliefs of one K")
-    n_total = check_batches(feats, resps, len(beliefs), shape[0], d, "kappa_update")
+    feats, resps, n_total = check_batches(feats, resps, len(beliefs), shape[0], d, "kappa_update")
     align_sum = np.zeros(shape[0])  # per class, summed last
     for belief, resp, h in zip(beliefs, resps, feats):
         align_sum += np.sum(resp * (h @ belief.mean_dir.T), axis=0) * belief.ratio

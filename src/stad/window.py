@@ -79,22 +79,27 @@ def check_source(source_weights, config) -> np.ndarray:
     return source_weights
 
 
-def check_batches(feats: list, resps: list, t_len: int, k: int, d: int, who: str) -> int:
-    """The sample count of a window's batches.
+def check_batches(feats: list, resps: list, t_len: int, k: int, d: int,
+                  who: str) -> tuple[list[np.ndarray], list[np.ndarray], int]:
+    """A window's batches and responsibilities as float arrays, and their
+    sample count.
 
     feats and resps need t_len entries each: batches (N_t, d) and their
-    responsibilities (N_t, k). Anything else raises DimensionMismatchError
-    and a window without a sample EmptyBatchError, each naming `who`.
+    responsibilities (N_t, k). An entry that does not convert to a float
+    array raises DomainError, anything else DimensionMismatchError and a
+    window without a sample EmptyBatchError, each naming `who`.
     """
+    feats = [_float_array(h, f"{who} batch") for h in feats]
+    resps = [_float_array(w, f"{who} responsibilities") for w in resps]
     if (len(feats) != t_len or len(resps) != t_len
-            or any(np.ndim(h) != 2 or np.shape(h)[1] != d or np.shape(w) != (len(h), k)
+            or any(h.ndim != 2 or h.shape[1] != d or w.shape != (len(h), k)
                    for h, w in zip(feats, resps))):
         raise DimensionMismatchError(
             f"{who} needs {t_len} batches (N_t, {d}) and responsibilities (N_t, {k})")
     n_total = sum(len(h) for h in feats)
     if not n_total:
         raise EmptyBatchError(f"{who} needs at least one sample")
-    return n_total
+    return feats, resps, n_total
 
 
 def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
@@ -119,8 +124,6 @@ def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
         raise DomainError("responsibilities must be finite and nonnegative, with a positive sum")
     _check_pi_floor(pi_floor, resp.shape[1])
     pi = pi / total
-    if pi_floor <= 0.0:
-        return pi
     pinned = np.zeros(pi.shape[0], dtype=bool)
     for _ in range(pi.shape[0]):
         low = (pi < pi_floor) & ~pinned

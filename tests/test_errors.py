@@ -122,6 +122,12 @@ CASES = {
     "gauss_m_step gains a string":
         lambda tmp: gauss.gauss_m_step([GaussBelief(MEAN, VAR)] * 2, [["x", "y"]], [], [],
                                        True, False),
+    "kappa_update batch a string":
+        lambda tmp: vmf.kappa_update([vmf.PrototypeBelief.from_params(MEAN, np.ones(2))],
+                                     [RESP], [np.full((3, 3), "x")], 3),
+    "gauss_m_step resps a string":
+        lambda tmp: gauss.gauss_m_step([GaussBelief(MEAN, VAR)] * 2, [VAR],
+                                       [np.full((3, 2), "x")] * 2, [FEATS] * 2, False, True),
     "gauss_m_step means a string":
         lambda tmp: gauss.gauss_m_step([GaussBelief(np.full((2, 3), "x"), VAR)] * 2, [VAR],
                                        [RESP] * 2, [FEATS] * 2, False, True),

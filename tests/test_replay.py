@@ -41,6 +41,7 @@ def test_two_runs_agree_step_by_step(workload):
     # the adapted state moves from step to step
     assert len({s["prototypes"] for s in steps}) == len(steps)
     assert 0.0 <= last["accuracy"] <= 1.0 and last["proto_angle_err_deg"] >= 0.0
+    assert 0.0 <= last["source_accuracy"] <= 1.0
     assert last["predict_rows"] == STEPS * STREAMS * TINY_N[workload]
     assert 0 <= last["flat_rows"] <= last["predict_rows"]
 

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,20 +22,17 @@ from stad.errors import (
 )
 from stad.stream import (
     MANIFEST_NAME,
-    TRAJECTORY_NAME,
     DriftScenario,
     EmbeddingBatch,
     make_label_shift,
     read_manifest,
     read_matrix,
     read_stream,
-    read_trajectory,
     sample_vmf,
     synth_drift,
     well_separated_directions,
     write_matrix,
     write_stream,
-    write_synthetic,
 )
 
 
@@ -219,27 +217,16 @@ def test_manifest_field_overwrite_raises_only_stad_errors(path, value):
             pass
 
 
-def test_write_synthetic_round_trip(tmp_path):
+def test_synth_drift_stream_round_trip(tmp_path):
     scenario = DriftScenario(d=5, k=3, t_steps=4, n_per_step=12, seed=5)
-    write_synthetic(tmp_path, scenario)
-    want, trajectory = synth_drift(scenario)
+    want, _ = synth_drift(scenario)
+    metadata = {name: str(value) for name, value in asdict(scenario).items()}
+    write_stream(tmp_path, want, scenario.k, metadata)
     for a, b in zip(want, read_stream(tmp_path), strict=True):
         assert (b.t, b.features.tobytes(), b.labels.tobytes()) == (a.t, a.features.tobytes(),
                                                                    a.labels.tobytes())
-    np.testing.assert_array_equal(read_trajectory(tmp_path),
-                                  trajectory.astype(np.float32).astype(float))
-    assert read_manifest(tmp_path).metadata["seed"] == "5"
-
-
-def test_read_trajectory_of_the_wrong_size_rejected(tmp_path):
-    write_synthetic(tmp_path, DriftScenario(d=5, k=3, t_steps=4, n_per_step=12, seed=5))
-    write_matrix(tmp_path / TRAJECTORY_NAME, np.ones((4 * 3 - 1, 5)))
-    with pytest.raises(CorruptPayloadError):
-        read_trajectory(tmp_path)
-
-
-def test_read_trajectory_absent(stream_dir):
-    assert read_trajectory(stream_dir) is None
+    manifest = read_manifest(tmp_path)
+    assert (manifest.d, manifest.k, manifest.metadata) == (5, 3, metadata)
 
 
 def test_read_matrix_missing_file(tmp_path):
@@ -396,6 +383,14 @@ def test_infeasible_separation_raises():
     # 50 random directions on the circle never keep every pair 1.8 degrees apart
     with pytest.raises(InfeasibleSeparationError):
         well_separated_directions(np.random.default_rng(0), 2, 50)
+
+
+def test_one_direction_is_the_first_draw_normalized():
+    rng, again = np.random.default_rng(3), np.random.default_rng(3)
+    dirs = well_separated_directions(rng, 6, 1)
+    draw = again.standard_normal((1, 6))
+    np.testing.assert_allclose(dirs, draw / np.linalg.norm(draw), rtol=0, atol=1e-15)
+    assert rng.bit_generator.state == again.bit_generator.state
 
 
 def test_drift_scenario_accepts_numpy_numbers():

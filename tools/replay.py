@@ -14,7 +14,8 @@ batch, then `predict` on the same batch. Every step prints one JSON line::
 
 Each SHA is the SHA-256 of the array's float64 bytes (the predicted
 labels as int64); `scalars` covers the learned scalars, kappa_ems for vMF
-and q, r for Gauss. The last line gives `accuracy` and
+and q, r for Gauss. The last line gives `accuracy`, `source_accuracy`
+(the argmax of features @ source.T, the unadapted head) and
 `proto_angle_err_deg` over all streams, scored as `episode.py` scores a
 pass, then `flat_rows`, the predict rows whose max - min probability is
 below 1e-6, out of `predict_rows`, all predict rows. Two checkouts that
@@ -88,7 +89,8 @@ def replay(episode, w, stream_dir: Path, index: int, score: dict, archive=None) 
     with an open zip `archive`, also write the step's arrays into it."""
     import numpy as np  # only after main has pinned the BLAS threads
 
-    model = episode.make_model(w, episode.source_head(stream_dir))
+    source = episode.source_head(stream_dir)
+    model = episode.make_model(w, source)
     truth = episode.Truth(stream_dir)
     for batch in episode.read_stream(stream_dir):
         model.adapt(batch.t, batch.features)
@@ -111,6 +113,8 @@ def replay(episode, w, stream_dir: Path, index: int, score: dict, archive=None) 
             for name, array in zip(SAVED, arrays):
                 save_array(archive, f"s{index}_t{batch.t}_{name}", array)
         score["correct"] += int((pred == batch.labels).sum())
+        score["source_correct"] += int((np.argmax(batch.features @ source.T, axis=1)
+                                        == batch.labels).sum())
         score["flat_rows"] += int((np.ptp(probs, axis=1) < FLAT).sum())
         score["samples"] += batch.count
         score["angle_sum"] += float(episode.angles_deg(protos, truth.centres(batch.t)).sum())
@@ -179,7 +183,7 @@ def main(argv=None) -> int:
     if not Path(episode.stad.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"imported stad from {episode.stad.__file__}, not from {src}")
 
-    score = dict(correct=0, samples=0, angle_sum=0.0, rows=0, flat_rows=0)
+    score = dict(correct=0, source_correct=0, samples=0, angle_sum=0.0, rows=0, flat_rows=0)
     with contextlib.ExitStack() as stack:
         tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="stad-replay-"))
         archive = None
@@ -191,6 +195,7 @@ def main(argv=None) -> int:
         for index in range(w.processes):
             replay(episode, w, Path(tmp) / str(index), index, score, archive)
     print(json.dumps({"accuracy": score["correct"] / score["samples"],
+                      "source_accuracy": score["source_correct"] / score["samples"],
                       "proto_angle_err_deg": score["angle_sum"] / score["rows"],
                       "flat_rows": score["flat_rows"], "predict_rows": score["samples"]}))
     return 0
