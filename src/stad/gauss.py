@@ -210,10 +210,17 @@ def kf_smooth(means: np.ndarray, covs: np.ndarray,
     return sm, sc, gains
 
 
-def _sq_dist(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(N, K) squared distances between the columns of x (D, N) and m (D, K)."""
-    return (np.einsum("dn,dn->n", x, x)[:, None] - 2.0 * (x.T @ m)
-            + np.einsum("dk,dk->k", m, m))
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """(N,) squared norms of the columns of x (D, N)."""
+    return np.einsum("dn,dn->n", x, x)
+
+
+def _sq_dist(x: np.ndarray, m: np.ndarray, x_sq: np.ndarray | None = None) -> np.ndarray:
+    """(N, K) squared distances between the columns of x (D, N) and m (D, K);
+    x_sq, when given, are the squared norms `_sq_norms(x)`."""
+    if x_sq is None:
+        x_sq = _sq_norms(x)
+    return x_sq[:, None] - 2.0 * (x.T @ m) + np.einsum("dk,dk->k", m, m)
 
 
 # bench/tracing.py wraps gauss_assignments; the sweep looks it up through the module
@@ -222,6 +229,8 @@ def gauss_assignments(
     belief: GaussBelief,
     mixing: np.ndarray,
     sigma_ems: float,
+    *,
+    sq_norms=None,
 ) -> np.ndarray:
     """Responsibilities under the Gaussian mixture emission.
 
@@ -230,7 +239,9 @@ def gauss_assignments(
     factored. The mean must be (K, D), the belief covariance (K,), the
     batch (N, D), mixing (K,) and sigma_ems the float r; anything else
     raises DimensionMismatchError, and an r that is not a finite real
-    number > 0 (a bool or a 0-d array too) raises DomainError.
+    number > 0 (a bool or a 0-d array too) raises DomainError. `sq_norms`,
+    the (N,) squared row norms of the batch, is for the model's sweep,
+    which passes them from its step cache; they are taken as given.
     """
     feats = _float_array(feats, "batch")
     mixing = _float_array(mixing, "mixing weights")
@@ -244,7 +255,7 @@ def gauss_assignments(
     check_real("the emission variance r", sigma_ems, 0.0, above=True)
     with np.errstate(divide="ignore"):
         log_pi = np.log(mixing)
-    quad = _sq_dist(feats.T, mean.T) / sigma_ems
+    quad = _sq_dist(feats.T, mean.T, sq_norms) / sigma_ems
     logits = log_pi - 0.5 * (quad + d * np.log(sigma_ems) + d * np.log(2.0 * np.pi))
     return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
 
@@ -373,11 +384,15 @@ class GaussModel(SlidingWindow):
     def coordinate_sweep(self) -> None:
         """Assignments, forward filter and backward smoother over the window.
 
+        The squared norms of each step's rows are formed once per push and
+        kept in the step's cache, since a sweep moves only the belief.
         Raises NotAdaptedError before the first `adapt`.
         """
         self._newest()
         for step in self._steps:
-            step.resp = gauss_assignments(step.feats, step.belief, step.mixing, self.sigma_ems)
+            sq_norms = step.cached("sq_norms", lambda s: _sq_norms(s.feats.T), of_belief=False)
+            step.resp = gauss_assignments(step.feats, step.belief, step.mixing, self.sigma_ems,
+                                          sq_norms=sq_norms)
         self._filter_smooth()
 
     def _filter_smooth(self) -> None:
@@ -397,8 +412,11 @@ class GaussModel(SlidingWindow):
 
     def predict(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """softmax(W h) with W the newest posterior prototype means; a batch
-        that does not convert to an (N, D) float array raises a StadError."""
-        newest = self._newest()
-        logits = self._unit_batch(feats) @ newest.belief.mean.T
+        that does not convert to an (N, D) float array raises a StadError.
+        A batch equal element for element to the one just adapted on is
+        not normalized again: the newest step's unit rows are read (see
+        `SlidingWindow._predict_rows`)."""
+        unit, _ = self._predict_rows(feats)
+        logits = unit @ self._newest().belief.mean.T
         probs = np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
         return probs, probs.argmax(axis=1)

@@ -26,6 +26,14 @@ prototype update is summed in the frame of its left message: a positive
 row scale moves no direction and scales the concentration with it, so the
 left mean direction enters unscaled and one in-place GEMM adds the
 emission term to it.
+
+A step's (N, K) products feats @ mean_dir.T are formed once per position
+of its belief (`VmfModel._products`) and cached in the step: the sweep's
+assignment, the concentration re-estimate, `window_elbo` and `predict` on
+the adapted batch all read them. The model passes them to
+`assignment_step`, `kappa_update` and `predict_probs` as `dots`, which
+those public functions then take unchecked; called without `dots` they
+check everything and form the products themselves.
 """
 
 from __future__ import annotations
@@ -149,7 +157,7 @@ def expected_prototype(mean_dir: np.ndarray, conc, d: int) -> np.ndarray:
 
 
 def assignment_step(
-    feats: np.ndarray, prototypes: np.ndarray, mixing: np.ndarray, kappa
+    feats: np.ndarray, prototypes: np.ndarray, mixing: np.ndarray, kappa, *, dots=None
 ) -> np.ndarray:
     """Posterior class responsibilities for one batch.
 
@@ -162,27 +170,33 @@ def assignment_step(
     kappa_ems times the dots with the expected prototypes. The vMF
     log-normalizer log C_D(kappa_ems) is the same in every class, so the
     normalization cancels it and it is left out.
+
+    `dots`, the (N, K) products feats @ prototypes.T, is for the model's
+    own calls, which pass its cached products of arrays it has checked:
+    with `dots`, feats and prototypes are not read and nothing is checked.
     """
-    feats = _float_array(feats, "embeddings")
-    prototypes = _float_array(prototypes, "prototypes")
-    if feats.ndim != 2 or prototypes.ndim != 2 or feats.shape[1] != prototypes.shape[1]:
-        raise DimensionMismatchError(
-            f"feats {feats.shape} vs prototypes {prototypes.shape}"
-        )
-    mixing = _float_array(mixing, "mixing weights")
-    if mixing.shape != prototypes.shape[:1] or np.shape(kappa) not in ((), mixing.shape):
-        raise DimensionMismatchError(f"mixing {mixing.shape} and concentration "
-                                     f"{np.shape(kappa)} for {prototypes.shape[0]} classes")
-    if np.ndim(kappa):
-        kappa = _nonnegative(kappa, "the concentration")[0]
-    else:  # a 0-d array is checked as the number it holds
-        check_real("the concentration", kappa[()] if isinstance(kappa, np.ndarray) else kappa, 0.0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        dots = feats @ prototypes.T
-    # a NaN or infinity in either input reaches the dots of its row, so
-    # this O(N K) check also covers the (N, D) batch
-    if not np.isfinite(dots).all():
-        raise DomainError("embeddings or prototypes contain non-finite entries")
+    if dots is None:
+        feats = _float_array(feats, "embeddings")
+        prototypes = _float_array(prototypes, "prototypes")
+        if feats.ndim != 2 or prototypes.ndim != 2 or feats.shape[1] != prototypes.shape[1]:
+            raise DimensionMismatchError(
+                f"feats {feats.shape} vs prototypes {prototypes.shape}"
+            )
+        mixing = _float_array(mixing, "mixing weights")
+        if mixing.shape != prototypes.shape[:1] or np.shape(kappa) not in ((), mixing.shape):
+            raise DimensionMismatchError(f"mixing {mixing.shape} and concentration "
+                                         f"{np.shape(kappa)} for {prototypes.shape[0]} classes")
+        if np.ndim(kappa):
+            kappa = _nonnegative(kappa, "the concentration")[0]
+        else:  # a 0-d array is checked as the number it holds
+            check_real("the concentration",
+                       kappa[()] if isinstance(kappa, np.ndarray) else kappa, 0.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            dots = feats @ prototypes.T
+        # a NaN or infinity in either input reaches the dots of its row, so
+        # this O(N K) check also covers the (N, D) batch
+        if not np.isfinite(dots).all():
+            raise DomainError("embeddings or prototypes contain non-finite entries")
     with np.errstate(divide="ignore"):
         logits = np.log(mixing) + kappa * dots
     return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
@@ -250,6 +264,8 @@ def kappa_update(
     resps: list[np.ndarray],
     feats: list[np.ndarray],
     d: int,
+    *,
+    dots=None,
 ) -> float:
     """Shared emission concentration re-estimate from the window-wide resultant length.
 
@@ -262,26 +278,35 @@ def kappa_update(
     (K, d) directions of one K, batches (N_t, d) and responsibilities
     (N_t, K). Anything else raises DimensionMismatchError, and a window
     without a sample EmptyBatchError.
+
+    `dots`, one (N_t, K) array feats_t @ mean_dir_t.T per step, is for the
+    model's own call, which passes its cached products: with `dots`,
+    nothing is checked and only the lengths of feats are read.
     """
-    shape = np.shape(beliefs[0].mean_dir) if beliefs else (0, d)
-    if len(shape) != 2 or shape[1] != d or any(np.shape(b.mean_dir) != shape for b in beliefs):
-        raise DimensionMismatchError(f"kappa_update needs (K, {d}) beliefs of one K")
-    feats, resps, n_total = check_batches(feats, resps, len(beliefs), shape[0], d, "kappa_update")
-    align_sum = np.zeros(shape[0])  # per class, summed last
-    for belief, resp, h in zip(beliefs, resps, feats):
-        align_sum += np.sum(resp * (h @ belief.mean_dir.T), axis=0) * belief.ratio
+    if dots is None:
+        shape = np.shape(beliefs[0].mean_dir) if beliefs else (0, d)
+        if len(shape) != 2 or shape[1] != d or any(np.shape(b.mean_dir) != shape for b in beliefs):
+            raise DimensionMismatchError(f"kappa_update needs (K, {d}) beliefs of one K")
+        feats, resps, n_total = check_batches(feats, resps, len(beliefs), shape[0], d,
+                                              "kappa_update")
+        dots = (h @ b.mean_dir.T for b, h in zip(beliefs, feats))
+    else:
+        n_total = sum(len(h) for h in feats)
+    align_sum = np.zeros(len(beliefs[0].ratio))  # per class, summed last
+    for belief, resp, dot in zip(beliefs, resps, dots):
+        align_sum += np.sum(resp * dot, axis=0) * belief.ratio
     return float(estimate_kappa_clamped(abs(align_sum.sum()) / n_total, d))
 
 
 def predict_probs(
-    feats: np.ndarray, prototypes: np.ndarray, kappa_ems: float, mixing: np.ndarray
+    feats: np.ndarray, prototypes: np.ndarray, kappa_ems: float, mixing: np.ndarray, *, dots=None
 ) -> np.ndarray:
     """Class probabilities from prototype directions: the cluster posterior
     of `assignment_step` on the prototypes' unit directions, at the one
     concentration kappa_ems in every class. With uniform mixing this is
-    softmax(kappa_ems * W h).
+    softmax(kappa_ems * W h). `dots` is passed on to `assignment_step`.
     """
-    return assignment_step(feats, prototypes, mixing, kappa_ems)
+    return assignment_step(feats, prototypes, mixing, kappa_ems, dots=dots)
 
 
 class VmfModel(SlidingWindow):
@@ -309,6 +334,17 @@ class VmfModel(SlidingWindow):
     read-only. A full window thus holds window + 3 (K, D) arrays: one per
     step, the anchor's, the sweep's message buffer and
     `source_prototypes`; with static=True, whose anchor is the prior, 3.
+
+    Each step caches its (N, K) products with its mean directions
+    (`_products`) until its belief moves: an update in the sweep, a push
+    or a subclass that assigns `step.belief`. So a step forms them once
+    per sweep that moves it, the concentration re-estimate reads the last
+    sweep's, the next `adapt`'s first sweep reads them again for the steps
+    it keeps, and `predict` on the batch just adapted reads the newest
+    step's. Once the window is full, `adapt` and then `predict` on the
+    same batch, at window 3 and 2 sweeps, form 7 products with
+    learn_kappa_ems and 6 without, against 10 and 7 if each user formed
+    its own.
     """
 
     def __init__(self, source_weights: np.ndarray, config: VmfConfig, static: bool = False):
@@ -362,7 +398,15 @@ class VmfModel(SlidingWindow):
                 [s.resp for s in self._steps],
                 [s.feats for s in self._steps],
                 cfg.d,
+                dots=[self._products(s) for s in self._steps],
             )
+
+    @staticmethod
+    def _products(step) -> np.ndarray:
+        """The (N, K) products feats @ mean_dir.T of a step's unit rows with
+        its mean directions: formed here on first use, the one place they
+        are formed, and cached in the step until its belief moves."""
+        return step.cached("products", lambda s: s.feats @ s.belief.mean_dir.T)
 
     def coordinate_ascent_sweep(self) -> None:
         """One left-to-right pass of assignment + prototype updates.
@@ -372,7 +416,8 @@ class VmfModel(SlidingWindow):
         concentrations never decrease the evidence lower bound.
 
         The updates allocate no (K, D) array. The assignment step scales
-        the dots with a step's mean directions by kappa_ems * A_D(conc).
+        the step's cached products with its mean directions (`_products`)
+        by kappa_ems * A_D(conc), and the update drops them.
         Each update then runs in the frame of its left message, whose row
         scales lambda_k are kappa_trans from the source prior (the link
         from the source head) or kappa_trans * A_D(conc) from the left step
@@ -395,7 +440,7 @@ class VmfModel(SlidingWindow):
         for i, step in enumerate(steps):
             belief = step.belief
             step.resp = assignment_step(step.feats, belief.mean_dir, step.mixing,
-                                        kappa_ems * belief.ratio)
+                                        kappa_ems * belief.ratio, dots=self._products(step))
             scale, direction = self._anchor_message() if i == 0 else self._message(
                 steps[i - 1].belief)
             total = self._total
@@ -413,6 +458,7 @@ class VmfModel(SlidingWindow):
                 right, right_dir = self._message(steps[i + 1].belief)
                 messages.append((right / scale, right_dir))
             self._total, degenerate = prototype_update(belief, total, messages, scale)
+            step.moved()
             self.degenerate_updates += degenerate
 
     def _message(self, belief: PrototypeBelief) -> tuple[np.ndarray, np.ndarray]:
@@ -436,11 +482,17 @@ class VmfModel(SlidingWindow):
 
     def predict(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Class probabilities and argmax labels for a batch; a batch that
-        does not convert to an (N, D) float array raises a StadError."""
+        does not convert to an (N, D) float array raises a StadError.
+
+        On a batch equal element for element to the one just adapted on,
+        the newest step's unit rows and cached products are read instead of
+        normalizing and multiplying again, with the same bits as the full
+        path (see `SlidingWindow._predict_rows`).
+        """
+        unit, adapted = self._predict_rows(feats)
         newest = self._newest()
-        probs = predict_probs(
-            self._unit_batch(feats), newest.belief.mean_dir, self._kappa_ems, newest.mixing
-        )
+        probs = predict_probs(unit, newest.belief.mean_dir, self._kappa_ems, newest.mixing,
+                              dots=self._products(newest) if adapted else None)
         return probs, probs.argmax(axis=1)
 
     def window_elbo(self) -> float:
@@ -465,7 +517,7 @@ class VmfModel(SlidingWindow):
                 steps[i - 1].belief)
             total += link_norm + float(np.sum(
                 scale * s.belief.ratio * np.einsum("kd,kd->k", direction, s.belief.mean_dir)))
-            align = (s.feats @ s.belief.mean_dir.T) * s.belief.ratio  # (N, K)
+            align = self._products(s) * s.belief.ratio  # (N, K)
             with np.errstate(divide="ignore"):
                 log_pi = np.log(s.mixing)
             per_class_ll = (

@@ -12,6 +12,12 @@ closed form. The batch push is shared; the trackers differ only in the
 belief type, in the two hooks that loop calls after it, `_sweep` and
 `_reestimate`, and in the head.
 
+Each step caches what its tracker derives from it (`WindowStep.cached`),
+so that the sweep, the re-estimate and the head form each array once
+while its inputs stand still. The engine also keeps one copy of the
+newest batch as given: `predict` on a batch equal to it reuses the newest
+step's unit rows and cache instead of normalizing the batch again.
+
 The checks both trackers share live here too: of a config
 (`check_config`, whose pi_floor rule `mixing_update` applies as well),
 of the source weights (`check_source`) and of a window's batches
@@ -21,7 +27,7 @@ of the source weights (`check_source`) and of a window's batches
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -43,11 +49,40 @@ __all__ = ["WindowStep", "SlidingWindow", "mixing_update", "check_config", "chec
 
 @dataclass
 class WindowStep:
+    """One window step: its batch, the tracker's belief, responsibilities
+    and mixing weights, and a cache of arrays the tracker derives from them.
+
+    `cached` forms such an array on first use and keeps it: one derived
+    from the batch alone for the step's life, one derived from the belief
+    as well until the belief moves. Assigning `belief` drops the latter,
+    and a tracker that moves the belief in place calls `moved()`.
+    """
+
     t: int
     feats: np.ndarray   # (N, D), unit rows
     belief: Any         # the tracker's belief over the K prototypes
     resp: np.ndarray    # (N, K)
     mixing: np.ndarray  # (K,)
+    _of_batch: dict = field(default_factory=dict, init=False, repr=False)
+    _of_belief: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value)
+        if name == "belief":
+            self.moved()
+
+    def moved(self) -> None:
+        """Drop what was derived from the belief: it has moved or been replaced."""
+        self._of_belief = {}
+
+    def cached(self, name: str, make, of_belief: bool = True) -> np.ndarray:
+        """The array `make(self)` stored as `name`, formed on first use; with
+        `of_belief` it is formed again once the belief has moved."""
+        store = self._of_belief if of_belief else self._of_batch
+        value = store.get(name)
+        if value is None:
+            value = store[name] = make(self)
+        return value
 
 
 def check_config(config, d_min: int) -> None:
@@ -148,7 +183,13 @@ class SlidingWindow:
     `adapt` is `_push`, then `e_sweeps` calls of `_sweep()`, then
     `_reestimate()`. A subclass supplies `_sweep`, one coordinate sweep
     over `_steps`, and `_reestimate`, the closed-form mixing and parameter
-    updates, and its own head.
+    updates, and its own head, which takes its batch through
+    `_predict_rows`.
+
+    `_push` keeps one copy of the newest batch as given, `_given`. A head
+    asked about a batch that equals it element for element reads the
+    newest step's unit rows and cache; the copy, not the caller's array,
+    is compared, so a batch written into after `adapt` takes the full path.
     """
 
     def __init__(self, config, anchor, static: bool = False):
@@ -157,6 +198,7 @@ class SlidingWindow:
         self._window = 1 if static else config.window
         self._static = static
         self._steps: list[WindowStep] = []
+        self._given: np.ndarray | None = None
 
     @property
     def mixing(self) -> np.ndarray:
@@ -198,6 +240,21 @@ class SlidingWindow:
             )
         return normalize_rows(feats)
 
+    def _predict_rows(self, feats) -> tuple[np.ndarray, bool]:
+        """The unit rows of a batch to predict on, and whether they are the
+        newest step's own.
+
+        A batch equal element for element to the newest step's batch as
+        given (dtypes may differ: a float32 batch equals its float64 copy)
+        is not normalized again; its rows are the step's. Any other batch
+        is checked and normalized as `adapt` does. Raises NotAdaptedError
+        before the first `adapt`.
+        """
+        newest = self._newest()
+        if np.array_equal(feats, self._given):
+            return newest.feats, True
+        return self._unit_batch(feats), False
+
     def _push(self, t: int, feats: np.ndarray) -> None:
         """Append the batch at time t as the newest step, evicting the oldest
         step first when the window is full.
@@ -212,10 +269,14 @@ class SlidingWindow:
         The copy is written into the arrays of the retired belief, as far as
         the belief type's `copy(into=...)` reuses them, except that the
         initial anchor (`_prior`) is kept and never written.
+
+        The new step's cache starts empty; the kept steps keep theirs, since
+        a push moves none of their beliefs. A copy of the batch as given
+        replaces `_given`, so the model holds one such copy in all.
         """
         check_int("t", t, 0)
-        feats = self._unit_batch(feats)
-        if feats.shape[0] == 0:
+        unit = self._unit_batch(feats)
+        if unit.shape[0] == 0:
             raise EmptyBatchError("adaptation needs at least one sample")
         if self._steps and t != self._steps[-1].t + 1:
             raise NonContiguousTimeError(f"expected t={self._steps[-1].t + 1}, got {t}")
@@ -232,9 +293,10 @@ class SlidingWindow:
         self._steps.append(
             WindowStep(
                 t=t,
-                feats=feats,
+                feats=unit,
                 belief=start.copy(into=leaving),
-                resp=np.full((feats.shape[0], k), 1.0 / k),
+                resp=np.full((unit.shape[0], k), 1.0 / k),
                 mixing=np.full(k, 1.0 / k),
             )
         )
+        self._given = np.array(feats)

@@ -1,5 +1,6 @@
 """tools/replay.py: per-step answer hashes of one benchmark run, in one command."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,13 +14,26 @@ REPLAY = ROOT / "tools" / "replay.py"
 STEPS, STREAMS = 6, 2  # every --tiny workload
 HASHED = ("probs", "labels", "prototypes", "mixing", "scalars")
 TINY_N = {"vmf-d512-shift": 40, "gauss-d64-mstep": 30}  # the --tiny batch sizes
+# SHA-256 of the whole output of `replay.py ROOT --workload W --seed 7 --tiny`,
+# frozen at 79863b3 (numpy 2.4.6, scipy 1.17.1, one OpenBLAS thread, x86-64).
+# A change that moves any answer of any step of the four workloads changes
+# its hash; one that means to move them refreezes these and says why.
+FROZEN_TINY = {
+    "vmf-d512-shift": "b20f2566f3aae9ad46f7e3fe97ff7dcd17c9c13f23d824bb535059d8dfd704a2",
+    "vmf-d2048-k1000": "b669ed3ce8089f3d39c2a89b1132690d7f9c27c5441a2e270fed0c8a8908c94e",
+    "gauss-d64": "9ccdda02647b3a0c146e049e897bbe718377eafcda77ac140cd3a82d0b8b8ffd",
+    "gauss-d64-mstep": "c46527fd5b720de7c0fbfc15675d79829fbb2f8a59d32e7f93367ff6b25d9feb",
+}
+
+
+def replay_output(workload: str, *extra: str) -> str:
+    return subprocess.run([sys.executable, str(REPLAY), str(ROOT), "--workload", workload,
+                           "--seed", "7", "--tiny", *extra], capture_output=True, text=True,
+                          check=True).stdout
 
 
 def replay(workload: str, *extra: str) -> list[dict]:
-    out = subprocess.run([sys.executable, str(REPLAY), str(ROOT), "--workload", workload,
-                          "--seed", "7", "--tiny", *extra], capture_output=True, text=True,
-                         check=True)
-    return [json.loads(line) for line in out.stdout.splitlines()]
+    return [json.loads(line) for line in replay_output(workload, *extra).splitlines()]
 
 
 def diff(a: Path, b: Path) -> list[dict]:
@@ -44,6 +58,12 @@ def test_two_runs_agree_step_by_step(workload):
     assert 0.0 <= last["source_accuracy"] <= 1.0
     assert last["predict_rows"] == STEPS * STREAMS * TINY_N[workload]
     assert 0 <= last["flat_rows"] <= last["predict_rows"]
+
+
+@pytest.mark.parametrize("workload", sorted(FROZEN_TINY))
+def test_tiny_replay_output_is_frozen(workload):
+    output = replay_output(workload).encode()
+    assert hashlib.sha256(output).hexdigest() == FROZEN_TINY[workload]
 
 
 def test_two_saves_diff_to_zero(tmp_path):

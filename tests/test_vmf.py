@@ -38,6 +38,7 @@ from stad.vmf import (
     predict_probs,
     prototype_update,
 )
+from stad.window import WindowStep
 
 import oracles
 
@@ -461,6 +462,76 @@ class TestSweepMatchesReference:
         reference = ReferenceSweepModel(np.eye(2), cfg)
         assert_matches_reference(model, reference, batches, normalize_rows(np.eye(2) + 0.5))
         assert model.degenerate_updates >= 2 * cfg.e_sweeps
+
+
+def counted_products(monkeypatch):
+    """A list that gets one entry per array a window step's cache forms."""
+    formed, real = [], WindowStep.cached
+
+    def cached(step, name, make, of_belief=True):
+        def counted(s):
+            formed.append(name)
+            return make(s)
+        return real(step, name, counted, of_belief)
+
+    monkeypatch.setattr(WindowStep, "cached", cached)
+    return formed
+
+
+class TestProductCache:
+    """Each step caches feats @ mean_dir.T until its belief moves."""
+
+    @staticmethod
+    def assert_cache_fresh(model):
+        for s in model._steps:
+            dots = s._of_belief.get("products")
+            if dots is not None:
+                np.testing.assert_array_equal(dots, s.feats @ s.belief.mean_dir.T)
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["model", "reference"])
+    @pytest.mark.parametrize("kwargs,static", SWEEP_CONFIGS)
+    def test_cached_products_are_fresh_or_absent(self, kwargs, static, reference):
+        # the reference sweep assigns step.belief, which must drop the cache
+        w0, cfg, batches, probe = sweep_case(kwargs, static)
+        model = (ReferenceSweepModel if reference else VmfModel)(w0, cfg, static=static)
+        for t, batch in enumerate(batches, start=1):
+            model.adapt(t, batch)
+            self.assert_cache_fresh(model)
+            model.predict(batch)
+            assert "products" in model._steps[-1]._of_belief
+            self.assert_cache_fresh(model)
+            model.predict(probe)
+            self.assert_cache_fresh(model)
+
+    @pytest.mark.parametrize("learn,formed", [(True, 7), (False, 6)])
+    def test_full_window_step_forms_each_product_once(self, monkeypatch, learn, formed):
+        # window 3, 2 sweeps: a product per step and sweep, less those the
+        # first sweep finds cached (by the kappa re-estimate or predict);
+        # the kappa re-estimate and predict form none of their own
+        rng = np.random.default_rng(27)
+        d, k = 8, 3
+        model = VmfModel(rng.standard_normal((k, d)),
+                         VmfConfig(d=d, k=k, window=3, e_sweeps=2, learn_kappa_ems=learn))
+        counts = counted_products(monkeypatch)
+        for t in range(1, 8):
+            batch = rng.standard_normal((10, d))
+            before = len(counts)
+            model.adapt(t, batch)
+            model.predict(batch)
+            if t > model.config.window:
+                assert len(counts) - before == formed
+        assert set(counts) == {"products"}
+
+    def test_in_place_update_drops_the_products(self):
+        # a bare sweep moves every belief in place, so no product survives it
+        rng = np.random.default_rng(28)
+        model = VmfModel(rng.standard_normal((3, 5)), VmfConfig(d=5, k=3, learn_kappa_ems=True))
+        for t in (1, 2, 3):
+            model.adapt(t, rng.standard_normal((6, 5)))
+        assert all("products" in s._of_belief for s in model._steps)
+        model.coordinate_ascent_sweep()
+        assert all("products" not in s._of_belief for s in model._steps)
+        self.assert_cache_fresh(model)
 
 
 class TestFramedUpdate:

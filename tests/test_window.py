@@ -15,7 +15,8 @@ from stad.errors import (
     check_real,
 )
 from stad.gauss import GaussConfig, GaussModel
-from stad.vmf import VmfConfig, VmfModel
+from stad.mathcore import log_sum_exp, normalize_rows
+from stad.vmf import VmfConfig, VmfModel, predict_probs
 from stad.window import SlidingWindow
 
 D = 3
@@ -86,6 +87,62 @@ def test_row_order_within_a_batch_does_not_matter(name):
         perm = rng.permutation(len(probe))
         np.testing.assert_allclose(shuffled.predict(probe[perm])[0], model.predict(probe)[0][perm],
                                    rtol=0, atol=1e-12)
+
+
+def full_path_probs(model, feats):
+    """The head of either tracker on normalize_rows(feats) and the model's
+    views, as `predict` computes it on a batch it has not adapted on."""
+    unit = normalize_rows(feats)
+    if isinstance(model, VmfModel):
+        return predict_probs(unit, model.prototypes, model.kappa_ems, model.mixing)
+    logits = unit @ model.prototypes.T
+    return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_predict_on_the_adapted_batch_matches_the_full_path(name):
+    rng = np.random.default_rng(5)
+    model = MODELS[name]()
+    for t in range(1, 6):
+        batch = rng.standard_normal((7, D))
+        model.adapt(t, batch)
+        probs, labels = model.predict(batch)
+        expected = full_path_probs(model, batch)
+        np.testing.assert_array_equal(probs, expected)
+        np.testing.assert_array_equal(labels, expected.argmax(axis=1))
+        np.testing.assert_array_equal(model.predict(batch.copy())[0], expected)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_predict_sees_a_batch_written_after_adapt(name):
+    rng = np.random.default_rng(6)
+    model = MODELS[name]()
+    for t in range(1, 5):
+        batch = rng.standard_normal((7, D))
+        model.adapt(t, batch)
+        before = full_path_probs(model, batch)
+        batch[2, 1] += 0.5   # one element, in place
+        probs = model.predict(batch)[0]
+        np.testing.assert_array_equal(probs, full_path_probs(model, batch))
+        assert not np.array_equal(probs[2], before[2])
+        np.testing.assert_array_equal(probs[[0, 1, 3, 4, 5, 6]], before[[0, 1, 3, 4, 5, 6]])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_float32_batch_and_its_float64_copy_give_the_same_bits(name):
+    # the benchmark's streams are float32 on disk
+    rng = np.random.default_rng(7)
+    single, double = MODELS[name](), MODELS[name]()
+    for t in range(1, 6):
+        batch32 = rng.standard_normal((7, D)).astype(np.float32)
+        batch64 = batch32.astype(np.float64)
+        single.adapt(t, batch32)
+        double.adapt(t, batch64)
+        probs = single.predict(batch32)[0]
+        np.testing.assert_array_equal(probs, double.predict(batch64)[0])
+        np.testing.assert_array_equal(probs, single.predict(batch64)[0])
+        np.testing.assert_array_equal(probs, full_path_probs(single, batch64))
+        np.testing.assert_array_equal(single.prototypes, double.prototypes)
 
 
 def test_non_contiguous_time_rejected(model):
