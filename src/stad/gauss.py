@@ -241,17 +241,21 @@ def gauss_assignments(
     raises DimensionMismatchError, and an r that is not a finite real
     number > 0 (a bool or a 0-d array too) raises DomainError. `sq_norms`,
     the (N,) squared row norms of the batch, is for the model's sweep,
-    which passes them from its step cache; they are taken as given.
+    which passes them from its step cache; their values are taken as
+    given, but squared norms that do not convert to a float array raise
+    DomainError and ones of another shape than (N,) DimensionMismatchError.
     """
     feats = _float_array(feats, "batch")
     mixing = _float_array(mixing, "mixing weights")
     mean = _float_array(belief.mean, "mean")
+    sq_norms = None if sq_norms is None else _float_array(sq_norms, "squared norms")
     if mean.ndim != 2 or feats.ndim != 2 or feats.shape[1] != mean.shape[1]:
         raise DimensionMismatchError(f"batch {feats.shape} vs prototypes {mean.shape}")
     k, d = mean.shape
-    if mixing.shape != (k,) or np.asarray(belief.cov).shape != (k,) or np.asarray(sigma_ems).ndim:
-        raise DimensionMismatchError(
-            f"gauss_assignments needs ({k},) mixing, ({k},) covariances and a float r")
+    if (mixing.shape != (k,) or np.asarray(belief.cov).shape != (k,) or np.asarray(sigma_ems).ndim
+            or (sq_norms is not None and sq_norms.shape != feats.shape[:1])):
+        raise DimensionMismatchError(f"gauss_assignments needs ({k},) mixing, ({k},) "
+                                     "covariances, a float r and (N,) squared norms")
     check_real("the emission variance r", sigma_ems, 0.0, above=True)
     with np.errstate(divide="ignore"):
         log_pi = np.log(mixing)

@@ -355,24 +355,27 @@ def make_label_shift(batches: Iterable[EmbeddingBatch], seed: int, k: int) -> li
     answers do not depend on row order within a batch, so they are those
     of the input stream.
 
-    A batch without labels raises MissingLabelsError. A seed that is not an
-    integer >= 0 or a k that is not one >= 1 (bools excluded), or a step
-    that breaks the step contract (module docstring) for k classes, raises
-    DomainError.
+    Features and labels are converted first, as `write_stream` converts
+    them: the features to float32, the stream's type, and the labels to an
+    array. A batch without labels raises MissingLabelsError. A seed that is
+    not an integer >= 0 or a k that is not one >= 1 (bools excluded),
+    features that do not convert, or a step that breaks the step contract
+    (module docstring) for k classes, raises DomainError.
     """
     check_int("seed", seed, 0)
     check_int("k", k, 1)
     batches = list(batches)
     if any(b.labels is None for b in batches):
         raise MissingLabelsError("label-shift reordering needs labels")
-    for b in batches:
-        _check_step(b.t, b.features, b.labels, None, k, DomainError)
     rng = np.random.default_rng(seed)
     out = []
     for b in batches:
+        feats = _float_array(b.features, "features", dtype="<f4")
+        labels = np.asarray(b.labels)
+        _check_step(b.t, feats, labels, None, k, DomainError)
         rank = np.argsort(rng.permutation(k))  # place of each class in the drawn order
-        idx = np.argsort(rank[b.labels], kind="stable")
-        out.append(EmbeddingBatch(b.t, b.features[idx], b.labels[idx]))
+        idx = np.argsort(rank[labels], kind="stable")
+        out.append(EmbeddingBatch(b.t, feats[idx], labels[idx]))
     return out
 
 

@@ -27,13 +27,14 @@ row scale moves no direction and scales the concentration with it, so the
 left mean direction enters unscaled and one in-place GEMM adds the
 emission term to it.
 
-A step's (N, K) products feats @ mean_dir.T are formed once per position
-of its belief (`VmfModel._products`) and cached in the step: the sweep's
-assignment, the concentration re-estimate, `window_elbo` and `predict` on
-the adapted batch all read them. The model passes them to
-`assignment_step`, `kappa_update` and `predict_probs` as `dots`, which
-those public functions then take unchecked; called without `dots` they
-check everything and form the products themselves.
+The (N, K) products of a batch's unit embeddings with the K prototype
+directions are the one data input of the assignment step, the head
+(`predict_probs`) and the concentration re-estimate (`kappa_update`), and
+each checks them. The model forms them in two places: a step's products
+feats @ mean_dir.T once per position of its belief (`VmfModel._products`),
+cached in the step, which the sweep's assignment, the concentration
+re-estimate, `window_elbo` and `predict` on the adapted batch all read;
+and in `predict`, those of a batch it has not adapted on.
 """
 
 from __future__ import annotations
@@ -156,47 +157,34 @@ def expected_prototype(mean_dir: np.ndarray, conc, d: int) -> np.ndarray:
     return np.asarray(bessel_ratio(d, conc))[:, None] * mean_dir
 
 
-def assignment_step(
-    feats: np.ndarray, prototypes: np.ndarray, mixing: np.ndarray, kappa, *, dots=None
-) -> np.ndarray:
-    """Posterior class responsibilities for one batch.
+def assignment_step(dots: np.ndarray, mixing: np.ndarray, kappa) -> np.ndarray:
+    """Posterior class responsibilities for one batch, from its (N, K)
+    products dots = feats @ prototypes.T with the K prototype rows.
 
-    Log-domain: log pi_k + kappa_k <prototypes_k, h>, normalized per row.
-    mixing is (K,), and kappa one concentration for every class (a float)
-    or one per class (K,); anything else raises DimensionMismatchError,
-    and a concentration that is not a finite real number >= 0 (a bool
-    too) DomainError, both before any O(N K) work. The sweep passes the
-    unit mean directions with kappa_ems * A_D(conc), which gives
-    kappa_ems times the dots with the expected prototypes. The vMF
-    log-normalizer log C_D(kappa_ems) is the same in every class, so the
-    normalization cancels it and it is left out.
-
-    `dots`, the (N, K) products feats @ prototypes.T, is for the model's
-    own calls, which pass its cached products of arrays it has checked:
-    with `dots`, feats and prototypes are not read and nothing is checked.
+    Log-domain: log pi_k + kappa_k dots_nk, normalized per row. dots is
+    (N, K), mixing (K,), and kappa one concentration for every class (a
+    float) or one per class (K,); anything else raises
+    DimensionMismatchError, and a concentration that is not a finite real
+    number >= 0 (a bool too) DomainError, both before any O(N K) work.
+    Products or mixing weights that do not convert to a float array, and a
+    product that is not finite, raise DomainError. The sweep passes the
+    products with the unit mean directions and kappa_ems * A_D(conc),
+    which gives kappa_ems times the dots with the expected prototypes. The
+    vMF log-normalizer log C_D(kappa_ems) is the same in every class, so
+    the normalization cancels it and it is left out.
     """
-    if dots is None:
-        feats = _float_array(feats, "embeddings")
-        prototypes = _float_array(prototypes, "prototypes")
-        if feats.ndim != 2 or prototypes.ndim != 2 or feats.shape[1] != prototypes.shape[1]:
-            raise DimensionMismatchError(
-                f"feats {feats.shape} vs prototypes {prototypes.shape}"
-            )
-        mixing = _float_array(mixing, "mixing weights")
-        if mixing.shape != prototypes.shape[:1] or np.shape(kappa) not in ((), mixing.shape):
-            raise DimensionMismatchError(f"mixing {mixing.shape} and concentration "
-                                         f"{np.shape(kappa)} for {prototypes.shape[0]} classes")
-        if np.ndim(kappa):
-            kappa = _nonnegative(kappa, "the concentration")[0]
-        else:  # a 0-d array is checked as the number it holds
-            check_real("the concentration",
-                       kappa[()] if isinstance(kappa, np.ndarray) else kappa, 0.0)
-        with np.errstate(invalid="ignore", over="ignore"):
-            dots = feats @ prototypes.T
-        # a NaN or infinity in either input reaches the dots of its row, so
-        # this O(N K) check also covers the (N, D) batch
-        if not np.isfinite(dots).all():
-            raise DomainError("embeddings or prototypes contain non-finite entries")
+    dots = _float_array(dots, "products")
+    mixing = _float_array(mixing, "mixing weights")
+    if (dots.ndim != 2 or mixing.shape != dots.shape[1:]
+            or np.shape(kappa) not in ((), mixing.shape)):
+        raise DimensionMismatchError(f"products {dots.shape}, mixing {mixing.shape} and "
+                                     f"concentration {np.shape(kappa)} do not match")
+    if np.ndim(kappa):
+        kappa = _nonnegative(kappa, "the concentration")[0]
+    else:  # a 0-d array is checked as the number it holds
+        check_real("the concentration", kappa[()] if isinstance(kappa, np.ndarray) else kappa, 0.0)
+    if not np.isfinite(dots).all():
+        raise DomainError("products contain non-finite entries")
     with np.errstate(divide="ignore"):
         logits = np.log(mixing) + kappa * dots
     return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
@@ -260,53 +248,41 @@ def prototype_update(
 
 
 def kappa_update(
-    beliefs: list[PrototypeBelief],
-    resps: list[np.ndarray],
-    feats: list[np.ndarray],
-    d: int,
-    *,
-    dots=None,
+    beliefs: list[PrototypeBelief], resps: list[np.ndarray], dots: list[np.ndarray], d: int
 ) -> float:
     """Shared emission concentration re-estimate from the window-wide resultant length.
 
     The resultant averages the responsibility-weighted alignments of
     embeddings with their expected prototypes over every window step;
-    each class's summed dots with its mean direction are scaled by its
+    each class's summed products with its mean direction are scaled by its
     A_D(conc). The estimate is one float, clamped to [1e-6, 1e6].
 
-    beliefs, resps and feats need one entry per window step: beliefs over
-    (K, d) directions of one K, batches (N_t, d) and responsibilities
-    (N_t, K). Anything else raises DimensionMismatchError, and a window
+    beliefs, resps and dots need one entry per window step: beliefs over
+    (K, d) directions of one K, responsibilities (N_t, K) and the (N_t, K)
+    products feats_t @ mean_dir_t.T of the step's unit embeddings with its
+    mean directions. An entry that does not convert to a float array
+    raises DomainError, anything else DimensionMismatchError, and a window
     without a sample EmptyBatchError.
-
-    `dots`, one (N_t, K) array feats_t @ mean_dir_t.T per step, is for the
-    model's own call, which passes its cached products: with `dots`,
-    nothing is checked and only the lengths of feats are read.
     """
-    if dots is None:
-        shape = np.shape(beliefs[0].mean_dir) if beliefs else (0, d)
-        if len(shape) != 2 or shape[1] != d or any(np.shape(b.mean_dir) != shape for b in beliefs):
-            raise DimensionMismatchError(f"kappa_update needs (K, {d}) beliefs of one K")
-        feats, resps, n_total = check_batches(feats, resps, len(beliefs), shape[0], d,
-                                              "kappa_update")
-        dots = (h @ b.mean_dir.T for b, h in zip(beliefs, feats))
-    else:
-        n_total = sum(len(h) for h in feats)
-    align_sum = np.zeros(len(beliefs[0].ratio))  # per class, summed last
+    shape = np.shape(beliefs[0].mean_dir) if beliefs else (0, d)
+    if len(shape) != 2 or shape[1] != d or any(np.shape(b.mean_dir) != shape for b in beliefs):
+        raise DimensionMismatchError(f"kappa_update needs (K, {d}) beliefs of one K")
+    k = shape[0]
+    dots, resps, n_total = check_batches(dots, resps, len(beliefs), k, k, "kappa_update")
+    align_sum = np.zeros(k)  # per class, summed last
     for belief, resp, dot in zip(beliefs, resps, dots):
         align_sum += np.sum(resp * dot, axis=0) * belief.ratio
     return float(estimate_kappa_clamped(abs(align_sum.sum()) / n_total, d))
 
 
-def predict_probs(
-    feats: np.ndarray, prototypes: np.ndarray, kappa_ems: float, mixing: np.ndarray, *, dots=None
-) -> np.ndarray:
-    """Class probabilities from prototype directions: the cluster posterior
-    of `assignment_step` on the prototypes' unit directions, at the one
+def predict_probs(dots: np.ndarray, kappa_ems: float, mixing: np.ndarray) -> np.ndarray:
+    """Class probabilities from the (N, K) products dots = feats @ W.T of
+    unit embeddings with the prototypes' unit directions W: the cluster
+    posterior of `assignment_step`, whose checks it shares, at the one
     concentration kappa_ems in every class. With uniform mixing this is
-    softmax(kappa_ems * W h). `dots` is passed on to `assignment_step`.
+    softmax(kappa_ems * W h).
     """
-    return assignment_step(feats, prototypes, mixing, kappa_ems, dots=dots)
+    return assignment_step(dots, mixing, kappa_ems)
 
 
 class VmfModel(SlidingWindow):
@@ -344,7 +320,8 @@ class VmfModel(SlidingWindow):
     step's. Once the window is full, `adapt` and then `predict` on the
     same batch, at window 3 and 2 sweeps, form 7 products with
     learn_kappa_ems and 6 without, against 10 and 7 if each user formed
-    its own.
+    its own. `predict` on any other batch forms that batch's products
+    with the newest mean directions itself, and caches nothing.
     """
 
     def __init__(self, source_weights: np.ndarray, config: VmfConfig, static: bool = False):
@@ -396,9 +373,8 @@ class VmfModel(SlidingWindow):
             self._kappa_ems = kappa_update(
                 [s.belief for s in self._steps],
                 [s.resp for s in self._steps],
-                [s.feats for s in self._steps],
+                [self._products(s) for s in self._steps],
                 cfg.d,
-                dots=[self._products(s) for s in self._steps],
             )
 
     @staticmethod
@@ -439,8 +415,7 @@ class VmfModel(SlidingWindow):
         floor = (kappa_ems + self._kappa_trans) * _FRAME_MIN
         for i, step in enumerate(steps):
             belief = step.belief
-            step.resp = assignment_step(step.feats, belief.mean_dir, step.mixing,
-                                        kappa_ems * belief.ratio, dots=self._products(step))
+            step.resp = assignment_step(self._products(step), step.mixing, kappa_ems * belief.ratio)
             scale, direction = self._anchor_message() if i == 0 else self._message(
                 steps[i - 1].belief)
             total = self._total
@@ -487,12 +462,13 @@ class VmfModel(SlidingWindow):
         On a batch equal element for element to the one just adapted on,
         the newest step's unit rows and cached products are read instead of
         normalizing and multiplying again, with the same bits as the full
-        path (see `SlidingWindow._predict_rows`).
+        path (see `SlidingWindow._predict_rows`); any other batch is
+        normalized and multiplied with the newest mean directions here.
         """
         unit, adapted = self._predict_rows(feats)
         newest = self._newest()
-        probs = predict_probs(unit, newest.belief.mean_dir, self._kappa_ems, newest.mixing,
-                              dots=self._products(newest) if adapted else None)
+        dots = self._products(newest) if adapted else unit @ newest.belief.mean_dir.T
+        probs = predict_probs(dots, self._kappa_ems, newest.mixing)
         return probs, probs.argmax(axis=1)
 
     def window_elbo(self) -> float:

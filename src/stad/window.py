@@ -123,6 +123,8 @@ def check_batches(feats: list, resps: list, t_len: int, k: int, d: int,
     responsibilities (N_t, k). An entry that does not convert to a float
     array raises DomainError, anything else DimensionMismatchError and a
     window without a sample EmptyBatchError, each naming `who`.
+    `vmf.kappa_update` passes each step's (N_t, K) products as its batch,
+    with d = k.
     """
     feats = [_float_array(h, f"{who} batch") for h in feats]
     resps = [_float_array(w, f"{who} responsibilities") for w in resps]

@@ -1,12 +1,13 @@
 """Every entry point keeps the promise of `errors.py`: a bad argument raises
-DomainError, a StadError, never a bare TypeError, ValueError or
-OverflowError, and is never run with a value it silently coerced."""
+DomainError, and arrays of mismatched shapes DimensionMismatchError, both
+StadErrors, never a bare TypeError, ValueError or OverflowError, and is
+never run with a value it silently coerced."""
 
 import numpy as np
 import pytest
 
 from stad import gauss, mathcore, vmf
-from stad.errors import DomainError
+from stad.errors import DimensionMismatchError, DomainError
 from stad.gauss import GaussBelief, GaussConfig, GaussModel
 from stad.stream import EmbeddingBatch, make_label_shift, sample_vmf, write_matrix, write_stream
 from stad.vmf import VmfConfig, VmfModel
@@ -14,6 +15,7 @@ from stad.window import mixing_update
 
 MEAN, VAR = np.eye(2, 3), np.full(2, 0.1)
 FEATS, RESP = np.eye(3), np.full((3, 2), 0.5)
+DOTS = FEATS @ MEAN.T  # the (N, K) products the vMF kernels take
 BATCH = np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.2], [0.3, 0.0, 1.0]])
 
 
@@ -77,6 +79,10 @@ CASES = {
     "make_label_shift seed=-1": lambda tmp: make_label_shift(batches(), -1, 3),
     "make_label_shift k a string": lambda tmp: make_label_shift(batches(), 0, "x"),
     "make_label_shift (N, 1) labels": lambda tmp: make_label_shift(batches([[0], [1]]), 0, 3),
+    "make_label_shift list features with a string":
+        lambda tmp: make_label_shift([EmbeddingBatch(1, [["x", 1.0]], [0])], 0, 2),
+    "make_label_shift list labels out of range":
+        lambda tmp: make_label_shift([EmbeddingBatch(1, [[1.0, 0.0]], [5])], 0, 2),
     "sample_vmf mu a string": lambda tmp: sample_vmf(np.random.default_rng(0), "x", 5.0, 3),
     # window: pi_floor in [0, 1/K), t an integer >= 0, outside arrays converted
     "mixing_update floor 0.6 at K=2": lambda tmp: mixing_update(RESP, 0.6),
@@ -96,17 +102,23 @@ CASES = {
     "GaussConfig sigma_ems_scale 10**400":
         lambda tmp: GaussModel(np.eye(2, 3), GaussConfig(d=3, k=2, sigma_ems_scale=10**400)),
     # vmf: a concentration is a real number >= 0, one or one per class
-    "assignment_step kappa a string":
-        lambda tmp: vmf.assignment_step(FEATS, MEAN, np.full(2, 0.5), "x"),
-    "assignment_step kappa -5.0":
-        lambda tmp: vmf.assignment_step(FEATS, MEAN, np.full(2, 0.5), -5.0),
+    "assignment_step kappa a string": lambda tmp: vmf.assignment_step(DOTS, np.full(2, 0.5), "x"),
+    "assignment_step kappa -5.0": lambda tmp: vmf.assignment_step(DOTS, np.full(2, 0.5), -5.0),
     "assignment_step per-class kappa negative":
-        lambda tmp: vmf.assignment_step(FEATS, MEAN, np.full(2, 0.5), np.array([1.0, -1.0])),
-    "predict_probs kappa_ems -5.0":
-        lambda tmp: vmf.predict_probs(FEATS, MEAN, -5.0, np.full(2, 0.5)),
+        lambda tmp: vmf.assignment_step(DOTS, np.full(2, 0.5), np.array([1.0, -1.0])),
+    "predict_probs kappa_ems -5.0": lambda tmp: vmf.predict_probs(DOTS, -5.0, np.full(2, 0.5)),
+    # the products: converted, and every entry finite
+    "assignment_step -inf product":
+        lambda tmp: vmf.assignment_step(np.array([[0.5, -np.inf]]), np.full(2, 0.5), 1.0),
     # outside arrays through one conversion
-    "assignment_step feats a string":
-        lambda tmp: vmf.assignment_step("x", MEAN, np.full(2, 0.5), 1.0),
+    "assignment_step products a string":
+        lambda tmp: vmf.assignment_step("x", np.full(2, 0.5), 1.0),
+    "kappa_update ragged products":
+        lambda tmp: vmf.kappa_update([vmf.PrototypeBelief.from_params(MEAN, np.ones(2))],
+                                     [RESP], [[[0.5, 0.5], [0.5]]], 3),
+    "gauss_assignments sq_norms a string":
+        lambda tmp: gauss.gauss_assignments(FEATS, GaussBelief(MEAN, VAR), np.full(2, 0.5), 0.5,
+                                            sq_norms="x"),
     "expected_prototype mean_dir a string": lambda tmp: vmf.expected_prototype("x", np.ones(2), 3),
     "PrototypeBelief.from_params mean_dir a string":
         lambda tmp: vmf.PrototypeBelief.from_params("x", np.ones(2)),
@@ -124,7 +136,7 @@ CASES = {
                                        True, False),
     "kappa_update batch a string":
         lambda tmp: vmf.kappa_update([vmf.PrototypeBelief.from_params(MEAN, np.ones(2))],
-                                     [RESP], [np.full((3, 3), "x")], 3),
+                                     [RESP], [np.full((3, 2), "x")], 3),
     "gauss_m_step resps a string":
         lambda tmp: gauss.gauss_m_step([GaussBelief(MEAN, VAR)] * 2, [VAR],
                                        [np.full((3, 2), "x")] * 2, [FEATS] * 2, False, True),
@@ -138,6 +150,21 @@ CASES = {
 def test_bad_argument_raises_domain_error(tmp_path, case):
     with pytest.raises(DomainError):
         CASES[case](tmp_path)
+
+
+SHAPE_CASES = {
+    "assignment_step products of K=3 for mixing of K=2":
+        lambda: vmf.assignment_step(np.ones((4, 3)), np.full(2, 0.5), 1.0),
+    "gauss_assignments (4,) sq_norms for N=5":
+        lambda: gauss.gauss_assignments(np.ones((5, 3)), GaussBelief(MEAN, VAR), np.full(2, 0.5),
+                                        0.5, sq_norms=np.ones(4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+def test_bad_shape_raises_dimension_mismatch_error(case):
+    with pytest.raises(DimensionMismatchError):
+        SHAPE_CASES[case]()
 
 
 def test_rejected_time_leaves_the_window_usable():

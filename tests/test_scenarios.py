@@ -28,15 +28,33 @@ def accuracies(model, batches, source):
     return correct / total, source_correct / total
 
 
+def d512_sphere_stream():
+    """Batches of the D=512, K=10 sphere stream (20 steps of N=200 at
+    kappa_true=50, seed 0) and its source head."""
+    batches, trajectory = synth_drift(
+        DriftScenario(d=512, k=10, t_steps=20, n_per_step=200, kappa_true=50, seed=0))
+    return batches, trajectory[0]
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "default kappa = 100 is weak at D=512 (A_D(100) = 0.19), so the prototypes "
     "drift towards the batch mean: accuracy 0.162 against 0.689 for the source head"))
 def test_vmf_default_at_d512_keeps_up_with_source_head():
-    d, k = 512, 10
-    batches, trajectory = synth_drift(
-        DriftScenario(d=d, k=k, t_steps=20, n_per_step=200, kappa_true=50, seed=0))
-    source = trajectory[0]
-    adapted, unadapted = accuracies(VmfModel(source, VmfConfig(d=d, k=k)), batches, source)
+    batches, source = d512_sphere_stream()
+    adapted, unadapted = accuracies(VmfModel(source, VmfConfig(d=512, k=10)), batches, source)
+    assert adapted >= unadapted
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "STAD-Gauss collapses on low-SNR sphere data once it learns its noise: r falls "
+    "from 0.5 to 0.002 in three steps, the means shrink to norms of 0.1-0.4 and the "
+    "head reads near chance from step 5 on; accuracy 0.238 against 0.689 for the "
+    "source head, and 0.690 with q and r fixed"))
+def test_gauss_learned_noise_at_d512_sphere_keeps_up_with_source_head():
+    batches, source = d512_sphere_stream()
+    model = GaussModel(source, GaussConfig(d=512, k=10, learn_transition=True,
+                                           learn_sigmas=True))
+    adapted, unadapted = accuracies(model, batches, source)
     assert adapted >= unadapted
 
 

@@ -272,6 +272,16 @@ def test_label_shift_matches_per_class_concatenation(seed):
         assert got.labels.tobytes() == b.labels[idx].tobytes()
 
 
+def test_label_shift_takes_lists_as_write_stream_does():
+    batches = small_batches(seed=4, sizes=(6, 5))
+    as_lists = [EmbeddingBatch(b.t, b.features.tolist(), b.labels.tolist()) for b in batches]
+    for got, want in zip(make_label_shift(as_lists, seed=2, k=3),
+                         make_label_shift(batches, seed=2, k=3), strict=True):
+        assert got.features.dtype == np.float32
+        assert got.features.tobytes() == want.features.tobytes()
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+
 def test_synth_drift_sphere_is_deterministic_with_stated_drift():
     scenario = DriftScenario(d=8, k=3, t_steps=4, n_per_step=20, drift_deg_per_step=3.0, seed=5)
     batches, traj = synth_drift(scenario)

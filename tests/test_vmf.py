@@ -147,36 +147,32 @@ class TestInit:
 class TestAssignmentStep:
     def test_single_class_is_certain(self):
         feats = normalize_rows(np.random.default_rng(0).standard_normal((5, 4)))
-        resp = assignment_step(feats, np.ones((1, 4)) * 0.5, np.ones(1), 10.0)
+        resp = assignment_step(feats @ (np.ones((1, 4)) * 0.5).T, np.ones(1), 10.0)
         np.testing.assert_array_equal(resp, np.ones((5, 1)))
 
     def test_identical_prototypes_give_uniform_rows(self):
         e = np.tile(unit([1.0, 1.0, 0.0]) * 0.7, (4, 1))
         feats = normalize_rows(np.random.default_rng(1).standard_normal((6, 3)))
-        resp = assignment_step(feats, e, np.full(4, 0.25), 50.0)
+        resp = assignment_step(feats @ e.T, np.full(4, 0.25), 50.0)
         np.testing.assert_allclose(resp, np.full((6, 4), 0.25), atol=1e-12)
 
     def test_two_prototype_frozen_value(self):
         expected = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        resp = assignment_step(np.array([[1.0, 0.0]]), expected, np.array([0.5, 0.5]), 1.0)
+        resp = assignment_step(np.array([[1.0, 0.0]]) @ expected.T, np.array([0.5, 0.5]), 1.0)
         assert resp[0, 0] == pytest.approx(LAMBDA_TWO_POINT, abs=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
         feats = normalize_rows(rng.standard_normal((40, 16)))
         expected = 0.9 * normalize_rows(rng.standard_normal((7, 16)))
-        resp = assignment_step(feats, expected, np.full(7, 1 / 7), 300.0)
+        resp = assignment_step(feats @ expected.T, np.full(7, 1 / 7), 300.0)
         np.testing.assert_allclose(resp.sum(axis=1), np.ones(40), atol=1e-9)
         assert np.all(resp >= 0.0) and np.all(resp <= 1.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            assignment_step(np.ones((2, 3)), np.ones((2, 4)), np.ones(2) / 2, 1.0)
 
     def test_non_finite_rejected(self):
         feats = np.array([[np.nan, 0.0]])
         with pytest.raises(DomainError):
-            assignment_step(feats, np.eye(2), np.ones(2) / 2, 1.0)
+            assignment_step(feats @ np.eye(2).T, np.ones(2) / 2, 1.0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     @pytest.mark.parametrize("expected", [np.eye(3), np.array([[0.0, 1.0, 1.0], [-1.0, 1.0, 0.0]])],
@@ -185,10 +181,13 @@ class TestAssignmentStep:
         # inf * 0 and inf - inf give NaN dots, inf * w an infinite one
         feats = np.array([[0.1, 0.2, 0.3], [bad, 0.0, 1.0]])
         mixing = np.full(len(expected), 1.0 / len(expected))
+        with np.errstate(invalid="ignore"):
+            dots = feats @ expected.T
+            row_dots = feats[:1] @ np.where(expected == 1.0, bad, expected).T
         with pytest.raises(DomainError):
-            assignment_step(feats, expected, mixing, 2.0)
+            assignment_step(dots, mixing, 2.0)
         with pytest.raises(DomainError):
-            assignment_step(feats[:1], np.where(expected == 1.0, bad, expected), mixing, 2.0)
+            assignment_step(row_dots, mixing, 2.0)
 
     @pytest.mark.parametrize("kappa", [np.ones(2), np.ones(4), np.ones((3, 1)), np.ones((1, 3)),
                                        np.ones((4, 3)), [1.0, 2.0]],
@@ -198,7 +197,7 @@ class TestAssignmentStep:
         feats = normalize_rows(rng.standard_normal((4, 5)))
         prototypes = normalize_rows(rng.standard_normal((3, 5)))
         with pytest.raises(DimensionMismatchError):
-            assignment_step(feats, prototypes, np.full(3, 1 / 3), kappa)
+            assignment_step(feats @ prototypes.T, np.full(3, 1 / 3), kappa)
 
     @pytest.mark.parametrize("mixing", [np.full(4, 0.25), np.full(2, 0.5), np.full((3, 3), 1 / 3),
                                         np.full((1, 3), 1 / 3), np.float64(1.0)],
@@ -208,9 +207,9 @@ class TestAssignmentStep:
         feats = normalize_rows(rng.standard_normal((4, 5)))
         prototypes = normalize_rows(rng.standard_normal((3, 5)))
         with pytest.raises(DimensionMismatchError):
-            assignment_step(feats, prototypes, mixing, 2.0)
+            assignment_step(feats @ prototypes.T, mixing, 2.0)
         with pytest.raises(DimensionMismatchError):
-            predict_probs(feats, prototypes, 2.0, mixing)
+            predict_probs(feats @ prototypes.T, 2.0, mixing)
 
     def test_per_class_concentration_scales_each_column(self):
         rng = np.random.default_rng(27)
@@ -218,15 +217,15 @@ class TestAssignmentStep:
         prototypes = normalize_rows(rng.standard_normal((3, 5)))
         mixing = np.array([0.2, 0.3, 0.5])
         kappa = np.array([3.0, 40.0, 0.0])
-        resp = assignment_step(feats, prototypes, mixing, kappa)
-        np.testing.assert_allclose(resp, softmax(np.log(mixing) + kappa * (feats @ prototypes.T),
-                                                 axis=1), rtol=0, atol=1e-12)
+        dots = feats @ prototypes.T
+        resp = assignment_step(dots, mixing, kappa)
+        np.testing.assert_allclose(resp, softmax(np.log(mixing) + kappa * dots, axis=1),
+                                   rtol=0, atol=1e-12)
         # a per-class scale moves between the concentration and the rows
         np.testing.assert_allclose(
-            resp, assignment_step(feats, kappa[:, None] * prototypes, mixing, 1.0),
+            resp, assignment_step(feats @ (kappa[:, None] * prototypes).T, mixing, 1.0),
             rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(assignment_step(feats, prototypes, mixing, list(kappa)),
-                                      resp)
+        np.testing.assert_array_equal(assignment_step(dots, mixing, list(kappa)), resp)
 
     @pytest.mark.parametrize("kappa", [25.0, np.float64(0.5), np.array(7.0)],
                              ids=["float", "numpy float", "0-d array"])
@@ -240,7 +239,7 @@ class TestAssignmentStep:
         mixing = rng.dirichlet(np.ones(5))
         logits = np.log(mixing) + kappa * (feats @ prototypes.T)
         head = np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
-        probs = predict_probs(feats, prototypes, kappa, mixing)
+        probs = predict_probs(feats @ prototypes.T, kappa, mixing)
         assert probs.tobytes() == head.tobytes()
 
 
@@ -360,7 +359,7 @@ class ReferenceSweepModel(VmfModel):
         kt, d = self._kappa_trans, self.config.d
         for i, step in enumerate(steps):
             step.resp = assignment_step(
-                step.feats, expected_of(step.belief, d), step.mixing, self._kappa_ems,
+                step.feats @ expected_of(step.belief, d).T, step.mixing, self._kappa_ems,
             )
             total = self._kappa_ems * (step.resp.T @ step.feats)
             if i > 0:
@@ -863,7 +862,7 @@ class TestCachedRatio:
                 np.testing.assert_array_equal(belief.ratio, bessel_ratio(d, belief.conc))
             beliefs, resps, feats = ([s.belief for s in steps], [s.resp for s in steps],
                                      [s.feats for s in steps])
-            assert kappa_update(beliefs, resps, feats, d) == pytest.approx(
+            assert kappa_update(beliefs, resps, products(beliefs, feats), d) == pytest.approx(
                 reference_kappa_ems(beliefs, resps, feats, d), rel=1e-12)
             assert model.window_elbo() == pytest.approx(reference_elbo(model), rel=1e-12)
         if cancel and kappa_trans == 0.0:
@@ -953,11 +952,22 @@ def kappa_case(sizes=(7, 9), d=5, k=3):
     return beliefs, resps, feats
 
 
+def products(beliefs, feats):
+    """Each step's (N_t, K) products of its batch with its mean directions."""
+    return [h @ b.mean_dir.T for b, h in zip(beliefs, feats)]
+
+
+def kappa_products_case(sizes=(7, 9)):
+    """kappa_case's beliefs and responsibilities, with the products of its batches."""
+    beliefs, resps, feats = kappa_case(sizes)
+    return beliefs, resps, products(beliefs, feats)
+
+
 class TestKappaUpdate:
     def test_matches_independent_script(self):
         d, k = 5, 3
         beliefs, resps, feats = kappa_case(d=d, k=k)
-        ke = kappa_update(beliefs, resps, feats, d)
+        ke = kappa_update(beliefs, resps, products(beliefs, feats), d)
         # independent evaluation of the emission resultant length
         num = 0.0
         for b, r, h in zip(beliefs, resps, feats):
@@ -970,14 +980,15 @@ class TestKappaUpdate:
         assert type(ke) is float
         assert ke == pytest.approx(estimate_kappa_clamped(r_ems, d), rel=1e-10)
 
+    # h holds each step's (N_t, K) products
     @pytest.mark.parametrize("case, error", [
         (lambda b, r, h: ([], [], []), EmptyBatchError),
-        (lambda b, r, h: (b, r, kappa_case(sizes=(0, 0))[2]), DimensionMismatchError),
-        (lambda b, r, h: kappa_case(sizes=(0, 0)), EmptyBatchError),
+        (lambda b, r, h: (b, r, kappa_products_case(sizes=(0, 0))[2]), DimensionMismatchError),
+        (lambda b, r, h: kappa_products_case(sizes=(0, 0)), EmptyBatchError),
         (lambda b, r, h: (b, r[:1], h[:1]), DimensionMismatchError),
         (lambda b, r, h: (b, r, h[:1]), DimensionMismatchError),
         (lambda b, r, h: (b[:1], r, h), DimensionMismatchError),
-        (lambda b, r, h: (b, r, [h[0], h[1][:, :4]]), DimensionMismatchError),
+        (lambda b, r, h: (b, r, [h[0], h[1][:, :2]]), DimensionMismatchError),
         (lambda b, r, h: (b, r, [h[0], h[1][0]]), DimensionMismatchError),
         (lambda b, r, h: (b, [r[0], r[1][:, :2]], h), DimensionMismatchError),
         (lambda b, r, h: (b, [r[0], r[1][:5]], h), DimensionMismatchError),
@@ -987,11 +998,11 @@ class TestKappaUpdate:
          DimensionMismatchError),
     ], ids=["empty lists", "batches of other sizes", "all batches empty",
             "one batch for two beliefs", "one batch, two resps", "one belief, two batches",
-            "batch of wrong D", "1-D batch", "resp of wrong K", "resp of wrong N",
+            "products of wrong K", "1-D batch", "resp of wrong K", "resp of wrong N",
             "beliefs of two K", "beliefs of wrong D"])
     def test_mismatched_inputs_raise(self, case, error):
         with pytest.raises(error):
-            kappa_update(*case(*kappa_case()), 5)
+            kappa_update(*case(*kappa_products_case()), 5)
 
 
 class TestAdapt:
@@ -1092,18 +1103,19 @@ class TestStaticVariant:
 
 class TestPredict:
     def test_single_class_probability_one(self):
-        probs = predict_probs(np.ones((3, 2)) / math.sqrt(2), np.array([[1.0, 0.0]]), 5.0, np.ones(1))
+        probs = predict_probs(np.ones((3, 2)) / math.sqrt(2) @ np.array([[1.0, 0.0]]).T, 5.0,
+                              np.ones(1))
         np.testing.assert_array_equal(probs, np.ones((3, 1)))
 
     def test_equidistant_gives_uniform(self):
         protos = np.array([[1.0, 0.0], [-1.0, 0.0]])
         h = np.array([[0.0, 1.0]])
-        probs = predict_probs(h, protos, 25.0, np.full(2, 0.5))
+        probs = predict_probs(h @ protos.T, 25.0, np.full(2, 0.5))
         np.testing.assert_allclose(probs, [[0.5, 0.5]], atol=1e-12)
 
     def test_frozen_softmax_value(self):
         protos = np.array([[1.0, 0.0], [0.0, 1.0]])
-        probs = predict_probs(np.array([[1.0, 0.0]]), protos, 1.0, np.full(2, 0.5))
+        probs = predict_probs(np.array([[1.0, 0.0]]) @ protos.T, 1.0, np.full(2, 0.5))
         np.testing.assert_allclose(probs[0], SOFTMAX_ONE_ZERO, atol=1e-12)
 
     def test_not_adapted(self):
@@ -1131,7 +1143,7 @@ class TestInvariants:
                 protos = normalize_rows(rng.standard_normal((k, d)))
                 kappa = float(rng.uniform(10.0, 500.0))
                 h = normalize_rows(rng.standard_normal((8, d)))
-                probs = predict_probs(h, protos, kappa, np.full(k, 1.0 / k))
+                probs = predict_probs(h @ protos.T, kappa, np.full(k, 1.0 / k))
                 ref = softmax(kappa * (h @ protos.T), axis=1)
                 assert np.max(np.abs(probs - ref)) < 1e-9
 

@@ -92,11 +92,10 @@ def test_row_order_within_a_batch_does_not_matter(name):
 def full_path_probs(model, feats):
     """The head of either tracker on normalize_rows(feats) and the model's
     views, as `predict` computes it on a batch it has not adapted on."""
-    unit = normalize_rows(feats)
+    dots = normalize_rows(feats) @ model.prototypes.T
     if isinstance(model, VmfModel):
-        return predict_probs(unit, model.prototypes, model.kappa_ems, model.mixing)
-    logits = unit @ model.prototypes.T
-    return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
+        return predict_probs(dots, model.kappa_ems, model.mixing)
+    return np.exp(dots - log_sum_exp(dots, axis=1)[:, None])
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
