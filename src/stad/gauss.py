@@ -210,17 +210,9 @@ def kf_smooth(means: np.ndarray, covs: np.ndarray,
     return sm, sc, gains
 
 
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """(N,) squared norms of the columns of x (D, N)."""
-    return np.einsum("dn,dn->n", x, x)
-
-
-def _sq_dist(x: np.ndarray, m: np.ndarray, x_sq: np.ndarray | None = None) -> np.ndarray:
-    """(N, K) squared distances between the columns of x (D, N) and m (D, K);
-    x_sq, when given, are the squared norms `_sq_norms(x)`."""
-    if x_sq is None:
-        x_sq = _sq_norms(x)
-    return x_sq[:, None] - 2.0 * (x.T @ m) + np.einsum("dk,dk->k", m, m)
+def _sq_dist(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(N, K) squared distances between the columns of x (D, N) and m (D, K)."""
+    return np.einsum("dn,dn->n", x, x)[:, None] - 2.0 * (x.T @ m) + np.einsum("dk,dk->k", m, m)
 
 
 # bench/tracing.py wraps gauss_assignments; the sweep looks it up through the module
@@ -229,38 +221,32 @@ def gauss_assignments(
     belief: GaussBelief,
     mixing: np.ndarray,
     sigma_ems: float,
-    *,
-    sq_norms=None,
 ) -> np.ndarray:
     """Responsibilities under the Gaussian mixture emission.
 
-    Plugs in the posterior means with the emission covariance r I alone,
-    so the quadratic forms are squared distances over r and nothing is
-    factored. The mean must be (K, D), the belief covariance (K,), the
-    batch (N, D), mixing (K,) and sigma_ems the float r; anything else
-    raises DimensionMismatchError, and an r that is not a finite real
-    number > 0 (a bool or a 0-d array too) raises DomainError. `sq_norms`,
-    the (N,) squared row norms of the batch, is for the model's sweep,
-    which passes them from its step cache; their values are taken as
-    given, but squared norms that do not convert to a float array raise
-    DomainError and ones of another shape than (N,) DimensionMismatchError.
+    Plugs in the posterior means m_k with the emission covariance r I
+    alone, so nothing is factored. Of the log density only the terms that
+    differ between classes are formed, log pi_k + (h . m_k - ||m_k||^2 / 2) / r:
+    ||h||^2 / (2 r) and the log normalizer are the same for every class,
+    and the row normalization cancels them. The mean must be (K, D), the
+    belief covariance (K,), the batch (N, D), mixing (K,) and sigma_ems the
+    float r; anything else raises DimensionMismatchError, and an r that is
+    not a finite real number > 0 (a bool or a 0-d array too) raises
+    DomainError.
     """
     feats = _float_array(feats, "batch")
     mixing = _float_array(mixing, "mixing weights")
     mean = _float_array(belief.mean, "mean")
-    sq_norms = None if sq_norms is None else _float_array(sq_norms, "squared norms")
     if mean.ndim != 2 or feats.ndim != 2 or feats.shape[1] != mean.shape[1]:
         raise DimensionMismatchError(f"batch {feats.shape} vs prototypes {mean.shape}")
-    k, d = mean.shape
-    if (mixing.shape != (k,) or np.asarray(belief.cov).shape != (k,) or np.asarray(sigma_ems).ndim
-            or (sq_norms is not None and sq_norms.shape != feats.shape[:1])):
-        raise DimensionMismatchError(f"gauss_assignments needs ({k},) mixing, ({k},) "
-                                     "covariances, a float r and (N,) squared norms")
+    k = mean.shape[0]
+    if mixing.shape != (k,) or np.asarray(belief.cov).shape != (k,) or np.asarray(sigma_ems).ndim:
+        raise DimensionMismatchError(
+            f"gauss_assignments needs ({k},) mixing, ({k},) covariances and a float r")
     check_real("the emission variance r", sigma_ems, 0.0, above=True)
     with np.errstate(divide="ignore"):
         log_pi = np.log(mixing)
-    quad = _sq_dist(feats.T, mean.T, sq_norms) / sigma_ems
-    logits = log_pi - 0.5 * (quad + d * np.log(sigma_ems) + d * np.log(2.0 * np.pi))
+    logits = log_pi + (feats @ mean.T - 0.5 * np.einsum("kd,kd->k", mean, mean)) / sigma_ems
     return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
 
 
@@ -388,15 +374,13 @@ class GaussModel(SlidingWindow):
     def coordinate_sweep(self) -> None:
         """Assignments, forward filter and backward smoother over the window.
 
-        The squared norms of each step's rows are formed once per push and
-        kept in the step's cache, since a sweep moves only the belief.
-        Raises NotAdaptedError before the first `adapt`.
+        Each step's assignments are formed afresh from its batch and
+        belief, and nothing goes into the step cache: every sweep moves
+        every belief. Raises NotAdaptedError before the first `adapt`.
         """
         self._newest()
         for step in self._steps:
-            sq_norms = step.cached("sq_norms", lambda s: _sq_norms(s.feats.T), of_belief=False)
-            step.resp = gauss_assignments(step.feats, step.belief, step.mixing, self.sigma_ems,
-                                          sq_norms=sq_norms)
+            step.resp = gauss_assignments(step.feats, step.belief, step.mixing, self.sigma_ems)
         self._filter_smooth()
 
     def _filter_smooth(self) -> None:

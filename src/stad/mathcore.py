@@ -412,7 +412,7 @@ def estimate_kappa_clamped(r_bar, d: int):
     Finite-sample resultant lengths can reach 1, where the closed form is
     singular; the clamps keep every downstream exponential finite.
     """
-    arr = np.clip(np.asarray(r_bar, dtype=np.float64), _R_BAR_MIN, _R_BAR_MAX)
+    arr = np.clip(_float_array(r_bar, "r_bar"), _R_BAR_MIN, _R_BAR_MAX)
     return np.clip(estimate_kappa(arr, d), KAPPA_MIN, KAPPA_MAX)
 
 

@@ -452,8 +452,9 @@ def _min_pairwise_angle_deg(dirs: np.ndarray) -> float:
 
 
 def well_separated_directions(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
-    """K unit directions with pairwise angles above the packing target."""
-    check_int("d", d, 1)
+    """K unit directions with pairwise angles above the packing target; a
+    d below 2 or a k below 1 raises DomainError."""
+    check_int("d", d, 2)
     check_int("k", k, 1)
     target = _separation_target_deg(d, k)
     for _ in range(_SEPARATION_RETRIES):

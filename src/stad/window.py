@@ -12,11 +12,12 @@ closed form. The batch push is shared; the trackers differ only in the
 belief type, in the two hooks that loop calls after it, `_sweep` and
 `_reestimate`, and in the head.
 
-Each step caches what its tracker derives from it (`WindowStep.cached`),
-so that the sweep, the re-estimate and the head form each array once
-while its inputs stand still. The engine also keeps one copy of the
-newest batch as given: `predict` on a batch equal to it reuses the newest
-step's unit rows and cache instead of normalizing the batch again.
+Each step caches what its tracker derives from its batch and belief
+(`WindowStep.cached`), so that the sweep, the re-estimate and the head
+form each array once while the belief stands still. The engine also
+keeps one copy of the newest batch as given: `predict` on a batch equal
+to it reuses the newest step's unit rows and cache instead of
+normalizing the batch again.
 
 The checks both trackers share live here too: of a config
 (`check_config`, whose pi_floor rule `mixing_update` applies as well),
@@ -52,10 +53,9 @@ class WindowStep:
     """One window step: its batch, the tracker's belief, responsibilities
     and mixing weights, and a cache of arrays the tracker derives from them.
 
-    `cached` forms such an array on first use and keeps it: one derived
-    from the batch alone for the step's life, one derived from the belief
-    as well until the belief moves. Assigning `belief` drops the latter,
-    and a tracker that moves the belief in place calls `moved()`.
+    `cached` forms such an array on first use and keeps it until the
+    belief moves. Assigning `belief` drops the cache, and a tracker that
+    moves the belief in place calls `moved()`.
     """
 
     t: int
@@ -63,8 +63,7 @@ class WindowStep:
     belief: Any         # the tracker's belief over the K prototypes
     resp: np.ndarray    # (N, K)
     mixing: np.ndarray  # (K,)
-    _of_batch: dict = field(default_factory=dict, init=False, repr=False)
-    _of_belief: dict = field(default_factory=dict, init=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __setattr__(self, name: str, value) -> None:
         super().__setattr__(name, value)
@@ -72,16 +71,15 @@ class WindowStep:
             self.moved()
 
     def moved(self) -> None:
-        """Drop what was derived from the belief: it has moved or been replaced."""
-        self._of_belief = {}
+        """Drop the cache: the belief has moved or been replaced."""
+        self._cache = {}
 
-    def cached(self, name: str, make, of_belief: bool = True) -> np.ndarray:
-        """The array `make(self)` stored as `name`, formed on first use; with
-        `of_belief` it is formed again once the belief has moved."""
-        store = self._of_belief if of_belief else self._of_batch
-        value = store.get(name)
+    def cached(self, name: str, make) -> np.ndarray:
+        """The array `make(self)` stored as `name`, formed on first use and
+        again once the belief has moved."""
+        value = self._cache.get(name)
         if value is None:
-            value = store[name] = make(self)
+            value = self._cache[name] = make(self)
         return value
 
 

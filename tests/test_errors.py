@@ -9,7 +9,8 @@ import pytest
 from stad import gauss, mathcore, vmf
 from stad.errors import DimensionMismatchError, DomainError
 from stad.gauss import GaussBelief, GaussConfig, GaussModel
-from stad.stream import EmbeddingBatch, make_label_shift, sample_vmf, write_matrix, write_stream
+from stad.stream import (EmbeddingBatch, make_label_shift, sample_vmf, well_separated_directions,
+                         write_matrix, write_stream)
 from stad.vmf import VmfConfig, VmfModel
 from stad.window import mixing_update
 
@@ -65,6 +66,7 @@ CASES = {
     "log_vmf_norm_const kappa a string": lambda tmp: mathcore.log_vmf_norm_const(3, "x"),
     "estimate_kappa d=3.5": lambda tmp: mathcore.estimate_kappa(0.5, 3.5),
     "estimate_kappa r_bar a string": lambda tmp: mathcore.estimate_kappa("x", 3),
+    "estimate_kappa_clamped r_bar a string": lambda tmp: mathcore.estimate_kappa_clamped("x", 8),
     "log_bessel_i order a string": lambda tmp: mathcore.log_bessel_i("x", 1.0),
     "log_bessel_i order a bool": lambda tmp: mathcore.log_bessel_i(True, 1.0),
     "log_bessel_i order 10**400": lambda tmp: mathcore.log_bessel_i(10**400, 1.0),
@@ -84,6 +86,8 @@ CASES = {
     "make_label_shift list labels out of range":
         lambda tmp: make_label_shift([EmbeddingBatch(1, [[1.0, 0.0]], [5])], 0, 2),
     "sample_vmf mu a string": lambda tmp: sample_vmf(np.random.default_rng(0), "x", 5.0, 3),
+    "well_separated_directions d=1":
+        lambda tmp: well_separated_directions(np.random.default_rng(0), 1, 2),
     # window: pi_floor in [0, 1/K), t an integer >= 0, outside arrays converted
     "mixing_update floor 0.6 at K=2": lambda tmp: mixing_update(RESP, 0.6),
     "mixing_update floor 0.4 at K=3": lambda tmp: mixing_update(np.full((2, 3), 1 / 3), 0.4),
@@ -116,9 +120,6 @@ CASES = {
     "kappa_update ragged products":
         lambda tmp: vmf.kappa_update([vmf.PrototypeBelief.from_params(MEAN, np.ones(2))],
                                      [RESP], [[[0.5, 0.5], [0.5]]], 3),
-    "gauss_assignments sq_norms a string":
-        lambda tmp: gauss.gauss_assignments(FEATS, GaussBelief(MEAN, VAR), np.full(2, 0.5), 0.5,
-                                            sq_norms="x"),
     "expected_prototype mean_dir a string": lambda tmp: vmf.expected_prototype("x", np.ones(2), 3),
     "PrototypeBelief.from_params mean_dir a string":
         lambda tmp: vmf.PrototypeBelief.from_params("x", np.ones(2)),
@@ -155,9 +156,6 @@ def test_bad_argument_raises_domain_error(tmp_path, case):
 SHAPE_CASES = {
     "assignment_step products of K=3 for mixing of K=2":
         lambda: vmf.assignment_step(np.ones((4, 3)), np.full(2, 0.5), 1.0),
-    "gauss_assignments (4,) sq_norms for N=5":
-        lambda: gauss.gauss_assignments(np.ones((5, 3)), GaussBelief(MEAN, VAR), np.full(2, 0.5),
-                                        0.5, sq_norms=np.ones(4)),
 }
 
 

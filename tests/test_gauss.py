@@ -476,17 +476,21 @@ class TestGaussAssignments:
         resp = gauss_assignments(rng.standard_normal((11, 4)), belief, np.full(3, 1 / 3), 0.7)
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_shared_covariance_matches_explicit_inverse(self):
+    # the oracle keeps the full log density, ||h||^2 and the normalizer
+    # included, which gauss_assignments leaves out as the same for every class
+    @pytest.mark.parametrize("r", [1e-3, 0.3, 10.0])
+    @pytest.mark.parametrize("norm", [1.0, 3.0], ids=["unit", "norm3"])
+    def test_shared_covariance_matches_explicit_inverse(self, norm, r):
         rng = np.random.default_rng(19)
         k, d = 4, 5
         belief = GaussBelief(rng.standard_normal((k, d)), np.ones(k))
         mixing = rng.dirichlet(np.ones(k))
-        r = 0.3
-        feats = rng.standard_normal((9, d))
+        feats = norm * normalize_rows(rng.standard_normal((9, d)))
         resp = gauss_assignments(feats, belief, mixing, r)
+        cov = r * np.eye(d)
         diff = feats[:, None, :] - belief.mean[None]
-        quad = np.einsum("nkd,de,nke->nk", diff, np.linalg.inv(r * np.eye(d)), diff)
-        logits = np.log(mixing) - 0.5 * quad
+        quad = np.einsum("nkd,de,nke->nk", diff, np.linalg.inv(cov), diff)
+        logits = np.log(mixing) - 0.5 * (quad + np.linalg.slogdet(2.0 * np.pi * cov)[1])
         want = np.exp(logits - logits.max(axis=1, keepdims=True))
         np.testing.assert_allclose(resp, want / want.sum(axis=1, keepdims=True), atol=1e-12)
 

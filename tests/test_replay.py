@@ -14,15 +14,17 @@ REPLAY = ROOT / "tools" / "replay.py"
 STEPS, STREAMS = 6, 2  # every --tiny workload
 HASHED = ("probs", "labels", "prototypes", "mixing", "scalars")
 TINY_N = {"vmf-d512-shift": 40, "gauss-d64-mstep": 30}  # the --tiny batch sizes
-# SHA-256 of the whole output of `replay.py ROOT --workload W --seed 7 --tiny`,
-# frozen at 79863b3 (numpy 2.4.6, scipy 1.17.1, one OpenBLAS thread, x86-64).
+# SHA-256 of the whole output of `replay.py ROOT --workload W --seed 7 --tiny`
+# (numpy 2.4.6, scipy 1.17.1, one OpenBLAS thread, x86-64). The vMF pins were
+# frozen at 79863b3, the Gauss pins when `gauss_assignments` stopped forming
+# the terms that are the same for every class (a last-bit move of each logit).
 # A change that moves any answer of any step of the four workloads changes
 # its hash; one that means to move them refreezes these and says why.
 FROZEN_TINY = {
     "vmf-d512-shift": "b20f2566f3aae9ad46f7e3fe97ff7dcd17c9c13f23d824bb535059d8dfd704a2",
     "vmf-d2048-k1000": "b669ed3ce8089f3d39c2a89b1132690d7f9c27c5441a2e270fed0c8a8908c94e",
-    "gauss-d64": "9ccdda02647b3a0c146e049e897bbe718377eafcda77ac140cd3a82d0b8b8ffd",
-    "gauss-d64-mstep": "c46527fd5b720de7c0fbfc15675d79829fbb2f8a59d32e7f93367ff6b25d9feb",
+    "gauss-d64": "4505197e9401167798952fa761b3f3238b018e2dd91ad4b52eab4f6499fd23ac",
+    "gauss-d64-mstep": "60b7063c2eb140130b4143f26761137a2a70419545a883cc68b8741252976b32",
 }
 
 
@@ -62,8 +64,13 @@ def test_two_runs_agree_step_by_step(workload):
 
 @pytest.mark.parametrize("workload", sorted(FROZEN_TINY))
 def test_tiny_replay_output_is_frozen(workload):
-    output = replay_output(workload).encode()
-    assert hashlib.sha256(output).hexdigest() == FROZEN_TINY[workload]
+    sha = hashlib.sha256(replay_output(workload).encode()).hexdigest()
+    replay_cmd = f"python3 tools/replay.py CHECKOUT --workload {workload} --seed 7 --tiny"
+    assert sha == FROZEN_TINY[workload], (
+        f"the --tiny replay of {workload} now hashes to {sha}. To see what moved, run "
+        f"`{replay_cmd} --save A.npz` on the parent and on this checkout (B.npz), then "
+        f"`python3 tools/replay.py --diff A.npz B.npz`; to refreeze on purpose, set "
+        f"FROZEN_TINY[{workload!r}] = {sha!r} and say why")
 
 
 def test_two_saves_diff_to_zero(tmp_path):

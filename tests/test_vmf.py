@@ -467,11 +467,11 @@ def counted_products(monkeypatch):
     """A list that gets one entry per array a window step's cache forms."""
     formed, real = [], WindowStep.cached
 
-    def cached(step, name, make, of_belief=True):
+    def cached(step, name, make):
         def counted(s):
             formed.append(name)
             return make(s)
-        return real(step, name, counted, of_belief)
+        return real(step, name, counted)
 
     monkeypatch.setattr(WindowStep, "cached", cached)
     return formed
@@ -483,7 +483,7 @@ class TestProductCache:
     @staticmethod
     def assert_cache_fresh(model):
         for s in model._steps:
-            dots = s._of_belief.get("products")
+            dots = s._cache.get("products")
             if dots is not None:
                 np.testing.assert_array_equal(dots, s.feats @ s.belief.mean_dir.T)
 
@@ -497,7 +497,7 @@ class TestProductCache:
             model.adapt(t, batch)
             self.assert_cache_fresh(model)
             model.predict(batch)
-            assert "products" in model._steps[-1]._of_belief
+            assert "products" in model._steps[-1]._cache
             self.assert_cache_fresh(model)
             model.predict(probe)
             self.assert_cache_fresh(model)
@@ -527,9 +527,9 @@ class TestProductCache:
         model = VmfModel(rng.standard_normal((3, 5)), VmfConfig(d=5, k=3, learn_kappa_ems=True))
         for t in (1, 2, 3):
             model.adapt(t, rng.standard_normal((6, 5)))
-        assert all("products" in s._of_belief for s in model._steps)
+        assert all("products" in s._cache for s in model._steps)
         model.coordinate_ascent_sweep()
-        assert all("products" not in s._of_belief for s in model._steps)
+        assert all("products" not in s._cache for s in model._steps)
         self.assert_cache_fresh(model)
 
 
