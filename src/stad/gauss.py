@@ -101,14 +101,8 @@ class GaussBelief:
     mean: np.ndarray  # (K, D)
     cov: np.ndarray   # (K,) variances c of c * I
 
-    def copy(self, into: "GaussBelief | None" = None) -> "GaussBelief":
-        """A copy in fresh arrays, whatever `into` is.
-
-        Every sweep replaces each step's belief with views into the
-        smoother's stacked arrays, so storage taken from a retired belief
-        would serve only the first assignments and would keep a whole old
-        stack alive.
-        """
+    def copy(self) -> "GaussBelief":
+        """A copy in fresh arrays."""
         return GaussBelief(self.mean.copy(), self.cov.copy())
 
 
@@ -375,8 +369,8 @@ class GaussModel(SlidingWindow):
         """Assignments, forward filter and backward smoother over the window.
 
         Each step's assignments are formed afresh from its batch and
-        belief, and nothing goes into the step cache: every sweep moves
-        every belief. Raises NotAdaptedError before the first `adapt`.
+        belief, and the step's `products` field stays unused: every sweep
+        moves every belief. Raises NotAdaptedError before the first `adapt`.
         """
         self._newest()
         for step in self._steps:

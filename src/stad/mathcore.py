@@ -59,7 +59,10 @@ _RATIO_DEPTH_MAX = 1 << 12
 
 def _float_array(values, what: str, dtype=np.float64) -> np.ndarray:
     """values as an array of `dtype`; DomainError naming `what` if they do
-    not convert (a string, a ragged nesting, ...)."""
+    not convert (a string, a ragged nesting, ...) or are complex, which
+    numpy would cast by dropping the imaginary parts."""
+    if isinstance(values, (np.ndarray, np.generic)) and values.dtype.kind == "c":
+        raise DomainError(f"{what} must be real numbers, got {values.dtype}")
     try:
         return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError) as exc:

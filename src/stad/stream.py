@@ -199,11 +199,17 @@ def write_matrix(path, arr: np.ndarray) -> None:
         fh.write(arr.tobytes(order="C"))
 
 
-def read_matrix(path) -> np.ndarray:
+def _read_bytes(path) -> tuple[Path, bytes]:
+    """The path and bytes of a file; MissingFileError unless it is a
+    regular file (a directory, say, or nothing)."""
     path = Path(path)
-    if not path.exists():
-        raise MissingFileError(str(path))
-    raw = path.read_bytes()
+    if not path.is_file():
+        raise MissingFileError(f"{path}: not a regular file")
+    return path, path.read_bytes()
+
+
+def read_matrix(path) -> np.ndarray:
+    path, raw = _read_bytes(path)
     if len(raw) < _HEADER.size:
         raise CorruptHeaderError(f"{path}: truncated header")
     magic, rows, cols = _HEADER.unpack_from(raw)
@@ -219,10 +225,7 @@ def read_matrix(path) -> np.ndarray:
 
 
 def _read_labels(path, count: int) -> np.ndarray:
-    path = Path(path)
-    if not path.exists():
-        raise MissingFileError(str(path))
-    raw = path.read_bytes()
+    path, raw = _read_bytes(path)
     if len(raw) != 4 * count:
         raise CorruptPayloadError(
             f"{path}: label payload is {len(raw)} bytes, expected {4 * count}"
@@ -295,11 +298,9 @@ def _file_name(value, what: str) -> str:
 
 
 def read_manifest(dirpath) -> StreamManifest:
-    mpath = Path(dirpath) / MANIFEST_NAME
-    if not mpath.exists():
-        raise MissingFileError(str(mpath))
+    mpath, raw = _read_bytes(Path(dirpath) / MANIFEST_NAME)
     try:
-        payload = json.loads(mpath.read_text())
+        payload = json.loads(raw)
     except ValueError as exc:
         raise CorruptHeaderError(f"{mpath}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):

@@ -32,9 +32,9 @@ directions are the one data input of the assignment step, the head
 (`predict_probs`) and the concentration re-estimate (`kappa_update`), and
 each checks them. The model forms them in two places: a step's products
 feats @ mean_dir.T once per position of its belief (`VmfModel._products`),
-cached in the step, which the sweep's assignment, the concentration
-re-estimate, `window_elbo` and `predict` on the adapted batch all read;
-and in `predict`, those of a batch it has not adapted on.
+kept as the step's `products`, which the sweep's assignment, the
+concentration re-estimate, `window_elbo` and `predict` on the adapted
+batch all read; and in `predict`, those of a batch it has not adapted on.
 """
 
 from __future__ import annotations
@@ -126,28 +126,19 @@ class PrototypeBelief:
 
     @classmethod
     def from_params(cls, mean_dir: np.ndarray, conc: np.ndarray) -> "PrototypeBelief":
-        """The belief with these directions and concentrations; mean_dir is
-        kept, not copied, when it is already a float array."""
+        """The belief with these (K, D) directions and (K,) concentrations;
+        mean_dir is kept, not copied, when it is already a float array.
+        Other shapes raise DimensionMismatchError."""
         mean_dir = _float_array(mean_dir, "mean directions")
         conc = _float_array(conc, "concentrations")
-        # A_D(conc) is the expected prototype of the unit row (1,): the
-        # ratio is taken through `expected_prototype`, whose span the traced
-        # benchmark records, at O(K) cost
-        ones = np.ones((conc.shape[0], 1))
-        return cls(mean_dir, conc, expected_prototype(ones, conc, mean_dir.shape[1])[:, 0])
+        if mean_dir.ndim != 2 or conc.shape != mean_dir.shape[:1]:
+            raise DimensionMismatchError(f"beliefs need (K, D) mean directions and (K,) "
+                                         f"concentrations, got {mean_dir.shape} and {conc.shape}")
+        return cls(mean_dir, conc, bessel_ratio(mean_dir.shape[1], conc))
 
-    def copy(self, into: "PrototypeBelief | None" = None) -> "PrototypeBelief":
-        """A copy in fresh arrays, or written into the arrays of `into`.
-
-        With `into`, that belief takes this one's values and is returned,
-        so whoever still holds `into` sees them change.
-        """
-        if into is None:
-            return PrototypeBelief(self.mean_dir.copy(), self.conc.copy(), self.ratio.copy())
-        np.copyto(into.mean_dir, self.mean_dir)
-        np.copyto(into.conc, self.conc)
-        np.copyto(into.ratio, self.ratio)
-        return into
+    def copy(self) -> "PrototypeBelief":
+        """A copy in fresh arrays."""
+        return PrototypeBelief(self.mean_dir.copy(), self.conc.copy(), self.ratio.copy())
 
 
 def expected_prototype(mean_dir: np.ndarray, conc, d: int) -> np.ndarray:
@@ -295,33 +286,33 @@ class VmfModel(SlidingWindow):
     as a fresh mixture anchored only at the source prototypes, through
     the one link from the source head, of concentration kappa_trans.
 
-    The sweep rewrites the (K, D) arrays of the window's beliefs in place
-    and passes them between steps as scratch space, so `prototypes`
-    returns a copy: an array a caller holds is a snapshot that later
-    `adapt` calls leave alone. Each update copies the left mean direction
-    into the message buffer, adds the emission with one BLAS GEMM in
-    place, and walks row blocks of about 256 KiB for the rest (see
-    `prototype_update`), which gives the same bits as whole-array passes.
-    A new step takes the arrays of the belief that leaves the model at
-    that push (the retired anchor, or with static=True the evicted step's
-    belief, never the source prior), so once the prior has left the
-    anchor, pushes allocate no belief storage.
-    The source prior's mean direction is `source_prototypes` itself, made
-    read-only. A full window thus holds window + 3 (K, D) arrays: one per
-    step, the anchor's, the sweep's message buffer and
-    `source_prototypes`; with static=True, whose anchor is the prior, 3.
+    The sweep passes the replaced mean direction of each update on as the
+    next update's message buffer, so `prototypes` returns a copy: an array
+    a caller holds is a snapshot that later `adapt` calls leave alone.
+    Each update copies the left mean direction into the message buffer,
+    adds the emission with one BLAS GEMM in place, and walks row blocks of
+    about 256 KiB for the rest (see `prototype_update`), which gives the
+    same bits as whole-array passes. A new step starts from a fresh copy
+    of the newest belief, and a belief that leaves the model is dropped,
+    so an anchor keeps its values for good. The source prior's mean
+    direction is `source_prototypes` itself, made read-only. A full window
+    thus holds window + 3 (K, D) arrays: one per step, the anchor's, the
+    sweep's message buffer and `source_prototypes`; with static=True,
+    whose anchor is the prior, 3.
 
-    Each step caches its (N, K) products with its mean directions
-    (`_products`) until its belief moves: an update in the sweep, a push
-    or a subclass that assigns `step.belief`. So a step forms them once
-    per sweep that moves it, the concentration re-estimate reads the last
-    sweep's, the next `adapt`'s first sweep reads them again for the steps
-    it keeps, and `predict` on the batch just adapted reads the newest
-    step's. Once the window is full, `adapt` and then `predict` on the
-    same batch, at window 3 and 2 sweeps, form 7 products with
-    learn_kappa_ems and 6 without, against 10 and 7 if each user formed
-    its own. `predict` on any other batch forms that batch's products
-    with the newest mean directions itself, and caches nothing.
+    Each step keeps its (N, K) products with its mean directions as
+    `step.products` (formed by `_products`) until its belief moves: the
+    sweep sets them back to None after each update, a push starts the new
+    step without them, and a subclass that assigns `step.belief` sets them
+    to None too. So a step forms them once per sweep that moves it, the
+    concentration re-estimate reads the last sweep's, the next `adapt`'s
+    first sweep reads them again for the steps it keeps, and `predict` on
+    the batch just adapted reads the newest step's. Once the window is
+    full, `adapt` and then `predict` on the same batch, at window 3 and 2
+    sweeps, form 7 products with learn_kappa_ems and 6 without, against 10
+    and 7 if each user formed its own. `predict` on any other batch forms
+    that batch's products with the newest mean directions itself, and
+    keeps nothing.
     """
 
     def __init__(self, source_weights: np.ndarray, config: VmfConfig, static: bool = False):
@@ -380,9 +371,11 @@ class VmfModel(SlidingWindow):
     @staticmethod
     def _products(step) -> np.ndarray:
         """The (N, K) products feats @ mean_dir.T of a step's unit rows with
-        its mean directions: formed here on first use, the one place they
-        are formed, and cached in the step until its belief moves."""
-        return step.cached("products", lambda s: s.feats @ s.belief.mean_dir.T)
+        its mean directions: formed here when `step.products` is None, the
+        one place they are formed, and kept there until its belief moves."""
+        if step.products is None:
+            step.products = step.feats @ step.belief.mean_dir.T
+        return step.products
 
     def coordinate_ascent_sweep(self) -> None:
         """One left-to-right pass of assignment + prototype updates.
@@ -392,8 +385,8 @@ class VmfModel(SlidingWindow):
         concentrations never decrease the evidence lower bound.
 
         The updates allocate no (K, D) array. The assignment step scales
-        the step's cached products with its mean directions (`_products`)
-        by kappa_ems * A_D(conc), and the update drops them.
+        the step's products with its mean directions (`_products`) by
+        kappa_ems * A_D(conc), and the update sets them back to None.
         Each update then runs in the frame of its left message, whose row
         scales lambda_k are kappa_trans from the source prior (the link
         from the source head) or kappa_trans * A_D(conc) from the left step
@@ -433,7 +426,7 @@ class VmfModel(SlidingWindow):
                 right, right_dir = self._message(steps[i + 1].belief)
                 messages.append((right / scale, right_dir))
             self._total, degenerate = prototype_update(belief, total, messages, scale)
-            step.moved()
+            step.products = None
             self.degenerate_updates += degenerate
 
     def _message(self, belief: PrototypeBelief) -> tuple[np.ndarray, np.ndarray]:
@@ -460,7 +453,7 @@ class VmfModel(SlidingWindow):
         does not convert to an (N, D) float array raises a StadError.
 
         On a batch equal element for element to the one just adapted on,
-        the newest step's unit rows and cached products are read instead of
+        the newest step's unit rows and products are read instead of
         normalizing and multiplying again, with the same bits as the full
         path (see `SlidingWindow._predict_rows`); any other batch is
         normalized and multiplied with the newest mean directions here.

@@ -12,12 +12,13 @@ closed form. The batch push is shared; the trackers differ only in the
 belief type, in the two hooks that loop calls after it, `_sweep` and
 `_reestimate`, and in the head.
 
-Each step caches what its tracker derives from its batch and belief
-(`WindowStep.cached`), so that the sweep, the re-estimate and the head
-form each array once while the belief stands still. The engine also
-keeps one copy of the newest batch as given: `predict` on a batch equal
-to it reuses the newest step's unit rows and cache instead of
-normalizing the batch again.
+A step is a plain record. Its one derived field, `products`, holds the
+spherical tracker's (N, K) products of the batch with the belief's mean
+directions while the belief stands still, so that the sweep, the
+re-estimate and the head form them once. The engine also keeps one copy
+of the newest batch as given: `predict` on a batch equal to it reuses the
+newest step's unit rows and products instead of normalizing the batch
+again.
 
 The checks both trackers share live here too: of a config
 (`check_config`, whose pi_floor rule `mixing_update` applies as well),
@@ -28,7 +29,7 @@ of the source weights (`check_source`) and of a window's batches
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -51,11 +52,12 @@ __all__ = ["WindowStep", "SlidingWindow", "mixing_update", "check_config", "chec
 @dataclass
 class WindowStep:
     """One window step: its batch, the tracker's belief, responsibilities
-    and mixing weights, and a cache of arrays the tracker derives from them.
+    and mixing weights, and the (N, K) products of the batch with the
+    belief's mean directions, or None.
 
-    `cached` forms such an array on first use and keeps it until the
-    belief moves. Assigning `belief` drops the cache, and a tracker that
-    moves the belief in place calls `moved()`.
+    Whoever moves or replaces the belief sets `products` back to None; the
+    spherical tracker forms them again when it next reads them, and the
+    Gaussian one never reads them.
     """
 
     t: int
@@ -63,24 +65,7 @@ class WindowStep:
     belief: Any         # the tracker's belief over the K prototypes
     resp: np.ndarray    # (N, K)
     mixing: np.ndarray  # (K,)
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __setattr__(self, name: str, value) -> None:
-        super().__setattr__(name, value)
-        if name == "belief":
-            self.moved()
-
-    def moved(self) -> None:
-        """Drop the cache: the belief has moved or been replaced."""
-        self._cache = {}
-
-    def cached(self, name: str, make) -> np.ndarray:
-        """The array `make(self)` stored as `name`, formed on first use and
-        again once the belief has moved."""
-        value = self._cache.get(name)
-        if value is None:
-            value = self._cache[name] = make(self)
-        return value
+    products: np.ndarray | None = None
 
 
 def check_config(config, d_min: int) -> None:
@@ -188,7 +173,7 @@ class SlidingWindow:
 
     `_push` keeps one copy of the newest batch as given, `_given`. A head
     asked about a batch that equals it element for element reads the
-    newest step's unit rows and cache; the copy, not the caller's array,
+    newest step's unit rows and products; the copy, not the caller's array,
     is compared, so a batch written into after `adapt` takes the full path.
     """
 
@@ -260,19 +245,12 @@ class SlidingWindow:
         step first when the window is full.
 
         The new step starts from a copy of the newest belief (the anchor
-        when the window is empty or `static`) with uniform responsibilities
-        and mixing. The evicted step's belief becomes the anchor, except
-        with `static`, where the anchor stays the initial one.
-
-        So once the window is full, each push retires a belief: with
-        `static` the evicted step's own, otherwise the anchor it replaces.
-        The copy is written into the arrays of the retired belief, as far as
-        the belief type's `copy(into=...)` reuses them, except that the
-        initial anchor (`_prior`) is kept and never written.
-
-        The new step's cache starts empty; the kept steps keep theirs, since
-        a push moves none of their beliefs. A copy of the batch as given
-        replaces `_given`, so the model holds one such copy in all.
+        when the window is empty or `static`) in fresh arrays, with uniform
+        responsibilities and mixing and no products. The evicted step's
+        belief becomes the anchor, except with `static`, where the anchor
+        stays the initial one. A push moves no kept step's belief, so those
+        steps keep their products. A copy of the batch as given replaces
+        `_given`, so the model holds one such copy in all.
         """
         check_int("t", t, 0)
         unit = self._unit_batch(feats)
@@ -281,20 +259,16 @@ class SlidingWindow:
         if self._steps and t != self._steps[-1].t + 1:
             raise NonContiguousTimeError(f"expected t={self._steps[-1].t + 1}, got {t}")
         start = self._anchor if self._static or not self._steps else self._steps[-1].belief
-        leaving = None
         if len(self._steps) == self._window:
             evicted = self._steps.pop(0).belief
-            if self._static:
-                leaving = evicted
-            else:
-                leaving = None if self._anchor is self._prior else self._anchor
+            if not self._static:
                 self._anchor = evicted
         k = self.config.k
         self._steps.append(
             WindowStep(
                 t=t,
                 feats=unit,
-                belief=start.copy(into=leaving),
+                belief=start.copy(),
                 resp=np.full((unit.shape[0], k), 1.0 / k),
                 mixing=np.full(k, 1.0 / k),
             )

@@ -123,9 +123,10 @@ def test_json_writes_the_comparison(tmp_path, monkeypatch, capsys):
     threads = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
     def fake_run(cmd, cwd, **kwargs):
-        if cmd[0] == "git":   # the commit lookup: the parent is no work tree
+        if cmd[0] == "git":   # the commit lookup: the parent is no work tree, the change clean
             return bench_pairs.subprocess.CompletedProcess(
-                cmd, 128 if cwd == parent else 0, stdout="abc123\n" if cwd == change else "")
+                cmd, 128 if cwd == parent else 0,
+                stdout="abc123\n" if cwd == change and "rev-parse" in cmd else "")
         seed = int(cmd[cmd.index("--seed") + 1])
         value = (10.0 if cwd == parent else 8.0) + seed
         report = {"correct": True, "attempted": 10, "failed": 0,
@@ -162,3 +163,20 @@ def test_json_writes_the_comparison(tmp_path, monkeypatch, capsys):
                            "  median 12 [11.5, 12.5] -> 10 (-16.7%), change better in 3 of 3,"
                            " median moved beyond the parent's quartiles"]
     assert len(written["metrics"]) == len(metrics)
+
+
+def test_commit_marks_an_uncommitted_tree_dirty(tmp_path):
+    def git(*args):
+        return bench_pairs.subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path,
+            capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    git("add", "a.py")
+    git("commit", "-q", "-m", "a")
+    head = git("rev-parse", "HEAD")
+    (tmp_path / "new.py").write_text("")   # untracked files leave the tree clean
+    assert bench_pairs.commit(tmp_path) == head
+    (tmp_path / "a.py").write_text("x = 2\n")
+    assert bench_pairs.commit(tmp_path) == head + "+dirty"

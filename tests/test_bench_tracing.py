@@ -88,6 +88,9 @@ def test_install_rebinds_and_uninstall_restores():
         for t in (1, 2, 3):
             model.adapt(t, normalize_rows(rng.standard_normal((12, d))))
         model.predict(normalize_rows(rng.standard_normal((4, d))))
+        # the tracker never calls expected_prototype, which stays exported
+        assert "vmf.expected_prototype" not in {span[0] for span in tracer.spans}
+        vmf.expected_prototype(model.prototypes, np.ones(k), d)
         fired = {span[0] for span in tracer.spans}
         for name, span in VMF_SPANS.items():
             assert span in fired, name

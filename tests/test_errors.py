@@ -132,6 +132,13 @@ CASES = {
     "mixing_update resp a string": lambda tmp: mixing_update("x"),
     "write_stream features a string":
         lambda tmp: write_stream(tmp, [EmbeddingBatch(1, "x")], 3),
+    # complex arrays are refused, not cast to their real parts
+    "assignment_step complex products":
+        lambda tmp: vmf.assignment_step(np.array([[1 + 0j, 2 + 5j]]), np.array([0.5, 0.5]), 1.0),
+    "kf_update_weighted complex feats":
+        lambda tmp: gauss.kf_update_weighted(MEAN, VAR, FEATS + 1j, RESP, 0.5),
+    "write_stream complex features":
+        lambda tmp: write_stream(tmp, [EmbeddingBatch(1, np.ones((2, 2)) + 1j)], 3),
     "gauss_m_step gains a string":
         lambda tmp: gauss.gauss_m_step([GaussBelief(MEAN, VAR)] * 2, [["x", "y"]], [], [],
                                        True, False),
@@ -156,6 +163,12 @@ def test_bad_argument_raises_domain_error(tmp_path, case):
 SHAPE_CASES = {
     "assignment_step products of K=3 for mixing of K=2":
         lambda: vmf.assignment_step(np.ones((4, 3)), np.full(2, 0.5), 1.0),
+    "PrototypeBelief.from_params 1-d mean_dir":
+        lambda: vmf.PrototypeBelief.from_params(np.ones(3), np.ones(1)),
+    "PrototypeBelief.from_params scalar conc":
+        lambda: vmf.PrototypeBelief.from_params(MEAN, 1.0),
+    "PrototypeBelief.from_params (3, 4) mean_dir with (2,) conc":
+        lambda: vmf.PrototypeBelief.from_params(np.eye(3, 4), np.ones(2)),
 }
 
 

@@ -83,12 +83,19 @@ def _write_bytes(name, data):
     return lambda path: (path / name).write_bytes(data)
 
 
+def _into_directory(path):
+    """Replace a step file with a directory of the same name."""
+    path.unlink()
+    path.mkdir()
+
+
 def _header(rows, cols, magic=b"STADEMB1"):
     return magic + np.array([rows, cols], dtype="<u4").tobytes()
 
 
 CORRUPTIONS = {
     "manifest missing": (MissingFileError, lambda p: (p / MANIFEST_NAME).unlink()),
+    "manifest a directory": (MissingFileError, lambda p: _into_directory(p / MANIFEST_NAME)),
     "manifest not json": (CorruptHeaderError, _write_bytes(MANIFEST_NAME, b"{not json")),
     "manifest not an object": (CorruptHeaderError, _write_bytes(MANIFEST_NAME, b"[]")),
     "format version": (CorruptHeaderError, lambda p: _edit_manifest(p, _set("format_version", 2))),
@@ -111,6 +118,8 @@ CORRUPTIONS = {
     ),
     "feature file missing": (MissingFileError, lambda p: (p / "step_00002.emb").unlink()),
     "label file missing": (MissingFileError, lambda p: (p / "step_00001.lbl").unlink()),
+    "feature file a directory": (MissingFileError, lambda p: _into_directory(p / "step_00002.emb")),
+    "label file a directory": (MissingFileError, lambda p: _into_directory(p / "step_00001.lbl")),
     "truncated header": (CorruptHeaderError, _write_bytes("step_00001.emb", b"STADEMB1")),
     "bad magic": (CorruptHeaderError, _write_bytes("step_00001.emb", _header(5, 3, b"NOTMAGIC"))),
     "short payload": (CorruptPayloadError, _write_bytes("step_00001.emb", _header(5, 3) + bytes(8))),

@@ -16,8 +16,9 @@ step, or answers that differ between passes); such a run leaves its pair
 out of the comparison, and the next seeds still run. When a finished run
 was not correct, each side's share of failed steps over its finished runs
 follows. `--json PATH` also writes all of this to PATH, with the commit
-of each checkout and each run's environment (its BLAS thread pins among
-it). `--seeds` takes a range `A-B` or a comma list. Standard library only.
+of each checkout (marked `+dirty` when a tracked file differs from it)
+and each run's environment (its BLAS thread pins among it). `--seeds`
+takes a range `A-B` or a comma list. Standard library only.
 """
 
 from __future__ import annotations
@@ -129,10 +130,16 @@ def summarize(pairs: list[tuple[int, dict, dict]], metrics: list[dict]) -> list[
 
 
 def commit(checkout: Path) -> str | None:
-    """The commit checked out in `checkout`, or None outside a git work tree."""
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
-                          text=True)
-    return done.stdout.strip() if done.returncode == 0 else None
+    """The commit checked out in `checkout`, with `+dirty` appended when a
+    tracked file differs from it, or None outside a git work tree."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode:
+        return None
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return head.stdout.strip() + ("+dirty" if dirty else "")
 
 
 def _rel(old: float, new: float) -> str:
