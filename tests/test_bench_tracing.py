@@ -131,3 +131,23 @@ def test_gauss_default_model_fires_every_wrapped_name():
     finally:
         uninstall()
     assert_restored(before, GaussModel, GAUSS_METHODS, before_methods)
+
+
+def test_each_bessel_branch_fires_its_span():
+    tracing = load_tracing()
+    before = snapshot()
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        # the series, the uniform expansion and the large-argument branch,
+        # each looked up through `mathcore` when `log_bessel_i` dispatches
+        tracer.timed = True
+        for order, arg in ((0, 1.0), (20, 1e4), (0.5, 1e3)):
+            mathcore.log_bessel_i(order, arg)
+        fired = [span[0] for span in tracer.spans]
+        for branch in tracing.BESSEL_BRANCHES.values():
+            assert fired.count(f"mathcore.bessel.{branch}") == 1, branch
+            assert tracer.counts[f"bessel.{branch}.elems"] == 1, branch
+    finally:
+        uninstall()
+    assert_restored(before, VmfModel, (), {})

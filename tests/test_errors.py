@@ -139,6 +139,12 @@ CASES = {
         lambda tmp: gauss.kf_update_weighted(MEAN, VAR, FEATS + 1j, RESP, 0.5),
     "write_stream complex features":
         lambda tmp: write_stream(tmp, [EmbeddingBatch(1, np.ones((2, 2)) + 1j)], 3),
+    "kf_smooth complex means nested in a list":
+        lambda tmp: gauss.kf_smooth([MEAN + 1j, MEAN], [VAR] * 2, 0.1),
+    # an int beyond the float range is refused, not an OverflowError
+    "adapt batch holding 10**400": lambda tmp: vmf_model().adapt(1, [[10**400, 1.0, 0.0]]),
+    "write_stream features holding 10**400":
+        lambda tmp: write_stream(tmp, [EmbeddingBatch(1, [[10**400, 1.0]], None)], 2),
     "gauss_m_step gains a string":
         lambda tmp: gauss.gauss_m_step([GaussBelief(MEAN, VAR)] * 2, [["x", "y"]], [], [],
                                        True, False),

@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stad import mathcore
 from stad.errors import DomainError, EmptyInputError, ZeroVectorError
 from stad.mathcore import (
     bessel_ratio,
@@ -60,14 +62,36 @@ class TestLogBesselI:
 
     @pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 5.0, 13.5, 14.0, 16.0, 64.0, 511.5, 1024.0])
     def test_accuracy_across_branches(self, order):
-        # arg/order spanning [1e-6, 1e4]; compare in the log domain.
+        # arg/order spanning [1e-6, 1e4]; compare in the log domain. Above
+        # 120 (the uniform and large-argument branches) to 1e-13, so that an
+        # error in a Debye coefficient shows.
         for ratio in [1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 20.0, 1e3, 1e4]:
             arg = max(order, 1.0) * ratio
             want = oracles.mp_log_bessel_i(order, arg)
             got = log_bessel_i(order, arg)
-            assert got == pytest.approx(want, rel=1e-8), (order, arg)
+            assert got == pytest.approx(want, rel=1e-13 if arg > 120 else 1e-8), (order, arg)
 
-    @pytest.mark.parametrize("d,kappa", [(512, 1e160), (512, 1e200), (2048, 1e300)])
+    def test_debye_polynomials_match_abramowitz_stegun(self):
+        # A&S 9.3.9: u_k(t) = sum_j c_j t^j / denominator, for k = 1..4
+        table = [
+            (24, {1: 3, 3: -5}),
+            (1152, {2: 81, 4: -462, 6: 385}),
+            (414720, {3: 30375, 5: -369603, 7: 765765, 9: -425425}),
+            (39813120, {4: 4465125, 6: -94121676, 8: 349922430, 10: -446185740,
+                        12: 185910725}),
+        ]
+        polys = mathcore._debye_polynomials()
+        assert len(polys) == 6
+        for k, (den, coef) in enumerate(table, 1):
+            got = polys[k - 1].coef
+            assert len(got) == 3 * k + 1, k
+            for j, c in enumerate(got):
+                want = float(Fraction(coef.get(j, 0), den))
+                assert abs(c - want) <= 4 * math.ulp(want), (k, j)
+
+    # d < 30 is the large-argument branch, past the 2**30 where scipy's ive answers NaN
+    @pytest.mark.parametrize("d,kappa", [(512, 1e160), (512, 1e200), (2048, 1e300), (2, 2.0**31),
+                                         (3, 1e100), (29, 1.7e308)])
     def test_huge_argument_matches_mpmath_without_overflow(self, d, kappa):
         order = d / 2.0 - 1.0
         with warnings.catch_warnings():
