@@ -33,9 +33,11 @@ import numpy as np
 from scipy.linalg import cho_factor  # noqa: F401
 
 from .errors import DimensionMismatchError, DomainError, InsufficientHistoryError, check_real
-# normalize_rows is unused here; it stays importable because bench/tracing.py rebinds it
+# log_sum_exp and normalize_rows are unused here; they stay importable
+# because bench/tracing.py rebinds them
 from .mathcore import _float_array, log_sum_exp, normalize_rows  # noqa: F401
-from .window import SlidingWindow, check_batches, check_config, check_source, mixing_update
+from .window import (SlidingWindow, check_batches, check_config, check_source, mixing_update,
+                     softmax_rows)
 
 __all__ = [
     "GaussConfig",
@@ -222,11 +224,14 @@ def gauss_assignments(
     alone, so nothing is factored. Of the log density only the terms that
     differ between classes are formed, log pi_k + (h . m_k - ||m_k||^2 / 2) / r:
     ||h||^2 / (2 r) and the log normalizer are the same for every class,
-    and the row normalization cancels them. The mean must be (K, D), the
-    belief covariance (K,), the batch (N, D), mixing (K,) and sigma_ems the
-    float r; anything else raises DimensionMismatchError, and an r that is
-    not a finite real number > 0 (a bool or a 0-d array too) raises
-    DomainError.
+    and the row normalization, `window.softmax_rows`, cancels them. The
+    mean must be (K, D), the belief covariance (K,), the batch (N, D),
+    mixing (K,) and sigma_ems the float r; anything else raises
+    DimensionMismatchError, and an r that is not a finite real number > 0
+    (a bool or a 0-d array too) raises DomainError. So does a row whose
+    logits have no finite max: mixing weights that are negative, NaN or
+    all 0, a non-finite batch or mean, or logits beyond the float range. A
+    batch of no row raises EmptyInputError.
     """
     feats = _float_array(feats, "batch")
     mixing = _float_array(mixing, "mixing weights")
@@ -238,10 +243,12 @@ def gauss_assignments(
         raise DimensionMismatchError(
             f"gauss_assignments needs ({k},) mixing, ({k},) covariances and a float r")
     check_real("the emission variance r", sigma_ems, 0.0, above=True)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(mixing)
-    logits = log_pi + (feats @ mean.T - 0.5 * np.einsum("kd,kd->k", mean, mean)) / sigma_ems
-    return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
+    # a bad mixing weight or an overflow leaves its row without a finite
+    # max, which softmax_rows checks
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logits = (np.log(mixing)
+                  + (feats @ mean.T - 0.5 * np.einsum("kd,kd->k", mean, mean)) / sigma_ems)
+    return softmax_rows(logits)
 
 
 # bench/tracing.py wraps gauss_m_step; `_reestimate` looks it up through the module
@@ -393,12 +400,12 @@ class GaussModel(SlidingWindow):
             step.belief = GaussBelief(s_mean, s_var)
 
     def predict(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """softmax(W h) with W the newest posterior prototype means; a batch
-        that does not convert to an (N, D) float array raises a StadError.
+        """softmax(W h) with W the newest posterior prototype means, through
+        `window.softmax_rows`; a batch that does not convert to an (N, D)
+        float array raises a StadError, and one of no row EmptyInputError.
         A batch equal element for element to the one just adapted on is
         not normalized again: the newest step's unit rows are read (see
         `SlidingWindow._predict_rows`)."""
         unit, _ = self._predict_rows(feats)
-        logits = unit @ self._newest().belief.mean.T
-        probs = np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
+        probs = softmax_rows(unit @ self._newest().belief.mean.T)
         return probs, probs.argmax(axis=1)

@@ -434,7 +434,11 @@ def log_sum_exp(values, axis=None):
     """log sum exp via max shift; exact for a single element.
 
     Accepts finite values and -inf. An all(-inf) reduction yields -inf.
-    Values that do not convert to floats raise DomainError.
+    Values that do not convert to floats raise DomainError. No module of
+    the package calls it: the trackers normalize their rows with
+    `window.softmax_rows`, which gives the bits of
+    exp(x - log_sum_exp(x, axis=1)[:, None]) without converting or
+    scanning logits they have just formed.
     """
     arr = _float_array(values, "log_sum_exp values")
     if arr.size == 0:

@@ -45,7 +45,8 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .errors import DimensionMismatchError, DomainError, check_int, check_real
-from .mathcore import (
+# log_sum_exp is unused here; it stays importable because bench/tracing.py rebinds it
+from .mathcore import (  # noqa: F401
     _float_array,
     _nonnegative,
     bessel_ratio,
@@ -54,7 +55,8 @@ from .mathcore import (
     log_vmf_norm_const,
     normalize_rows,
 )
-from .window import SlidingWindow, check_batches, check_config, check_source, mixing_update
+from .window import (SlidingWindow, check_batches, check_config, check_source, mixing_update,
+                     softmax_rows)
 
 __all__ = [
     "VmfConfig",
@@ -152,13 +154,16 @@ def assignment_step(dots: np.ndarray, mixing: np.ndarray, kappa) -> np.ndarray:
     """Posterior class responsibilities for one batch, from its (N, K)
     products dots = feats @ prototypes.T with the K prototype rows.
 
-    Log-domain: log pi_k + kappa_k dots_nk, normalized per row. dots is
-    (N, K), mixing (K,), and kappa one concentration for every class (a
-    float) or one per class (K,); anything else raises
-    DimensionMismatchError, and a concentration that is not a finite real
-    number >= 0 (a bool too) DomainError, both before any O(N K) work.
-    Products or mixing weights that do not convert to a float array, and a
-    product that is not finite, raise DomainError. The sweep passes the
+    Log-domain: the logits log pi_k + kappa_k dots_nk, normalized per row
+    by `window.softmax_rows`. dots is (N, K), mixing (K,), and kappa one
+    concentration for every class (a float) or one per class (K,);
+    anything else raises DimensionMismatchError, and a concentration that
+    is not a finite real number >= 0 (a bool too) DomainError, both before
+    any O(N K) work. Products or mixing weights that do not convert to a
+    float array, and a product that is not finite, raise DomainError, and
+    so does a row whose logits have no finite max: mixing weights that are
+    negative, NaN or all 0, or a concentration times a product beyond the
+    float range. Products of no row raise EmptyInputError. The sweep passes the
     products with the unit mean directions and kappa_ems * A_D(conc),
     which gives kappa_ems times the dots with the expected prototypes. The
     vMF log-normalizer log C_D(kappa_ems) is the same in every class, so
@@ -176,9 +181,11 @@ def assignment_step(dots: np.ndarray, mixing: np.ndarray, kappa) -> np.ndarray:
         check_real("the concentration", kappa[()] if isinstance(kappa, np.ndarray) else kappa, 0.0)
     if not np.isfinite(dots).all():
         raise DomainError("products contain non-finite entries")
-    with np.errstate(divide="ignore"):
+    # a bad mixing weight or an overflow leaves its row without a finite
+    # max, which softmax_rows checks
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logits = np.log(mixing) + kappa * dots
-    return np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
+    return softmax_rows(logits)
 
 
 def prototype_update(

@@ -20,6 +20,12 @@ of the newest batch as given: `predict` on a batch equal to it reuses the
 newest step's unit rows and products instead of normalizing the batch
 again.
 
+Both trackers normalize their assignment logits, and the Gaussian one its
+head, through one in-place row softmax, `softmax_rows`. Its callers form
+the logits just before and check the arrays they form them from, so it
+checks only the N row maxima it needs for the shift; a row with a NaN or
++inf entry, or all -inf, raises there.
+
 The checks both trackers share live here too: of a config
 (`check_config`, whose pi_floor rule `mixing_update` applies as well),
 of the source weights (`check_source`) and of a window's batches
@@ -38,6 +44,7 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     EmptyBatchError,
+    EmptyInputError,
     NonContiguousTimeError,
     NotAdaptedError,
     check_int,
@@ -45,8 +52,8 @@ from .errors import (
 )
 from .mathcore import _float_array, normalize_rows
 
-__all__ = ["WindowStep", "SlidingWindow", "mixing_update", "check_config", "check_source",
-           "check_batches"]
+__all__ = ["WindowStep", "SlidingWindow", "mixing_update", "softmax_rows", "check_config",
+           "check_source", "check_batches"]
 
 
 @dataclass
@@ -155,6 +162,41 @@ def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
         # the mean of simplex rows keeps max >= 1/K > floor, so rest is non-empty
         pi[rest] *= (1.0 - pi_floor * pinned.sum()) / pi[rest].sum()
     return pi
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """The softmax of each row of an (N, K) float array, written into it;
+    returns `logits`.
+
+    Each row x becomes exp(x - (log(sum(exp(x - max x))) + max x)): the
+    same operations, bit for bit, as exp(x - log_sum_exp(x, axis=1)[:, None]).
+    The one value check is on the N row maxima, so the logits are neither
+    converted nor scanned: a NaN or +inf entry, or a row that is all -inf,
+    leaves its row's max non-finite and raises DomainError. Any other -inf
+    entry gets probability 0, as does an entry more than the float range
+    below its row's max. An array without an entry raises EmptyInputError,
+    anything but a writable float ndarray DomainError and one that is not
+    2-d DimensionMismatchError.
+    """
+    if not (isinstance(logits, np.ndarray) and logits.dtype.kind == "f"
+            and logits.flags.writeable):
+        raise DomainError("softmax_rows needs a writable float array to write into")
+    if logits.ndim != 2:
+        raise DimensionMismatchError(f"softmax_rows needs (N, K) logits, got {logits.shape}")
+    if not logits.size:
+        raise EmptyInputError("softmax of an empty array")
+    # the ufuncs' own reductions skip the Python layers of ndarray.max and
+    # np.sum, a few us a call at small N K, and give the same bits
+    shift = np.maximum.reduce(logits, axis=1, keepdims=True)
+    if not np.isfinite(shift).all():
+        raise DomainError("each row of logits needs a finite max: no NaN or +inf, "
+                          "and not every entry -inf")
+    # an entry far enough below its row's max overflows to -inf here
+    with np.errstate(over="ignore"):
+        shifted = np.subtract(logits, shift)
+        total = np.add.reduce(np.exp(shifted, out=shifted), axis=1, keepdims=True)
+        logits -= np.log(total) + shift
+    return np.exp(logits, out=logits)
 
 
 class SlidingWindow:

@@ -30,6 +30,17 @@ VMF_SPANS = {
     "normalize_rows": "mathcore.normalize_rows",
     "log_sum_exp": "mathcore.log_sum_exp",
 }
+# Wrapped names a tracker no longer calls, which stay importable for the
+# tracer: each is called through its module to check that its wrapper fires.
+VMF_UNCALLED = {
+    "expected_prototype": lambda model: vmf.expected_prototype(model.prototypes,
+                                                               np.ones(model.config.k),
+                                                               model.config.d),
+    "log_sum_exp": lambda model: vmf.log_sum_exp(np.zeros((2, 3)), axis=1),
+}
+GAUSS_UNCALLED = {
+    "log_sum_exp": lambda model: gauss.log_sum_exp(np.zeros((2, 3)), axis=1),
+}
 VMF_METHODS = ("adapt", "predict", "coordinate_ascent_sweep")
 # The same for the Gaussian tracker.
 GAUSS_SPANS = {
@@ -88,9 +99,12 @@ def test_install_rebinds_and_uninstall_restores():
         for t in (1, 2, 3):
             model.adapt(t, normalize_rows(rng.standard_normal((12, d))))
         model.predict(normalize_rows(rng.standard_normal((4, d))))
-        # the tracker never calls expected_prototype, which stays exported
-        assert "vmf.expected_prototype" not in {span[0] for span in tracer.spans}
-        vmf.expected_prototype(model.prototypes, np.ones(k), d)
+        # the tracker calls neither expected_prototype nor log_sum_exp, and
+        # both stay importable where the tracer rebinds them
+        fired = {span[0] for span in tracer.spans}
+        for name, call in VMF_UNCALLED.items():
+            assert VMF_SPANS[name] not in fired, name
+            call(model)
         fired = {span[0] for span in tracer.spans}
         for name, span in VMF_SPANS.items():
             assert span in fired, name
@@ -120,6 +134,12 @@ def test_gauss_default_model_fires_every_wrapped_name():
         for t in (1, 2, 3):
             model.adapt(t, rng.standard_normal((12, d)))
         model.predict(rng.standard_normal((4, d)))
+        # the tracker no longer calls log_sum_exp, which stays importable
+        # where the tracer rebinds it
+        fired = {span[0] for span in tracer.spans}
+        for name, call in GAUSS_UNCALLED.items():
+            assert GAUSS_SPANS[name] not in fired, name
+            call(model)
         fired = {span[0] for span in tracer.spans}
         for name, span in GAUSS_SPANS.items():
             assert span in fired, name

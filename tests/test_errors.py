@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from stad import gauss, mathcore, vmf
-from stad.errors import DimensionMismatchError, DomainError
+from stad.errors import DimensionMismatchError, DomainError, EmptyInputError
 from stad.gauss import GaussBelief, GaussConfig, GaussModel
 from stad.stream import (EmbeddingBatch, make_label_shift, sample_vmf, well_separated_directions,
                          write_matrix, write_stream)
 from stad.vmf import VmfConfig, VmfModel
-from stad.window import mixing_update
+from stad.window import mixing_update, softmax_rows
 
 MEAN, VAR = np.eye(2, 3), np.full(2, 0.1)
 FEATS, RESP = np.eye(3), np.full((3, 2), 0.5)
@@ -114,6 +114,25 @@ CASES = {
     # the products: converted, and every entry finite
     "assignment_step -inf product":
         lambda tmp: vmf.assignment_step(np.array([[0.5, -np.inf]]), np.full(2, 0.5), 1.0),
+    # mixing weights or logits that leave a row without a finite max
+    "assignment_step all-zero mixing":
+        lambda tmp: vmf.assignment_step(np.array([[0.5, 0.1]]), np.zeros(2), 1.0),
+    "assignment_step negative mixing weight":
+        lambda tmp: vmf.assignment_step(np.array([[0.5, 0.1]]), np.array([-0.5, 1.5]), 1.0),
+    "assignment_step kappa times product beyond the float range":
+        lambda tmp: vmf.assignment_step(np.array([[10.0, 1.0]]), np.full(2, 0.5), 1e308),
+    "gauss_assignments all-zero mixing":
+        lambda tmp: gauss.gauss_assignments(FEATS, GaussBelief(MEAN, VAR), np.zeros(2), 0.5),
+    "gauss_assignments negative mixing weight":
+        lambda tmp: gauss.gauss_assignments(FEATS, GaussBelief(MEAN, VAR), np.array([-0.5, 1.5]),
+                                            0.5),
+    "gauss_assignments r=1e-310, logits beyond the float range":
+        lambda tmp: gauss.gauss_assignments(FEATS, GaussBelief(MEAN, VAR), np.full(2, 0.5),
+                                            1e-310),
+    # softmax_rows writes into its argument, so it converts nothing
+    "softmax_rows a list": lambda tmp: softmax_rows([[0.0, 1.0]]),
+    "softmax_rows an int array": lambda tmp: softmax_rows(np.ones((2, 3), dtype=int)),
+    "softmax_rows a read-only array": lambda tmp: softmax_rows(np.broadcast_to(0.0, (2, 3))),
     # outside arrays through one conversion
     "assignment_step products a string":
         lambda tmp: vmf.assignment_step("x", np.full(2, 0.5), 1.0),
@@ -167,6 +186,7 @@ def test_bad_argument_raises_domain_error(tmp_path, case):
 
 
 SHAPE_CASES = {
+    "softmax_rows 1-d logits": lambda: softmax_rows(np.zeros(3)),
     "assignment_step products of K=3 for mixing of K=2":
         lambda: vmf.assignment_step(np.ones((4, 3)), np.full(2, 0.5), 1.0),
     "PrototypeBelief.from_params 1-d mean_dir":
@@ -182,6 +202,27 @@ SHAPE_CASES = {
 def test_bad_shape_raises_dimension_mismatch_error(case):
     with pytest.raises(DimensionMismatchError):
         SHAPE_CASES[case]()
+
+
+EMPTY_CASES = {
+    "vmf predict (0, D)": lambda: adapted(vmf_model).predict(np.zeros((0, 3))),
+    "gauss predict (0, D)": lambda: adapted(gauss_model).predict(np.zeros((0, 3))),
+    "assignment_step (0, K) products": lambda: vmf.assignment_step(np.zeros((0, 2)),
+                                                                   np.full(2, 0.5), 1.0),
+    "assignment_step (N, 0) products": lambda: vmf.assignment_step(np.zeros((3, 0)),
+                                                                   np.zeros(0), 1.0),
+    "predict_probs (0, K) products": lambda: vmf.predict_probs(np.zeros((0, 2)), 1.0,
+                                                               np.full(2, 0.5)),
+    "gauss_assignments (0, D) batch":
+        lambda: gauss.gauss_assignments(np.zeros((0, 3)), GaussBelief(MEAN, VAR),
+                                        np.full(2, 0.5), 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_CASES))
+def test_empty_batch_raises_empty_input_error(case):
+    with pytest.raises(EmptyInputError):
+        EMPTY_CASES[case]()
 
 
 def test_rejected_time_leaves_the_window_usable():

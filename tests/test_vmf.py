@@ -188,6 +188,11 @@ class TestAssignmentStep:
         with pytest.raises(DomainError):
             assignment_step(row_dots, mixing, 2.0)
 
+    def test_logits_spanning_beyond_the_float_range_give_a_certain_row(self):
+        # 1e308 and -1e308 are finite logits; their difference overflows
+        resp = assignment_step(np.array([[1.0, -1.0]]), np.full(2, 0.5), 1e308)
+        np.testing.assert_array_equal(resp, [[1.0, 0.0]])
+
     @pytest.mark.parametrize("kappa", [np.ones(2), np.ones(4), np.ones((3, 1)), np.ones((1, 3)),
                                        np.ones((4, 3)), [1.0, 2.0]],
                              ids=["too few", "too many", "column", "row", "(N, K)", "short list"])

@@ -9,6 +9,7 @@ from stad.errors import (
     DimensionMismatchError,
     DomainError,
     EmptyBatchError,
+    EmptyInputError,
     NonContiguousTimeError,
     NotAdaptedError,
     check_int,
@@ -17,7 +18,7 @@ from stad.errors import (
 from stad.gauss import GaussConfig, GaussModel
 from stad.mathcore import log_sum_exp, normalize_rows
 from stad.vmf import VmfConfig, VmfModel, predict_probs
-from stad.window import SlidingWindow
+from stad.window import SlidingWindow, softmax_rows
 
 D = 3
 MODELS = {
@@ -169,6 +170,50 @@ def test_static_anchor_never_advances():
         model.adapt(t, BATCH)
         assert model.window_times == [t]
         assert model._anchor is model._prior
+
+
+def random_logits(shape, seed):
+    """Logits of a wide spread, with about one entry in ten -inf and every
+    row's max finite."""
+    rng = np.random.default_rng(seed)
+    logits = 30.0 * rng.standard_normal(shape)
+    logits[rng.random(shape) < 0.1] = -np.inf
+    logits[:, rng.integers(shape[1])] = rng.standard_normal(shape[0])
+    return logits
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (9, 1), (40, 10), (64, 1000)])
+def test_softmax_rows_keeps_the_bits_of_the_log_sum_exp_form(shape):
+    logits = random_logits(shape, seed=shape[0] * shape[1])
+    expected = np.exp(logits - log_sum_exp(logits, axis=1)[:, None])
+    assert softmax_rows(logits.copy()).tobytes() == expected.tobytes()
+
+
+def test_softmax_rows_writes_into_its_argument():
+    logits = random_logits((5, 4), seed=3)
+    out = softmax_rows(logits)
+    assert out is logits
+    np.testing.assert_allclose(logits.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+def test_softmax_rows_gives_0_below_the_float_range():
+    # the shifted entry, -2e308, overflows to -inf without a warning
+    np.testing.assert_array_equal(softmax_rows(np.array([[1e308, -1e308], [0.0, 0.0]])),
+                                  [[1.0, 0.0], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("bad", [
+    [[0.0, 1.0], [np.nan, 0.0]], [[0.0, 1.0], [2.0, np.inf]], [[0.0, 1.0], [-np.inf, -np.inf]],
+], ids=["NaN", "+inf", "all -inf"])
+def test_softmax_rows_rejects_a_row_without_a_finite_max(bad):
+    with pytest.raises(DomainError):
+        softmax_rows(np.array(bad))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+def test_softmax_rows_rejects_an_empty_array(shape):
+    with pytest.raises(EmptyInputError):
+        softmax_rows(np.zeros(shape))
 
 
 @pytest.mark.parametrize("value, bounds", [
