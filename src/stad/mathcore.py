@@ -8,13 +8,13 @@ mean resultant length, and small vector helpers (row normalization,
 log-sum-exp).
 
 All functions are pure and accept scalars or arrays for the concentration
-argument. `log_bessel_i` stays accurate to better than 1e-8 relative in
-the log domain for orders up to ~1024 (embedding dimension ~2048) and
-arguments from 1e-6 to 1e6; naive upward recurrences underflow in parts
-of that range, and so does scipy's scaled Bessel `ive` at large orders,
-so `ive` serves only the small orders at large arguments, where it stays
-above 1e-5. `bessel_ratio` evaluates no Bessel function: it runs the
-Gauss continued fraction (kappa <= D) or Perron's (kappa > D) backward
+argument. `log_bessel_i` takes scipy's scaled Bessel `ive` wherever it
+is at least 1e-280 and recomputes the rest, where `ive` underflows, from
+the uniform large-order expansion or the series' leading term. Against
+mpmath it stays within 1e-14 of max(|log I|, 1) for orders up to ~1024
+(embedding dimension ~2048) and arguments from 1e-300 to 1e6.
+`bessel_ratio` evaluates no Bessel function: it runs the Gauss
+continued fraction (kappa <= D) or Perron's (kappa > D) backward
 from bracketing start values until the two runs agree, which holds it
 to about an ulp for any finite kappa.
 """
@@ -49,12 +49,13 @@ KAPPA_MAX = 1e6
 _R_BAR_MIN = 1e-12
 _R_BAR_MAX = 1.0 - 1e-8
 
-# Power series is used below this argument (or when the argument is small
-# relative to the order); it then converges within the term cap.
-_SERIES_ARG_MAX = 120.0
-_SERIES_TERM_CAP = 200
-# Uniform large-order expansion needs this many orders for 1e-8 accuracy.
+# Where `ive` cannot represent the value, the uniform expansion takes over
+# from this order on; below it `ive` underflows only at arguments under
+# ~1e-19, where the series' leading term is exact.
 _UNIFORM_ORDER_MIN = 14.0
+# Smallest `ive` value taken as it is; AMOS flushes to 0 some way above the
+# float range's end.
+_IVE_MIN = 1e-280
 # Largest argument handed to scipy's `ive`, which answers NaN above 2**30.
 _IVE_ARG_MAX = 1e9
 # The Bessel ratio's two bracketing runs must agree to this relative width;
@@ -93,31 +94,13 @@ def _nonnegative(values, what: str, below: float = math.inf) -> tuple[np.ndarray
 
 
 def _log_i_series(order: float, arg: np.ndarray) -> np.ndarray:
-    """Ascending power series in the log domain.
+    """Leading term of the ascending series, v log(x/2) - lgamma(v+1).
 
-    log I_v(x) = v log(x/2) - lgamma(v+1) + log sum_m t_m with
-    t_m = prod_{j<=m} (x^2/4) / (j (v+j)) and t_0 = 1. All terms are
-    positive so the shifted exponential sum has no cancellation.
+    `log_bessel_i` calls it only below order 14 where `ive` underflows,
+    that is at arguments under ~1e-19. The next term is (x/2)^2 / (v+1)
+    of it, so the leading term is log I to double precision there.
     """
-    log_y = 2.0 * np.log(arg) - math.log(4.0)  # log(x^2/4) without underflow
-    log_terms = [np.zeros_like(arg)]
-    log_t = np.zeros_like(arg)
-    running_max = np.zeros_like(arg)
-    for m in range(1, _SERIES_TERM_CAP + 1):
-        log_t = log_t + log_y - math.log(m) - math.log(order + m)
-        log_terms.append(log_t)
-        running_max = np.maximum(running_max, log_t)
-        if np.all(log_t < running_max - 46.0):
-            break
-    stacked = np.stack(log_terms, axis=-1)
-    shift = stacked.max(axis=-1)
-    total = np.exp(stacked - shift[..., None]).sum(axis=-1)
-    return (
-        order * (np.log(arg) - math.log(2.0))
-        - math.lgamma(order + 1.0)
-        + shift
-        + np.log(total)
-    )
+    return order * (np.log(arg) - math.log(2.0)) - math.lgamma(order + 1.0)
 
 
 @functools.cache
@@ -136,15 +119,22 @@ def _debye_polynomials() -> tuple[Polynomial, ...]:
 
 
 def _debye_correction(t: np.ndarray, order: float) -> np.ndarray:
-    """Sum of u_k(t)/order^k for k = 1..6 (Debye polynomials)."""
-    return sum(u(t) / order**k for k, u in enumerate(_debye_polynomials(), 1))
+    """Sum of u_k(t)/order^k for k = 1..6 (Debye polynomials), nested in
+    powers of 1/order so that no power of a huge order overflows."""
+    total = 0.0
+    for u in reversed(_debye_polynomials()):
+        total = (total + u(t)) / order
+    return total
 
 
 def _log_i_uniform(order: float, arg: np.ndarray) -> np.ndarray:
-    """Uniform large-order asymptotic expansion (Abramowitz-Stegun 9.7.7)."""
-    z = arg / order
-    root = np.hypot(1.0, z)
-    eta = root + np.log(z) - np.log1p(root)
+    """Uniform large-order asymptotic expansion (Abramowitz-Stegun 9.7.7).
+
+    log z is formed as log(arg) - log(order), which stays exact where
+    z = arg / order is subnormal or 0.
+    """
+    root = np.hypot(1.0, arg / order)
+    eta = root + np.log(arg) - math.log(order) - np.log1p(root)
     return (
         order * eta
         - 0.5 * math.log(2.0 * math.pi * order)
@@ -155,32 +145,38 @@ def _log_i_uniform(order: float, arg: np.ndarray) -> np.ndarray:
 
 def _log_i_hankel(order: float, arg: np.ndarray) -> np.ndarray:
     """log I_order(arg) = log(ive) + arg, from scipy's exponentially scaled
-    Bessel function, for the small orders (< 14) and large arguments
-    (> 120) that `log_bessel_i` sends here; `ive` stays above 1e-5 there.
+    Bessel function; NaN where `ive` is below 1e-280 or answers NaN.
 
-    `ive` answers NaN past 2**30, the argument limit of its AMOS code. Past
-    1e9 the value is carried on from there by the first two terms of
-    Hankel's expansion (A&S 9.7.1), log ive = -log(2 pi arg) / 2 +
-    (1/4 - order^2) / (2 arg) + O(arg^-2), to within 1e-14 absolute; at
-    or below 1e9 the added terms are exactly 0. The name is that of the
-    expansion this branch once summed in full; it stays because the bench
-    tracer looks the branch up by name to time it as
+    This is the main branch: `log_bessel_i` sends every positive argument
+    here and recomputes only the NaN entries. `ive` answers NaN past 2**30,
+    the argument limit of its AMOS code. Past 1e9 the value is carried on
+    from there by the first two terms of Hankel's expansion (A&S 9.7.1),
+    log ive = -log(2 pi arg) / 2 + (1/4 - order^2) / (2 arg) + O(arg^-2),
+    to within 3e-14 relative. That tail is formed only where `ive` at 1e9
+    is representable, which bounds the order by ~1.1e6. The name is that
+    of the expansion this branch once summed in full; it stays because
+    the bench tracer looks the branch up by name to time it as
     `mathcore.bessel.hankel`.
     """
-    near = np.minimum(arg, _IVE_ARG_MAX)
-    tail = (0.25 - order * order) / 2.0 * (1.0 / arg - 1.0 / near) - 0.5 * np.log(arg / near)
-    return np.log(ive(order, near)) + arg + tail
+    scaled = ive(order, np.minimum(arg, _IVE_ARG_MAX))
+    kept = scaled >= _IVE_MIN  # NaN fails it
+    out = np.log(np.where(kept, scaled, np.nan)) + arg
+    far = kept & (arg > _IVE_ARG_MAX)
+    if np.any(far):
+        x = arg[far]
+        out[far] += ((0.25 - order * order) / 2.0 * (1.0 / x - 1.0 / _IVE_ARG_MAX)
+                     - 0.5 * np.log(x / _IVE_ARG_MAX))
+    return out
 
 
 def log_bessel_i(order: float, arg):
     """log I_order(arg) for order >= 0 and arg >= 0.
 
-    Branches: ascending power series (log domain, at most 200 terms)
-    when the argument is small absolutely or relative to the order; the
-    uniform large-order expansion with the Debye polynomials u_1 ... u_6
-    for orders >= 14; scipy's scaled `ive` otherwise, that is orders
-    below 14 at arguments above 120. Returns -inf where I vanishes
-    (arg == 0 with order > 0).
+    Branches: scipy's scaled `ive` with Hankel's carry past 1e9
+    (`_log_i_hankel`) for every positive argument; where `ive` cannot
+    represent the value, the uniform large-order expansion with the Debye
+    polynomials u_1 ... u_6 for orders >= 14, and the series' leading
+    term below. Returns -inf where I vanishes (arg == 0 with order > 0).
 
     An order that is not a finite real number >= 0 (bools excluded), or an
     argument that does not convert to finite floats >= 0, raises DomainError.
@@ -195,16 +191,11 @@ def log_bessel_i(order: float, arg):
 
     live = ~zero
     x = arr[live]
-    series = x <= max(_SERIES_ARG_MAX, math.sqrt(160.0 * (order + 1.0)))
-    res = np.empty_like(x)
-    if np.any(series):
-        res[series] = _log_i_series(order, x[series])
-    rest = ~series
-    if np.any(rest):
-        if order >= _UNIFORM_ORDER_MIN:
-            res[rest] = _log_i_uniform(order, x[rest])
-        else:
-            res[rest] = _log_i_hankel(order, x[rest])
+    res = _log_i_hankel(order, x)
+    lost = np.isnan(res)
+    if np.any(lost):
+        fallback = _log_i_uniform if order >= _UNIFORM_ORDER_MIN else _log_i_series
+        res[lost] = fallback(order, x[lost])
     out[live] = res
     return float(out[0]) if scalar else out
 

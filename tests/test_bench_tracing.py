@@ -159,15 +159,19 @@ def test_each_bessel_branch_fires_its_span():
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
     try:
-        # the series, the uniform expansion and the large-argument branch,
-        # each looked up through `mathcore` when `log_bessel_i` dispatches
+        # each looked up through `mathcore` when `log_bessel_i` dispatches:
+        # the `ive` branch takes every positive argument, and where `ive`
+        # underflows the series' leading term (order < 14) or the uniform
+        # expansion takes it again
         tracer.timed = True
-        for order, arg in ((0, 1.0), (20, 1e4), (0.5, 1e3)):
+        for order, arg in ((1, [1e-300, 1.0]), (20, 1e-300)):
             mathcore.log_bessel_i(order, arg)
         fired = [span[0] for span in tracer.spans]
+        spans_elems = {"series": (1, 1), "uniform": (1, 1), "hankel": (2, 3)}
         for branch in tracing.BESSEL_BRANCHES.values():
-            assert fired.count(f"mathcore.bessel.{branch}") == 1, branch
-            assert tracer.counts[f"bessel.{branch}.elems"] == 1, branch
+            spans, elems = spans_elems[branch]
+            assert fired.count(f"mathcore.bessel.{branch}") == spans, branch
+            assert tracer.counts[f"bessel.{branch}.elems"] == elems, branch
     finally:
         uninstall()
     assert_restored(before, VmfModel, (), {})

@@ -62,14 +62,45 @@ class TestLogBesselI:
 
     @pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 5.0, 13.5, 14.0, 16.0, 64.0, 511.5, 1024.0])
     def test_accuracy_across_branches(self, order):
-        # arg/order spanning [1e-6, 1e4]; compare in the log domain. Above
-        # 120 (the uniform and large-argument branches) to 1e-13, so that an
-        # error in a Debye coefficient shows.
-        for ratio in [1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 20.0, 1e3, 1e4]:
+        # arg/order spanning [1e-300, 1e4], so that `ive`, the uniform
+        # expansion where `ive` underflows (order >= 14) and the series'
+        # leading term below it all answer; compare in the log domain to
+        # 1e-13 of max(|log I|, 1), so that an error in a Debye coefficient
+        # shows.
+        for ratio in [1e-300, 1e-100, 1e-20, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 20.0, 1e3, 1e4]:
             arg = max(order, 1.0) * ratio
             want = oracles.mp_log_bessel_i(order, arg)
             got = log_bessel_i(order, arg)
-            assert got == pytest.approx(want, rel=1e-13 if arg > 120 else 1e-8), (order, arg)
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-13), (order, arg)
+
+    @pytest.mark.parametrize("order", [0.5, 13.0, 13.5, 14.0, 64.0, 1023.0])
+    def test_strictly_increasing_across_the_handovers(self, order):
+        # past every point where `ive` underflows and the fallback takes
+        # over, and past 1e9 where Hankel's carry does
+        args = np.geomspace(1e-300, 1e12, 20001)
+        assert np.all(np.diff(log_bessel_i(order, args)) > 0.0)
+
+    @pytest.mark.parametrize("order,arg", [(1e20, 1e-300), (1e300, 5e-324)])
+    def test_uniform_expansion_at_a_subnormal_ratio(self, order, arg):
+        # arg / order is subnormal or 0 here; the series' leading term is
+        # exact, since its next term is (arg/2)^2 / (order+1) of it
+        want = order * (math.log(arg) - math.log(2.0)) - math.lgamma(order + 1.0)
+        assert log_bessel_i(order, arg) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("call", [
+        lambda: log_bessel_i(1e60, 1e40),
+        lambda: log_bessel_i(1e300, 1e308),
+        lambda: log_vmf_norm_const(10**61, 1e40),
+        lambda: log_bessel_i(2e154, 1e10),
+        lambda: log_bessel_i(13.0, 5e-324),
+    ], ids=["order 1e60", "order 1e300", "norm_const d=10**61", "order squared overflows",
+            "subnormal argument"])
+    def test_huge_order_or_tiny_argument_is_finite_without_warning(self, call):
+        # a power of the first three orders overflows a float, and so would
+        # Hankel's tail at the last two, where `ive` cannot answer
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(call())
 
     def test_debye_polynomials_match_abramowitz_stegun(self):
         # A&S 9.3.9: u_k(t) = sum_j c_j t^j / denominator, for k = 1..4
@@ -89,7 +120,7 @@ class TestLogBesselI:
                 want = float(Fraction(coef.get(j, 0), den))
                 assert abs(c - want) <= 4 * math.ulp(want), (k, j)
 
-    # d < 30 is the large-argument branch, past the 2**30 where scipy's ive answers NaN
+    # past the 2**30 where scipy's ive answers NaN, through Hankel's carry from 1e9
     @pytest.mark.parametrize("d,kappa", [(512, 1e160), (512, 1e200), (2048, 1e300), (2, 2.0**31),
                                          (3, 1e100), (29, 1.7e308)])
     def test_huge_argument_matches_mpmath_without_overflow(self, d, kappa):
@@ -103,10 +134,13 @@ class TestLogBesselI:
         assert norm_const == pytest.approx(want, rel=1e-12)
 
     def test_vectorized_matches_scalar(self):
-        args = np.array([0.0, 1e-4, 0.7, 30.0, 119.0, 500.0, 2e5])
-        vec = log_bessel_i(8.0, args)
-        for a, v in zip(args, vec):
-            assert v == log_bessel_i(8.0, float(a))
+        # `ive` drops below 1e-280 near 7.5e-35 at order 8 and 1.7e-13 at 20
+        args = np.array([0.0, 1e-300, 1e-36, 1e-33, 1e-14, 1e-12, 1e-4, 0.7, 30.0, 119.0,
+                         500.0, 2e5, 2e9])
+        for order in (8.0, 20.0):
+            vec = log_bessel_i(order, args)
+            for a, v in zip(args, vec):
+                assert v == log_bessel_i(order, float(a)), (order, a)
 
 
 class TestBesselRatio:
