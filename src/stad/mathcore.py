@@ -9,10 +9,12 @@ log-sum-exp).
 
 All functions are pure and accept scalars or arrays for the concentration
 argument. `log_bessel_i` takes scipy's scaled Bessel `ive` wherever it
-is at least 1e-280 and recomputes the rest, where `ive` underflows, from
-the uniform large-order expansion or the series' leading term. Against
-mpmath it stays within 1e-14 of max(|log I|, 1) for orders up to ~1024
-(embedding dimension ~2048) and arguments from 1e-300 to 1e6.
+lies in [1e-280, 1/2] and recomputes the rest, where `ive` underflows or
+log(ive) + x would cancel, from the uniform large-order expansion or
+nine terms of the ascending series. Against mpmath it stays within 1e-14
+of max(|log I|, 1) for orders up to ~1024 (embedding dimension ~2048)
+and arguments from 1e-300 to 1e6, and at order 0 within 2e-15 of
+log I_0(x) itself, which is ~x^2/4 at small x.
 `bessel_ratio` evaluates no Bessel function: it runs the Gauss
 continued fraction (kappa <= D) or Perron's (kappa > D) backward
 from bracketing start values until the two runs agree, which holds it
@@ -49,13 +51,14 @@ KAPPA_MAX = 1e6
 _R_BAR_MIN = 1e-12
 _R_BAR_MAX = 1.0 - 1e-8
 
-# Where `ive` cannot represent the value, the uniform expansion takes over
-# from this order on; below it `ive` underflows only at arguments under
-# ~1e-19, where the series' leading term is exact.
+# Where `ive` is not taken, the uniform expansion takes over from this order
+# on; below it `ive` underflows only at arguments under ~1e-19 and exceeds
+# 1/2 only under 0.88, where nine terms of the series are exact.
 _UNIFORM_ORDER_MIN = 14.0
-# Smallest `ive` value taken as it is; AMOS flushes to 0 some way above the
-# float range's end.
+# Range of `ive` values taken as they are. AMOS flushes to 0 some way above
+# the float range's end, and above 1/2 log(ive) + arg cancels.
 _IVE_MIN = 1e-280
+_IVE_MAX = 0.5
 # Largest argument handed to scipy's `ive`, which answers NaN above 2**30.
 _IVE_ARG_MAX = 1e9
 # The Bessel ratio's two bracketing runs must agree to this relative width;
@@ -94,13 +97,19 @@ def _nonnegative(values, what: str, below: float = math.inf) -> tuple[np.ndarray
 
 
 def _log_i_series(order: float, arg: np.ndarray) -> np.ndarray:
-    """Leading term of the ascending series, v log(x/2) - lgamma(v+1).
+    """Ascending series (A&S 9.6.10) to its ninth term,
+    v log(x/2) - lgamma(v+1) + log1p(sum_{m=1..8} y^m / (m! (v+1)_m)) with
+    y = (x/2)^2, the sum nested so that no term is lost to the leading 1.
 
-    `log_bessel_i` calls it only below order 14 where `ive` underflows,
-    that is at arguments under ~1e-19. The next term is (x/2)^2 / (v+1)
-    of it, so the leading term is log I to double precision there.
+    `log_bessel_i` calls it only below order 14, where `ive` underflows
+    (x < ~1e-19) or exceeds 1/2 (x < 0.88, at orders below ~0.3). There
+    y < 0.2, and the terms left out are below 1e-16 of the sum's tail.
     """
-    return order * (np.log(arg) - math.log(2.0)) - math.lgamma(order + 1.0)
+    y = 0.25 * arg * arg
+    tail = np.zeros_like(arg)
+    for m in range(8, 0, -1):
+        tail = y / (m * (order + m)) * (1.0 + tail)
+    return order * (np.log(arg) - math.log(2.0)) - math.lgamma(order + 1.0) + np.log1p(tail)
 
 
 @functools.cache
@@ -118,54 +127,53 @@ def _debye_polynomials() -> tuple[Polynomial, ...]:
     return tuple(terms[1:])
 
 
-def _debye_correction(t: np.ndarray, order: float) -> np.ndarray:
-    """Sum of u_k(t)/order^k for k = 1..6 (Debye polynomials), nested in
-    powers of 1/order so that no power of a huge order overflows."""
-    total = 0.0
-    for u in reversed(_debye_polynomials()):
-        total = (total + u(t)) / order
-    return total
-
-
 def _log_i_uniform(order: float, arg: np.ndarray) -> np.ndarray:
     """Uniform large-order asymptotic expansion (Abramowitz-Stegun 9.7.7).
 
     log z is formed as log(arg) - log(order), which stays exact where
-    z = arg / order is subnormal or 0.
+    z = arg / order is subnormal or 0. The correction, the sum of
+    u_k(t) / order^k over the Debye polynomials u_1 ... u_6 at
+    t = 1 / sqrt(1 + z^2), is nested in powers of 1/order, so that no power
+    of a huge order overflows.
     """
     root = np.hypot(1.0, arg / order)
     eta = root + np.log(arg) - math.log(order) - np.log1p(root)
+    correction = 0.0
+    for u in reversed(_debye_polynomials()):
+        correction = (correction + u(1.0 / root)) / order
     return (
         order * eta
         - 0.5 * math.log(2.0 * math.pi * order)
         - 0.5 * np.log(root)
-        + np.log1p(_debye_correction(1.0 / root, order))
+        + np.log1p(correction)
     )
 
 
 def _log_i_hankel(order: float, arg: np.ndarray) -> np.ndarray:
     """log I_order(arg) = log(ive) + arg, from scipy's exponentially scaled
-    Bessel function; NaN where `ive` is below 1e-280 or answers NaN.
+    Bessel function; NaN where `ive` is below 1e-280, above 1/2 or NaN,
+    and past 1e9 at orders >= 14.
 
     This is the main branch: `log_bessel_i` sends every positive argument
-    here and recomputes only the NaN entries. `ive` answers NaN past 2**30,
-    the argument limit of its AMOS code. Past 1e9 the value is carried on
-    from there by the first two terms of Hankel's expansion (A&S 9.7.1),
-    log ive = -log(2 pi arg) / 2 + (1/4 - order^2) / (2 arg) + O(arg^-2),
-    to within 3e-14 relative. That tail is formed only where `ive` at 1e9
-    is representable, which bounds the order by ~1.1e6. The name is that
-    of the expansion this branch once summed in full; it stays because
-    the bench tracer looks the branch up by name to time it as
-    `mathcore.bessel.hankel`.
+    here and recomputes only the NaN entries. Above 1/2, log(ive) and arg
+    nearly cancel, and the rounding of `ive` near 1 swamps a log I close to
+    0. `ive` answers NaN past 2**30, the argument limit of its AMOS code.
+    Below order 14 the value is carried on from 1e9 by the first two terms
+    of Hankel's expansion (A&S 9.7.1), log ive = -log(2 pi arg) / 2 +
+    (1/4 - order^2) / (2 arg) + O(arg^-2), to within 1e-14 absolute, and
+    formed so that neither a subnormal arg nor one past 1e9 overflows. The
+    name is that of the expansion this branch once summed in full; it
+    stays because the bench tracer looks the branch up by name to time it
+    as `mathcore.bessel.hankel`.
     """
-    scaled = ive(order, np.minimum(arg, _IVE_ARG_MAX))
-    kept = scaled >= _IVE_MIN  # NaN fails it
+    near = np.minimum(arg, _IVE_ARG_MAX)
+    scaled = ive(order, near)
+    kept = (_IVE_MIN <= scaled) & (scaled <= _IVE_MAX)  # NaN fails both
     out = np.log(np.where(kept, scaled, np.nan)) + arg
-    far = kept & (arg > _IVE_ARG_MAX)
-    if np.any(far):
-        x = arg[far]
-        out[far] += ((0.25 - order * order) / 2.0 * (1.0 / x - 1.0 / _IVE_ARG_MAX)
-                     - 0.5 * np.log(x / _IVE_ARG_MAX))
+    if order >= _UNIFORM_ORDER_MIN:
+        out[arg > near] = np.nan
+    else:  # Hankel's carry, exactly 0 at or below 1e9
+        out += (order * order - 0.25) / 2.0 * (1.0 - near / arg) / near - 0.5 * np.log(arg / near)
     return out
 
 
@@ -173,10 +181,11 @@ def log_bessel_i(order: float, arg):
     """log I_order(arg) for order >= 0 and arg >= 0.
 
     Branches: scipy's scaled `ive` with Hankel's carry past 1e9
-    (`_log_i_hankel`) for every positive argument; where `ive` cannot
-    represent the value, the uniform large-order expansion with the Debye
-    polynomials u_1 ... u_6 for orders >= 14, and the series' leading
-    term below. Returns -inf where I vanishes (arg == 0 with order > 0).
+    (`_log_i_hankel`) for every positive argument; where `ive` underflows,
+    exceeds 1/2 (log(ive) + arg would cancel) or, from order 14 on, past
+    1e9, the uniform large-order expansion with the Debye polynomials
+    u_1 ... u_6 for orders >= 14, and nine terms of the ascending series
+    below. Returns -inf where I vanishes (arg == 0 with order > 0).
 
     An order that is not a finite real number >= 0 (bools excluded), or an
     argument that does not convert to finite floats >= 0, raises DomainError.
@@ -185,11 +194,8 @@ def log_bessel_i(order: float, arg):
     order = float(order)
     arr, scalar = _nonnegative(arg, "Bessel argument")
 
-    out = np.empty_like(arr)
-    zero = arr == 0.0
-    out[zero] = 0.0 if order == 0.0 else -np.inf
-
-    live = ~zero
+    out = np.full_like(arr, 0.0 if order == 0.0 else -np.inf)  # I_v(0)
+    live = arr > 0.0
     x = arr[live]
     res = _log_i_hankel(order, x)
     lost = np.isnan(res)

@@ -9,6 +9,8 @@ independent route to the same answers.
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 import numpy as np
 from scipy.special import ive
@@ -32,10 +34,31 @@ def series_log_bessel_i(order: float, arg: float, terms: int = 200) -> float:
 
 
 def mp_log_bessel_i(order: float, arg: float) -> float:
-    """mpmath's own modified Bessel, for arguments beyond series reach."""
+    """mpmath's own modified Bessel, for arguments beyond series reach.
+
+    Below 1 the precision grows with the argument's decades, so that an
+    I_0(x) = 1 + x^2/4 + ... keeps its x^2/4 under the log."""
     if arg == 0:
         return 0.0 if order == 0 else float("-inf")
-    return float(mp.log(mp.besseli(mp.mpf(order), mp.mpf(arg))))
+    with mp.workdps(mp.mp.dps + 2 * max(0, -math.floor(math.log10(arg)))):
+        return float(mp.log(mp.besseli(mp.mpf(order), mp.mpf(arg))))
+
+
+def mp_log_bessel_i_uniform(order: float, arg: float) -> float:
+    """log I_v(x) from the uniform large-order expansion (A&S 9.7.7) with
+    u_1 and u_2 of A&S 9.3.9, at 50 digits.
+
+    For large orders at arguments far above them (orders of 14 and up past
+    1e9, say) the left-out terms are far below double precision, and both
+    the series and mpmath's own `besseli` fail to converge there."""
+    v, x = mp.mpf(order), mp.mpf(arg)
+    root = mp.sqrt(1 + (x / v) ** 2)
+    t = 1 / root
+    eta = root + mp.log((x / v) / (1 + root))
+    u1 = (3 * t - 5 * t**3) / 24
+    u2 = (81 * t**2 - 462 * t**4 + 385 * t**6) / 1152
+    return float(v * eta - mp.log(2 * mp.pi * v) / 2 - mp.log(root) / 2
+                 + mp.log(1 + u1 / v + u2 / v**2))
 
 
 def mp_log_vmf_norm_const(d: int, kappa: float) -> float:

@@ -161,8 +161,8 @@ def test_each_bessel_branch_fires_its_span():
     try:
         # each looked up through `mathcore` when `log_bessel_i` dispatches:
         # the `ive` branch takes every positive argument, and where `ive`
-        # underflows the series' leading term (order < 14) or the uniform
-        # expansion takes it again
+        # underflows the series (order < 14) or the uniform expansion takes
+        # it again
         tracer.timed = True
         for order, arg in ((1, [1e-300, 1.0]), (20, 1e-300)):
             mathcore.log_bessel_i(order, arg)

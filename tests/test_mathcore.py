@@ -63,22 +63,41 @@ class TestLogBesselI:
     @pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 5.0, 13.5, 14.0, 16.0, 64.0, 511.5, 1024.0])
     def test_accuracy_across_branches(self, order):
         # arg/order spanning [1e-300, 1e4], so that `ive`, the uniform
-        # expansion where `ive` underflows (order >= 14) and the series'
-        # leading term below it all answer; compare in the log domain to
-        # 1e-13 of max(|log I|, 1), so that an error in a Debye coefficient
-        # shows.
+        # expansion where `ive` underflows (order >= 14) and the series
+        # where it underflows or nears 1 (below) all answer; compare in the
+        # log domain to 1e-13 relative with no absolute floor, so that an
+        # error in a Debye coefficient shows, and so does one in
+        # log I_0(x) ~ x^2/4 at small x.
         for ratio in [1e-300, 1e-100, 1e-20, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 20.0, 1e3, 1e4]:
             arg = max(order, 1.0) * ratio
             want = oracles.mp_log_bessel_i(order, arg)
             got = log_bessel_i(order, arg)
-            assert got == pytest.approx(want, rel=1e-13, abs=1e-13), (order, arg)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), (order, arg)
 
-    @pytest.mark.parametrize("order", [0.5, 13.0, 13.5, 14.0, 64.0, 1023.0])
+    def test_order_zero_where_ive_nears_one(self):
+        # `ive(0, x)` exceeds 1/2 below x ~ 0.87, where log(ive) + x would
+        # cancel and the series answers instead; at 2e-15 relative a series
+        # stopped a term short fails near the handover
+        args = np.linspace(0.05, 0.95, 37)
+        want = [oracles.mp_log_bessel_i(0.0, x) for x in args]
+        assert log_bessel_i(0.0, args) == pytest.approx(want, rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("order", [0.0, 0.5, 13.0, 13.5, 14.0, 64.0, 1023.0])
     def test_strictly_increasing_across_the_handovers(self, order):
-        # past every point where `ive` underflows and the fallback takes
-        # over, and past 1e9 where Hankel's carry does
-        args = np.geomspace(1e-300, 1e12, 20001)
+        # past every point where `ive` underflows or nears 1 and the
+        # fallback takes over, and past 1e9 where Hankel's carry or the
+        # uniform expansion does; log I_0(x) ~ x^2/4 is a normal float only
+        # from ~3e-154 on
+        args = np.geomspace(1e-150 if order == 0.0 else 1e-300, 1e12, 20001)
         assert np.all(np.diff(log_bessel_i(order, args)) > 0.0)
+
+    @pytest.mark.parametrize("order,arg", [(14.0, 2e9), (1e4, 1.5e9), (1.1e6, 1.5e9),
+                                           (1.1e6, 1e10)])
+    def test_large_order_past_the_ive_range_matches_mpmath(self, order, arg):
+        # Hankel's two-term carry leaves out ~order^4 / (24 arg^3), 6e-5 at
+        # the third row; from order 14 on the uniform expansion answers here
+        want = oracles.mp_log_bessel_i_uniform(order, arg)
+        assert log_bessel_i(order, arg) == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("order,arg", [(1e20, 1e-300), (1e300, 5e-324)])
     def test_uniform_expansion_at_a_subnormal_ratio(self, order, arg):
