@@ -4,14 +4,16 @@ arguments.
 Every error raised by the library derives from StadError so that callers
 can catch one base class. The package checks its scalar arguments with
 one rule: an integer such as a dimension, a count, a seed or a time index
-with `check_int` below, a real number such as a noise, a concentration
-or a floor with `check_real`; both raise DomainError. This module imports
-nothing from the package, so every other module can use them.
+with `check_int` below (a dimension or a count also within the float
+range), a real number such as a noise, a concentration or a floor with
+`check_real`; both raise DomainError. This module imports nothing from
+the package, so every other module can use them.
 """
 
 import contextlib
 import math
 import numbers
+import sys
 
 
 class StadError(Exception):
@@ -83,12 +85,23 @@ def _shown(value) -> str:
         return f"an unprintable {type(value).__name__}"
 
 
-def check_int(name: str, value, minimum: int) -> None:
-    """Raise DomainError unless value is an integer (bools excluded) >= minimum."""
+def check_int(name: str, value, minimum: int, as_float: bool = False) -> None:
+    """Raise DomainError unless value is an integer (bools excluded) >= minimum.
+
+    With `as_float`, for a size such as a dimension or a class count that
+    the caller computes with as a float, value must also lie within the
+    largest float, as `check_real` asks of a real number: an int such as
+    10**400 is refused here rather than overflowing where it is converted.
+    A seed or a time index takes any integer.
+    """
     # type() is int for a plain int, never for a bool; that skips the ABC check
     if not (type(value) is int or (isinstance(value, numbers.Integral)
                                    and not isinstance(value, bool))) or value < minimum:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
+    # an int compares with a float exactly
+    if as_float and value > sys.float_info.max:
+        raise DomainError(f"{name} must be an integer within the float range, "
+                          f"got {_shown(value)}")
 
 
 def check_real(name: str, value, minimum: float = -math.inf, maximum: float = math.inf,

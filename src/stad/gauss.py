@@ -323,13 +323,15 @@ def _noise_estimate(value: float) -> float:
 class GaussModel(SlidingWindow):
     """Sliding-window Gaussian tracker with a softmax head on posterior means.
 
-    Single-writer, like the spherical tracker. `sigma_trans` and
-    `sigma_ems` are the floats q and r of the random walk and the emission,
-    and every belief covariance is c I, stored as (K,) variances. A sweep
-    computes the assignments of every window step, then makes one
-    kf_predict and one kf_update_weighted call per window step for all K
-    classes and one kf_smooth call over the window, whose (T-1, K) gains
-    the M-step reads. Each sweep reads `sigma_trans` and `sigma_ems` afresh,
+    `predict` is the window engine's; this tracker's `_head` is
+    softmax(W h) over the batch's unit rows h, with W the newest step's
+    posterior means. Single-writer, like the spherical tracker.
+    `sigma_trans` and `sigma_ems` are the floats q and r of the random walk
+    and the emission, and every belief covariance is c I, stored as (K,)
+    variances. A sweep computes the assignments of every window step, then
+    makes one kf_predict and one kf_update_weighted call per window step
+    for all K classes and one kf_smooth call over the window, whose
+    (T-1, K) gains the M-step reads. Each sweep reads `sigma_trans` and `sigma_ems` afresh,
     so values set by hand take effect at the next sweep.
     """
 
@@ -399,13 +401,7 @@ class GaussModel(SlidingWindow):
         for step, s_mean, s_var in zip(self._steps, s_means, s_vars):
             step.belief = GaussBelief(s_mean, s_var)
 
-    def predict(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """softmax(W h) with W the newest posterior prototype means, through
-        `window.softmax_rows`; a batch that does not convert to an (N, D)
-        float array raises a StadError, and one of no row EmptyInputError.
-        A batch equal element for element to the one just adapted on is
-        not normalized again: the newest step's unit rows are read (see
-        `SlidingWindow._predict_rows`)."""
-        unit, _ = self._predict_rows(feats)
-        probs = softmax_rows(unit @ self._newest().belief.mean.T)
-        return probs, probs.argmax(axis=1)
+    def _head(self, step, unit: np.ndarray) -> np.ndarray:
+        """softmax(W h) of the unit rows h, with W the step's posterior
+        prototype means, through `window.softmax_rows`."""
+        return softmax_rows(unit @ step.belief.mean.T)

@@ -14,7 +14,9 @@ log(ive) + x would cancel, from the uniform large-order expansion or
 nine terms of the ascending series. Against mpmath it stays within 1e-14
 of max(|log I|, 1) for orders up to ~1024 (embedding dimension ~2048)
 and arguments from 1e-300 to 1e6, and at order 0 within 2e-15 of
-log I_0(x) itself, which is ~x^2/4 at small x.
+log I_0(x) itself, which is ~x^2/4 at small x. Past the float range
+log I is -inf, and log C_D is +inf; from order D/2 - 1 = 1e300 on,
+`log_vmf_norm_const` takes a closed form that overflows only there.
 `bessel_ratio` evaluates no Bessel function: it runs the Gauss
 continued fraction (kappa <= D) or Perron's (kappa > D) backward
 from bracketing start values until the two runs agree, which holds it
@@ -59,6 +61,9 @@ _UNIFORM_ORDER_MIN = 14.0
 # the float range's end, and above 1/2 log(ive) + arg cancels.
 _IVE_MIN = 1e-280
 _IVE_MAX = 0.5
+# From this order on, log_vmf_norm_const takes its closed form in v log v,
+# where lgamma(D/2) or v log kappa alone may overflow a value that does not.
+_HUGE_ORDER = 1e300
 # Largest argument handed to scipy's `ive`, which answers NaN above 2**30.
 _IVE_ARG_MAX = 1e9
 # The Bessel ratio's two bracketing runs must agree to this relative width;
@@ -134,16 +139,23 @@ def _log_i_uniform(order: float, arg: np.ndarray) -> np.ndarray:
     z = arg / order is subnormal or 0. The correction, the sum of
     u_k(t) / order^k over the Debye polynomials u_1 ... u_6 at
     t = 1 / sqrt(1 + z^2), is nested in powers of 1/order, so that no power
-    of a huge order overflows.
+    of a huge order overflows, and log(2 pi order) is formed as a sum of
+    logs, so that it stays finite up to the largest order. Where log I
+    lies below the float range, order * eta overflows to -inf, which is
+    returned without a warning; above it log I cannot lie, since
+    log I_v(x) < x.
     """
     root = np.hypot(1.0, arg / order)
-    eta = root + np.log(arg) - math.log(order) - np.log1p(root)
+    log_order = math.log(order)
+    eta = root + np.log(arg) - log_order - np.log1p(root)
     correction = 0.0
     for u in reversed(_debye_polynomials()):
         correction = (correction + u(1.0 / root)) / order
+    with np.errstate(over="ignore"):
+        lead = order * eta
     return (
-        order * eta
-        - 0.5 * math.log(2.0 * math.pi * order)
+        lead
+        - 0.5 * (math.log(2.0 * math.pi) + log_order)
         - 0.5 * np.log(root)
         + np.log1p(correction)
     )
@@ -330,10 +342,11 @@ def bessel_ratio(d: int, kappa):
     the result is within 3e-16 relative for D from 2 to 2048 and kappa
     from 1e-6 to 1e6, and no finite kappa overflows.
 
-    A d that is not an integer >= 2 (bools excluded), or a kappa that does
-    not convert to finite floats >= 0, raises DomainError.
+    A d that is not an integer >= 2 (bools excluded) within the float
+    range, or a kappa that does not convert to finite floats >= 0, raises
+    DomainError.
     """
-    check_int("d", d, 2)
+    check_int("d", d, 2, as_float=True)
     arr = _float_array(kappa, "kappa")
     flat = arr.ravel()
     order = d / 2.0 - 1.0
@@ -356,17 +369,24 @@ def log_vmf_norm_const(d: int, kappa):
 
     At kappa = 0 this is the log inverse surface area of the unit
     (D-1)-sphere, evaluated through the limit rather than a 0/0 form.
-    A d that is not an integer >= 2 (bools excluded), or a kappa that does
-    not convert to finite floats >= 0, raises DomainError.
+    From order D/2 - 1 = 1e300 on, `_log_vmf_norm_const_huge` answers, and
+    a value above the float range is +inf, without a warning; log C_D
+    falls in kappa with slope -A_D > -1 from its positive value at 0, so it
+    never lies below that range. A d that is not an integer >= 2 (bools
+    excluded) within the float range, or a kappa that does not convert to
+    finite floats >= 0, raises DomainError.
     """
-    check_int("d", d, 2)
+    check_int("d", d, 2, as_float=True)
     arr, scalar = _nonnegative(kappa, "kappa")
+    v = d / 2.0 - 1.0
+    if v >= _HUGE_ORDER:
+        out = _log_vmf_norm_const_huge(v, arr)
+        return float(out[0]) if scalar else out
     uniform = math.lgamma(d / 2.0) - math.log(2.0) - (d / 2.0) * math.log(math.pi)
     out = np.full_like(arr, uniform)
     pos = arr > 0.0
     if np.any(pos):
         x = arr[pos]
-        v = d / 2.0 - 1.0
         out[pos] = (
             v * np.log(x)
             - (d / 2.0) * math.log(2.0 * math.pi)
@@ -375,16 +395,34 @@ def log_vmf_norm_const(d: int, kappa):
     return float(out[0]) if scalar else out
 
 
+def _log_vmf_norm_const_huge(order: float, kappa: np.ndarray) -> np.ndarray:
+    """log C_D(kappa) at order v = D/2 - 1 >= 1e300, from the leading terms
+    of the uniform expansion (`_log_i_uniform`) with v log kappa cancelled
+    in closed form:
+    v (log v - log 2 pi + log1p(root) - root) + log(v / 2 pi) / 2 + log(root) / 2
+    with root = sqrt(1 + (kappa / v)^2). The Debye terms left out are below
+    1e-300, and at kappa = 0 this is Stirling's form of lgamma(D/2). The
+    terms after the first are below 1e3 in magnitude, so only the first
+    can leave the float range, and it overflows to +inf just where the
+    value lies above it.
+    """
+    root = np.hypot(1.0, kappa / order)
+    log_scale = math.log(order / (2.0 * math.pi))
+    with np.errstate(over="ignore"):
+        lead = order * (log_scale + np.log1p(root) - root)
+    return lead + 0.5 * log_scale + 0.5 * np.log(root)
+
+
 def estimate_kappa(r_bar, d: int):
     """Closed-form concentration estimate from a mean resultant length.
 
     kappa_hat = (r_bar * D - r_bar^3) / (1 - r_bar^2), the standard
     moment-matching approximation to the inverse of A_D. Monotone
     increasing in r_bar on [0, 1). A d that is not an integer >= 2 (bools
-    excluded), or an r_bar that does not convert to floats in [0, 1),
-    raises DomainError.
+    excluded) within the float range, or an r_bar that does not convert to
+    floats in [0, 1), raises DomainError.
     """
-    check_int("d", d, 2)
+    check_int("d", d, 2, as_float=True)
     arr, scalar = _nonnegative(r_bar, "r_bar", below=1.0)
     out = (arr * d - arr**3) / (1.0 - arr**2)
     return float(out[0]) if scalar else out

@@ -77,6 +77,7 @@ MAGIC = b"STADEMB1"
 MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
 MAX_DRIFT_DEG = 10.0  # largest drift per step that still counts as gradual
+_UNIT_TOL = 1e-9  # how far from 1 the norm of sample_vmf's mu may lie
 _HEADER = struct.Struct("<8sII")
 _SEPARATION_RETRIES = 200
 
@@ -120,9 +121,10 @@ class DriftScenario:
     """Description of a synthetic gradually drifting stream.
 
     d, k, t_steps, n_per_step and seed are integers (bools excluded), with
-    d >= 2, seed >= 0 and the others >= 1. kappa_true, sigma_true,
-    drift_scale and drift_deg_per_step are finite real numbers (bools
-    excluded): kappa_true and sigma_true > 0, drift_deg_per_step in
+    d >= 2, seed >= 0 and the others >= 1; all but the seed lie within the
+    float range. kappa_true, sigma_true, drift_scale and
+    drift_deg_per_step are finite real numbers (bools excluded):
+    kappa_true and sigma_true > 0, drift_deg_per_step in
     [0, MAX_DRIFT_DEG]. Each step's labels are uniform over the K classes
     when dirichlet_alpha is None; otherwise each step draws its class
     proportions from a symmetric Dirichlet of that alpha, a real number
@@ -145,7 +147,7 @@ class DriftScenario:
         if self.geometry not in ("sphere", "euclidean"):
             raise DomainError(f"unknown geometry {self.geometry!r}")
         for name, minimum in (("d", 2), ("k", 1), ("t_steps", 1), ("n_per_step", 1), ("seed", 0)):
-            check_int(name, getattr(self, name), minimum)
+            check_int(name, getattr(self, name), minimum, as_float=name != "seed")
         check_real("kappa_true", self.kappa_true, 0.0, above=True)
         check_real("sigma_true", self.sigma_true, 0.0, above=True)
         check_real("drift_scale", self.drift_scale)
@@ -246,13 +248,14 @@ def write_stream(
 
     Enforces the step contract and the time rule (module docstring), raising
     DomainError or NonContiguousTimeError, so whatever it writes reads back.
-    A k that is not an integer >= 1 (bools excluded), or metadata that is
-    neither None nor a dict, raises DomainError before anything is written.
+    A k that is not an integer >= 1 (bools excluded) within the float
+    range, or metadata that is neither None nor a dict, raises DomainError
+    before anything is written.
     An existing manifest is removed before the first step file is written,
     so a rewrite rejected part-way leaves a directory that read_stream
     refuses instead of one that mixes new and old steps.
     """
-    check_int("k", k, 1)
+    check_int("k", k, 1, as_float=True)
     if metadata is not None and not isinstance(metadata, dict):
         raise DomainError(f"metadata must be a dict, got {type(metadata).__name__}")
     dirpath = Path(dirpath)
@@ -359,12 +362,13 @@ def make_label_shift(batches: Iterable[EmbeddingBatch], seed: int, k: int) -> li
     Features and labels are converted first, as `write_stream` converts
     them: the features to float32, the stream's type, and the labels to an
     array. A batch without labels raises MissingLabelsError. A seed that is
-    not an integer >= 0 or a k that is not one >= 1 (bools excluded),
-    features that do not convert, or a step that breaks the step contract
-    (module docstring) for k classes, raises DomainError.
+    not an integer >= 0 or a k that is not one >= 1 (bools excluded)
+    within the float range, features that do not convert, or a step that
+    breaks the step contract (module docstring) for k classes, raises
+    DomainError.
     """
     check_int("seed", seed, 0)
-    check_int("k", k, 1)
+    check_int("k", k, 1, as_float=True)
     batches = list(batches)
     if any(b.labels is None for b in batches):
         raise MissingLabelsError("label-shift reordering needs labels")
@@ -386,13 +390,18 @@ def make_label_shift(batches: Iterable[EmbeddingBatch], seed: int, k: int) -> li
 def sample_vmf(rng: np.random.Generator, mu: np.ndarray, kappa: float, n: int) -> np.ndarray:
     """Exact vMF sampling via the rejection scheme of Wood (1994).
 
-    kappa is a finite real number > 0 and n an integer >= 0. A kappa so
-    large against d that Wood's envelope rounds away, from about
-    3.5e7 (d - 1) on, raises DomainError, as does any other bad input.
+    mu is a unit vector of d >= 2 entries, kappa a finite real number > 0
+    and n an integer >= 0. A mu whose norm is more than 1e-9 from 1 raises
+    DomainError rather than being normalized, since its samples would lie
+    off the sphere. A kappa so large against d that Wood's envelope rounds
+    away, from about 3.5e7 (d - 1) on, raises DomainError, as does any
+    other bad input.
     """
     mu = _float_array(mu, "mu")
     if mu.ndim != 1 or mu.shape[0] < 2 or not np.isfinite(mu).all():
         raise DomainError(f"vMF sampling needs a finite 1-D mu of d >= 2, got shape {mu.shape}")
+    if abs(math.hypot(*mu) - 1.0) > _UNIT_TOL:  # hypot: no overflow at huge entries
+        raise DomainError(f"vMF sampling needs a unit mu, got norm {math.hypot(*mu)!r}")
     check_real("kappa", kappa, 0.0, above=True)
     check_int("n", n, 0)
     d = mu.shape[0]
@@ -454,9 +463,10 @@ def _min_pairwise_angle_deg(dirs: np.ndarray) -> float:
 
 def well_separated_directions(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
     """K unit directions with pairwise angles above the packing target; a
-    d below 2 or a k below 1 raises DomainError."""
-    check_int("d", d, 2)
-    check_int("k", k, 1)
+    d below 2 or a k below 1, or either beyond the float range, raises
+    DomainError."""
+    check_int("d", d, 2, as_float=True)
+    check_int("k", k, 1, as_float=True)
     target = _separation_target_deg(d, k)
     for _ in range(_SEPARATION_RETRIES):
         dirs = normalize_rows(rng.standard_normal((k, d)))

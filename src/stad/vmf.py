@@ -33,8 +33,9 @@ directions are the one data input of the assignment step, the head
 each checks them. The model forms them in two places: a step's products
 feats @ mean_dir.T once per position of its belief (`VmfModel._products`),
 kept as the step's `products`, which the sweep's assignment, the
-concentration re-estimate, `window_elbo` and `predict` on the adapted
-batch all read; and in `predict`, those of a batch it has not adapted on.
+concentration re-estimate, `window_elbo` and the head on the adapted
+batch all read; and in the head (`VmfModel._head`), those of a batch it
+has not adapted on.
 """
 
 from __future__ import annotations
@@ -317,9 +318,14 @@ class VmfModel(SlidingWindow):
     the batch just adapted reads the newest step's. Once the window is
     full, `adapt` and then `predict` on the same batch, at window 3 and 2
     sweeps, form 7 products with learn_kappa_ems and 6 without, against 10
-    and 7 if each user formed its own. `predict` on any other batch forms
-    that batch's products with the newest mean directions itself, and
-    keeps nothing.
+    and 7 if each user formed its own.
+
+    `predict` is the window engine's, and the head is this tracker's
+    `_head`: `predict_probs` on the newest step's mean directions and
+    mixing at kappa_ems. The engine hands it the step's own unit rows for
+    the batch just adapted on, whose products it reads; on any other
+    batch it forms that batch's products with the newest mean directions
+    itself, and keeps nothing.
     """
 
     def __init__(self, source_weights: np.ndarray, config: VmfConfig, static: bool = False):
@@ -416,8 +422,7 @@ class VmfModel(SlidingWindow):
         for i, step in enumerate(steps):
             belief = step.belief
             step.resp = assignment_step(self._products(step), step.mixing, kappa_ems * belief.ratio)
-            scale, direction = self._anchor_message() if i == 0 else self._message(
-                steps[i - 1].belief)
+            scale, direction = self._left_message(i)
             total = self._total
             np.copyto(total, direction)
             if not scale.min() > floor:
@@ -441,35 +446,33 @@ class VmfModel(SlidingWindow):
         direction): kappa_trans times its expected prototypes."""
         return self._kappa_trans * belief.ratio, belief.mean_dir
 
-    def _anchor_message(self) -> tuple[np.ndarray, np.ndarray]:
-        """Natural-parameter message the left boundary receives, as (scale, direction).
+    def _left_message(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The natural-parameter message window step i receives from its
+        left, as ((K,) scale, (K, D) direction): the one rule of the sweep
+        and `window_elbo`.
 
-        The source head is the chain's first link: the source prior sends
-        kappa_trans * mu0 exactly (its conc is kappa_trans in every class),
-        the same concentration as every later link. A frozen evicted belief
-        is treated as one more fixed vMF neighbour (`_message`).
+        Step i > 0 gets its left step's `_message`. Step 0 gets the
+        anchor's. The source head is the chain's first link: the source
+        prior sends kappa_trans * mu0 exactly (its conc is kappa_trans in
+        every class), the same concentration as every later link. A frozen
+        evicted belief is treated as one more fixed vMF neighbour.
         """
+        if i:
+            return self._message(self._steps[i - 1].belief)
         if self._anchor is self._prior:
             return self._prior.conc, self._prior.mean_dir
         return self._message(self._anchor)
 
     # -- prediction and diagnostics ---------------------------------------
 
-    def predict(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Class probabilities and argmax labels for a batch; a batch that
-        does not convert to an (N, D) float array raises a StadError.
-
-        On a batch equal element for element to the one just adapted on,
-        the newest step's unit rows and products are read instead of
-        normalizing and multiplying again, with the same bits as the full
-        path (see `SlidingWindow._predict_rows`); any other batch is
-        normalized and multiplied with the newest mean directions here.
-        """
-        unit, adapted = self._predict_rows(feats)
-        newest = self._newest()
-        dots = self._products(newest) if adapted else unit @ newest.belief.mean_dir.T
-        probs = predict_probs(dots, self._kappa_ems, newest.mixing)
-        return probs, probs.argmax(axis=1)
+    def _head(self, step, unit: np.ndarray) -> np.ndarray:
+        """`predict_probs` of the unit rows on the step's mean directions and
+        mixing, at kappa_ems. When `unit` is the step's own rows, which
+        `SlidingWindow.predict` hands over for the batch just adapted on,
+        the step's products are read (`_products`), with the same bits as
+        multiplying again."""
+        dots = self._products(step) if unit is step.feats else unit @ step.belief.mean_dir.T
+        return predict_probs(dots, self._kappa_ems, step.mixing)
 
     def window_elbo(self) -> float:
         """Evidence lower bound of the current window state.
@@ -477,36 +480,33 @@ class VmfModel(SlidingWindow):
         Expected complete-data log density (every link of the chain, from
         the anchor into the first step and between steps, and the
         emissions) plus the entropies of the vMF beliefs and the
-        categorical assignments.
+        categorical assignments. The links take their left messages from
+        `_left_message`, the sweep's rule; log C_D(kappa_trans) and
+        log C_D(kappa_ems) are formed once per call, and each step's
+        emission term and categorical entropy are summed in one masked
+        pass over its responsibilities.
         """
         self._newest()  # raises NotAdaptedError before the first step
         d, k = self.config.d, self.config.k
         total = 0.0
-        steps = self._steps
-
         link_norm = k * float(log_vmf_norm_const(d, self._kappa_trans))
-        for i, s in enumerate(steps):
+        ems_norm = float(log_vmf_norm_const(d, self._kappa_ems))
+        for i, s in enumerate(self._steps):
             # the link into this step, K vMF factors at kappa_trans: its left
             # message (scale, direction) dotted with the expected prototypes
             # is scale * A_D(conc) m . direction per class
-            scale, direction = self._anchor_message() if i == 0 else self._message(
-                steps[i - 1].belief)
+            scale, direction = self._left_message(i)
             total += link_norm + float(np.sum(
                 scale * s.belief.ratio * np.einsum("kd,kd->k", direction, s.belief.mean_dir)))
-            align = self._products(s) * s.belief.ratio  # (N, K)
-            with np.errstate(divide="ignore"):
-                log_pi = np.log(s.mixing)
-            per_class_ll = (
-                log_pi + log_vmf_norm_const(d, self._kappa_ems) + self._kappa_ems * align
-            )
-            # a class of mixing weight 0 has -inf here and responsibility 0,
-            # and contributes 0
-            total += float(np.sum(np.multiply(s.resp, per_class_ll, where=s.resp > 0.0,
-                                              out=np.zeros_like(per_class_ll))))
-            # categorical entropy, 0 log 0 := 0
+            # r (log pi + log C_D(kappa_ems) + kappa_ems A_D(conc) dots - log r):
+            # a class of responsibility 0 contributes 0 (0 log 0 := 0), the
+            # -inf of a mixing weight 0 among them
             with np.errstate(divide="ignore", invalid="ignore"):
-                ent = -np.where(s.resp > 0.0, s.resp * np.log(s.resp), 0.0)
-            total += float(np.sum(ent))
+                per_class = (np.log(s.mixing) + ems_norm
+                             + self._kappa_ems * (self._products(s) * s.belief.ratio)
+                             - np.log(s.resp))
+            total += float(np.sum(np.multiply(s.resp, per_class, where=s.resp > 0.0,
+                                              out=np.zeros_like(per_class))))
             # vMF belief entropy: -log C_D(gamma) - gamma A_D(gamma)
             gamma = s.belief.conc
             total += float(np.sum(-log_vmf_norm_const(d, gamma) - gamma * s.belief.ratio))

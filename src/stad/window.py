@@ -8,17 +8,19 @@ fixed anchor the oldest remaining step is tied to.
 One loop, `SlidingWindow.adapt`, runs every step of both trackers: it
 pushes the batch, runs `e_sweeps` coordinate sweeps over the window and
 then re-estimates the mixing weights and the tracker's parameters in
-closed form. The batch push is shared; the trackers differ only in the
-belief type, in the two hooks that loop calls after it, `_sweep` and
-`_reestimate`, and in the head.
+closed form. One `SlidingWindow.predict` serves both heads: it takes the
+batch's unit rows and the newest step to the tracker's `_head`. The batch
+push and the prediction path are shared; the trackers differ only in the
+belief type and in three hooks: `_sweep` and `_reestimate`, which the
+loop calls after the push, and `_head`.
 
 A step is a plain record. Its one derived field, `products`, holds the
 spherical tracker's (N, K) products of the batch with the belief's mean
 directions while the belief stands still, so that the sweep, the
 re-estimate and the head form them once. The engine also keeps one copy
-of the newest batch as given: `predict` on a batch equal to it reuses the
-newest step's unit rows and products instead of normalizing the batch
-again.
+of the newest batch as given: `predict` on a batch equal to it hands the
+head the newest step's unit rows, and the spherical head its products,
+instead of normalizing the batch again.
 
 Both trackers normalize their assignment logits, and the Gaussian one its
 head, through one in-place row softmax, `softmax_rows`. Its callers form
@@ -78,9 +80,9 @@ class WindowStep:
 def check_config(config, d_min: int) -> None:
     """Raise DomainError unless a tracker config's d, k, window and
     e_sweeps are integers (bools excluded) at or above their minimums and
-    its pi_floor is a real number in [0, 1/K)."""
+    within the float range, and its pi_floor is a real number in [0, 1/K)."""
     for name, minimum in (("d", d_min), ("k", 1), ("window", 1), ("e_sweeps", 1)):
-        check_int(name, getattr(config, name), minimum)
+        check_int(name, getattr(config, name), minimum, as_float=True)
     _check_pi_floor(config.pi_floor, config.k)
 
 
@@ -208,15 +210,17 @@ class SlidingWindow:
     per batch. The initial anchor is kept as `_prior` and never written.
 
     `adapt` is `_push`, then `e_sweeps` calls of `_sweep()`, then
-    `_reestimate()`. A subclass supplies `_sweep`, one coordinate sweep
-    over `_steps`, and `_reestimate`, the closed-form mixing and parameter
-    updates, and its own head, which takes its batch through
-    `_predict_rows`.
+    `_reestimate()`, and `predict` takes its batch's unit rows to
+    `_head(step, unit)` on the newest step. A subclass supplies the three
+    hooks: `_sweep`, one coordinate sweep over `_steps`; `_reestimate`, the
+    closed-form mixing and parameter updates; and `_head`, the (N, K) class
+    probabilities of the unit rows under the step's belief.
 
-    `_push` keeps one copy of the newest batch as given, `_given`. A head
-    asked about a batch that equals it element for element reads the
-    newest step's unit rows and products; the copy, not the caller's array,
-    is compared, so a batch written into after `adapt` takes the full path.
+    `_push` keeps one copy of the newest batch as given, `_given`. `predict`
+    on a batch that equals it element for element hands the head the
+    newest step's own unit rows, which the spherical head recognizes to
+    read the step's products; the copy, not the caller's array, is
+    compared, so a batch written into after `adapt` takes the full path.
     """
 
     def __init__(self, config, anchor, static: bool = False):
@@ -267,20 +271,22 @@ class SlidingWindow:
             )
         return normalize_rows(feats)
 
-    def _predict_rows(self, feats) -> tuple[np.ndarray, bool]:
-        """The unit rows of a batch to predict on, and whether they are the
-        newest step's own.
+    def predict(self, feats) -> tuple[np.ndarray, np.ndarray]:
+        """Class probabilities and argmax labels for a batch, from the
+        tracker's head on the newest step, `_head(step, unit)`.
 
-        A batch equal element for element to the newest step's batch as
-        given (dtypes may differ: a float32 batch equals its float64 copy)
-        is not normalized again; its rows are the step's. Any other batch
-        is checked and normalized as `adapt` does. Raises NotAdaptedError
-        before the first `adapt`.
+        Raises NotAdaptedError before the first `adapt`. A batch equal
+        element for element to the newest step's batch as given (dtypes may
+        differ: a float32 batch equals its float64 copy) is not normalized
+        again; the head gets the step's own unit rows, with the same bits
+        as the full path. Any other batch is checked and normalized as
+        `adapt` does: one that does not convert to an (N, D) float array
+        raises a StadError, and one of no row EmptyInputError.
         """
         newest = self._newest()
-        if np.array_equal(feats, self._given):
-            return newest.feats, True
-        return self._unit_batch(feats), False
+        unit = newest.feats if np.array_equal(feats, self._given) else self._unit_batch(feats)
+        probs = self._head(newest, unit)
+        return probs, probs.argmax(axis=1)
 
     def _push(self, t: int, feats: np.ndarray) -> None:
         """Append the batch at time t as the newest step, evicting the oldest

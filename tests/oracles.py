@@ -10,6 +10,7 @@ independent route to the same answers.
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -59,6 +60,23 @@ def mp_log_bessel_i_uniform(order: float, arg: float) -> float:
     u2 = (81 * t**2 - 462 * t**4 + 385 * t**6) / 1152
     return float(v * eta - mp.log(2 * mp.pi * v) / 2 - mp.log(root) / 2
                  + mp.log(1 + u1 / v + u2 / v**2))
+
+
+def mp_log_vmf_norm_const_uniform(d: int, kappa: float) -> float:
+    """log C_D(kappa) at 50 digits, with log I from the uniform expansion
+    as in `mp_log_bessel_i_uniform`, and through lgamma(D/2) at kappa = 0;
+    +inf above the float range. For orders of 1e300 and up the terms left
+    out are far below double precision."""
+    v, k = mp.mpf(d) / 2 - 1, mp.mpf(kappa)
+    if k == 0:
+        value = mp.loggamma(v + 1) - mp.log(2) - (v + 1) * mp.log(mp.pi)
+    else:
+        root = mp.sqrt(1 + (k / v) ** 2)
+        t = 1 / root
+        log_i = (v * (root + mp.log((k / v) / (1 + root))) - mp.log(2 * mp.pi * v) / 2
+                 - mp.log(root) / 2 + mp.log(1 + (3 * t - 5 * t**3) / 24 / v))
+        value = v * mp.log(k) - (v + 1) * mp.log(2 * mp.pi) - log_i
+    return float(value) if value < sys.float_info.max else math.inf
 
 
 def mp_log_vmf_norm_const(d: int, kappa: float) -> float:

@@ -9,8 +9,8 @@ import pytest
 from stad import gauss, mathcore, vmf
 from stad.errors import DimensionMismatchError, DomainError, EmptyInputError
 from stad.gauss import GaussBelief, GaussConfig, GaussModel
-from stad.stream import (EmbeddingBatch, make_label_shift, sample_vmf, well_separated_directions,
-                         write_matrix, write_stream)
+from stad.stream import (DriftScenario, EmbeddingBatch, make_label_shift, sample_vmf,
+                         synth_drift, well_separated_directions, write_matrix, write_stream)
 from stad.vmf import VmfConfig, VmfModel
 from stad.window import mixing_update, softmax_rows
 
@@ -71,6 +71,10 @@ CASES = {
     "log_bessel_i order a bool": lambda tmp: mathcore.log_bessel_i(True, 1.0),
     "log_bessel_i order 10**400": lambda tmp: mathcore.log_bessel_i(10**400, 1.0),
     "log_bessel_i argument a string": lambda tmp: mathcore.log_bessel_i(1.5, "x"),
+    "bessel_ratio d=10**400": lambda tmp: mathcore.bessel_ratio(10**400, 1.0),
+    "log_vmf_norm_const d=10**400": lambda tmp: mathcore.log_vmf_norm_const(10**400, 1.0),
+    "estimate_kappa d=10**400": lambda tmp: mathcore.estimate_kappa(0.5, 10**400),
+    "estimate_kappa_clamped d=10**400": lambda tmp: mathcore.estimate_kappa_clamped(0.5, 10**400),
     "normalize_rows a string": lambda tmp: mathcore.normalize_rows("x"),
     "log_sum_exp a string": lambda tmp: mathcore.log_sum_exp("x"),
     # stream
@@ -88,6 +92,17 @@ CASES = {
     "sample_vmf mu a string": lambda tmp: sample_vmf(np.random.default_rng(0), "x", 5.0, 3),
     "well_separated_directions d=1":
         lambda tmp: well_separated_directions(np.random.default_rng(0), 1, 2),
+    # a d or k beyond the float range is refused; a seed or t takes any integer
+    "well_separated_directions d=10**400":
+        lambda tmp: well_separated_directions(np.random.default_rng(0), 10**400, 2),
+    "well_separated_directions k=10**400":
+        lambda tmp: well_separated_directions(np.random.default_rng(0), 3, 10**400),
+    "DriftScenario d=10**400": lambda tmp: DriftScenario(d=10**400, k=2, t_steps=1, n_per_step=1),
+    "DriftScenario k=10**400": lambda tmp: DriftScenario(k=10**400),
+    "write_stream k=10**400": lambda tmp: write_stream(tmp, batches(), 10**400),
+    "make_label_shift k=10**400": lambda tmp: make_label_shift(batches(), 0, 10**400),
+    "VmfConfig d=10**400": lambda tmp: VmfConfig(d=10**400, k=2),
+    "GaussConfig k=10**400": lambda tmp: GaussConfig(d=3, k=10**400),
     # window: pi_floor in [0, 1/K), t an integer >= 0, outside arrays converted
     "mixing_update floor 0.6 at K=2": lambda tmp: mixing_update(RESP, 0.6),
     "mixing_update floor 0.4 at K=3": lambda tmp: mixing_update(np.full((2, 3), 1 / 3), 0.4),
@@ -223,6 +238,14 @@ EMPTY_CASES = {
 def test_empty_batch_raises_empty_input_error(case):
     with pytest.raises(EmptyInputError):
         EMPTY_CASES[case]()
+
+
+def test_seeds_and_times_take_any_integer():
+    scenario = DriftScenario(d=3, k=2, t_steps=1, n_per_step=2, seed=10**400)
+    assert len(synth_drift(scenario)[0]) == 1
+    assert len(make_label_shift(batches(), 10**400, 3)) == 1
+    model = vmf_model().adapt(10**400, BATCH).adapt(10**400 + 1, BATCH)
+    assert model.window_times == [10**400, 10**400 + 1]
 
 
 def test_rejected_time_leaves_the_window_usable():

@@ -106,14 +106,22 @@ class TestLogBesselI:
         want = order * (math.log(arg) - math.log(2.0)) - math.lgamma(order + 1.0)
         assert log_bessel_i(order, arg) == pytest.approx(want, rel=1e-15)
 
+    # log I below the float range is -inf, with no overflow warning
+    @pytest.mark.parametrize("order,arg", [(1e306, 1e-300), (1e308, 1e-300)])
+    def test_below_the_float_range_is_minus_inf_without_warning(self, order, arg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_bessel_i(order, arg) == -math.inf
+
     @pytest.mark.parametrize("call", [
         lambda: log_bessel_i(1e60, 1e40),
         lambda: log_bessel_i(1e300, 1e308),
         lambda: log_vmf_norm_const(10**61, 1e40),
         lambda: log_bessel_i(2e154, 1e10),
         lambda: log_bessel_i(13.0, 5e-324),
+        lambda: log_bessel_i(1e308, 1e308),
     ], ids=["order 1e60", "order 1e300", "norm_const d=10**61", "order squared overflows",
-            "subnormal argument"])
+            "subnormal argument", "2 pi order overflows"])
     def test_huge_order_or_tiny_argument_is_finite_without_warning(self, call):
         # a power of the first three orders overflows a float, and so would
         # Hankel's tail at the last two, where `ive` cannot answer
@@ -268,6 +276,29 @@ class TestLogVmfNormConst:
             at_zero = log_vmf_norm_const(d, 0.0)
             near_zero = log_vmf_norm_const(d, 1e-9)
             assert near_zero == pytest.approx(at_zero, abs=1e-6)
+
+    # d/2 - 1 just below 1e300 (the lgamma and Bessel path) and at it;
+    # lgamma(D/2) beyond the float range with log C_D(0) within it; v log kappa
+    # beyond it with log C_D within it
+    @pytest.mark.parametrize("d,kappa", [
+        (2 * int(np.nextafter(1e300, 0.0)) + 2, 1.0), (2 * 10**300 + 2, 1.0),
+        (2 * 10**300 + 2, 1e305), (2 * 10**305, 1e301), (2 * int(2.56e305), 0.0),
+        (2 * int(2.56e305), 1e308),
+    ], ids=["below order 1e300", "at order 1e300", "kappa past the order", "order 1e305",
+            "lgamma overflows", "v log kappa overflows"])
+    def test_huge_dimension_matches_mpmath_without_warning(self, d, kappa):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_vmf_norm_const(d, kappa)
+        assert got == pytest.approx(oracles.mp_log_vmf_norm_const_uniform(d, kappa), rel=1e-15)
+
+    @pytest.mark.parametrize("d,kappa", [(10**307, 1.0), (10**307, 0.0),
+                                         (int(np.finfo(float).max), 1e308)])
+    def test_above_the_float_range_is_inf_without_warning(self, d, kappa):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_vmf_norm_const(d, kappa) == math.inf
+        assert oracles.mp_log_vmf_norm_const_uniform(d, kappa) == math.inf
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):

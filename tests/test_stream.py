@@ -375,9 +375,12 @@ E1 = np.array([1.0, 0.0, 0.0])
     (np.eye(3), 5.0, 4), (np.array([1.0, np.nan, 0.0]), 5.0, 4),
     (np.array([np.inf, 0.0, 0.0]), 5.0, 4), (np.float64(1.0), 5.0, 4),
     (E1, "5", 3), (E1, 1e8, 3), (E1, 1e200, 3), (np.eye(2)[0], 1e8, 3),
+    (np.array([2.0, 0.0, 0.0]), 5.0, 4), (np.array([0.6, 0.6, 0.0]), 5.0, 4),
+    (np.array([1e200, 0.0, 0.0]), 5.0, 4),
 ], ids=["d=1", "kappa=0", "kappa<0", "kappa nan", "kappa inf", "n<0", "n not an integer",
         "n a bool", "mu 2-D", "mu nan", "mu inf", "mu scalar", "kappa a string",
-        "kappa 1e8 in d=3", "kappa 1e200", "kappa 1e8 in d=2"])
+        "kappa 1e8 in d=3", "kappa 1e200", "kappa 1e8 in d=2", "mu of norm 2",
+        "mu of norm 0.85", "mu of norm 1e200"])
 def test_sample_vmf_rejects(mu, kappa, n):
     # with a non-finite kappa the rejection loop would never accept a sample;
     # past about 1e7 in d=3 Wood's b rounds to 0, and kappa**2 overflows at 1e200

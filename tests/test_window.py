@@ -69,6 +69,30 @@ def test_adapt_is_the_one_window_loop(model, monkeypatch):
     assert calls == ["_push", *["_sweep"] * model.config.e_sweeps, "_reestimate"]
 
 
+def test_predict_is_the_one_window_head(model, monkeypatch):
+    # no tracker defines its own predict: bench/tracing.py's uninstall sets
+    # the engine's function back as an own attribute, so an own entry may be
+    # that function and nothing else
+    assert vars(type(model)).get("predict", SlidingWindow.predict) is SlidingWindow.predict
+    assert type(model).predict is SlidingWindow.predict
+    model.adapt(1, BATCH)
+    heads = []
+
+    def spy(step, unit, original=model._head):
+        heads.append((step, unit))
+        return original(step, unit)
+
+    monkeypatch.setattr(model, "_head", spy)
+    for batch in (BATCH, 2.0 * BATCH):
+        probs, labels = model.predict(batch)
+        np.testing.assert_array_equal(labels, probs.argmax(axis=1))
+    # the batch just adapted on hands over the newest step's own rows
+    (step, own), (same, other) = heads
+    assert step is same is model._steps[-1]
+    assert own is step.feats and other is not step.feats
+    np.testing.assert_array_equal(other, normalize_rows(2.0 * BATCH))
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_row_order_within_a_batch_does_not_matter(name):
     rng = np.random.default_rng(3)
@@ -250,3 +274,16 @@ def test_check_int_rejects(value):
 @pytest.mark.parametrize("value", [1, 10**400, np.int64(5), np.uint8(1)])
 def test_check_int_accepts(value):
     check_int("x", value, 1)
+
+
+@pytest.mark.parametrize("value", [10**400, int(np.finfo(float).max) + 1,
+                                   pytest.param(10**5000, id="10**5000")])
+def test_check_int_as_float_rejects_beyond_the_float_range(value):
+    check_int("x", value, 1)
+    with pytest.raises(DomainError):
+        check_int("x", value, 1, as_float=True)
+
+
+@pytest.mark.parametrize("value", [1, int(np.finfo(float).max), np.int64(5), np.uint8(1)])
+def test_check_int_as_float_accepts(value):
+    check_int("x", value, 1, as_float=True)
