@@ -1,19 +1,26 @@
-"""Exception types shared across the package, and its one rule for scalar
-arguments.
+"""Exception types shared across the package, its one rule for scalar
+arguments, and its one size domain.
 
 Every error raised by the library derives from StadError so that callers
 can catch one base class. The package checks its scalar arguments with
 one rule: an integer such as a dimension, a count, a seed or a time index
-with `check_int` below (a dimension or a count also within the float
-range), a real number such as a noise, a concentration or a floor with
-`check_real`; both raise DomainError. This module imports nothing from
-the package, so every other module can use them.
+with `check_int` below, a real number such as a noise, a concentration or
+a floor with `check_real`; both raise DomainError. A size (a dimension d,
+a class count k, a window, a sweep count, a stream's step count or batch
+size) and a Bessel order are refused above `MAX_SIZE`; a seed or a time
+index takes any integer, and a real argument such as a concentration is
+bounded only by the float range. This module imports nothing from the
+package, so every other module can use them.
 """
 
 import contextlib
 import math
 import numbers
-import sys
+
+# The largest size the package takes: 8192 times the largest dimension
+# (D = 2048) and 16777 times the largest class count (K = 1000) that the
+# trackers are run at. No code path serves anything beyond it.
+MAX_SIZE = 2**24
 
 
 class StadError(Exception):
@@ -85,23 +92,18 @@ def _shown(value) -> str:
         return f"an unprintable {type(value).__name__}"
 
 
-def check_int(name: str, value, minimum: int, as_float: bool = False) -> None:
+def check_int(name: str, value, minimum: int, size: bool = False) -> None:
     """Raise DomainError unless value is an integer (bools excluded) >= minimum.
 
-    With `as_float`, for a size such as a dimension or a class count that
-    the caller computes with as a float, value must also lie within the
-    largest float, as `check_real` asks of a real number: an int such as
-    10**400 is refused here rather than overflowing where it is converted.
-    A seed or a time index takes any integer.
+    With `size`, for a dimension, a count or a window, value must also be
+    at most MAX_SIZE. A seed or a time index takes any integer.
     """
     # type() is int for a plain int, never for a bool; that skips the ABC check
     if not (type(value) is int or (isinstance(value, numbers.Integral)
                                    and not isinstance(value, bool))) or value < minimum:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
-    # an int compares with a float exactly
-    if as_float and value > sys.float_info.max:
-        raise DomainError(f"{name} must be an integer within the float range, "
-                          f"got {_shown(value)}")
+    if size and value > MAX_SIZE:
+        raise DomainError(f"{name} must be at most MAX_SIZE = {MAX_SIZE}, got {_shown(value)}")
 
 
 def check_real(name: str, value, minimum: float = -math.inf, maximum: float = math.inf,
@@ -122,7 +124,7 @@ def check_real(name: str, value, minimum: float = -math.inf, maximum: float = ma
     # chained comparisons also reject NaN
     if not (-math.inf < number < math.inf and minimum <= number <= maximum
             and not (above and number == minimum)):
-        bounds = [f" {'>' if above else '>='} {minimum:g}"] if minimum > -math.inf else []
-        bounds += [f" <= {maximum:g}"] if maximum < math.inf else []
+        bounds = [f" {'>' if above else '>='} {minimum:.15g}"] if minimum > -math.inf else []
+        bounds += [f" <= {maximum:.15g}"] if maximum < math.inf else []
         raise DomainError(f"{name} must be a finite real number{' and'.join(bounds)}, "
                           f"got {_shown(value)}")

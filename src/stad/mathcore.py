@@ -8,19 +8,20 @@ mean resultant length, and small vector helpers (row normalization,
 log-sum-exp).
 
 All functions are pure and accept scalars or arrays for the concentration
-argument. `log_bessel_i` takes scipy's scaled Bessel `ive` wherever it
-lies in [1e-280, 1/2] and recomputes the rest, where `ive` underflows or
-log(ive) + x would cancel, from the uniform large-order expansion or
-nine terms of the ascending series. Against mpmath it stays within 1e-14
-of max(|log I|, 1) for orders up to ~1024 (embedding dimension ~2048)
-and arguments from 1e-300 to 1e6, and at order 0 within 2e-15 of
-log I_0(x) itself, which is ~x^2/4 at small x. Past the float range
-log I is -inf, and log C_D is +inf; from order D/2 - 1 = 1e300 on,
-`log_vmf_norm_const` takes a closed form that overflows only there.
-`bessel_ratio` evaluates no Bessel function: it runs the Gauss
-continued fraction (kappa <= D) or Perron's (kappa > D) backward
-from bracketing start values until the two runs agree, which holds it
-to about an ulp for any finite kappa.
+argument. A dimension D and a Bessel order lie in the package's one size
+domain, at most `errors.MAX_SIZE`; beyond it they raise DomainError. An
+argument is bounded only by the float range, and within the domain
+log I and log C_D are finite at every finite argument. `log_bessel_i`
+takes scipy's scaled Bessel `ive` wherever it lies in [1e-280, 1/2] and
+recomputes the rest, where `ive` underflows or log(ive) + x would
+cancel, from the uniform large-order expansion or nine terms of the
+ascending series. Against mpmath it stays within 1e-14 of
+max(|log I|, 1) for orders up to ~1024 (embedding dimension ~2048) and
+arguments from 1e-300 to 1e6, and at order 0 within 2e-15 of log I_0(x)
+itself, which is ~x^2/4 at small x. `bessel_ratio` evaluates no Bessel
+function: it runs the Gauss continued fraction (kappa <= D) or Perron's
+(kappa > D) backward from bracketing start values until the two runs
+agree, which holds it to about an ulp for any finite kappa.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ __all__ = [
     "KAPPA_MAX",
 ]
 
-from .errors import DomainError, EmptyInputError, ZeroVectorError, check_int, check_real
+from .errors import MAX_SIZE, DomainError, EmptyInputError, ZeroVectorError, check_int, check_real
 
 # Clamp range for estimated concentrations; keeps downstream exponentials finite.
 KAPPA_MIN = 1e-6
@@ -61,9 +62,6 @@ _UNIFORM_ORDER_MIN = 14.0
 # the float range's end, and above 1/2 log(ive) + arg cancels.
 _IVE_MIN = 1e-280
 _IVE_MAX = 0.5
-# From this order on, log_vmf_norm_const takes its closed form in v log v,
-# where lgamma(D/2) or v log kappa alone may overflow a value that does not.
-_HUGE_ORDER = 1e300
 # Largest argument handed to scipy's `ive`, which answers NaN above 2**30.
 _IVE_ARG_MAX = 1e9
 # The Bessel ratio's two bracketing runs must agree to this relative width;
@@ -135,26 +133,24 @@ def _debye_polynomials() -> tuple[Polynomial, ...]:
 def _log_i_uniform(order: float, arg: np.ndarray) -> np.ndarray:
     """Uniform large-order asymptotic expansion (Abramowitz-Stegun 9.7.7).
 
-    log z is formed as log(arg) - log(order), which stays exact where
-    z = arg / order is subnormal or 0. The correction, the sum of
-    u_k(t) / order^k over the Debye polynomials u_1 ... u_6 at
-    t = 1 / sqrt(1 + z^2), is nested in powers of 1/order, so that no power
-    of a huge order overflows, and log(2 pi order) is formed as a sum of
-    logs, so that it stays finite up to the largest order. Where log I
-    lies below the float range, order * eta overflows to -inf, which is
-    returned without a warning; above it log I cannot lie, since
-    log I_v(x) < x.
+    The lead, order * eta with eta = root + log(z / (1 + root)),
+    z = arg / order and root = sqrt(1 + z^2), is formed as
+    hypot(order, arg) + order (log(arg) - log(order) - log1p(root)). Its
+    log z stays exact where z is subnormal or 0, and its first term stays
+    finite up to the largest argument, where order * root would round
+    past it; log I_v(x) < x, so the sum never lies above the float range.
+    At orders up to MAX_SIZE the second term lies within ~1.3e10 of 0 at
+    any positive argument, so the value is finite there. The
+    correction, the sum of u_k(t) / order^k over the Debye polynomials
+    u_1 ... u_6 at t = 1 / root, is nested in powers of 1/order.
     """
     root = np.hypot(1.0, arg / order)
     log_order = math.log(order)
-    eta = root + np.log(arg) - log_order - np.log1p(root)
     correction = 0.0
     for u in reversed(_debye_polynomials()):
         correction = (correction + u(1.0 / root)) / order
-    with np.errstate(over="ignore"):
-        lead = order * eta
     return (
-        lead
+        np.hypot(order, arg) + order * (np.log(arg) - log_order - np.log1p(root))
         - 0.5 * (math.log(2.0 * math.pi) + log_order)
         - 0.5 * np.log(root)
         + np.log1p(correction)
@@ -197,12 +193,14 @@ def log_bessel_i(order: float, arg):
     exceeds 1/2 (log(ive) + arg would cancel) or, from order 14 on, past
     1e9, the uniform large-order expansion with the Debye polynomials
     u_1 ... u_6 for orders >= 14, and nine terms of the ascending series
-    below. Returns -inf where I vanishes (arg == 0 with order > 0).
+    below. Returns -inf where I vanishes (arg == 0 with order > 0), and a
+    finite value at every finite positive argument.
 
-    An order that is not a finite real number >= 0 (bools excluded), or an
-    argument that does not convert to finite floats >= 0, raises DomainError.
+    An order that is not a real number in [0, MAX_SIZE] (bools excluded),
+    or an argument that does not convert to finite floats >= 0, raises
+    DomainError.
     """
-    check_real("Bessel order", order, 0.0)
+    check_real("Bessel order", order, 0.0, MAX_SIZE)
     order = float(order)
     arr, scalar = _nonnegative(arg, "Bessel argument")
 
@@ -342,11 +340,10 @@ def bessel_ratio(d: int, kappa):
     the result is within 3e-16 relative for D from 2 to 2048 and kappa
     from 1e-6 to 1e6, and no finite kappa overflows.
 
-    A d that is not an integer >= 2 (bools excluded) within the float
-    range, or a kappa that does not convert to finite floats >= 0, raises
-    DomainError.
+    A d that is not an integer in [2, MAX_SIZE] (bools excluded), or a
+    kappa that does not convert to finite floats >= 0, raises DomainError.
     """
-    check_int("d", d, 2, as_float=True)
+    check_int("d", d, 2, size=True)
     arr = _float_array(kappa, "kappa")
     flat = arr.ravel()
     order = d / 2.0 - 1.0
@@ -368,20 +365,14 @@ def log_vmf_norm_const(d: int, kappa):
     """log C_D(kappa) with C_D(k) = k^{D/2-1} / ((2 pi)^{D/2} I_{D/2-1}(k)).
 
     At kappa = 0 this is the log inverse surface area of the unit
-    (D-1)-sphere, evaluated through the limit rather than a 0/0 form.
-    From order D/2 - 1 = 1e300 on, `_log_vmf_norm_const_huge` answers, and
-    a value above the float range is +inf, without a warning; log C_D
-    falls in kappa with slope -A_D > -1 from its positive value at 0, so it
-    never lies below that range. A d that is not an integer >= 2 (bools
-    excluded) within the float range, or a kappa that does not convert to
+    (D-1)-sphere, evaluated through the limit rather than a 0/0 form. It
+    is finite at every finite kappa. A d that is not an integer in
+    [2, MAX_SIZE] (bools excluded), or a kappa that does not convert to
     finite floats >= 0, raises DomainError.
     """
-    check_int("d", d, 2, as_float=True)
+    check_int("d", d, 2, size=True)
     arr, scalar = _nonnegative(kappa, "kappa")
     v = d / 2.0 - 1.0
-    if v >= _HUGE_ORDER:
-        out = _log_vmf_norm_const_huge(v, arr)
-        return float(out[0]) if scalar else out
     uniform = math.lgamma(d / 2.0) - math.log(2.0) - (d / 2.0) * math.log(math.pi)
     out = np.full_like(arr, uniform)
     pos = arr > 0.0
@@ -395,34 +386,16 @@ def log_vmf_norm_const(d: int, kappa):
     return float(out[0]) if scalar else out
 
 
-def _log_vmf_norm_const_huge(order: float, kappa: np.ndarray) -> np.ndarray:
-    """log C_D(kappa) at order v = D/2 - 1 >= 1e300, from the leading terms
-    of the uniform expansion (`_log_i_uniform`) with v log kappa cancelled
-    in closed form:
-    v (log v - log 2 pi + log1p(root) - root) + log(v / 2 pi) / 2 + log(root) / 2
-    with root = sqrt(1 + (kappa / v)^2). The Debye terms left out are below
-    1e-300, and at kappa = 0 this is Stirling's form of lgamma(D/2). The
-    terms after the first are below 1e3 in magnitude, so only the first
-    can leave the float range, and it overflows to +inf just where the
-    value lies above it.
-    """
-    root = np.hypot(1.0, kappa / order)
-    log_scale = math.log(order / (2.0 * math.pi))
-    with np.errstate(over="ignore"):
-        lead = order * (log_scale + np.log1p(root) - root)
-    return lead + 0.5 * log_scale + 0.5 * np.log(root)
-
-
 def estimate_kappa(r_bar, d: int):
     """Closed-form concentration estimate from a mean resultant length.
 
     kappa_hat = (r_bar * D - r_bar^3) / (1 - r_bar^2), the standard
     moment-matching approximation to the inverse of A_D. Monotone
-    increasing in r_bar on [0, 1). A d that is not an integer >= 2 (bools
-    excluded) within the float range, or an r_bar that does not convert to
+    increasing in r_bar on [0, 1). A d that is not an integer in
+    [2, MAX_SIZE] (bools excluded), or an r_bar that does not convert to
     floats in [0, 1), raises DomainError.
     """
-    check_int("d", d, 2, as_float=True)
+    check_int("d", d, 2, size=True)
     arr, scalar = _nonnegative(r_bar, "r_bar", below=1.0)
     out = (arr * d - arr**3) / (1.0 - arr**2)
     return float(out[0]) if scalar else out
@@ -440,12 +413,12 @@ def estimate_kappa_clamped(r_bar, d: int):
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise normalize an (N, D) matrix; rejects (near-)zero rows.
+    """Row-wise normalize an (N, D) matrix; rejects (near-)zero rows and
+    rows whose squared norm overflows (norm above ~1.3e154), which no
+    float32 batch reaches.
 
-    Rows whose squared norm overflows (norm above ~1.3e154) are scaled by
-    their largest entry and normalized again; the others are untouched.
-    A matrix that does not convert to a 2-d array of finite floats raises
-    DomainError, a (near-)zero row ZeroVectorError.
+    A matrix that does not convert to a 2-d array of finite floats, or an
+    overflowing row, raises DomainError, a (near-)zero row ZeroVectorError.
     """
     arr = _float_array(m, "matrix")
     if arr.ndim != 2:
@@ -454,15 +427,13 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
         raise DomainError("matrix contains non-finite entries")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(arr, axis=1)
-    if np.any(norms <= 1e-12):
-        bad = int(np.argmax(norms <= 1e-12))
-        raise ZeroVectorError(f"row {bad} has (near-)zero norm")
-    out = arr / norms[:, None]
-    huge = np.isinf(norms)
-    if np.any(huge):
-        rows = arr[huge] / np.max(np.abs(arr[huge]), axis=1, keepdims=True)
-        out[huge] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    return out
+    bad = (norms <= 1e-12) | (norms == np.inf)
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        if norms[row] <= 1e-12:
+            raise ZeroVectorError(f"row {row} has (near-)zero norm")
+        raise DomainError(f"row {row} has a squared norm beyond the float range")
+    return arr / norms[:, None]
 
 
 def log_sum_exp(values, axis=None):

@@ -80,9 +80,9 @@ class WindowStep:
 def check_config(config, d_min: int) -> None:
     """Raise DomainError unless a tracker config's d, k, window and
     e_sweeps are integers (bools excluded) at or above their minimums and
-    within the float range, and its pi_floor is a real number in [0, 1/K)."""
+    at most MAX_SIZE, and its pi_floor is a real number in [0, 1/K)."""
     for name, minimum in (("d", d_min), ("k", 1), ("window", 1), ("e_sweeps", 1)):
-        check_int(name, getattr(config, name), minimum, as_float=True)
+        check_int(name, getattr(config, name), minimum, size=True)
     _check_pi_floor(config.pi_floor, config.k)
 
 

@@ -10,7 +10,6 @@ independent route to the same answers.
 from __future__ import annotations
 
 import math
-import sys
 
 import mpmath as mp
 import numpy as np
@@ -64,9 +63,9 @@ def mp_log_bessel_i_uniform(order: float, arg: float) -> float:
 
 def mp_log_vmf_norm_const_uniform(d: int, kappa: float) -> float:
     """log C_D(kappa) at 50 digits, with log I from the uniform expansion
-    as in `mp_log_bessel_i_uniform`, and through lgamma(D/2) at kappa = 0;
-    +inf above the float range. For orders of 1e300 and up the terms left
-    out are far below double precision."""
+    as in `mp_log_bessel_i_uniform`, and through lgamma(D/2) at kappa = 0.
+    At orders of 1e6 and up the terms left out are below double precision,
+    and mpmath's own `besseli` is slow to converge there."""
     v, k = mp.mpf(d) / 2 - 1, mp.mpf(kappa)
     if k == 0:
         value = mp.loggamma(v + 1) - mp.log(2) - (v + 1) * mp.log(mp.pi)
@@ -76,7 +75,7 @@ def mp_log_vmf_norm_const_uniform(d: int, kappa: float) -> float:
         log_i = (v * (root + mp.log((k / v) / (1 + root))) - mp.log(2 * mp.pi * v) / 2
                  - mp.log(root) / 2 + mp.log(1 + (3 * t - 5 * t**3) / 24 / v))
         value = v * mp.log(k) - (v + 1) * mp.log(2 * mp.pi) - log_i
-    return float(value) if value < sys.float_info.max else math.inf
+    return float(value)
 
 
 def mp_log_vmf_norm_const(d: int, kappa: float) -> float:

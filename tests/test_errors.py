@@ -1,13 +1,17 @@
 """Every entry point keeps the promise of `errors.py`: a bad argument raises
 DomainError, and arrays of mismatched shapes DimensionMismatchError, both
 StadErrors, never a bare TypeError, ValueError or OverflowError, and is
-never run with a value it silently coerced."""
+never run with a value it silently coerced; and that the one size domain,
+`MAX_SIZE`, covers every benchmark workload with room to spare."""
+
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stad import gauss, mathcore, vmf
-from stad.errors import DimensionMismatchError, DomainError, EmptyInputError
+from stad.errors import MAX_SIZE, DimensionMismatchError, DomainError, EmptyInputError
 from stad.gauss import GaussBelief, GaussConfig, GaussModel
 from stad.stream import (DriftScenario, EmbeddingBatch, make_label_shift, sample_vmf,
                          synth_drift, well_separated_directions, write_matrix, write_stream)
@@ -70,11 +74,16 @@ CASES = {
     "log_bessel_i order a string": lambda tmp: mathcore.log_bessel_i("x", 1.0),
     "log_bessel_i order a bool": lambda tmp: mathcore.log_bessel_i(True, 1.0),
     "log_bessel_i order 10**400": lambda tmp: mathcore.log_bessel_i(10**400, 1.0),
+    "log_bessel_i order MAX_SIZE + 1": lambda tmp: mathcore.log_bessel_i(MAX_SIZE + 1, 1.0),
     "log_bessel_i argument a string": lambda tmp: mathcore.log_bessel_i(1.5, "x"),
     "bessel_ratio d=10**400": lambda tmp: mathcore.bessel_ratio(10**400, 1.0),
     "log_vmf_norm_const d=10**400": lambda tmp: mathcore.log_vmf_norm_const(10**400, 1.0),
     "estimate_kappa d=10**400": lambda tmp: mathcore.estimate_kappa(0.5, 10**400),
     "estimate_kappa_clamped d=10**400": lambda tmp: mathcore.estimate_kappa_clamped(0.5, 10**400),
+    "bessel_ratio d=MAX_SIZE + 1": lambda tmp: mathcore.bessel_ratio(MAX_SIZE + 1, 1.0),
+    "log_vmf_norm_const d=MAX_SIZE + 1":
+        lambda tmp: mathcore.log_vmf_norm_const(MAX_SIZE + 1, 1.0),
+    "estimate_kappa d=MAX_SIZE + 1": lambda tmp: mathcore.estimate_kappa(0.5, MAX_SIZE + 1),
     "normalize_rows a string": lambda tmp: mathcore.normalize_rows("x"),
     "log_sum_exp a string": lambda tmp: mathcore.log_sum_exp("x"),
     # stream
@@ -92,7 +101,7 @@ CASES = {
     "sample_vmf mu a string": lambda tmp: sample_vmf(np.random.default_rng(0), "x", 5.0, 3),
     "well_separated_directions d=1":
         lambda tmp: well_separated_directions(np.random.default_rng(0), 1, 2),
-    # a d or k beyond the float range is refused; a seed or t takes any integer
+    # a size above MAX_SIZE is refused; a seed or t takes any integer
     "well_separated_directions d=10**400":
         lambda tmp: well_separated_directions(np.random.default_rng(0), 10**400, 2),
     "well_separated_directions k=10**400":
@@ -103,6 +112,17 @@ CASES = {
     "make_label_shift k=10**400": lambda tmp: make_label_shift(batches(), 0, 10**400),
     "VmfConfig d=10**400": lambda tmp: VmfConfig(d=10**400, k=2),
     "GaussConfig k=10**400": lambda tmp: GaussConfig(d=3, k=10**400),
+    # past MAX_SIZE but within the float range, where numpy would refuse the
+    # array size with a bare ValueError
+    "well_separated_directions d=10**30":
+        lambda tmp: well_separated_directions(np.random.default_rng(0), 10**30, 2),
+    "make_label_shift k=10**30": lambda tmp: make_label_shift(batches(), 0, 10**30),
+    "sample_vmf n=10**30":
+        lambda tmp: sample_vmf(np.random.default_rng(0), np.eye(3)[0], 5.0, 10**30),
+    "VmfConfig d=MAX_SIZE + 1": lambda tmp: VmfConfig(d=MAX_SIZE + 1, k=2),
+    "GaussConfig k=MAX_SIZE + 1": lambda tmp: GaussConfig(d=3, k=MAX_SIZE + 1),
+    "DriftScenario d=MAX_SIZE + 1": lambda tmp: DriftScenario(d=MAX_SIZE + 1),
+    "write_stream k=MAX_SIZE + 1": lambda tmp: write_stream(tmp, batches(), MAX_SIZE + 1),
     # window: pi_floor in [0, 1/K), t an integer >= 0, outside arrays converted
     "mixing_update floor 0.6 at K=2": lambda tmp: mixing_update(RESP, 0.6),
     "mixing_update floor 0.4 at K=3": lambda tmp: mixing_update(np.full((2, 3), 1 / 3), 0.4),
@@ -262,3 +282,11 @@ def test_rejected_stream_arguments_write_nothing(tmp_path):
         with pytest.raises(DomainError):
             write_stream(tmp_path, batches(), k, metadata)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_size_domain_covers_every_workload():
+    # bench/workloads.py, read and never written
+    table = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
+    assert table["WORKLOADS"]
+    for w in table["WORKLOADS"].values():
+        assert 10**3 * max(w.d, w.k) <= MAX_SIZE, w.name

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stad import mathcore
-from stad.errors import DomainError, EmptyInputError, ZeroVectorError
+from stad.errors import MAX_SIZE, DomainError, EmptyInputError, ZeroVectorError
 from stad.mathcore import (
     bessel_ratio,
     estimate_kappa,
@@ -99,35 +99,35 @@ class TestLogBesselI:
         want = oracles.mp_log_bessel_i_uniform(order, arg)
         assert log_bessel_i(order, arg) == pytest.approx(want, rel=1e-15)
 
-    @pytest.mark.parametrize("order,arg", [(1e20, 1e-300), (1e300, 5e-324)])
+    @pytest.mark.parametrize("order,arg", [(float(MAX_SIZE), 1e-310), (MAX_SIZE / 2 - 1, 5e-324)])
     def test_uniform_expansion_at_a_subnormal_ratio(self, order, arg):
-        # arg / order is subnormal or 0 here; the series' leading term is
-        # exact, since its next term is (arg/2)^2 / (order+1) of it
+        # arg / order is subnormal or 0 here, at the largest orders of the
+        # domain; the series' leading term is exact, since its next term is
+        # (arg/2)^2 / (order+1) of it
         want = order * (math.log(arg) - math.log(2.0)) - math.lgamma(order + 1.0)
         assert log_bessel_i(order, arg) == pytest.approx(want, rel=1e-15)
 
-    # log I below the float range is -inf, with no overflow warning
-    @pytest.mark.parametrize("order,arg", [(1e306, 1e-300), (1e308, 1e-300)])
-    def test_below_the_float_range_is_minus_inf_without_warning(self, order, arg):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert log_bessel_i(order, arg) == -math.inf
-
     @pytest.mark.parametrize("call", [
-        lambda: log_bessel_i(1e60, 1e40),
-        lambda: log_bessel_i(1e300, 1e308),
-        lambda: log_vmf_norm_const(10**61, 1e40),
-        lambda: log_bessel_i(2e154, 1e10),
+        lambda: log_bessel_i(MAX_SIZE, 5e-324),
+        lambda: log_vmf_norm_const(MAX_SIZE, 5e-324),
         lambda: log_bessel_i(13.0, 5e-324),
-        lambda: log_bessel_i(1e308, 1e308),
-    ], ids=["order 1e60", "order 1e300", "norm_const d=10**61", "order squared overflows",
-            "subnormal argument", "2 pi order overflows"])
+    ], ids=["order MAX_SIZE", "norm_const d=MAX_SIZE", "subnormal argument"])
     def test_huge_order_or_tiny_argument_is_finite_without_warning(self, call):
-        # a power of the first three orders overflows a float, and so would
-        # Hankel's tail at the last two, where `ive` cannot answer
+        # Hankel's tail would overflow at the last row, where `ive` cannot answer
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isfinite(call())
+
+    # order * root rounded past the largest float here, and log I to +inf
+    @pytest.mark.parametrize("order", [14.0, 1023.0, 2.0**23 - 1])
+    def test_largest_argument_is_finite_without_warning(self, order):
+        biggest = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_bessel_i(order, biggest)
+            norm_const = log_vmf_norm_const(int(2 * order + 2), biggest)
+        assert got == oracles.mp_log_bessel_i_uniform(order, biggest) == biggest
+        assert norm_const == -biggest
 
     def test_debye_polynomials_match_abramowitz_stegun(self):
         # A&S 9.3.9: u_k(t) = sum_j c_j t^j / denominator, for k = 1..4
@@ -277,28 +277,20 @@ class TestLogVmfNormConst:
             near_zero = log_vmf_norm_const(d, 1e-9)
             assert near_zero == pytest.approx(at_zero, abs=1e-6)
 
-    # d/2 - 1 just below 1e300 (the lgamma and Bessel path) and at it;
-    # lgamma(D/2) beyond the float range with log C_D(0) within it; v log kappa
-    # beyond it with log C_D within it
-    @pytest.mark.parametrize("d,kappa", [
-        (2 * int(np.nextafter(1e300, 0.0)) + 2, 1.0), (2 * 10**300 + 2, 1.0),
-        (2 * 10**300 + 2, 1e305), (2 * 10**305, 1e301), (2 * int(2.56e305), 0.0),
-        (2 * int(2.56e305), 1e308),
-    ], ids=["below order 1e300", "at order 1e300", "kappa past the order", "order 1e305",
-            "lgamma overflows", "v log kappa overflows"])
-    def test_huge_dimension_matches_mpmath_without_warning(self, d, kappa):
+    # the largest dimension of the domain and its Bessel order, one past it refused
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, 1e3, 1e308])
+    def test_huge_dimension_matches_mpmath_without_warning(self, kappa):
+        order = MAX_SIZE / 2 - 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = log_vmf_norm_const(d, kappa)
-        assert got == pytest.approx(oracles.mp_log_vmf_norm_const_uniform(d, kappa), rel=1e-15)
-
-    @pytest.mark.parametrize("d,kappa", [(10**307, 1.0), (10**307, 0.0),
-                                         (int(np.finfo(float).max), 1e308)])
-    def test_above_the_float_range_is_inf_without_warning(self, d, kappa):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert log_vmf_norm_const(d, kappa) == math.inf
-        assert oracles.mp_log_vmf_norm_const_uniform(d, kappa) == math.inf
+            got = log_vmf_norm_const(MAX_SIZE, kappa)
+            log_i = log_bessel_i(order, kappa)
+        want = oracles.mp_log_vmf_norm_const_uniform(MAX_SIZE, kappa)
+        assert got == pytest.approx(want, rel=1e-15)
+        want = oracles.mp_log_bessel_i_uniform(order, kappa) if kappa else -math.inf
+        assert log_i == pytest.approx(want, rel=1e-15)
+        with pytest.raises(DomainError):
+            log_vmf_norm_const(MAX_SIZE + 1, kappa)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -383,15 +375,15 @@ class TestNormalize:
         with pytest.raises(DomainError):
             normalize_rows(m)
 
-    def test_overflowing_norms_give_unit_rows(self):
+    @pytest.mark.parametrize("row", [[1e200, 1e200], [-1.7e308, 1e308], [1e155, 0.0]])
+    def test_overflowing_norms_are_refused(self, row):
         # the squared norm of these finite rows overflows
-        m = np.array([[1e200, 1e200], [3.0, 4.0], [-1.7e308, 1e308]])
-        got = normalize_rows(m)
-        np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=1e-15)
-        np.testing.assert_allclose(got[0], [0.5**0.5, 0.5**0.5], rtol=1e-15)
-        np.testing.assert_array_equal(got[1], m[1] / 5.0)
-        np.testing.assert_allclose(normalize_rows(np.array([[1e200, -1e200]])),
-                                   [[0.5**0.5, -(0.5**0.5)]], rtol=1e-15)
+        with pytest.raises(DomainError, match="row 1 has a squared norm") as info:
+            normalize_rows(np.array([[3.0, 4.0], row]))
+        assert not isinstance(info.value, ZeroVectorError)
+        # the first bad row names the error
+        with pytest.raises(ZeroVectorError):
+            normalize_rows(np.array([[0.0, 0.0], row]))
 
 
 class TestLogSumExp:

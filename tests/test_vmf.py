@@ -127,12 +127,12 @@ class TestInit:
         with pytest.raises(ZeroVectorError):
             VmfModel(np.array([[1.0, 0.0], [0.0, 0.0]]), VmfConfig(d=2, k=2))
 
-    def test_huge_rows_adapt_as_unit_rows(self):
-        # a squared norm above the float range must not turn a row into zeros
+    def test_huge_rows_are_refused(self):
+        # a squared norm above the float range is refused, never a row of zeros
         model = VmfModel(np.eye(2), VmfConfig(d=2, k=2, window=1))
-        model.adapt(1, np.array([[1e200, 1e200], [3.0, -4.0]]))
-        np.testing.assert_allclose(model._steps[0].feats,
-                                   [[0.5**0.5, 0.5**0.5], [0.6, -0.8]])
+        with pytest.raises(DomainError):
+            model.adapt(1, np.array([[1e200, 1e200], [3.0, -4.0]]))
+        assert model.window_times == []
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stad.errors import (
+    MAX_SIZE,
     DimensionMismatchError,
     DomainError,
     EmptyBatchError,
@@ -276,14 +277,13 @@ def test_check_int_accepts(value):
     check_int("x", value, 1)
 
 
-@pytest.mark.parametrize("value", [10**400, int(np.finfo(float).max) + 1,
-                                   pytest.param(10**5000, id="10**5000")])
-def test_check_int_as_float_rejects_beyond_the_float_range(value):
+@pytest.mark.parametrize("value", [10**400, MAX_SIZE + 1, pytest.param(10**5000, id="10**5000")])
+def test_check_int_size_rejects_beyond_max_size(value):
     check_int("x", value, 1)
     with pytest.raises(DomainError):
-        check_int("x", value, 1, as_float=True)
+        check_int("x", value, 1, size=True)
 
 
-@pytest.mark.parametrize("value", [1, int(np.finfo(float).max), np.int64(5), np.uint8(1)])
-def test_check_int_as_float_accepts(value):
-    check_int("x", value, 1, as_float=True)
+@pytest.mark.parametrize("value", [1, MAX_SIZE, np.int64(5), np.uint8(1)])
+def test_check_int_size_accepts(value):
+    check_int("x", value, 1, size=True)
