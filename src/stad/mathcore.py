@@ -74,12 +74,14 @@ _RATIO_DEPTH_MAX = 1 << 12
 def _float_array(values, what: str, dtype=np.float64) -> np.ndarray:
     """values as an array of `dtype`; DomainError naming `what` if they do
     not convert (a string, a ragged nesting, an int beyond the float range,
-    ...) or are complex, which numpy would cast by dropping the imaginary
-    parts. An ndarray's dtype is read as it is; anything else is first
-    converted as numpy reads it, so a complex array nested in a list shows."""
+    ...), are complex, which numpy would cast by dropping the imaginary
+    parts, or are boolean, which numpy would cast to 0 and 1, the rule
+    `errors.check_real` keeps for a scalar. An ndarray's dtype is read as
+    it is; anything else is first converted as numpy reads it, so a
+    complex array nested in a list, or a bool scalar, shows."""
     try:
         arr = values if isinstance(values, np.ndarray) else np.asarray(values)
-        if arr.dtype.kind != "c":
+        if arr.dtype.kind not in "bc":
             return np.asarray(arr, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{what} must convert to an array of real numbers") from exc
@@ -88,8 +90,10 @@ def _float_array(values, what: str, dtype=np.float64) -> np.ndarray:
 
 def _nonnegative(values, what: str, below: float = math.inf) -> tuple[np.ndarray, bool]:
     """values as a float64 array of at least one dimension, and whether
-    they were a scalar; DomainError unless they convert and every entry is
-    finite, >= 0 and < below."""
+    they were a scalar; DomainError unless they convert by the rule of
+    `_float_array` (so a bool or a bool array is refused, as
+    `errors.check_real` refuses a bool) and every entry is finite, >= 0
+    and < below. A scalar and an array of any shape take this one check."""
     arr = _float_array(values, what)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -413,26 +417,27 @@ def estimate_kappa_clamped(r_bar, d: int):
 
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise normalize an (N, D) matrix; rejects (near-)zero rows and
-    rows whose squared norm overflows (norm above ~1.3e154), which no
-    float32 batch reaches.
+    """Row-wise normalize an (N, D) matrix; rejects (near-)zero rows, rows
+    with a NaN or infinite entry and rows whose squared norm overflows
+    (norm above ~1.3e154), which no float32 batch reaches.
 
-    A matrix that does not convert to a 2-d array of finite floats, or an
-    overflowing row, raises DomainError, a (near-)zero row ZeroVectorError.
+    The rows are checked from their own norms, with no separate pass over
+    the entries: a NaN entry leaves a NaN norm, an infinite entry or an
+    overflow an infinite one. The first bad row decides the error: a
+    (near-)zero row raises ZeroVectorError, any other DomainError, and so
+    does a matrix that does not convert to a 2-d float array.
     """
     arr = _float_array(m, "matrix")
     if arr.ndim != 2:
         raise DomainError(f"expected a 2-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("matrix contains non-finite entries")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(arr, axis=1)
-    bad = (norms <= 1e-12) | (norms == np.inf)
+    bad = ~((norms > 1e-12) & (norms < np.inf))  # NaN fails both
     if np.any(bad):
         row = int(np.argmax(bad))
         if norms[row] <= 1e-12:
             raise ZeroVectorError(f"row {row} has (near-)zero norm")
-        raise DomainError(f"row {row} has a squared norm beyond the float range")
+        raise DomainError(f"row {row} has a squared norm that is NaN or beyond the float range")
     return arr / norms[:, None]
 
 

@@ -159,9 +159,10 @@ def assignment_step(dots: np.ndarray, mixing: np.ndarray, kappa) -> np.ndarray:
     by `window.softmax_rows`. dots is (N, K), mixing (K,), and kappa one
     concentration for every class (a float) or one per class (K,);
     anything else raises DimensionMismatchError, and a concentration that
-    is not a finite real number >= 0 (a bool too) DomainError, both before
-    any O(N K) work. Products or mixing weights that do not convert to a
-    float array, and a product that is not finite, raise DomainError, and
+    is not a finite real number >= 0 (a bool or a bool array too)
+    DomainError, from the one `_nonnegative` check whatever its shape, both
+    before any O(N K) work. Products or mixing weights that do not convert
+    to a float array, and a product that is not finite, raise DomainError, and
     so does a row whose logits have no finite max: mixing weights that are
     negative, NaN or all 0, or a concentration times a product beyond the
     float range. Products of no row raise EmptyInputError. The sweep passes the
@@ -176,10 +177,7 @@ def assignment_step(dots: np.ndarray, mixing: np.ndarray, kappa) -> np.ndarray:
             or np.shape(kappa) not in ((), mixing.shape)):
         raise DimensionMismatchError(f"products {dots.shape}, mixing {mixing.shape} and "
                                      f"concentration {np.shape(kappa)} do not match")
-    if np.ndim(kappa):
-        kappa = _nonnegative(kappa, "the concentration")[0]
-    else:  # a 0-d array is checked as the number it holds
-        check_real("the concentration", kappa[()] if isinstance(kappa, np.ndarray) else kappa, 0.0)
+    kappa = _nonnegative(kappa, "the concentration")[0]
     if not np.isfinite(dots).all():
         raise DomainError("products contain non-finite entries")
     # a bad mixing weight or an overflow leaves its row without a finite

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from stad import gauss, mathcore, vmf
-from stad.errors import MAX_SIZE, DimensionMismatchError, DomainError, EmptyInputError
+from stad.errors import (MAX_SIZE, DimensionMismatchError, DomainError, EmptyInputError,
+                         ZeroVectorError)
 from stad.gauss import GaussBelief, GaussConfig, GaussModel
 from stad.stream import (DriftScenario, EmbeddingBatch, make_label_shift, sample_vmf,
                          synth_drift, well_separated_directions, write_matrix, write_stream)
@@ -195,6 +196,24 @@ CASES = {
         lambda tmp: write_stream(tmp, [EmbeddingBatch(1, np.ones((2, 2)) + 1j)], 3),
     "kf_smooth complex means nested in a list":
         lambda tmp: gauss.kf_smooth([MEAN + 1j, MEAN], [VAR] * 2, 0.1),
+    # bool arrays and scalars are refused, not cast to 0 and 1, as check_real
+    # refuses a bool
+    "bessel_ratio kappa a bool": lambda tmp: mathcore.bessel_ratio(4, True),
+    "log_bessel_i argument a bool": lambda tmp: mathcore.log_bessel_i(1, True),
+    "log_vmf_norm_const kappa a bool": lambda tmp: mathcore.log_vmf_norm_const(4, True),
+    "estimate_kappa r_bar a bool": lambda tmp: mathcore.estimate_kappa(False, 4),
+    "estimate_kappa_clamped r_bar a bool": lambda tmp: mathcore.estimate_kappa_clamped(True, 4),
+    "normalize_rows a bool matrix": lambda tmp: mathcore.normalize_rows(np.eye(2, dtype=bool)),
+    "mixing_update bool responsibilities": lambda tmp: mixing_update(np.eye(2, dtype=bool)),
+    "assignment_step a bool per-class kappa":
+        lambda tmp: vmf.assignment_step(DOTS, np.full(2, 0.5), np.array([True, False])),
+    "VmfModel bool source weights":
+        lambda tmp: VmfModel(np.eye(2, 3, dtype=bool), VmfConfig(d=3, k=2)),
+    "adapt a bool batch": lambda tmp: vmf_model().adapt(1, BATCH > 0.5),
+    "sample_vmf a bool mu":
+        lambda tmp: sample_vmf(np.random.default_rng(0), np.array([True, False, False]), 5.0, 3),
+    "write_stream bool features":
+        lambda tmp: write_stream(tmp, [EmbeddingBatch(1, np.ones((2, 2), dtype=bool))], 3),
     # an int beyond the float range is refused, not an OverflowError
     "adapt batch holding 10**400": lambda tmp: vmf_model().adapt(1, [[10**400, 1.0, 0.0]]),
     "write_stream features holding 10**400":
@@ -258,6 +277,15 @@ EMPTY_CASES = {
 def test_empty_batch_raises_empty_input_error(case):
     with pytest.raises(EmptyInputError):
         EMPTY_CASES[case]()
+
+
+def test_normalize_rows_names_the_first_bad_row():
+    # the rows are checked from their norms: the zero row before the NaN row decides
+    with pytest.raises(ZeroVectorError, match="row 1"):
+        mathcore.normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0], [np.nan, 1.0]]))
+    with pytest.raises(DomainError, match="row 1 has a squared norm") as info:
+        mathcore.normalize_rows(np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 0.0]]))
+    assert not isinstance(info.value, ZeroVectorError)
 
 
 def test_seeds_and_times_take_any_integer():

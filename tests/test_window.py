@@ -227,6 +227,17 @@ def test_softmax_rows_gives_0_below_the_float_range():
                                   [[1.0, 0.0], [0.5, 0.5]])
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "x - (log sum exp(x - m) + m) loses the small log sum to a large row max m: the "
+    "rows [[s, s], [s, s - 1]] sum to 0.99999952 and 1.00000066 at s = 1e10, and to 2 "
+    "at s = 1e16 and -5e199. (x - m) - log sum exp(x - m) mends it, but moves the bits "
+    "that the replay hashes and the log-sum-exp form pins hold"))
+def test_softmax_rows_sum_to_1_at_a_large_row_max():
+    for s in (1e10, 1e16, -5e199):
+        probs = softmax_rows(np.array([[s, s], [s, s - 1.0]]))
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("bad", [
     [[0.0, 1.0], [np.nan, 0.0]], [[0.0, 1.0], [2.0, np.inf]], [[0.0, 1.0], [-np.inf, -np.inf]],
 ], ids=["NaN", "+inf", "all -inf"])
