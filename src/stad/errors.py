@@ -5,7 +5,8 @@ Every error raised by the library derives from StadError so that callers
 can catch one base class. The package checks its scalar arguments with
 one rule: an integer such as a dimension, a count, a seed or a time index
 with `check_int` below, a real number such as a noise, a concentration or
-a floor with `check_real`; both raise DomainError. A size (a dimension d,
+a floor with `check_real`, and an on/off switch such as a learn flag with
+`check_flag`; each raises DomainError. A size (a dimension d,
 a class count k, a window, a sweep count, a stream's step count or batch
 size) and a Bessel order are refused above `MAX_SIZE`; a seed or a time
 index takes any integer, and a real argument such as a concentration is
@@ -16,6 +17,8 @@ package, so every other module can use them.
 import contextlib
 import math
 import numbers
+
+import numpy as np
 
 # The largest size the package takes: 8192 times the largest dimension
 # (D = 2048) and 16777 times the largest class count (K = 1000) that the
@@ -36,7 +39,8 @@ class ZeroVectorError(DomainError):
 
 
 class EmptyInputError(DomainError):
-    """An operation received an empty collection."""
+    """An operation received an empty collection: a batch, products or
+    logits of no row, or a window without a sample."""
 
 
 class DimensionMismatchError(StadError):
@@ -45,14 +49,6 @@ class DimensionMismatchError(StadError):
 
 class NonContiguousTimeError(StadError):
     """Time indices must increase by exactly one."""
-
-
-class EmptyBatchError(StadError):
-    """An adaptation step needs at least one sample."""
-
-
-class InsufficientHistoryError(StadError):
-    """Not enough window steps for the requested parameter estimate."""
 
 
 class NotAdaptedError(StadError):
@@ -104,6 +100,13 @@ def check_int(name: str, value, minimum: int, size: bool = False) -> None:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
     if size and value > MAX_SIZE:
         raise DomainError(f"{name} must be at most MAX_SIZE = {MAX_SIZE}, got {_shown(value)}")
+
+
+def check_flag(name: str, value) -> None:
+    """Raise DomainError unless value is a bool, Python's or numpy's, so
+    that a string such as "no" or a number is refused, not read by its truth."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"{name} must be a bool, got {_shown(value)}")
 
 
 def check_real(name: str, value, minimum: float = -math.inf, maximum: float = math.inf,

@@ -32,7 +32,7 @@ import numpy as np
 # counts its calls, which a test pins at zero
 from scipy.linalg import cho_factor  # noqa: F401
 
-from .errors import DimensionMismatchError, DomainError, InsufficientHistoryError, check_real
+from .errors import DimensionMismatchError, DomainError, check_real
 # log_sum_exp and normalize_rows are unused here; they stay importable
 # because bench/tracing.py rebinds them
 from .mathcore import _float_array, log_sum_exp, normalize_rows  # noqa: F401
@@ -63,8 +63,9 @@ class GaussConfig:
     prototype (sigma_trans_scale if None): finite real numbers, r > 0 and
     the others >= 0, not both of q and the prior variance 0. The prototypes
     follow a random walk; learn_transition learns its noise q and
-    learn_sigmas the emission noise r, and each `adapt` re-estimates them
-    once the window holds two steps.
+    learn_sigmas the emission noise r, each a bool (anything else raises
+    DomainError), and each `adapt` re-estimates them once the window holds
+    two steps.
     The assignments plug in the posterior means with R alone.
     """
 
@@ -80,7 +81,7 @@ class GaussConfig:
     init_cov_scale: float | None = None  # None: one transition step's worth
 
     def __post_init__(self):
-        check_config(self, d_min=1)
+        check_config(self, d_min=1, flags=("learn_transition", "learn_sigmas"))
         check_real("sigma_trans_scale", self.sigma_trans_scale, 0.0)
         check_real("sigma_ems_scale", self.sigma_ems_scale, 0.0, above=True)
         check_real("init_cov_scale", self.initial_cov_scale, 0.0)
@@ -271,29 +272,29 @@ def gauss_m_step(
     at 1e-8.
 
     Returns (q or None, r or None), learning q with learn_transition and r
-    with learn_sigmas; with both flags off, (None, None) before any check.
-    With a flag on, fewer than 2 steps raise InsufficientHistoryError.
-    Every belief needs a (K, D) mean and a (K,) covariance of one K and D
-    and gains must be (T-1, K); with learn_sigmas feats and resps need T
-    entries, (N_t, D) and (N_t, K). Anything else raises
-    DimensionMismatchError. Means, covariances or (with learn_transition)
-    gains that do not convert to float arrays raise DomainError, as does a
-    non-finite estimate; learning r from batches that are all empty raises
-    EmptyBatchError.
+    with learn_sigmas. With both flags off, or with fewer than 2 steps,
+    which hold no transition to learn q from, it returns (None, None)
+    before any check: this is the one place that states when learning
+    starts. Every belief needs a (K, D) mean and a (K,) covariance of one K
+    and D, and gains, converted once, must be (T-1, K); with learn_sigmas
+    feats and resps need T entries, (N_t, D) and (N_t, K). Anything else
+    raises DimensionMismatchError. Means, covariances or gains that do not
+    convert to float arrays raise DomainError, as does a non-finite
+    estimate; learning r from batches that are all empty raises
+    EmptyInputError.
     """
-    if not (learn_transition or learn_sigmas):
-        return None, None
     t_len = len(smoothed)
-    if t_len < 2:
-        raise InsufficientHistoryError("parameter learning needs >= 2 window steps")
+    if not (learn_transition or learn_sigmas) or t_len < 2:
+        return None, None
     shape = np.shape(smoothed[0].mean)
     if len(shape) != 2 or any(np.shape(b.mean) != shape or np.shape(b.cov) != shape[:1]
                               for b in smoothed):
         raise DimensionMismatchError(
             "gauss_m_step needs (K, D) means and (K,) covariances of one K and D")
     k, d = shape
-    if len(gains) != t_len - 1 or any(np.shape(g) != (k,) for g in gains):
-        raise DimensionMismatchError(f"gauss_m_step needs {t_len - 1} gains, each ({k},)")
+    gains = _float_array(gains, "gains")
+    if gains.shape != (t_len - 1, k):
+        raise DimensionMismatchError(f"gauss_m_step needs ({t_len - 1}, {k}) gains")
     if learn_sigmas:
         feats, resps, n_total = check_batches(feats, resps, t_len, k, d, "gauss_m_step")
 
@@ -301,10 +302,9 @@ def gauss_m_step(
     covs = _float_array([b.cov for b in smoothed], "covariances")    # (T, K)
     new_q = new_r = None
     if learn_transition:
-        gain = _float_array(gains, "gains")                          # (T-1, K)
         step = means[1:] - means[:-1]
         q_sum = (np.einsum("tkd,tkd->", step, step)
-                 + d * (covs[1:] * (1.0 - 2.0 * gain) + covs[:-1]).sum())
+                 + d * (covs[1:] * (1.0 - 2.0 * gains) + covs[:-1]).sum())
         new_q = _noise_estimate(q_sum / ((t_len - 1) * k * d))
     if learn_sigmas:
         r_sum = sum(np.sum(w * (_sq_dist(h.T, m.T) + d * c))
@@ -356,23 +356,23 @@ class GaussModel(SlidingWindow):
 
     def _reestimate(self) -> None:
         """Mixing weights of every window step, then the M-step, which
-        learns what the config's flags name once the window holds two steps."""
+        learns what the config's flags name; `gauss_m_step` decides when
+        the window holds enough steps to learn from."""
         cfg = self.config
         for s in self._steps:
             s.mixing = mixing_update(s.resp, cfg.pi_floor)
-        if len(self._steps) >= 2:
-            new_q, new_r = gauss_m_step(
-                [s.belief for s in self._steps],
-                self._last_gains,
-                [s.resp for s in self._steps],
-                [s.feats for s in self._steps],
-                cfg.learn_transition,
-                cfg.learn_sigmas,
-            )
-            if new_q is not None:
-                self.sigma_trans = new_q
-            if new_r is not None:
-                self.sigma_ems = new_r
+        new_q, new_r = gauss_m_step(
+            [s.belief for s in self._steps],
+            self._last_gains,
+            [s.resp for s in self._steps],
+            [s.feats for s in self._steps],
+            cfg.learn_transition,
+            cfg.learn_sigmas,
+        )
+        if new_q is not None:
+            self.sigma_trans = new_q
+        if new_r is not None:
+            self.sigma_ems = new_r
 
     def coordinate_sweep(self) -> None:
         """Assignments, forward filter and backward smoother over the window.

@@ -429,17 +429,16 @@ def sample_vmf(rng: np.random.Generator, mu: np.ndarray, kappa: float, n: int) -
         w[filled:filled + got.size] = got
         filled += got.size
 
-    # tangential directions: project Gaussians off mu and normalize
-    g = rng.standard_normal((n, d))
-    g -= np.outer(g @ mu, mu)
-    norms = np.linalg.norm(g, axis=1)
-    # a zero tangential projection has probability zero; regenerate defensively
-    bad = norms <= 1e-12
-    while np.any(bad):
+    # tangential directions: project Gaussians off mu and normalize. One loop
+    # draws every row, then draws again the rows whose projection is zero,
+    # which has probability zero; the first pass gives the bits of one
+    # whole-array draw and projection.
+    g = np.empty((n, d))
+    norms = np.zeros(n)
+    while (bad := norms <= 1e-12).any():
         g[bad] = rng.standard_normal((int(bad.sum()), d))
         g[bad] -= np.outer(g[bad] @ mu, mu)
         norms = np.linalg.norm(g, axis=1)
-        bad = norms <= 1e-12
     tang = g / norms[:, None]
     return w[:, None] * mu + np.sqrt(np.maximum(0.0, 1.0 - w * w))[:, None] * tang
 

@@ -95,7 +95,8 @@ class VmfConfig:
     classes: real numbers (bools excluded), finite and >= 0. kappa_trans
     weights every link of the transition chain, the link from the source
     head into the first window step included. Only kappa_ems is learned,
-    with learn_kappa_ems; kappa_trans stays as set.
+    with learn_kappa_ems, a bool (anything else raises DomainError);
+    kappa_trans stays as set.
     """
 
     d: int
@@ -108,7 +109,7 @@ class VmfConfig:
     pi_floor: float = 1e-4
 
     def __post_init__(self):
-        check_config(self, d_min=2)
+        check_config(self, d_min=2, flags=("learn_kappa_ems",))
         for name in ("kappa_trans", "kappa_ems"):
             check_real(name, getattr(self, name), 0.0)
 
@@ -259,7 +260,7 @@ def kappa_update(
     products feats_t @ mean_dir_t.T of the step's unit embeddings with its
     mean directions. An entry that does not convert to a float array
     raises DomainError, anything else DimensionMismatchError, and a window
-    without a sample EmptyBatchError.
+    without a sample EmptyInputError, through `window.check_batches`.
     """
     shape = np.shape(beliefs[0].mean_dir) if beliefs else (0, d)
     if len(shape) != 2 or shape[1] != d or any(np.shape(b.mean_dir) != shape for b in beliefs):

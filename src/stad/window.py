@@ -10,9 +10,11 @@ pushes the batch, runs `e_sweeps` coordinate sweeps over the window and
 then re-estimates the mixing weights and the tracker's parameters in
 closed form. One `SlidingWindow.predict` serves both heads: it takes the
 batch's unit rows and the newest step to the tracker's `_head`. The batch
-push and the prediction path are shared; the trackers differ only in the
-belief type and in three hooks: `_sweep` and `_reestimate`, which the
-loop calls after the push, and `_head`.
+check (`_unit_batch`), the push and the prediction path are shared, and
+`adapt` and `predict` run the same check, so a bad batch raises the same
+error from either. The trackers differ only in the belief type and in
+three hooks: `_sweep` and `_reestimate`, which the loop calls after the
+push, and `_head`.
 
 A step is a plain record. Its one derived field, `products`, holds the
 spherical tracker's (N, K) products of the batch with the belief's mean
@@ -29,10 +31,13 @@ checks only the N row maxima it needs for the shift; a row with a NaN or
 +inf entry, or all -inf, raises there.
 
 The checks both trackers share live here too: of a config
-(`check_config`, whose pi_floor rule `mixing_update` applies as well),
+(`check_config`, whose pi_floor rule `mixing_update` applies as well, and
+which passes the config's learn flags through `errors.check_flag`),
 of the source weights (`check_source`) and of a window's batches
-(`check_batches`). The scalar checkers they build on, `check_int` and
-`check_real`, live in `errors`, the one rule every module uses.
+(`check_batches`). The scalar checkers they build on, `check_int`,
+`check_real` and `check_flag`, live in `errors`, the one rule every
+module uses. An empty batch, window or set of responsibilities raises
+EmptyInputError wherever it is found.
 """
 
 from __future__ import annotations
@@ -45,10 +50,10 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DomainError,
-    EmptyBatchError,
     EmptyInputError,
     NonContiguousTimeError,
     NotAdaptedError,
+    check_flag,
     check_int,
     check_real,
 )
@@ -60,11 +65,13 @@ __all__ = ["WindowStep", "SlidingWindow", "mixing_update", "softmax_rows", "chec
 
 @dataclass
 class WindowStep:
-    """One window step: its batch, the tracker's belief, responsibilities
-    and mixing weights, and the (N, K) products of the batch with the
+    """One window step: its batch, the tracker's belief, mixing weights and
+    responsibilities, and the (N, K) products of the batch with the
     belief's mean directions, or None.
 
-    Whoever moves or replaces the belief sets `products` back to None; the
+    A pushed step has no responsibilities (`resp` is None) until the first
+    sweep forms them from its batch, before anything reads them. Whoever
+    moves or replaces the belief sets `products` back to None; the
     spherical tracker forms them again when it next reads them, and the
     Gaussian one never reads them.
     """
@@ -72,18 +79,21 @@ class WindowStep:
     t: int
     feats: np.ndarray   # (N, D), unit rows
     belief: Any         # the tracker's belief over the K prototypes
-    resp: np.ndarray    # (N, K)
     mixing: np.ndarray  # (K,)
+    resp: np.ndarray | None = None  # (N, K), formed by the first sweep
     products: np.ndarray | None = None
 
 
-def check_config(config, d_min: int) -> None:
+def check_config(config, d_min: int, flags: tuple[str, ...]) -> None:
     """Raise DomainError unless a tracker config's d, k, window and
     e_sweeps are integers (bools excluded) at or above their minimums and
-    at most MAX_SIZE, and its pi_floor is a real number in [0, 1/K)."""
+    at most MAX_SIZE, its pi_floor is a real number in [0, 1/K) and each
+    of its fields named in `flags` is a bool."""
     for name, minimum in (("d", d_min), ("k", 1), ("window", 1), ("e_sweeps", 1)):
         check_int(name, getattr(config, name), minimum, size=True)
     _check_pi_floor(config.pi_floor, config.k)
+    for name in flags:
+        check_flag(name, getattr(config, name))
 
 
 def _check_pi_floor(pi_floor, k: int) -> None:
@@ -114,7 +124,7 @@ def check_batches(feats: list, resps: list, t_len: int, k: int, d: int,
     feats and resps need t_len entries each: batches (N_t, d) and their
     responsibilities (N_t, k). An entry that does not convert to a float
     array raises DomainError, anything else DimensionMismatchError and a
-    window without a sample EmptyBatchError, each naming `who`.
+    window without a sample EmptyInputError, each naming `who`.
     `vmf.kappa_update` passes each step's (N_t, K) products as its batch,
     with d = k.
     """
@@ -127,7 +137,7 @@ def check_batches(feats: list, resps: list, t_len: int, k: int, d: int,
             f"{who} needs {t_len} batches (N_t, {d}) and responsibilities (N_t, {k})")
     n_total = sum(len(h) for h in feats)
     if not n_total:
-        raise EmptyBatchError(f"{who} needs at least one sample")
+        raise EmptyInputError(f"{who} needs at least one sample")
     return feats, resps, n_total
 
 
@@ -136,15 +146,16 @@ def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
 
     Entries below the floor are pinned to it and the remaining mass is
     distributed proportionally over the others, so e.g. rows all equal to
-    (1, 0) with floor 0.01 give (0.99, 0.01). A non-finite or negative
-    entry, a zero total, or a pi_floor that is not a real number in
-    [0, 1/K) raises DomainError.
+    (1, 0) with floor 0.01 give (0.99, 0.01). Responsibilities of no row
+    raise EmptyInputError, ones that are not 2-d DimensionMismatchError,
+    and a non-finite or negative entry, a zero total, or a pi_floor that is
+    not a real number in [0, 1/K) DomainError.
     """
     resp = _float_array(resp, "responsibilities")
     if resp.ndim != 2:
         raise DimensionMismatchError(f"responsibilities must be (N, K), got {resp.shape}")
     if resp.shape[0] == 0:
-        raise EmptyBatchError("mixing update needs at least one sample")
+        raise EmptyInputError("mixing update needs at least one sample")
     pi = resp.mean(axis=0)
     total = pi.sum()
     # any NaN or infinity in resp reaches its column means and their sum;
@@ -205,9 +216,10 @@ class SlidingWindow:
     """Window state, batch checks, views and the adapt loop of both trackers.
 
     `config` needs `d`, `k`, `window` and `e_sweeps`. The window holds at
-    most `config.window` steps. With `static` it holds one step whose
-    anchor stays the initial one, which turns the window into a fresh fit
-    per batch. The initial anchor is kept as `_prior` and never written.
+    most `config.window` steps. With `static`, a bool (anything else
+    raises DomainError), it holds one step whose anchor stays the initial
+    one, which turns the window into a fresh fit per batch. The initial
+    anchor is kept as `_prior` and never written.
 
     `adapt` is `_push`, then `e_sweeps` calls of `_sweep()`, then
     `_reestimate()`, and `predict` takes its batch's unit rows to
@@ -224,6 +236,7 @@ class SlidingWindow:
     """
 
     def __init__(self, config, anchor, static: bool = False):
+        check_flag("static", static)
         self.config = config
         self._prior = self._anchor = anchor
         self._window = 1 if static else config.window
@@ -246,9 +259,10 @@ class SlidingWindow:
 
         t is an integer >= 0 (bools excluded), one above the newest step's
         once the window holds one; anything else raises DomainError or
-        NonContiguousTimeError. A batch that does not convert to a float
-        array raises DomainError, one that is not (N, D)
-        DimensionMismatchError and an empty one EmptyBatchError.
+        NonContiguousTimeError. The batch is checked as `predict` checks
+        it, by `_unit_batch`: one that does not convert to a float array
+        raises DomainError, one that is not (N, D) DimensionMismatchError
+        and one of no row EmptyInputError.
         """
         self._push(t, feats)
         for _ in range(self.config.e_sweeps):
@@ -262,13 +276,17 @@ class SlidingWindow:
         return self._steps[-1]
 
     def _unit_batch(self, feats: np.ndarray) -> np.ndarray:
-        """An (N, D) batch as float rows of unit norm; DomainError unless it
-        converts to finite floats, DimensionMismatchError unless it is (N, D)."""
+        """An (N, D) batch as float rows of unit norm: the one batch check
+        of `adapt` and `predict`. DomainError unless it converts to finite
+        floats, DimensionMismatchError unless it is (N, D), EmptyInputError
+        unless N >= 1."""
         feats = _float_array(feats, "batch")
         if feats.ndim != 2 or feats.shape[1] != self.config.d:
             raise DimensionMismatchError(
                 f"batch shape {feats.shape} does not match D={self.config.d}"
             )
+        if not feats.shape[0]:
+            raise EmptyInputError("a batch needs at least one row")
         return normalize_rows(feats)
 
     def predict(self, feats) -> tuple[np.ndarray, np.ndarray]:
@@ -279,9 +297,10 @@ class SlidingWindow:
         element for element to the newest step's batch as given (dtypes may
         differ: a float32 batch equals its float64 copy) is not normalized
         again; the head gets the step's own unit rows, with the same bits
-        as the full path. Any other batch is checked and normalized as
-        `adapt` does: one that does not convert to an (N, D) float array
-        raises a StadError, and one of no row EmptyInputError.
+        as the full path. Any other batch is checked and normalized by
+        `_unit_batch`, as `adapt` does: one that does not convert to an
+        (N, D) float array raises a StadError, and one of no row
+        EmptyInputError.
         """
         newest = self._newest()
         unit = newest.feats if np.array_equal(feats, self._given) else self._unit_batch(feats)
@@ -292,32 +311,30 @@ class SlidingWindow:
         """Append the batch at time t as the newest step, evicting the oldest
         step first when the window is full.
 
-        The new step starts from a copy of the newest belief (the anchor
-        when the window is empty or `static`) in fresh arrays, with uniform
-        responsibilities and mixing and no products. The evicted step's
-        belief becomes the anchor, except with `static`, where the anchor
-        stays the initial one. A push moves no kept step's belief, so those
-        steps keep their products. A copy of the batch as given replaces
-        `_given`, so the model holds one such copy in all.
+        The evicted step's belief becomes the anchor, except with `static`,
+        where the anchor stays the initial one. The new step then starts
+        from a copy of the newest kept belief, or of the anchor when no step
+        is kept, in fresh arrays, with uniform mixing and neither
+        responsibilities nor products, which its first sweep forms. A push
+        moves no kept step's belief, so those steps keep their products. A
+        copy of the batch as given replaces `_given`, so the model holds one
+        such copy in all.
         """
         check_int("t", t, 0)
         unit = self._unit_batch(feats)
-        if unit.shape[0] == 0:
-            raise EmptyBatchError("adaptation needs at least one sample")
         if self._steps and t != self._steps[-1].t + 1:
             raise NonContiguousTimeError(f"expected t={self._steps[-1].t + 1}, got {t}")
-        start = self._anchor if self._static or not self._steps else self._steps[-1].belief
         if len(self._steps) == self._window:
             evicted = self._steps.pop(0).belief
             if not self._static:
                 self._anchor = evicted
+        start = self._steps[-1].belief if self._steps else self._anchor
         k = self.config.k
         self._steps.append(
             WindowStep(
                 t=t,
                 feats=unit,
                 belief=start.copy(),
-                resp=np.full((unit.shape[0], k), 1.0 / k),
                 mixing=np.full(k, 1.0 / k),
             )
         )

@@ -141,6 +141,14 @@ CASES = {
         lambda tmp: VmfModel(np.eye(2, 4), VmfConfig(d=4, k=2, kappa_ems=10**400)),
     "GaussConfig sigma_ems_scale 10**400":
         lambda tmp: GaussModel(np.eye(2, 3), GaussConfig(d=3, k=2, sigma_ems_scale=10**400)),
+    # a flag is a bool, Python's or numpy's, not any value read by its truth
+    "VmfConfig learn_kappa_ems a string": lambda tmp: VmfConfig(d=4, k=3, learn_kappa_ems="no"),
+    "VmfConfig learn_kappa_ems None": lambda tmp: VmfConfig(d=4, k=3, learn_kappa_ems=None),
+    "GaussConfig learn_transition 1": lambda tmp: GaussConfig(d=3, k=2, learn_transition=1),
+    "GaussConfig learn_sigmas a string": lambda tmp: GaussConfig(d=3, k=2, learn_sigmas="yes"),
+    "VmfModel static a string":
+        lambda tmp: VmfModel(np.eye(2, 3), VmfConfig(d=3, k=2), static="no"),
+    "VmfModel static 0.0": lambda tmp: VmfModel(np.eye(2, 3), VmfConfig(d=3, k=2), static=0.0),
     # vmf: a concentration is a real number >= 0, one or one per class
     "assignment_step kappa a string": lambda tmp: vmf.assignment_step(DOTS, np.full(2, 0.5), "x"),
     "assignment_step kappa -5.0": lambda tmp: vmf.assignment_step(DOTS, np.full(2, 0.5), -5.0),
@@ -218,6 +226,9 @@ CASES = {
     "adapt batch holding 10**400": lambda tmp: vmf_model().adapt(1, [[10**400, 1.0, 0.0]]),
     "write_stream features holding 10**400":
         lambda tmp: write_stream(tmp, [EmbeddingBatch(1, [[10**400, 1.0]], None)], 2),
+    "gauss_m_step ragged gains":
+        lambda tmp: gauss.gauss_m_step([GaussBelief(MEAN, VAR)] * 3, [VAR, np.eye(2)], [], [],
+                                       True, False),
     "gauss_m_step gains a string":
         lambda tmp: gauss.gauss_m_step([GaussBelief(MEAN, VAR)] * 2, [["x", "y"]], [], [],
                                        True, False),
@@ -286,6 +297,13 @@ def test_normalize_rows_names_the_first_bad_row():
     with pytest.raises(DomainError, match="row 1 has a squared norm") as info:
         mathcore.normalize_rows(np.array([[1.0, 0.0], [np.nan, 1.0], [0.0, 0.0]]))
     assert not isinstance(info.value, ZeroVectorError)
+
+
+def test_flags_take_python_and_numpy_bools():
+    assert VmfConfig(d=4, k=3, learn_kappa_ems=np.True_).learn_kappa_ems
+    assert not GaussConfig(d=3, k=2, learn_transition=np.False_).learn_transition
+    model = VmfModel(np.eye(2, 3), VmfConfig(d=3, k=2), static=np.True_)
+    assert model.adapt(1, BATCH).adapt(2, BATCH).window_times == [2]
 
 
 def test_seeds_and_times_take_any_integer():

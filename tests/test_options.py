@@ -1,15 +1,18 @@
-"""The fields of every config dataclass, written out.
+"""The fields of every config dataclass and the parameters of every
+tracker constructor, written out.
 
-Adding or removing an option then shows as an edit of this file.
+Adding or removing an option, as a config field or as a constructor
+knob, then shows as an edit of this file.
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
-from stad.gauss import GaussConfig
+from stad.gauss import GaussConfig, GaussModel
 from stad.stream import DriftScenario
-from stad.vmf import VmfConfig
+from stad.vmf import VmfConfig, VmfModel
 
 FIELDS = {
     VmfConfig: ["d", "k", "kappa_trans", "kappa_ems", "window", "e_sweeps", "learn_kappa_ems",
@@ -24,3 +27,14 @@ FIELDS = {
 @pytest.mark.parametrize("config", FIELDS, ids=lambda c: c.__name__)
 def test_config_fields(config):
     assert [f.name for f in dataclasses.fields(config)] == FIELDS[config]
+
+
+PARAMETERS = {
+    VmfModel: ["source_weights", "config", "static"],
+    GaussModel: ["source_weights", "config"],
+}
+
+
+@pytest.mark.parametrize("model", PARAMETERS, ids=lambda c: c.__name__)
+def test_constructor_parameters(model):
+    assert list(inspect.signature(model).parameters) == PARAMETERS[model]

@@ -401,6 +401,33 @@ def test_sample_vmf_of_no_samples():
     assert sample_vmf(np.random.default_rng(0), E1, 5.0, 0).shape == (0, 3)
 
 
+class _ParallelFirstNormalDraw:
+    """A seeded generator, except that in the first normal draw rows 0 and 2
+    lie on mu, so their tangential projections are exactly zero."""
+
+    def __init__(self, mu, seed=0):
+        self._rng, self._mu, self.normal_sizes = np.random.default_rng(seed), mu, []
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, size):
+        draw = self._rng.standard_normal(size)
+        if not self.normal_sizes:
+            draw[[0, 2]] = [3.0 * self._mu, -0.5 * self._mu]
+        self.normal_sizes.append(size)
+        return draw
+
+
+def test_sample_vmf_draws_a_zero_tangential_projection_again():
+    rng = _ParallelFirstNormalDraw(E1)
+    x = sample_vmf(rng, E1, 5.0, 4)
+    # only the two zero rows are drawn again, once
+    assert rng.normal_sizes == [(4, 3), (2, 3)]
+    assert np.isfinite(x).all()
+    np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
 def test_infeasible_separation_raises():
     # 50 random directions on the circle never keep every pair 1.8 degrees apart
     with pytest.raises(InfeasibleSeparationError):

@@ -14,7 +14,7 @@ from scipy.stats import ortho_group
 from stad.errors import (
     DimensionMismatchError,
     DomainError,
-    EmptyBatchError,
+    EmptyInputError,
     NonContiguousTimeError,
     NotAdaptedError,
     ZeroVectorError,
@@ -896,7 +896,7 @@ class TestMixingUpdate:
         assert np.all(out >= 1e-4 - 1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyBatchError):
+        with pytest.raises(EmptyInputError):
             mixing_update(np.zeros((0, 3)))
 
     @pytest.mark.parametrize("resp", [np.ones(3), np.ones((2, 2, 2))], ids=["1-D", "3-D"])
@@ -964,9 +964,9 @@ class TestKappaUpdate:
 
     # h holds each step's (N_t, K) products
     @pytest.mark.parametrize("case, error", [
-        (lambda b, r, h: ([], [], []), EmptyBatchError),
+        (lambda b, r, h: ([], [], []), EmptyInputError),
         (lambda b, r, h: (b, r, kappa_products_case(sizes=(0, 0))[2]), DimensionMismatchError),
-        (lambda b, r, h: kappa_products_case(sizes=(0, 0)), EmptyBatchError),
+        (lambda b, r, h: kappa_products_case(sizes=(0, 0)), EmptyInputError),
         (lambda b, r, h: (b, r[:1], h[:1]), DimensionMismatchError),
         (lambda b, r, h: (b, r, h[:1]), DimensionMismatchError),
         (lambda b, r, h: (b[:1], r, h), DimensionMismatchError),
@@ -1037,7 +1037,7 @@ class TestAdapt:
 
     def test_empty_batch_rejected(self):
         model = VmfModel(np.eye(2), VmfConfig(d=2, k=2))
-        with pytest.raises(EmptyBatchError):
+        with pytest.raises(EmptyInputError):
             model.adapt(1, np.zeros((0, 2)))
 
     def test_window_eviction(self):

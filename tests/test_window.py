@@ -9,10 +9,10 @@ from stad.errors import (
     MAX_SIZE,
     DimensionMismatchError,
     DomainError,
-    EmptyBatchError,
     EmptyInputError,
     NonContiguousTimeError,
     NotAdaptedError,
+    check_flag,
     check_int,
     check_real,
 )
@@ -38,22 +38,28 @@ def model(request):
     return MODELS[request.param]()
 
 
-@pytest.mark.parametrize("bad, error", [
+BAD_BATCHES = pytest.mark.parametrize("bad, error", [
     (np.ones(D), DimensionMismatchError),
     (np.ones((4, D + 1)), DimensionMismatchError),
-    (np.zeros((0, D)), EmptyBatchError),
+    (np.zeros((0, D)), EmptyInputError),
 ], ids=["1-D batch", "wrong D", "empty batch"])
+
+
+@BAD_BATCHES
 def test_adapt_rejects_bad_batch(model, bad, error):
-    with pytest.raises(error):
+    with pytest.raises(error) as info:
         model.adapt(1, bad)
+    assert type(info.value) is error
     assert model.window_times == []
 
 
-@pytest.mark.parametrize("bad", [np.ones(D), np.ones((4, D + 1))], ids=["1-D batch", "wrong D"])
-def test_predict_rejects_bad_batch_like_adapt(model, bad):
+@BAD_BATCHES
+def test_predict_rejects_bad_batch_like_adapt(model, bad, error):
+    # one batch check serves both: the same class, not only a subclass of it
     model.adapt(1, BATCH)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(error) as info:
         model.predict(bad)
+    assert type(info.value) is error
 
 
 def test_adapt_is_the_one_window_loop(model, monkeypatch):
@@ -298,3 +304,15 @@ def test_check_int_size_rejects_beyond_max_size(value):
 @pytest.mark.parametrize("value", [1, MAX_SIZE, np.int64(5), np.uint8(1)])
 def test_check_int_size_accepts(value):
     check_int("x", value, 1, size=True)
+
+
+@pytest.mark.parametrize("value", ["no", "", None, 0, 1, 1.0, np.int64(1), np.array(True),
+                                   np.array([True]), [True]], ids=repr)
+def test_check_flag_rejects(value):
+    with pytest.raises(DomainError):
+        check_flag("x", value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+def test_check_flag_accepts(value):
+    check_flag("x", value)
