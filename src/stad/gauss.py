@@ -16,11 +16,14 @@ isotropic random-walk case of the Shumway-Stoffer EM M-step (Shumway &
 Stoffer 1982; the RTS smoother as in Sarkka 2013). Unlearned, q and r stay
 the configured scales.
 
-The kf_* functions check shapes and their noise (q a finite real number
->= 0, r one > 0, through `errors.check_real`), and kf_update_weighted the
-signs of its weights.
-kf_smooth checks the stacked moments of the whole window once per sweep,
-so a non-finite value raises DomainError there.
+The kf_* functions and gauss_assignments convert their arrays and check
+their shapes through `mathcore._float_array`, so a wrong shape raises
+DimensionMismatchError, and check their noise (q a finite real number
+>= 0, r one > 0) through `errors.check_real`, so a noise given as an
+array of any shape raises DomainError; kf_update_weighted also checks
+the signs of its weights. kf_smooth checks the stacked moments of the
+whole window once per sweep, so a non-finite value raises DomainError
+there.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ import numpy as np
 # counts its calls, which a test pins at zero
 from scipy.linalg import cho_factor  # noqa: F401
 
-from .errors import DimensionMismatchError, DomainError, check_real
+from .errors import DomainError, check_real
 # log_sum_exp and normalize_rows are unused here; they stay importable
 # because bench/tracing.py rebinds them
 from .mathcore import _float_array, log_sum_exp, normalize_rows  # noqa: F401
-from .window import (SlidingWindow, check_batches, check_config, check_source, mixing_update,
-                     softmax_rows)
+from .window import SlidingWindow, check_batches, check_config, mixing_update, softmax_rows
 
 __all__ = [
     "GaussConfig",
@@ -81,7 +83,7 @@ class GaussConfig:
     init_cov_scale: float | None = None  # None: one transition step's worth
 
     def __post_init__(self):
-        check_config(self, d_min=1, flags=("learn_transition", "learn_sigmas"))
+        check_config(self, d_min=1, k_min=1, flags=("learn_transition", "learn_sigmas"))
         check_real("sigma_trans_scale", self.sigma_trans_scale, 0.0)
         check_real("sigma_ems_scale", self.sigma_ems_scale, 0.0, above=True)
         check_real("init_cov_scale", self.initial_cov_scale, 0.0)
@@ -116,15 +118,12 @@ def kf_predict(mean: np.ndarray, var: np.ndarray,
     the variance c_k + q.
 
     mean is (K, D), var (K,) and sigma_trans the float q. Raises
-    DimensionMismatchError for other shapes, an array q included, and
-    DomainError for a q that is not a finite real number >= 0 (a bool or a
-    0-d array too); kf_smooth checks the moments.
+    DimensionMismatchError for other shapes, and DomainError for a q that
+    is not a finite real number >= 0 (a bool or an array of any shape
+    too); kf_smooth checks the moments.
     """
-    mean = _float_array(mean, "mean")
-    var = _float_array(var, "variances")
-    if mean.ndim != 2 or var.shape != mean.shape[:1] or np.asarray(sigma_trans).ndim:
-        raise DimensionMismatchError(
-            "kf_predict needs a (K, D) mean, (K,) variances and a float q")
+    mean = _float_array(mean, "mean", shape=(None, None))
+    var = _float_array(var, "variances", shape=mean.shape[:1])
     check_real("the transition variance q", sigma_trans, 0.0)
     return mean, var + sigma_trans
 
@@ -147,19 +146,16 @@ def kf_update_weighted(
     m + g (obs - m) and the variance to (1 - g) c. A total weight at or
     below 1e-8 (an empty cluster) keeps that class's prior.
 
-    Raises DimensionMismatchError for inconsistent shapes, an array r
-    included, and DomainError for a negative responsibility or an r that
-    is not a finite real number > 0 (a bool or a 0-d array too).
-    Non-finite values pass through to kf_smooth, which raises.
+    Raises DimensionMismatchError for inconsistent shapes, and DomainError
+    for a negative responsibility or an r that is not a finite real
+    number > 0 (a bool or an array of any shape too). Non-finite values
+    pass through to kf_smooth, which raises.
     """
-    mean = _float_array(mean, "mean")
-    var = _float_array(var, "variances")
-    feats = _float_array(feats, "batch")
-    resp = _float_array(resp_col, "responsibilities")
-    if (mean.ndim != 2 or var.shape != mean.shape[:1] or feats.ndim != 2
-            or feats.shape[1:] != mean.shape[1:]
-            or resp.shape != (feats.shape[0], mean.shape[0]) or np.asarray(sigma_ems).ndim):
-        raise DimensionMismatchError("inconsistent shapes in kf_update_weighted")
+    mean = _float_array(mean, "mean", shape=(None, None))
+    k, d = mean.shape
+    var = _float_array(var, "variances", shape=(k,))
+    feats = _float_array(feats, "batch", shape=(None, d))
+    resp = _float_array(resp_col, "responsibilities", shape=(len(feats), k))
     check_real("the emission variance r", sigma_ems, 0.0, above=True)
     if resp.min(initial=0.0) < 0.0:
         raise DomainError("kf_update_weighted needs nonnegative responsibilities")
@@ -185,13 +181,11 @@ def kf_smooth(means: np.ndarray, covs: np.ndarray,
 
     This is the one value check of a sweep: every mean must be finite and
     every variance finite and > 0, else DomainError; q must be a finite
-    real number >= 0 (not a bool or a 0-d array), else DomainError, and
-    not an array of more dimensions, else DimensionMismatchError.
+    real number >= 0 (not a bool or an array of any shape), else
+    DomainError. Other shapes raise DimensionMismatchError.
     """
-    means = _float_array(means, "means")
-    covs = _float_array(covs, "variances")
-    if means.ndim != 3 or covs.shape != means.shape[:2] or np.asarray(sigma_trans).ndim:
-        raise DimensionMismatchError("inconsistent shapes in kf_smooth")
+    means = _float_array(means, "means", shape=(None, None, None))
+    covs = _float_array(covs, "variances", shape=means.shape[:2])
     check_real("the transition variance q", sigma_trans, 0.0)
     # a NaN variance fails both comparisons
     if not (np.isfinite(means).all() and 0.0 < covs.min(initial=np.inf)
@@ -226,23 +220,18 @@ def gauss_assignments(
     differ between classes are formed, log pi_k + (h . m_k - ||m_k||^2 / 2) / r:
     ||h||^2 / (2 r) and the log normalizer are the same for every class,
     and the row normalization, `window.softmax_rows`, cancels them. The
-    mean must be (K, D), the belief covariance (K,), the batch (N, D),
-    mixing (K,) and sigma_ems the float r; anything else raises
-    DimensionMismatchError, and an r that is not a finite real number > 0
-    (a bool or a 0-d array too) raises DomainError. So does a row whose
-    logits have no finite max: mixing weights that are negative, NaN or
-    all 0, a non-finite batch or mean, or logits beyond the float range. A
-    batch of no row raises EmptyInputError.
+    mean must be (K, D), the belief covariance (K,), the batch (N, D) and
+    mixing (K,), else DimensionMismatchError, and sigma_ems the float r:
+    one that is not a finite real number > 0 (a bool or an array of any
+    shape too) raises DomainError. So does a row whose logits have no
+    finite max: mixing weights that are negative, NaN or all 0, a
+    non-finite batch or mean, or logits beyond the float range. A batch of
+    no row raises EmptyInputError.
     """
-    feats = _float_array(feats, "batch")
-    mixing = _float_array(mixing, "mixing weights")
-    mean = _float_array(belief.mean, "mean")
-    if mean.ndim != 2 or feats.ndim != 2 or feats.shape[1] != mean.shape[1]:
-        raise DimensionMismatchError(f"batch {feats.shape} vs prototypes {mean.shape}")
-    k = mean.shape[0]
-    if mixing.shape != (k,) or np.asarray(belief.cov).shape != (k,) or np.asarray(sigma_ems).ndim:
-        raise DimensionMismatchError(
-            f"gauss_assignments needs ({k},) mixing, ({k},) covariances and a float r")
+    feats = _float_array(feats, "batch", shape=(None, None))
+    mean = _float_array(belief.mean, "mean", shape=(None, feats.shape[1]))
+    mixing = _float_array(mixing, "mixing weights", shape=mean.shape[:1])
+    _float_array(belief.cov, "covariances", shape=mean.shape[:1])
     check_real("the emission variance r", sigma_ems, 0.0, above=True)
     # a bad mixing weight or an overflow leaves its row without a finite
     # max, which softmax_rows checks
@@ -275,8 +264,8 @@ def gauss_m_step(
     with learn_sigmas. With both flags off, or with fewer than 2 steps,
     which hold no transition to learn q from, it returns (None, None)
     before any check: this is the one place that states when learning
-    starts. Every belief needs a (K, D) mean and a (K,) covariance of one K
-    and D, and gains, converted once, must be (T-1, K); with learn_sigmas
+    starts. Every belief needs a (K, D) mean and a (K,) covariance of the
+    first belief's K and D, and gains must be (T-1, K); with learn_sigmas
     feats and resps need T entries, (N_t, D) and (N_t, K). Anything else
     raises DimensionMismatchError. Means, covariances or gains that do not
     convert to float arrays raise DomainError, as does a non-finite
@@ -286,15 +275,12 @@ def gauss_m_step(
     t_len = len(smoothed)
     if not (learn_transition or learn_sigmas) or t_len < 2:
         return None, None
-    shape = np.shape(smoothed[0].mean)
-    if len(shape) != 2 or any(np.shape(b.mean) != shape or np.shape(b.cov) != shape[:1]
-                              for b in smoothed):
-        raise DimensionMismatchError(
-            "gauss_m_step needs (K, D) means and (K,) covariances of one K and D")
+    shape = (None, None)  # the first belief fixes K and D
+    for b in smoothed:
+        shape = _float_array(b.mean, "gauss_m_step means", shape=shape).shape
+        _float_array(b.cov, "gauss_m_step covariances", shape=shape[:1])
     k, d = shape
-    gains = _float_array(gains, "gains")
-    if gains.shape != (t_len - 1, k):
-        raise DimensionMismatchError(f"gauss_m_step needs ({t_len - 1}, {k}) gains")
+    gains = _float_array(gains, "gains", shape=(t_len - 1, k))
     if learn_sigmas:
         feats, resps, n_total = check_batches(feats, resps, t_len, k, d, "gauss_m_step")
 
@@ -336,7 +322,7 @@ class GaussModel(SlidingWindow):
     """
 
     def __init__(self, source_weights: np.ndarray, config: GaussConfig):
-        source_weights = check_source(source_weights, config)
+        source_weights = _float_array(source_weights, "source weights", shape=(config.k, config.d))
         self.sigma_trans = float(config.sigma_trans_scale)
         self.sigma_ems = float(config.sigma_ems_scale)
         super().__init__(

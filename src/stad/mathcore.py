@@ -45,8 +45,10 @@ __all__ = [
     "KAPPA_MAX",
 ]
 
-from .errors import MAX_SIZE, DomainError, EmptyInputError, ZeroVectorError, check_int, check_real
+from .errors import (MAX_SIZE, DimensionMismatchError, DomainError, EmptyInputError,
+                     ZeroVectorError, check_int, check_real)
 
+_FLOAT64 = np.dtype(np.float64)  # what `_float_array` converts to unless told otherwise
 # Clamp range for estimated concentrations; keeps downstream exponentials finite.
 KAPPA_MIN = 1e-6
 KAPPA_MAX = 1e6
@@ -71,30 +73,52 @@ _RATIO_TOL = np.finfo(np.float64).eps
 _RATIO_DEPTH_MAX = 1 << 12
 
 
-def _float_array(values, what: str, dtype=np.float64) -> np.ndarray:
-    """values as an array of `dtype`; DomainError naming `what` if they do
-    not convert (a string, a ragged nesting, an int beyond the float range,
-    ...), are complex, which numpy would cast by dropping the imaginary
-    parts, or are boolean, which numpy would cast to 0 and 1, the rule
-    `errors.check_real` keeps for a scalar. An ndarray's dtype is read as
-    it is; anything else is first converted as numpy reads it, so a
-    complex array nested in a list, or a bool scalar, shows."""
+def _float_array(values, what: str, dtype=_FLOAT64, shape=None) -> np.ndarray:
+    """values as an array of `dtype`, checked against `shape`: the one
+    conversion of every outside array.
+
+    DomainError naming `what` if they do not convert (a string, a ragged
+    nesting, an int beyond the float range, ...), are complex, which numpy
+    would cast by dropping the imaginary parts, or are boolean, which numpy
+    would cast to 0 and 1, the rule `errors.check_real` keeps for a scalar.
+    An ndarray's dtype is read as it is, and one of `dtype` already is
+    returned as it is; anything else is first converted as numpy reads it,
+    so a complex array nested in a list, or a bool scalar, shows. `shape`
+    is a tuple of axis sizes, None for any size; a wrong number of axes or
+    a wrong fixed size raises DimensionMismatchError naming `what`."""
     try:
-        arr = values if isinstance(values, np.ndarray) else np.asarray(values)
-        if arr.dtype.kind not in "bc":
-            return np.asarray(arr, dtype=dtype)
+        arr = values if type(values) is np.ndarray else np.asarray(values)
+        given = arr.dtype
+        if given is not dtype and given.kind not in "bc":
+            arr = np.asarray(arr, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{what} must convert to an array of real numbers") from exc
-    raise DomainError(f"{what} must be real numbers, got {arr.dtype}")
+    if given is not dtype and given.kind in "bc":
+        raise DomainError(f"{what} must be real numbers, got {given}")
+    if shape is not None:
+        got = arr.shape
+        # an index loop, and only where the sizes differ: a zip or a generator
+        # over the axes costs more than the ndim and shape predicates it replaced
+        if got != shape:
+            fits = len(got) == len(shape)
+            i = 0
+            while fits and i < len(got):
+                fits = shape[i] is None or got[i] == shape[i]
+                i += 1
+            if not fits:
+                raise DimensionMismatchError(f"{what} must have shape {shape} (None: any size), "
+                                             f"got {got}")
+    return arr
 
 
-def _nonnegative(values, what: str, below: float = math.inf) -> tuple[np.ndarray, bool]:
+def _nonnegative(values, what: str, below: float = math.inf, shape=None) -> tuple[np.ndarray, bool]:
     """values as a float64 array of at least one dimension, and whether
     they were a scalar; DomainError unless they convert by the rule of
     `_float_array` (so a bool or a bool array is refused, as
     `errors.check_real` refuses a bool) and every entry is finite, >= 0
-    and < below. A scalar and an array of any shape take this one check."""
-    arr = _float_array(values, what)
+    and < below, and DimensionMismatchError unless they have `shape`, when
+    given. A scalar and an array of any shape take this one check."""
+    arr = _float_array(values, what, shape=shape)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     # NaN fails both comparisons
@@ -189,7 +213,7 @@ def _log_i_hankel(order: float, arg: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_bessel_i(order: float, arg):
+def log_bessel_i(order: float, arg: float | np.ndarray):
     """log I_order(arg) for order >= 0 and arg >= 0.
 
     Branches: scipy's scaled `ive` with Hankel's carry past 1e9
@@ -327,7 +351,7 @@ def _ratio_perron(order: float, x: np.ndarray) -> np.ndarray:
         depth *= 2
 
 
-def bessel_ratio(d: int, kappa):
+def bessel_ratio(d: int, kappa: float | np.ndarray):
     """A_D(kappa) = I_{D/2}(kappa) / I_{D/2-1}(kappa), in [0, 1].
 
     The expected resultant length of a vMF sample along its mean
@@ -365,7 +389,7 @@ def bessel_ratio(d: int, kappa):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def log_vmf_norm_const(d: int, kappa):
+def log_vmf_norm_const(d: int, kappa: float | np.ndarray):
     """log C_D(kappa) with C_D(k) = k^{D/2-1} / ((2 pi)^{D/2} I_{D/2-1}(k)).
 
     At kappa = 0 this is the log inverse surface area of the unit
@@ -390,7 +414,7 @@ def log_vmf_norm_const(d: int, kappa):
     return float(out[0]) if scalar else out
 
 
-def estimate_kappa(r_bar, d: int):
+def estimate_kappa(r_bar: float | np.ndarray, d: int):
     """Closed-form concentration estimate from a mean resultant length.
 
     kappa_hat = (r_bar * D - r_bar^3) / (1 - r_bar^2), the standard
@@ -405,7 +429,7 @@ def estimate_kappa(r_bar, d: int):
     return float(out[0]) if scalar else out
 
 
-def estimate_kappa_clamped(r_bar, d: int):
+def estimate_kappa_clamped(r_bar: float | np.ndarray, d: int):
     """estimate_kappa with r_bar clamped to [1e-12, 1 - 1e-8] and the
     result clamped to [1e-6, 1e6].
 
@@ -425,11 +449,10 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     the entries: a NaN entry leaves a NaN norm, an infinite entry or an
     overflow an infinite one. The first bad row decides the error: a
     (near-)zero row raises ZeroVectorError, any other DomainError, and so
-    does a matrix that does not convert to a 2-d float array.
+    does a matrix that does not convert to a float array; one that is not
+    2-d raises DimensionMismatchError.
     """
-    arr = _float_array(m, "matrix")
-    if arr.ndim != 2:
-        raise DomainError(f"expected a 2-d array, got shape {arr.shape}")
+    arr = _float_array(m, "matrix", shape=(None, None))
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(arr, axis=1)
     bad = ~((norms > 1e-12) & (norms < np.inf))  # NaN fails both
@@ -441,17 +464,21 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     return arr / norms[:, None]
 
 
-def log_sum_exp(values, axis=None):
+def log_sum_exp(values: np.ndarray, axis: int | None = None):
     """log sum exp via max shift; exact for a single element.
 
     Accepts finite values and -inf. An all(-inf) reduction yields -inf.
-    Values that do not convert to floats raise DomainError. No module of
-    the package calls it: the trackers normalize their rows with
+    Values that do not convert to floats, or an axis that is neither None
+    nor an int in [-ndim, ndim) (bools excluded), raise DomainError. No
+    module of the package calls it: the trackers normalize their rows with
     `window.softmax_rows`, which gives the bits of
     exp(x - log_sum_exp(x, axis=1)[:, None]) without converting or
     scanning logits they have just formed.
     """
     arr = _float_array(values, "log_sum_exp values")
+    if axis is not None:
+        check_int("axis", axis, -arr.ndim)
+        check_real("axis", axis, maximum=arr.ndim - 1)
     if arr.size == 0:
         raise EmptyInputError("log_sum_exp of an empty collection")
     if np.any(np.isnan(arr)) or np.any(arr == np.inf):

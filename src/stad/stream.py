@@ -191,11 +191,10 @@ def _check_time(i: int, t) -> None:
 def write_matrix(path, arr: np.ndarray) -> None:
     """Write a float32 matrix with the 16-byte header.
 
-    An array that does not convert to a 2-d float32 one raises DomainError.
+    An array that does not convert to a float32 one raises DomainError,
+    and one that is not 2-d DimensionMismatchError.
     """
-    arr = _float_array(arr, "matrix", dtype="<f4")
-    if arr.ndim != 2:
-        raise DomainError(f"expected a 2-d array, got shape {arr.shape}")
+    arr = _float_array(arr, "matrix", dtype="<f4", shape=(None, None))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, arr.shape[0], arr.shape[1]))
         fh.write(arr.tobytes(order="C"))
@@ -391,15 +390,16 @@ def sample_vmf(rng: np.random.Generator, mu: np.ndarray, kappa: float, n: int) -
     """Exact vMF sampling via the rejection scheme of Wood (1994).
 
     mu is a unit vector of d >= 2 entries, kappa a finite real number > 0
-    and n an integer in [0, MAX_SIZE]. A mu whose norm is more than 1e-9
-    from 1 raises DomainError rather than being normalized, since its
-    samples would lie off the sphere. A kappa so large against d that
-    Wood's envelope rounds away, from about 3.5e7 (d - 1) on, raises
+    and n an integer in [0, MAX_SIZE]. A mu that is not 1-d raises
+    DimensionMismatchError. A mu whose norm is more than 1e-9 from 1
+    raises DomainError rather than being normalized, since its samples
+    would lie off the sphere. A kappa so large against d that Wood's
+    envelope rounds away, from about 3.5e7 (d - 1) on, raises
     DomainError, as does any other bad input.
     """
-    mu = _float_array(mu, "mu")
-    if mu.ndim != 1 or mu.shape[0] < 2 or not np.isfinite(mu).all():
-        raise DomainError(f"vMF sampling needs a finite 1-D mu of d >= 2, got shape {mu.shape}")
+    mu = _float_array(mu, "mu", shape=(None,))
+    if mu.shape[0] < 2 or not np.isfinite(mu).all():
+        raise DomainError(f"vMF sampling needs a finite mu of d >= 2, got {mu.shape[0]} entries")
     if abs(math.hypot(*mu) - 1.0) > _UNIT_TOL:  # hypot: no overflow at huge entries
         raise DomainError(f"vMF sampling needs a unit mu, got norm {math.hypot(*mu)!r}")
     check_real("kappa", kappa, 0.0, above=True)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .errors import DimensionMismatchError, DomainError, check_int, check_real
+from .errors import DomainError, check_real
 # log_sum_exp is unused here; it stays importable because bench/tracing.py rebinds it
 from .mathcore import (  # noqa: F401
     _float_array,
@@ -56,8 +56,7 @@ from .mathcore import (  # noqa: F401
     log_vmf_norm_const,
     normalize_rows,
 )
-from .window import (SlidingWindow, check_batches, check_config, check_source, mixing_update,
-                     softmax_rows)
+from .window import SlidingWindow, check_batches, check_config, mixing_update, softmax_rows
 
 __all__ = [
     "VmfConfig",
@@ -91,8 +90,9 @@ def _row_blocks(k: int, d: int) -> list[slice]:
 class VmfConfig:
     """Knobs for the spherical tracker.
 
-    kappa_trans and kappa_ems are each one concentration shared by all K
-    classes: real numbers (bools excluded), finite and >= 0. kappa_trans
+    The tracker needs k >= 2 classes and d >= 2 dimensions. kappa_trans
+    and kappa_ems are each one concentration shared by all K classes: real
+    numbers (bools excluded), finite and >= 0. kappa_trans
     weights every link of the transition chain, the link from the source
     head into the first window step included. Only kappa_ems is learned,
     with learn_kappa_ems, a bool (anything else raises DomainError);
@@ -109,7 +109,7 @@ class VmfConfig:
     pi_floor: float = 1e-4
 
     def __post_init__(self):
-        check_config(self, d_min=2, flags=("learn_kappa_ems",))
+        check_config(self, d_min=2, k_min=2, flags=("learn_kappa_ems",))
         for name in ("kappa_trans", "kappa_ems"):
             check_real(name, getattr(self, name), 0.0)
 
@@ -133,11 +133,8 @@ class PrototypeBelief:
         """The belief with these (K, D) directions and (K,) concentrations;
         mean_dir is kept, not copied, when it is already a float array.
         Other shapes raise DimensionMismatchError."""
-        mean_dir = _float_array(mean_dir, "mean directions")
-        conc = _float_array(conc, "concentrations")
-        if mean_dir.ndim != 2 or conc.shape != mean_dir.shape[:1]:
-            raise DimensionMismatchError(f"beliefs need (K, D) mean directions and (K,) "
-                                         f"concentrations, got {mean_dir.shape} and {conc.shape}")
+        mean_dir = _float_array(mean_dir, "mean directions", shape=(None, None))
+        conc = _float_array(conc, "concentrations", shape=mean_dir.shape[:1])
         return cls(mean_dir, conc, bessel_ratio(mean_dir.shape[1], conc))
 
     def copy(self) -> "PrototypeBelief":
@@ -145,14 +142,16 @@ class PrototypeBelief:
         return PrototypeBelief(self.mean_dir.copy(), self.conc.copy(), self.ratio.copy())
 
 
-def expected_prototype(mean_dir: np.ndarray, conc, d: int) -> np.ndarray:
+def expected_prototype(mean_dir: np.ndarray, conc: np.ndarray, d: int) -> np.ndarray:
     """Expected prototypes under a vMF belief: A_D(conc) * mean_dir, for
-    (K, D) directions and (K,) concentrations."""
-    mean_dir = _float_array(mean_dir, "mean directions")
-    return np.asarray(bessel_ratio(d, conc))[:, None] * mean_dir
+    (K, d) directions and (K,) concentrations. A d or concentrations
+    outside `mathcore.bessel_ratio`'s domain, or arrays that do not
+    convert, raise DomainError, and other shapes DimensionMismatchError."""
+    ratio = bessel_ratio(d, _float_array(conc, "concentrations", shape=(None,)))
+    return ratio[:, None] * _float_array(mean_dir, "mean directions", shape=(len(ratio), d))
 
 
-def assignment_step(dots: np.ndarray, mixing: np.ndarray, kappa) -> np.ndarray:
+def assignment_step(dots: np.ndarray, mixing: np.ndarray, kappa: float | np.ndarray) -> np.ndarray:
     """Posterior class responsibilities for one batch, from its (N, K)
     products dots = feats @ prototypes.T with the K prototype rows.
 
@@ -172,13 +171,11 @@ def assignment_step(dots: np.ndarray, mixing: np.ndarray, kappa) -> np.ndarray:
     vMF log-normalizer log C_D(kappa_ems) is the same in every class, so
     the normalization cancels it and it is left out.
     """
-    dots = _float_array(dots, "products")
-    mixing = _float_array(mixing, "mixing weights")
-    if (dots.ndim != 2 or mixing.shape != dots.shape[1:]
-            or np.shape(kappa) not in ((), mixing.shape)):
-        raise DimensionMismatchError(f"products {dots.shape}, mixing {mixing.shape} and "
-                                     f"concentration {np.shape(kappa)} do not match")
-    kappa = _nonnegative(kappa, "the concentration")[0]
+    dots = _float_array(dots, "products", shape=(None, None))
+    mixing = _float_array(mixing, "mixing weights", shape=dots.shape[1:])
+    # one concentration for every class, shape (), or one per class, (K,)
+    kappa = _float_array(kappa, "the concentration")
+    kappa = _nonnegative(kappa, "the concentration", shape=mixing.shape[:kappa.ndim])[0]
     if not np.isfinite(dots).all():
         raise DomainError("products contain non-finite entries")
     # a bad mixing weight or an overflow leaves its row without a finite
@@ -189,25 +186,27 @@ def assignment_step(dots: np.ndarray, mixing: np.ndarray, kappa) -> np.ndarray:
 
 
 def prototype_update(
-    belief: PrototypeBelief, total: np.ndarray, messages=(), frame=None
+    belief: PrototypeBelief, total: np.ndarray, frame: np.ndarray, message: tuple | None = None
 ) -> tuple[np.ndarray, int]:
     """Move `belief` to the update from its summed messages, in place.
 
     Row k of the natural parameter is frame_k times row k of `total`
-    (K, D) plus scale_k * direction_k for each (scale, direction) of
-    `messages`: (K,) scales and (K, D) unit directions, all in units of
-    the (K,) positive `frame` (ones when None). The sweep frames each
-    update by its left message, so that `total` starts as that message's
-    mean direction (see `VmfModel.coordinate_ascent_sweep`). A positive
-    row scale leaves a row's direction as it is and scales its norm, so
-    the new mean direction is the row's direction and the new
-    concentration frame_k times its norm. A row whose concentration would
-    be <= 1e-12 keeps its previous direction and concentration. A `total`
-    of another shape than `belief.mean_dir` raises DimensionMismatchError.
+    (K, D), plus scale_k * direction_k when `message` is the pair
+    (scale, direction) of a (K,) scale and (K, D) unit directions, in
+    units of the (K,) positive `frame`. The sweep frames each update by
+    its left message, so that `total` starts as that message's mean
+    direction, and passes the right neighbour's message, if any (see
+    `VmfModel.coordinate_ascent_sweep`). A positive row scale leaves a
+    row's direction as it is and scales its norm, so the new mean
+    direction is the row's direction and the new concentration frame_k
+    times its norm. A row whose concentration would be <= 1e-12 keeps its
+    previous direction and concentration. A `total` of another shape than
+    `belief.mean_dir`, or a frame or message of another K or D, raises
+    DimensionMismatchError, before anything moves.
 
-    One walk over row blocks of about 256 KiB adds the messages to
+    One walk over row blocks of about 256 KiB adds the message to
     `total` in place, takes the block's row norms and divides its rows by
-    them while the block is in cache: with one message that is 4 (K, D)
+    them while the block is in cache: with a message that is 4 (K, D)
     passes. The concentrations and their Bessel ratios are then taken
     once over all K rows. Every element sees the same operations as in a
     whole-array pass, so the block size does not change a bit of the
@@ -216,9 +215,12 @@ def prototype_update(
     `belief.mean_dir`, free for reuse as the next `total`, and the number
     of degenerate rows.
     """
-    if np.shape(total) != belief.mean_dir.shape:
-        raise DimensionMismatchError(f"total {np.shape(total)} for {belief.mean_dir.shape} beliefs")
+    total = _float_array(total, "total", shape=belief.mean_dir.shape)
     k, d = total.shape
+    frame = _float_array(frame, "frame", shape=(k,))
+    if message is not None:
+        scale = _float_array(message[0], "message scale", shape=(k,))
+        direction = _float_array(message[1], "message direction", shape=(k, d))
     blocks = _row_blocks(k, d)
     scratch = np.empty((min(k, blocks[0].stop), d))
     conc = np.empty(k)
@@ -226,15 +228,14 @@ def prototype_update(
     with np.errstate(invalid="ignore", divide="ignore"):
         for rows in blocks:
             block = total[rows]
-            for scale, direction in messages:
+            if message is not None:
                 # each element times its row's scale: the bits of a broadcast
                 # multiply in about 0.6-0.75 of its time
                 block += np.einsum("kd,k->kd", direction[rows], scale[rows],
                                    out=scratch[:len(block)])
             norms = np.sqrt(np.einsum("kd,kd->k", block, block), out=conc[rows])
             block /= norms[:, None]
-    if frame is not None:
-        conc *= frame
+    conc *= frame
     bad = conc <= _DEGENERATE_EPS
     degenerate = int(np.count_nonzero(bad))
     if degenerate:
@@ -256,15 +257,17 @@ def kappa_update(
     A_D(conc). The estimate is one float, clamped to [1e-6, 1e6].
 
     beliefs, resps and dots need one entry per window step: beliefs over
-    (K, d) directions of one K, responsibilities (N_t, K) and the (N_t, K)
-    products feats_t @ mean_dir_t.T of the step's unit embeddings with its
-    mean directions. An entry that does not convert to a float array
-    raises DomainError, anything else DimensionMismatchError, and a window
+    (K, d) directions and (K,) Bessel ratios of the first belief's K,
+    responsibilities (N_t, K) and the (N_t, K) products
+    feats_t @ mean_dir_t.T of the step's unit embeddings with its mean
+    directions. An entry that does not convert to a float array raises
+    DomainError, anything else DimensionMismatchError, and a window
     without a sample EmptyInputError, through `window.check_batches`.
     """
-    shape = np.shape(beliefs[0].mean_dir) if beliefs else (0, d)
-    if len(shape) != 2 or shape[1] != d or any(np.shape(b.mean_dir) != shape for b in beliefs):
-        raise DimensionMismatchError(f"kappa_update needs (K, {d}) beliefs of one K")
+    shape = (None, d)  # the first belief fixes K
+    for b in beliefs:
+        shape = _float_array(b.mean_dir, "kappa_update mean directions", shape=shape).shape
+        _float_array(b.ratio, "kappa_update Bessel ratios", shape=shape[:1])
     k = shape[0]
     dots, resps, n_total = check_batches(dots, resps, len(beliefs), k, k, "kappa_update")
     align_sum = np.zeros(k)  # per class, summed last
@@ -328,9 +331,8 @@ class VmfModel(SlidingWindow):
     """
 
     def __init__(self, source_weights: np.ndarray, config: VmfConfig, static: bool = False):
-        source_weights = check_source(source_weights, config)
-        check_int("k", config.k, 2)  # the tracker needs two classes
-        self.source_prototypes = normalize_rows(source_weights)
+        self.source_prototypes = normalize_rows(
+            _float_array(source_weights, "source weights", shape=(config.k, config.d)))
         self.source_prototypes.flags.writeable = False
 
         k = config.k
@@ -432,11 +434,11 @@ class VmfModel(SlidingWindow):
             # F-ordered view of the buffer, which BLAS writes in place
             dgemm(1.0, step.feats.T, (step.resp * (kappa_ems / scale)).T, beta=1.0,
                   c=total.T, trans_b=True, overwrite_c=True)
-            messages = []
+            message = None
             if i + 1 < len(steps):
                 right, right_dir = self._message(steps[i + 1].belief)
-                messages.append((right / scale, right_dir))
-            self._total, degenerate = prototype_update(belief, total, messages, scale)
+                message = (right / scale, right_dir)
+            self._total, degenerate = prototype_update(belief, total, scale, message)
             step.products = None
             self.degenerate_updates += degenerate
 

@@ -32,12 +32,14 @@ checks only the N row maxima it needs for the shift; a row with a NaN or
 
 The checks both trackers share live here too: of a config
 (`check_config`, whose pi_floor rule `mixing_update` applies as well, and
-which passes the config's learn flags through `errors.check_flag`),
-of the source weights (`check_source`) and of a window's batches
-(`check_batches`). The scalar checkers they build on, `check_int`,
-`check_real` and `check_flag`, live in `errors`, the one rule every
-module uses. An empty batch, window or set of responsibilities raises
-EmptyInputError wherever it is found.
+which passes the config's learn flags through `errors.check_flag`) and
+of a window's batches (`check_batches`). The scalar checkers they build
+on, `check_int`, `check_real` and `check_flag`, live in `errors`, the one
+rule every module uses; every outside array, the source weights of both
+constructors included, is converted and its shape checked by
+`mathcore._float_array`, so a wrong shape raises DimensionMismatchError
+wherever it is found. An empty batch, window or set of responsibilities
+raises EmptyInputError wherever it is found.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .errors import (
 from .mathcore import _float_array, normalize_rows
 
 __all__ = ["WindowStep", "SlidingWindow", "mixing_update", "softmax_rows", "check_config",
-           "check_source", "check_batches"]
+           "check_batches"]
 
 
 @dataclass
@@ -84,12 +86,12 @@ class WindowStep:
     products: np.ndarray | None = None
 
 
-def check_config(config, d_min: int, flags: tuple[str, ...]) -> None:
+def check_config(config, d_min: int, k_min: int, flags: tuple[str, ...]) -> None:
     """Raise DomainError unless a tracker config's d, k, window and
-    e_sweeps are integers (bools excluded) at or above their minimums and
-    at most MAX_SIZE, its pi_floor is a real number in [0, 1/K) and each
-    of its fields named in `flags` is a bool."""
-    for name, minimum in (("d", d_min), ("k", 1), ("window", 1), ("e_sweeps", 1)):
+    e_sweeps are integers (bools excluded) at or above their minimums
+    (d_min, k_min, 1 and 1) and at most MAX_SIZE, its pi_floor is a real
+    number in [0, 1/K) and each of its fields named in `flags` is a bool."""
+    for name, minimum in (("d", d_min), ("k", k_min), ("window", 1), ("e_sweeps", 1)):
         check_int(name, getattr(config, name), minimum, size=True)
     _check_pi_floor(config.pi_floor, config.k)
     for name in flags:
@@ -103,38 +105,24 @@ def _check_pi_floor(pi_floor, k: int) -> None:
         raise DomainError(f"pi_floor must lie in [0, 1/K) for K={k}, got {pi_floor}")
 
 
-def check_source(source_weights, config) -> np.ndarray:
-    """The source classifier weights as a float (K, D) array; raise
-    DomainError unless they convert to one and DimensionMismatchError
-    unless their shape matches the config."""
-    source_weights = _float_array(source_weights, "source weights")
-    if source_weights.shape != (config.k, config.d):
-        raise DimensionMismatchError(
-            f"source weights {source_weights.shape} do not match "
-            f"config (K={config.k}, D={config.d})"
-        )
-    return source_weights
-
-
 def check_batches(feats: list, resps: list, t_len: int, k: int, d: int,
                   who: str) -> tuple[list[np.ndarray], list[np.ndarray], int]:
     """A window's batches and responsibilities as float arrays, and their
     sample count.
 
     feats and resps need t_len entries each: batches (N_t, d) and their
-    responsibilities (N_t, k). An entry that does not convert to a float
-    array raises DomainError, anything else DimensionMismatchError and a
-    window without a sample EmptyInputError, each naming `who`.
-    `vmf.kappa_update` passes each step's (N_t, K) products as its batch,
-    with d = k.
+    responsibilities (N_t, k), each through `mathcore._float_array`. An
+    entry that does not convert to a float array raises DomainError,
+    anything else DimensionMismatchError and a window without a sample
+    EmptyInputError, each naming `who`. `vmf.kappa_update` passes each
+    step's (N_t, K) products as its batch, with d = k.
     """
-    feats = [_float_array(h, f"{who} batch") for h in feats]
-    resps = [_float_array(w, f"{who} responsibilities") for w in resps]
-    if (len(feats) != t_len or len(resps) != t_len
-            or any(h.ndim != 2 or h.shape[1] != d or w.shape != (len(h), k)
-                   for h, w in zip(feats, resps))):
-        raise DimensionMismatchError(
-            f"{who} needs {t_len} batches (N_t, {d}) and responsibilities (N_t, {k})")
+    feats, resps = list(feats), list(resps)
+    if len(feats) != t_len or len(resps) != t_len:
+        raise DimensionMismatchError(f"{who} needs {t_len} batches and responsibilities")
+    feats = [_float_array(h, f"{who} batch", shape=(None, d)) for h in feats]
+    resps = [_float_array(w, f"{who} responsibilities", shape=(len(h), k))
+             for h, w in zip(feats, resps)]
     n_total = sum(len(h) for h in feats)
     if not n_total:
         raise EmptyInputError(f"{who} needs at least one sample")
@@ -151,9 +139,7 @@ def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
     and a non-finite or negative entry, a zero total, or a pi_floor that is
     not a real number in [0, 1/K) DomainError.
     """
-    resp = _float_array(resp, "responsibilities")
-    if resp.ndim != 2:
-        raise DimensionMismatchError(f"responsibilities must be (N, K), got {resp.shape}")
+    resp = _float_array(resp, "responsibilities", shape=(None, None))
     if resp.shape[0] == 0:
         raise EmptyInputError("mixing update needs at least one sample")
     pi = resp.mean(axis=0)
@@ -280,11 +266,7 @@ class SlidingWindow:
         of `adapt` and `predict`. DomainError unless it converts to finite
         floats, DimensionMismatchError unless it is (N, D), EmptyInputError
         unless N >= 1."""
-        feats = _float_array(feats, "batch")
-        if feats.ndim != 2 or feats.shape[1] != self.config.d:
-            raise DimensionMismatchError(
-                f"batch shape {feats.shape} does not match D={self.config.d}"
-            )
+        feats = _float_array(feats, "batch", shape=(None, self.config.d))
         if not feats.shape[0]:
             raise EmptyInputError("a batch needs at least one row")
         return normalize_rows(feats)

@@ -1,23 +1,26 @@
 """Every entry point keeps the promise of `errors.py`: a bad argument raises
 DomainError, and arrays of mismatched shapes DimensionMismatchError, both
 StadErrors, never a bare TypeError, ValueError or OverflowError, and is
-never run with a value it silently coerced; and that the one size domain,
-`MAX_SIZE`, covers every benchmark workload with room to spare."""
+never run with a value it silently coerced; every exported name that takes
+an array has a row here; and the one size domain, `MAX_SIZE`, covers every
+benchmark workload with room to spare."""
 
+import inspect
+import os
 import runpy
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stad import gauss, mathcore, vmf
+from stad import gauss, mathcore, stream, vmf, window
 from stad.errors import (MAX_SIZE, DimensionMismatchError, DomainError, EmptyInputError,
                          ZeroVectorError)
 from stad.gauss import GaussBelief, GaussConfig, GaussModel
 from stad.stream import (DriftScenario, EmbeddingBatch, make_label_shift, sample_vmf,
                          synth_drift, well_separated_directions, write_matrix, write_stream)
 from stad.vmf import VmfConfig, VmfModel
-from stad.window import mixing_update, softmax_rows
+from stad.window import check_batches, mixing_update, softmax_rows
 
 MEAN, VAR = np.eye(2, 3), np.full(2, 0.1)
 FEATS, RESP = np.eye(3), np.full((3, 2), 0.5)
@@ -50,6 +53,14 @@ CASES = {
     "kf_predict q a bool": lambda tmp: gauss.kf_predict(MEAN, VAR, True),
     "kf_predict q a 0-d array": lambda tmp: gauss.kf_predict(MEAN, VAR, np.array(0.1)),
     "kf_predict q 10**400": lambda tmp: gauss.kf_predict(MEAN, VAR, 10**400),
+    # a noise is a scalar: given as an array of any shape, the scalar rule refuses it
+    "kf_predict q a (K,) array": lambda tmp: gauss.kf_predict(MEAN, VAR, np.full(2, 0.1)),
+    "kf_smooth q a (K,) array": lambda tmp: gauss.kf_smooth(MEAN[None], VAR[None], np.full(2, 0.1)),
+    "kf_update_weighted r a (1,) array":
+        lambda tmp: gauss.kf_update_weighted(MEAN, VAR, FEATS, RESP, np.full(1, 0.5)),
+    "gauss_assignments r a (D, D) array":
+        lambda tmp: gauss.gauss_assignments(FEATS, GaussBelief(MEAN, VAR), np.full(2, 0.5),
+                                            np.eye(3)),
     "kf_smooth q a string": lambda tmp: gauss.kf_smooth(MEAN[None], VAR[None], "x"),
     "kf_smooth q a bool": lambda tmp: gauss.kf_smooth(MEAN[None], VAR[None], True),
     "kf_update_weighted r a string":
@@ -87,6 +98,14 @@ CASES = {
     "estimate_kappa d=MAX_SIZE + 1": lambda tmp: mathcore.estimate_kappa(0.5, MAX_SIZE + 1),
     "normalize_rows a string": lambda tmp: mathcore.normalize_rows("x"),
     "log_sum_exp a string": lambda tmp: mathcore.log_sum_exp("x"),
+    # an axis is None or an int in [-ndim, ndim)
+    "log_sum_exp axis 5": lambda tmp: mathcore.log_sum_exp(np.zeros((2, 3)), axis=5),
+    "log_sum_exp axis 2 of a 2-d array": lambda tmp: mathcore.log_sum_exp(np.zeros((2, 3)), axis=2),
+    "log_sum_exp axis -3 of a 2-d array":
+        lambda tmp: mathcore.log_sum_exp(np.zeros((2, 3)), axis=-3),
+    "log_sum_exp axis a string": lambda tmp: mathcore.log_sum_exp(np.zeros((2, 3)), axis="x"),
+    "log_sum_exp axis a bool": lambda tmp: mathcore.log_sum_exp(np.zeros((2, 3)), axis=True),
+    "log_sum_exp axis 0 of a scalar": lambda tmp: mathcore.log_sum_exp(1.0, axis=0),
     # stream
     "write_stream k=2.7": lambda tmp: write_stream(tmp, batches(), 2.7),
     "write_stream k a string": lambda tmp: write_stream(tmp, batches(), "x"),
@@ -121,6 +140,7 @@ CASES = {
     "sample_vmf n=10**30":
         lambda tmp: sample_vmf(np.random.default_rng(0), np.eye(3)[0], 5.0, 10**30),
     "VmfConfig d=MAX_SIZE + 1": lambda tmp: VmfConfig(d=MAX_SIZE + 1, k=2),
+    "VmfConfig k=1": lambda tmp: VmfConfig(d=4, k=1),
     "GaussConfig k=MAX_SIZE + 1": lambda tmp: GaussConfig(d=3, k=MAX_SIZE + 1),
     "DriftScenario d=MAX_SIZE + 1": lambda tmp: DriftScenario(d=MAX_SIZE + 1),
     "write_stream k=MAX_SIZE + 1": lambda tmp: write_stream(tmp, batches(), MAX_SIZE + 1),
@@ -250,16 +270,98 @@ def test_bad_argument_raises_domain_error(tmp_path, case):
         CASES[case](tmp_path)
 
 
+def belief(mean_dir=MEAN):
+    return vmf.PrototypeBelief.from_params(mean_dir, np.ones(len(mean_dir)))
+
+
+# One row or more per array argument that `mathcore._float_array` checks
+# against a shape; each row's name starts with the entry point it calls.
 SHAPE_CASES = {
     "softmax_rows 1-d logits": lambda: softmax_rows(np.zeros(3)),
+    # window: the batch of adapt and predict, responsibilities, a window's batches
+    "VmfModel adapt on a batch of another D": lambda: vmf_model().adapt(1, np.eye(3, 4)),
+    "GaussModel predict on a 1-d batch": lambda: adapted(gauss_model).predict(np.ones(3)),
+    "VmfModel (3, 2) weights for K=2, D=3": lambda: VmfModel(np.eye(3, 2), VmfConfig(d=3, k=2)),
+    "GaussModel (2, 4) weights for K=2, D=3":
+        lambda: GaussModel(np.eye(2, 4), GaussConfig(d=3, k=2)),
+    "mixing_update 1-d responsibilities": lambda: mixing_update(np.full(2, 0.5)),
+    "check_batches a batch of another D":
+        lambda: check_batches([np.eye(3, 4)], [RESP], 1, 2, 3, "test"),
+    "check_batches responsibilities of another N":
+        lambda: check_batches([FEATS], [RESP[:2]], 1, 2, 3, "test"),
+    "check_batches two batches for a window of one":
+        lambda: check_batches([FEATS] * 2, [RESP] * 2, 1, 2, 3, "test"),
+    # vmf
     "assignment_step products of K=3 for mixing of K=2":
         lambda: vmf.assignment_step(np.ones((4, 3)), np.full(2, 0.5), 1.0),
+    "assignment_step 1-d products": lambda: vmf.assignment_step(np.ones(2), np.full(2, 0.5), 1.0),
+    "assignment_step (3,) kappa for K=2":
+        lambda: vmf.assignment_step(DOTS, np.full(2, 0.5), np.ones(3)),
+    "assignment_step (2, 1) kappa for K=2":
+        lambda: vmf.assignment_step(DOTS, np.full(2, 0.5), np.ones((2, 1))),
+    "predict_probs (1, K) mixing": lambda: vmf.predict_probs(DOTS, 1.0, np.full((1, 2), 0.5)),
     "PrototypeBelief.from_params 1-d mean_dir":
         lambda: vmf.PrototypeBelief.from_params(np.ones(3), np.ones(1)),
     "PrototypeBelief.from_params scalar conc":
         lambda: vmf.PrototypeBelief.from_params(MEAN, 1.0),
     "PrototypeBelief.from_params (3, 4) mean_dir with (2,) conc":
         lambda: vmf.PrototypeBelief.from_params(np.eye(3, 4), np.ones(2)),
+    "expected_prototype (3, 4) mean_dir with (2,) conc":
+        lambda: vmf.expected_prototype(np.eye(3, 4), np.ones(2), 4),
+    "expected_prototype 1-d mean_dir": lambda: vmf.expected_prototype(np.ones(3), np.ones(1), 3),
+    "expected_prototype mean_dir of D=4 for d=3":
+        lambda: vmf.expected_prototype(np.eye(2, 4), np.ones(2), 3),
+    "expected_prototype scalar conc": lambda: vmf.expected_prototype(MEAN, 1.0, 3),
+    "prototype_update frame of another K":
+        lambda: vmf.prototype_update(belief(), MEAN.copy(), np.ones(3)),
+    "prototype_update message scale of another K":
+        lambda: vmf.prototype_update(belief(), MEAN.copy(), np.ones(2), (np.ones(3), MEAN)),
+    "prototype_update message direction of another D":
+        lambda: vmf.prototype_update(belief(), MEAN.copy(), np.ones(2), (np.ones(2), np.eye(2))),
+    "kappa_update beliefs of two K":
+        lambda: vmf.kappa_update([belief(), belief(np.eye(3))], [RESP] * 2, [DOTS] * 2, 3),
+    "kappa_update beliefs of another d": lambda: vmf.kappa_update([belief()], [RESP], [DOTS], 4),
+    "kappa_update Bessel ratios of another K":
+        lambda: vmf.kappa_update([vmf.PrototypeBelief(MEAN, np.ones(2), np.ones(3))], [RESP],
+                                 [DOTS], 3),
+    "kappa_update products of another K":
+        lambda: vmf.kappa_update([belief()], [RESP], [np.ones((3, 3))], 3),
+    # gauss
+    "kf_predict 1-d mean": lambda: gauss.kf_predict(MEAN[0], 1.0, 0.1),
+    "kf_predict variances of another K": lambda: gauss.kf_predict(MEAN, np.ones(3), 0.1),
+    "kf_update_weighted 1-d mean":
+        lambda: gauss.kf_update_weighted(MEAN[0], 1.0, FEATS, RESP, 0.5),
+    "kf_update_weighted variances of another K":
+        lambda: gauss.kf_update_weighted(MEAN, np.ones(3), FEATS, RESP, 0.5),
+    "kf_update_weighted batch of another D":
+        lambda: gauss.kf_update_weighted(MEAN, VAR, np.eye(3, 2), RESP, 0.5),
+    "kf_update_weighted responsibilities of another N":
+        lambda: gauss.kf_update_weighted(MEAN, VAR, FEATS, RESP[:2], 0.5),
+    "kf_smooth a (T, D) chain": lambda: gauss.kf_smooth(np.zeros((2, 3)), np.ones(2), 0.1),
+    "kf_smooth variances of another T": lambda: gauss.kf_smooth(MEAN[None], np.ones((2, 2)), 0.1),
+    "gauss_assignments 1-d batch":
+        lambda: gauss.gauss_assignments(np.ones(3), GaussBelief(MEAN, VAR), np.full(2, 0.5), 0.5),
+    "gauss_assignments mean of another D":
+        lambda: gauss.gauss_assignments(np.eye(3, 2), GaussBelief(MEAN, VAR), np.full(2, 0.5), 0.5),
+    "gauss_assignments (1, K) mixing":
+        lambda: gauss.gauss_assignments(FEATS, GaussBelief(MEAN, VAR), np.full((1, 2), 0.5), 0.5),
+    "gauss_assignments (K, D, D) covariances":
+        lambda: gauss.gauss_assignments(FEATS, GaussBelief(MEAN, np.ones((2, 3, 3))),
+                                        np.full(2, 0.5), 0.5),
+    "gauss_m_step gains of another T":
+        lambda: gauss.gauss_m_step([GaussBelief(MEAN, VAR)] * 3, [VAR], [], [], True, False),
+    "gauss_m_step beliefs of two K":
+        lambda: gauss.gauss_m_step([GaussBelief(MEAN, VAR), GaussBelief(np.eye(3), np.ones(3))],
+                                   [VAR], [], [], True, False),
+    "gauss_m_step covariances of another K":
+        lambda: gauss.gauss_m_step([GaussBelief(MEAN, np.ones(3))] * 2, [VAR], [], [], True, False),
+    "gauss_m_step batch of another D":
+        lambda: gauss.gauss_m_step([GaussBelief(MEAN, VAR)] * 2, [VAR], [RESP] * 2,
+                                   [np.eye(3, 2)] * 2, False, True),
+    # mathcore and stream
+    "normalize_rows a scalar": lambda: mathcore.normalize_rows(1.0),
+    "write_matrix a scalar": lambda: write_matrix(os.devnull, 1.0),
+    "sample_vmf (1, 3) mu": lambda: sample_vmf(np.random.default_rng(0), np.eye(1, 3), 5.0, 3),
 }
 
 
@@ -288,6 +390,32 @@ EMPTY_CASES = {
 def test_empty_batch_raises_empty_input_error(case):
     with pytest.raises(EmptyInputError):
         EMPTY_CASES[case]()
+
+
+# Exported names that take an array but check none of it, each with the
+# reason; every other one must be called by a row of the tables above.
+UNCHECKED = {
+    "WindowStep": "a record the window engine fills from arrays it has checked",
+    "GaussBelief": "a record; the kernels that read it check its arrays",
+    "EmbeddingBatch": "a record; write_stream and make_label_shift check its arrays",
+    "StreamManifest": "a record of steps; read_manifest checks what it reads",
+}
+
+
+def takes_an_array(obj) -> bool:
+    """Whether a parameter of obj is annotated as an array, a list or a batch."""
+    return any(kind in str(p.annotation) for p in inspect.signature(obj).parameters.values()
+               for kind in ("ndarray", "list", "EmbeddingBatch"))
+
+
+def test_every_entry_point_that_takes_an_array_has_a_row():
+    # a row's name starts with the entry point it calls
+    rows = {key.split()[0].split(".")[0] for key in (*CASES, *SHAPE_CASES, *EMPTY_CASES)}
+    taking = {name for module in (window, vmf, gauss, mathcore, stream) for name in module.__all__
+              if callable(getattr(module, name)) and takes_an_array(getattr(module, name))}
+    assert sorted(taking - rows - set(UNCHECKED)) == []
+    # an exemption names an entry point that takes an array and has no row
+    assert sorted(set(UNCHECKED) - (taking - rows)) == []
 
 
 def test_normalize_rows_names_the_first_bad_row():

@@ -184,7 +184,8 @@ class TestKfPredict:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             kf_predict(np.zeros((1, 2)), np.ones(2), 0.1)
-        with pytest.raises(DimensionMismatchError):
+        # q is a scalar: an array q is refused by the scalar rule
+        with pytest.raises(DomainError):
             kf_predict(np.zeros((1, 2)), np.ones(1), np.full(1, 0.1))
 
 
@@ -408,22 +409,24 @@ class TestNonFiniteInputs:
             kf_smooth(nan_means, ones, 1.0)
 
     def test_unstacked_shapes_raise(self):
-        """The kf_* take one stacked form: a 1-D mean, a (T, D) chain or a
-        per-class q is a shape error, not a bare ValueError."""
+        """The kf_* take one stacked form: a 1-D mean or a (T, D) chain is a
+        shape error, and a per-class q breaks the scalar rule, never a bare
+        ValueError."""
         mean, feats, one = np.zeros((1, 2)), np.ones((4, 2)), np.ones(1)
         chain, chain_vars = np.zeros((2, 1, 2)), np.ones((2, 1))
         calls = [
             # a 1-D mean with its scalar variance
-            lambda: kf_predict(mean[0], 1.0, 0.1),
-            lambda: kf_update_weighted(mean[0], 1.0, feats, np.ones(4), 0.5),
+            (DimensionMismatchError, lambda: kf_predict(mean[0], 1.0, 0.1)),
+            (DimensionMismatchError,
+             lambda: kf_update_weighted(mean[0], 1.0, feats, np.ones(4), 0.5)),
             # a (T, D) chain with (T,) variances
-            lambda: kf_smooth(chain[:, 0], chain_vars[:, 0], 0.1),
+            (DimensionMismatchError, lambda: kf_smooth(chain[:, 0], chain_vars[:, 0], 0.1)),
             # a (K,) q, one per class
-            lambda: kf_predict(mean, one, 0.1 * one),
-            lambda: kf_smooth(chain, chain_vars, 0.1 * one),
+            (DomainError, lambda: kf_predict(mean, one, 0.1 * one)),
+            (DomainError, lambda: kf_smooth(chain, chain_vars, 0.1 * one)),
         ]
-        for call in calls:
-            with pytest.raises(DimensionMismatchError):
+        for error, call in calls:
+            with pytest.raises(error):
                 call()
 
     @pytest.mark.parametrize("name", ["sigma_trans"])
@@ -506,7 +509,10 @@ class TestGaussAssignments:
         rng = np.random.default_rng(27)
         cov = np.tile(np.eye(3), (3, 1, 1)) if dense else np.ones(3)
         belief = GaussBelief(rng.standard_normal((3, 3)), cov)
-        with pytest.raises(DimensionMismatchError):
+        # where every array has its shape, an array R is a scalar given as an
+        # array, which the scalar rule refuses
+        error = DomainError if not dense and np.ndim(sigma_ems) else DimensionMismatchError
+        with pytest.raises(error):
             gauss_assignments(rng.standard_normal((1 if one_row else 5, 3)), belief, mixing,
                               sigma_ems)
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stad import mathcore
-from stad.errors import MAX_SIZE, DomainError, EmptyInputError, ZeroVectorError
+from stad.errors import (MAX_SIZE, DimensionMismatchError, DomainError, EmptyInputError,
+                         ZeroVectorError)
 from stad.mathcore import (
     bessel_ratio,
     estimate_kappa,
@@ -368,11 +369,13 @@ class TestNormalize:
         with pytest.raises(ZeroVectorError):
             normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
-    @pytest.mark.parametrize("m", [np.ones(3), np.ones((2, 2, 2)),
-                                   np.array([[1.0, np.nan]]), np.array([[np.inf, 1.0]])],
+    @pytest.mark.parametrize("m, error", [(np.ones(3), DimensionMismatchError),
+                                          (np.ones((2, 2, 2)), DimensionMismatchError),
+                                          (np.array([[1.0, np.nan]]), DomainError),
+                                          (np.array([[np.inf, 1.0]]), DomainError)],
                              ids=["1-D", "3-D", "NaN", "inf"])
-    def test_non_matrix_or_non_finite_rejected(self, m):
-        with pytest.raises(DomainError):
+    def test_non_matrix_or_non_finite_rejected(self, m, error):
+        with pytest.raises(error):
             normalize_rows(m)
 
     @pytest.mark.parametrize("row", [[1e200, 1e200], [-1.7e308, 1e308], [1e155, 0.0]])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from stad.errors import (
     CorruptHeaderError,
     CorruptPayloadError,
+    DimensionMismatchError,
     DomainError,
     InfeasibleSeparationError,
     MissingFileError,
@@ -182,7 +183,7 @@ def test_write_stream_rejects_bad_k_and_empty_stream(tmp_path, batches, k):
 
 @pytest.mark.parametrize("arr", [np.ones(3), np.ones((2, 2, 2))], ids=["1-D", "3-D"])
 def test_write_matrix_rejects_non_matrix(tmp_path, arr):
-    with pytest.raises(DomainError):
+    with pytest.raises(DimensionMismatchError):
         write_matrix(tmp_path / "x.emb", arr)
 
 
@@ -383,8 +384,9 @@ E1 = np.array([1.0, 0.0, 0.0])
         "mu of norm 0.85", "mu of norm 1e200"])
 def test_sample_vmf_rejects(mu, kappa, n):
     # with a non-finite kappa the rejection loop would never accept a sample;
-    # past about 1e7 in d=3 Wood's b rounds to 0, and kappa**2 overflows at 1e200
-    with pytest.raises(DomainError):
+    # past about 1e7 in d=3 Wood's b rounds to 0, and kappa**2 overflows at 1e200;
+    # a mu that is not 1-d is a shape error
+    with pytest.raises(DomainError if np.ndim(mu) == 1 else DimensionMismatchError):
         sample_vmf(np.random.default_rng(0), mu, kappa, n)
 
 

@@ -254,14 +254,14 @@ class TestPrototypeUpdate:
 
     def test_data_only(self):
         belief = self.previous()
-        _, degenerate = prototype_update(belief, np.array([[0.0, 1.0]]))
+        _, degenerate = prototype_update(belief, np.array([[0.0, 1.0]]), np.ones(1))
         np.testing.assert_allclose(belief.mean_dir, [[0.0, 1.0]])
         np.testing.assert_allclose(belief.conc, [1.0])
         assert degenerate == 0
 
     def test_prior_passthrough(self):
         belief = self.previous()
-        prototype_update(belief, np.zeros((1, 2)) + 100.0 * np.array([[1.0, 0.0]]))
+        prototype_update(belief, np.zeros((1, 2)) + 100.0 * np.array([[1.0, 0.0]]), np.ones(1))
         np.testing.assert_allclose(belief.mean_dir, [[1.0, 0.0]])
         np.testing.assert_allclose(belief.conc, [100.0])
         np.testing.assert_array_equal(belief.ratio, bessel_ratio(2, belief.conc))
@@ -273,13 +273,13 @@ class TestPrototypeUpdate:
         belief = self.previous()
         before = belief.copy()
         with pytest.raises(DimensionMismatchError):
-            prototype_update(belief, np.ones(shape))
+            prototype_update(belief, np.ones(shape), np.ones(1))
         for name in ("mean_dir", "conc", "ratio"):
             np.testing.assert_array_equal(getattr(belief, name), getattr(before, name))
 
     def test_vector_sum(self):
         belief = self.previous()
-        prototype_update(belief, np.array([[0.0, 1.0]]) + np.array([[1.0, 0.0]]))
+        prototype_update(belief, np.array([[0.0, 1.0]]) + np.array([[1.0, 0.0]]), np.ones(1))
         np.testing.assert_allclose(belief.mean_dir, [[1 / math.sqrt(2)] * 2], atol=1e-15)
         np.testing.assert_allclose(belief.conc, [math.sqrt(2.0)])
 
@@ -288,7 +288,7 @@ class TestPrototypeUpdate:
         belief = PrototypeBelief.from_params(np.eye(2), np.array([3.0, 4.0]))
         previous = belief.copy()
         total = np.array([[1.0, 0.0], [0.0, 2.0]]) + np.array([[-1.0, 0.0], [0.0, 0.0]])
-        _, degenerate = prototype_update(belief, total)
+        _, degenerate = prototype_update(belief, total, np.ones(2))
         assert degenerate == 1
         np.testing.assert_array_equal(belief.mean_dir[0], previous.mean_dir[0])
         assert belief.conc[0] == previous.conc[0]
@@ -302,7 +302,7 @@ class TestPrototypeUpdate:
         belief = self.previous()
         old_dir = belief.mean_dir
         total = np.array([[3.0, 4.0]])
-        spare, _ = prototype_update(belief, total)
+        spare, _ = prototype_update(belief, total, np.ones(1))
         assert spare is old_dir
         assert belief.mean_dir is total
         assert [f.name for f in dataclasses.fields(belief)] == ["mean_dir", "conc", "ratio"]
@@ -324,8 +324,8 @@ class TestPrototypeUpdate:
         belief = PrototypeBelief.from_params(np.eye(3), np.array([3.0, 4.0, 5.0]))
         previous = belief.copy()
         total = np.array([[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0], [0.0, 0.0, 1e-13]])
-        messages = [(np.array([1.0, 0.0, 0.0]), np.array([[-1.0, 0.0, 0.0]] * 3))]
-        _, degenerate = prototype_update(belief, total, messages, frame=np.array([4.0, 1.0, 100.0]))
+        message = (np.array([1.0, 0.0, 0.0]), np.array([[-1.0, 0.0, 0.0]] * 3))
+        _, degenerate = prototype_update(belief, total, np.array([4.0, 1.0, 100.0]), message)
         assert degenerate == 2
         for row in (0, 1):
             np.testing.assert_array_equal(belief.mean_dir[row], previous.mean_dir[row])
@@ -662,11 +662,11 @@ class TestBlockBoundaries:
         total = rng.standard_normal((5, d))
         total[2] = 0.0
         whole = previous.copy()
-        assert prototype_update(whole, total.copy())[1] == 1
+        assert prototype_update(whole, total.copy(), np.ones(5))[1] == 1
         monkeypatch.setattr(vmf, "_BLOCK_BYTES", 2 * 8 * d)
         assert [b.start for b in vmf._row_blocks(5, d)] == [0, 2, 4]
         blocked = previous.copy()
-        assert prototype_update(blocked, total.copy())[1] == 1
+        assert prototype_update(blocked, total.copy(), np.ones(5))[1] == 1
         assert_same_belief(blocked, whole)
         np.testing.assert_array_equal(blocked.mean_dir[2], previous.mean_dir[2])
         assert blocked.conc[2] == previous.conc[2]

@@ -19,7 +19,7 @@ from stad.errors import (
 from stad.gauss import GaussConfig, GaussModel
 from stad.mathcore import log_sum_exp, normalize_rows
 from stad.vmf import VmfConfig, VmfModel, predict_probs
-from stad.window import SlidingWindow, softmax_rows
+from stad.window import SlidingWindow, check_batches, softmax_rows
 
 D = 3
 MODELS = {
@@ -316,3 +316,12 @@ def test_check_flag_rejects(value):
 @pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
 def test_check_flag_accepts(value):
     check_flag("x", value)
+
+
+def test_check_batches_takes_any_iterable():
+    # the window's batches arrive as lists; any iterable of arrays converts alike
+    batch, resp = np.eye(3, 2), np.full((3, 2), 0.5)
+    feats, resps, n_total = check_batches(iter([batch]), (r for r in [resp]), 1, 2, 2, "test")
+    assert n_total == 3
+    np.testing.assert_array_equal(feats[0], batch)
+    np.testing.assert_array_equal(resps[0], resp)
