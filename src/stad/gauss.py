@@ -99,16 +99,15 @@ class GaussConfig:
         return self.init_cov_scale
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussBelief:
-    """Posterior mean and isotropic covariance per class prototype."""
+    """Posterior mean and isotropic covariance per class prototype.
+
+    A belief is a value: its fields are frozen and no code writes into its
+    arrays, so any number of window steps and the anchor may share it."""
 
     mean: np.ndarray  # (K, D)
     cov: np.ndarray   # (K,) variances c of c * I
-
-    def copy(self) -> "GaussBelief":
-        """A copy in fresh arrays."""
-        return GaussBelief(self.mean.copy(), self.cov.copy())
 
 
 # bench/tracing.py wraps kf_predict; the sweep looks it up through the module
@@ -365,7 +364,7 @@ class GaussModel(SlidingWindow):
 
         Each step's assignments are formed afresh from its batch and
         belief, and the step's `products` field stays unused: every sweep
-        moves every belief. Raises NotAdaptedError before the first `adapt`.
+        replaces every belief. Raises NotAdaptedError before the first `adapt`.
         """
         self._newest()
         for step in self._steps:

@@ -1,10 +1,11 @@
 """Embedding streams: on-disk format, readers/writers, reordering, synthesis.
 
 Every step of a stream obeys one contract. Its features are a 2-D (N, D)
-array of finite values with N, D >= 1, and its labels, when present, are
-N integers in [0, K). `write_stream` enforces it on what it writes and
-`read_stream` on what it reads. In a stream directory step i (1-based)
-has t = i.
+array of finite values with N and D in [1, MAX_SIZE], and its labels,
+when present, are N integers in [0, K). `write_stream` enforces it on
+what it writes and `read_stream` on what it reads, and `read_manifest`
+refuses a d, a k or a step count above MAX_SIZE. In a stream directory
+step i (1-based) has t = i.
 
 A stream directory holds one feature file per time step plus a JSON
 manifest. Feature files carry a 16-byte header (magic ``STADEMB1``, row
@@ -44,6 +45,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .errors import (
+    MAX_SIZE,
     CorruptHeaderError,
     CorruptPayloadError,
     DomainError,
@@ -166,8 +168,9 @@ def _check_step(t, feats: np.ndarray, labels: np.ndarray | None, d: int | None, 
 
     `d` of None accepts any D >= 1.
     """
-    if feats.ndim != 2 or feats.size == 0 or d not in (None, feats.shape[1]):
-        raise error(f"step t={t}: features of shape {feats.shape}, expected (N >= 1, {d})")
+    if (feats.ndim != 2 or not 0 < min(feats.shape) <= max(feats.shape) <= MAX_SIZE
+            or d not in (None, feats.shape[1])):
+        raise error(f"step t={t}: features of shape {feats.shape}, not (N, {d}) in [1, MAX_SIZE]")
     if not np.isfinite(feats).all():
         raise error(f"step t={t}: non-finite features")
     if labels is None:
@@ -286,9 +289,9 @@ def write_stream(
     return manifest
 
 
-def _manifest_int(value, what: str, low: int) -> int:
-    if type(value) is not int or value < low:
-        raise CorruptHeaderError(f"manifest {what} is {value!r}, expected an integer >= {low}")
+def _manifest_int(value, what: str, low: int, high: float = math.inf) -> int:
+    if type(value) is not int or not low <= value <= high:
+        raise CorruptHeaderError(f"manifest {what} is {value!r}, not an integer in [{low}, {high}]")
     return value
 
 
@@ -317,14 +320,14 @@ def read_manifest(dirpath) -> StreamManifest:
     steps = [StepEntry(**{name: s.get(key) for name, key in _STEP_KEYS.items()}) for s in raw_steps]
     for i, entry in enumerate(steps, start=1):
         _check_time(i, _manifest_int(entry.t, f"step {i} t", 1))
-        _manifest_int(entry.count, f"step {i} count", 1)
+        _manifest_int(entry.count, f"step {i} count", 1, MAX_SIZE)
         _file_name(entry.feature_path, f"step {i} features")
         if entry.label_path is not None:
             _file_name(entry.label_path, f"step {i} labels")
     return StreamManifest(
         format_version=FORMAT_VERSION,
-        d=_manifest_int(payload.get("d"), "d", 1),
-        k=_manifest_int(payload.get("k"), "k", 1),
+        d=_manifest_int(payload.get("d"), "d", 1, MAX_SIZE),
+        k=_manifest_int(payload.get("k"), "k", 1, MAX_SIZE),
         steps=steps,
         metadata={key: str(value) for key, value in metadata.items()},
     )
@@ -491,7 +494,9 @@ def synth_drift(scenario: DriftScenario) -> tuple[list[EmbeddingBatch], np.ndarr
     Sphere geometry rotates every class's mean direction by
     drift_deg_per_step inside a fixed per-class random 2-plane and samples
     vMF(mu_t, kappa_true); Euclidean geometry translates Gaussian cluster
-    means by fixed per-class drift vectors. Deterministic per seed.
+    means by fixed per-class drift vectors. Deterministic per seed. Every
+    step meets the step contract (module docstring): a sigma_true so large
+    that a feature overflows float32 raises DomainError.
     """
     rng = np.random.default_rng(scenario.seed)
     d, k, n = scenario.d, scenario.k, scenario.n_per_step
@@ -522,5 +527,8 @@ def synth_drift(scenario: DriftScenario) -> tuple[list[EmbeddingBatch], np.ndarr
                 feats[rows] = sample_vmf(rng, centers[j], scenario.kappa_true, rows.size)
         else:
             feats = centers[labels] + scenario.sigma_true * rng.standard_normal((n, d))
-        batches.append(EmbeddingBatch(t, feats.astype(np.float32), labels))
+        # a feature beyond the float32 range becomes inf, which the step check refuses
+        with np.errstate(over="ignore"):
+            batches.append(EmbeddingBatch(t, feats.astype(np.float32), labels))
+        _check_step(t, batches[-1].features, labels, d, k, DomainError)
     return batches, trajectory

@@ -24,8 +24,9 @@ step, the transition messages, the concentration re-estimate and the
 ELBO scale their dot products or message rows by class instead. A
 prototype update is summed in the frame of its left message: a positive
 row scale moves no direction and scales the concentration with it, so the
-left mean direction enters unscaled and one in-place GEMM adds the
-emission term to it.
+left mean direction enters unscaled, and one in-place GEMM adds the
+emission term to a fresh copy of it, which becomes the new belief's mean
+direction.
 
 The (N, K) products of a batch's unit embeddings with the K prototype
 directions are the one data input of the assignment step, the head
@@ -114,7 +115,7 @@ class VmfConfig:
             check_real(name, getattr(self, name), 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrototypeBelief:
     """Variational vMF belief over the K prototype directions.
 
@@ -122,6 +123,8 @@ class PrototypeBelief:
     ratio their Bessel ratios A_D(conc). The expected prototypes are
     ratio[:, None] * mean_dir (norm < 1); that (K, D) product is not
     stored, since its users can scale by class for O(K) or O(N K) work.
+    A belief is a value: its fields are frozen and no code writes into its
+    arrays, so any number of window steps and the anchor may share it.
     """
 
     mean_dir: np.ndarray  # (K, D)
@@ -136,10 +139,6 @@ class PrototypeBelief:
         mean_dir = _float_array(mean_dir, "mean directions", shape=(None, None))
         conc = _float_array(conc, "concentrations", shape=mean_dir.shape[:1])
         return cls(mean_dir, conc, bessel_ratio(mean_dir.shape[1], conc))
-
-    def copy(self) -> "PrototypeBelief":
-        """A copy in fresh arrays."""
-        return PrototypeBelief(self.mean_dir.copy(), self.conc.copy(), self.ratio.copy())
 
 
 def expected_prototype(mean_dir: np.ndarray, conc: np.ndarray, d: int) -> np.ndarray:
@@ -187,8 +186,9 @@ def assignment_step(dots: np.ndarray, mixing: np.ndarray, kappa: float | np.ndar
 
 def prototype_update(
     belief: PrototypeBelief, total: np.ndarray, frame: np.ndarray, message: tuple | None = None
-) -> tuple[np.ndarray, int]:
-    """Move `belief` to the update from its summed messages, in place.
+) -> tuple[PrototypeBelief, int]:
+    """The update of `belief` from its summed messages, as a new belief,
+    and the number of degenerate rows; `belief` is left as it was.
 
     Row k of the natural parameter is frame_k times row k of `total`
     (K, D), plus scale_k * direction_k when `message` is the pair
@@ -199,10 +199,11 @@ def prototype_update(
     `VmfModel.coordinate_ascent_sweep`). A positive row scale leaves a
     row's direction as it is and scales its norm, so the new mean
     direction is the row's direction and the new concentration frame_k
-    times its norm. A row whose concentration would be <= 1e-12 keeps its
-    previous direction and concentration. A `total` of another shape than
-    `belief.mean_dir`, or a frame or message of another K or D, raises
-    DimensionMismatchError, before anything moves.
+    times its norm. A row whose concentration would be <= 1e-12 keeps the
+    direction and concentration of `belief`. A `message` that is neither
+    None nor a tuple of two entries raises DomainError, and a `total` of
+    another shape than `belief.mean_dir`, or a frame or message of another
+    K or D, DimensionMismatchError, before anything is written.
 
     One walk over row blocks of about 256 KiB adds the message to
     `total` in place, takes the block's row norms and divides its rows by
@@ -210,15 +211,15 @@ def prototype_update(
     passes. The concentrations and their Bessel ratios are then taken
     once over all K rows. Every element sees the same operations as in a
     whole-array pass, so the block size does not change a bit of the
-    result. `total` becomes `belief.mean_dir`, and `belief.conc` and
-    `belief.ratio` are replaced. Returns the array that was
-    `belief.mean_dir`, free for reuse as the next `total`, and the number
-    of degenerate rows.
+    result. A float64 `total` becomes the new belief's mean direction, so
+    the caller must not write into it afterwards.
     """
     total = _float_array(total, "total", shape=belief.mean_dir.shape)
     k, d = total.shape
     frame = _float_array(frame, "frame", shape=(k,))
     if message is not None:
+        if not (isinstance(message, tuple) and len(message) == 2):
+            raise DomainError("a message must be None or the pair (scale, direction)")
         scale = _float_array(message[0], "message scale", shape=(k,))
         direction = _float_array(message[1], "message direction", shape=(k, d))
     blocks = _row_blocks(k, d)
@@ -241,9 +242,7 @@ def prototype_update(
     if degenerate:
         total[bad] = belief.mean_dir[bad]
         conc[bad] = belief.conc[bad]
-    spare = belief.mean_dir
-    belief.mean_dir, belief.conc, belief.ratio = total, conc, bessel_ratio(d, conc)
-    return spare, degenerate
+    return PrototypeBelief(total, conc, bessel_ratio(d, conc)), degenerate
 
 
 def kappa_update(
@@ -296,25 +295,24 @@ class VmfModel(SlidingWindow):
     as a fresh mixture anchored only at the source prototypes, through
     the one link from the source head, of concentration kappa_trans.
 
-    The sweep passes the replaced mean direction of each update on as the
-    next update's message buffer, so `prototypes` returns a copy: an array
-    a caller holds is a snapshot that later `adapt` calls leave alone.
-    Each update copies the left mean direction into the message buffer,
-    adds the emission with one BLAS GEMM in place, and walks row blocks of
-    about 256 KiB for the rest (see `prototype_update`), which gives the
-    same bits as whole-array passes. A new step starts from a fresh copy
-    of the newest belief, and a belief that leaves the model is dropped,
-    so an anchor keeps its values for good. The source prior's mean
-    direction is `source_prototypes` itself, made read-only. A full window
-    thus holds window + 3 (K, D) arrays: one per step, the anchor's, the
-    sweep's message buffer and `source_prototypes`; with static=True,
-    whose anchor is the prior, 3.
+    Beliefs are values (see `PrototypeBelief`): each update copies the
+    left mean direction into a fresh (K, D) array, adds the emission with
+    one BLAS GEMM in place, walks row blocks of about 256 KiB for the rest
+    (see `prototype_update`), which gives the same bits as whole-array
+    passes, and the array becomes the new belief's mean direction. A new
+    step starts from the newest kept belief itself, which its first sweep
+    replaces, and an anchor keeps its values for good. The source prior's
+    mean direction is `source_prototypes` itself, made read-only. After
+    each `adapt`, a full window thus holds window + 2 (K, D) arrays: one
+    per step, the anchor's and `source_prototypes`; with static=True,
+    whose anchor is the prior, 2. `prototypes` returns a copy, so that
+    writing into it changes no belief.
 
     Each step keeps its (N, K) products with its mean directions as
-    `step.products` (formed by `_products`) until its belief moves: the
-    sweep sets them back to None after each update, a push starts the new
-    step without them, and a subclass that assigns `step.belief` sets them
-    to None too. So a step forms them once per sweep that moves it, the
+    `step.products` (formed by `_products`) until its belief is replaced:
+    the sweep sets them back to None after each update, a push starts the
+    new step without them, and a subclass that assigns `step.belief` sets
+    them to None too. So a step forms them once per sweep, the
     concentration re-estimate reads the last sweep's, the next `adapt`'s
     first sweep reads them again for the steps it keeps, and `predict` on
     the batch just adapted reads the newest step's. Once the window is
@@ -344,16 +342,13 @@ class VmfModel(SlidingWindow):
             static=static,
         )
         self.degenerate_updates = 0
-        self._total = np.empty((k, config.d))  # the sweep's message buffer
 
     # -- public views ----------------------------------------------------
 
     @property
     def prototypes(self) -> np.ndarray:
-        """Current adapted weight rows (unit directions, newest step).
-
-        A snapshot: the sweep reuses the arrays it updates in place.
-        """
+        """Current adapted weight rows (unit directions, newest step); a
+        snapshot, so that writing into it changes no belief."""
         return self._newest().belief.mean_dir.copy()
 
     @property
@@ -398,22 +393,21 @@ class VmfModel(SlidingWindow):
         objective given its neighbours, so repeated sweeps with fixed
         concentrations never decrease the evidence lower bound.
 
-        The updates allocate no (K, D) array. The assignment step scales
-        the step's products with its mean directions (`_products`) by
-        kappa_ems * A_D(conc), and the update sets them back to None.
-        Each update then runs in the frame of its left message, whose row
-        scales lambda_k are kappa_trans from the source prior (the link
-        from the source head) or kappa_trans * A_D(conc) from the left step
-        or an evicted anchor: the left mean direction is copied into a
-        buffer the model owns (`_total`), one GEMM adds (kappa_ems /
-        lambda) resp^T feats into it in place, and `prototype_update` adds
-        the right neighbour's mean direction scaled by its kappa_trans *
-        A_D(conc) / lambda and normalizes the rows in one walk over row
-        blocks. A row whose lambda is 0, or so small that its framed rows
-        could overflow, takes lambda = 1 with its scaled left row. The
-        buffer becomes the step's mean direction, and the replaced mean
-        direction the next buffer. Raises NotAdaptedError before the first
-        `adapt`.
+        The assignment step scales the step's products with its mean
+        directions (`_products`) by kappa_ems * A_D(conc), and the update
+        sets them back to None. Each update then runs in the frame of its
+        left message, whose row scales lambda_k are kappa_trans from the
+        source prior (the link from the source head) or kappa_trans *
+        A_D(conc) from the left step or an evicted anchor: the natural
+        parameter starts as a fresh copy of the left mean direction, one
+        GEMM adds (kappa_ems / lambda) resp^T feats into it in place, and
+        `prototype_update` adds the right neighbour's mean direction scaled
+        by its kappa_trans * A_D(conc) / lambda and normalizes the rows in
+        one walk over row blocks. A row whose lambda is 0, or so small that
+        its framed rows could overflow, takes lambda = 1 with its scaled
+        left row. The copy becomes the mean direction of the step's new
+        belief, which `step.belief` is set to; no belief is written into.
+        Raises NotAdaptedError before the first `adapt`.
         """
         self._newest()
         steps = self._steps
@@ -424,21 +418,20 @@ class VmfModel(SlidingWindow):
             belief = step.belief
             step.resp = assignment_step(self._products(step), step.mixing, kappa_ems * belief.ratio)
             scale, direction = self._left_message(i)
-            total = self._total
-            np.copyto(total, direction)
+            total = direction.copy()
             if not scale.min() > floor:
                 framed = scale > floor
                 total[~framed] *= scale[~framed, None]
                 scale = np.where(framed, scale, 1.0)
             # C <- feats^T (resp * kappa_ems / lambda) + C on the transposed,
-            # F-ordered view of the buffer, which BLAS writes in place
+            # F-ordered view of the copy, which BLAS writes in place
             dgemm(1.0, step.feats.T, (step.resp * (kappa_ems / scale)).T, beta=1.0,
                   c=total.T, trans_b=True, overwrite_c=True)
             message = None
             if i + 1 < len(steps):
                 right, right_dir = self._message(steps[i + 1].belief)
                 message = (right / scale, right_dir)
-            self._total, degenerate = prototype_update(belief, total, scale, message)
+            step.belief, degenerate = prototype_update(belief, total, scale, message)
             step.products = None
             self.degenerate_updates += degenerate
 

@@ -5,6 +5,12 @@ every step; the belief of the newest step doubles as the classification
 head. A step that falls out of the window leaves its belief behind as the
 fixed anchor the oldest remaining step is tied to.
 
+Beliefs are values: both trackers' belief types are frozen dataclasses,
+and no code writes into a belief's arrays once it is built. So steps and
+the anchor share beliefs freely: a new step starts from the newest kept
+belief itself, a sweep replaces a step's belief instead of moving it, and
+an anchor keeps its values for good with no copy taken.
+
 One loop, `SlidingWindow.adapt`, runs every step of both trackers: it
 pushes the batch, runs `e_sweeps` coordinate sweeps over the window and
 then re-estimates the mixing weights and the tracker's parameters in
@@ -73,9 +79,9 @@ class WindowStep:
 
     A pushed step has no responsibilities (`resp` is None) until the first
     sweep forms them from its batch, before anything reads them. Whoever
-    moves or replaces the belief sets `products` back to None; the
-    spherical tracker forms them again when it next reads them, and the
-    Gaussian one never reads them.
+    replaces the belief sets `products` back to None; the spherical
+    tracker forms them again when it next reads them, and the Gaussian one
+    never reads them.
     """
 
     t: int
@@ -205,7 +211,10 @@ class SlidingWindow:
     most `config.window` steps. With `static`, a bool (anything else
     raises DomainError), it holds one step whose anchor stays the initial
     one, which turns the window into a fresh fit per batch. The initial
-    anchor is kept as `_prior` and never written.
+    anchor is kept as `_prior`. Beliefs are values (module docstring), so
+    a step's belief may be the anchor's or another step's until a sweep
+    replaces it; after each `adapt` every step has a belief of its own,
+    none of them `_prior`.
 
     `adapt` is `_push`, then `e_sweeps` calls of `_sweep()`, then
     `_reestimate()`, and `predict` takes its batch's unit rows to
@@ -295,12 +304,13 @@ class SlidingWindow:
 
         The evicted step's belief becomes the anchor, except with `static`,
         where the anchor stays the initial one. The new step then starts
-        from a copy of the newest kept belief, or of the anchor when no step
-        is kept, in fresh arrays, with uniform mixing and neither
-        responsibilities nor products, which its first sweep forms. A push
-        moves no kept step's belief, so those steps keep their products. A
-        copy of the batch as given replaces `_given`, so the model holds one
-        such copy in all.
+        from the newest kept belief itself, or from the anchor when no step
+        is kept, with no copy, since no code writes into a belief; its first
+        sweep replaces it. It starts with uniform mixing and neither
+        responsibilities nor products, which that sweep forms. A push
+        replaces no kept step's belief, so those steps keep their products.
+        A copy of the batch as given replaces `_given`, so the model holds
+        one such copy in all.
         """
         check_int("t", t, 0)
         unit = self._unit_batch(feats)
@@ -316,7 +326,7 @@ class SlidingWindow:
             WindowStep(
                 t=t,
                 feats=unit,
-                belief=start.copy(),
+                belief=start,
                 mixing=np.full(k, 1.0 / k),
             )
         )

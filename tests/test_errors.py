@@ -258,6 +258,13 @@ CASES = {
     "gauss_m_step resps a string":
         lambda tmp: gauss.gauss_m_step([GaussBelief(MEAN, VAR)] * 2, [VAR],
                                        [np.full((3, 2), "x")] * 2, [FEATS] * 2, False, True),
+    # a message is None or the pair (scale, direction)
+    "prototype_update message an int":
+        lambda tmp: vmf.prototype_update(vmf.PrototypeBelief.from_params(MEAN, np.ones(2)),
+                                         MEAN.copy(), np.ones(2), 5),
+    "prototype_update message a triple":
+        lambda tmp: vmf.prototype_update(vmf.PrototypeBelief.from_params(MEAN, np.ones(2)),
+                                         MEAN.copy(), np.ones(2), (np.ones(2), MEAN, MEAN)),
     "gauss_m_step means a string":
         lambda tmp: gauss.gauss_m_step([GaussBelief(np.full((2, 3), "x"), VAR)] * 2, [VAR],
                                        [RESP] * 2, [FEATS] * 2, False, True),

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stad.errors import (
+    MAX_SIZE,
     CorruptHeaderError,
     CorruptPayloadError,
     DimensionMismatchError,
@@ -102,6 +103,10 @@ CORRUPTIONS = {
     "format version": (CorruptHeaderError, lambda p: _edit_manifest(p, _set("format_version", 2))),
     "no steps": (CorruptHeaderError, lambda p: _edit_manifest(p, _set("steps", []))),
     "zero count": (CorruptHeaderError, lambda p: _edit_manifest(p, _set_step(0, "count", 0))),
+    "count above MAX_SIZE":
+        (CorruptHeaderError, lambda p: _edit_manifest(p, _set_step(0, "count", MAX_SIZE + 1))),
+    "d above MAX_SIZE": (CorruptHeaderError, lambda p: _edit_manifest(p, _set("d", MAX_SIZE + 1))),
+    "k above MAX_SIZE": (CorruptHeaderError, lambda p: _edit_manifest(p, _set("k", MAX_SIZE + 1))),
     "count not a number": (CorruptHeaderError, lambda p: _edit_manifest(p, _set_step(0, "count", "x"))),
     "metadata not an object": (CorruptHeaderError, lambda p: _edit_manifest(p, _set("metadata", []))),
     "features not a string": (CorruptHeaderError, lambda p: _edit_manifest(p, _set_step(0, "features", 5))),
@@ -164,6 +169,11 @@ WRITER_VIOLATIONS = {
     "wrong D": ([_batch(), _batch(t=2, feats=((1.0, 2.0, 3.0), (0.0, 1.0, 0.0)))],
                 DomainError),
     "label-count mismatch": ([_batch(labels=(0, 1, 1))], DomainError),
+    # read-only views that cost no memory
+    "rows above MAX_SIZE":
+        ([EmbeddingBatch(1, np.broadcast_to(np.float32(1.0), (MAX_SIZE + 1, 2)))], DomainError),
+    "columns above MAX_SIZE":
+        ([EmbeddingBatch(1, np.broadcast_to(np.float32(1.0), (2, MAX_SIZE + 1)))], DomainError),
 }
 
 
@@ -338,8 +348,11 @@ def _shift_without_labels():
     (lambda tmp: _shift_without_labels(), MissingLabelsError),
     (lambda tmp: well_separated_directions(np.random.default_rng(0), 4, 0), DomainError),
     (lambda tmp: well_separated_directions(np.random.default_rng(0), 4.0, 2), DomainError),
+    (lambda tmp: synth_drift(DriftScenario(geometry="euclidean", d=4, k=3, t_steps=2,
+                                           n_per_step=5, sigma_true=1e300)), DomainError),
 ], ids=["manifest without steps", "dirichlet alpha not a number", "label shift label >= k",
-        "label shift without labels", "no directions", "directions of float d"])
+        "label shift without labels", "no directions", "directions of float d",
+        "euclidean features beyond float32"])
 def test_bad_input_raises_stad_error(tmp_path, case, error):
     assert issubclass(error, StadError)
     with pytest.raises(error):

@@ -1,5 +1,6 @@
 """Tests for the spherical prototype tracker."""
 
+import copy
 import dataclasses
 import math
 
@@ -247,21 +248,29 @@ class TestAssignmentStep:
         assert probs.tobytes() == head.tobytes()
 
 
+def updated(belief, total, frame, message=None):
+    """prototype_update's new belief and degenerate count; asserts that the
+    `belief` argument is left as it was."""
+    saved = copy.deepcopy(belief)
+    new, degenerate = prototype_update(belief, total, frame, message)
+    assert_same_belief(belief, saved)
+    return new, degenerate
+
+
 class TestPrototypeUpdate:
     @staticmethod
     def previous():
         return PrototypeBelief.from_params(np.array([[0.6, 0.8]]), np.array([3.0]))
 
     def test_data_only(self):
-        belief = self.previous()
-        _, degenerate = prototype_update(belief, np.array([[0.0, 1.0]]), np.ones(1))
+        belief, degenerate = updated(self.previous(), np.array([[0.0, 1.0]]), np.ones(1))
         np.testing.assert_allclose(belief.mean_dir, [[0.0, 1.0]])
         np.testing.assert_allclose(belief.conc, [1.0])
         assert degenerate == 0
 
     def test_prior_passthrough(self):
-        belief = self.previous()
-        prototype_update(belief, np.zeros((1, 2)) + 100.0 * np.array([[1.0, 0.0]]), np.ones(1))
+        belief, _ = updated(self.previous(), np.zeros((1, 2)) + 100.0 * np.array([[1.0, 0.0]]),
+                            np.ones(1))
         np.testing.assert_allclose(belief.mean_dir, [[1.0, 0.0]])
         np.testing.assert_allclose(belief.conc, [100.0])
         np.testing.assert_array_equal(belief.ratio, bessel_ratio(2, belief.conc))
@@ -271,24 +280,22 @@ class TestPrototypeUpdate:
     @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (2,), (1, 2, 1)])
     def test_total_of_another_shape_rejected(self, shape):
         belief = self.previous()
-        before = belief.copy()
+        before = copy.deepcopy(belief)
         with pytest.raises(DimensionMismatchError):
             prototype_update(belief, np.ones(shape), np.ones(1))
-        for name in ("mean_dir", "conc", "ratio"):
-            np.testing.assert_array_equal(getattr(belief, name), getattr(before, name))
+        assert_same_belief(belief, before)
 
     def test_vector_sum(self):
-        belief = self.previous()
-        prototype_update(belief, np.array([[0.0, 1.0]]) + np.array([[1.0, 0.0]]), np.ones(1))
+        belief, _ = updated(self.previous(), np.array([[0.0, 1.0]]) + np.array([[1.0, 0.0]]),
+                            np.ones(1))
         np.testing.assert_allclose(belief.mean_dir, [[1 / math.sqrt(2)] * 2], atol=1e-15)
         np.testing.assert_allclose(belief.conc, [math.sqrt(2.0)])
 
     def test_exact_cancellation(self):
         # row 0 cancels and keeps its previous belief; row 1 updates
-        belief = PrototypeBelief.from_params(np.eye(2), np.array([3.0, 4.0]))
-        previous = belief.copy()
+        previous = PrototypeBelief.from_params(np.eye(2), np.array([3.0, 4.0]))
         total = np.array([[1.0, 0.0], [0.0, 2.0]]) + np.array([[-1.0, 0.0], [0.0, 0.0]])
-        _, degenerate = prototype_update(belief, total, np.ones(2))
+        belief, degenerate = updated(previous, total, np.ones(2))
         assert degenerate == 1
         np.testing.assert_array_equal(belief.mean_dir[0], previous.mean_dir[0])
         assert belief.conc[0] == previous.conc[0]
@@ -297,13 +304,14 @@ class TestPrototypeUpdate:
         np.testing.assert_array_equal(belief.ratio, bessel_ratio(2, belief.conc))
 
     def test_total_becomes_the_mean_direction(self):
-        # the update writes in place and hands back the replaced buffer; the
-        # belief's one (K, D) array is its mean direction, the rest is (K,)
-        belief = self.previous()
-        old_dir = belief.mean_dir
+        # the update writes into `total`, which becomes the new belief's mean
+        # direction, and leaves the old belief and its arrays as they were;
+        # the belief's one (K, D) array is its mean direction, the rest is (K,)
+        previous = self.previous()
+        old_dir = previous.mean_dir
         total = np.array([[3.0, 4.0]])
-        spare, _ = prototype_update(belief, total, np.ones(1))
-        assert spare is old_dir
+        belief, _ = updated(previous, total, np.ones(1))
+        assert previous.mean_dir is old_dir
         assert belief.mean_dir is total
         assert [f.name for f in dataclasses.fields(belief)] == ["mean_dir", "conc", "ratio"]
         assert belief.conc.shape == belief.ratio.shape == (1,)
@@ -312,8 +320,7 @@ class TestPrototypeUpdate:
 
     def test_frame_scales_the_concentration(self):
         # a positive row scale keeps the direction and scales the norm
-        belief = self.previous()
-        prototype_update(belief, np.array([[3.0, 4.0]]), frame=np.array([2.0]))
+        belief, _ = updated(self.previous(), np.array([[3.0, 4.0]]), frame=np.array([2.0]))
         np.testing.assert_allclose(belief.mean_dir, [[0.6, 0.8]])
         assert belief.conc[0] == 10.0
         np.testing.assert_array_equal(belief.ratio, bessel_ratio(2, np.array([10.0])))
@@ -321,11 +328,10 @@ class TestPrototypeUpdate:
     def test_frame_decides_which_rows_are_degenerate(self):
         # row 0 cancels exactly in its frame; rows 1 and 2 have one small
         # norm, and only frame * norm <= 1e-12 keeps the previous belief
-        belief = PrototypeBelief.from_params(np.eye(3), np.array([3.0, 4.0, 5.0]))
-        previous = belief.copy()
+        previous = PrototypeBelief.from_params(np.eye(3), np.array([3.0, 4.0, 5.0]))
         total = np.array([[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0], [0.0, 0.0, 1e-13]])
         message = (np.array([1.0, 0.0, 0.0]), np.array([[-1.0, 0.0, 0.0]] * 3))
-        _, degenerate = prototype_update(belief, total, np.array([4.0, 1.0, 100.0]), message)
+        belief, degenerate = updated(previous, total, np.array([4.0, 1.0, 100.0]), message)
         assert degenerate == 2
         for row in (0, 1):
             np.testing.assert_array_equal(belief.mean_dir[row], previous.mean_dir[row])
@@ -584,18 +590,19 @@ class TestFramedUpdate:
         np.testing.assert_array_equal(belief.conc, [cfg.kappa_trans] * 2)
 
     def test_gemm_writes_into_the_buffer(self, monkeypatch):
-        # the emission is added by BLAS into the F-ordered transpose of
-        # `_total`, which then becomes the step's mean direction
+        # the emission is added by BLAS into the F-ordered transpose of a
+        # (K, D) buffer, which then becomes the mean direction of the step's
+        # new belief
         rng = np.random.default_rng(26)
         d, k = 6, 3
         model = VmfModel(rng.standard_normal((k, d)), VmfConfig(d=d, k=k, window=2))
         real, calls = vmf.dgemm, []
 
         def spy(*args, c, **kwargs):
-            buffer = model._total
+            buffer = c.base
             out = real(*args, c=c, **kwargs)
-            calls.append((buffer, c.base is buffer, out.T.ctypes.data == buffer.ctypes.data,
-                          kwargs["beta"]))
+            calls.append((buffer, buffer.shape == (k, d) and buffer.flags.c_contiguous,
+                          out.T.ctypes.data == buffer.ctypes.data, kwargs["beta"]))
             return out
 
         monkeypatch.setattr(vmf, "dgemm", spy)
@@ -603,10 +610,13 @@ class TestFramedUpdate:
             before = len(calls)
             model.adapt(t, rng.standard_normal((5, d)))
             # one GEMM per update: e_sweeps sweeps over the window's steps
-            assert len(calls) - before == model.config.e_sweeps * len(model._steps)
+            steps = model._steps
+            assert len(calls) - before == model.config.e_sweeps * len(steps)
+            # the last sweep's buffers are the steps' mean directions, in order
+            assert all(buffer is s.belief.mean_dir
+                       for (buffer, *_), s in zip(calls[-len(steps):], steps))
         for buffer, is_view, in_place, beta in calls:
             assert is_view and in_place and beta == 1.0
-        assert any(calls[-1][0] is s.belief.mean_dir for s in model._steps)
 
 
 def run_record(w0, cfg, static, batches, probe):
@@ -661,12 +671,12 @@ class TestBlockBoundaries:
                                                rng.uniform(1.0, 9.0, size=5))
         total = rng.standard_normal((5, d))
         total[2] = 0.0
-        whole = previous.copy()
-        assert prototype_update(whole, total.copy(), np.ones(5))[1] == 1
+        whole, degenerate = updated(previous, total.copy(), np.ones(5))
+        assert degenerate == 1
         monkeypatch.setattr(vmf, "_BLOCK_BYTES", 2 * 8 * d)
         assert [b.start for b in vmf._row_blocks(5, d)] == [0, 2, 4]
-        blocked = previous.copy()
-        assert prototype_update(blocked, total.copy(), np.ones(5))[1] == 1
+        blocked, degenerate = updated(previous, total.copy(), np.ones(5))
+        assert degenerate == 1
         assert_same_belief(blocked, whole)
         np.testing.assert_array_equal(blocked.mean_dir[2], previous.mean_dir[2])
         assert blocked.conc[2] == previous.conc[2]
@@ -690,11 +700,11 @@ class TestHeldArrays:
                          static=static)
         source = model.source_prototypes.copy()
         prior = model._prior
-        anchors = [(prior, prior.copy())]
+        anchors = [(prior, copy.deepcopy(prior))]
         held = []
         for t in range(1, 12):
             oldest = model._steps[0].belief if model._steps else None
-            oldest_saved = oldest.copy() if oldest is not None else None
+            oldest_saved = copy.deepcopy(oldest)
             model.adapt(t, rng.standard_normal((20, d)))
             held.append((model.prototypes, model.prototypes.copy()))
             held.append((model.mixing, model.mixing.copy()))
@@ -759,7 +769,7 @@ class TestStorageReuse:
         model = VmfModel(rng.standard_normal((k, d)), VmfConfig(d=d, k=k, window=window),
                          static=static)
         prior = model._prior
-        prior_saved = prior.copy()
+        prior_saved = copy.deepcopy(prior)
         held = []
         for t in range(1, steps + 1):
             model.adapt(t, rng.standard_normal((10, d)))
@@ -773,14 +783,14 @@ class TestStorageReuse:
 
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
     @pytest.mark.parametrize("static", [False, True])
-    def test_full_window_holds_window_plus_three_arrays(self, static, window):
-        # one mean direction per step, the anchor's, the message buffer and
-        # source_prototypes, which the prior shares read-only; with
-        # static=True the window is one step and the anchor is the prior
+    def test_full_window_holds_window_plus_two_arrays(self, static, window):
+        # one mean direction per step, the anchor's and source_prototypes,
+        # which the prior shares read-only; with static=True the window is
+        # one step and the anchor is the prior
         model, held = self.run(static, window, window + 4)
         assert model._prior.mean_dir is model.source_prototypes
         assert not model.source_prototypes.flags.writeable
-        full = 3 if static else window + 3
+        full = 2 if static else window + 2
         settled = 1 if static else window + 1
         assert [len(live) for live in held[settled - 1:]] == [full] * (len(held) - settled + 1)
 

@@ -1,5 +1,7 @@
 """Checks both trackers share through the sliding-window engine."""
 
+import copy
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -193,6 +195,39 @@ def test_sweep_needs_an_adapt(model):
     sweep = getattr(model, "coordinate_sweep", None) or model.coordinate_ascent_sweep
     with pytest.raises(NotAdaptedError):
         sweep()
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_beliefs_are_values_that_steps_share(name, monkeypatch):
+    # no update writes into a belief, so a push shares the newest kept
+    # belief, or the anchor, and the sweeps replace it
+    rng = np.random.default_rng(8)
+    model = MODELS[name]()
+    push, pushed = model._push, []
+
+    def spy(t, feats):
+        push(t, feats)
+        steps = model._steps
+        pushed.append(steps[-1].belief is (steps[-2].belief if len(steps) > 1 else model._anchor))
+
+    monkeypatch.setattr(model, "_push", spy)
+    for t in range(1, model.config.window + 3):
+        held = [s.belief for s in model._steps] + [model._anchor, model._prior]
+        saved = copy.deepcopy(held)
+        model.adapt(t, rng.standard_normal((6, D)))
+        for belief, before in zip(held, saved):
+            for field in dataclasses.fields(belief):
+                np.testing.assert_array_equal(getattr(belief, field.name),
+                                              getattr(before, field.name))
+        beliefs = [s.belief for s in model._steps]
+        # `_left_message` tells the prior from an evicted anchor by identity
+        assert len({id(b) for b in beliefs}) == len(beliefs)
+        assert all(b is not model._prior for b in beliefs)
+        for belief in beliefs:
+            for field in dataclasses.fields(belief):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(belief, field.name, getattr(belief, field.name))
+    assert pushed == [True] * (model.config.window + 2)
 
 
 def test_static_anchor_never_advances():
