@@ -49,7 +49,8 @@ from .errors import (MAX_SIZE, DimensionMismatchError, DomainError, EmptyInputEr
                      ZeroVectorError, check_int, check_real)
 
 _FLOAT64 = np.dtype(np.float64)  # what `_float_array` converts to unless told otherwise
-# Clamp range for estimated concentrations; keeps downstream exponentials finite.
+# Clamp range for estimated concentrations, and the domain of configured ones
+# (`vmf.VmfConfig`); keeps downstream exponentials finite.
 KAPPA_MIN = 1e-6
 KAPPA_MAX = 1e6
 

@@ -122,9 +122,10 @@ class StreamManifest:
 class DriftScenario:
     """Description of a synthetic gradually drifting stream.
 
-    d, k, t_steps, n_per_step and seed are integers (bools excluded), with
-    d >= 2, seed >= 0 and the others >= 1; all but the seed are at most
-    MAX_SIZE. kappa_true, sigma_true, drift_scale and
+    geometry is the str "sphere" or "euclidean". d, k, t_steps,
+    n_per_step and seed are integers (bools excluded), with d >= 2,
+    seed >= 0 and the others >= 1; all but the seed are at most MAX_SIZE.
+    kappa_true, sigma_true, drift_scale and
     drift_deg_per_step are finite real numbers (bools excluded):
     kappa_true and sigma_true > 0, drift_deg_per_step in
     [0, MAX_DRIFT_DEG]. Each step's labels are uniform over the K classes
@@ -146,7 +147,7 @@ class DriftScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.geometry not in ("sphere", "euclidean"):
+        if not isinstance(self.geometry, str) or self.geometry not in ("sphere", "euclidean"):
             raise DomainError(f"unknown geometry {self.geometry!r}")
         for name, minimum in (("d", 2), ("k", 1), ("t_steps", 1), ("n_per_step", 1), ("seed", 0)):
             check_int(name, getattr(self, name), minimum, size=name != "seed")
@@ -162,11 +163,13 @@ class DriftScenario:
 # -- the step contract -----------------------------------------------------
 
 
-def _check_step(t, feats: np.ndarray, labels: np.ndarray | None, d: int | None, k: int,
-                error: type[Exception]) -> None:
-    """Raise `error` unless step t meets the step contract (module docstring).
+def _check_step(t, feats: np.ndarray, labels, d: int | None, k: int,
+                error: type[Exception]) -> np.ndarray | None:
+    """The labels of step t as an array, or None without labels; raise
+    `error` unless the step meets the step contract (module docstring).
 
-    `d` of None accepts any D >= 1.
+    `d` of None accepts any D >= 1. Labels that do not convert to an
+    array, ragged ones say, break the contract too.
     """
     if (feats.ndim != 2 or not 0 < min(feats.shape) <= max(feats.shape) <= MAX_SIZE
             or d not in (None, feats.shape[1])):
@@ -174,12 +177,17 @@ def _check_step(t, feats: np.ndarray, labels: np.ndarray | None, d: int | None, 
     if not np.isfinite(feats).all():
         raise error(f"step t={t}: non-finite features")
     if labels is None:
-        return
+        return None
+    try:
+        labels = np.asarray(labels)
+    except ValueError as exc:
+        raise error(f"step t={t}: labels do not convert to an array") from exc
     if labels.dtype.kind not in "iu" or labels.shape != feats.shape[:1]:
         raise error(f"step t={t}: labels {labels.dtype} {labels.shape}, not {len(feats)} integers")
     low, high = int(labels.min()), int(labels.max())
     if low < 0 or high >= k:
         raise error(f"step t={t}: labels span [{low}, {high}], outside [0, {k})")
+    return labels
 
 
 def _check_time(i: int, t) -> None:
@@ -267,8 +275,7 @@ def write_stream(
     for i, batch in enumerate(batches, start=1):
         _check_time(i, batch.t)
         feats = _float_array(batch.features, "features", dtype="<f4")
-        labels = None if batch.labels is None else np.asarray(batch.labels)
-        _check_step(i, feats, labels, d, k, DomainError)
+        labels = _check_step(i, feats, batch.labels, d, k, DomainError)
         d = feats.shape[1]
         name = f"step_{i:05d}"
         if i == 1:
@@ -365,7 +372,7 @@ def make_label_shift(batches: Iterable[EmbeddingBatch], seed: int, k: int) -> li
     them: the features to float32, the stream's type, and the labels to an
     array. A batch without labels raises MissingLabelsError. A seed that is
     not an integer >= 0 or a k that is not one in [1, MAX_SIZE] (bools
-    excluded), features that do not convert, or a step that
+    excluded), features or labels that do not convert, or a step that
     breaks the step contract (module docstring) for k classes, raises
     DomainError.
     """
@@ -378,8 +385,7 @@ def make_label_shift(batches: Iterable[EmbeddingBatch], seed: int, k: int) -> li
     out = []
     for b in batches:
         feats = _float_array(b.features, "features", dtype="<f4")
-        labels = np.asarray(b.labels)
-        _check_step(b.t, feats, labels, None, k, DomainError)
+        labels = _check_step(b.t, feats, b.labels, None, k, DomainError)
         rank = np.argsort(rng.permutation(k))  # place of each class in the drawn order
         idx = np.argsort(rank[labels], kind="stable")
         out.append(EmbeddingBatch(b.t, feats[idx], labels[idx]))
@@ -495,8 +501,9 @@ def synth_drift(scenario: DriftScenario) -> tuple[list[EmbeddingBatch], np.ndarr
     drift_deg_per_step inside a fixed per-class random 2-plane and samples
     vMF(mu_t, kappa_true); Euclidean geometry translates Gaussian cluster
     means by fixed per-class drift vectors. Deterministic per seed. Every
-    step meets the step contract (module docstring): a sigma_true so large
-    that a feature overflows float32 raises DomainError.
+    step meets the step contract (module docstring): a sigma_true or a
+    drift_scale so large that a feature overflows float32 raises
+    DomainError.
     """
     rng = np.random.default_rng(scenario.seed)
     d, k, n = scenario.d, scenario.k, scenario.n_per_step
@@ -516,7 +523,9 @@ def synth_drift(scenario: DriftScenario) -> tuple[list[EmbeddingBatch], np.ndarr
         ])
     else:
         drift_vecs = scenario.drift_scale * normalize_rows(rng.standard_normal((k, d)))
-        trajectory = np.stack([base + i * drift_vecs for i in range(scenario.t_steps)])
+        # a centre beyond the float range becomes inf, which the step check refuses
+        with np.errstate(over="ignore"):
+            trajectory = np.stack([base + i * drift_vecs for i in range(scenario.t_steps)])
     batches = []
     for t, centers in enumerate(trajectory, start=1):
         labels = _draw_labels(rng, scenario)

@@ -49,6 +49,8 @@ from scipy.linalg.blas import dgemm
 from .errors import DomainError, check_real
 # log_sum_exp is unused here; it stays importable because bench/tracing.py rebinds it
 from .mathcore import (  # noqa: F401
+    KAPPA_MAX,
+    KAPPA_MIN,
     _float_array,
     _nonnegative,
     bessel_ratio,
@@ -72,10 +74,6 @@ __all__ = [
 ]
 
 _DEGENERATE_EPS = 1e-12
-# A row of a sweep update takes its left message's scale as its frame only
-# while that scale exceeds this fraction of kappa_ems + kappa_trans, which
-# keeps the framed emission and right-message scales below 1e100.
-_FRAME_MIN = 1e-100
 # Bytes of float64 per row block of the prototype update's (K, D) passes:
 # a block of each operand the pass touches then stays in L2.
 _BLOCK_BYTES = 256 * 1024
@@ -93,11 +91,15 @@ class VmfConfig:
 
     The tracker needs k >= 2 classes and d >= 2 dimensions. kappa_trans
     and kappa_ems are each one concentration shared by all K classes: real
-    numbers (bools excluded), finite and >= 0. kappa_trans
-    weights every link of the transition chain, the link from the source
-    head into the first window step included. Only kappa_ems is learned,
-    with learn_kappa_ems, a bool (anything else raises DomainError);
-    kappa_trans stays as set.
+    numbers (bools excluded) in [KAPPA_MIN, KAPPA_MAX] = [1e-6, 1e6], the
+    range the learned kappa_ems is clamped to, so that a configured and a
+    learned concentration share one domain; anything else raises
+    DomainError. At 0 the tracker would fail without an error: kappa_trans
+    = 0 sends no message from the source head, and kappa_ems = 0 gives
+    uniform predictions. kappa_trans weights every link of the transition
+    chain, the link from the source head into the first window step
+    included. Only kappa_ems is learned, with learn_kappa_ems, a bool
+    (anything else raises DomainError); kappa_trans stays as set.
     """
 
     d: int
@@ -112,7 +114,7 @@ class VmfConfig:
     def __post_init__(self):
         check_config(self, d_min=2, k_min=2, flags=("learn_kappa_ems",))
         for name in ("kappa_trans", "kappa_ems"):
-            check_real(name, getattr(self, name), 0.0)
+            check_real(name, getattr(self, name), KAPPA_MIN, KAPPA_MAX)
 
 
 @dataclass(frozen=True)
@@ -194,8 +196,9 @@ def prototype_update(
     (K, D), plus scale_k * direction_k when `message` is the pair
     (scale, direction) of a (K,) scale and (K, D) unit directions, in
     units of the (K,) positive `frame`. The sweep frames each update by
-    its left message, so that `total` starts as that message's mean
-    direction, and passes the right neighbour's message, if any (see
+    its left message, whose scales the concentration domain keeps
+    positive, so that `total` starts as that message's mean direction,
+    and passes the right neighbour's message, if any (see
     `VmfModel.coordinate_ascent_sweep`). A positive row scale leaves a
     row's direction as it is and scales its norm, so the new mean
     direction is the row's direction and the new concentration frame_k
@@ -403,26 +406,23 @@ class VmfModel(SlidingWindow):
         GEMM adds (kappa_ems / lambda) resp^T feats into it in place, and
         `prototype_update` adds the right neighbour's mean direction scaled
         by its kappa_trans * A_D(conc) / lambda and normalizes the rows in
-        one walk over row blocks. A row whose lambda is 0, or so small that
-        its framed rows could overflow, takes lambda = 1 with its scaled
-        left row. The copy becomes the mean direction of the step's new
-        belief, which `step.belief` is set to; no belief is written into.
+        one walk over row blocks. Every lambda is positive: kappa_trans and
+        kappa_ems lie in [KAPPA_MIN, KAPPA_MAX] (see `VmfConfig`) and a
+        belief's conc stays above 1e-12, so lambda >= KAPPA_MIN * A_D(1e-12),
+        6.0e-26 at D = MAX_SIZE, and each framed scale, the emission's
+        kappa_ems / lambda and the right message's, stays below 1.7e31. The
+        copy becomes the mean direction of the step's new belief, which
+        `step.belief` is set to; no belief is written into.
         Raises NotAdaptedError before the first `adapt`.
         """
         self._newest()
         steps = self._steps
         kappa_ems = self._kappa_ems
-        # framed rows stay below about N * 1e100, so their squared norms are finite
-        floor = (kappa_ems + self._kappa_trans) * _FRAME_MIN
         for i, step in enumerate(steps):
             belief = step.belief
             step.resp = assignment_step(self._products(step), step.mixing, kappa_ems * belief.ratio)
             scale, direction = self._left_message(i)
             total = direction.copy()
-            if not scale.min() > floor:
-                framed = scale > floor
-                total[~framed] *= scale[~framed, None]
-                scale = np.where(framed, scale, 1.0)
             # C <- feats^T (resp * kappa_ems / lambda) + C on the transposed,
             # F-ordered view of the copy, which BLAS writes in place
             dgemm(1.0, step.feats.T, (step.resp * (kappa_ems / scale)).T, beta=1.0,

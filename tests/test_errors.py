@@ -114,6 +114,14 @@ CASES = {
     "make_label_shift seed=-1": lambda tmp: make_label_shift(batches(), -1, 3),
     "make_label_shift k a string": lambda tmp: make_label_shift(batches(), 0, "x"),
     "make_label_shift (N, 1) labels": lambda tmp: make_label_shift(batches([[0], [1]]), 0, 3),
+    "make_label_shift ragged labels":
+        lambda tmp: make_label_shift([EmbeddingBatch(1, np.ones((2, 3)), [[0], [1, 2]])], 0, 2),
+    "write_stream ragged labels":
+        lambda tmp: write_stream(tmp, [EmbeddingBatch(1, np.ones((2, 3)), [[0], [1, 2]])], 2),
+    "DriftScenario geometry a two-element array":
+        lambda tmp: DriftScenario(geometry=np.array(["sphere", "x"])),
+    "DriftScenario geometry a one-element array":
+        lambda tmp: DriftScenario(geometry=np.array(["sphere"])),
     "make_label_shift list features with a string":
         lambda tmp: make_label_shift([EmbeddingBatch(1, [["x", 1.0]], [0])], 0, 2),
     "make_label_shift list labels out of range":
@@ -159,6 +167,13 @@ CASES = {
     "GaussModel weights a string": lambda tmp: GaussModel("x", GaussConfig(d=3, k=2)),
     "VmfConfig kappa_ems 10**400":
         lambda tmp: VmfModel(np.eye(2, 4), VmfConfig(d=4, k=2, kappa_ems=10**400)),
+    # a concentration lies in the learner's clamp range [KAPPA_MIN, KAPPA_MAX]
+    "VmfConfig kappa_trans 0": lambda tmp: VmfConfig(d=4, k=2, kappa_trans=0.0),
+    "VmfConfig kappa_trans 1e-7": lambda tmp: VmfConfig(d=4, k=2, kappa_trans=1e-7),
+    "VmfConfig kappa_trans 2e6": lambda tmp: VmfConfig(d=4, k=2, kappa_trans=2e6),
+    "VmfConfig kappa_ems 0": lambda tmp: VmfConfig(d=4, k=2, kappa_ems=0.0),
+    "VmfConfig kappa_ems 1e-7": lambda tmp: VmfConfig(d=4, k=2, kappa_ems=1e-7),
+    "VmfConfig kappa_ems 2e6": lambda tmp: VmfConfig(d=4, k=2, kappa_ems=2e6),
     "GaussConfig sigma_ems_scale 10**400":
         lambda tmp: GaussModel(np.eye(2, 3), GaussConfig(d=3, k=2, sigma_ems_scale=10**400)),
     # a flag is a bool, Python's or numpy's, not any value read by its truth

@@ -350,9 +350,13 @@ def _shift_without_labels():
     (lambda tmp: well_separated_directions(np.random.default_rng(0), 4.0, 2), DomainError),
     (lambda tmp: synth_drift(DriftScenario(geometry="euclidean", d=4, k=3, t_steps=2,
                                            n_per_step=5, sigma_true=1e300)), DomainError),
+    # i * drift_vecs passes the float range at i = 4 (an error under the
+    # suite's RuntimeWarning filter unless the overflow is caught)
+    (lambda tmp: synth_drift(DriftScenario(geometry="euclidean", d=4, k=3, t_steps=5,
+                                           drift_scale=1e308)), DomainError),
 ], ids=["manifest without steps", "dirichlet alpha not a number", "label shift label >= k",
         "label shift without labels", "no directions", "directions of float d",
-        "euclidean features beyond float32"])
+        "euclidean features beyond float32", "euclidean drift beyond the float range"])
 def test_bad_input_raises_stad_error(tmp_path, case, error):
     assert issubclass(error, StadError)
     with pytest.raises(error):

@@ -22,6 +22,8 @@ from stad.errors import (
 )
 from stad import vmf
 from stad.mathcore import (
+    KAPPA_MAX,
+    KAPPA_MIN,
     bessel_ratio,
     estimate_kappa_clamped,
     log_sum_exp,
@@ -341,12 +343,14 @@ class TestPrototypeUpdate:
         np.testing.assert_array_equal(belief.ratio, bessel_ratio(3, belief.conc))
 
     def test_model_counts_cancelled_rows(self):
-        # kappa_trans = 0 sends no prior message, and the two opposite samples
-        # cancel in both classes' data messages under uniform assignments
-        model = VmfModel(np.eye(2), VmfConfig(d=2, k=2, kappa_trans=0.0, window=1))
-        model.adapt(1, np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        # both classes start at e1, so the assignments are uniform, and the
+        # two samples at -e1 cancel the prior's kappa_trans e1 in both rows
+        # at kappa_ems = kappa_trans
+        w0 = np.array([[1.0, 0.0], [1.0, 0.0]])
+        model = VmfModel(w0, VmfConfig(d=2, k=2, window=1))
+        model.adapt(1, -w0)
         assert model.degenerate_updates == 2 * model.config.e_sweeps
-        np.testing.assert_array_equal(model.prototypes, np.eye(2))
+        np.testing.assert_array_equal(model.prototypes, w0)
 
 
 def expected_of(belief, d):
@@ -439,15 +443,15 @@ def sweep_case(kwargs, static):
 def cancelling_case():
     """D=2, K=4, window 2, whose first batch cancels in every row.
 
-    kappa_trans = 0, so the prior sends no message and the expected
-    prototypes are 0. The assignments are therefore uniform and the two
-    opposite samples cancel in every data message, leaving every row with
-    nothing.
+    Every class starts at e1, so the assignments are uniform, and the four
+    samples at -e1 add -kappa_ems e1 to every row, which cancels the
+    prior's kappa_trans e1 at the default kappa_ems = kappa_trans, leaving
+    every row with nothing.
     """
     rng = np.random.default_rng(24)
-    w0 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-    cfg = VmfConfig(d=2, k=4, kappa_trans=0.0, window=2)
-    batches = [np.array([[1.0, 0.0], [-1.0, 0.0]])]
+    w0 = np.array([[1.0, 0.0]] * 4)
+    cfg = VmfConfig(d=2, k=4, window=2)
+    batches = [-w0]
     batches += [normalize_rows(rng.standard_normal((6, 2))) for _ in range(4)]
     return w0, cfg, batches, normalize_rows(rng.standard_normal((5, 2)))
 
@@ -465,11 +469,12 @@ class TestSweepMatchesReference:
         # the first batch cancels in both classes (see TestPrototypeUpdate);
         # the later ones do not
         rng = np.random.default_rng(22)
-        cfg = VmfConfig(d=2, k=2, kappa_trans=0.0, window=2)
-        batches = [np.array([[1.0, 0.0], [-1.0, 0.0]])]
+        cfg = VmfConfig(d=2, k=2, window=2)
+        w0 = np.array([[1.0, 0.0], [1.0, 0.0]])
+        batches = [-w0]
         batches += [normalize_rows(rng.standard_normal((6, 2))) for _ in range(4)]
-        model = VmfModel(np.eye(2), cfg)
-        reference = ReferenceSweepModel(np.eye(2), cfg)
+        model = VmfModel(w0, cfg)
+        reference = ReferenceSweepModel(w0, cfg)
         assert_matches_reference(model, reference, batches, normalize_rows(np.eye(2) + 0.5))
         assert model.degenerate_updates >= 2 * cfg.e_sweeps
 
@@ -542,37 +547,32 @@ class TestProductCache:
 
 
 class TestFramedUpdate:
-    """Each update runs in the frame of its left message's row scales; rows
-    whose scale is 0 or tiny take frame 1, as the unframed update.
+    """Each update runs in the frame of its left message's row scales,
+    which the concentration domain keeps positive (see `VmfConfig`)."""
 
-    The kappa0 ids name the concentration of the link from the source
-    head, which is kappa_trans: at 0 or 1e-300 every left message is
-    unframed."""
-
-    @pytest.mark.parametrize("kwargs,static", [
-        pytest.param(dict(kappa_trans=0.0, window=1), False, id="kappa0-zero"),
-        pytest.param(dict(kappa_trans=0.0), True, id="kappa0-zero-static"),
-        pytest.param(dict(kappa_trans=0.0), False, id="kappa-trans-zero"),
-        pytest.param(dict(kappa_trans=1e-300), False, id="kappa0-tiny"),
-        pytest.param(dict(kappa_trans=1e-300, window=1, e_sweeps=3), False,
-                     id="kappa0-tiny-window1"),
-    ])
-    def test_unframed_rows_match_reference(self, kwargs, static):
-        w0, cfg, batches, probe = sweep_case(kwargs, static)
-        model = VmfModel(w0, cfg, static=static)
-        reference = ReferenceSweepModel(w0, cfg, static=static)
-        assert_matches_reference(model, reference, batches, probe)
-
-    def test_framed_and_unframed_rows_in_one_update_match_reference(self):
-        # a prior concentration per class: 0 and 1e-300 take frame 1, the
-        # others their own scale, in the first step's update
-        w0, cfg, batches, probe = sweep_case(dict(window=2), False)
+    @pytest.mark.parametrize("kappa_trans,kappa_ems", [(KAPPA_MIN, KAPPA_MAX),
+                                                       (KAPPA_MAX, KAPPA_MIN)])
+    def test_domain_corners_match_reference(self, kappa_trans, kappa_ems):
+        # classes 0 and 1 start at e1 and class 2 at e2. The two samples
+        # (-1.5e-12, 0, +-1) are all but orthogonal to every class, so each
+        # class takes a third of each, and their emission into rows 0 and 1
+        # is -kappa_ems 1e-12 e1. At (KAPPA_MIN, KAPPA_MAX) that cancels the
+        # prior's kappa_trans e1, in the frame kappa_trans where the
+        # emission's scale is 1e12; at (KAPPA_MAX, KAPPA_MIN) no batch
+        # outweighs the prior. The later batches move every class.
+        rng = np.random.default_rng(27)
+        cfg = VmfConfig(d=3, k=3, kappa_trans=kappa_trans, kappa_ems=kappa_ems, window=2)
+        w0 = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        batches = [np.array([[-1.5e-12, 0.0, 1.0], [-1.5e-12, 0.0, -1.0]])]
+        batches += [normalize_rows(rng.standard_normal((6, 3))) for _ in range(4)]
+        probe = normalize_rows(rng.standard_normal((5, 3)))
         model = VmfModel(w0, cfg)
         reference = ReferenceSweepModel(w0, cfg)
-        conc = np.array([0.0, 1e-300, 80.0, 1e5])
-        for m in (model, reference):
-            m._prior = m._anchor = PrototypeBelief.from_params(m.source_prototypes, conc)
         assert_matches_reference(model, reference, batches, probe)
+        if kappa_ems > kappa_trans:
+            assert model.degenerate_updates >= 2 * cfg.e_sweeps
+        else:
+            assert model.degenerate_updates == 0
 
     def test_cancelling_rows_on_the_frame_path(self):
         # both classes start at e1 with kappa_trans = kappa_ems, so each takes
@@ -834,7 +834,7 @@ class TestCachedRatio:
 
     @settings(max_examples=40, deadline=None)
     @given(window=st.integers(1, 4), e_sweeps=st.integers(1, 3), static=st.booleans(),
-           kappa_trans=st.sampled_from([0.0, 30.0, 50.0]), cancel=st.booleans(),
+           kappa_trans=st.sampled_from([30.0, 50.0, 100.0]), cancel=st.booleans(),
            learn=st.booleans(), seed=st.integers(0, 2**16))
     def test_ratio_matches_conc_after_every_adapt(self, window, e_sweeps, static, kappa_trans,
                                                    cancel, learn, seed):
@@ -842,10 +842,13 @@ class TestCachedRatio:
         d, k = 3, 3
         cfg = VmfConfig(d=d, k=k, window=window, e_sweeps=e_sweeps, kappa_trans=kappa_trans,
                         learn_kappa_ems=learn)
-        model = VmfModel(rng.standard_normal((k, d)), cfg, static=static)
+        # with cancel every class starts at e1 and the first batch holds k
+        # samples at -e1: every row cancels when kappa_trans = kappa_ems
+        w0 = np.tile(np.eye(d)[0], (k, 1)) if cancel else rng.standard_normal((k, d))
+        model = VmfModel(w0, cfg, static=static)
         for t in range(1, window + 4):
-            if cancel and t == 1:   # opposite rows: every row cancels at kappa_trans = 0
-                batch = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+            if cancel and t == 1:
+                batch = -w0
             else:
                 batch = rng.standard_normal((int(rng.integers(1, 8)), d))
             model.adapt(t, batch)
@@ -857,7 +860,7 @@ class TestCachedRatio:
             assert kappa_update(beliefs, resps, products(beliefs, feats), d) == pytest.approx(
                 reference_kappa_ems(beliefs, resps, feats, d), rel=1e-12)
             assert model.window_elbo() == pytest.approx(reference_elbo(model), rel=1e-12)
-        if cancel and kappa_trans == 0.0:
+        if cancel and kappa_trans == cfg.kappa_ems:
             assert model.degenerate_updates >= k
 
 
