@@ -9,9 +9,11 @@ a floor with `check_real`, and an on/off switch such as a learn flag with
 `check_flag`; each raises DomainError. A size (a dimension d,
 a class count k, a window, a sweep count, a stream's step count or batch
 size) and a Bessel order are refused above `MAX_SIZE`; a seed or a time
-index takes any integer, and a real argument such as a concentration is
-bounded only by the float range. This module imports nothing from the
-package, so every other module can use them.
+index takes any integer. A real argument is bounded only by the float
+range unless its entry point states a domain, as `vmf.VmfConfig` does
+for the concentrations and `stream.DriftScenario` and
+`stream.sample_vmf` do for the generator's. This module imports nothing
+from the package, so every other module can use them.
 """
 
 import contextlib

@@ -317,11 +317,15 @@ class GaussModel(SlidingWindow):
     makes one kf_predict and one kf_update_weighted call per window step
     for all K classes and one kf_smooth call over the window, whose
     (T-1, K) gains the M-step reads. Each sweep reads `sigma_trans` and `sigma_ems` afresh,
-    so values set by hand take effect at the next sweep.
+    so values set by hand take effect at the next sweep. Source weights
+    with a NaN or infinite entry raise DomainError, as the spherical
+    tracker's do.
     """
 
     def __init__(self, source_weights: np.ndarray, config: GaussConfig):
         source_weights = _float_array(source_weights, "source weights", shape=(config.k, config.d))
+        if not np.isfinite(source_weights).all():
+            raise DomainError("source weights must be finite")
         self.sigma_trans = float(config.sigma_trans_scale)
         self.sigma_ems = float(config.sigma_ems_scale)
         super().__init__(

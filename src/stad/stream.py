@@ -28,8 +28,11 @@ per-class random 2-planes, and Euclidean Gaussian clusters translated by
 fixed per-class drift vectors. Each step draws its labels uniformly, or
 from class proportions drawn from a symmetric Dirichlet
 (`DriftScenario.dirichlet_alpha`), and samples every row at that step's
-centres. `make_label_shift` reorders the rows of each step class by
-class; it moves no sample to another step.
+centres. The generator states its domain up front: a concentration lies
+in (0, `KAPPA_MAX`], and a noise, a drift scale or a Dirichlet alpha is
+at most `MAX_SCALE` in size. Inside it no draw overflows, so every step
+meets the step contract by construction. `make_label_shift` reorders the
+rows of each step class by class; it moves no sample to another step.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .mathcore import _float_array, normalize_rows
+from .mathcore import KAPPA_MAX, _float_array, normalize_rows
 
 __all__ = [
     "MAGIC",
@@ -79,6 +82,11 @@ MAGIC = b"STADEMB1"
 MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
 MAX_DRIFT_DEG = 10.0  # largest drift per step that still counts as gradual
+# The largest sigma_true, |drift_scale| and dirichlet_alpha a scenario takes.
+# Inside it a Euclidean feature, a unit centre plus i drifts for i < MAX_SIZE
+# steps plus noise, stays below about 2e13, far inside float32 (3.4e38), and
+# K alpha, the sum of the Dirichlet's parameters, stays finite.
+MAX_SCALE = 1e6
 _UNIT_TOL = 1e-9  # how far from 1 the norm of sample_vmf's mu may lie
 _HEADER = struct.Struct("<8sII")
 _SEPARATION_RETRIES = 200
@@ -125,13 +133,14 @@ class DriftScenario:
     geometry is the str "sphere" or "euclidean". d, k, t_steps,
     n_per_step and seed are integers (bools excluded), with d >= 2,
     seed >= 0 and the others >= 1; all but the seed are at most MAX_SIZE.
-    kappa_true, sigma_true, drift_scale and
-    drift_deg_per_step are finite real numbers (bools excluded):
-    kappa_true and sigma_true > 0, drift_deg_per_step in
-    [0, MAX_DRIFT_DEG]. Each step's labels are uniform over the K classes
-    when dirichlet_alpha is None; otherwise each step draws its class
+    kappa_true, sigma_true, drift_scale and drift_deg_per_step are real
+    numbers (bools excluded): kappa_true in (0, KAPPA_MAX], the package's
+    one concentration domain, sigma_true in (0, MAX_SCALE], drift_scale in
+    [-MAX_SCALE, MAX_SCALE] and drift_deg_per_step in [0, MAX_DRIFT_DEG].
+    Each step's labels are uniform over the K classes when
+    dirichlet_alpha is None; otherwise each step draws its class
     proportions from a symmetric Dirichlet of that alpha, a real number
-    (bools excluded), finite and > 0. Anything else raises DomainError.
+    (bools excluded) in (0, MAX_SCALE]. Anything else raises DomainError.
     """
 
     geometry: str = "sphere"  # sphere | euclidean
@@ -151,13 +160,13 @@ class DriftScenario:
             raise DomainError(f"unknown geometry {self.geometry!r}")
         for name, minimum in (("d", 2), ("k", 1), ("t_steps", 1), ("n_per_step", 1), ("seed", 0)):
             check_int(name, getattr(self, name), minimum, size=name != "seed")
-        check_real("kappa_true", self.kappa_true, 0.0, above=True)
-        check_real("sigma_true", self.sigma_true, 0.0, above=True)
-        check_real("drift_scale", self.drift_scale)
+        check_real("kappa_true", self.kappa_true, 0.0, KAPPA_MAX, above=True)
+        check_real("sigma_true", self.sigma_true, 0.0, MAX_SCALE, above=True)
+        check_real("drift_scale", self.drift_scale, -MAX_SCALE, MAX_SCALE)
         # the gradual-shift contract
         check_real("drift_deg_per_step", self.drift_deg_per_step, 0.0, MAX_DRIFT_DEG)
         if self.dirichlet_alpha is not None:
-            check_real("dirichlet_alpha", self.dirichlet_alpha, 0.0, above=True)
+            check_real("dirichlet_alpha", self.dirichlet_alpha, 0.0, MAX_SCALE, above=True)
 
 
 # -- the step contract -----------------------------------------------------
@@ -196,6 +205,14 @@ def _check_time(i: int, t) -> None:
         raise NonContiguousTimeError(f"step {i} has t={t!r}; step i must have t = i")
 
 
+def _float32(values, what: str, shape=None) -> np.ndarray:
+    """values as the stream's float32 array, by the rule of `_float_array`.
+    An entry beyond the float32 range narrows to inf without numpy's
+    overflow warning, so that the step contract refuses it."""
+    with np.errstate(over="ignore"):
+        return _float_array(values, what, dtype="<f4", shape=shape)
+
+
 # -- binary payloads -------------------------------------------------------
 
 
@@ -203,9 +220,12 @@ def write_matrix(path, arr: np.ndarray) -> None:
     """Write a float32 matrix with the 16-byte header.
 
     An array that does not convert to a float32 one raises DomainError,
-    and one that is not 2-d DimensionMismatchError.
+    and one that is not 2-d DimensionMismatchError. Its values are not
+    checked: a NaN is written as it is, and so is an entry beyond the
+    float32 range, as inf; `read_stream` refuses either as
+    CorruptPayloadError, while `write_stream` refuses them before writing.
     """
-    arr = _float_array(arr, "matrix", dtype="<f4", shape=(None, None))
+    arr = _float32(arr, "matrix", shape=(None, None))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, arr.shape[0], arr.shape[1]))
         fh.write(arr.tobytes(order="C"))
@@ -274,7 +294,7 @@ def write_stream(
     d = None
     for i, batch in enumerate(batches, start=1):
         _check_time(i, batch.t)
-        feats = _float_array(batch.features, "features", dtype="<f4")
+        feats = _float32(batch.features, "features")
         labels = _check_step(i, feats, batch.labels, d, k, DomainError)
         d = feats.shape[1]
         name = f"step_{i:05d}"
@@ -384,7 +404,7 @@ def make_label_shift(batches: Iterable[EmbeddingBatch], seed: int, k: int) -> li
     rng = np.random.default_rng(seed)
     out = []
     for b in batches:
-        feats = _float_array(b.features, "features", dtype="<f4")
+        feats = _float32(b.features, "features")
         labels = _check_step(b.t, feats, b.labels, None, k, DomainError)
         rank = np.argsort(rng.permutation(k))  # place of each class in the drawn order
         idx = np.argsort(rank[labels], kind="stable")
@@ -398,31 +418,24 @@ def make_label_shift(batches: Iterable[EmbeddingBatch], seed: int, k: int) -> li
 def sample_vmf(rng: np.random.Generator, mu: np.ndarray, kappa: float, n: int) -> np.ndarray:
     """Exact vMF sampling via the rejection scheme of Wood (1994).
 
-    mu is a unit vector of d >= 2 entries, kappa a finite real number > 0
-    and n an integer in [0, MAX_SIZE]. A mu that is not 1-d raises
-    DimensionMismatchError. A mu whose norm is more than 1e-9 from 1
-    raises DomainError rather than being normalized, since its samples
-    would lie off the sphere. A kappa so large against d that Wood's
-    envelope rounds away, from about 3.5e7 (d - 1) on, raises
-    DomainError, as does any other bad input.
+    mu is a unit vector of d >= 2 entries, kappa a real number in
+    (0, KAPPA_MAX] and n an integer in [0, MAX_SIZE]. A mu that is not 1-d
+    raises DimensionMismatchError. A mu whose norm is more than 1e-9 from
+    1 raises DomainError rather than being normalized, since its samples
+    would lie off the sphere; so does any other bad input. Inside the
+    domain kappa**2 <= 1e12, and Wood's b is 2.5e-7 or more (at d = 2,
+    where it is smallest), so 1 - x0**2 > 0 and the envelope is defined.
     """
     mu = _float_array(mu, "mu", shape=(None,))
     if mu.shape[0] < 2 or not np.isfinite(mu).all():
         raise DomainError(f"vMF sampling needs a finite mu of d >= 2, got {mu.shape[0]} entries")
     if abs(math.hypot(*mu) - 1.0) > _UNIT_TOL:  # hypot: no overflow at huge entries
         raise DomainError(f"vMF sampling needs a unit mu, got norm {math.hypot(*mu)!r}")
-    check_real("kappa", kappa, 0.0, above=True)
+    check_real("kappa", kappa, 0.0, KAPPA_MAX, above=True)
     check_int("n", n, 0, size=True)
     d = mu.shape[0]
-    try:
-        b = (-2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2)) / (d - 1.0)
-    except OverflowError:  # kappa**2
-        b = math.inf
+    b = (-2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2)) / (d - 1.0)
     x0 = (1.0 - b) / (1.0 + b)
-    # b cancels to 0 once 4 kappa^2 swamps (d - 1)^2, or is NaN past overflow;
-    # then x0 is 1 or NaN and the envelope's log(1 - x0^2) is undefined
-    if not 0.0 < 1.0 - x0 * x0:
-        raise DomainError(f"vMF sampling at kappa={kappa!r} is beyond float precision in d={d}")
     c = kappa * x0 + (d - 1.0) * math.log(1.0 - x0 * x0)
 
     w = np.empty(n)
@@ -501,9 +514,8 @@ def synth_drift(scenario: DriftScenario) -> tuple[list[EmbeddingBatch], np.ndarr
     drift_deg_per_step inside a fixed per-class random 2-plane and samples
     vMF(mu_t, kappa_true); Euclidean geometry translates Gaussian cluster
     means by fixed per-class drift vectors. Deterministic per seed. Every
-    step meets the step contract (module docstring): a sigma_true or a
-    drift_scale so large that a feature overflows float32 raises
-    DomainError.
+    step meets the step contract (module docstring) by construction: the
+    scenario's domain keeps every feature finite in float32.
     """
     rng = np.random.default_rng(scenario.seed)
     d, k, n = scenario.d, scenario.k, scenario.n_per_step
@@ -523,9 +535,7 @@ def synth_drift(scenario: DriftScenario) -> tuple[list[EmbeddingBatch], np.ndarr
         ])
     else:
         drift_vecs = scenario.drift_scale * normalize_rows(rng.standard_normal((k, d)))
-        # a centre beyond the float range becomes inf, which the step check refuses
-        with np.errstate(over="ignore"):
-            trajectory = np.stack([base + i * drift_vecs for i in range(scenario.t_steps)])
+        trajectory = np.stack([base + i * drift_vecs for i in range(scenario.t_steps)])
     batches = []
     for t, centers in enumerate(trajectory, start=1):
         labels = _draw_labels(rng, scenario)
@@ -536,8 +546,5 @@ def synth_drift(scenario: DriftScenario) -> tuple[list[EmbeddingBatch], np.ndarr
                 feats[rows] = sample_vmf(rng, centers[j], scenario.kappa_true, rows.size)
         else:
             feats = centers[labels] + scenario.sigma_true * rng.standard_normal((n, d))
-        # a feature beyond the float32 range becomes inf, which the step check refuses
-        with np.errstate(over="ignore"):
-            batches.append(EmbeddingBatch(t, feats.astype(np.float32), labels))
-        _check_step(t, batches[-1].features, labels, d, k, DomainError)
+        batches.append(EmbeddingBatch(t, feats.astype(np.float32), labels))
     return batches, trajectory

@@ -122,6 +122,24 @@ CASES = {
         lambda tmp: DriftScenario(geometry=np.array(["sphere", "x"])),
     "DriftScenario geometry a one-element array":
         lambda tmp: DriftScenario(geometry=np.array(["sphere"])),
+    # the generator's domain: a concentration in (0, KAPPA_MAX], a noise, a
+    # drift scale and a Dirichlet alpha at most MAX_SCALE in size
+    "DriftScenario kappa_true 2e6": lambda tmp: DriftScenario(kappa_true=2e6),
+    "DriftScenario sigma_true 2e6": lambda tmp: DriftScenario(sigma_true=2e6),
+    "DriftScenario drift_scale 2e6": lambda tmp: DriftScenario(drift_scale=2e6),
+    "DriftScenario drift_scale -2e6": lambda tmp: DriftScenario(drift_scale=-2e6),
+    "DriftScenario dirichlet_alpha 2e6": lambda tmp: DriftScenario(dirichlet_alpha=2e6),
+    # numpy's Dirichlet draws overflow to [0, 0] at this alpha
+    "synth_drift dirichlet_alpha 1e308":
+        lambda tmp: synth_drift(DriftScenario(d=4, k=2, t_steps=2, n_per_step=5,
+                                              dirichlet_alpha=1e308)),
+    "sample_vmf kappa 2e6": lambda tmp: sample_vmf(np.random.default_rng(0), np.eye(3)[0], 2e6, 3),
+    # a float64 feature beyond the float32 range narrows to inf, which the
+    # step contract refuses
+    "write_stream features beyond float32":
+        lambda tmp: write_stream(tmp, [EmbeddingBatch(1, np.full((2, 3), 1e39))], 2),
+    "make_label_shift features beyond float32":
+        lambda tmp: make_label_shift([EmbeddingBatch(1, np.full((2, 3), 1e39), [0, 1])], 0, 2),
     "make_label_shift list features with a string":
         lambda tmp: make_label_shift([EmbeddingBatch(1, [["x", 1.0]], [0])], 0, 2),
     "make_label_shift list labels out of range":
@@ -165,6 +183,10 @@ CASES = {
     "gauss predict a string": lambda tmp: adapted(gauss_model).predict("x"),
     "VmfModel ragged weights": lambda tmp: VmfModel([[1, 2], [3]], VmfConfig(d=2, k=2)),
     "GaussModel weights a string": lambda tmp: GaussModel("x", GaussConfig(d=3, k=2)),
+    "GaussModel a NaN source weight":
+        lambda tmp: GaussModel(np.array([[np.nan, 0, 0], [0, 1, 0]]), GaussConfig(d=3, k=2)),
+    "GaussModel an infinite source weight":
+        lambda tmp: GaussModel(np.array([[np.inf, 0, 0], [0, 1, 0]]), GaussConfig(d=3, k=2)),
     "VmfConfig kappa_ems 10**400":
         lambda tmp: VmfModel(np.eye(2, 4), VmfConfig(d=4, k=2, kappa_ems=10**400)),
     # a concentration lies in the learner's clamp range [KAPPA_MIN, KAPPA_MAX]

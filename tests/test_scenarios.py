@@ -104,6 +104,50 @@ def test_vmf_default_without_drift_keeps_up_with_source_head():
     assert adapted >= unadapted
 
 
+def per_sample_streams(geometry, n_per_step):
+    """Batches and source heads of the D=64, K=10 streams of seeds 0-2 that
+    drift a fixed 0.2 degrees per sample: 0.2 N degrees per step over
+    400 / N steps. MAX_DRIFT_DEG caps the drift per step, so a sphere
+    stream holds this drift per sample up to N = 50. A Euclidean stream
+    takes the same step counts but drifts drift_scale = 0.02 per step,
+    so its drift per sample falls as N grows."""
+    for seed in range(3):
+        batches, trajectory = synth_drift(DriftScenario(
+            geometry=geometry, d=64, k=10, t_steps=400 // n_per_step, n_per_step=n_per_step,
+            drift_deg_per_step=0.2 * n_per_step, seed=seed))
+        yield batches, trajectory[0]
+
+
+PER_SAMPLE_TRACKERS = {"vmf": ("sphere", VmfModel, VmfConfig),
+                       "gauss": ("euclidean", GaussModel, GaussConfig)}
+
+
+def _per_sample_record(tracker, n_per_step, adapted, source):
+    geometry = PER_SAMPLE_TRACKERS[tracker][0]
+    return pytest.param(tracker, n_per_step, id=f"{tracker}-N={n_per_step}",
+                        marks=pytest.mark.xfail(strict=True, reason=(
+                            f"on the per-sample {geometry} streams at N={n_per_step} the "
+                            f"{tracker} defaults fall below the source head over seeds 0-2: "
+                            f"accuracy {adapted} against {source}")))
+
+
+# The paper's small-batch claim at a drift per sample that labels can track.
+@pytest.mark.parametrize("tracker, n_per_step", [
+    _per_sample_record("vmf", 1, "0.5708", "0.8625"),
+    _per_sample_record("vmf", 4, "0.7017", "0.8575"),
+    _per_sample_record("gauss", 1, "0.4942", "0.6650"),
+    _per_sample_record("gauss", 4, "0.9600", "1.0000"),
+])
+def test_default_at_a_fixed_drift_per_sample_keeps_up_with_source_head(tracker, n_per_step):
+    """Pooled over seeds 0-2, since one seed can tie: vMF at N=4 reads
+    0.8725 against 0.8725 on seed 0."""
+    geometry, model, config = PER_SAMPLE_TRACKERS[tracker]
+    runs = [accuracies(model(source, config(d=64, k=10)), batches, source)
+            for batches, source in per_sample_streams(geometry, n_per_step)]
+    adapted, unadapted = np.mean(runs, axis=0)
+    assert adapted >= unadapted
+
+
 def test_gauss_learned_transition_alone_keeps_up_with_source_head():
     """Learned transition noise alone, with r at its default 0.5, keeps up
     with the source head (1.000 against 1.000)."""

@@ -22,8 +22,10 @@ from stad.errors import (
     NonContiguousTimeError,
     StadError,
 )
+from stad.mathcore import KAPPA_MAX
 from stad.stream import (
     MANIFEST_NAME,
+    MAX_SCALE,
     DriftScenario,
     EmbeddingBatch,
     make_label_shift,
@@ -348,10 +350,9 @@ def _shift_without_labels():
     (lambda tmp: _shift_without_labels(), MissingLabelsError),
     (lambda tmp: well_separated_directions(np.random.default_rng(0), 4, 0), DomainError),
     (lambda tmp: well_separated_directions(np.random.default_rng(0), 4.0, 2), DomainError),
+    # both lie beyond MAX_SCALE, so the scenario refuses them before any draw
     (lambda tmp: synth_drift(DriftScenario(geometry="euclidean", d=4, k=3, t_steps=2,
                                            n_per_step=5, sigma_true=1e300)), DomainError),
-    # i * drift_vecs passes the float range at i = 4 (an error under the
-    # suite's RuntimeWarning filter unless the overflow is caught)
     (lambda tmp: synth_drift(DriftScenario(geometry="euclidean", d=4, k=3, t_steps=5,
                                            drift_scale=1e308)), DomainError),
 ], ids=["manifest without steps", "dirichlet alpha not a number", "label shift label >= k",
@@ -401,19 +402,48 @@ E1 = np.array([1.0, 0.0, 0.0])
         "mu of norm 0.85", "mu of norm 1e200"])
 def test_sample_vmf_rejects(mu, kappa, n):
     # with a non-finite kappa the rejection loop would never accept a sample;
-    # past about 1e7 in d=3 Wood's b rounds to 0, and kappa**2 overflows at 1e200;
-    # a mu that is not 1-d is a shape error
+    # a kappa above KAPPA_MAX lies outside the one concentration domain, where
+    # Wood's b would round to 0 (from about 1e7 in d=3) and kappa**2 overflow
+    # (at 1e200); a mu that is not 1-d is a shape error
     with pytest.raises(DomainError if np.ndim(mu) == 1 else DimensionMismatchError):
         sample_vmf(np.random.default_rng(0), mu, kappa, n)
 
 
-@pytest.mark.parametrize("d, kappa", [(3, 1e6), (3, 3e7), (64, 1e9), (2048, 1e9)])
+@pytest.mark.parametrize("d, kappa", [(d, KAPPA_MAX) for d in (2, 3, 64, 2048)])
 def test_sample_vmf_at_large_kappa_stays_near_mu(d, kappa):
+    """At the domain's corner, where Wood's b is smallest (2.5e-7 at d=2)."""
     mu = np.eye(d)[0]
     x = sample_vmf(np.random.default_rng(0), mu, kappa, 200)
     np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-12)
     # E[mu . x] = A_d(kappa), about 1 - (d - 1) / (2 kappa) here
     assert x[:, 0].mean() == pytest.approx(1.0 - (d - 1) / (2.0 * kappa), abs=(d - 1) / kappa)
+
+
+@pytest.mark.parametrize("d", [2, 3, 64, 2048])
+def test_sample_vmf_at_the_smallest_kappa_gives_finite_unit_rows(d):
+    """The domain's other corner; the one at KAPPA_MAX is the test above."""
+    x = sample_vmf(np.random.default_rng(0), np.eye(d)[0], 5e-324, 50)
+    assert np.isfinite(x).all()
+    np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"geometry": "euclidean", "sigma_true": MAX_SCALE, "drift_scale": MAX_SCALE},
+    {"geometry": "euclidean", "sigma_true": MAX_SCALE, "drift_scale": -MAX_SCALE},
+    {"dirichlet_alpha": 5e-324}, {"dirichlet_alpha": MAX_SCALE},
+], ids=["sigma and drift at MAX_SCALE", "sigma at MAX_SCALE, drift at -MAX_SCALE",
+        "alpha 5e-324", "alpha at MAX_SCALE"])
+def test_synth_drift_at_the_domain_corners_gives_finite_float32_rows(kwargs):
+    batches, _ = synth_drift(DriftScenario(d=8, k=3, t_steps=4, n_per_step=10, seed=1, **kwargs))
+    for b in batches:
+        assert b.features.dtype == np.float32 and b.features.shape == (10, 8)
+        assert np.isfinite(b.features).all()
+        assert b.labels.max() < 3
+
+
+def test_write_matrix_writes_an_entry_beyond_float32_as_inf(tmp_path):
+    write_matrix(tmp_path / "m.emb", np.full((2, 3), 1e39))
+    assert np.isposinf(read_matrix(tmp_path / "m.emb")).all()
 
 
 def test_sample_vmf_of_no_samples():
