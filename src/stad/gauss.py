@@ -7,7 +7,9 @@ isotropic prior every filtered and smoothed covariance is c I. The model
 stores one variance c per class, shape (K,), and filtering, smoothing and
 the M-step cost O(K D) per step plus the assignments, at any D. Each kf_*
 function handles all K classes in one call; the mixture enters through
-responsibility-weighted pseudo-observations.
+responsibility-weighted pseudo-observations. Each chain starts one
+random-walk step from the source head: the prior of every prototype is
+its source weight row with variance q.
 
 Each learn flag learns one noise, as in the spherical tracker:
 `learn_transition` the transition noise q and `learn_sigmas` the emission
@@ -61,13 +63,12 @@ class GaussConfig:
     """Knobs for the Gaussian tracker.
 
     sigma_trans_scale and sigma_ems_scale are the initial q and r of
-    Q = q I and R = r I, and init_cov_scale the prior variance of every
-    prototype (sigma_trans_scale if None): finite real numbers, r > 0 and
-    the others >= 0, not both of q and the prior variance 0. The prototypes
-    follow a random walk; learn_transition learns its noise q and
-    learn_sigmas the emission noise r, each a bool (anything else raises
-    DomainError), and each `adapt` re-estimates them once the window holds
-    two steps.
+    Q = q I and R = r I, finite real numbers > 0. The chain starts one
+    transition step from the source head, so q is also the prior variance
+    of every prototype. The prototypes follow a random walk;
+    learn_transition learns its noise q and learn_sigmas the emission
+    noise r, each a bool (anything else raises DomainError), and each
+    `adapt` re-estimates them once the window holds two steps.
     The assignments plug in the posterior means with R alone.
     """
 
@@ -80,23 +81,13 @@ class GaussConfig:
     learn_transition: bool = False
     learn_sigmas: bool = False
     pi_floor: float = 1e-4
-    init_cov_scale: float | None = None  # None: one transition step's worth
 
     def __post_init__(self):
         check_config(self, d_min=1, k_min=1, flags=("learn_transition", "learn_sigmas"))
-        check_real("sigma_trans_scale", self.sigma_trans_scale, 0.0)
+        # q is also the prior variance, and a prior variance of 0 leaves the
+        # smoother gain 0 / 0 on the first steps
+        check_real("sigma_trans_scale", self.sigma_trans_scale, 0.0, above=True)
         check_real("sigma_ems_scale", self.sigma_ems_scale, 0.0, above=True)
-        check_real("init_cov_scale", self.initial_cov_scale, 0.0)
-        if self.initial_cov_scale == 0.0 and self.sigma_trans_scale == 0.0:
-            # P0 = Q = 0 leaves the smoother gain 0 / 0 on the first steps
-            raise DomainError("init_cov_scale and sigma_trans_scale cannot both be 0")
-
-    @property
-    def initial_cov_scale(self) -> float:
-        """The prior covariance scale: init_cov_scale, or sigma_trans_scale if None."""
-        if self.init_cov_scale is None:
-            return self.sigma_trans_scale
-        return self.init_cov_scale
 
 
 @dataclass(frozen=True)
@@ -320,6 +311,12 @@ class GaussModel(SlidingWindow):
     so values set by hand take effect at the next sweep. Source weights
     with a NaN or infinite entry raise DomainError, as the spherical
     tracker's do.
+
+    The prior of every prototype is its source row with variance
+    `config.sigma_trans_scale`, one transition step. For a fixed chain
+    (q = 0), build the model with sigma_trans_scale equal to the prior
+    variance wanted, then set `model.sigma_trans = 0.0` before the first
+    `adapt`.
     """
 
     def __init__(self, source_weights: np.ndarray, config: GaussConfig):
@@ -330,7 +327,7 @@ class GaussModel(SlidingWindow):
         self.sigma_ems = float(config.sigma_ems_scale)
         super().__init__(
             config,
-            GaussBelief(source_weights.copy(), np.full(config.k, config.initial_cov_scale)),
+            GaussBelief(source_weights.copy(), np.full(config.k, config.sigma_trans_scale)),
         )
         self._last_gains: np.ndarray | None = None
 

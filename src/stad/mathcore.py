@@ -49,6 +49,7 @@ from .errors import (MAX_SIZE, DimensionMismatchError, DomainError, EmptyInputEr
                      ZeroVectorError, check_int, check_real)
 
 _FLOAT64 = np.dtype(np.float64)  # what `_float_array` converts to unless told otherwise
+_BOOL = np.dtype(bool)
 # Clamp range for estimated concentrations, and the domain of configured ones
 # (`vmf.VmfConfig`); keeps downstream exponentials finite.
 KAPPA_MIN = 1e-6
@@ -84,12 +85,14 @@ def _float_array(values, what: str, dtype=_FLOAT64, shape=None) -> np.ndarray:
     would cast to 0 and 1, the rule `errors.check_real` keeps for a scalar.
     An ndarray's dtype is read as it is, and one of `dtype` already is
     returned as it is; anything else is first converted as numpy reads it,
-    so a complex array nested in a list, or a bool scalar, shows. `shape`
+    so a complex array nested in a list, or a bool scalar, shows, and a
+    list or tuple is searched for a bool or a bool array at any depth,
+    which numpy would cast beside a float. `shape`
     is a tuple of axis sizes, None for any size; a wrong number of axes or
     a wrong fixed size raises DimensionMismatchError naming `what`."""
     try:
         arr = values if type(values) is np.ndarray else np.asarray(values)
-        given = arr.dtype
+        given = arr.dtype if arr is values or not _nests_bool(values) else _BOOL
         if given is not dtype and given.kind not in "bc":
             arr = np.asarray(arr, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -110,6 +113,19 @@ def _float_array(values, what: str, dtype=_FLOAT64, shape=None) -> np.ndarray:
                 raise DimensionMismatchError(f"{what} must have shape {shape} (None: any size), "
                                              f"got {got}")
     return arr
+
+
+def _nests_bool(values) -> bool:
+    """Whether values is a list or tuple that holds a bool or a bool array
+    at any depth; an array in it is read by its dtype, never entry by
+    entry. A loop, not `any` over a generator, which takes twice as long
+    on the lists of arrays that the Gauss sweep passes on every step."""
+    if isinstance(values, (list, tuple)):
+        for v in values:
+            if (v.dtype.kind == "b" if isinstance(v, np.ndarray)
+                    else isinstance(v, (bool, np.bool_)) or _nests_bool(v)):
+                return True
+    return False
 
 
 def _nonnegative(values, what: str, below: float = math.inf, shape=None) -> tuple[np.ndarray, bool]:

@@ -324,3 +324,38 @@ def vmf_window_elbo(
     grad = ((a / gamma)[..., None] * diff
             + ((a_prime - a / gamma) * np.sum(mu * diff, axis=2))[..., None] * mu)
     return elbo, grad
+
+
+def labelled_vmf_filter(source, batches, labels, kappa_trans, kappa_ems):
+    """An assumed-density vMF filter told the true labels: a bound on what
+    a label-free tracker can reach on a stream.
+
+    Each class's prototype belief is vMF with natural parameter eta,
+    starting at kappa_trans times its source row. Before each batch but
+    the first, every belief goes through the transition by matching A_D:
+    c' = A_D^-1(A_D(c) A_D(kappa_trans)), with A_D^-1 the closed form
+    r (D - r^2) / (1 - r^2) of `mathcore.estimate_kappa`. The batch is
+    then predicted by the nearest mean direction, and only after that is
+    each class's belief updated: eta += kappa_ems times the sum of its
+    samples. Returns the predicted labels of every batch.
+    """
+    k, d = source.shape
+
+    def a_d(kappa):
+        # below 1e-6 the ive quotient would underflow to 0 / 0; a class
+        # unseen that long keeps its direction at a concentration near 0
+        kappa = np.maximum(kappa, 1e-6)
+        return ive(d / 2.0, kappa) / ive(d / 2.0 - 1.0, kappa)
+
+    eta = kappa_trans * np.asarray(source, dtype=float)
+    a_trans = a_d(kappa_trans)
+    preds = []
+    for i, (h, y) in enumerate(zip(batches, labels)):
+        conc = np.linalg.norm(eta, axis=1)
+        if i:
+            r = a_d(conc) * a_trans
+            eta = eta * (r * (d - r * r) / (1.0 - r * r) / conc)[:, None]
+        preds.append(np.argmax(h @ eta.T / np.linalg.norm(eta, axis=1), axis=1))
+        for j in range(k):
+            eta[j] += kappa_ems * h[y == j].sum(axis=0)
+    return preds

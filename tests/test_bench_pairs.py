@@ -87,9 +87,9 @@ def test_a_failed_run_is_named_and_the_other_pairs_are_kept(tmp_path, monkeypatc
     assert ran == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
                    ("parent", 3), ("change", 3)]
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "failed: seed 2 change (exit 1)"
+    assert lines[:2] == ["workload w", "failed: seed 2 change (exit 1)"]
     assert "  seed 2:" not in "\n".join(lines)
-    assert lines[1:5] == ["step_ms_p50 (lower is better)", "  seed 1: 10 -> 9 (-10.0%)",
+    assert lines[2:6] == ["step_ms_p50 (lower is better)", "  seed 1: 10 -> 9 (-10.0%)",
                           "  seed 3: 10 -> 9 (-10.0%)",
                           "  median 10 [10, 10] -> 9 (-10.0%), change better in 2 of 2,"
                           " median moved beyond the parent's quartiles"]
@@ -141,10 +141,11 @@ def test_json_writes_the_comparison(tmp_path, monkeypatch, capsys):
     out = tmp_path / "BENCH.json"
     argv = [str(parent), str(change), "--workload", "w", "--seeds", "1-3", "--json", str(out)]
     assert bench_pairs.main(argv) == 0
-    printed = capsys.readouterr().out.splitlines()
+    printed = capsys.readouterr().out.splitlines()[1:]  # after the workload line
     written = bench_pairs.json.loads(out.read_text())
-    assert written["workload"] == "w" and written["seeds"] == [1, 2, 3]
+    assert list(written["workloads"]) == ["w"] and written["seeds"] == [1, 2, 3]
     assert written["commits"] == {"parent": None, "change": "abc123"}
+    written.update(written.pop("workloads")["w"])
     assert [(r["seed"], r["side"]) for r in written["runs"]] == [
         (1, "parent"), (1, "change"), (2, "parent"), (2, "change"), (3, "parent"), (3, "change")]
     assert all(r["env"] == {"threads": threads, "stad": "src/stad"} and r["correct"]
@@ -163,6 +164,67 @@ def test_json_writes_the_comparison(tmp_path, monkeypatch, capsys):
                            "  median 12 [11.5, 12.5] -> 10 (-16.7%), change better in 3 of 3,"
                            " median moved beyond the parent's quartiles"]
     assert len(written["metrics"]) == len(metrics)
+
+
+def fake_bench(checkouts, ran):
+    """A stand-in for `subprocess.run`: git finds no work tree, and a
+    benchmark run records (checkout, workload, seed) in `ran` and writes a
+    correct report whose every metric reads 10 in the parent, 9 in the
+    change."""
+    names = [m["name"] for m in bench_pairs.json.loads(bench_pairs.BENCHMARK.read_text())
+             ["end_to_end"]]
+
+    def fake_run(cmd, cwd, **kwargs):
+        if cmd[0] == "git":
+            return bench_pairs.subprocess.CompletedProcess(cmd, 128, stdout="")
+        workload, seed = cmd[cmd.index("--workload") + 1], int(cmd[cmd.index("--seed") + 1])
+        ran.append((cwd.name, workload, seed))
+        report = {"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {n: {"value": 10.0 if cwd == checkouts[0] else 9.0}
+                              for n in names}}
+        path = cwd / ".bench_data" / "runs" / f"{workload}-s{seed}-trace0.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(bench_pairs.json.dumps(report))
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0)
+
+    return fake_run
+
+
+def test_two_workloads_run_in_turn_and_are_written_by_name(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    ran = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_bench((parent, change), ran))
+    out = tmp_path / "BENCH.json"
+    argv = [str(parent), str(change), "--workload", "a,b", "--seeds", "1-2", "--json", str(out)]
+    assert bench_pairs.main(argv) == 0
+    # each workload keeps its own alternating pairs, and b runs after a
+    assert ran == [("parent", "a", 1), ("change", "a", 1), ("change", "a", 2),
+                   ("parent", "a", 2), ("parent", "b", 1), ("change", "b", 1),
+                   ("change", "b", 2), ("parent", "b", 2)]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.count("workload a") == lines.count("workload b") == 1
+    assert lines.index("workload a") == 0 < lines.index("workload b")
+    written = bench_pairs.json.loads(out.read_text())
+    assert list(written["workloads"]) == ["a", "b"] and written["seeds"] == [1, 2]
+    for result in written["workloads"].values():
+        assert [(r["seed"], r["side"]) for r in result["runs"]] == [
+            (1, "parent"), (1, "change"), (2, "parent"), (2, "change")]
+        step = result["metrics"][0]
+        assert (step["parent"], step["change"], step["change_better_in"]) == (
+            [10.0, 10.0], [9.0, 9.0], 2)
+
+
+def test_the_workloads_default_to_every_one_of_the_benchmark(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    ran = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_bench((parent, change), ran))
+    assert bench_pairs.main([str(parent), str(change), "--seeds", "5"]) == 0
+    names = [w["name"] for w in bench_pairs.json.loads(bench_pairs.BENCHMARK.read_text())
+             ["workloads"]]
+    assert ran == [(side, name, 5) for name in names for side in ("parent", "change")]
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line.startswith("workload ")] == [
+        f"workload {name}" for name in names]
 
 
 def test_commit_marks_an_uncommitted_tree_dirty(tmp_path):

@@ -198,6 +198,8 @@ CASES = {
     "VmfConfig kappa_ems 2e6": lambda tmp: VmfConfig(d=4, k=2, kappa_ems=2e6),
     "GaussConfig sigma_ems_scale 10**400":
         lambda tmp: GaussModel(np.eye(2, 3), GaussConfig(d=3, k=2, sigma_ems_scale=10**400)),
+    # q is also the prior variance, so it must be > 0
+    "GaussConfig sigma_trans_scale -1": lambda tmp: GaussConfig(d=3, k=2, sigma_trans_scale=-1.0),
     # a flag is a bool, Python's or numpy's, not any value read by its truth
     "VmfConfig learn_kappa_ems a string": lambda tmp: VmfConfig(d=4, k=3, learn_kappa_ems="no"),
     "VmfConfig learn_kappa_ems None": lambda tmp: VmfConfig(d=4, k=3, learn_kappa_ems=None),
@@ -279,6 +281,13 @@ CASES = {
         lambda tmp: sample_vmf(np.random.default_rng(0), np.array([True, False, False]), 5.0, 3),
     "write_stream bool features":
         lambda tmp: write_stream(tmp, [EmbeddingBatch(1, np.ones((2, 2), dtype=bool))], 3),
+    # a bool nested in a list beside a float, which numpy would cast too
+    "bessel_ratio kappa a list holding a bool":
+        lambda tmp: mathcore.bessel_ratio(4, [True, 2.0]),
+    "normalize_rows a nested list holding a bool":
+        lambda tmp: mathcore.normalize_rows([[True, 2.0]]),
+    "normalize_rows a list holding a bool array":
+        lambda tmp: mathcore.normalize_rows([np.array([True, False]), np.array([1.0, 2.0])]),
     # an int beyond the float range is refused, not an OverflowError
     "adapt batch holding 10**400": lambda tmp: vmf_model().adapt(1, [[10**400, 1.0, 0.0]]),
     "write_stream features holding 10**400":

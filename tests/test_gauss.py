@@ -77,7 +77,8 @@ class DenseReference:
         k, d = w0.shape
         self.cfg, self.eye = cfg, np.eye(d)
         self.sigma_trans, self.sigma_ems = cfg.sigma_trans_scale, cfg.sigma_ems_scale
-        self.anchor = (w0.copy(), np.tile(cfg.initial_cov_scale * self.eye, (k, 1, 1)))
+        # the prior is one transition step: variance q
+        self.anchor = (w0.copy(), np.tile(cfg.sigma_trans_scale * self.eye, (k, 1, 1)))
         self.steps = []
         self.gains = None
 
@@ -716,8 +717,6 @@ class TestGaussMStep:
 class TestGaussConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(sigma_trans_scale=0.0),                       # P0 = Q = 0
-        dict(sigma_trans_scale=0.0, init_cov_scale=0.0),
-        dict(init_cov_scale=-1.0),
     ])
     def test_rejects_singular_or_negative_initial_covariance(self, kwargs):
         with pytest.raises(DomainError):
@@ -735,16 +734,19 @@ class TestGaussConfig:
         with pytest.raises(DomainError):
             GaussConfig(**{"d": 3, "k": 2, **kwargs})
 
-    @pytest.mark.parametrize("name", ["sigma_trans_scale", "sigma_ems_scale", "init_cov_scale"])
+    @pytest.mark.parametrize("name", ["sigma_trans_scale", "sigma_ems_scale"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, "x", True])
     def test_rejects_non_finite_scales(self, name, value):
         with pytest.raises(DomainError):
             GaussConfig(d=4, k=2, **{name: value})
 
     def test_accepts_fixed_chain_with_positive_prior(self):
-        cfg = GaussConfig(d=3, k=2, sigma_trans_scale=0.0, init_cov_scale=10.0)
-        assert cfg.initial_cov_scale == 10.0
-        assert GaussConfig(d=3, k=2, init_cov_scale=0.0).initial_cov_scale == 0.0
+        # the prior variance is q; a fixed chain sets q = 0 after construction
+        model = GaussModel(np.eye(2, 3), GaussConfig(d=3, k=2, sigma_trans_scale=10.0))
+        np.testing.assert_array_equal(model._anchor.cov, [10.0, 10.0])
+        model.sigma_trans = 0.0
+        model.adapt(1, np.eye(2, 3))
+        assert model.sigma_trans == 0.0 and np.all(model._steps[-1].belief.cov > 0.0)
 
 
 class TestGaussModel:
@@ -788,13 +790,14 @@ class TestGaussModel:
         rng = np.random.default_rng(10)
         d = 2
         w0 = np.array([[1.0, 0.5]])
-        cfg = GaussConfig(d=d, k=1, init_cov_scale=0.3)
+        cfg = GaussConfig(d=d, k=1, sigma_trans_scale=0.3)  # the prior variance
         model = GaussModel(w0, cfg)
+        model.sigma_trans = 0.01
         feats = normalize_rows(rng.standard_normal((9, d)))
         model.adapt(1, feats)
         eye = np.eye(d)
         want_means, want_covs = oracles.dense_kalman_filter(
-            w0[0], 0.3 * eye, eye, cfg.sigma_trans_scale * eye, cfg.sigma_ems_scale * eye,
+            w0[0], 0.3 * eye, eye, 0.01 * eye, cfg.sigma_ems_scale * eye,
             [(feats.mean(axis=0), 9)])
         np.testing.assert_allclose(model.prototypes[0], want_means[0], atol=1e-12)
         var = model._steps[-1].belief.cov[0]
@@ -815,10 +818,11 @@ class TestGaussModel:
             t_len = int(rng.integers(1, 5))
             w0 = rng.standard_normal((1, d))
             cfg = GaussConfig(
-                d=d, k=1, window=4, sigma_trans_scale=0.05,
-                sigma_ems_scale=0.4, init_cov_scale=0.2,
+                d=d, k=1, window=4, sigma_trans_scale=0.2,  # the prior variance
+                sigma_ems_scale=0.4,
             )
             model = GaussModel(w0, cfg)
+            model.sigma_trans = 0.05
             batches = [normalize_rows(rng.standard_normal((6, d))) for _ in range(t_len)]
             for t, b in enumerate(batches, start=1):
                 model.adapt(t, b)
@@ -838,10 +842,11 @@ class TestGaussModel:
         dirs = normalize_rows(np.array([[1.0, 1.0], [1.0, -1.0]]))
         w0 = normalize_rows(dirs + 0.1 * rng.standard_normal((2, d)))
         cfg = GaussConfig(
-            d=d, k=2, sigma_trans_scale=0.0, init_cov_scale=10.0,
+            d=d, k=2, sigma_trans_scale=10.0,  # the prior variance
             window=5, e_sweeps=4, pi_floor=0.0,
         )
         model = GaussModel(w0, cfg)
+        model.sigma_trans = 0.0  # a fixed chain
         for t in range(1, 6):
             labels = np.repeat([0, 1], 30)
             batch = normalize_rows(dirs[labels] + 0.1 * rng.standard_normal((60, d)))
@@ -858,10 +863,11 @@ class TestGaussModel:
         dirs = normalize_rows(np.array([[1.0, 0.8], [0.9, -1.0]]))
         w0 = normalize_rows(dirs + 0.05 * rng.standard_normal((k, d)))
         cfg = GaussConfig(
-            d=d, k=k, sigma_trans_scale=0.0, init_cov_scale=1.0,
+            d=d, k=k, sigma_trans_scale=1.0,  # the prior variance
             window=3, e_sweeps=1, pi_floor=0.0,
         )
         model = GaussModel(w0, cfg)
+        model.sigma_trans = 0.0  # a fixed chain
         step_feats = []
         for t in range(1, 4):
             labels = np.repeat([0, 1], 15)
@@ -957,8 +963,9 @@ class TestGaussModel:
         w0 = normalize_rows(rng.standard_normal((k, d)))
         w0[3] *= 20.0  # far from every unit-norm sample: zero responsibility
         cfg = GaussConfig(d=d, k=k, window=window, e_sweeps=e_sweeps,
-                          init_cov_scale=0.2 if wide_prior else None)
+                          sigma_trans_scale=0.2 if wide_prior else 0.01)  # the prior variance
         model, dense = GaussModel(w0, cfg), DenseReference(w0, cfg)
+        model.sigma_trans = dense.sigma_trans = 0.01
         for t in range(1, window + 4):
             labels = rng.integers(0, 3, size=12)
             batch = w0[labels] + 0.3 * rng.standard_normal((12, d))
@@ -1083,8 +1090,9 @@ class TestExactPosterior:
         rng = np.random.default_rng(27)
         d, n = 3, 8
         cfg = GaussConfig(d=d, k=k, window=t_len, learn_transition=learned,
-                          sigma_trans_scale=0.05, sigma_ems_scale=0.4, init_cov_scale=0.2)
+                          sigma_trans_scale=0.2, sigma_ems_scale=0.4)  # the prior variance
         model = GaussModel(rng.standard_normal((k, d)), cfg)
+        model.sigma_trans = 0.05
         eye = np.eye(d)
         if learned:
             # what an M-step could leave: other q, r and prior variances

@@ -1,12 +1,15 @@
-"""Compare two checkouts on one benchmark workload, in alternating pairs.
+"""Compare two checkouts on benchmark workloads, in alternating pairs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload NAME --seeds 301-310
-        [--seconds 16] [--json PATH]
+    python3 tools/bench_pairs.py PARENT CHANGE --seeds 301-310
+        [--workload NAME[,NAME...]] [--seconds 16] [--json PATH]
 
-For each seed it runs the untraced benchmark (`bench/run.py --trace 0`)
+`--workload` takes a comma list of workloads, by default every workload
+of `BENCHMARK.json`, and they run one after another. For each workload
+and seed it runs the untraced benchmark (`bench/run.py --trace 0`)
 once in each checkout, the parent first on the first seed and the order
 swapped on every next seed, and reads the report each run writes to
 `.bench_data/runs/<workload>-s<seed>-trace0.json` in its checkout. Then,
+under a `workload NAME` line,
 for every end-to-end metric of `BENCHMARK.json`, it prints the per-seed
 values and change, the parent's median with its quartiles, the change's
 median, and in how many pairs the change was better (ties count for
@@ -15,7 +18,8 @@ code, and so is a run whose report says it was not correct (a failed
 step, or answers that differ between passes); such a run leaves its pair
 out of the comparison, and the next seeds still run. When a finished run
 was not correct, each side's share of failed steps over its finished runs
-follows. `--json PATH` also writes all of this to PATH, with the commit
+follows. `--json PATH` also writes all of this to PATH, one comparison
+per workload under `workloads`, keyed by its name, with the commit
 of each checkout (marked `+dirty` when a tracked file differs from it)
 and each run's environment (its BLAS thread pins among it). `--seeds`
 takes a range `A-B` or a comma list. Standard library only.
@@ -150,26 +154,31 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", type=lambda text: text.split(","),
+                        help="a comma list of workloads (default: every one in BENCHMARK.json)")
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--seconds", type=float, default=16.0)
     parser.add_argument("--json", type=Path, help="also write the comparison to this file")
     args = parser.parse_args(argv)
-    pairs = []
-    for index, seed in enumerate(args.seeds):
-        reports = [{}, {}]
-        for side in ((0, 1) if index % 2 == 0 else (1, 0)):
-            checkout = (args.parent, args.change)[side]
-            reports[side] = run(checkout, args.workload, seed, args.seconds)
-        pairs.append((seed, *reports))
-        print(f"# seed {seed} done", file=sys.stderr)
-    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
-    print("\n".join(summarize(pairs, metrics)))
+    benchmark = json.loads(BENCHMARK.read_text())
+    metrics = benchmark["end_to_end"]
+    compared = {}
+    for workload in args.workload or [w["name"] for w in benchmark["workloads"]]:
+        pairs = []
+        for index, seed in enumerate(args.seeds):
+            reports = [{}, {}]
+            for side in ((0, 1) if index % 2 == 0 else (1, 0)):
+                checkout = (args.parent, args.change)[side]
+                reports[side] = run(checkout, workload, seed, args.seconds)
+            pairs.append((seed, *reports))
+            print(f"# {workload} seed {seed} done", file=sys.stderr)
+        print("\n".join([f"workload {workload}", *summarize(pairs, metrics)]))
+        compared[workload] = compare(pairs, metrics)
     if args.json is not None:
-        result = {"workload": args.workload, "seconds": args.seconds, "seeds": args.seeds,
+        result = {"seconds": args.seconds, "seeds": args.seeds,
                   "commits": {side: commit(path) for side, path in
                               zip(SIDES, (args.parent, args.change))},
-                  **compare(pairs, metrics)}
+                  "workloads": compared}
         args.json.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
