@@ -58,7 +58,7 @@ _EMPTY_CLUSTER_EPS = 1e-8
 _NOISE_FLOOR = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussConfig:
     """Knobs for the Gaussian tracker.
 
@@ -69,7 +69,9 @@ class GaussConfig:
     learn_transition learns its noise q and learn_sigmas the emission
     noise r, each a bool (anything else raises DomainError), and each
     `adapt` re-estimates them once the window holds two steps.
-    The assignments plug in the posterior means with R alone.
+    The assignments plug in the posterior means with R alone. The config
+    is frozen, so the fields checked once stay valid; the model's learned
+    q and r are its own `sigma_trans` and `sigma_ems`.
     """
 
     d: int

@@ -126,7 +126,7 @@ class StreamManifest:
     metadata: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DriftScenario:
     """Description of a synthetic gradually drifting stream.
 
@@ -141,6 +141,11 @@ class DriftScenario:
     dirichlet_alpha is None; otherwise each step draws its class
     proportions from a symmetric Dirichlet of that alpha, a real number
     (bools excluded) in (0, MAX_SCALE]. Anything else raises DomainError.
+    The scenario is frozen, so the fields checked once stay valid.
+
+    Each geometry reads its own two fields and ignores the other two: the
+    sphere reads kappa_true and drift_deg_per_step, the Euclidean geometry
+    sigma_true and drift_scale, so it does not drift by drift_deg_per_step.
     """
 
     geometry: str = "sphere"  # sphere | euclidean

@@ -85,7 +85,7 @@ def _row_blocks(k: int, d: int) -> list[slice]:
     return [slice(lo, lo + rows) for lo in range(0, k, rows)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class VmfConfig:
     """Knobs for the spherical tracker.
 
@@ -99,7 +99,8 @@ class VmfConfig:
     uniform predictions. kappa_trans weights every link of the transition
     chain, the link from the source head into the first window step
     included. Only kappa_ems is learned, with learn_kappa_ems, a bool
-    (anything else raises DomainError); kappa_trans stays as set.
+    (anything else raises DomainError); kappa_trans stays as set. The
+    config is frozen, so the fields checked once stay valid.
     """
 
     d: int
@@ -292,11 +293,10 @@ class VmfModel(SlidingWindow):
     """Sliding-window spherical tracker with an adapted softmax head.
 
     Single-writer: adapt/predict must be externally serialized per
-    instance. With static=True, the window engine's one `static` flag,
-    the transition chain is dropped: the window holds one step whose
-    anchor never advances from the source prior, so every arrival is fit
-    as a fresh mixture anchored only at the source prototypes, through
-    the one link from the source head, of concentration kappa_trans.
+    instance. The no-dynamics fit, each batch fit as a fresh mixture
+    anchored only at the source prototypes through the one link from the
+    source head, is a fresh `VmfModel(source_weights, VmfConfig(d, k,
+    window=1))` adapted on each batch.
 
     Beliefs are values (see `PrototypeBelief`): each update copies the
     left mean direction into a fresh (K, D) array, adds the emission with
@@ -307,9 +307,8 @@ class VmfModel(SlidingWindow):
     replaces, and an anchor keeps its values for good. The source prior's
     mean direction is `source_prototypes` itself, made read-only. After
     each `adapt`, a full window thus holds window + 2 (K, D) arrays: one
-    per step, the anchor's and `source_prototypes`; with static=True,
-    whose anchor is the prior, 2. `prototypes` returns a copy, so that
-    writing into it changes no belief.
+    per step, the anchor's and `source_prototypes`. `prototypes` returns
+    a copy, so that writing into it changes no belief.
 
     Each step keeps its (N, K) products with its mean directions as
     `step.products` (formed by `_products`) until its belief is replaced:
@@ -331,19 +330,15 @@ class VmfModel(SlidingWindow):
     itself, and keeps nothing.
     """
 
-    def __init__(self, source_weights: np.ndarray, config: VmfConfig, static: bool = False):
+    def __init__(self, source_weights: np.ndarray, config: VmfConfig):
         self.source_prototypes = normalize_rows(
             _float_array(source_weights, "source weights", shape=(config.k, config.d)))
         self.source_prototypes.flags.writeable = False
 
-        k = config.k
         self._kappa_trans = float(config.kappa_trans)
         self._kappa_ems = float(config.kappa_ems)
-        super().__init__(
-            config,
-            PrototypeBelief.from_params(self.source_prototypes, np.full(k, self._kappa_trans)),
-            static=static,
-        )
+        super().__init__(config, PrototypeBelief.from_params(
+            self.source_prototypes, np.full(config.k, self._kappa_trans)))
         self.degenerate_updates = 0
 
     # -- public views ----------------------------------------------------

@@ -208,13 +208,10 @@ class SlidingWindow:
     """Window state, batch checks, views and the adapt loop of both trackers.
 
     `config` needs `d`, `k`, `window` and `e_sweeps`. The window holds at
-    most `config.window` steps. With `static`, a bool (anything else
-    raises DomainError), it holds one step whose anchor stays the initial
-    one, which turns the window into a fresh fit per batch. The initial
-    anchor is kept as `_prior`. Beliefs are values (module docstring), so
-    a step's belief may be the anchor's or another step's until a sweep
-    replaces it; after each `adapt` every step has a belief of its own,
-    none of them `_prior`.
+    most `config.window` steps. The initial anchor is kept as `_prior`.
+    Beliefs are values (module docstring), so a step's belief may be the
+    anchor's or another step's until a sweep replaces it; after each
+    `adapt` every step has a belief of its own, none of them `_prior`.
 
     `adapt` is `_push`, then `e_sweeps` calls of `_sweep()`, then
     `_reestimate()`, and `predict` takes its batch's unit rows to
@@ -230,12 +227,9 @@ class SlidingWindow:
     compared, so a batch written into after `adapt` takes the full path.
     """
 
-    def __init__(self, config, anchor, static: bool = False):
-        check_flag("static", static)
+    def __init__(self, config, anchor):
         self.config = config
         self._prior = self._anchor = anchor
-        self._window = 1 if static else config.window
-        self._static = static
         self._steps: list[WindowStep] = []
         self._given: np.ndarray | None = None
 
@@ -302,24 +296,21 @@ class SlidingWindow:
         """Append the batch at time t as the newest step, evicting the oldest
         step first when the window is full.
 
-        The evicted step's belief becomes the anchor, except with `static`,
-        where the anchor stays the initial one. The new step then starts
-        from the newest kept belief itself, or from the anchor when no step
-        is kept, with no copy, since no code writes into a belief; its first
-        sweep replaces it. It starts with uniform mixing and neither
-        responsibilities nor products, which that sweep forms. A push
-        replaces no kept step's belief, so those steps keep their products.
-        A copy of the batch as given replaces `_given`, so the model holds
-        one such copy in all.
+        The evicted step's belief becomes the anchor. The new step then
+        starts from the newest kept belief itself, or from the anchor when
+        no step is kept, with no copy, since no code writes into a belief;
+        its first sweep replaces it. It starts with uniform mixing and
+        neither responsibilities nor products, which that sweep forms. A
+        push replaces no kept step's belief, so those steps keep their
+        products. A copy of the batch as given replaces `_given`, so the
+        model holds one such copy in all.
         """
         check_int("t", t, 0)
         unit = self._unit_batch(feats)
         if self._steps and t != self._steps[-1].t + 1:
             raise NonContiguousTimeError(f"expected t={self._steps[-1].t + 1}, got {t}")
-        if len(self._steps) == self._window:
-            evicted = self._steps.pop(0).belief
-            if not self._static:
-                self._anchor = evicted
+        if len(self._steps) == self.config.window:
+            self._anchor = self._steps.pop(0).belief
         start = self._steps[-1].belief if self._steps else self._anchor
         k = self.config.k
         self._steps.append(

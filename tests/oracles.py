@@ -191,8 +191,8 @@ def map_pooled_gaussian_mixture_em(
     step. The M step for the means is the posterior mean given all
     responsibility-weighted data. `schedule` lists, per EM iteration,
     which step indices are visible (so an incremental-arrival history can
-    be replayed exactly). This is the static analogue of a
-    zero-transition-noise chain over a pooled window.
+    be replayed exactly). Its means do not move in time, as in a chain
+    of zero transition noise over a pooled window.
     """
     k, d = init_means.shape
     means = init_means.copy()

@@ -5,6 +5,7 @@ never run with a value it silently coerced; every exported name that takes
 an array has a row here; and the one size domain, `MAX_SIZE`, covers every
 benchmark workload with room to spare."""
 
+import dataclasses
 import inspect
 import os
 import runpy
@@ -205,9 +206,6 @@ CASES = {
     "VmfConfig learn_kappa_ems None": lambda tmp: VmfConfig(d=4, k=3, learn_kappa_ems=None),
     "GaussConfig learn_transition 1": lambda tmp: GaussConfig(d=3, k=2, learn_transition=1),
     "GaussConfig learn_sigmas a string": lambda tmp: GaussConfig(d=3, k=2, learn_sigmas="yes"),
-    "VmfModel static a string":
-        lambda tmp: VmfModel(np.eye(2, 3), VmfConfig(d=3, k=2), static="no"),
-    "VmfModel static 0.0": lambda tmp: VmfModel(np.eye(2, 3), VmfConfig(d=3, k=2), static=0.0),
     # vmf: a concentration is a real number >= 0, one or one per class
     "assignment_step kappa a string": lambda tmp: vmf.assignment_step(DOTS, np.full(2, 0.5), "x"),
     "assignment_step kappa -5.0": lambda tmp: vmf.assignment_step(DOTS, np.full(2, 0.5), -5.0),
@@ -483,8 +481,22 @@ def test_normalize_rows_names_the_first_bad_row():
 def test_flags_take_python_and_numpy_bools():
     assert VmfConfig(d=4, k=3, learn_kappa_ems=np.True_).learn_kappa_ems
     assert not GaussConfig(d=3, k=2, learn_transition=np.False_).learn_transition
-    model = VmfModel(np.eye(2, 3), VmfConfig(d=3, k=2), static=np.True_)
-    assert model.adapt(1, BATCH).adapt(2, BATCH).window_times == [2]
+
+
+# each field is checked once, when the config is built, so none may be
+# assigned after: these values would learn kappa_ems, fail in mixing_update
+# and drift past MAX_DRIFT_DEG
+@pytest.mark.parametrize("make, field, value", [
+    (lambda: vmf_model().config, "learn_kappa_ems", "no"),
+    (lambda: gauss_model().config, "e_sweeps", 0),
+    (lambda: DriftScenario(d=3, k=2), "drift_deg_per_step", 90.0),
+], ids=["VmfConfig", "GaussConfig", "DriftScenario"])
+def test_a_checked_config_cannot_be_assigned(make, field, value):
+    config = make()
+    before = getattr(config, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, value)
+    assert getattr(config, field) == before
 
 
 def test_seeds_and_times_take_any_integer():

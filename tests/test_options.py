@@ -30,7 +30,7 @@ def test_config_fields(config):
 
 
 PARAMETERS = {
-    VmfModel: ["source_weights", "config", "static"],
+    VmfModel: ["source_weights", "config"],
     GaussModel: ["source_weights", "config"],
 }
 

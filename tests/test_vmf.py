@@ -416,24 +416,23 @@ def assert_matches_reference(model, reference, batches, probe):
 
 # The ids are written out so that removing a case renames no other one.
 SWEEP_CONFIGS = [
-    pytest.param(dict(), False, id="kwargs0-False"),
-    pytest.param(dict(learn_kappa_ems=True), False, id="kwargs1-False"),
+    pytest.param(dict(), id="kwargs0-False"),
+    pytest.param(dict(learn_kappa_ems=True), id="kwargs1-False"),
     pytest.param(dict(kappa_trans=50.0, kappa_ems=30.0, learn_kappa_ems=True),
-                 False, id="distinct-kappas-False"),
-    pytest.param(dict(), True, id="kwargs4-True"),
-    pytest.param(dict(window=1, e_sweeps=3), False, id="kwargs5-False"),
-    pytest.param(dict(window=5, e_sweeps=3), False, id="kwargs6-False"),
+                 id="distinct-kappas-False"),
+    pytest.param(dict(window=1, e_sweeps=3), id="kwargs5-False"),
+    pytest.param(dict(window=5, e_sweeps=3), id="kwargs6-False"),
 ]
 
 
-def sweep_case(kwargs, static):
+def sweep_case(kwargs):
     """Source weights, config, batches and probe of one SWEEP_CONFIGS case (D=16, K=4)."""
     rng = np.random.default_rng(21)
     d, k = 16, 4
     dirs = normalize_rows(rng.standard_normal((k, d)))
     w0 = dirs + 0.2 * rng.standard_normal((k, d))
     cfg = VmfConfig(d=d, k=k, **kwargs)
-    steps = (1 if static else cfg.window) + 4   # four steps are evicted into the anchor
+    steps = cfg.window + 4   # four steps are evicted into the anchor
     batches = [cluster_batch(rng, dirs, rng.integers(0, k, size=30), noise=0.4)
                for _ in range(steps)]
     probe = normalize_rows(rng.standard_normal((9, d)))
@@ -457,13 +456,13 @@ def cancelling_case():
 
 
 class TestSweepMatchesReference:
-    @pytest.mark.parametrize("kwargs,static", SWEEP_CONFIGS)
-    def test_model_matches_reference(self, kwargs, static):
-        w0, cfg, batches, probe = sweep_case(kwargs, static)
-        model = VmfModel(w0, cfg, static=static)
-        reference = ReferenceSweepModel(w0, cfg, static=static)
+    @pytest.mark.parametrize("kwargs", SWEEP_CONFIGS)
+    def test_model_matches_reference(self, kwargs):
+        w0, cfg, batches, probe = sweep_case(kwargs)
+        model = VmfModel(w0, cfg)
+        reference = ReferenceSweepModel(w0, cfg)
         assert_matches_reference(model, reference, batches, probe)
-        assert model._anchor is not model._prior or static
+        assert model._anchor is not model._prior
 
     def test_cancelled_rows_match_reference(self):
         # the first batch cancels in both classes (see TestPrototypeUpdate);
@@ -502,11 +501,11 @@ class TestProductCache:
                 np.testing.assert_array_equal(s.products, s.feats @ s.belief.mean_dir.T)
 
     @pytest.mark.parametrize("reference", [False, True], ids=["model", "reference"])
-    @pytest.mark.parametrize("kwargs,static", SWEEP_CONFIGS)
-    def test_cached_products_are_fresh_or_absent(self, kwargs, static, reference):
+    @pytest.mark.parametrize("kwargs", SWEEP_CONFIGS)
+    def test_cached_products_are_fresh_or_absent(self, kwargs, reference):
         # the reference sweep assigns step.belief and drops the products
-        w0, cfg, batches, probe = sweep_case(kwargs, static)
-        model = (ReferenceSweepModel if reference else VmfModel)(w0, cfg, static=static)
+        w0, cfg, batches, probe = sweep_case(kwargs)
+        model = (ReferenceSweepModel if reference else VmfModel)(w0, cfg)
         for t, batch in enumerate(batches, start=1):
             model.adapt(t, batch)
             self.assert_cache_fresh(model)
@@ -619,9 +618,9 @@ class TestFramedUpdate:
             assert is_view and in_place and beta == 1.0
 
 
-def run_record(w0, cfg, static, batches, probe):
+def run_record(w0, cfg, batches, probe):
     """Every window step's state and the probe prediction after each adapt."""
-    model = VmfModel(w0, cfg, static=static)
+    model = VmfModel(w0, cfg)
     record = []
     for t, batch in enumerate(batches, start=1):
         model.adapt(t, batch)
@@ -641,26 +640,26 @@ class TestBlockBoundaries:
     """
 
     @staticmethod
-    def assert_block_sizes_agree(monkeypatch, w0, cfg, static, batches, probe):
-        expected = run_record(w0, cfg, static, batches, probe)
+    def assert_block_sizes_agree(monkeypatch, w0, cfg, batches, probe):
+        expected = run_record(w0, cfg, batches, probe)
         for rows in (1, 2, cfg.k - 1, cfg.k, cfg.k + 3):
             monkeypatch.setattr(vmf, "_BLOCK_BYTES", rows * 8 * cfg.d)
             assert len(vmf._row_blocks(cfg.k, cfg.d)) == -(-cfg.k // rows)
-            got = run_record(w0, cfg, static, batches, probe)
+            got = run_record(w0, cfg, batches, probe)
             assert len(got) == len(expected)
             for a, b in zip(got, expected):
                 np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("kwargs,static", SWEEP_CONFIGS)
-    def test_blocks_match_one_block(self, monkeypatch, kwargs, static):
-        w0, cfg, batches, probe = sweep_case(kwargs, static)
-        self.assert_block_sizes_agree(monkeypatch, w0, cfg, static, batches, probe)
+    @pytest.mark.parametrize("kwargs", SWEEP_CONFIGS)
+    def test_blocks_match_one_block(self, monkeypatch, kwargs):
+        w0, cfg, batches, probe = sweep_case(kwargs)
+        self.assert_block_sizes_agree(monkeypatch, w0, cfg, batches, probe)
 
     def test_cancelled_row_on_a_block_boundary(self, monkeypatch):
         w0, cfg, batches, probe = cancelling_case()
         model = VmfModel(w0, cfg).adapt(1, batches[0])
         assert model.degenerate_updates == cfg.k * cfg.e_sweeps
-        self.assert_block_sizes_agree(monkeypatch, w0, cfg, False, batches, probe)
+        self.assert_block_sizes_agree(monkeypatch, w0, cfg, batches, probe)
 
     def test_update_cancelled_row_opens_a_block(self, monkeypatch):
         # with 2-row blocks the cancelled row 2 opens the second block; the
@@ -689,15 +688,18 @@ def assert_same_belief(belief, saved):
     np.testing.assert_array_equal(belief.ratio, saved.ratio)
 
 
+# the window-2 case keeps its earlier id, so that no test is renamed
+HELD_WINDOWS = [pytest.param(2, id="False"), pytest.param(1, id="window-1")]
+
+
 class TestHeldArrays:
-    @pytest.mark.parametrize("static", [False, True])
-    def test_views_and_frozen_beliefs_never_change(self, static):
+    @pytest.mark.parametrize("window", HELD_WINDOWS)
+    def test_views_and_frozen_beliefs_never_change(self, window):
         # every anchor, the prior and each evicted step's belief, keeps the
         # values it had when it became the anchor to the end of the run
         rng = np.random.default_rng(23)
         d, k = 12, 3
-        model = VmfModel(rng.standard_normal((k, d)), VmfConfig(d=d, k=k, window=2),
-                         static=static)
+        model = VmfModel(rng.standard_normal((k, d)), VmfConfig(d=d, k=k, window=window))
         source = model.source_prototypes.copy()
         prior = model._prior
         anchors = [(prior, copy.deepcopy(prior))]
@@ -717,15 +719,15 @@ class TestHeldArrays:
             assert_same_belief(anchor, saved)
         np.testing.assert_array_equal(model.source_prototypes, source)
         assert model._prior is prior
-        assert len(anchors) == (1 if static else 10)
+        assert len(anchors) == 12 - window   # the prior, then one per eviction
 
-    @pytest.mark.parametrize("static", [False, True])
-    def test_writing_into_views_changes_nothing(self, static):
+    @pytest.mark.parametrize("window", HELD_WINDOWS)
+    def test_writing_into_views_changes_nothing(self, window):
         # two twin models; the held views of one are written into
         rng = np.random.default_rng(41)
         d, k = 5, 3
         w0, batches = rng.standard_normal((k, d)), rng.standard_normal((3, 12, d))
-        written, twin = (VmfModel(w0, VmfConfig(d=d, k=k, window=2), static=static)
+        written, twin = (VmfModel(w0, VmfConfig(d=d, k=k, window=window))
                          for _ in range(2))
         for t in (1, 2):
             written.adapt(t, batches[t - 1])
@@ -761,13 +763,12 @@ def held_arrays(model):
 
 class TestStorageReuse:
     @staticmethod
-    def run(static, window, steps):
+    def run(window, steps):
         """The model after each of `steps` adapts (D=6, K=3, batches of 10) and
         the (K, D) arrays it held then; asserts they never share memory."""
         rng = np.random.default_rng(25)
         d, k = 6, 3
-        model = VmfModel(rng.standard_normal((k, d)), VmfConfig(d=d, k=k, window=window),
-                         static=static)
+        model = VmfModel(rng.standard_normal((k, d)), VmfConfig(d=d, k=k, window=window))
         prior = model._prior
         prior_saved = copy.deepcopy(prior)
         held = []
@@ -781,18 +782,15 @@ class TestStorageReuse:
             assert_same_belief(prior, prior_saved)
         return model, held
 
-    @pytest.mark.parametrize("window", [1, 2, 3, 4])
-    @pytest.mark.parametrize("static", [False, True])
-    def test_full_window_holds_window_plus_two_arrays(self, static, window):
+    # the ids are written out so that no test is renamed
+    @pytest.mark.parametrize("window", [pytest.param(w, id=f"False-{w}") for w in (1, 2, 3, 4)])
+    def test_full_window_holds_window_plus_two_arrays(self, window):
         # one mean direction per step, the anchor's and source_prototypes,
-        # which the prior shares read-only; with static=True the window is
-        # one step and the anchor is the prior
-        model, held = self.run(static, window, window + 4)
+        # which the prior shares read-only
+        model, held = self.run(window, window + 4)
         assert model._prior.mean_dir is model.source_prototypes
         assert not model.source_prototypes.flags.writeable
-        full = 2 if static else window + 2
-        settled = 1 if static else window + 1
-        assert [len(live) for live in held[settled - 1:]] == [full] * (len(held) - settled + 1)
+        assert [len(live) for live in held[window:]] == [window + 2] * (len(held) - window)
 
 
 def reference_kappa_ems(beliefs, resps, feats, d):
@@ -833,10 +831,10 @@ class TestCachedRatio:
     and the users that scale by it agree with the expected prototypes."""
 
     @settings(max_examples=40, deadline=None)
-    @given(window=st.integers(1, 4), e_sweeps=st.integers(1, 3), static=st.booleans(),
+    @given(window=st.integers(1, 4), e_sweeps=st.integers(1, 3),
            kappa_trans=st.sampled_from([30.0, 50.0, 100.0]), cancel=st.booleans(),
            learn=st.booleans(), seed=st.integers(0, 2**16))
-    def test_ratio_matches_conc_after_every_adapt(self, window, e_sweeps, static, kappa_trans,
+    def test_ratio_matches_conc_after_every_adapt(self, window, e_sweeps, kappa_trans,
                                                    cancel, learn, seed):
         rng = np.random.default_rng(seed)
         d, k = 3, 3
@@ -845,7 +843,7 @@ class TestCachedRatio:
         # with cancel every class starts at e1 and the first batch holds k
         # samples at -e1: every row cancels when kappa_trans = kappa_ems
         w0 = np.tile(np.eye(d)[0], (k, 1)) if cancel else rng.standard_normal((k, d))
-        model = VmfModel(w0, cfg, static=static)
+        model = VmfModel(w0, cfg)
         for t in range(1, window + 4):
             if cancel and t == 1:
                 batch = -w0
@@ -1062,13 +1060,15 @@ class TestAdapt:
 
 
 class TestStaticVariant:
+    """The no-dynamics fit: a fresh window-1 model adapted on each batch."""
+
     def test_first_step_matches_zero_transition(self):
         # at the first step neither model has a link past the one from the
         # source head, so at one kappa_trans they agree
         rng = np.random.default_rng(12)
         w0 = rng.standard_normal((3, 5))
         batch = rng.standard_normal((15, 5))
-        static = VmfModel(w0, VmfConfig(d=5, k=3), static=True).adapt(1, batch)
+        static = VmfModel(w0, VmfConfig(d=5, k=3, window=1)).adapt(1, batch)
         dynamic = VmfModel(w0, VmfConfig(d=5, k=3)).adapt(1, batch)
         np.testing.assert_allclose(
             static.prototypes, dynamic.prototypes, atol=1e-12
@@ -1085,12 +1085,11 @@ class TestStaticVariant:
         dirs[1, 1] = 1.0
         w0 = normalize_rows(dirs + 0.05 * rng.standard_normal((2, d)))
         kwargs = dict(d=d, k=2, kappa_trans=1e-6, e_sweeps=8)
-        static = VmfModel(w0, VmfConfig(**kwargs), static=True)
         dynamic = VmfModel(w0, VmfConfig(window=1, **kwargs))
         for t in range(1, 9):
             labels = np.repeat([0, 1], 40)
             batch = cluster_batch(rng, dirs, labels, noise=0.1)
-            static.adapt(t, batch)
+            static = VmfModel(w0, VmfConfig(window=1, **kwargs)).adapt(t, batch)
             dynamic.adapt(t, batch)
         for c in (0, 1):
             assert angular_deg(static.prototypes[c], dynamic.prototypes[c]) < 1e-4

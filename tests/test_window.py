@@ -26,7 +26,7 @@ from stad.window import SlidingWindow, check_batches, softmax_rows
 D = 3
 MODELS = {
     "vmf": lambda: VmfModel(np.eye(2, D), VmfConfig(d=D, k=2)),
-    "vmf-static": lambda: VmfModel(np.eye(2, D), VmfConfig(d=D, k=2), static=True),
+    "vmf-window-1": lambda: VmfModel(np.eye(2, D), VmfConfig(d=D, k=2, window=1)),
     "vmf-learned": lambda: VmfModel(np.eye(2, D), VmfConfig(d=D, k=2, learn_kappa_ems=True)),
     "gauss": lambda: GaussModel(np.eye(2, D), GaussConfig(d=D, k=2)),
     "gauss-learned": lambda: GaussModel(np.eye(2, D), GaussConfig(d=D, k=2, learn_transition=True,
@@ -228,14 +228,6 @@ def test_beliefs_are_values_that_steps_share(name, monkeypatch):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(belief, field.name, getattr(belief, field.name))
     assert pushed == [True] * (model.config.window + 2)
-
-
-def test_static_anchor_never_advances():
-    model = MODELS["vmf-static"]()
-    for t in range(1, 4):
-        model.adapt(t, BATCH)
-        assert model.window_times == [t]
-        assert model._anchor is model._prior
 
 
 def random_logits(shape, seed):
