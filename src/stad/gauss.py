@@ -41,7 +41,8 @@ from .errors import DomainError, check_real
 # log_sum_exp and normalize_rows are unused here; they stay importable
 # because bench/tracing.py rebinds them
 from .mathcore import _float_array, log_sum_exp, normalize_rows  # noqa: F401
-from .window import SlidingWindow, check_batches, check_config, mixing_update, softmax_rows
+from .window import (MixingFloor, SlidingWindow, check_batches, check_config, mixing_update,
+                     softmax_rows)
 
 __all__ = [
     "GaussConfig",
@@ -59,7 +60,7 @@ _NOISE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
-class GaussConfig:
+class GaussConfig(MixingFloor):
     """Knobs for the Gaussian tracker.
 
     sigma_trans_scale and sigma_ems_scale are the initial q and r of
@@ -71,7 +72,8 @@ class GaussConfig:
     `adapt` re-estimates them once the window holds two steps.
     The assignments plug in the posterior means with R alone. The config
     is frozen, so the fields checked once stay valid; the model's learned
-    q and r are its own `sigma_trans` and `sigma_ems`.
+    q and r are its own `sigma_trans` and `sigma_ems`. The mixing floor is
+    no field: `pi_floor` reads `window.mixing_floor(k)`.
     """
 
     d: int
@@ -82,7 +84,6 @@ class GaussConfig:
     e_sweeps: int = 2
     learn_transition: bool = False
     learn_sigmas: bool = False
-    pi_floor: float = 1e-4
 
     def __post_init__(self):
         check_config(self, d_min=1, k_min=1, flags=("learn_transition", "learn_sigmas"))
@@ -348,7 +349,7 @@ class GaussModel(SlidingWindow):
         the window holds enough steps to learn from."""
         cfg = self.config
         for s in self._steps:
-            s.mixing = mixing_update(s.resp, cfg.pi_floor)
+            s.mixing = mixing_update(s.resp)
         new_q, new_r = gauss_m_step(
             [s.belief for s in self._steps],
             self._last_gains,

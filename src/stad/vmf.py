@@ -59,7 +59,8 @@ from .mathcore import (  # noqa: F401
     log_vmf_norm_const,
     normalize_rows,
 )
-from .window import SlidingWindow, check_batches, check_config, mixing_update, softmax_rows
+from .window import (MixingFloor, SlidingWindow, check_batches, check_config, mixing_update,
+                     softmax_rows)
 
 __all__ = [
     "VmfConfig",
@@ -86,7 +87,7 @@ def _row_blocks(k: int, d: int) -> list[slice]:
 
 
 @dataclass(frozen=True)
-class VmfConfig:
+class VmfConfig(MixingFloor):
     """Knobs for the spherical tracker.
 
     The tracker needs k >= 2 classes and d >= 2 dimensions. kappa_trans
@@ -100,7 +101,8 @@ class VmfConfig:
     chain, the link from the source head into the first window step
     included. Only kappa_ems is learned, with learn_kappa_ems, a bool
     (anything else raises DomainError); kappa_trans stays as set. The
-    config is frozen, so the fields checked once stay valid.
+    config is frozen, so the fields checked once stay valid. The mixing
+    floor is no field: `pi_floor` reads `window.mixing_floor(k)`.
     """
 
     d: int
@@ -110,7 +112,6 @@ class VmfConfig:
     window: int = 3
     e_sweeps: int = 2
     learn_kappa_ems: bool = False
-    pi_floor: float = 1e-4
 
     def __post_init__(self):
         check_config(self, d_min=2, k_min=2, flags=("learn_kappa_ems",))
@@ -366,7 +367,7 @@ class VmfModel(SlidingWindow):
         """Mixing weights of every window step, then the learned emission concentration."""
         cfg = self.config
         for s in self._steps:
-            s.mixing = mixing_update(s.resp, cfg.pi_floor)
+            s.mixing = mixing_update(s.resp)
         if cfg.learn_kappa_ems:
             self._kappa_ems = kappa_update(
                 [s.belief for s in self._steps],

@@ -36,16 +36,19 @@ the logits just before and check the arrays they form them from, so it
 checks only the N row maxima it needs for the shift; a row with a NaN or
 +inf entry, or all -inf, raises there.
 
+The mixing floor is one rule of K, `mixing_floor`, with no setting:
+`mixing_update` floors the weights by it, and both configs inherit it from
+`MixingFloor` as their read-only `pi_floor`.
+
 The checks both trackers share live here too: of a config
-(`check_config`, whose pi_floor rule `mixing_update` applies as well, and
-which passes the config's learn flags through `errors.check_flag`) and
-of a window's batches (`check_batches`). The scalar checkers they build
-on, `check_int`, `check_real` and `check_flag`, live in `errors`, the one
-rule every module uses; every outside array, the source weights of both
-constructors included, is converted and its shape checked by
-`mathcore._float_array`, so a wrong shape raises DimensionMismatchError
-wherever it is found. An empty batch, window or set of responsibilities
-raises EmptyInputError wherever it is found.
+(`check_config`, which passes the config's learn flags through
+`errors.check_flag`) and of a window's batches (`check_batches`). The
+scalar checkers, `check_int`, `check_real` and `check_flag`, live in
+`errors`, the one rule every module uses; every outside array, the
+source weights of both constructors included, is converted and its shape
+checked by `mathcore._float_array`, so a wrong shape raises
+DimensionMismatchError wherever it is found. An empty batch, window or
+set of responsibilities raises EmptyInputError wherever it is found.
 """
 
 from __future__ import annotations
@@ -63,12 +66,11 @@ from .errors import (
     NotAdaptedError,
     check_flag,
     check_int,
-    check_real,
 )
 from .mathcore import _float_array, normalize_rows
 
-__all__ = ["WindowStep", "SlidingWindow", "mixing_update", "softmax_rows", "check_config",
-           "check_batches"]
+__all__ = ["WindowStep", "SlidingWindow", "MixingFloor", "mixing_floor", "mixing_update",
+           "softmax_rows", "check_config", "check_batches"]
 
 
 @dataclass
@@ -92,23 +94,31 @@ class WindowStep:
     products: np.ndarray | None = None
 
 
+def mixing_floor(k: int) -> float:
+    """The least mixing weight of K classes: 1e-4, or 1/(10K) where that is
+    lower, so the floor never holds more than a tenth of the mass. For
+    every K <= 1000 it is exactly 1e-4."""
+    return min(1e-4, 1.0 / (10 * k))
+
+
+class MixingFloor:
+    """Base of both tracker configs: their mixing floor, read-only."""
+
+    @property
+    def pi_floor(self) -> float:
+        """`mixing_floor` at this config's K, the least weight of `mixing_update`."""
+        return mixing_floor(self.k)
+
+
 def check_config(config, d_min: int, k_min: int, flags: tuple[str, ...]) -> None:
     """Raise DomainError unless a tracker config's d, k, window and
     e_sweeps are integers (bools excluded) at or above their minimums
-    (d_min, k_min, 1 and 1) and at most MAX_SIZE, its pi_floor is a real
-    number in [0, 1/K) and each of its fields named in `flags` is a bool."""
+    (d_min, k_min, 1 and 1) and at most MAX_SIZE, and each of its fields
+    named in `flags` is a bool."""
     for name, minimum in (("d", d_min), ("k", k_min), ("window", 1), ("e_sweeps", 1)):
         check_int(name, getattr(config, name), minimum, size=True)
-    _check_pi_floor(config.pi_floor, config.k)
     for name in flags:
         check_flag(name, getattr(config, name))
-
-
-def _check_pi_floor(pi_floor, k: int) -> None:
-    """Raise DomainError unless pi_floor is a real number in [0, 1/K)."""
-    check_real("pi_floor", pi_floor, 0.0)
-    if not pi_floor < 1.0 / k:
-        raise DomainError(f"pi_floor must lie in [0, 1/K) for K={k}, got {pi_floor}")
 
 
 def check_batches(feats: list, resps: list, t_len: int, k: int, d: int,
@@ -135,15 +145,16 @@ def check_batches(feats: list, resps: list, t_len: int, k: int, d: int,
     return feats, resps, n_total
 
 
-def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
-    """Column means of the responsibilities, floored and renormalized.
+def mixing_update(resp: np.ndarray) -> np.ndarray:
+    """Column means of the (N, K) responsibilities, floored at
+    `mixing_floor(K)` and renormalized.
 
     Entries below the floor are pinned to it and the remaining mass is
-    distributed proportionally over the others, so e.g. rows all equal to
-    (1, 0) with floor 0.01 give (0.99, 0.01). Responsibilities of no row
-    raise EmptyInputError, ones that are not 2-d DimensionMismatchError,
-    and a non-finite or negative entry, a zero total, or a pi_floor that is
-    not a real number in [0, 1/K) DomainError.
+    distributed proportionally over the others, again until no entry lies
+    below it, so e.g. rows all equal to (1, 0) give (1 - 1e-4, 1e-4).
+    Responsibilities of no row raise EmptyInputError, ones that are not
+    2-d DimensionMismatchError, and a non-finite or negative entry or a
+    zero total (K = 0 among them) DomainError.
     """
     resp = _float_array(resp, "responsibilities", shape=(None, None))
     if resp.shape[0] == 0:
@@ -154,7 +165,7 @@ def mixing_update(resp: np.ndarray, pi_floor: float = 0.0) -> np.ndarray:
     # a negative entry need not, so the entries are checked too
     if not 0.0 < total < np.inf or resp.min() < 0.0:
         raise DomainError("responsibilities must be finite and nonnegative, with a positive sum")
-    _check_pi_floor(pi_floor, resp.shape[1])
+    pi_floor = mixing_floor(resp.shape[1])
     pi = pi / total
     pinned = np.zeros(pi.shape[0], dtype=bool)
     for _ in range(pi.shape[0]):

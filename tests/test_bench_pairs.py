@@ -227,6 +227,26 @@ def test_the_workloads_default_to_every_one_of_the_benchmark(tmp_path, monkeypat
         f"workload {name}" for name in names]
 
 
+def test_the_run_length_defaults_to_the_benchmark_run_seconds(tmp_path, monkeypatch):
+    # a copy of BENCHMARK.json whose runs last 3.5 s: the pairs follow it
+    benchmark = bench_pairs.json.loads(bench_pairs.BENCHMARK.read_text())
+    copy = tmp_path / "BENCHMARK.json"
+    copy.write_text(bench_pairs.json.dumps({**benchmark, "run_seconds": 3.5}))
+    monkeypatch.setattr(bench_pairs, "BENCHMARK", copy)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    commands = []
+    fake = fake_bench((parent, change), [])
+
+    def spy(cmd, cwd, **kwargs):
+        commands.append(cmd)
+        return fake(cmd, cwd, **kwargs)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", spy)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "a", "--seeds", "5"]) == 0
+    runs = [cmd for cmd in commands if cmd[0] != "git"]
+    assert [cmd[cmd.index("--seconds") + 1] for cmd in runs] == ["3.5", "3.5"]
+
+
 def test_commit_marks_an_uncommitted_tree_dirty(tmp_path):
     def git(*args):
         return bench_pairs.subprocess.run(

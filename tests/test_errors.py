@@ -171,11 +171,9 @@ CASES = {
     "GaussConfig k=MAX_SIZE + 1": lambda tmp: GaussConfig(d=3, k=MAX_SIZE + 1),
     "DriftScenario d=MAX_SIZE + 1": lambda tmp: DriftScenario(d=MAX_SIZE + 1),
     "write_stream k=MAX_SIZE + 1": lambda tmp: write_stream(tmp, batches(), MAX_SIZE + 1),
-    # window: pi_floor in [0, 1/K), t an integer >= 0, outside arrays converted
-    "mixing_update floor 0.6 at K=2": lambda tmp: mixing_update(RESP, 0.6),
-    "mixing_update floor 0.4 at K=3": lambda tmp: mixing_update(np.full((2, 3), 1 / 3), 0.4),
-    "mixing_update floor -0.1": lambda tmp: mixing_update(RESP, -0.1),
-    "mixing_update floor a string": lambda tmp: mixing_update(RESP, "x"),
+    # window: responsibilities of at least one class, before the floor of K
+    # is formed; t an integer >= 0, outside arrays converted
+    "mixing_update no class": lambda tmp: mixing_update(np.ones((2, 0))),
     "adapt t a bool": lambda tmp: vmf_model().adapt(True, BATCH),
     "adapt t=1.5": lambda tmp: gauss_model().adapt(1.5, BATCH),
     "adapt t a string": lambda tmp: vmf_model().adapt("x", BATCH),

@@ -64,6 +64,14 @@ def dense_m_step(means, covs, gains, resps, feats, learn_transition, learn_sigma
     return q, r
 
 
+def assert_floor_idle(model):
+    """Every window step's column means of its responsibilities lie above
+    the mixing floor, so the floored weights equal the unfloored ones of
+    an oracle without a floor."""
+    for s in model._steps:
+        assert s.resp.mean(axis=0).min() > model.config.pi_floor
+
+
 class DenseReference:
     """STAD-Gauss written from the textbook with (D, D) matrices.
 
@@ -96,7 +104,7 @@ class DenseReference:
         for _ in range(cfg.e_sweeps):
             self.sweep()
         for s in self.steps:
-            s["mixing"] = mixing_update(s["resp"], cfg.pi_floor)
+            s["mixing"] = mixing_update(s["resp"])
         if len(self.steps) >= 2:
             q, r = dense_m_step(
                 [s["mean"] for s in self.steps], [s["cov"] for s in self.steps], self.gains,
@@ -843,7 +851,7 @@ class TestGaussModel:
         w0 = normalize_rows(dirs + 0.1 * rng.standard_normal((2, d)))
         cfg = GaussConfig(
             d=d, k=2, sigma_trans_scale=10.0,  # the prior variance
-            window=5, e_sweeps=4, pi_floor=0.0,
+            window=5, e_sweeps=4,
         )
         model = GaussModel(w0, cfg)
         model.sigma_trans = 0.0  # a fixed chain
@@ -851,6 +859,7 @@ class TestGaussModel:
             labels = np.repeat([0, 1], 30)
             batch = normalize_rows(dirs[labels] + 0.1 * rng.standard_normal((60, d)))
             model.adapt(t, batch)
+            assert_floor_idle(model)
         pooled = np.concatenate([s.feats for s in model._steps])
         resp = np.concatenate([s.resp for s in model._steps])
         for j in range(2):
@@ -864,7 +873,7 @@ class TestGaussModel:
         w0 = normalize_rows(dirs + 0.05 * rng.standard_normal((k, d)))
         cfg = GaussConfig(
             d=d, k=k, sigma_trans_scale=1.0,  # the prior variance
-            window=3, e_sweeps=1, pi_floor=0.0,
+            window=3, e_sweeps=1,
         )
         model = GaussModel(w0, cfg)
         model.sigma_trans = 0.0  # a fixed chain
@@ -874,11 +883,13 @@ class TestGaussModel:
             batch = normalize_rows(dirs[labels] + 0.15 * rng.standard_normal((30, d)))
             step_feats.append(batch)
             model.adapt(t, batch)
+            assert_floor_idle(model)
         extra = 40
         for _ in range(extra):
             model.coordinate_sweep()
+            assert_floor_idle(model)
             for s in model._steps:
-                s.mixing = mixing_update(s.resp, 0.0)
+                s.mixing = mixing_update(s.resp)
         # replay the same arrival schedule, then the same extra iterations
         schedule = [[0], [0, 1], [0, 1, 2]] + [[0, 1, 2]] * extra
         want_means, _ = oracles.map_pooled_gaussian_mixture_em(

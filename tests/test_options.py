@@ -15,10 +15,9 @@ from stad.stream import DriftScenario
 from stad.vmf import VmfConfig, VmfModel
 
 FIELDS = {
-    VmfConfig: ["d", "k", "kappa_trans", "kappa_ems", "window", "e_sweeps", "learn_kappa_ems",
-                "pi_floor"],
+    VmfConfig: ["d", "k", "kappa_trans", "kappa_ems", "window", "e_sweeps", "learn_kappa_ems"],
     GaussConfig: ["d", "k", "sigma_trans_scale", "sigma_ems_scale", "window", "e_sweeps",
-                  "learn_transition", "learn_sigmas", "pi_floor"],
+                  "learn_transition", "learn_sigmas"],
     DriftScenario: ["geometry", "d", "k", "t_steps", "n_per_step", "kappa_true", "sigma_true",
                     "drift_deg_per_step", "drift_scale", "dirichlet_alpha", "seed"],
 }

@@ -41,6 +41,7 @@ from stad.vmf import (
     predict_probs,
     prototype_update,
 )
+from stad.window import mixing_floor
 
 import oracles
 
@@ -81,8 +82,6 @@ class TestConfig:
         with pytest.raises(DomainError):
             VmfConfig(d=4, k=2, window=0)
         with pytest.raises(DomainError):
-            VmfConfig(d=4, k=2, pi_floor=0.5)
-        with pytest.raises(DomainError):
             VmfConfig(d=4, k=2, kappa_ems=-1.0)
 
     @pytest.mark.parametrize("kwargs", [
@@ -102,7 +101,6 @@ class TestConfig:
         dict(kappa_ems="5"),
         dict(kappa_trans=float("nan")),
         dict(kappa_ems=np.float64(np.inf)),
-        dict(pi_floor="x"),
     ])
     def test_rejects_malformed_sizes(self, kwargs):
         with pytest.raises(DomainError):
@@ -344,10 +342,10 @@ class TestPrototypeUpdate:
 
     def test_model_counts_cancelled_rows(self):
         # both classes start at e1, so the assignments are uniform, and the
-        # two samples at -e1 cancel the prior's kappa_trans e1 in both rows
-        # at kappa_ems = kappa_trans
+        # two samples at -e1 cancel the prior's kappa_trans e1 in both rows,
+        # since the config sets kappa_ems = kappa_trans
         w0 = np.array([[1.0, 0.0], [1.0, 0.0]])
-        model = VmfModel(w0, VmfConfig(d=2, k=2, window=1))
+        model = VmfModel(w0, VmfConfig(d=2, k=2, kappa_trans=100.0, kappa_ems=100.0, window=1))
         model.adapt(1, -w0)
         assert model.degenerate_updates == 2 * model.config.e_sweeps
         np.testing.assert_array_equal(model.prototypes, w0)
@@ -444,12 +442,12 @@ def cancelling_case():
 
     Every class starts at e1, so the assignments are uniform, and the four
     samples at -e1 add -kappa_ems e1 to every row, which cancels the
-    prior's kappa_trans e1 at the default kappa_ems = kappa_trans, leaving
+    prior's kappa_trans e1 at the config's kappa_ems = kappa_trans, leaving
     every row with nothing.
     """
     rng = np.random.default_rng(24)
     w0 = np.array([[1.0, 0.0]] * 4)
-    cfg = VmfConfig(d=2, k=4, window=2)
+    cfg = VmfConfig(d=2, k=4, kappa_trans=100.0, kappa_ems=100.0, window=2)
     batches = [-w0]
     batches += [normalize_rows(rng.standard_normal((6, 2))) for _ in range(4)]
     return w0, cfg, batches, normalize_rows(rng.standard_normal((5, 2)))
@@ -465,10 +463,10 @@ class TestSweepMatchesReference:
         assert model._anchor is not model._prior
 
     def test_cancelled_rows_match_reference(self):
-        # the first batch cancels in both classes (see TestPrototypeUpdate);
-        # the later ones do not
+        # at kappa_ems = kappa_trans the first batch cancels in both classes
+        # (see TestPrototypeUpdate); the later ones do not
         rng = np.random.default_rng(22)
-        cfg = VmfConfig(d=2, k=2, window=2)
+        cfg = VmfConfig(d=2, k=2, kappa_trans=100.0, kappa_ems=100.0, window=2)
         w0 = np.array([[1.0, 0.0], [1.0, 0.0]])
         batches = [-w0]
         batches += [normalize_rows(rng.standard_normal((6, 2))) for _ in range(4)]
@@ -574,11 +572,11 @@ class TestFramedUpdate:
             assert model.degenerate_updates == 0
 
     def test_cancelling_rows_on_the_frame_path(self):
-        # both classes start at e1 with kappa_trans = kappa_ems, so each takes
-        # half of the two samples at -e1: in the frame kappa_trans every row
-        # is e1 + (kappa_ems / kappa_trans) * (-e1) = 0 and keeps the prior's
-        # belief
-        cfg = VmfConfig(d=2, k=2, window=1)
+        # both classes start at e1, and the config sets kappa_trans =
+        # kappa_ems, so each takes half of the two samples at -e1: in the
+        # frame kappa_trans every row is e1 + (kappa_ems / kappa_trans) * (-e1)
+        # = 0 and keeps the prior's belief
+        cfg = VmfConfig(d=2, k=2, kappa_trans=100.0, kappa_ems=100.0, window=1)
         w0 = np.array([[1.0, 0.0], [1.0, 0.0]])
         batch = np.array([[-1.0, 0.0], [-1.0, 0.0]])
         model = VmfModel(w0, cfg).adapt(1, batch)
@@ -885,24 +883,43 @@ class TestExpectedPrototype:
 
 
 class TestMixingUpdate:
+    """The weights are floored at mixing_floor(K): 1e-4, or 1/(10K) where
+    that is lower."""
+
     def test_balanced(self):
         np.testing.assert_allclose(
             mixing_update(np.array([[1.0, 0.0], [0.0, 1.0]])), [0.5, 0.5]
         )
 
-    def test_degenerate_no_floor(self):
-        np.testing.assert_allclose(
-            mixing_update(np.array([[1.0, 0.0], [1.0, 0.0]]), 0.0), [1.0, 0.0]
-        )
-
     def test_floor_then_scale_rule(self):
-        out = mixing_update(np.array([[1.0, 0.0], [1.0, 0.0]]), 0.01)
-        np.testing.assert_allclose(out, [0.99, 0.01], atol=1e-15)
+        # at K = 2 the floor is 1e-4
+        out = mixing_update(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        assert mixing_floor(2) == 1e-4
+        assert out.tolist() == [1.0 - 1e-4, 1e-4]
+
+    def test_floor_falls_as_one_over_ten_k(self):
+        # past K = 1000 the floor is 1/(10K): K - 1 pinned entries hold under
+        # a tenth of the mass
+        k = 2000
+        resp = np.zeros((3, k))
+        resp[:, 0] = 1.0
+        out = mixing_update(resp)
+        assert mixing_floor(k) == 1.0 / (10 * k) < 1e-4
+        assert np.all(out[1:] == mixing_floor(k))
+        assert out[0] == pytest.approx(1.0 - (k - 1) / (10 * k), abs=1e-15)
+
+    def test_second_pass_pins_an_entry_the_first_left(self):
+        # the first pass pins only the last entry; scaling the rest by
+        # (1 - 1e-4) / (1 - 5e-5) takes the middle one below the floor, and
+        # the second pass pins it
+        out = mixing_update(np.array([[1.0 - 1.50002e-4, 1.00002e-4, 5e-5]]))
+        assert out[1] == out[2] == 1e-4
+        assert out[0] == pytest.approx(0.9998, abs=1e-15)
 
     def test_simplex_output(self):
         rng = np.random.default_rng(4)
         resp = rng.dirichlet(np.ones(5), size=20)
-        out = mixing_update(resp, 1e-4)
+        out = mixing_update(resp)
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(out >= 1e-4 - 1e-15)
 
@@ -920,7 +937,7 @@ class TestMixingUpdate:
         resp = np.full((4, 3), 1.0 / 3.0)
         resp[2, 1] = bad
         with pytest.raises(DomainError):
-            mixing_update(resp, 1e-4)
+            mixing_update(resp)
 
     @pytest.mark.parametrize("resp", [
         np.array([[-1.0, 0.5], [0.2, 0.3]]),   # column means (-0.4, 0.4): a zero total
@@ -929,7 +946,7 @@ class TestMixingUpdate:
     ], ids=["negative", "zero-total", "negative-in-positive-total"])
     def test_off_simplex_rejected(self, resp):
         with pytest.raises(DomainError):
-            mixing_update(resp, 1e-4)
+            mixing_update(resp)
 
 
 def kappa_case(sizes=(7, 9), d=5, k=3):
@@ -1214,10 +1231,11 @@ class TestInvariants:
         init = normalize_rows(dirs + 0.1 * rng.standard_normal((k, d)))
         sweeps = 5
         cfg = VmfConfig(
-            d=d, k=k, kappa_trans=1e-6, window=1, e_sweeps=sweeps,
-            kappa_ems=100.0, pi_floor=0.0,
+            d=d, k=k, kappa_trans=1e-6, window=1, e_sweeps=sweeps, kappa_ems=100.0,
         )
         model = VmfModel(init, cfg).adapt(1, feats)
+        # the oracle has no mixing floor: the floor must not bind
+        assert model._steps[-1].resp.mean(axis=0).min() > cfg.pi_floor
         rho, _, resp = oracles.variational_vmf_mixture_em(
             feats, model.source_prototypes, kappa_ems=100.0, kappa0=cfg.kappa_trans,
             sweeps=sweeps

@@ -21,7 +21,7 @@ from stad.errors import (
 from stad.gauss import GaussConfig, GaussModel
 from stad.mathcore import log_sum_exp, normalize_rows
 from stad.vmf import VmfConfig, VmfModel, predict_probs
-from stad.window import SlidingWindow, check_batches, softmax_rows
+from stad.window import SlidingWindow, check_batches, mixing_floor, softmax_rows
 
 D = 3
 MODELS = {
@@ -352,3 +352,34 @@ def test_check_batches_takes_any_iterable():
     assert n_total == 3
     np.testing.assert_array_equal(feats[0], batch)
     np.testing.assert_array_equal(resps[0], resp)
+
+
+TRACKERS = pytest.mark.parametrize("tracker, config", [(VmfModel, VmfConfig),
+                                                       (GaussModel, GaussConfig)],
+                                   ids=["vmf", "gauss"])
+
+
+@TRACKERS
+def test_configs_read_the_one_mixing_floor(tracker, config):
+    # 1e-4 up to K = 1000, 1/(10K) beyond; no config sets it
+    assert [config(d=4, k=k).pi_floor for k in (10, 1000, 10_000)] == [1e-4, 1e-4, 1e-5]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config(d=4, k=10).pi_floor = 0.0
+
+
+def test_vmf_config_of_ten_thousand_classes_builds():
+    assert VmfConfig(d=64, k=10_000).pi_floor == mixing_floor(10_000)
+
+
+def test_gauss_config_of_max_size_classes_builds():
+    assert GaussConfig(d=3, k=MAX_SIZE).pi_floor == mixing_floor(MAX_SIZE) < 1.0 / MAX_SIZE
+
+
+@TRACKERS
+def test_a_model_of_ten_thousand_classes_adapts(tracker, config):
+    # five rows leave almost every class at the floor 1/(10K) = 1e-5
+    rng = np.random.default_rng(31)
+    model = tracker(rng.standard_normal((10_000, 64)), config(d=64, k=10_000))
+    model.adapt(1, rng.standard_normal((5, 64)))
+    assert model.mixing.min() == 1e-5
+    assert model.mixing.sum() == pytest.approx(1.0, abs=1e-12)

@@ -1,10 +1,12 @@
 """Compare two checkouts on benchmark workloads, in alternating pairs.
 
     python3 tools/bench_pairs.py PARENT CHANGE --seeds 301-310
-        [--workload NAME[,NAME...]] [--seconds 16] [--json PATH]
+        [--workload NAME[,NAME...]] [--seconds S] [--json PATH]
 
 `--workload` takes a comma list of workloads, by default every workload
-of `BENCHMARK.json`, and they run one after another. For each workload
+of `BENCHMARK.json`, and they run one after another. `--seconds` is each
+run's length, by default the `run_seconds` of `BENCHMARK.json`, so pairs
+run as long as the benchmark's own runs. For each workload
 and seed it runs the untraced benchmark (`bench/run.py --trace 0`)
 once in each checkout, the parent first on the first seed and the order
 swapped on every next seed, and reads the report each run writes to
@@ -151,16 +153,16 @@ def _rel(old: float, new: float) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    benchmark = json.loads(BENCHMARK.read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", type=lambda text: text.split(","),
                         help="a comma list of workloads (default: every one in BENCHMARK.json)")
     parser.add_argument("--seeds", type=parse_seeds, required=True)
-    parser.add_argument("--seconds", type=float, default=16.0)
+    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     parser.add_argument("--json", type=Path, help="also write the comparison to this file")
     args = parser.parse_args(argv)
-    benchmark = json.loads(BENCHMARK.read_text())
     metrics = benchmark["end_to_end"]
     compared = {}
     for workload in args.workload or [w["name"] for w in benchmark["workloads"]]:
